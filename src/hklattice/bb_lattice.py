@@ -23,7 +23,7 @@ import random
 from math import gcd
 
 from . import kernels
-from .exact_linalg import Lattice, Mat, signature_symmetric
+from .exact_linalg import Lattice, Mat, int_vector, signature_symmetric
 
 RANK = 23
 DELTA0_INDEX = 22
@@ -72,17 +72,25 @@ assert abs(kernels.det_bareiss([list(r) for r in GRAM])) == 2
 assert all(GRAM[i][i] % 2 == 0 for i in range(RANK))
 
 
+_GRAM_MAT = Mat.from_int_rows(GRAM)
+
+
 def gram_mat() -> Mat:
-    return Mat(GRAM)
+    """The frozen Gram as one shared Mat, used as the ambient form of lattices."""
+    return _GRAM_MAT
 
 
 class H2Class:
-    """An integer vector in the rank-23 lattice."""
+    """An integer vector in the rank-23 lattice.
+
+    Coordinates must be Python ints: a float or a bool is rejected rather
+    than truncated.
+    """
 
     __slots__ = ("coords",)
 
     def __init__(self, coords):
-        coords = tuple(int(x) for x in coords)
+        coords = int_vector(coords)
         if len(coords) != RANK:
             raise ValueError(f"need {RANK} coordinates, got {len(coords)}")
         self.coords = coords
@@ -291,7 +299,7 @@ def orth_complement_basis(d) -> list[H2Class]:
         raise ArithmeticError(f"complement Gram determinant {det}, expected +-1")
     if any(g[i][i] % 2 for i in range(RANK - 1)):
         raise ArithmeticError("complement Gram is not even")
-    if signature_symmetric(Mat(g)) != (3, 19, 0):
+    if signature_symmetric(Mat.from_int_rows(g)) != (3, 19, 0):
         raise ArithmeticError("complement has wrong signature")
     return vecs
 

@@ -61,17 +61,16 @@ from .deformation_fix import (
     solve_fixed_space,
     verify_generators,
 )
-from .exact_linalg import Lattice, Mat, divisibility, sublattice_index
+from .exact_linalg import Lattice, Mat, sublattice_index
 from .h4_model import (
-    AMBIENT,
     H4Class,
     build_h4_lattice,
     default_h4_lattice,
     default_torsion_quotient,
     double_cover_sym2_matrix,
     fujiki_det,
-    fujiki_mat,
     fujiki_with_product,
+    h4_span,
     half_product_class,
     sym2_embed,
     sym2_lattice,
@@ -316,12 +315,7 @@ def _suite_even_odd(ck: _Checks, rng: random.Random, trials: int | None):
     for _ in range(m):
         l0 = sample_polarization_odd(rng)
         V = canonical_hodge_lattice(l0, h4)
-        want = Lattice.from_generators(
-            [list(sym2_embed(l0, l0).coords()), list(tfq.coords())],
-            ambient_dim=AMBIENT,
-            form=fujiki_mat(),
-        )
-        if V == want:
+        if V == h4_span([sym2_embed(l0, l0), tfq]):
             ok += 1
     ck.add(
         "v_structure_odd",
@@ -334,12 +328,7 @@ def _suite_even_odd(ck: _Checks, rng: random.Random, trials: int | None):
         l0 = sample_polarization_even(rng, bool(k % 2))
         V = canonical_hodge_lattice(l0, h4)
         gen2 = Fraction(1, 8) * (sym2_embed(l0, l0) + tfq)
-        want = Lattice.from_generators(
-            [list(sym2_embed(l0, l0).coords()), list(gen2.coords())],
-            ambient_dim=AMBIENT,
-            form=fujiki_mat(),
-        )
-        if V == want:
+        if V == h4_span([sym2_embed(l0, l0), gen2]):
             ok += 1
     ck.add(
         "v_structure_even",
@@ -398,7 +387,7 @@ def _suite_cubic(ck: _Checks, rng: random.Random, trials: int | None):
     ck.add(
         "residual_integral_primitive",
         True,
-        h4.contains(resid) and divisibility(list(resid.coords()), h4.lattice) == 1,
+        h4.contains(resid) and h4.divisibility(resid) == 1,
         "(g1^2 - g2)/3 integral and primitive",
     )
     ck.add(
@@ -408,7 +397,7 @@ def _suite_cubic(ck: _Checks, rng: random.Random, trials: int | None):
         "g2 and the residual class generate the whole rank-2 integral span",
     )
     T = transcendental(PicardData.rank_one(g1))
-    rows = [H2Class([int(x) for x in r]) for r in T.basis_rows()]
+    rows = [H2Class(r) for r in T.int_basis]
     bad = 0
     for _ in range(trials or 20):
         a, b = rng.choice(rows), rng.choice(rows)
@@ -596,7 +585,7 @@ def _payload_class(payload: dict, h4) -> H4Class:
     if "class" in payload:
         return H4Class.from_json(payload["class"])
     if "lambda0" in payload:
-        l0 = H2Class([int(x) for x in payload["lambda0"]])
+        l0 = H2Class(payload["lambda0"])
         cls = sym2_embed(l0, l0)
         if payload.get("plus_two_fifths_q"):
             cls = cls + Fraction(2, 5) * h4.q
@@ -611,15 +600,15 @@ def run_query(kind: str, payload: dict) -> dict:
         member = h4.contains(cls)
         out = {"member": member}
         if member and not cls.is_zero():
-            out["divisibility"] = divisibility(list(cls.coords()), h4.lattice)
+            out["divisibility"] = h4.divisibility(cls)
         return out
     if kind == "divisibility":
         cls = _payload_class(payload, h4)
-        return {"divisibility": divisibility(list(cls.coords()), h4.lattice)}
+        return {"divisibility": h4.divisibility(cls)}
     if kind == "vlambda":
-        l0 = H2Class([int(x) for x in payload["lambda0"]])
+        l0 = H2Class(payload["lambda0"])
         V = canonical_hodge_lattice(l0, h4)
-        rows = [H4Class.from_fractions(r) for r in V.basis_rows()]
+        rows = [H4Class(r, V.den) for r in V.int_basis]
         gram = V.gram()
         return {
             "parity": "even" if is_even(l0) else "odd",
@@ -629,11 +618,9 @@ def run_query(kind: str, payload: dict) -> dict:
             "gram_det": _fstr(gram.det()),
         }
     if kind == "minimal-search":
-        l0 = H2Class([int(x) for x in payload["lambda0"]])
+        l0 = H2Class(payload["lambda0"])
         if "picard" in payload:
-            pd = PicardData.from_vectors(
-                [[int(x) for x in row] for row in payload["picard"]], l0
-            )
+            pd = PicardData.from_vectors(payload["picard"], l0)
         else:
             pd = PicardData.rank_one(l0)
         rep = minimal_class_search(pd, h4)

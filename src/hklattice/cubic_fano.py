@@ -32,15 +32,14 @@ from .bb_lattice import (
     sample_exceptional,
     _square_adjusted,
 )
-from .exact_linalg import Lattice, divisibility
+from .exact_linalg import Lattice
 from .h4_model import (
-    AMBIENT,
     H4Class,
     H4Lattice,
     bb_inverse_class,
     default_h4_lattice,
-    fujiki_mat,
     fujiki_pair,
+    h4_span,
     point_surface_class,
     second_chern_class,
     sym2_embed,
@@ -93,7 +92,7 @@ def build_cubic_model(g1: H2Class, h4: H4Lattice | None = None) -> CubicModel:
     resid = model.residual_generator()
     if not h4.contains(resid):
         raise ArithmeticError("(g1^2 - g2)/3 fell outside the integral lattice")
-    if divisibility(list(resid.coords()), h4.lattice) != 1:
+    if h4.divisibility(resid) != 1:
         raise ArithmeticError("(g1^2 - g2)/3 is not primitive")
     if fujiki_pair(g2, sq) != 45:
         raise ArithmeticError("g2 . g1^2 is not 45")
@@ -110,11 +109,7 @@ def lines_hodge_basis(m: CubicModel, verify: bool = True) -> Lattice:
     With verify=True (default) the result is checked to coincide with the
     full lattice of integral classes in the rational span of g1^2 and q.
     """
-    lat = Lattice.from_generators(
-        [list(m.g2.coords()), list(m.residual_generator().coords())],
-        ambient_dim=AMBIENT,
-        form=fujiki_mat(),
-    )
+    lat = h4_span([m.g2, m.residual_generator()])
     if verify:
         V = canonical_hodge_lattice(m.g1, m.h4)
         if lat != V:

@@ -13,8 +13,12 @@ denominator 20 dual to a point (the "point/surface" class below). L does not
 depend on which exceptional class is used, which is one of the verified
 facts rather than an assumption.
 
-Everything is exact; the only caches are the Fujiki Gram matrix and its
-determinant.
+Everything is exact and runs on Python integers: classes are integer
+numerators over one denominator and go into lattices as such. The caches
+are the Fujiki Gram (one shared integer ``Mat``, whose symmetry check and
+JSON text are computed once), its determinant, the class q of the
+distinguished exceptional class, and the default lattice and torsion
+quotient built from that class.
 """
 
 from __future__ import annotations
@@ -39,7 +43,11 @@ from .exact_linalg import (
     FiniteAbelianGroup,
     Lattice,
     Mat,
+    combine_basis,
     fraction_vector,
+    int_vector,
+    parse_int,
+    parse_rational,
     quotient_invariants,
 )
 
@@ -66,7 +74,8 @@ class H4Class:
     """A rational vector in the 276-dimensional monomial coordinate space.
 
     Stored as an integer numerator tuple over a single positive denominator,
-    normalized so that gcd(den, all numerators) = 1.
+    normalized so that gcd(den, all numerators) = 1. Numerators and the
+    denominator must be Python ints (no floats, no bools).
     """
 
     __slots__ = ("num", "den")
@@ -76,10 +85,10 @@ class H4Class:
             self.num = num
             self.den = den
             return
-        num = tuple(int(x) for x in num)
+        num = int_vector(num)
         if len(num) != AMBIENT:
             raise ValueError(f"need {AMBIENT} coordinates, got {len(num)}")
-        den = int(den)
+        den = parse_int(den)
         if den == 0:
             raise ZeroDivisionError("zero denominator")
         if den < 0:
@@ -145,7 +154,7 @@ class H4Class:
         return H4Class(tuple(-x for x in self.num), self.den, _normalized=True)
 
     def scale(self, c) -> "H4Class":
-        c = c if isinstance(c, Fraction) else Fraction(c)
+        c = parse_rational(c)
         return H4Class(
             tuple(c.numerator * x for x in self.num), self.den * c.denominator
         )
@@ -192,7 +201,7 @@ class H4Class:
             i, j = int(m.group(1)), int(m.group(2))
             if not (0 <= i <= j < RANK):
                 raise ValueError(f"monomial key {key!r} out of range")
-            coords[_PAIR_INDEX[(i, j)]] = Fraction(val)
+            coords[_PAIR_INDEX[(i, j)]] = parse_rational(val)
         return cls.from_fractions(coords)
 
 
@@ -225,35 +234,30 @@ def sym2_embed(a: H2Class, b: H2Class) -> H4Class:
     return H4Class(tuple(num), 1)
 
 
-_FUJIKI_ROWS: list[list[int]] | None = None
 _FUJIKI_MAT: Mat | None = None
 _FUJIKI_DET: int | None = None
 
 
-def fujiki_rows() -> list[list[int]]:
-    """The 276x276 integer Gram of the Fujiki pairing on monomials (cached)."""
-    global _FUJIKI_ROWS
-    if _FUJIKI_ROWS is None:
+def fujiki_mat() -> Mat:
+    """The 276x276 integer Gram of the Fujiki pairing on monomials, as one
+    shared Mat used as the ambient form of lattices (cached)."""
+    global _FUJIKI_MAT
+    if _FUJIKI_MAT is None:
         g = GRAM
         rows = []
         for (i, j) in _PAIRS:
             gi, gj = g[i], g[j]
             gij = gi[j]
-            row = [
-                gi[k] * gj[l] + gi[l] * gj[k] + gij * g[k][l]
-                for (k, l) in _PAIRS
-            ]
-            rows.append(row)
-        _FUJIKI_ROWS = rows
-    return _FUJIKI_ROWS
-
-
-def fujiki_mat() -> Mat:
-    """The same Gram as a shared Mat, used as the ambient form of lattices."""
-    global _FUJIKI_MAT
-    if _FUJIKI_MAT is None:
-        _FUJIKI_MAT = Mat(fujiki_rows())
+            rows.append(
+                [gi[k] * gj[l] + gi[l] * gj[k] + gij * g[k][l] for (k, l) in _PAIRS]
+            )
+        _FUJIKI_MAT = Mat.from_int_rows(rows)
     return _FUJIKI_MAT
+
+
+def fujiki_rows() -> tuple[tuple[int, ...], ...]:
+    """The integer rows of the Fujiki Gram (shared with ``fujiki_mat``)."""
+    return fujiki_mat().scaled_int_rows()[1]
 
 
 def fujiki_det() -> int:
@@ -296,9 +300,20 @@ def fujiki_with_product(u: H4Class, a: H2Class, b: H2Class) -> Fraction:
 
 
 def _inverse_int_symmetric(rows) -> list[list[int]]:
-    """Inverse of an integer symmetric matrix with det +-1, as integers."""
-    inv = Mat(rows).inverse()
-    return inv.int_rows()
+    """Inverse of an integer symmetric matrix with det +-1, as integers.
+
+    The row HNF of a unimodular matrix is the identity, so the unimodular
+    transform U with U * rows = H is the inverse; anything else is singular
+    or not unimodular and raises.
+    """
+    n = len(rows)
+    H, U, rank = kernels.hnf_transform(rows)
+    if rank != n or any(H[i][j] != (i == j) for i in range(n) for j in range(n)):
+        raise ArithmeticError("matrix is not unimodular")
+    return U
+
+
+_DEFAULT_Q: H4Class | None = None
 
 
 def bb_inverse_class(d=None, abasis=None) -> H4Class:
@@ -306,23 +321,34 @@ def bb_inverse_class(d=None, abasis=None) -> H4Class:
 
     Built from an exceptional class d and a basis of its complement as
     sum_ij B_ij a_i a_j - d^2/2 with B the inverse complement Gram; the
-    result is independent of both choices.
+    result is independent of both choices. The class built from the
+    distinguished exceptional class with its own complement basis is cached;
+    every other exceptional class is built from scratch.
     """
-    if d is None:
-        d = ExceptionalClass(delta0())
+    global _DEFAULT_Q
+    dh = d.h2 if isinstance(d, ExceptionalClass) else d
+    default = abasis is None and (dh is None or dh == delta0())
+    if default and _DEFAULT_Q is not None:
+        return _DEFAULT_Q
+    if dh is None:
+        dh = delta0()
     if abasis is None:
-        abasis = orth_complement_basis(d)
+        abasis = orth_complement_basis(dh)
     a_gram = [[bb_form(x, y) for y in abasis] for x in abasis]
     binv = _inverse_int_symmetric(a_gram)
-    dh = d.h2 if isinstance(d, ExceptionalClass) else d
-    acc = H4Class.zero()
+    # numerators of sum_ij B_ij a_i a_j - d^2/2 over the denominator 2
+    acc = [-x for x in sym2_embed(dh, dh).num]
     k = len(abasis)
     for i in range(k):
         for j in range(i, k):
             w = binv[i][j] if i == j else 2 * binv[i][j]
             if w:
-                acc = acc + w * sym2_embed(abasis[i], abasis[j])
-    return acc - Fraction(1, 2) * sym2_embed(dh, dh)
+                p = sym2_embed(abasis[i], abasis[j]).num
+                acc = [a + 2 * w * x for a, x in zip(acc, p)]
+    q = H4Class(acc, 2)
+    if default:
+        _DEFAULT_Q = q
+    return q
 
 
 def half_product_class(d, a: H2Class) -> H4Class:
@@ -355,6 +381,14 @@ def sym2_lattice() -> Lattice:
     return Lattice.standard(AMBIENT, form=fujiki_mat())
 
 
+def h4_span(classes) -> Lattice:
+    """The lattice spanned by degree-4 classes, with the Fujiki form."""
+    classes = list(classes)
+    den = lcm(*(c.den for c in classes))
+    rows = [[x * (den // c.den) for x in c.num] for c in classes]
+    return Lattice.from_int_rows(rows, den, AMBIENT, fujiki_mat())
+
+
 class H4Lattice:
     """The full degree-4 lattice with its construction witnesses.
 
@@ -376,10 +410,14 @@ class H4Lattice:
         self.v0 = v0
 
     def contains(self, v: H4Class) -> bool:
-        return self.lattice.contains(v.coords())
+        return self.lattice.contains_int(v.num, v.den)
 
     def coords(self, v: H4Class):
-        return self.lattice.coords(v.coords())
+        return self.lattice.coords_int(v.num, v.den)
+
+    def divisibility(self, v: H4Class) -> int:
+        """Largest n >= 1 with v/n still in the lattice."""
+        return self.lattice.divisibility_int(v.num, v.den)
 
     def __eq__(self, other):
         if not isinstance(other, H4Lattice):
@@ -419,13 +457,11 @@ def build_h4_lattice(d=None) -> H4Lattice:
     b_inv = _inverse_int_symmetric(a_gram)
     q = bb_inverse_class(d, abasis)
     v0 = point_surface_class(d, q)
-    gens = []
-    for i in range(AMBIENT):
-        gens.append([Fraction(int(k == i)) for k in range(AMBIENT)])
-    for a in abasis:
-        gens.append(list(half_product_class(d, a).coords()))
-    gens.append(list(v0.coords()))
-    lat = Lattice.from_generators(gens, ambient_dim=AMBIENT, form=fujiki_mat())
+    extra = [half_product_class(d, a) for a in abasis] + [v0]
+    den = lcm(*(c.den for c in extra))
+    gens = [[den if k == i else 0 for k in range(AMBIENT)] for i in range(AMBIENT)]
+    gens += [[x * (den // c.den) for x in c.num] for c in extra]
+    lat = Lattice.from_int_rows(gens, den, AMBIENT, fujiki_mat())
     if lat.rank != AMBIENT:
         raise ArithmeticError("degree-4 lattice has a rank defect")
     return H4Lattice(
@@ -456,17 +492,15 @@ class TorsionQuotient:
         "_positions",
         "_V",
         "_lift_rows",
+        "_lift_den",
     )
 
     def __init__(self, h4: H4Lattice):
         self.h4 = h4
-        sub_rows = [
-            [Fraction(int(k == i)) for k in range(AMBIENT)]
-            for i in range(AMBIENT)
-        ]
         C = []
-        for row in sub_rows:
-            c = h4.lattice.coords(row)
+        for i in range(AMBIENT):
+            unit = [1 if k == i else 0 for k in range(AMBIENT)]
+            c = h4.lattice.coords_int(unit)
             if c is None:
                 raise ArithmeticError("monomial basis escaped the overlattice")
             C.append(list(c))
@@ -476,19 +510,12 @@ class TorsionQuotient:
         self._positions = [i for i, dd in enumerate(diag) if dd > 1]
         self.moduli = tuple(diag[i] for i in self._positions)
         self._V = V
-        basis_rows = h4.lattice.basis_rows()
-        lifts = []
-        for i in self._positions:
-            vec = [Fraction(0)] * AMBIENT
-            for j, c in enumerate(Vinv[i]):
-                if c:
-                    rj = basis_rows[j]
-                    for k in range(AMBIENT):
-                        if rj[k]:
-                            vec[k] += c * rj[k]
-            lifts.append(tuple(vec))
-        self._lift_rows = tuple(lifts)
-        self.group = FiniteAbelianGroup(self.moduli, lifts)
+        den, lifts = combine_basis([Vinv[i] for i in self._positions], h4.lattice)
+        self._lift_den = den
+        self._lift_rows = tuple(tuple(v) for v in lifts)
+        self.group = FiniteAbelianGroup(
+            self.moduli, [[Fraction(x, den) for x in v] for v in lifts]
+        )
 
     def order(self) -> int:
         return self.group.order()
@@ -526,13 +553,11 @@ class TorsionQuotient:
 
     def lift(self, t) -> H4Class:
         """One representative in the degree-4 lattice of a residue tuple."""
-        vec = [Fraction(0)] * AMBIENT
+        vec = [0] * AMBIENT
         for a, row in zip(t, self._lift_rows):
             if a:
-                for k in range(AMBIENT):
-                    if row[k]:
-                        vec[k] += a * row[k]
-        return H4Class.from_fractions(vec)
+                vec = [v + a * x for v, x in zip(vec, row)]
+        return H4Class(vec, self._lift_den)
 
     # -- structure maps -----------------------------------------------------
 
@@ -771,12 +796,7 @@ def verify_cup_product_table(d=None, strict: bool = True) -> dict:
 
     dictionary = [v0] + v + list(vij.values()) + u
     record("dictionary_integral", all(h4.contains(x) for x in dictionary))
-    span = Lattice.from_generators(
-        [list(x.coords()) for x in dictionary],
-        ambient_dim=AMBIENT,
-        form=fujiki_mat(),
-    )
-    record("dictionary_is_basis", span == h4.lattice)
+    record("dictionary_is_basis", h4_span(dictionary) == h4.lattice)
     record(
         "half_products_divisible",
         all(

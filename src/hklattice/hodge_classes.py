@@ -20,10 +20,11 @@ from __future__ import annotations
 import hashlib
 import json
 from fractions import Fraction
-from math import gcd, lcm
+from math import gcd
 
 from . import kernels
 from .bb_lattice import (
+    GRAM,
     RANK,
     ExceptionalClass,
     H2Class,
@@ -37,7 +38,8 @@ from .exact_linalg import (
     FiniteAbelianGroup,
     Lattice,
     coset_feasible,
-    lattice_meet,
+    int_vector,
+    parse_rational,
     quotient_invariants,
     saturate_in,
 )
@@ -49,8 +51,8 @@ from .h4_model import (
     default_h4_lattice,
     default_torsion_quotient,
     fujiki_rows,
-    fujiki_mat,
     fujiki_with_product,
+    h4_span,
     second_chern_class,
     sym2_embed,
 )
@@ -82,36 +84,27 @@ class PicardData:
             raise ValueError("polarization must be primitive")
         if bb_form(lambda0, lambda0) <= 0:
             raise ValueError("polarization must have positive square")
-        if not p_lattice.contains([Fraction(c) for c in lambda0.coords]):
+        if not p_lattice.contains_int(lambda0.coords):
             raise ValueError("polarization must lie in the Picard lattice")
         self.p_lattice = p_lattice
         self.lambda0 = lambda0
 
     @classmethod
     def rank_one(cls, lambda0: H2Class) -> "PicardData":
-        lat = Lattice.from_generators(
-            [[Fraction(c) for c in lambda0.coords]],
-            ambient_dim=RANK,
-            form=gram_mat(),
-        )
+        lat = Lattice.from_int_rows([lambda0.coords], 1, RANK, gram_mat())
         return cls(lat, lambda0)
 
     @classmethod
     def from_vectors(cls, vectors, lambda0: H2Class) -> "PicardData":
         """Saturated span of the given integer vectors; must contain lambda0."""
-        lat = Lattice.from_generators(
-            [[Fraction(c) for c in v] for v in vectors],
-            ambient_dim=RANK,
-            form=gram_mat(),
-        )
+        rows = [int_vector(v) for v in vectors]
+        lat = Lattice.from_int_rows(rows, 1, RANK, gram_mat())
         lat = saturate_in(lat, Lattice.standard(RANK, form=gram_mat()))
         return cls(lat, lambda0)
 
     def to_json(self) -> dict:
         return {
-            "basis": [
-                [str(int(x)) for x in row] for row in self.p_lattice.basis_rows()
-            ],
+            "basis": [[str(x) for x in row] for row in _int_rows(self.p_lattice)],
             "lambda0": self.lambda0.to_json(),
         }
 
@@ -120,8 +113,21 @@ class PicardData:
         if isinstance(obj, str):
             obj = json.loads(obj)
         l0 = H2Class.from_json(obj["lambda0"])
-        vecs = [[int(x) for x in row] for row in obj["basis"]]
+        vecs = [[_integer(parse_rational(x)) for x in row] for row in obj["basis"]]
         return cls.from_vectors(vecs, l0)
+
+
+def _integer(x: Fraction) -> int:
+    if x.denominator != 1:
+        raise ValueError(f"expected an integer, got {x}")
+    return x.numerator
+
+
+def _int_rows(lat: Lattice):
+    """The canonical basis of a sublattice of Z^23 as integer rows."""
+    if lat.den != 1:
+        raise ValueError("lattice is not integral")
+    return lat.int_basis
 
 
 def transcendental(p: PicardData | Lattice) -> Lattice:
@@ -134,10 +140,9 @@ def transcendental(p: PicardData | Lattice) -> Lattice:
     basis of the saturated left kernel, i.e. of the complement.
     """
     plat = p.p_lattice if isinstance(p, PicardData) else p
-    prows = [[int(x) for x in row] for row in plat.basis_rows()]
-    g = gram_mat()
+    prows = _int_rows(plat)
     pairing = [
-        [sum(int(g[(k, l)]) * pr[l] for l in range(RANK) if pr[l]) for pr in prows]
+        [sum(GRAM[k][l] * pr[l] for l in range(RANK) if pr[l]) for pr in prows]
         for k in range(RANK)
     ]
     _, U, rank = kernels.hnf_transform(pairing)
@@ -145,8 +150,7 @@ def transcendental(p: PicardData | Lattice) -> Lattice:
         raise DegenerateTranscendentalError(
             "pairing matrix dropped rank; complement is not a true complement"
         )
-    gens = [[Fraction(x) for x in U[t]] for t in range(rank, RANK)]
-    return Lattice.from_generators(gens, ambient_dim=RANK, form=gram_mat())
+    return Lattice.from_int_rows(U[rank:], 1, RANK, gram_mat())
 
 
 def canonical_hodge_lattice(l0: H2Class, h4: H4Lattice | None = None) -> Lattice:
@@ -161,22 +165,19 @@ def canonical_hodge_lattice(l0: H2Class, h4: H4Lattice | None = None) -> Lattice
         raise ValueError("polarization must be primitive")
     if bb_form(l0, l0) <= 0:
         raise ValueError("polarization must have positive square")
-    span = Lattice.from_generators(
-        [list(sym2_embed(l0, l0).coords()), list(h4.q.coords())],
-        ambient_dim=AMBIENT,
-        form=fujiki_mat(),
-    )
+    span = h4_span([sym2_embed(l0, l0), h4.q])
     if span.rank != 2:
         raise ArithmeticError("polarization square and q failed independence")
-    sat = saturate_in(span, Lattice.standard(AMBIENT, form=fujiki_mat()))
-    V = lattice_meet(h4.lattice, sat.scaled(Fraction(1, h4.lattice.den)))
+    # h4.lattice lies in (1/den) Z^276, so saturating there equals saturating
+    # in Z^276, scaling by 1/den and meeting with the lattice
+    V = saturate_in(span, h4.lattice)
     if V.rank != 2:
         raise ArithmeticError("integral span is not rank 2")
     return V
 
 
 def _t_basis(T: Lattice) -> list[H2Class]:
-    return [H2Class([int(x) for x in row]) for row in T.basis_rows()]
+    return [H2Class(row) for row in _int_rows(T)]
 
 
 def minimality_scalar(v: H4Class, T: Lattice) -> Fraction:
@@ -248,18 +249,6 @@ class MinimalityReport:
         }
 
 
-def _image_generator(values) -> Fraction:
-    """Nonnegative generator of the subgroup of Q generated by the values."""
-    nz = [x for x in values if x]
-    if not nz:
-        return Fraction(0)
-    L = lcm(*(x.denominator for x in nz))
-    g = 0
-    for x in nz:
-        g = gcd(g, (x * L).numerator)
-    return Fraction(g, L)
-
-
 def minimal_class_search(
     p: PicardData, h4: H4Lattice | None = None
 ) -> MinimalityReport:
@@ -278,13 +267,11 @@ def minimal_class_search(
     if T.rank < 2:
         raise DegenerateTranscendentalError("transcendental rank below 2")
     pbasis = _t_basis(p.p_lattice)
-    gens = [list(h4.q.coords())]
+    gens = [h4.q]
     for i, a in enumerate(pbasis):
         for b in pbasis[i:]:
-            gens.append(list(sym2_embed(a, b).coords()))
-    span = Lattice.from_generators(gens, ambient_dim=AMBIENT, form=fujiki_mat())
-    sat = saturate_in(span, Lattice.standard(AMBIENT, form=fujiki_mat()))
-    search = lattice_meet(h4.lattice, sat.scaled(Fraction(1, h4.lattice.den)))
+            gens.append(sym2_embed(a, b))
+    search = saturate_in(h4_span(gens), h4.lattice)
 
     # one transcendental pair with nonzero form turns m into an ambient covector
     tbasis = _t_basis(T)
@@ -300,24 +287,18 @@ def minimal_class_search(
         raise DegenerateTranscendentalError("form vanishes on the complement")
     s = sym2_embed(*pair)
     c = bb_form(*pair)
-    G = fujiki_rows()
-    cov = []
-    for col in range(AMBIENT):
-        acc = 0
-        for k, x in enumerate(s.num):
-            if x:
-                acc += x * G[k][col]
-        cov.append(Fraction(acc, s.den * c))
-
-    values = []
-    for row in search.basis_rows():
-        acc = Fraction(0)
-        for f, x in zip(cov, row):
-            if f and x:
-                acc += f * x
-        values.append(acc)
-    g = _image_generator(values)
-    feasible, wit_vec = coset_feasible(search, cov, 1)
+    # m is the covector cov / cov_den: the pairing against the product s
+    cov = [0] * AMBIENT
+    for x, grow in zip(s.num, fujiki_rows()):
+        if x:
+            cov = [a + x * y for a, y in zip(cov, grow)]
+    cov_den = s.den * c
+    # the image m(search) is g*Z with g >= 0 the gcd of the basis values
+    values = [sum(f * x for f, x in zip(cov, row) if f) for row in search.int_basis]
+    g = Fraction(gcd(*values), abs(cov_den) * search.den)
+    feasible, wit_vec = coset_feasible(
+        search, [Fraction(f, cov_den) for f in cov], 1
+    )
     witness = None
     if feasible:
         witness = H4Class.from_fractions(wit_vec)
@@ -325,8 +306,8 @@ def minimal_class_search(
             raise ArithmeticError("witness failed re-verification across pairs")
 
     h = hashlib.sha256()
-    h.update(json.dumps(search.to_json(), sort_keys=True).encode())
-    h.update(json.dumps(T.to_json(), sort_keys=True).encode())
+    h.update(search.json_text().encode())
+    h.update(T.json_text().encode())
     return MinimalityReport(
         search, g, feasible, witness, h4.delta_used, h.hexdigest()[:16]
     )
@@ -343,9 +324,7 @@ def hodge_image_in_torsion(
     if tq is None:
         tq = default_torsion_quotient()
     V = canonical_hodge_lattice(l0, tq.h4)
-    gens = [
-        tq.class_of(H4Class.from_fractions(row)) for row in V.basis_rows()
-    ]
+    gens = [tq.class_of(H4Class(row, V.den)) for row in V.int_basis]
     return tq.subgroup(gens)
 
 
@@ -363,12 +342,7 @@ def algebraic_quotient_bound(
         h4 = default_h4_lattice()
     V = canonical_hodge_lattice(l0, h4)
     c2 = second_chern_class(h4.delta_used, h4.q)
-    sub = Lattice.from_generators(
-        [list(sym2_embed(l0, l0).coords()), list(c2.coords())],
-        ambient_dim=AMBIENT,
-        form=fujiki_mat(),
-    )
-    return quotient_invariants(sub, V)
+    return quotient_invariants(h4_span([sym2_embed(l0, l0), c2]), V)
 
 
 def even_class_predicates(

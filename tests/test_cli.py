@@ -141,6 +141,48 @@ class TestQuery:
         assert "unknown named class" in err
 
 
+class TestStrictPayload:
+    """Payload numbers are exact: a float is never truncated, a bool is never
+    read as 1, and either one is a payload error (exit 2, one error line)."""
+
+    def _rejected(self, capsys, kind, payload):
+        code, out, err = _run(
+            capsys, ["query", kind, "--json", "--payload", json.dumps(payload)]
+        )
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error:")
+        assert len(err.strip().splitlines()) == 1
+        assert "Traceback" not in err
+
+    def test_float_lambda0_rejected(self, capsys):
+        self._rejected(capsys, "vlambda", {"lambda0": [1.9, 1] + [0] * 21})
+
+    def test_bool_lambda0_rejected(self, capsys):
+        self._rejected(capsys, "vlambda", {"lambda0": [True, 1] + [0] * 21})
+
+    def test_float_class_value_rejected(self, capsys):
+        self._rejected(capsys, "membership", {"class": {"(0,0)": 0.1}})
+
+    def test_float_picard_rejected(self, capsys):
+        l0 = [1, 1] + [0] * 21
+        self._rejected(
+            capsys, "minimal-search", {"lambda0": l0, "picard": [[1.0, 1] + [0] * 21]}
+        )
+
+    def test_malformed_fraction_text_rejected(self, capsys):
+        self._rejected(capsys, "membership", {"class": {"(0,0)": "0.1"}})
+        self._rejected(capsys, "membership", {"class": {"(0,0)": "1/0"}})
+
+    def test_exact_numbers_still_accepted(self, capsys):
+        code, out, _ = _run(
+            capsys,
+            ["query", "membership", "--payload", '{"class": {"(0,0)": "1/2", "(0,1)": 3}}'],
+        )
+        assert code == 0
+        assert json.loads(out) == {"member": False}
+
+
 class TestSample:
     def test_exceptional_deterministic(self, capsys):
         code, out1, _ = _run(capsys, ["sample", "exceptional", "--count", "3", "--seed", "9"])
