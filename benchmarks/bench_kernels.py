@@ -14,6 +14,7 @@ import time
 
 from hklattice import _pykernels
 from hklattice.deformation_fix import random_instance
+from hklattice.exact_linalg import rational_nullspace
 from hklattice.h4_model import default_h4_lattice, double_cover_sym2_matrix
 
 try:
@@ -49,7 +50,7 @@ def _double_cover_rows():
 
 
 def _deformation_rows(n=13, seed=2):
-    # rebuild the raw constraint matrix the solver echelonizes
+    # rebuild the raw constraint matrix of the deformation solver
     from fractions import Fraction
 
     from hklattice.deformation_fix import polarization_kernel
@@ -112,6 +113,12 @@ def main():
         (
             "row_echelon 156x92 deformation",
             lambda m: m.row_echelon_bareiss([row[:] for row in def_rows]),
+        ),
+        # the deformation solver's modular nullspace calls no kernel, so both
+        # columns time the same code
+        (
+            "rational_nullspace 156x92 deformation",
+            lambda m: rational_nullspace(def_rows, len(def_rows[0])),
         ),
     ]
 

@@ -8,9 +8,13 @@ invariance under the relevant deformations reduces to the linear system
     (c0*I - 2*C*A) mu = 0   for every mu with (s^T A) mu = 0.
 
 The solution space is always 2-dimensional, spanned by (A^{-1}, 2) and
-(s s^T, 0); this module solves the system exactly as one rational linear
+(s s^T, 0); this module solves the system exactly as one integer linear
 system in n(n+1)/2 + 1 unknowns and checks that span equality, rather than
-assuming it.
+assuming it. The system is solved by the certified modular nullspace
+``exact_linalg.rational_nullspace``: elimination modulo primes, rational
+reconstruction, exact verification of every equation over Z, and a rank
+bound proving the basis complete. The structural generators use the
+fraction-free ``Mat.inverse``.
 """
 
 from __future__ import annotations
@@ -20,7 +24,7 @@ from fractions import Fraction
 from math import gcd, lcm
 
 from . import kernels
-from .exact_linalg import Lattice, Mat, fraction_vector
+from .exact_linalg import Lattice, Mat, fraction_vector, rational_nullspace
 
 
 class FixInstance:
@@ -50,7 +54,7 @@ class FixInstance:
     def from_json(cls, obj) -> "FixInstance":
         if isinstance(obj, str):
             obj = json.loads(obj)
-        return cls(Mat.from_json(obj["A"]), [Fraction(x) for x in obj["s"]])
+        return cls(Mat.from_json(obj["A"]), obj["s"])
 
 
 def _fstr(x: Fraction) -> str:
@@ -117,66 +121,38 @@ def _vector_to_pair(vec, n: int, pairs) -> tuple[Mat, Fraction]:
 def solve_fixed_space(inst: FixInstance) -> FixSolution:
     """Solve (c0*I - 2*C*A) mu = 0 over all mu in the polarization kernel.
 
-    One homogeneous rational system: unknowns are the upper triangle of C
-    plus c0, equations are n per kernel vector. Fraction-free echelon
-    reduction keeps intermediate entries bounded by minors of the system
-    (a unimodular-transform approach blows up here); the nullspace then
-    falls out of rational back-substitution, one vector per free column,
-    normalized to primitive integer vectors.
+    One homogeneous linear system: unknowns are the upper triangle of C plus
+    c0, equations are n per kernel vector. With A = Ai/dA for integer Ai,
+    each equation is built in integers as dA*c0*mu - 2*C*(Ai*mu) and made
+    primitive. The system is large and sparse (420 x 232 with about 21
+    nonzeros per row at n = 21) while its solutions are small, so
+    ``rational_nullspace`` solves it modulo primes and verifies the
+    reconstructed basis exactly; its basis is one primitive integer vector
+    per free column, the same vectors back-substitution through a
+    fraction-free echelon form gives.
     """
     n = inst.n
     pairs = _sym_pairs(n)
     nvars = len(pairs) + 1
     var_index = {p: k for k, p in enumerate(pairs)}
-    kern = polarization_kernel(inst)
+    dA, Ai = inst.A.scaled_int_rows()
 
     rows: list[list[int]] = []
-    for mu in kern:
-        amu = [
-            sum(inst.A[(k, l)] * mu[l] for l in range(n) if mu[l])
-            for k in range(n)
-        ]
+    for mu in polarization_kernel(inst):
+        amu = [sum(a * m for a, m in zip(row, mu) if m) for row in Ai]
         for r in range(n):
-            coeffs = [Fraction(0)] * nvars
-            coeffs[-1] = Fraction(mu[r])
-            for k in range(n):
-                if amu[k]:
-                    idx = var_index[(min(r, k), max(r, k))]
-                    coeffs[idx] -= 2 * amu[k]
-            d = lcm(*(c.denominator for c in coeffs))
-            ints = [(c * d).numerator for c in coeffs]
-            g = 0
-            for x in ints:
-                g = gcd(g, x)
-            if g > 1:
-                ints = [x // g for x in ints]
-            if any(ints):
-                rows.append(ints)
+            coeffs = [0] * nvars
+            coeffs[-1] = dA * mu[r]
+            for k, a in enumerate(amu):
+                if a:
+                    coeffs[var_index[(min(r, k), max(r, k))]] = -2 * a
+            g = gcd(*coeffs)
+            if g:
+                rows.append([x // g for x in coeffs])
 
     if not rows:
         raise ValueError("empty constraint system")
-    ech, piv = kernels.row_echelon_bareiss(rows)
-    pivset = set(piv)
-    sols = []
-    for f in (c for c in range(nvars) if c not in pivset):
-        x = [Fraction(0)] * nvars
-        x[f] = Fraction(1)
-        for t in range(len(piv) - 1, -1, -1):
-            p = piv[t]
-            row = ech[t]
-            acc = Fraction(0)
-            for c in range(p + 1, nvars):
-                if row[c] and x[c]:
-                    acc += row[c] * x[c]
-            x[p] = -acc / row[p]
-        d = lcm(*(v.denominator for v in x))
-        xi = [(v * d).numerator for v in x]
-        g = 0
-        for v in xi:
-            g = gcd(g, v)
-        if g > 1:
-            xi = [v // g for v in xi]
-        sols.append(xi)
+    sols = rational_nullspace(rows, nvars)
     return FixSolution(n, [_vector_to_pair(v, n, pairs) for v in sols])
 
 

@@ -35,6 +35,15 @@ class TestFixInstance:
         back = FixInstance.from_json(inst.to_json())
         assert back.A == inst.A and back.s == inst.s
 
+    def test_from_json_is_strict(self):
+        A = [["1", "0"], ["0", "1"]]
+        assert FixInstance.from_json({"A": A, "s": ["1", "1/2"]}).s == (1, F(1, 2))
+        for bad in ([True, 0], [1, 0.5], [1.0, 0]):
+            with pytest.raises(TypeError):
+                FixInstance.from_json({"A": A, "s": bad})
+        with pytest.raises(ValueError):
+            FixInstance.from_json({"A": A, "s": ["1", "0.5"]})
+
 
 class TestKernel:
     def test_orthogonality_and_count(self, rng):

@@ -240,3 +240,54 @@ def test_index_multiplicative_in_towers(a, b, c):
     assert sublattice_index(bot, top) == sublattice_index(
         bot, mid
     ) * sublattice_index(mid, top)
+
+
+def gauss_jordan_inverse(m: Mat) -> Mat:
+    """Reference: Gauss-Jordan elimination over Fractions."""
+    n = m.rows
+    aug = [list(r) + [Fraction(int(i == j)) for j in range(n)] for i, r in enumerate(m)]
+    for col in range(n):
+        piv = next((i for i in range(col, n) if aug[i][col]), None)
+        if piv is None:
+            raise ZeroDivisionError("matrix is singular")
+        aug[col], aug[piv] = aug[piv], aug[col]
+        pv = aug[col][col]
+        aug[col] = [x / pv for x in aug[col]]
+        prow = aug[col]
+        for i in range(n):
+            if i != col and aug[i][col]:
+                f = aug[i][col]
+                aug[i] = [a - f * b for a, b in zip(aug[i], prow)]
+    return Mat([r[n:] for r in aug])
+
+
+@st.composite
+def rational_square(draw):
+    n = draw(st.integers(1, 8))
+    # zeros force row swaps and singular cases; small denominators mix scales
+    entry = st.one_of(
+        st.just(Fraction(0)),
+        st.builds(Fraction, st.integers(-9, 9), st.sampled_from([1, 1, 2, 3, 7])),
+    )
+    return Mat(draw(st.lists(st.lists(entry, min_size=n, max_size=n), min_size=n, max_size=n)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(rational_square())
+def test_inverse_matches_gauss_jordan(m):
+    try:
+        want = gauss_jordan_inverse(m)
+    except ZeroDivisionError:
+        with pytest.raises(ZeroDivisionError):
+            m.inverse()
+        return
+    got = m.inverse()
+    assert got == want
+    assert got.to_json() == want.to_json()
+    assert m * got == Mat.identity(m.rows)
+
+
+def test_inverse_of_singular_raises_zero_division():
+    for rows in ([[1, 1], [1, 1]], [[0]], [[0, 1], [0, 2]], [[F(1, 2), 1], [1, 2]]):
+        with pytest.raises(ZeroDivisionError):
+            Mat(rows).inverse()
