@@ -5,10 +5,12 @@ five-torsion quotient, Hodge-class lattices attached to a polarization,
 a minimal-cohomology-class criterion, the fixed space of a deformation
 operator equation, cubic-fourfold models, and blow-up correspondences.
 
-Everything is exact: Python integers and ``fractions.Fraction`` throughout,
-no floating point. The hot kernels (Hermite/Smith reduction, fraction-free
-elimination) have a compiled twin selected at import; see
-``hklattice.kernels``.
+Everything is exact and runs on Python integers, with no floating point:
+matrices, lattices and degree-4 classes are integer rows over one positive
+denominator, and ``fractions.Fraction`` values are made only at the edges
+(reading an entry, parsing input, printing JSON). The hot kernels
+(Hermite/Smith reduction, fraction-free elimination) have a compiled twin
+selected at import; see ``hklattice.kernels``.
 """
 
 from .kernels import IMPLEMENTATION

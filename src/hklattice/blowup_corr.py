@@ -20,11 +20,10 @@ a flag because they disagree beyond parity (see residue_transform).
 
 from __future__ import annotations
 
-import json
-from fractions import Fraction
 from itertools import product as _iproduct
+from math import lcm
 
-from .exact_linalg import Lattice, Mat, saturate_in
+from .exact_linalg import Lattice, Mat, lattice_join, parse_int, saturate_in
 
 
 class FourfoldH4:
@@ -39,8 +38,8 @@ class FourfoldH4:
             raise ValueError("intersection pairing must be integral on the lattice")
         if transcendental.ambient_dim != lattice.ambient_dim:
             raise ValueError("transcendental part lives in the same ambient space")
-        for row in transcendental.basis_rows():
-            if not lattice.contains(row):
+        for row in transcendental.int_basis:
+            if not lattice.contains_int(row, transcendental.den):
                 raise ValueError("transcendental part must lie in the lattice")
         if saturate_in(transcendental, lattice) != transcendental:
             raise ValueError("transcendental part must be saturated")
@@ -55,11 +54,7 @@ class FourfoldH4:
         if transcendental_rows is None:
             t = Lattice.from_generators([], ambient_dim=n, form=form)
         else:
-            t = Lattice.from_generators(
-                [[Fraction(x) for x in r] for r in transcendental_rows],
-                ambient_dim=n,
-                form=form,
-            )
+            t = Lattice.from_generators(transcendental_rows, ambient_dim=n, form=form)
             t = saturate_in(t, lat)
         return cls(lat, t)
 
@@ -80,7 +75,7 @@ class BlowupCenter:
         if kind == "curve":
             if d is None:
                 raise ValueError("curve center needs its degree d")
-            self.d = int(d)
+            self.d = parse_int(d)
         elif kind == "surface":
             g = h2_gram if isinstance(h2_gram, Mat) else Mat(h2_gram)
             if not g.is_symmetric():
@@ -115,20 +110,27 @@ class BlowupCenter:
     def block(self) -> Mat:
         """The Gram block the center contributes to the blown-up fourfold."""
         if self.kind == "point":
-            return Mat([[Fraction(-1)]])
+            return Mat.from_int_rows([[-1]])
         if self.kind == "curve":
-            return Mat([[self.d, -1], [-1, 0]])
+            return Mat.from_int_rows([[self.d, -1], [-1, 0]])
         return -1 * self.h2_gram
 
 
 def _block_diag(a: Mat, b: Mat) -> Mat:
-    n, k = a.shape[0], b.shape[0]
-    rows = []
-    for i in range(n):
-        rows.append([a[(i, j)] for j in range(n)] + [Fraction(0)] * k)
-    for i in range(k):
-        rows.append([Fraction(0)] * n + [b[(i, j)] for j in range(k)])
-    return Mat(rows)
+    da, A = a.scaled_int_rows()
+    db, B = b.scaled_int_rows()
+    D = lcm(da, db)
+    fa, fb = D // da, D // db
+    rows = [[x * fa for x in r] + [0] * len(B) for r in A]
+    rows += [[0] * len(A) + [x * fb for x in r] for r in B]
+    return Mat.from_int_rows(rows, D)
+
+
+def _place(lat: Lattice, before: int, after: int, form: Mat) -> Lattice:
+    """The lattice moved into a larger space, with `before` zero coordinates
+    in front of its own and `after` behind them."""
+    rows = [[0] * before + list(r) + [0] * after for r in lat.int_basis]
+    return Lattice.from_int_rows(rows, lat.den, before + lat.ambient_dim + after, form)
 
 
 def blowup_h4(y: FourfoldH4, c: BlowupCenter) -> FourfoldH4:
@@ -144,17 +146,12 @@ def blowup_h4(y: FourfoldH4, c: BlowupCenter) -> FourfoldH4:
     n = y.lattice.ambient_dim
     k = block.shape[0]
     form = _block_diag(y.lattice.form, block)
-    gens = []
-    for row in y.lattice.basis_rows():
-        gens.append(list(row) + [Fraction(0)] * k)
-    for i in range(k):
-        gens.append([Fraction(0)] * n + [Fraction(int(i == j)) for j in range(k)])
-    lat = Lattice.from_generators(gens, ambient_dim=n + k, form=form)
-    tgens = [list(row) + [Fraction(0)] * k for row in y.transcendental.basis_rows()]
+    lat = lattice_join(
+        _place(y.lattice, 0, k, form), _place(Lattice.standard(k), n, 0, form)
+    )
+    t = _place(y.transcendental, 0, k, form)
     if c.kind == "surface":
-        for row in c.transcendental_sub.basis_rows():
-            tgens.append([Fraction(0)] * n + list(row))
-    t = Lattice.from_generators(tgens, ambient_dim=n + k, form=form)
+        t = lattice_join(t, _place(c.transcendental_sub, n, 0, form))
     return FourfoldH4(lat, t)
 
 
@@ -220,7 +217,7 @@ class Correspondence:
 
     def __init__(self, label, multiplier: int):
         self.label = label
-        self.multiplier = int(multiplier)
+        self.multiplier = parse_int(multiplier)
 
     def __repr__(self):
         return f"Correspondence({self.label!r}, e={self.multiplier})"
@@ -232,7 +229,7 @@ class Combination:
     __slots__ = ("terms",)
 
     def __init__(self, terms):
-        terms = [(int(c), corr) for c, corr in terms]
+        terms = [(parse_int(c), corr) for c, corr in terms]
         labels = [corr.label for _, corr in terms]
         if len(set(labels)) != len(labels):
             raise ValueError("combination labels must be pairwise distinct")
@@ -280,7 +277,8 @@ def potential_jacobian_search(
     itself is exhaustive over the box, so an empty solution list documents
     emptiness up to the bound.
     """
-    mults = [int(e) for e in multipliers]
+    mults = [parse_int(e) for e in multipliers]
+    coeff_bound = parse_int(coeff_bound)
     if coeff_bound < 1:
         raise ValueError("coefficient bound must be at least 1")
     if not mults:

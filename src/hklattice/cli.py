@@ -61,7 +61,7 @@ from .deformation_fix import (
     solve_fixed_space,
     verify_generators,
 )
-from .exact_linalg import Lattice, Mat, sublattice_index
+from .exact_linalg import Lattice, Mat, _frac_str, sublattice_index
 from .h4_model import (
     H4Class,
     build_h4_lattice,
@@ -116,11 +116,6 @@ class _Checks:
                 "anchor": anchor,
             }
         )
-
-
-def _fstr(x: Fraction) -> str:
-    x = Fraction(x)
-    return str(x.numerator) if x.denominator == 1 else f"{x.numerator}/{x.denominator}"
 
 
 # ---------------------------------------------------------------------------
@@ -434,7 +429,7 @@ def _suite_cubic(ck: _Checks, rng: random.Random, trials: int | None):
     ck.add(
         "lines_rank1_obstruction",
         "infeasible,2",
-        f"{'infeasible' if not rep1.feasible else 'feasible'},{_fstr(rep1.image_generator)}",
+        f"{'infeasible' if not rep1.feasible else 'feasible'},{_frac_str(rep1.image_generator)}",
         "rank-1 algebraic data on the fourfold of lines has image 2Z",
     )
 
@@ -481,7 +476,7 @@ def _suite_blowup(ck: _Checks, rng: random.Random, trials: int | None, conventio
     g = yc.lattice.gram()
     blk = (g[(2, 2)], g[(2, 3)], g[(3, 3)])
     ck.add("curve_block", (5, -1, 0), tuple(int(x) for x in blk), "a degree-d curve contributes [[d,-1],[-1,0]]")
-    sub = Lattice.from_generators([[Fraction(1), Fraction(0)]], ambient_dim=2)
+    sub = Lattice.from_int_rows([[1, 0]])
     ys = blowup_h4(y, BlowupCenter.surface(U, transcendental_sub=sub, label="S"))
     g = ys.lattice.gram()
     ck.add("surface_block_negated", (0, -1), (int(g[(2, 2)]), int(g[(2, 3)])), "a surface contributes its negated degree-2 Gram")
@@ -614,8 +609,8 @@ def run_query(kind: str, payload: dict) -> dict:
             "parity": "even" if is_even(l0) else "odd",
             "square": bb_form(l0, l0),
             "basis": [r.to_json() for r in rows],
-            "gram": [[_fstr(gram[(i, j)]) for j in range(2)] for i in range(2)],
-            "gram_det": _fstr(gram.det()),
+            "gram": [[_frac_str(gram[(i, j)]) for j in range(2)] for i in range(2)],
+            "gram_det": _frac_str(gram.det()),
         }
     if kind == "minimal-search":
         l0 = H2Class(payload["lambda0"])
@@ -706,7 +701,6 @@ def _emit(args, obj, is_report: bool) -> int:
 def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--json", action="store_true", help="machine-readable output")
-    common.add_argument("--text", action="store_true", help="human-readable output (default)")
     common.add_argument("--seed", type=int, default=0, help="PRNG seed (default 0)")
     common.add_argument("--out", help="also write the JSON report to this file")
 
@@ -738,12 +732,6 @@ def build_parser() -> argparse.ArgumentParser:
     pr.add_argument("kind", choices=("jacobian-combos",))
     pr.add_argument("--multipliers", required=True, help="comma-separated integers, e.g. 3,2")
     pr.add_argument("--bound", type=int, default=3)
-    pr.add_argument(
-        "--convention",
-        choices=("quadratic", "paper"),
-        default="quadratic",
-        help="accepted for symmetry with verify; the search itself is convention-free",
-    )
     return p
 
 

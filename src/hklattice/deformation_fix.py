@@ -24,7 +24,14 @@ from fractions import Fraction
 from math import gcd, lcm
 
 from . import kernels
-from .exact_linalg import Lattice, Mat, fraction_vector, rational_nullspace
+from .exact_linalg import (
+    Lattice,
+    Mat,
+    _frac_str,
+    _scaled_ints,
+    fraction_vector,
+    rational_nullspace,
+)
 
 
 class FixInstance:
@@ -48,17 +55,13 @@ class FixInstance:
         self.s = s
 
     def to_json(self) -> dict:
-        return {"A": self.A.to_json(), "s": [_fstr(x) for x in self.s]}
+        return {"A": self.A.to_json(), "s": [_frac_str(x) for x in self.s]}
 
     @classmethod
     def from_json(cls, obj) -> "FixInstance":
         if isinstance(obj, str):
             obj = json.loads(obj)
         return cls(Mat.from_json(obj["A"]), obj["s"])
-
-
-def _fstr(x: Fraction) -> str:
-    return str(x.numerator) if x.denominator == 1 else f"{x.numerator}/{x.denominator}"
 
 
 def _sym_pairs(n: int) -> list[tuple[int, int]]:
@@ -72,9 +75,13 @@ def polarization_kernel(inst: FixInstance) -> list[tuple[int, ...]]:
     a one-column matrix, and the transform rows below the rank line are the
     saturated kernel.
     """
-    w = [sum(self_s * inst.A[(k, r)] for k, self_s in enumerate(inst.s)) for r in range(inst.n)]
-    d = lcm(*(x.denominator for x in w)) if w else 1
-    wi = [(x * d).numerator for x in w]
+    dA, Ai = inst.A.scaled_int_rows()
+    ds, (si,) = _scaled_ints([inst.s])
+    # w = ds * dA * s^T A; dividing by gcd(ds * dA, w) gives s^T A times the
+    # least common denominator of its entries
+    w = [sum(x * a for x, a in zip(si, col) if x) for col in zip(*Ai)]
+    g = gcd(ds * dA, *w)
+    wi = [x // g for x in w]
     if not any(wi):
         raise ValueError("degenerate covector: s^T A = 0 despite invertible A")
     col = [[x] for x in wi]
@@ -99,23 +106,25 @@ class FixSolution:
             "dimension": self.dimension,
             "extra_solutions": self.extra_solutions,
             "pairs": [
-                {"C": C.to_json(), "c0": _fstr(c0)} for C, c0 in self.pairs
+                {"C": C.to_json(), "c0": _frac_str(c0)} for C, c0 in self.pairs
             ],
         }
 
 
-def _pair_to_vector(C: Mat, c0, pairs) -> list[Fraction]:
-    v = [C[(i, j)] for (i, j) in pairs]
-    v.append(c0 if isinstance(c0, Fraction) else Fraction(c0))
-    return v
+def _pair_to_vector(C: Mat, c0, pairs) -> list[int]:
+    """The unknowns (upper triangle of C, c0) times the smallest positive
+    integer making them integral; a Q-span does not see the factor."""
+    d, M = C.scaled_int_rows()
+    D = lcm(d, c0.denominator)
+    f = D // d
+    return [M[i][j] * f for (i, j) in pairs] + [c0.numerator * (D // c0.denominator)]
 
 
 def _vector_to_pair(vec, n: int, pairs) -> tuple[Mat, Fraction]:
-    rows = [[Fraction(0)] * n for _ in range(n)]
+    rows = [[0] * n for _ in range(n)]
     for (i, j), x in zip(pairs, vec):
-        rows[i][j] = Fraction(x)
-        rows[j][i] = Fraction(x)
-    return Mat(rows), Fraction(vec[-1])
+        rows[i][j] = rows[j][i] = x
+    return Mat.from_int_rows(rows), Fraction(vec[-1])
 
 
 def solve_fixed_space(inst: FixInstance) -> FixSolution:
@@ -159,42 +168,23 @@ def solve_fixed_space(inst: FixInstance) -> FixSolution:
 def expected_generators(inst: FixInstance) -> list[tuple[Mat, Fraction]]:
     """The structural generators (A^{-1}, 2) and (s s^T, 0)."""
     binv = inst.A.inverse()
-    s = inst.s
-    outer = Mat([[a * b for b in s] for a in s])
+    ds, (s,) = _scaled_ints([inst.s])
+    outer = Mat.from_int_rows([[a * b for b in s] for a in s], ds * ds)
     return [(binv, Fraction(2)), (outer, Fraction(0))]
 
 
 def verify_generators(sol: FixSolution, inst: FixInstance) -> bool:
     """Exact Q-span equality of the solved space with the structural one."""
     pairs = _sym_pairs(inst.n)
-    got = Lattice.from_generators(
-        [_pair_to_vector(C, c0, pairs) for C, c0 in sol.pairs],
-        ambient_dim=len(pairs) + 1,
+    got = Lattice.from_int_rows(
+        [_pair_to_vector(C, c0, pairs) for C, c0 in sol.pairs], 1, len(pairs) + 1
     )
-    want = Lattice.from_generators(
+    want = Lattice.from_int_rows(
         [_pair_to_vector(C, c0, pairs) for C, c0 in expected_generators(inst)],
-        ambient_dim=len(pairs) + 1,
+        1,
+        len(pairs) + 1,
     )
     return got.spans_same_qspace(want)
-
-
-def check_solution(sol: FixSolution, inst: FixInstance) -> bool:
-    """Every basis pair satisfies the full constraint system (independent
-
-    of how the solver produced it): (c0*I - 2*C*A)*mu = 0 for each kernel mu.
-    """
-    kern = polarization_kernel(inst)
-    for C, c0 in sol.pairs:
-        twoca = 2 * (C * inst.A)
-        for mu in kern:
-            for r in range(inst.n):
-                acc = c0 * mu[r]
-                for l in range(inst.n):
-                    if mu[l]:
-                        acc -= twoca[(r, l)] * mu[l]
-                if acc != 0:
-                    return False
-    return True
 
 
 def random_instance(rng, n: int) -> FixInstance:
@@ -205,10 +195,10 @@ def random_instance(rng, n: int) -> FixInstance:
             [m[i][j] + m[j][i] + (2 * n if i == j else 0) for j in range(n)]
             for i in range(n)
         ]
-        A = Mat(rows)
+        A = Mat.from_int_rows(rows)
         if A.det() != 0:
             break
     while True:
         s = [rng.randint(-3, 3) for _ in range(n)]
         if any(s):
-            return FixInstance(A, [Fraction(x) for x in s])
+            return FixInstance(A, s)

@@ -12,12 +12,15 @@ row-style Hermite normal form of a basis of ``den * M``. Both are uniquely
 determined by the module ``M``: any integer ``e`` with ``e * M`` integral is
 a multiple of ``den``, and HNF is a canonical form for integer row spans.
 
-Python integers do the work: lattices, their forms and the rational vectors
-fed to them are handled as integer rows over one positive denominator, and
-``Fraction`` values appear only at the edges (``Mat`` entries,
-``basis_rows``, ``rational_coords``, JSON). Integer coefficient rows are
-lifted through a lattice basis by the one helper ``combine_basis``.
-``Mat.inverse`` is a fraction-free Gauss-Jordan on the integer rows.
+Python integers do the work. A ``Mat`` is stored the same way, as integer
+rows over its smallest positive denominator, and lattices, their forms and
+the rational vectors fed to them are handled as integer rows over one
+denominator; ``Fraction`` values are made only at the edges (reading a
+``Mat`` entry, ``basis_rows``, ``rational_coords``) and rationals are
+printed by the one formatter ``_frac_str``. Integer rows are combined by the
+one loop ``_combine_rows``, which ``combine_basis`` uses to lift coefficient
+rows through a lattice basis. ``Mat.inverse`` is a fraction-free
+Gauss-Jordan on the integer rows.
 
 ``rational_nullspace`` is a certified modular nullspace for large sparse
 integer systems: elimination modulo proven primes, rational reconstruction
@@ -97,218 +100,215 @@ def fraction_vector(v) -> tuple[Fraction, ...]:
     )
 
 
-def _frac_str(x: Fraction) -> str:
-    return str(x.numerator) if x.denominator == 1 else f"{x.numerator}/{x.denominator}"
-
-
-def _ratio_str(x: int, d: int) -> str:
-    """_frac_str(Fraction(x, d)) for d > 0, without building the Fraction."""
-    g = gcd(x, d)
-    if g == d:
-        return str(x // d)
-    return f"{x // g}/{d // g}"
+def _frac_str(x, d: int = 1) -> str:
+    """The rational x/d (x an int or a Fraction, d > 0) as "p" or "p/q" in
+    lowest terms; the one formatter behind every rational in the JSON."""
+    p, q = x.numerator, x.denominator * d
+    g = gcd(p, q)
+    if g == q:
+        return str(p // q)
+    return f"{p // g}/{q // g}"
 
 
 def _scaled_ints(vectors) -> tuple[int, list[list[int]]]:
     """Smallest d > 0 making the rational vectors integral, and d times them."""
-    vecs = [fraction_vector(v) for v in vectors]
+    vecs = [tuple(v) for v in vectors]
+    if all(type(x) is int for v in vecs for x in v):
+        return 1, [list(v) for v in vecs]
+    vecs = [fraction_vector(v) for v in vecs]
     d = lcm(*(x.denominator for v in vecs for x in v)) if vecs else 1
     return d, [[x.numerator * (d // x.denominator) for x in v] for v in vecs]
 
 
+def _combine_rows(coeff_rows, rows, n: int) -> list[list[int]]:
+    """The integer rows ``sum_j coeffs[j] * rows[j]`` of length n, one per
+    coefficient row (extra coefficients past ``len(rows)`` are ignored)."""
+    out = []
+    for coeffs in coeff_rows:
+        vec = [0] * n
+        for c, row in zip(coeffs, rows):
+            if c:
+                vec = [a + c * x for a, x in zip(vec, row)]
+        out.append(vec)
+    return out
+
+
 class Mat:
-    """Immutable exact rational matrix.
+    """Immutable exact rational matrix, stored as integer rows over one
+    denominator.
 
-    Supports +, -, unary -, scalar and matrix multiplication, transpose,
-    exact determinant and inverse, and JSON round-tripping as an array of
-    arrays of "p/q" strings. Entries read back as reduced Fractions.
-
-    A matrix built by ``from_int_rows`` keeps only its integer rows and
-    makes the Fraction entries on first use, so a large integer form (the
-    276x276 degree-4 Gram) that is only ever read as integers never holds
-    Fractions. The symmetry test and the JSON text are computed once per
-    matrix.
+    The storage is ``(den, rows)``: ``den`` is the smallest positive integer
+    with ``den * M`` integral and ``rows`` are the integer entries of
+    ``den * M``, so equal matrices have equal storage. Arithmetic,
+    transpose, determinant, inverse and JSON run on the integers; a
+    ``Fraction`` is made only when an entry is read (``m[i, j]``, ``row``,
+    iteration). Supports +, -, unary -, scalar and matrix multiplication,
+    and JSON round-tripping as an array of arrays of "p/q" strings. The
+    symmetry test and the JSON text are computed once per matrix.
     """
 
-    __slots__ = ("_rows", "_int", "_shape", "_hash", "_symmetric", "_json")
+    __slots__ = ("_den", "_num", "_hash", "_symmetric", "_json")
 
     def __init__(self, rows):
-        data = tuple(fraction_vector(r) for r in rows)
-        if not data:
+        self._set(*_scaled_ints(rows))
+
+    def _set(self, den: int, rows):
+        """The one constructor path: integer rows over den > 0, reduced to
+        the smallest denominator."""
+        if not rows:
             raise ValueError("matrix needs at least one row")
-        ncols = len(data[0])
+        ncols = len(rows[0])
         if ncols == 0:
             raise ValueError("matrix needs at least one column")
-        if any(len(r) != ncols for r in data):
+        if any(len(r) != ncols for r in rows):
             raise ValueError("ragged rows")
-        self._rows = data
-        self._int = None
-        self._shape = (len(data), ncols)
+        if den != 1:
+            g = den
+            for r in rows:
+                for x in r:
+                    if x:
+                        g = gcd(g, x)
+                if g == 1:
+                    break
+            if g > 1:
+                den //= g
+                rows = [[x // g for x in r] for r in rows]
+        self._den = den
+        self._num = tuple(tuple(r) for r in rows)
         self._hash = None
         self._symmetric = None
         self._json = None
 
     @classmethod
-    def from_int_rows(cls, rows) -> "Mat":
-        """The integer matrix with the given rows (kept as ints, not copied
-        to Fractions)."""
-        data = tuple(int_vector(r) for r in rows)
-        if not data or not data[0]:
-            raise ValueError("matrix needs at least one row and one column")
-        if any(len(r) != len(data[0]) for r in data):
-            raise ValueError("ragged rows")
+    def from_int_rows(cls, rows, den: int = 1) -> "Mat":
+        """The matrix rows/den for integer rows and an integer den > 0."""
+        if parse_int(den) <= 0:
+            raise ValueError("denominator must be positive")
         m = cls.__new__(cls)
-        m._rows = None
-        m._int = (1, data)
-        m._shape = (len(data), len(data[0]))
-        m._hash = None
-        m._symmetric = None
-        m._json = None
+        m._set(den, [int_vector(r) for r in rows])
         return m
 
     @classmethod
     def identity(cls, n: int) -> "Mat":
-        return cls([[1 if i == j else 0 for j in range(n)] for i in range(n)])
+        return cls.from_int_rows([[int(i == j) for j in range(n)] for i in range(n)])
 
     @classmethod
     def zeros(cls, rows: int, cols: int) -> "Mat":
-        return cls([[0] * cols for _ in range(rows)])
-
-    def _fractions(self) -> tuple[tuple[Fraction, ...], ...]:
-        if self._rows is None:
-            d, m = self._int
-            self._rows = tuple(tuple(Fraction(x, d) for x in r) for r in m)
-        return self._rows
+        return cls.from_int_rows([[0] * cols for _ in range(rows)])
 
     @property
     def rows(self) -> int:
-        return self._shape[0]
+        return len(self._num)
 
     @property
     def cols(self) -> int:
-        return self._shape[1]
+        return len(self._num[0])
 
     @property
     def shape(self) -> tuple[int, int]:
-        return self._shape
+        return len(self._num), len(self._num[0])
 
     def row(self, i: int) -> tuple[Fraction, ...]:
-        return self._fractions()[i]
-
-    def rows_tuple(self) -> tuple[tuple[Fraction, ...], ...]:
-        return self._fractions()
+        d = self._den
+        return tuple(Fraction(x, d) for x in self._num[i])
 
     def __getitem__(self, key):
         i, j = key
-        return self._fractions()[i][j]
+        return Fraction(self._num[i][j], self._den)
 
     def __iter__(self):
-        return iter(self._fractions())
+        return (self.row(i) for i in range(len(self._num)))
 
     def __eq__(self, other):
         if not isinstance(other, Mat):
             return NotImplemented
-        if self is other:
-            return True
-        if self._rows is not None and other._rows is not None:
-            return self._rows == other._rows
-        return self.scaled_int_rows() == other.scaled_int_rows()
+        return self is other or (self._den == other._den and self._num == other._num)
 
     def __hash__(self):
         if self._hash is None:
-            self._hash = hash(self.scaled_int_rows())
+            self._hash = hash((self._den, self._num))
         return self._hash
 
     def __repr__(self):
         return f"Mat({self.rows}x{self.cols})"
 
+    def _plus(self, other, sign: int) -> "Mat":
+        if self.shape != other.shape:
+            raise ValueError("shape mismatch")
+        da, db = self._den, other._den
+        D = lcm(da, db)
+        fa, fb = D // da, sign * (D // db)
+        return Mat.from_int_rows(
+            [
+                [fa * a + fb * b for a, b in zip(ra, rb)]
+                for ra, rb in zip(self._num, other._num)
+            ],
+            D,
+        )
+
     def __add__(self, other):
         if not isinstance(other, Mat):
             return NotImplemented
-        if self._shape != other._shape:
-            raise ValueError("shape mismatch")
-        return Mat(
-            [
-                [a + b for a, b in zip(ra, rb)]
-                for ra, rb in zip(self._fractions(), other._fractions())
-            ]
-        )
+        return self._plus(other, 1)
 
     def __sub__(self, other):
         if not isinstance(other, Mat):
             return NotImplemented
-        if self._shape != other._shape:
-            raise ValueError("shape mismatch")
-        return Mat(
-            [
-                [a - b for a, b in zip(ra, rb)]
-                for ra, rb in zip(self._fractions(), other._fractions())
-            ]
-        )
+        return self._plus(other, -1)
 
     def __neg__(self):
-        return Mat([[-a for a in r] for r in self._fractions()])
+        return Mat.from_int_rows([[-a for a in r] for r in self._num], self._den)
 
     def __mul__(self, other):
         if isinstance(other, Mat):
             if self.cols != other.rows:
                 raise ValueError("shape mismatch in product")
-            bt = list(zip(*other._fractions()))
-            return Mat(
-                [[_dot(r, c) for c in bt] for r in self._fractions()]
+            return Mat.from_int_rows(
+                _combine_rows(self._num, other._num, other.cols),
+                self._den * other._den,
             )
         if isinstance(other, (int, Fraction)):
-            return Mat([[a * other for a in r] for r in self._fractions()])
+            p, q = other.numerator, other.denominator
+            return Mat.from_int_rows([[p * a for a in r] for r in self._num], self._den * q)
         return NotImplemented
 
     def __rmul__(self, other):
         if isinstance(other, (int, Fraction)):
-            return Mat([[other * a for a in r] for r in self._fractions()])
+            return self * other
         return NotImplemented
 
     def transpose(self) -> "Mat":
-        return Mat(list(zip(*self._fractions())))
+        return Mat.from_int_rows(zip(*self._num), self._den)
 
     def is_symmetric(self) -> bool:
         if self._symmetric is None:
-            if self.rows != self.cols:
-                self._symmetric = False
-            else:
-                R = self._int[1] if self._rows is None else self._rows
-                self._symmetric = all(
-                    R[i][j] == R[j][i] for i in range(self.rows) for j in range(i)
-                )
+            R = self._num
+            n = len(R)
+            self._symmetric = n == len(R[0]) and all(
+                R[i][j] == R[j][i] for i in range(n) for j in range(i)
+            )
         return self._symmetric
 
     def is_integer(self) -> bool:
-        if self._int is not None:
-            return self._int[0] == 1
-        return all(x.denominator == 1 for r in self._rows for x in r)
+        return self._den == 1
 
     def int_rows(self) -> list[list[int]]:
         """Entries as plain ints; raises if any entry is a proper fraction."""
-        if not self.is_integer():
+        if self._den != 1:
             raise NonIntegerMatrixError("matrix has non-integer entries")
-        return [list(r) for r in self.scaled_int_rows()[1]]
-
-    def denominator_lcm(self) -> int:
-        return self.scaled_int_rows()[0]
+        return [list(r) for r in self._num]
 
     def scaled_int_rows(self) -> tuple[int, tuple[tuple[int, ...], ...]]:
         """Smallest d > 0 with d*self integral, and the integer entries of d*self.
 
-        Computed once per matrix; the rows are shared, so do not mutate them.
+        The rows are the matrix's own storage, so do not mutate them.
         """
-        if self._int is None:
-            d, m = _scaled_ints(self._rows)
-            self._int = (d, tuple(tuple(r) for r in m))
-        return self._int
+        return self._den, self._num
 
     def det(self) -> Fraction:
         if self.rows != self.cols:
             raise ValueError("determinant of a non-square matrix")
-        d, m = self.scaled_int_rows()
-        return Fraction(kernels.det_bareiss(m), d**self.rows)
+        return Fraction(kernels.det_bareiss(self._num), self._den**self.rows)
 
     def inverse(self) -> "Mat":
         """Exact inverse by fraction-free Gauss-Jordan elimination.
@@ -322,8 +322,8 @@ class Mat:
         n = self.rows
         if n != self.cols:
             raise ValueError("inverse of a non-square matrix")
-        d, m = self.scaled_int_rows()
-        aug = [list(r) + [int(i == j) for j in range(n)] for i, r in enumerate(m)]
+        d = self._den
+        aug = [list(r) + [int(i == j) for j in range(n)] for i, r in enumerate(self._num)]
         prev = 1
         for k in range(n):
             piv = next((i for i in range(k, n) if aug[i][k]), None)
@@ -337,13 +337,15 @@ class Mat:
                     f = aug[i][k]
                     aug[i] = [(p * a - f * b) // prev for a, b in zip(aug[i], rk)]
             prev = p
-        return Mat([[Fraction(d * x, prev) for x in r[n:]] for r in aug])
+        if prev < 0:
+            prev, d = -prev, -d
+        return Mat.from_int_rows([[d * x for x in r[n:]] for r in aug], prev)
 
     def to_json(self) -> list[list[str]]:
-        d, m = self.scaled_int_rows()
+        d, m = self._den, self._num
         if d == 1:
             return [[str(x) for x in r] for r in m]
-        return [[_ratio_str(x, d) for x in r] for r in m]
+        return [[_frac_str(x, d) for x in r] for r in m]
 
     def json_text(self) -> str:
         """``json.dumps(self.to_json())``, serialized once per matrix."""
@@ -356,14 +358,6 @@ class Mat:
         if isinstance(obj, str):
             obj = json.loads(obj)
         return cls(obj)
-
-
-def _dot(a, b) -> Fraction:
-    s = Fraction(0)
-    for x, y in zip(a, b):
-        if x and y:
-            s += x * y
-    return s
 
 
 def hnf(m: Mat) -> Mat:
@@ -475,7 +469,7 @@ class Lattice:
 
     def __init__(self, ambient_dim: int, den: int, int_basis, form=None, _canonical=False):
         if not _canonical:
-            raise TypeError("use Lattice.from_rows / from_generators / standard")
+            raise TypeError("use Lattice.from_int_rows / from_generators / standard")
         self.ambient_dim = ambient_dim
         self.den = den
         self.int_basis = int_basis
@@ -531,15 +525,6 @@ class Lattice:
         return cls.from_int_rows(int_rows, d, ambient_dim, form)
 
     @classmethod
-    def from_rows(cls, rows, ambient_dim=None, form=None) -> "Lattice":
-        """Lattice with the given basis; rejects dependent rows."""
-        rows = list(rows)
-        lat = cls.from_generators(rows, ambient_dim=ambient_dim, form=form)
-        if lat.rank != len(rows):
-            raise ValueError("basis rows are linearly dependent")
-        return lat
-
-    @classmethod
     def standard(cls, n: int, form=None) -> "Lattice":
         """Z^n."""
         if form is not None:
@@ -555,8 +540,7 @@ class Lattice:
         """Canonical basis as rational rows."""
         if not self.int_basis:
             raise ValueError("rank-0 lattice has no basis matrix")
-        d = self.den
-        return Mat([[Fraction(x, d) for x in row] for row in self.int_basis])
+        return Mat.from_int_rows(self.int_basis, self.den)
 
     def basis_rows(self) -> list[tuple[Fraction, ...]]:
         d = self.den
@@ -701,22 +685,15 @@ class Lattice:
             raise ValueError("rank-0 lattice has no basis matrix")
         df, F = self.form.scaled_int_rows()
         B = self.int_basis
-        n = self.ambient_dim
-        BF = []
-        for b in B:
-            acc = [0] * n
-            for x, frow in zip(b, F):
-                if x:
-                    acc = [a + x * f for a, f in zip(acc, frow)]
-            BF.append(acc)
-        D = df * self.den * self.den
-        return Mat(
-            [[Fraction(sum(a * c for a, c in zip(bf, b)), D) for b in B] for bf in BF]
+        BF = _combine_rows(B, F, self.ambient_dim)
+        return Mat.from_int_rows(
+            [[sum(a * c for a, c in zip(bf, b)) for b in B] for bf in BF],
+            df * self.den * self.den,
         )
 
     def _basis_json(self) -> list[list[str]]:
         d = self.den
-        return [[_ratio_str(x, d) for x in row] for row in self.int_basis]
+        return [[_frac_str(x, d) for x in row] for row in self.int_basis]
 
     def to_json(self) -> dict:
         return {
@@ -773,15 +750,7 @@ def combine_basis(coeff_rows, lat: Lattice) -> tuple[int, list[list[int]]]:
     lat.int_basis[j]``, so the lifted ambient vectors are ``rows[i] /
     lat.den``; the pair feeds ``Lattice.from_int_rows`` directly.
     """
-    n = lat.ambient_dim
-    out = []
-    for coeffs in coeff_rows:
-        vec = [0] * n
-        for c, row in zip(coeffs, lat.int_basis):
-            if c:
-                vec = [a + c * x for a, x in zip(vec, row)]
-        out.append(vec)
-    return lat.den, out
+    return lat.den, _combine_rows(coeff_rows, lat.int_basis, lat.ambient_dim)
 
 
 def lattice_join(a: Lattice, b: Lattice) -> Lattice:
@@ -811,14 +780,8 @@ def lattice_meet(a: Lattice, b: Lattice) -> Lattice:
     A = [[x * fa for x in row] for row in a.int_basis]
     B = [[x * fb for x in row] for row in b.int_basis]
     _, U, rank = kernels.hnf_transform(A + B)
-    ra = len(A)
-    gens = []
-    for krow in U[rank:]:
-        vec = [0] * a.ambient_dim
-        for c, Ai in zip(krow[:ra], A):
-            if c:
-                vec = [v + c * x for v, x in zip(vec, Ai)]
-        gens.append(vec)
+    # the first len(A) entries of a kernel row are u
+    gens = _combine_rows(U[rank:], A, a.ambient_dim)
     return Lattice._canonicalize(a.ambient_dim, gens, D, a.form)
 
 

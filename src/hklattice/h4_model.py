@@ -43,6 +43,9 @@ from .exact_linalg import (
     FiniteAbelianGroup,
     Lattice,
     Mat,
+    _combine_rows,
+    _coord_matrix,
+    _frac_str,
     combine_basis,
     fraction_vector,
     int_vector,
@@ -180,13 +183,7 @@ class H4Class:
         out = {}
         for (i, j), x in zip(_PAIRS, self.num):
             if x:
-                f = Fraction(x, self.den)
-                val = (
-                    str(f.numerator)
-                    if f.denominator == 1
-                    else f"{f.numerator}/{f.denominator}"
-                )
-                out[f"({i},{j})"] = val
+                out[f"({i},{j})"] = _frac_str(x, self.den)
         return out
 
     @classmethod
@@ -497,13 +494,7 @@ class TorsionQuotient:
 
     def __init__(self, h4: H4Lattice):
         self.h4 = h4
-        C = []
-        for i in range(AMBIENT):
-            unit = [1 if k == i else 0 for k in range(AMBIENT)]
-            c = h4.lattice.coords_int(unit)
-            if c is None:
-                raise ArithmeticError("monomial basis escaped the overlattice")
-            C.append(list(c))
+        C = _coord_matrix(sym2_lattice(), h4.lattice)
         diag, V, Vinv = kernels.smith_normal_form(C, want_v=True, want_vinv=True)
         if any(d == 0 for d in diag):
             raise ArithmeticError("quotient is not finite")
@@ -553,10 +544,7 @@ class TorsionQuotient:
 
     def lift(self, t) -> H4Class:
         """One representative in the degree-4 lattice of a residue tuple."""
-        vec = [0] * AMBIENT
-        for a, row in zip(t, self._lift_rows):
-            if a:
-                vec = [v + a * x for v, x in zip(vec, row)]
+        (vec,) = _combine_rows([t], self._lift_rows, AMBIENT)
         return H4Class(vec, self._lift_den)
 
     # -- structure maps -----------------------------------------------------
@@ -605,7 +593,7 @@ class TorsionQuotient:
         kernel size is (product of d_i/2) * 2^(moduli count - F2 rank).
         """
         m = self.delta_pairing_matrix()
-        r = _f2_rank([row[:] for row in m])
+        r = len(m) - len(_f2_nullspace(m))
         half_product = 1
         for d in self.moduli:
             if d % 2:
@@ -665,23 +653,6 @@ def default_torsion_quotient() -> TorsionQuotient:
     return _DEFAULT_TQ
 
 
-def _f2_rank(rows: list[list[int]]) -> int:
-    rank = 0
-    ncols = len(rows[0]) if rows else 0
-    for col in range(ncols):
-        piv = next(
-            (i for i in range(rank, len(rows)) if rows[i][col] & 1), None
-        )
-        if piv is None:
-            continue
-        rows[rank], rows[piv] = rows[piv], rows[rank]
-        for i in range(len(rows)):
-            if i != rank and rows[i][col] & 1:
-                rows[i] = [(a + b) & 1 for a, b in zip(rows[i], rows[rank])]
-        rank += 1
-    return rank
-
-
 def _f2_nullspace(rows: list[list[int]]) -> list[tuple[int, ...]]:
     """Basis of {x : x * rows = 0 over F2}: left nullspace of the matrix."""
     m = len(rows)
@@ -731,7 +702,7 @@ def double_cover_sym2_matrix() -> Mat:
         m[c][k + t] = -b_rows[i][j]
     for i in range(c + 1, n):
         m[i][i] = 2
-    return Mat(m)
+    return Mat.from_int_rows(m)
 
 
 def verify_cup_product_table(d=None, strict: bool = True) -> dict:

@@ -37,6 +37,8 @@ from .bb_lattice import (
 from .exact_linalg import (
     FiniteAbelianGroup,
     Lattice,
+    _combine_rows,
+    _frac_str,
     coset_feasible,
     int_vector,
     parse_rational,
@@ -236,11 +238,8 @@ class MinimalityReport:
         self.basis_hash = basis_hash
 
     def to_json(self) -> dict:
-        g = self.image_generator
         return {
-            "image_generator": str(g.numerator)
-            if g.denominator == 1
-            else f"{g.numerator}/{g.denominator}",
+            "image_generator": _frac_str(self.image_generator),
             "feasible": self.feasible,
             "witness": None if self.witness is None else self.witness.to_json(),
             "search_rank": self.search_lattice.rank,
@@ -288,10 +287,7 @@ def minimal_class_search(
     s = sym2_embed(*pair)
     c = bb_form(*pair)
     # m is the covector cov / cov_den: the pairing against the product s
-    cov = [0] * AMBIENT
-    for x, grow in zip(s.num, fujiki_rows()):
-        if x:
-            cov = [a + x * y for a, y in zip(cov, grow)]
+    (cov,) = _combine_rows([s.num], fujiki_rows(), AMBIENT)
     cov_den = s.den * c
     # the image m(search) is g*Z with g >= 0 the gcd of the basis values
     values = [sum(f * x for f, x in zip(cov, row) if f) for row in search.int_basis]

@@ -181,3 +181,34 @@ class TestCombinations:
 
 def test_rational_map_indices():
     assert rational_map_indices() == (-1, 1)
+
+
+class TestStrictIntegers:
+    """Degrees, multipliers, coefficients and bounds are exact integers: a
+    float is never truncated and a bool never becomes 1."""
+
+    @pytest.mark.parametrize("bad", [5.9, True])
+    def test_curve_degree(self, bad):
+        with pytest.raises(TypeError):
+            BlowupCenter.curve(bad)
+
+    @pytest.mark.parametrize("bad", [2.7, True])
+    def test_correspondence_multiplier(self, bad):
+        with pytest.raises(TypeError):
+            Correspondence("a", bad)
+
+    @pytest.mark.parametrize("bad", [1.9, True])
+    def test_combination_coefficient(self, bad):
+        with pytest.raises(TypeError):
+            Combination([(bad, Correspondence("a", 3))])
+
+    @pytest.mark.parametrize(
+        "multipliers, bound", [([1.5], 1), ([True], 1), ([1], True)]
+    )
+    def test_search_inputs(self, multipliers, bound):
+        with pytest.raises(TypeError):
+            potential_jacobian_search(multipliers, bound)
+
+    def test_transcendental_rows(self):
+        with pytest.raises(TypeError):
+            FourfoldH4.standard(U, transcendental_rows=[[1.0, 0]])

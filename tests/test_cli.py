@@ -80,6 +80,18 @@ class TestVerify:
             cli.main(["verify", "bogus"])
         assert exc.value.code == 2
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["verify", "blowup", "--text"],
+            ["search", "jacobian-combos", "--multipliers", "1", "--convention", "paper"],
+        ],
+    )
+    def test_removed_options_usage_error(self, capsys, argv):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(argv)
+        assert exc.value.code == 2
+
 
 class TestQuery:
     def test_membership_named(self, capsys):

@@ -291,3 +291,46 @@ def test_inverse_of_singular_raises_zero_division():
     for rows in ([[1, 1], [1, 1]], [[0]], [[0, 1], [0, 2]], [[F(1, 2), 1], [1, 2]]):
         with pytest.raises(ZeroDivisionError):
             Mat(rows).inverse()
+
+
+@st.composite
+def rational_pair(draw):
+    """Two m x n rational matrices and an n x p one, as Fraction rows."""
+    m, n, p = (draw(st.integers(1, 5)) for _ in range(3))
+    entry = st.builds(Fraction, st.integers(-9, 9), st.sampled_from([1, 1, 2, 3, 6]))
+
+    def rows(r, c):
+        return draw(st.lists(st.lists(entry, min_size=c, max_size=c), min_size=r, max_size=r))
+
+    return rows(m, n), rows(m, n), rows(n, p)
+
+
+@settings(max_examples=150, deadline=None)
+@given(rational_pair(), st.builds(Fraction, st.integers(-5, 5), st.integers(1, 4)))
+def test_integer_storage_matches_fraction_arithmetic(mats, k):
+    a, b, c = mats
+    A, B, C = Mat(a), Mat(b), Mat(c)
+
+    def entries(M):
+        return [list(r) for r in M]
+
+    assert entries(A) == a
+    assert entries(A + B) == [[x + y for x, y in zip(r, s)] for r, s in zip(a, b)]
+    assert entries(A - B) == [[x - y for x, y in zip(r, s)] for r, s in zip(a, b)]
+    assert entries(-A) == [[-x for x in r] for r in a]
+    assert entries(A * C) == [
+        [sum(x * y for x, y in zip(r, col)) for col in zip(*c)] for r in a
+    ]
+    assert entries(k * A) == entries(A * k) == [[k * x for x in r] for r in a]
+    assert entries(A.transpose()) == [list(col) for col in zip(*a)]
+    # one storage: the same matrix from "p/q" strings or from scaled
+    # integers over a larger denominator is equal and hashes equal
+    d, num = A.scaled_int_rows()
+    for same in (
+        Mat([[str(x) for x in r] for r in a]),
+        Mat.from_int_rows([[3 * x for x in r] for r in num], 3 * d),
+    ):
+        assert same == A and hash(same) == hash(A)
+        assert same.scaled_int_rows() == (d, num)
+    assert A.is_integer() == (d == 1)
+    assert A.to_json() == [[str(x) for x in r] for r in a]

@@ -1,7 +1,13 @@
 """Integer kernel routines against hand oracles, random cross-checks, and
 the compiled/pure backend parity contract."""
 
+import importlib.util
+import os
 import random
+import shlex
+import shutil
+import subprocess
+import sysconfig
 from fractions import Fraction
 
 import pytest
@@ -195,8 +201,41 @@ def test_snf_diag_consistent_with_transform(mat):
     assert kernels.snf_diagonal(mat) == kernels.smith_normal_form(mat)[0]
 
 
-@pytest.mark.skipif(_speedups is None, reason="compiled extension not built")
-def test_backend_parity_randomized():
+def _build_compiled(tmp_dir):
+    """The compiled twin built from the tracked C source at -O0 and loaded
+    without registering it as ``hklattice._speedups``; None when there is
+    no C compiler or no Python headers to build it with."""
+    cc = shlex.split(sysconfig.get_config_var("CC") or "")
+    include = sysconfig.get_paths()["include"]
+    source = os.path.join(os.path.dirname(_pykernels.__file__), "_speedups.c")
+    if not cc or shutil.which(cc[0]) is None:
+        return None
+    if not os.path.exists(os.path.join(include, "Python.h")):
+        return None
+    target = tmp_dir / ("_speedups" + sysconfig.get_config_var("EXT_SUFFIX"))
+    subprocess.run(
+        [*cc, "-O0", "-shared", "-fPIC", f"-I{include}", source, "-o", str(target)],
+        check=True,
+        capture_output=True,
+    )
+    spec = importlib.util.spec_from_file_location("_speedups", target)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+@pytest.fixture(scope="module")
+def compiled(tmp_path_factory):
+    if _speedups is not None:
+        return _speedups
+    module = _build_compiled(tmp_path_factory.mktemp("speedups"))
+    if module is None:
+        pytest.skip("compiled extension not built and no C compiler to build it")
+    return module
+
+
+def test_backend_parity_randomized(compiled):
+    _speedups = compiled
     rng = random.Random(99)
     for trial in range(30):
         m = rng.randint(1, 6)
