@@ -23,7 +23,7 @@ import random
 from math import gcd
 
 from . import kernels
-from .exact_linalg import Lattice, Mat, int_vector, signature_symmetric
+from .exact_linalg import Lattice, Mat, det_int, int_vector, signature_symmetric
 
 RANK = 23
 DELTA0_INDEX = 22
@@ -67,8 +67,8 @@ GRAM: tuple[tuple[int, ...], ...] = _build_gram()
 
 # construction-time self checks: the conventions above really produce the
 # advertised lattice
-assert kernels.det_bareiss(_e8_cartan()) == 1
-assert abs(kernels.det_bareiss([list(r) for r in GRAM])) == 2
+assert det_int(_e8_cartan()) == 1
+assert abs(det_int(GRAM)) == 2
 assert all(GRAM[i][i] % 2 == 0 for i in range(RANK))
 
 
@@ -152,27 +152,16 @@ def hyperbolic_pair(k: int) -> tuple[H2Class, H2Class]:
 def gram_apply(a: H2Class) -> tuple[int, ...]:
     """The covector Gram * a, i.e. all pairings b(x_j, a) against the basis."""
     ac = a.coords
-    out = []
-    for row in GRAM:
-        s = 0
-        for g, x in zip(row, ac):
-            if g and x:
-                s += g * x
-        out.append(s)
-    return tuple(out)
+    return tuple([sum([g * ac[k] for k, g in row]) for row in _GRAM_MAT.sparse_rows()])
 
 
 def bb_form(a: H2Class, b: H2Class) -> int:
     """The even bilinear form in the frozen basis."""
     bc = b.coords
     total = 0
-    for x, row in zip(a.coords, GRAM):
+    for x, row in zip(a.coords, _GRAM_MAT.sparse_rows()):
         if x:
-            s = 0
-            for g, y in zip(row, bc):
-                if g and y:
-                    s += g * y
-            total += x * s
+            total += x * sum([g * bc[k] for k, g in row])
     return total
 
 
@@ -294,7 +283,7 @@ def orth_complement_basis(d) -> list[H2Class]:
         raise ArithmeticError("complement has unexpected rank")
     vecs = [H2Class(row) for row in basis_rows]
     g = [[bb_form(x, y) for y in vecs] for x in vecs]
-    det = kernels.det_bareiss(g)
+    det = det_int(g)
     if det not in (1, -1):
         raise ArithmeticError(f"complement Gram determinant {det}, expected +-1")
     if any(g[i][i] % 2 for i in range(RANK - 1)):

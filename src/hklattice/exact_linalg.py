@@ -17,18 +17,34 @@ rows over its smallest positive denominator, and lattices, their forms and
 the rational vectors fed to them are handled as integer rows over one
 denominator; ``Fraction`` values are made only at the edges (reading a
 ``Mat`` entry, ``basis_rows``, ``rational_coords``) and rationals are
-printed by the one formatter ``_frac_str``. Integer rows are combined by the
-one loop ``_combine_rows``, which ``combine_basis`` uses to lift coefficient
-rows through a lattice basis. ``Mat.inverse`` is a fraction-free
-Gauss-Jordan on the integer rows.
+printed by the one formatter ``_frac_str``. ``Mat.inverse`` is a
+fraction-free Gauss-Jordan on the integer rows.
 
-``rational_nullspace`` is a certified modular nullspace for large sparse
-integer systems: elimination modulo proven primes, rational reconstruction
-of the canonical kernel basis, exact verification over Z, and a rank bound
-that proves the verified basis complete (see its docstring). Input
-numbers are parsed strictly by ``parse_int`` and ``parse_rational`` (and
-their vector forms ``int_vector`` and ``fraction_vector``): no float is
-truncated and no bool becomes 1.
+The matrices of the degree-4 lattice are very sparse (its 276x276 HNF basis
+has 371 nonzeros), so loops walk nonzeros only, in one sparse row form: per
+integer row, a tuple of ``(column, value)`` pairs in ascending column order
+(``_sparse_rows``). A ``Lattice`` keeps its basis in that form once, and
+rational coordinates and basis-value products walk it; membership, integer
+coordinates and divisibility still call ``kernels.solve_left_int_row`` on
+the dense HNF rows. A ``Mat`` builds its sparse rows once on demand
+(``Mat.sparse_rows``). Integer rows are combined by the one loop
+``_combine_rows`` over sparse rows, which ``combine_basis`` uses to lift
+coefficient rows through a lattice basis.
+
+Two certified modular routines share one sparse elimination modulo proven
+Proth primes (``_echelon_mod``):
+
+* ``rational_nullspace`` is a modular nullspace for large sparse integer
+  systems: rational reconstruction of the canonical kernel basis, exact
+  verification over Z, and a rank bound that proves the verified basis
+  complete.
+* ``det_int`` is every determinant of the library: det mod p from the
+  pivots and the row-to-pivot-column permutation, combined by CRT until the
+  modulus passes twice Hadamard's bound, so no prime can be unlucky.
+
+Their docstrings carry the proofs. Input numbers are parsed strictly by
+``parse_int`` and ``parse_rational`` (and their vector forms ``int_vector``
+and ``fraction_vector``): no float is truncated and no bool becomes 1.
 
 All operations are pure; nothing here mutates its inputs.
 """
@@ -38,7 +54,7 @@ from __future__ import annotations
 import json
 import re
 from fractions import Fraction
-from itertools import count
+from itertools import compress, count
 from math import gcd, isqrt, lcm
 
 from . import kernels
@@ -120,15 +136,27 @@ def _scaled_ints(vectors) -> tuple[int, list[list[int]]]:
     return d, [[x.numerator * (d // x.denominator) for x in v] for v in vecs]
 
 
+def _sparse_rows(rows) -> tuple[tuple[tuple[int, int], ...], ...]:
+    """The one sparse row form: per integer row, its nonzero entries as
+    ``(column, value)`` pairs in ascending column order."""
+    out = []
+    for row in rows:
+        # compress keeps the columns of the nonzero entries at C speed
+        out.append(tuple([(c, row[c]) for c in compress(range(len(row)), row)]))
+    return tuple(out)
+
+
 def _combine_rows(coeff_rows, rows, n: int) -> list[list[int]]:
     """The integer rows ``sum_j coeffs[j] * rows[j]`` of length n, one per
-    coefficient row (extra coefficients past ``len(rows)`` are ignored)."""
+    coefficient row, for sparse ``rows`` (extra coefficients past
+    ``len(rows)`` are ignored)."""
     out = []
     for coeffs in coeff_rows:
         vec = [0] * n
         for c, row in zip(coeffs, rows):
             if c:
-                vec = [a + c * x for a, x in zip(vec, row)]
+                for k, x in row:
+                    vec[k] += c * x
         out.append(vec)
     return out
 
@@ -144,10 +172,11 @@ class Mat:
     ``Fraction`` is made only when an entry is read (``m[i, j]``, ``row``,
     iteration). Supports +, -, unary -, scalar and matrix multiplication,
     and JSON round-tripping as an array of arrays of "p/q" strings. The
-    symmetry test and the JSON text are computed once per matrix.
+    symmetry test, the sparse rows and the JSON text are computed once per
+    matrix.
     """
 
-    __slots__ = ("_den", "_num", "_hash", "_symmetric", "_json")
+    __slots__ = ("_den", "_num", "_hash", "_symmetric", "_json", "_sparse")
 
     def __init__(self, rows):
         self._set(*_scaled_ints(rows))
@@ -178,6 +207,7 @@ class Mat:
         self._hash = None
         self._symmetric = None
         self._json = None
+        self._sparse = None
 
     @classmethod
     def from_int_rows(cls, rows, den: int = 1) -> "Mat":
@@ -264,7 +294,7 @@ class Mat:
             if self.cols != other.rows:
                 raise ValueError("shape mismatch in product")
             return Mat.from_int_rows(
-                _combine_rows(self._num, other._num, other.cols),
+                _combine_rows(self._num, other.sparse_rows(), other.cols),
                 self._den * other._den,
             )
         if isinstance(other, (int, Fraction)):
@@ -305,10 +335,17 @@ class Mat:
         """
         return self._den, self._num
 
+    def sparse_rows(self) -> tuple[tuple[tuple[int, int], ...], ...]:
+        """The integer rows of ``scaled_int_rows`` in the sparse row form,
+        built once per matrix."""
+        if self._sparse is None:
+            self._sparse = _sparse_rows(self._num)
+        return self._sparse
+
     def det(self) -> Fraction:
         if self.rows != self.cols:
             raise ValueError("determinant of a non-square matrix")
-        return Fraction(kernels.det_bareiss(self._num), self._den**self.rows)
+        return Fraction(det_int(self._num), self._den**self.rows)
 
     def inverse(self) -> "Mat":
         """Exact inverse by fraction-free Gauss-Jordan elimination.
@@ -463,18 +500,24 @@ class Lattice:
     ``int_basis`` (HNF rows of den*M), so equal modules compare equal. An
     optional ``form`` (symmetric Mat of size ambient_dim) rides along; all
     binary operations demand that both operands carry the same form.
+
+    The basis rows are also kept once in the sparse row form (``_sparse``);
+    rational coordinates and basis lifts walk only their nonzeros. A row's
+    pivot is its first pair's column.
     """
 
-    __slots__ = ("ambient_dim", "den", "int_basis", "form", "_pivots")
+    __slots__ = ("ambient_dim", "den", "int_basis", "form", "_sparse")
 
-    def __init__(self, ambient_dim: int, den: int, int_basis, form=None, _canonical=False):
+    def __init__(
+        self, ambient_dim: int, den: int, int_basis, form=None, _canonical=False, _sparse=None
+    ):
         if not _canonical:
             raise TypeError("use Lattice.from_int_rows / from_generators / standard")
         self.ambient_dim = ambient_dim
         self.den = den
         self.int_basis = int_basis
         self.form = form
-        self._pivots = kernels.pivot_columns(int_basis) if int_basis else []
+        self._sparse = _sparse_rows(int_basis) if _sparse is None else _sparse
 
     @staticmethod
     def _canonicalize(ambient_dim, int_rows, den, form):
@@ -549,7 +592,9 @@ class Lattice:
     def with_form(self, form) -> "Lattice":
         if form is not None:
             _check_form(form, self.ambient_dim)
-        return Lattice(self.ambient_dim, self.den, self.int_basis, form, _canonical=True)
+        return Lattice(
+            self.ambient_dim, self.den, self.int_basis, form, _canonical=True, _sparse=self._sparse
+        )
 
     def scaled(self, c) -> "Lattice":
         """The lattice c*M."""
@@ -590,23 +635,23 @@ class Lattice:
             return None
         return [x // b * a for x in num]
 
+    def _solve(self, w):
+        """Integer x with ``x * int_basis = w``, or None when w is not an
+        integer combination of the basis rows (``kernels.solve_left_int_row``
+        on the HNF rows, whose pivots are the sparse rows' first columns)."""
+        if not self._sparse:
+            return None if any(w) else []
+        return kernels.solve_left_int_row(self.int_basis, [row[0][0] for row in self._sparse], w)
+
     def contains_int(self, num, den: int = 1) -> bool:
         """Whether the rational vector num/den (integer num, den > 0) lies in M."""
         w = self._scaled_int(num, den)
-        if w is None:
-            return False
-        if not self.int_basis:
-            return not any(w)
-        return kernels.solve_left_int_row(self.int_basis, self._pivots, w) is not None
+        return w is not None and self._solve(w) is not None
 
     def coords_int(self, num, den: int = 1):
         """Integer coordinates of num/den in the canonical basis, or None."""
         w = self._scaled_int(num, den)
-        if w is None:
-            return None
-        if not self.int_basis:
-            return () if not any(w) else None
-        x = kernels.solve_left_int_row(self.int_basis, self._pivots, w)
+        x = None if w is None else self._solve(w)
         return None if x is None else tuple(x)
 
     def divisibility_int(self, num, den: int = 1) -> int:
@@ -632,19 +677,20 @@ class Lattice:
 
         Fraction-free back-substitution against the HNF basis: the residual
         and the coefficients share one denominator D, raised just enough at
-        each pivot to keep the division exact.
+        each pivot to keep the division exact. Each step updates the
+        residual at the nonzeros of one basis row.
         """
         if len(num) != self.ambient_dim:
             raise ValueError("vector length differs from ambient_dim")
         res = [x * self.den for x in num]
         D = den
         coeffs: list[int] = []
-        for row, p in zip(self.int_basis, self._pivots):
+        for row in self._sparse:
+            p, h = row[0]
             x = res[p]
             if not x:
                 coeffs.append(0)
                 continue
-            h = row[p]
             f = h // gcd(x, h)
             if f != 1:
                 res = [y * f for y in res]
@@ -652,7 +698,8 @@ class Lattice:
                 D *= f
             c = res[p] // h
             coeffs.append(c)
-            res = [y - c * r for y, r in zip(res, row)]
+            for k, r in row:
+                res[k] -= c * r
         if any(res):
             return None
         return D, coeffs
@@ -683,11 +730,11 @@ class Lattice:
             raise ValueError("lattice carries no ambient form")
         if not self.int_basis:
             raise ValueError("rank-0 lattice has no basis matrix")
-        df, F = self.form.scaled_int_rows()
-        B = self.int_basis
-        BF = _combine_rows(B, F, self.ambient_dim)
+        df = self.form.scaled_int_rows()[0]
+        BF = _combine_rows(self.int_basis, self.form.sparse_rows(), self.ambient_dim)
+        B = self._sparse
         return Mat.from_int_rows(
-            [[sum(a * c for a, c in zip(bf, b)) for b in B] for bf in BF],
+            [[sum(bf[k] * x for k, x in b) for b in B] for bf in BF],
             df * self.den * self.den,
         )
 
@@ -750,7 +797,7 @@ def combine_basis(coeff_rows, lat: Lattice) -> tuple[int, list[list[int]]]:
     lat.int_basis[j]``, so the lifted ambient vectors are ``rows[i] /
     lat.den``; the pair feeds ``Lattice.from_int_rows`` directly.
     """
-    return lat.den, _combine_rows(coeff_rows, lat.int_basis, lat.ambient_dim)
+    return lat.den, _combine_rows(coeff_rows, lat._sparse, lat.ambient_dim)
 
 
 def lattice_join(a: Lattice, b: Lattice) -> Lattice:
@@ -781,7 +828,7 @@ def lattice_meet(a: Lattice, b: Lattice) -> Lattice:
     B = [[x * fb for x in row] for row in b.int_basis]
     _, U, rank = kernels.hnf_transform(A + B)
     # the first len(A) entries of a kernel row are u
-    gens = _combine_rows(U[rank:], A, a.ambient_dim)
+    gens = _combine_rows(U[rank:], _sparse_rows(A), a.ambient_dim)
     return Lattice._canonicalize(a.ambient_dim, gens, D, a.form)
 
 
@@ -807,7 +854,7 @@ def sublattice_index(sub: Lattice, sup: Lattice) -> int:
     if sub.rank == 0:
         return 1
     C = _coord_matrix(sub, sup)
-    d = kernels.det_bareiss(C)
+    d = det_int(C)
     if d == 0:
         raise NotASublatticeError("degenerate coordinate matrix")
     return -d if d < 0 else d
@@ -849,7 +896,7 @@ def coset_feasible(lat: Lattice, functional, target):
         raise ValueError("functional length differs from ambient_dim")
     target = parse_rational(target)
     # the basis values are vals[i] / (df * den)
-    vals = [sum(a * x for a, x in zip(f, row) if a) for row in lat.int_basis]
+    vals = [sum(f[c] * x for c, x in row) for row in lat._sparse]
     nz = [(i, x) for i, x in enumerate(vals) if x]
     if not nz:
         if target == 0:
@@ -970,45 +1017,61 @@ def _nullspace_primes():
         yield _PRIMES[i]
 
 
-def _kernel_mod(rows, ncols: int, p: int) -> dict[int, list[int]]:
-    """Canonical kernel basis of sparse integer rows modulo the prime p.
+def _echelon_mod(rows, p: int) -> list[tuple[int, int, int, list[tuple[int, int]]]]:
+    """Sparse echelon of integer rows modulo the prime p.
 
-    ``rows`` are lists of (column, value) pairs. Returns ``{f: x_f}`` over
-    the columns f that are combinations of earlier columns mod p; x_f has
-    last nonzero entry 1 at f and is zero on the other such columns.
+    ``rows`` are in the sparse row form. Each step takes the sparsest
+    active row, pivots at its smallest column and clears that column from
+    the other active rows, which keeps the fill-in low; rows that vanish
+    mod p drop out. Returns one ``(i, c, v, items)`` per pivot, in
+    elimination order: the input row i, the pivot column c, the pivot value
+    v and the rest of the row divided by v, as (column, value) pairs on
+    columns that are not earlier pivots. Only row additions are applied, so
+    the rows as they stood when chosen have the input's determinant mod p.
     """
     active = []
-    for r in rows:
+    for i, r in enumerate(rows):
         d = {}
         for c, v in r:
             v %= p
             if v:
                 d[c] = v
         if d:
-            active.append(d)
-    # sparse echelon: the sparsest active row, pivoting at its smallest
-    # column, keeps the fill-in low
+            active.append((i, d))
     pivots = []
     while active:
-        lens = [len(r) for r in active]
-        row = active.pop(lens.index(min(lens)))
+        lens = [len(d) for _, d in active]
+        i, row = active.pop(lens.index(min(lens)))
         c = min(row)
-        inv = pow(row.pop(c), -1, p)
-        items = [(k, v * inv % p) for k, v in row.items()]
+        v = row.pop(c)
+        inv = pow(v, -1, p)
+        items = [(k, x * inv % p) for k, x in row.items()]
         remaining = []
         for other in active:
-            f = other.pop(c, 0)
+            d = other[1]
+            f = d.pop(c, 0)
             if f:
-                for k, v in items:
-                    w = (other.get(k, 0) - f * v) % p
+                for k, x in items:
+                    w = (d.get(k, 0) - f * x) % p
                     if w:
-                        other[k] = w
+                        d[k] = w
                     else:
-                        other.pop(k, None)
-            if other:
+                        d.pop(k, None)
+            if d:
                 remaining.append(other)
         active = remaining
-        pivots.append((c, items))
+        pivots.append((i, c, v, items))
+    return pivots
+
+
+def _kernel_mod(rows, ncols: int, p: int) -> dict[int, list[int]]:
+    """Canonical kernel basis of sparse integer rows modulo the prime p.
+
+    ``rows`` are in the sparse row form. Returns ``{f: x_f}`` over the
+    columns f that are combinations of earlier columns mod p; x_f has last
+    nonzero entry 1 at f and is zero on the other such columns.
+    """
+    pivots = [(c, items) for _, c, _, items in _echelon_mod(rows, p)]
     # back-substitution: a pivot row involves only later pivots and free
     # columns, so solve the pivots in reverse order
     pivot_cols = {c for c, _ in pivots}
@@ -1119,7 +1182,7 @@ def rational_nullspace(int_rows, ncols: int) -> list[list[int]]:
     """
     if any(len(r) != ncols for r in int_rows):
         raise ValueError("row length does not match the column count")
-    rows = [[(c, v) for c, v in enumerate(r) if v] for r in int_rows]
+    rows = _sparse_rows(int_rows)
     best = None
     for p in _nullspace_primes():
         kern = _kernel_mod(rows, ncols, p)
@@ -1147,6 +1210,67 @@ def rational_nullspace(int_rows, ncols: int) -> list[list[int]]:
             basis.append(v)
         if len(basis) == len(residues):
             return basis
+
+
+def det_int(int_rows) -> int:
+    """Determinant of a square integer matrix, by a certified multimodular
+    method (Abbott-Bronstein-Mulders 1999).
+
+    For each prime p of the proven sequence ``_nullspace_primes`` the
+    sparse elimination ``_echelon_mod`` gives det mod p; the residues are
+    combined by the Chinese remainder theorem until the modulus M exceeds
+    2*H, where H = isqrt(prod ||row||^2) + 1, and the residue in
+    (-M/2, M/2] is returned. A 0x0 matrix has determinant 1; a non-square
+    input raises ``ValueError``.
+
+    Why the result is exact:
+
+    * Mod p, ``_echelon_mod`` applies only row additions, so the rows R_k
+      as they stood when chosen (k-th pivot at row i_k, column c_k, value
+      v_k) have the input's determinant mod p. R_k is zero on c_1 .. c_(k-1),
+      so in the order k of the rows and columns the matrix is triangular,
+      and det = sign(i_k -> c_k) * v_1 * ... * v_n mod p. Fewer than n
+      pivots means a row vanished: the rank mod p is below n and det = 0
+      mod p.
+    * Every prime gives det mod p, so no prime is unlucky, and Hadamard's
+      inequality gives |det| <= prod ||row|| < H.
+    * Two integers of absolute value below H that agree mod M > 2*H are
+      equal, so the symmetric residue is det.
+    """
+    n = len(int_rows)
+    if any(len(r) != n for r in int_rows):
+        raise ValueError("determinant of a non-square matrix")
+    rows = _sparse_rows(int_rows)
+    norms = 1
+    for r in rows:
+        norms *= sum(v * v for _, v in r)
+    bound = 2 * (isqrt(norms) + 1)
+    det, modulus = 0, 1
+    for p in _nullspace_primes():
+        pivots = _echelon_mod(rows, p)
+        d = 0
+        if len(pivots) == n:
+            perm = [0] * n
+            d = 1
+            for i, c, v, _ in pivots:
+                perm[i] = c
+                d = d * v % p
+            # the sign of a permutation is (-1)^(n - number of cycles)
+            seen = [False] * n
+            cycles = 0
+            for i in range(n):
+                if not seen[i]:
+                    cycles += 1
+                    while not seen[i]:
+                        seen[i] = True
+                        i = perm[i]
+            if (n - cycles) % 2:
+                d = -d % p
+        det += modulus * ((d - det) * pow(modulus, -1, p) % p)
+        modulus *= p
+        if modulus > bound:
+            break
+    return det if 2 * det <= modulus else det - modulus
 
 
 def signature_symmetric(m: Mat) -> tuple[int, int, int]:

@@ -46,7 +46,9 @@ from .exact_linalg import (
     _combine_rows,
     _coord_matrix,
     _frac_str,
+    _sparse_rows,
     combine_basis,
+    det_int,
     fraction_vector,
     int_vector,
     parse_int,
@@ -260,22 +262,17 @@ def fujiki_rows() -> tuple[tuple[int, ...], ...]:
 def fujiki_det() -> int:
     global _FUJIKI_DET
     if _FUJIKI_DET is None:
-        _FUJIKI_DET = kernels.det_bareiss(fujiki_rows())
+        _FUJIKI_DET = det_int(fujiki_rows())
     return _FUJIKI_DET
 
 
 def fujiki_pair(u: H4Class, v: H4Class) -> Fraction:
     """The intersection pairing of two degree-4 classes."""
-    G = fujiki_rows()
     total = 0
     vn = v.num
-    for x, row in zip(u.num, G):
+    for x, row in zip(u.num, fujiki_mat().sparse_rows()):
         if x:
-            s = 0
-            for g, y in zip(row, vn):
-                if g and y:
-                    s += g * y
-            total += x * s
+            total += x * sum([g * vn[k] for k, g in row])
     return Fraction(total, u.den * v.den)
 
 
@@ -432,8 +429,8 @@ class H4Lattice:
         """
         lat = self.lattice
         piv_prod = 1
-        for t, p in enumerate(kernels.pivot_columns(lat.int_basis)):
-            piv_prod *= lat.int_basis[t][p]
+        for row in lat._sparse:
+            piv_prod *= row[0][1]
         detb = Fraction(piv_prod, lat.den**AMBIENT)
         return fujiki_det() * detb * detb
 
@@ -487,7 +484,7 @@ class TorsionQuotient:
         "group",
         "moduli",
         "_positions",
-        "_V",
+        "_residue_cols",
         "_lift_rows",
         "_lift_den",
     )
@@ -500,10 +497,11 @@ class TorsionQuotient:
             raise ArithmeticError("quotient is not finite")
         self._positions = [i for i, dd in enumerate(diag) if dd > 1]
         self.moduli = tuple(diag[i] for i in self._positions)
-        self._V = V
+        # the columns of V at the torsion positions, in the sparse row form
+        self._residue_cols = _sparse_rows([[row[i] for row in V] for i in self._positions])
         den, lifts = combine_basis([Vinv[i] for i in self._positions], h4.lattice)
         self._lift_den = den
-        self._lift_rows = tuple(tuple(v) for v in lifts)
+        self._lift_rows = _sparse_rows(lifts)
         self.group = FiniteAbelianGroup(
             self.moduli, [[Fraction(x, den) for x in v] for v in lifts]
         )
@@ -516,15 +514,10 @@ class TorsionQuotient:
         y = self.h4.coords(v)
         if y is None:
             raise ValueError("class is not in the degree-4 lattice")
-        V = self._V
-        out = []
-        for pos, d in zip(self._positions, self.moduli):
-            s = 0
-            for yj, vj in zip(y, (row[pos] for row in V)):
-                if yj and vj:
-                    s += yj * vj
-            out.append(s % d)
-        return tuple(out)
+        return tuple(
+            sum([y[j] * v for j, v in col]) % d
+            for col, d in zip(self._residue_cols, self.moduli)
+        )
 
     def zero(self) -> tuple[int, ...]:
         return (0,) * len(self.moduli)

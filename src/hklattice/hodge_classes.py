@@ -52,7 +52,7 @@ from .h4_model import (
     TorsionQuotient,
     default_h4_lattice,
     default_torsion_quotient,
-    fujiki_rows,
+    fujiki_mat,
     fujiki_with_product,
     h4_span,
     second_chern_class,
@@ -287,10 +287,10 @@ def minimal_class_search(
     s = sym2_embed(*pair)
     c = bb_form(*pair)
     # m is the covector cov / cov_den: the pairing against the product s
-    (cov,) = _combine_rows([s.num], fujiki_rows(), AMBIENT)
+    (cov,) = _combine_rows([s.num], fujiki_mat().sparse_rows(), AMBIENT)
     cov_den = s.den * c
     # the image m(search) is g*Z with g >= 0 the gcd of the basis values
-    values = [sum(f * x for f, x in zip(cov, row) if f) for row in search.int_basis]
+    values = [sum(cov[k] * x for k, x in row) for row in search._sparse]
     g = Fraction(gcd(*values), abs(cov_den) * search.den)
     feasible, wit_vec = coset_feasible(
         search, [Fraction(f, cov_den) for f in cov], 1

@@ -8,6 +8,14 @@ debugging and for benchmarking the two backends against each other).
 ``IMPLEMENTATION`` names the active backend ("compiled" or "python").
 Both modules stay importable as ``hklattice._pykernels`` and, when built,
 ``hklattice._speedups``, so parity tests can compare them directly.
+
+The library calls ``hnf``, ``hnf_transform``, ``smith_normal_form``,
+``snf_diagonal`` and ``solve_left_int_row`` (lattice membership and
+coordinates). ``det_bareiss``, ``pivot_columns`` and ``row_echelon_bareiss``
+have no library caller: determinants are ``exact_linalg.det_int``, pivots
+are read off the sparse basis rows and nullspaces are
+``rational_nullspace``. They stay as the tests' dense references and for
+the benchmark's per-layer trace.
 """
 
 from __future__ import annotations

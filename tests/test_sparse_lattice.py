@@ -1,0 +1,223 @@
+"""The sparse lattice paths against dense references.
+
+Membership, integer coordinates and divisibility (scaling, the rank-0
+case, pivots read off the sparse rows) are compared with
+``kernels.solve_left_int_row`` on the dense HNF rows, rational coordinates
+with a Fraction back-substitution, basis lifts with dense row sums, and
+``det_int`` with ``kernels.det_bareiss``."""
+
+import random
+from fractions import Fraction
+from math import gcd
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from hklattice import kernels
+from hklattice.exact_linalg import (
+    Lattice,
+    Mat,
+    _coord_matrix,
+    combine_basis,
+    det_int,
+    sublattice_index,
+)
+from hklattice.h4_model import (
+    double_cover_sym2_matrix,
+    fujiki_det,
+    fujiki_rows,
+    sym2_lattice,
+)
+
+entry = st.integers(-6, 6) | st.sampled_from([0, 0, 0, 1, -1])
+
+
+@st.composite
+def lattices(draw):
+    """A random lattice: n <= 7, up to n generators (rank may fall short of
+    n or be 0), denominator up to 12."""
+    n = draw(st.integers(1, 7))
+    k = draw(st.integers(0, n))
+    rows = draw(st.lists(st.lists(entry, min_size=n, max_size=n), min_size=k, max_size=k))
+    den = draw(st.integers(1, 12))
+    return Lattice.from_int_rows(rows, den, ambient_dim=n)
+
+
+@st.composite
+def lattice_and_vector(draw):
+    """A lattice and a rational vector num/den: a member, a member plus a
+    small perturbation, or a random (often non-integral) vector."""
+    lat = draw(lattices())
+    n = lat.ambient_dim
+    kind = draw(st.sampled_from(["member", "perturbed", "random"]))
+    den = draw(st.integers(1, 30))
+    if kind == "random":
+        num = draw(st.lists(st.integers(-40, 40), min_size=n, max_size=n))
+        return lat, num, den
+    coeffs = draw(st.lists(st.integers(-5, 5), min_size=lat.rank, max_size=lat.rank))
+    d, (vec,) = combine_basis([coeffs], lat)
+    # vec / d lies in the lattice; write it over den * d
+    num = [x * den for x in vec]
+    if kind == "perturbed":
+        i = draw(st.integers(0, n - 1))
+        num[i] += draw(st.integers(1, 3))
+    return lat, num, den * d
+
+
+def dense_coords(lat, num, den):
+    """Reference: integer coordinates of num/den via the dense kernel."""
+    scaled = [lat.den * x for x in num]
+    if any(x % den for x in scaled):
+        return None
+    w = [x // den for x in scaled]
+    if not lat.int_basis:
+        return () if not any(w) else None
+    x = kernels.solve_left_int_row(lat.int_basis, kernels.pivot_columns(lat.int_basis), w)
+    return None if x is None else tuple(x)
+
+
+def fraction_coords(lat, num, den):
+    """Reference: rational coordinates of num/den by Fraction
+    back-substitution through the dense HNF rows, or None."""
+    res = [Fraction(x, den) for x in num]
+    out = []
+    for row in lat.int_basis:
+        p = next(c for c, x in enumerate(row) if x)
+        c = res[p] / Fraction(row[p], lat.den)
+        out.append(c)
+        res = [y - c * Fraction(r, lat.den) for y, r in zip(res, row)]
+    return None if any(res) else out
+
+
+@settings(max_examples=200, deadline=None)
+@given(lattice_and_vector())
+def test_membership_and_coords_match_dense_solve(case):
+    lat, num, den = case
+    want = dense_coords(lat, num, den)
+    assert lat.coords_int(num, den) == want
+    assert lat.contains_int(num, den) is (want is not None)
+    if want is None or not any(want):
+        with pytest.raises(ValueError):
+            lat.divisibility_int(num, den)
+    else:
+        assert lat.divisibility_int(num, den) == gcd(*want)
+
+
+@settings(max_examples=200, deadline=None)
+@given(lattice_and_vector())
+def test_rational_coords_match_fraction_solve(case):
+    lat, num, den = case
+    want = fraction_coords(lat, num, den)
+    got = lat._rational_coords_int(num, den)
+    if want is None:
+        assert got is None
+    else:
+        D, c = got
+        assert [Fraction(x, D) for x in c] == want
+
+
+@settings(max_examples=200, deadline=None)
+@given(lattices(), st.data())
+def test_combine_basis_matches_dense_sum(lat, data):
+    coeff_rows = data.draw(
+        st.lists(st.lists(st.integers(-9, 9), min_size=lat.rank, max_size=lat.rank), max_size=3)
+    )
+    want = []
+    for coeffs in coeff_rows:
+        vec = [0] * lat.ambient_dim
+        for c, row in zip(coeffs, lat.int_basis):
+            vec = [a + c * x for a, x in zip(vec, row)]
+        want.append(vec)
+    assert combine_basis(coeff_rows, lat) == (lat.den, want)
+
+
+def test_sparse_rows_are_the_nonzeros_of_the_basis(h4):
+    lat = h4.lattice
+    assert lat._sparse == tuple(
+        tuple((c, x) for c, x in enumerate(row) if x) for row in lat.int_basis
+    )
+    assert [r[0][0] for r in lat._sparse] == kernels.pivot_columns(lat.int_basis)
+    assert sum(len(r) for r in lat._sparse) == 371
+    assert sorted(len(r) for r in lat._sparse) == [1] * 253 + [2] * 22 + [74]
+    # a new form reuses the rows
+    assert lat.with_form(None)._sparse is lat._sparse
+
+
+# -- det_int -----------------------------------------------------------------
+
+
+@st.composite
+def square_matrices(draw, entries=entry):
+    n = draw(st.integers(0, 12))
+    rows = draw(st.lists(st.lists(entries, min_size=n, max_size=n), min_size=n, max_size=n))
+    if n >= 2:
+        shape = draw(st.sampled_from(["plain", "duplicate_row", "zero_row", "zero_col"]))
+        i, j = draw(st.integers(0, n - 1)), draw(st.integers(0, n - 1))
+        if shape == "duplicate_row" and i != j:
+            rows[i] = list(rows[j])
+        elif shape == "zero_row":
+            rows[i] = [0] * n
+        elif shape == "zero_col":
+            for r in rows:
+                r[j] = 0
+    return rows
+
+
+@settings(max_examples=150, deadline=None)
+@given(square_matrices())
+def test_det_int_matches_bareiss(rows):
+    assert det_int(rows) == kernels.det_bareiss(rows)
+
+
+@settings(max_examples=60, deadline=None)
+@given(square_matrices(st.integers(-(2**60), 2**60)))
+def test_det_int_matches_bareiss_on_60_bit_entries(rows):
+    assert det_int(rows) == kernels.det_bareiss(rows)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(1, 12).flatmap(lambda n: st.tuples(st.permutations(range(n)), st.lists(st.sampled_from([1, -1]), min_size=n, max_size=n))))
+def test_det_int_of_signed_permutation(case):
+    perm, signs = case
+    n = len(perm)
+    rows = [[signs[i] if j == perm[i] else 0 for j in range(n)] for i in range(n)]
+    assert det_int(rows) == kernels.det_bareiss(rows)
+    assert abs(det_int(rows)) == 1
+
+
+def test_det_int_small_cases():
+    assert det_int([]) == 1
+    assert det_int([[0]]) == 0
+    assert det_int([[-7]]) == -7
+    assert det_int([[0, 1], [1, 0]]) == -1
+    assert det_int([[1, 2], [3, 4]]) == -2
+
+
+def test_det_int_rejects_non_square():
+    with pytest.raises(ValueError):
+        det_int([[1, 2, 3], [4, 5, 6]])
+    with pytest.raises(ValueError):
+        det_int([[1, 2], [3]])
+    with pytest.raises(ValueError):
+        Mat.from_int_rows([[1, 2, 3], [4, 5, 6]]).det()
+
+
+def test_det_int_on_the_three_276_matrices(h4):
+    coords = _coord_matrix(sym2_lattice(), h4.lattice)
+    d = det_int(coords)
+    assert d == kernels.det_bareiss(coords)
+    assert abs(d) == 5 * 2**23 == sublattice_index(sym2_lattice(), h4.lattice)
+    assert det_int(fujiki_rows()) == fujiki_det() == 25 * 2**46
+    dc = double_cover_sym2_matrix()
+    assert dc.det() == 5 * 2**45
+    assert det_int(dc.scaled_int_rows()[1]) == kernels.det_bareiss(dc.scaled_int_rows()[1])
+
+
+def test_det_int_of_rational_mat_matches_bareiss():
+    rng = random.Random(5)
+    for n in range(1, 7):
+        rows = [[Fraction(rng.randint(-9, 9), rng.randint(1, 4)) for _ in range(n)] for _ in range(n)]
+        m = Mat(rows)
+        den, ints = m.scaled_int_rows()
+        assert m.det() == Fraction(kernels.det_bareiss(ints), den**n)
