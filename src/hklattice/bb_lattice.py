@@ -23,7 +23,7 @@ import random
 from math import gcd
 
 from . import kernels
-from .exact_linalg import Lattice, Mat, det_int, int_vector, signature_symmetric
+from .exact_linalg import Lattice, Mat, det_int, int_vector, parse_int, signature_symmetric
 
 RANK = 23
 DELTA0_INDEX = 22
@@ -83,8 +83,10 @@ def gram_mat() -> Mat:
 class H2Class:
     """An integer vector in the rank-23 lattice.
 
-    Coordinates must be Python ints: a float or a bool is rejected rather
-    than truncated.
+    The public constructor checks its input: coordinates must be Python
+    ints, so a float or a bool is rejected rather than truncated. Classes
+    the library builds itself take the private ``_of``, which checks
+    nothing.
     """
 
     __slots__ = ("coords",)
@@ -96,27 +98,35 @@ class H2Class:
         self.coords = coords
 
     @classmethod
+    def _of(cls, coords: tuple[int, ...]) -> "H2Class":
+        """The class with a tuple of RANK ints as coordinates, unchecked."""
+        c = cls.__new__(cls)
+        c.coords = coords
+        return c
+
+    @classmethod
     def zero(cls) -> "H2Class":
-        return cls((0,) * RANK)
+        return cls._of((0,) * RANK)
 
     @classmethod
     def basis_vector(cls, i: int) -> "H2Class":
-        return cls(tuple(1 if j == i else 0 for j in range(RANK)))
+        return cls._of(tuple([1 if j == i else 0 for j in range(RANK)]))
 
     def is_zero(self) -> bool:
         return not any(self.coords)
 
     def __add__(self, other: "H2Class") -> "H2Class":
-        return H2Class(tuple(a + b for a, b in zip(self.coords, other.coords)))
+        return H2Class._of(tuple([a + b for a, b in zip(self.coords, other.coords)]))
 
     def __sub__(self, other: "H2Class") -> "H2Class":
-        return H2Class(tuple(a - b for a, b in zip(self.coords, other.coords)))
+        return H2Class._of(tuple([a - b for a, b in zip(self.coords, other.coords)]))
 
     def __neg__(self) -> "H2Class":
-        return H2Class(tuple(-a for a in self.coords))
+        return H2Class._of(tuple([-a for a in self.coords]))
 
     def __rmul__(self, c: int) -> "H2Class":
-        return H2Class(tuple(c * a for a in self.coords))
+        c = parse_int(c)
+        return H2Class._of(tuple([c * a for a in self.coords]))
 
     def __eq__(self, other):
         if not isinstance(other, H2Class):
@@ -281,7 +291,7 @@ def orth_complement_basis(d) -> list[H2Class]:
     basis_rows = kernels.hnf(kern)
     if len(basis_rows) != RANK - 1:
         raise ArithmeticError("complement has unexpected rank")
-    vecs = [H2Class(row) for row in basis_rows]
+    vecs = [H2Class._of(tuple(row)) for row in basis_rows]
     g = [[bb_form(x, y) for y in vecs] for x in vecs]
     det = det_int(g)
     if det not in (1, -1):
@@ -312,7 +322,7 @@ def decompose_even(l0: H2Class, d) -> tuple[H2Class, int]:
     w = l0 - c * dh
     if any(x % 2 for x in w.coords):
         raise ArithmeticError("even class has non-doubled orthogonal part")
-    a_hat = H2Class(tuple(x // 2 for x in w.coords))
+    a_hat = H2Class._of(tuple([x // 2 for x in w.coords]))
     if c % 2 == 0:
         raise ArithmeticError("primitive even class must have odd coefficient")
     return a_hat, c
@@ -334,7 +344,7 @@ def _random_perp_vector(rng: random.Random, spread: int = 3) -> H2Class:
     coords = [0] * RANK
     for i in range(2, 22):
         coords[i] = rng.randrange(-spread, spread + 1)
-    return H2Class(coords)
+    return H2Class._of(tuple(coords))
 
 
 def _square_adjusted(rng: random.Random, target_square: int) -> H2Class:
@@ -391,4 +401,4 @@ def sample_primitive(rng: random.Random, spread: int = 4) -> H2Class:
         if not any(coords):
             continue
         g = gcd(*coords)
-        return H2Class(tuple(x // g for x in coords))
+        return H2Class._of(tuple([x // g for x in coords]))

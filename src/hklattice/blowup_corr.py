@@ -39,7 +39,7 @@ class FourfoldH4:
         if transcendental.ambient_dim != lattice.ambient_dim:
             raise ValueError("transcendental part lives in the same ambient space")
         for row in transcendental.int_basis:
-            if not lattice.contains_int(row, transcendental.den):
+            if not lattice.contains(row, transcendental.den):
                 raise ValueError("transcendental part must lie in the lattice")
         if saturate_in(transcendental, lattice) != transcendental:
             raise ValueError("transcendental part must be saturated")

@@ -392,7 +392,7 @@ def _suite_cubic(ck: _Checks, rng: random.Random, trials: int | None):
         "g2 and the residual class generate the whole rank-2 integral span",
     )
     T = transcendental(PicardData.rank_one(g1))
-    rows = [H2Class(r) for r in T.int_basis]
+    rows = [H2Class._of(r) for r in T.int_basis]
     bad = 0
     for _ in range(trials or 20):
         a, b = rng.choice(rows), rng.choice(rows)
@@ -603,7 +603,7 @@ def run_query(kind: str, payload: dict) -> dict:
     if kind == "vlambda":
         l0 = H2Class(payload["lambda0"])
         V = canonical_hodge_lattice(l0, h4)
-        rows = [H4Class(r, V.den) for r in V.int_basis]
+        rows = [H4Class._of(r, V.den) for r in V.int_basis]
         gram = V.gram()
         return {
             "parity": "even" if is_even(l0) else "odd",
@@ -623,6 +623,12 @@ def run_query(kind: str, payload: dict) -> dict:
     raise ValueError(f"unknown query kind {kind!r}")
 
 
+_POLARIZATION_SAMPLERS = {
+    "polarization-odd": sample_polarization_odd,
+    "polarization-even": sample_polarization_even,
+}
+
+
 def run_sample(kind: str, count: int, seed: int) -> list[dict]:
     rng = random.Random(seed)
     out = []
@@ -636,19 +642,8 @@ def run_sample(kind: str, count: int, seed: int) -> list[dict]:
                     "valid": is_exceptional(d.h2),
                 }
             )
-        elif kind == "polarization-odd":
-            l0 = sample_polarization_odd(rng)
-            out.append(
-                {
-                    "coords": list(l0.coords),
-                    "square": bb_form(l0, l0),
-                    "parity": "even" if is_even(l0) else "odd",
-                    "primitive": is_primitive(l0),
-                    "assumption": polarization_condition(l0),
-                }
-            )
-        elif kind == "polarization-even":
-            l0 = sample_polarization_even(rng, True)
+        elif kind in _POLARIZATION_SAMPLERS:
+            l0 = _POLARIZATION_SAMPLERS[kind](rng)
             out.append(
                 {
                     "coords": list(l0.coords),

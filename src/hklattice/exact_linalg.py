@@ -3,8 +3,9 @@
 ``Mat`` is an immutable exact rational matrix. ``Lattice`` is a finitely
 generated free submodule of Q^n given by a basis, stored in a canonical form
 so that structural equality decides equality of the underlying sets of
-vectors. ``FiniteAbelianGroup`` records invariant factors of finite
-quotients.
+vectors. ``FiniteAbelianGroup`` holds only the invariant factors of a
+finite quotient, which ``quotient_invariants`` reads off one Smith diagonal
+(``kernels.snf_diagonal``).
 
 Canonical lattice form: a pair ``(den, H)`` with ``den`` the smallest
 positive integer such that ``den * M`` is an integer lattice and ``H`` the
@@ -16,17 +17,23 @@ Python integers do the work. A ``Mat`` is stored the same way, as integer
 rows over its smallest positive denominator, and lattices, their forms and
 the rational vectors fed to them are handled as integer rows over one
 denominator; ``Fraction`` values are made only at the edges (reading a
-``Mat`` entry, ``basis_rows``, ``rational_coords``) and rationals are
-printed by the one formatter ``_frac_str``. ``Mat.inverse`` is a
-fraction-free Gauss-Jordan on the integer rows.
+``Mat`` entry, ``basis_rows``, ``rational_coords``, a ``coset_feasible``
+witness) and rationals are printed by the one formatter ``_frac_str``.
+``Mat.inverse`` is a fraction-free Gauss-Jordan on the integer rows.
+
+There is one vector API: ``Lattice.contains``, ``coords`` and
+``divisibility`` take a vector v and a denominator den (default 1) and
+work on v/den. The entries of v may be ints, Fractions or "p/q" strings;
+an all-int v is used as it is, so integer numerators over one denominator
+need no conversion. ``coset_feasible`` takes its covector the same way.
 
 The matrices of the degree-4 lattice are very sparse (its 276x276 HNF basis
 has 371 nonzeros), so loops walk nonzeros only, in one sparse row form: per
 integer row, a tuple of ``(column, value)`` pairs in ascending column order
 (``_sparse_rows``). A ``Lattice`` keeps its basis in that form once, and
 rational coordinates and basis-value products walk it; membership, integer
-coordinates and divisibility still call ``kernels.solve_left_int_row`` on
-the dense HNF rows. A ``Mat`` builds its sparse rows once on demand
+coordinates and divisibility call ``kernels.solve_left_int_row`` on the
+dense HNF rows. A ``Mat`` builds its sparse rows once on demand
 (``Mat.sparse_rows``). Integer rows are combined by the one loop
 ``_combine_rows`` over sparse rows, which ``combine_basis`` uses to lift
 coefficient rows through a lattice basis.
@@ -129,11 +136,21 @@ def _frac_str(x, d: int = 1) -> str:
 def _scaled_ints(vectors) -> tuple[int, list[list[int]]]:
     """Smallest d > 0 making the rational vectors integral, and d times them."""
     vecs = [tuple(v) for v in vectors]
-    if all(type(x) is int for v in vecs for x in v):
+    # the entry types of each vector, collected at C speed
+    if all({int}.issuperset(map(type, v)) for v in vecs):
         return 1, [list(v) for v in vecs]
     vecs = [fraction_vector(v) for v in vecs]
     d = lcm(*(x.denominator for v in vecs for x in v)) if vecs else 1
     return d, [[x.numerator * (d // x.denominator) for x in v] for v in vecs]
+
+
+def _scaled_vector(v, den) -> tuple[int, list[int]]:
+    """``(D, w)`` with integers w and D > 0 such that v/den = w/D, for v of
+    ints, Fractions or "p/q" strings and an int den > 0."""
+    if parse_int(den) <= 0:
+        raise ValueError("denominator must be positive")
+    d, (w,) = _scaled_ints([v])
+    return d * den, w
 
 
 def _sparse_rows(rows) -> tuple[tuple[tuple[int, int], ...], ...]:
@@ -397,51 +414,23 @@ class Mat:
         return cls(obj)
 
 
-def hnf(m: Mat) -> Mat:
-    """Row-style Hermite normal form of an integer matrix (zero rows dropped)."""
-    H = kernels.hnf(m.int_rows())
-    if not H:
-        raise ValueError("zero matrix has no nonzero HNF rows")
-    return Mat(H)
-
-
 class FiniteAbelianGroup:
     """A finite abelian group by invariant factors d1 | d2 | ... | dk, dk >= 2.
 
-    ``generators`` optionally carries one lift per factor (rational ambient
-    vectors whose classes generate the cyclic summands). Equality and hashing
-    look at the invariant factors only.
+    Only the invariant factors are kept; equality and hashing compare them.
     """
 
-    __slots__ = ("invariant_factors", "generators")
+    __slots__ = ("invariant_factors",)
 
-    def __init__(self, invariant_factors, generators=None):
-        factors = tuple(int(d) for d in invariant_factors)
+    def __init__(self, invariant_factors):
+        factors = tuple(parse_int(d) for d in invariant_factors)
         for d in factors:
             if d < 2:
                 raise ValueError("invariant factors must be >= 2")
         for a, b in zip(factors, factors[1:]):
             if b % a:
                 raise ValueError("invariant factors must form a divisibility chain")
-        if generators is not None:
-            generators = tuple(fraction_vector(g) for g in generators)
-            if len(generators) != len(factors):
-                raise ValueError("need one generator per invariant factor")
         self.invariant_factors = factors
-        self.generators = generators
-
-    @classmethod
-    def from_diagonal(cls, diag, generators=None) -> "FiniteAbelianGroup":
-        """Torsion part of a SNF diagonal: keep the entries >= 2.
-
-        ``generators``, when given, must align with ``diag``; the lifts for
-        dropped entries (units and zeros) are discarded.
-        """
-        keep = [i for i, d in enumerate(diag) if d > 1]
-        gens = None
-        if generators is not None:
-            gens = [generators[i] for i in keep]
-        return cls([diag[i] for i in keep], gens)
 
     def order(self) -> int:
         n = 1
@@ -468,29 +457,6 @@ class FiniteAbelianGroup:
             return "FiniteAbelianGroup(trivial)"
         parts = " x ".join(f"Z/{d}" for d in self.invariant_factors)
         return f"FiniteAbelianGroup({parts})"
-
-    def to_json(self) -> dict:
-        out = {"invariant_factors": list(self.invariant_factors)}
-        out["generators"] = (
-            None
-            if self.generators is None
-            else [[_frac_str(x) for x in g] for g in self.generators]
-        )
-        return out
-
-    @classmethod
-    def from_json(cls, obj) -> "FiniteAbelianGroup":
-        return cls(obj["invariant_factors"], obj.get("generators"))
-
-
-def snf(m: Mat) -> FiniteAbelianGroup:
-    """Invariant factors (torsion part) of the cokernel of an integer matrix.
-
-    The matrix is read as a relations matrix: its rows are relations on
-    Z^cols, and the result is the torsion of Z^cols / rowspan(m).
-    """
-    diag = kernels.snf_diagonal(m.int_rows())
-    return FiniteAbelianGroup.from_diagonal(diag)
 
 
 class Lattice:
@@ -625,8 +591,12 @@ class Lattice:
     def __repr__(self):
         return f"Lattice(rank {self.rank} in Q^{self.ambient_dim}, den {self.den})"
 
-    def _scaled_int(self, num, den):
-        """self.den * num/den as an integer list, or None when not integral."""
+    def _scaled(self, v, den):
+        """``self.den * v/den`` as an integer list, or None when not integral.
+
+        ``v`` holds ints, Fractions or "p/q" strings; ``den`` is an int > 0.
+        """
+        den, num = _scaled_vector(v, den)
         if len(num) != self.ambient_dim:
             raise ValueError("vector length differs from ambient_dim")
         g = gcd(self.den, den)
@@ -643,34 +613,25 @@ class Lattice:
             return None if any(w) else []
         return kernels.solve_left_int_row(self.int_basis, [row[0][0] for row in self._sparse], w)
 
-    def contains_int(self, num, den: int = 1) -> bool:
-        """Whether the rational vector num/den (integer num, den > 0) lies in M."""
-        w = self._scaled_int(num, den)
+    def contains(self, v, den: int = 1) -> bool:
+        """Whether the rational vector v/den lies in M."""
+        w = self._scaled(v, den)
         return w is not None and self._solve(w) is not None
 
-    def coords_int(self, num, den: int = 1):
-        """Integer coordinates of num/den in the canonical basis, or None."""
-        w = self._scaled_int(num, den)
+    def coords(self, v, den: int = 1):
+        """Integer coordinates of v/den in the canonical basis, or None."""
+        w = self._scaled(v, den)
         x = None if w is None else self._solve(w)
         return None if x is None else tuple(x)
 
-    def divisibility_int(self, num, den: int = 1) -> int:
-        """Largest n >= 1 with num/(n*den) still in the lattice."""
-        c = self.coords_int(num, den)
+    def divisibility(self, v, den: int = 1) -> int:
+        """Largest n >= 1 with v/(n*den) still in the lattice."""
+        c = self.coords(v, den)
         if c is None:
             raise ValueError("vector is not in the lattice")
         if not any(c):
             raise ValueError("divisibility of the zero vector is undefined")
         return gcd(*c)
-
-    def contains(self, v) -> bool:
-        d, (w,) = _scaled_ints([v])
-        return self.contains_int(w, d)
-
-    def coords(self, v):
-        """Integer coordinates of v in the canonical basis, or None."""
-        d, (w,) = _scaled_ints([v])
-        return self.coords_int(w, d)
 
     def _rational_coords_int(self, num, den: int):
         """Coordinates of num/den over Q as (D, c) meaning c/D, or None.
@@ -840,7 +801,7 @@ def _coord_matrix(sub: Lattice, sup: Lattice) -> list[list[int]]:
     _check_ambient(sub, sup)
     out = []
     for row in sub.int_basis:
-        c = sup.coords_int(row, sub.den)
+        c = sup.coords(row, sub.den)
         if c is None:
             raise NotASublatticeError("vector outside the claimed superlattice")
         out.append(list(c))
@@ -861,48 +822,41 @@ def sublattice_index(sub: Lattice, sup: Lattice) -> int:
 
 
 def quotient_invariants(sub: Lattice, sup: Lattice) -> FiniteAbelianGroup:
-    """Invariant factors of sup/sub with generator lifts (ambient vectors)."""
+    """Invariant factors of sup/sub: the Smith diagonal of the coordinate
+    matrix of sub in sup, without its unit entries."""
     if sub.rank != sup.rank:
         raise NotASublatticeError("rank mismatch: quotient is not finite")
     if sub.rank == 0:
         return FiniteAbelianGroup([])
-    C = _coord_matrix(sub, sup)
-    diag, _, vinv = kernels.smith_normal_form(C, want_vinv=True)
-    keep = [i for i, d in enumerate(diag) if d > 1]
-    den, lifts = combine_basis([vinv[i] for i in keep], sup)
-    return FiniteAbelianGroup(
-        [diag[i] for i in keep],
-        [[Fraction(x, den) for x in v] for v in lifts],
-    )
+    return FiniteAbelianGroup([d for d in kernels.snf_diagonal(_coord_matrix(sub, sup)) if d > 1])
 
 
 def divisibility(v, lat: Lattice) -> int:
     """Largest n >= 1 with v/n still in the lattice."""
-    d, (w,) = _scaled_ints([v])
-    return lat.divisibility_int(w, d)
+    return lat.divisibility(v)
 
 
-def coset_feasible(lat: Lattice, functional, target):
-    """Decide whether some v in lat has functional(v) = target.
+def coset_feasible(lat: Lattice, functional, target, den: int = 1):
+    """Decide whether some v in lat has functional(v)/den = target.
 
-    ``functional`` is a rational covector on the ambient coordinates. The
-    image functional(lat) is a cyclic subgroup g*Z of Q; the equation is
-    solvable iff g divides target (any target works when the image is all
-    zero only if target is zero). Returns (feasible, witness) with witness
-    an ambient vector or None.
+    ``functional`` is a covector on the ambient coordinates (ints,
+    Fractions or "p/q" strings) and ``den`` an int > 0. The image of lat is
+    a cyclic subgroup g*Z of Q with g >= 0, and the equation is solvable
+    iff target is a multiple of g (only target 0 when g = 0). Returns
+    (feasible, witness, g) with witness an ambient vector or None.
     """
-    df, (f,) = _scaled_ints([functional])
+    df, f = _scaled_vector(functional, den)
     if len(f) != lat.ambient_dim:
         raise ValueError("functional length differs from ambient_dim")
     target = parse_rational(target)
-    # the basis values are vals[i] / (df * den)
+    # the basis values are vals[i] / (df * lat.den)
     vals = [sum(f[c] * x for c, x in row) for row in lat._sparse]
     nz = [(i, x) for i, x in enumerate(vals) if x]
     if not nz:
         if target == 0:
             zero = tuple(Fraction(0) for _ in range(lat.ambient_dim))
-            return True, zero
-        return False, None
+            return True, zero, Fraction(0)
+        return False, None, Fraction(0)
     # image subgroup generator: gcd over Q of the basis values, taken over
     # the least common denominator L of the nonzero values
     L = df * lat.den
@@ -917,7 +871,7 @@ def coset_feasible(lat: Lattice, functional, target):
     gen = Fraction(g, L)
     ratio = target / gen
     if ratio.denominator != 1:
-        return False, None
+        return False, None, gen
     # Bezout combination of the integer values hits g
     coeff = {}
     acc = 0
@@ -937,7 +891,7 @@ def coset_feasible(lat: Lattice, functional, target):
     for i, c in coeff.items():
         coeffs[i] = m * c
     den, (wit,) = combine_basis([coeffs], lat)
-    return True, tuple(Fraction(x, den) for x in wit)
+    return True, tuple(Fraction(x, den) for x in wit), gen
 
 
 def _bezout(a: int, b: int) -> tuple[int, int]:

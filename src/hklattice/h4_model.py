@@ -14,7 +14,14 @@ depend on which exceptional class is used, which is one of the verified
 facts rather than an assumption.
 
 Everything is exact and runs on Python integers: classes are integer
-numerators over one denominator and go into lattices as such. The caches
+numerators over one denominator and go into lattices as such, through the
+one vector API of ``Lattice`` (``contains(num, den)`` and its siblings).
+Input from outside is checked once, by the public ``H4Class``
+constructor; sums, multiples, products ``sym2_embed`` and torsion lifts
+are built from checked classes and take the private ``H4Class._of``,
+which only normalizes. The torsion quotient keeps its invariant factors
+and the parts of the Smith transforms that ``class_of`` and ``lift``
+read, and no Fraction lifts. The caches
 are the Fujiki Gram (one shared integer ``Mat``, whose symmetry check and
 JSON text are computed once), its determinant, the class q of the
 distinguished exceptional class, and the default lattice and torsion
@@ -79,23 +86,25 @@ class H4Class:
     """A rational vector in the 276-dimensional monomial coordinate space.
 
     Stored as an integer numerator tuple over a single positive denominator,
-    normalized so that gcd(den, all numerators) = 1. Numerators and the
-    denominator must be Python ints (no floats, no bools).
+    normalized so that gcd(den, all numerators) = 1. The public constructor
+    checks its input: numerators and the denominator must be Python ints
+    (no floats, no bools). Classes the library builds itself from such
+    classes take the private ``_of``, which only normalizes.
     """
 
     __slots__ = ("num", "den")
 
-    def __init__(self, num, den: int = 1, _normalized=False):
-        if _normalized:
-            self.num = num
-            self.den = den
-            return
+    def __init__(self, num, den: int = 1):
         num = int_vector(num)
         if len(num) != AMBIENT:
             raise ValueError(f"need {AMBIENT} coordinates, got {len(num)}")
         den = parse_int(den)
         if den == 0:
             raise ZeroDivisionError("zero denominator")
+        self._set(num, den)
+
+    def _set(self, num: tuple[int, ...], den: int):
+        """Store num/den with den > 0 and gcd(den, num) = 1."""
         if den < 0:
             den, num = -den, tuple(-x for x in num)
         g = den
@@ -111,8 +120,16 @@ class H4Class:
         self.den = den
 
     @classmethod
+    def _of(cls, num: tuple[int, ...], den: int) -> "H4Class":
+        """The class num/den for a tuple of AMBIENT ints and a nonzero int
+        den, without the checks of the public constructor."""
+        c = cls.__new__(cls)
+        c._set(num, den)
+        return c
+
+    @classmethod
     def zero(cls) -> "H4Class":
-        return cls((0,) * AMBIENT, 1, _normalized=True)
+        return cls._of((0,) * AMBIENT, 1)
 
     @classmethod
     def from_fractions(cls, coords) -> "H4Class":
@@ -120,7 +137,7 @@ class H4Class:
         if len(coords) != AMBIENT:
             raise ValueError(f"need {AMBIENT} coordinates")
         d = lcm(*(x.denominator for x in coords))
-        return cls(tuple((x * d).numerator for x in coords), d)
+        return cls._of(tuple([(x * d).numerator for x in coords]), d)
 
     def coords(self) -> tuple[Fraction, ...]:
         d = self.den
@@ -129,40 +146,29 @@ class H4Class:
     def is_zero(self) -> bool:
         return not any(self.num)
 
+    def _plus(self, other: "H4Class", sign: int) -> "H4Class":
+        da, db = self.den, other.den
+        D = lcm(da, db)
+        fa, fb = D // da, sign * (D // db)
+        return H4Class._of(tuple([fa * a + fb * b for a, b in zip(self.num, other.num)]), D)
+
     def __add__(self, other: "H4Class") -> "H4Class":
         if not isinstance(other, H4Class):
             return NotImplemented
-        da, db = self.den, other.den
-        if da == db:
-            return H4Class(
-                tuple(a + b for a, b in zip(self.num, other.num)), da
-            )
-        return H4Class(
-            tuple(a * db + b * da for a, b in zip(self.num, other.num)),
-            da * db,
-        )
+        return self._plus(other, 1)
 
     def __sub__(self, other: "H4Class") -> "H4Class":
         if not isinstance(other, H4Class):
             return NotImplemented
-        da, db = self.den, other.den
-        if da == db:
-            return H4Class(
-                tuple(a - b for a, b in zip(self.num, other.num)), da
-            )
-        return H4Class(
-            tuple(a * db - b * da for a, b in zip(self.num, other.num)),
-            da * db,
-        )
+        return self._plus(other, -1)
 
     def __neg__(self) -> "H4Class":
-        return H4Class(tuple(-x for x in self.num), self.den, _normalized=True)
+        return H4Class._of(tuple([-x for x in self.num]), self.den)
 
     def scale(self, c) -> "H4Class":
         c = parse_rational(c)
-        return H4Class(
-            tuple(c.numerator * x for x in self.num), self.den * c.denominator
-        )
+        p = c.numerator
+        return H4Class._of(tuple([p * x for x in self.num]), self.den * c.denominator)
 
     def __rmul__(self, c) -> "H4Class":
         if isinstance(c, (int, Fraction)):
@@ -230,7 +236,7 @@ def sym2_embed(a: H2Class, b: H2Class) -> H4Class:
                 if ac[j]:
                     num[base + j - i] += ac[j] * bi
         n += RANK - i
-    return H4Class(tuple(num), 1)
+    return H4Class._of(tuple(num), 1)
 
 
 _FUJIKI_MAT: Mat | None = None
@@ -339,7 +345,7 @@ def bb_inverse_class(d=None, abasis=None) -> H4Class:
             if w:
                 p = sym2_embed(abasis[i], abasis[j]).num
                 acc = [a + 2 * w * x for a, x in zip(acc, p)]
-    q = H4Class(acc, 2)
+    q = H4Class._of(tuple(acc), 2)
     if default:
         _DEFAULT_Q = q
     return q
@@ -404,14 +410,14 @@ class H4Lattice:
         self.v0 = v0
 
     def contains(self, v: H4Class) -> bool:
-        return self.lattice.contains_int(v.num, v.den)
+        return self.lattice.contains(v.num, v.den)
 
     def coords(self, v: H4Class):
-        return self.lattice.coords_int(v.num, v.den)
+        return self.lattice.coords(v.num, v.den)
 
     def divisibility(self, v: H4Class) -> int:
         """Largest n >= 1 with v/n still in the lattice."""
-        return self.lattice.divisibility_int(v.num, v.den)
+        return self.lattice.divisibility(v.num, v.den)
 
     def __eq__(self, other):
         if not isinstance(other, H4Lattice):
@@ -502,9 +508,7 @@ class TorsionQuotient:
         den, lifts = combine_basis([Vinv[i] for i in self._positions], h4.lattice)
         self._lift_den = den
         self._lift_rows = _sparse_rows(lifts)
-        self.group = FiniteAbelianGroup(
-            self.moduli, [[Fraction(x, den) for x in v] for v in lifts]
-        )
+        self.group = FiniteAbelianGroup(self.moduli)
 
     def order(self) -> int:
         return self.group.order()
@@ -538,7 +542,7 @@ class TorsionQuotient:
     def lift(self, t) -> H4Class:
         """One representative in the degree-4 lattice of a residue tuple."""
         (vec,) = _combine_rows([t], self._lift_rows, AMBIENT)
-        return H4Class(vec, self._lift_den)
+        return H4Class._of(tuple(vec), self._lift_den)
 
     # -- structure maps -----------------------------------------------------
 

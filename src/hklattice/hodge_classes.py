@@ -20,7 +20,6 @@ from __future__ import annotations
 import hashlib
 import json
 from fractions import Fraction
-from math import gcd
 
 from . import kernels
 from .bb_lattice import (
@@ -86,7 +85,7 @@ class PicardData:
             raise ValueError("polarization must be primitive")
         if bb_form(lambda0, lambda0) <= 0:
             raise ValueError("polarization must have positive square")
-        if not p_lattice.contains_int(lambda0.coords):
+        if not p_lattice.contains(lambda0.coords):
             raise ValueError("polarization must lie in the Picard lattice")
         self.p_lattice = p_lattice
         self.lambda0 = lambda0
@@ -179,7 +178,7 @@ def canonical_hodge_lattice(l0: H2Class, h4: H4Lattice | None = None) -> Lattice
 
 
 def _t_basis(T: Lattice) -> list[H2Class]:
-    return [H2Class(row) for row in _int_rows(T)]
+    return [H2Class._of(row) for row in _int_rows(T)]
 
 
 def minimality_scalar(v: H4Class, T: Lattice) -> Fraction:
@@ -289,12 +288,10 @@ def minimal_class_search(
     # m is the covector cov / cov_den: the pairing against the product s
     (cov,) = _combine_rows([s.num], fujiki_mat().sparse_rows(), AMBIENT)
     cov_den = s.den * c
-    # the image m(search) is g*Z with g >= 0 the gcd of the basis values
-    values = [sum(cov[k] * x for k, x in row) for row in search._sparse]
-    g = Fraction(gcd(*values), abs(cov_den) * search.den)
-    feasible, wit_vec = coset_feasible(
-        search, [Fraction(f, cov_den) for f in cov], 1
-    )
+    if cov_den < 0:
+        cov, cov_den = [-x for x in cov], -cov_den
+    # the image m(search) is g*Z with g >= 0
+    feasible, wit_vec, g = coset_feasible(search, cov, 1, cov_den)
     witness = None
     if feasible:
         witness = H4Class.from_fractions(wit_vec)
@@ -320,7 +317,7 @@ def hodge_image_in_torsion(
     if tq is None:
         tq = default_torsion_quotient()
     V = canonical_hodge_lattice(l0, tq.h4)
-    gens = [tq.class_of(H4Class(row, V.den)) for row in V.int_basis]
+    gens = [tq.class_of(H4Class._of(row, V.den)) for row in V.int_basis]
     return tq.subgroup(gens)
 
 

@@ -1,12 +1,14 @@
 """Rational matrix and lattice layer: constructors, membership, indices,
 quotients, saturation, feasibility."""
 
+import random
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from hklattice import kernels
 from hklattice.exact_linalg import (
     AmbientMismatchError,
     FiniteAbelianGroup,
@@ -22,7 +24,6 @@ from hklattice.exact_linalg import (
     saturate_in,
     saturation_int,
     signature_symmetric,
-    snf,
     sublattice_index,
 )
 
@@ -76,9 +77,17 @@ class TestFiniteAbelianGroup:
         with pytest.raises(ValueError):
             FiniteAbelianGroup((4, 2))
 
-    def test_snf_of_relations(self):
-        g = snf(Mat([[2, 0], [0, 3]]))
-        assert g.invariant_factors == (6,)
+    def test_no_generators_slot(self):
+        g = FiniteAbelianGroup((2, 4))
+        assert FiniteAbelianGroup.__slots__ == ("invariant_factors",)
+        with pytest.raises(AttributeError):
+            g.generators = ()
+
+    def test_factors_are_parsed_strictly(self):
+        with pytest.raises(TypeError):
+            FiniteAbelianGroup((2.0,))
+        with pytest.raises(TypeError):
+            FiniteAbelianGroup((True, 2))
 
 
 class TestLattice:
@@ -115,6 +124,55 @@ class TestLattice:
         z2 = Lattice.standard(2)
         sub = Lattice.from_generators([[2, 0], [0, 4]])
         assert quotient_invariants(sub, z2).invariant_factors == (2, 4)
+        # Z^2 over the relations 2*e1 and 3*e2 is cyclic of order 6
+        rel = Lattice.from_generators([[2, 0], [0, 3]])
+        assert quotient_invariants(rel, z2).invariant_factors == (6,)
+        assert quotient_invariants(z2, z2).is_trivial()
+        # rank 0: the trivial group, whatever the ambient dimension
+        empty = Lattice.from_generators([], ambient_dim=3)
+        assert quotient_invariants(empty, empty).is_trivial()
+        assert quotient_invariants(empty, empty).order() == 1
+
+    def test_quotient_invariants_of_a_torsion_subgroup(self):
+        # the relation lattice of (Z/2)^22 x Z/10 and the subgroups that
+        # residue tuples generate in it, as TorsionQuotient.subgroup builds them
+        moduli = (2,) * 22 + (10,)
+        k = len(moduli)
+        rel = [[moduli[i] if j == i else 0 for j in range(k)] for i in range(k)]
+        sub = Lattice.from_generators(rel, ambient_dim=k)
+
+        def span(*elements):
+            sup = Lattice.from_generators(rel + [list(t) for t in elements], ambient_dim=k)
+            return quotient_invariants(sub, sup).invariant_factors
+
+        e = [tuple(int(i == j) for j in range(k)) for i in range(k)]
+        assert span() == ()
+        assert span(*e) == moduli
+        assert span((1,) * k) == (10,)
+        assert span(e[0], tuple(5 * x for x in e[-1])) == (2, 2)
+        assert span(tuple(2 * x for x in e[-1])) == (5,)
+        assert span(e[0], e[1], (0,) * 22 + (4,)) == (2, 10)
+
+    def test_quotient_invariants_match_smith_diagonal(self):
+        # sub = M * sup for a random nonsingular integer M, so sup/sub has
+        # the invariant factors of M
+        rng = random.Random(11)
+        for _ in range(12):
+            n = rng.randint(1, 5)
+            den = rng.randint(1, 6)
+            while True:
+                B = [[rng.randint(-4, 4) for _ in range(n)] for _ in range(n)]
+                M = [[rng.randint(-5, 5) for _ in range(n)] for _ in range(n)]
+                if kernels.det_bareiss(B) and kernels.det_bareiss(M):
+                    break
+            sup = Lattice.from_int_rows(B, den)
+            sub_rows = [[sum(m[j] * B[j][c] for j in range(n)) for c in range(n)] for m in M]
+            sub = Lattice.from_int_rows(sub_rows, den)
+            diag = kernels.smith_normal_form(M)[0]
+            want = tuple(d for d in diag if d > 1)
+            got = quotient_invariants(sub, sup)
+            assert got.invariant_factors == want
+            assert got.order() == abs(kernels.det_bareiss(M)) == sublattice_index(sub, sup)
 
     def test_quotient_requires_sublattice(self):
         z2 = Lattice.standard(2)
@@ -186,21 +244,48 @@ class TestCosetFeasible:
     def test_infeasible_even_functional(self):
         # functional x -> x on 2Z: image 2Z never hits 1
         lat = Lattice.from_generators([[2]])
-        ok, wit = coset_feasible(lat, [1], 1)
+        ok, wit, gen = coset_feasible(lat, [1], 1)
         assert not ok and wit is None
+        assert gen == 2
 
     def test_feasible_with_witness(self):
         lat = Lattice.from_generators([[3], [5]])  # = Z
-        ok, wit = coset_feasible(lat, [1], 1)
-        assert ok
+        ok, wit, gen = coset_feasible(lat, [1], 1)
+        assert ok and gen == 1
         assert sum(F(a) * F(b) for a, b in zip(wit, [1])) == 1
         assert lat.contains(wit)
 
     def test_rational_functional(self):
         lat = Lattice.standard(2)
-        ok, wit = coset_feasible(lat, [F(1, 2), F(1, 2)], 1)
-        assert ok
+        ok, wit, gen = coset_feasible(lat, [F(1, 2), F(1, 2)], 1)
+        assert ok and gen == F(1, 2)
         assert sum(F(a) * F(b) for a, b in zip(wit, [F(1, 2), F(1, 2)])) == 1
+
+    def test_integer_covector_over_a_denominator(self):
+        # the covector (1, 1)/2 given as integers over 2 agrees with the
+        # Fraction form, on a lattice with denominator 3
+        lat = Lattice.from_generators([[F(2, 3), 0], [0, F(4, 3)]])
+        for target in (F(1, 3), F(2, 3), 1, F(1, 2)):
+            by_den = coset_feasible(lat, [1, 1], target, 2)
+            assert by_den == coset_feasible(lat, [F(1, 2), F(1, 2)], target)
+            assert by_den == coset_feasible(lat, ["1/2", "1/2"], target)
+        ok, wit, gen = coset_feasible(lat, [1, 1], F(2, 3), 2)
+        assert ok and gen == F(1, 3)
+        assert lat.contains(wit) and (wit[0] + wit[1]) / 2 == F(2, 3)
+        assert coset_feasible(lat, [0, 0], 0, 5) == (True, (0, 0), 0)
+        assert coset_feasible(lat, [0, 0], 1, 5) == (False, None, 0)
+
+    def test_covector_is_parsed_strictly(self):
+        lat = Lattice.standard(2)
+        with pytest.raises(TypeError):
+            coset_feasible(lat, [1.0, 1], 1)
+        with pytest.raises(TypeError):
+            coset_feasible(lat, [True, 1], 1)
+        with pytest.raises(TypeError):
+            coset_feasible(lat, [1, 1], 1, True)
+        for den in (0, -2):
+            with pytest.raises(ValueError):
+                coset_feasible(lat, [1, 1], 1, den)
 
 
 def test_signature():

@@ -1,7 +1,8 @@
 """The sparse lattice paths against dense references.
 
 Membership, integer coordinates and divisibility (scaling, the rank-0
-case, pivots read off the sparse rows) are compared with
+case, pivots read off the sparse rows, the vector given as integers over a
+denominator, as Fractions or as strings) are compared with
 ``kernels.solve_left_int_row`` on the dense HNF rows, rational coordinates
 with a Fraction back-substitution, basis lifts with dense row sums, and
 ``det_int`` with ``kernels.det_bareiss``."""
@@ -95,13 +96,46 @@ def fraction_coords(lat, num, den):
 def test_membership_and_coords_match_dense_solve(case):
     lat, num, den = case
     want = dense_coords(lat, num, den)
-    assert lat.coords_int(num, den) == want
-    assert lat.contains_int(num, den) is (want is not None)
+    assert lat.coords(num, den) == want
+    assert lat.contains(num, den) is (want is not None)
     if want is None or not any(want):
         with pytest.raises(ValueError):
-            lat.divisibility_int(num, den)
+            lat.divisibility(num, den)
     else:
-        assert lat.divisibility_int(num, den) == gcd(*want)
+        assert lat.divisibility(num, den) == gcd(*want)
+    # the same vector as Fractions, or as "p/q" strings, over den 1
+    fracs = [Fraction(x, den) for x in num]
+    assert lat.coords(fracs) == want
+    assert lat.contains([str(x) for x in fracs]) is (want is not None)
+    if want is not None and any(want):
+        assert lat.divisibility(fracs) == gcd(*want)
+
+
+def test_merged_api_is_strict():
+    lat = Lattice.standard(2)
+    # float and bool entries are refused, not truncated or read as 1
+    for v in ([4.0, 8], [True, 0], [1, False]):
+        for method in (lat.contains, lat.coords, lat.divisibility):
+            with pytest.raises(TypeError):
+                method(v)
+            with pytest.raises(TypeError):
+                method(v, 2)
+    # the denominator is an int > 0
+    for method in (lat.contains, lat.coords, lat.divisibility):
+        with pytest.raises(TypeError):
+            method([4, 8], True)
+        with pytest.raises(TypeError):
+            method([4, 8], 2.0)
+        for den in (0, -1):
+            with pytest.raises(ValueError):
+                method([4, 8], den)
+    with pytest.raises(ValueError):
+        lat.contains([1, 2, 3])
+    assert lat.contains([4, 8], 4) and not lat.contains([4, 8], 8)
+    assert lat.coords([4, 8], 2) == (2, 4)
+    assert lat.divisibility([4, 8], 2) == 2
+    assert lat.contains(["1/2", "3/2"], 2) is False
+    assert lat.coords([Fraction(3, 2), 1], 3) is None
 
 
 @settings(max_examples=200, deadline=None)
