@@ -89,6 +89,14 @@ class TestFiniteAbelianGroup:
         with pytest.raises(TypeError):
             FiniteAbelianGroup((True, 2))
 
+    def test_snf_of_relations(self):
+        # Z^2 over the relations 2*e1 and 3*e2 is cyclic of order 6
+        relations = [[2, 0], [0, 3]]
+        diag = kernels.snf_diagonal(relations)
+        assert FiniteAbelianGroup([d for d in diag if d > 1]).invariant_factors == (6,)
+        rel = Lattice.from_generators(relations)
+        assert quotient_invariants(rel, Lattice.standard(2)).invariant_factors == (6,)
+
 
 class TestLattice:
     def test_from_generators_reduces(self):
@@ -124,9 +132,6 @@ class TestLattice:
         z2 = Lattice.standard(2)
         sub = Lattice.from_generators([[2, 0], [0, 4]])
         assert quotient_invariants(sub, z2).invariant_factors == (2, 4)
-        # Z^2 over the relations 2*e1 and 3*e2 is cyclic of order 6
-        rel = Lattice.from_generators([[2, 0], [0, 3]])
-        assert quotient_invariants(rel, z2).invariant_factors == (6,)
         assert quotient_invariants(z2, z2).is_trivial()
         # rank 0: the trivial group, whatever the ambient dimension
         empty = Lattice.from_generators([], ambient_dim=3)
