@@ -23,7 +23,16 @@ import random
 from math import gcd
 
 from . import kernels
-from .exact_linalg import Lattice, Mat, det_int, int_vector, parse_int, signature_symmetric
+from .exact_linalg import (
+    Lattice,
+    Mat,
+    _pair,
+    det_int,
+    int_vector,
+    left_kernel,
+    parse_int,
+    signature_symmetric,
+)
 
 RANK = 23
 DELTA0_INDEX = 22
@@ -116,9 +125,13 @@ class H2Class:
         return not any(self.coords)
 
     def __add__(self, other: "H2Class") -> "H2Class":
+        if not isinstance(other, H2Class):
+            return NotImplemented
         return H2Class._of(tuple([a + b for a, b in zip(self.coords, other.coords)]))
 
     def __sub__(self, other: "H2Class") -> "H2Class":
+        if not isinstance(other, H2Class):
+            return NotImplemented
         return H2Class._of(tuple([a - b for a, b in zip(self.coords, other.coords)]))
 
     def __neg__(self) -> "H2Class":
@@ -167,12 +180,7 @@ def gram_apply(a: H2Class) -> tuple[int, ...]:
 
 def bb_form(a: H2Class, b: H2Class) -> int:
     """The even bilinear form in the frozen basis."""
-    bc = b.coords
-    total = 0
-    for x, row in zip(a.coords, _GRAM_MAT.sparse_rows()):
-        if x:
-            total += x * sum([g * bc[k] for k, g in row])
-    return total
+    return _pair(a.coords, b.coords, _GRAM_MAT.sparse_rows())
 
 
 def is_primitive(a: H2Class) -> bool:
@@ -284,11 +292,7 @@ def orth_complement_basis(d) -> list[H2Class]:
     dh = _as_h2(d)
     if not is_exceptional(dh):
         raise ValueError("complement basis needs an exceptional class")
-    u = gram_apply(dh)
-    col = [[x] for x in u]
-    _, U, rank = kernels.hnf_transform(col)
-    kern = U[rank:]
-    basis_rows = kernels.hnf(kern)
+    basis_rows = kernels.hnf(left_kernel([[x] for x in gram_apply(dh)]))
     if len(basis_rows) != RANK - 1:
         raise ArithmeticError("complement has unexpected rank")
     vecs = [H2Class._of(tuple(row)) for row in basis_rows]
@@ -298,7 +302,7 @@ def orth_complement_basis(d) -> list[H2Class]:
         raise ArithmeticError(f"complement Gram determinant {det}, expected +-1")
     if any(g[i][i] % 2 for i in range(RANK - 1)):
         raise ArithmeticError("complement Gram is not even")
-    if signature_symmetric(Mat.from_int_rows(g)) != (3, 19, 0):
+    if signature_symmetric(Mat._of(g, 1)) != (3, 19, 0):
         raise ArithmeticError("complement has wrong signature")
     return vecs
 
@@ -338,12 +342,13 @@ def ambient_lattice() -> Lattice:
 # All randomness in the package flows through random.Random (MT19937) seeded
 # by the caller; samples are deterministic given the seed.
 
-def _random_perp_vector(rng: random.Random, spread: int = 3) -> H2Class:
-    # support on coordinates 2..21: misses delta0 and the first hyperbolic
-    # pair, which the samplers reserve for gcd and square adjustment
+def _random_perp_vector(rng: random.Random) -> H2Class:
+    # entries in [-3, 3] with support on coordinates 2..21: misses delta0
+    # and the first hyperbolic pair, which the samplers reserve for gcd and
+    # square adjustment
     coords = [0] * RANK
     for i in range(2, 22):
-        coords[i] = rng.randrange(-spread, spread + 1)
+        coords[i] = rng.randrange(-3, 4)
     return H2Class._of(tuple(coords))
 
 
@@ -394,10 +399,10 @@ def sample_polarization_even(rng: random.Random, condition: bool = True) -> H2Cl
     return out
 
 
-def sample_primitive(rng: random.Random, spread: int = 4) -> H2Class:
-    """Random primitive class of either parity."""
+def sample_primitive(rng: random.Random) -> H2Class:
+    """Random primitive class of either parity, from entries in [-4, 4]."""
     while True:
-        coords = [rng.randrange(-spread, spread + 1) for _ in range(RANK)]
+        coords = [rng.randrange(-4, 5) for _ in range(RANK)]
         if not any(coords):
             continue
         g = gcd(*coords)

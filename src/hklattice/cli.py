@@ -163,7 +163,7 @@ def _suite_h4_torsion(ck: _Checks, rng: random.Random, trials: int | None):
         build_h4_lattice(d2) == h4,
         "the degree-4 lattice does not depend on the exceptional class",
     )
-    rep = verify_cup_product_table(h4, strict=False)
+    rep = verify_cup_product_table(h4)
     ck.add(
         "cup_product_table",
         "all_ok",
@@ -388,7 +388,7 @@ def _suite_cubic(ck: _Checks, rng: random.Random, trials: int | None):
     ck.add(
         "lines_basis_equals_v",
         True,
-        lines_hodge_basis(m, verify=False) == canonical_hodge_lattice(g1, h4),
+        lines_hodge_basis(m) == canonical_hodge_lattice(g1, h4),
         "g2 and the residual class generate the whole rank-2 integral span",
     )
     T = transcendental(PicardData.rank_one(g1))
@@ -410,7 +410,7 @@ def _suite_cubic(ck: _Checks, rng: random.Random, trials: int | None):
         g = sample_square6_even(rng)
         try:
             mm = build_cubic_model(g, h4)
-            if lines_hodge_basis(mm, verify=True).rank == 2:
+            if lines_hodge_basis(mm) == canonical_hodge_lattice(g, h4):
                 ok += 1
         except (ValueError, ArithmeticError):
             pass
@@ -735,6 +735,8 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         if args.command == "verify":
+            if args.trials is not None and args.trials < 1:
+                raise ValueError("trials must be at least 1")
             report = run_suite(args.suite, args.seed, args.trials, args.convention)
             return _emit(args, report, is_report=True)
         if args.command == "query":
@@ -746,8 +748,7 @@ def main(argv=None) -> int:
             return _emit(args, run_query(args.kind, payload), is_report=False)
         if args.command == "sample":
             if args.count < 1:
-                print("count must be at least 1", file=sys.stderr)
-                return 2
+                raise ValueError("count must be at least 1")
             return _emit(args, run_sample(args.kind, args.count, args.seed), is_report=False)
         if args.command == "search":
             mults = [int(x) for x in args.multipliers.split(",") if x.strip()]

@@ -23,13 +23,13 @@ import json
 from fractions import Fraction
 from math import gcd, lcm
 
-from . import kernels
 from .exact_linalg import (
     Lattice,
     Mat,
     _frac_str,
     _scaled_ints,
     fraction_vector,
+    left_kernel,
     rational_nullspace,
 )
 
@@ -71,9 +71,8 @@ def _sym_pairs(n: int) -> list[tuple[int, int]]:
 def polarization_kernel(inst: FixInstance) -> list[tuple[int, ...]]:
     """Integer basis of {mu : (s^T A) mu = 0}; always n - 1 vectors.
 
-    The covector s^T A is cleared to integers, fed to the HNF transform as
-    a one-column matrix, and the transform rows below the rank line are the
-    saturated kernel.
+    The covector s^T A is cleared to integers and the kernel is the
+    saturated left kernel of it as a one-column matrix (``left_kernel``).
     """
     dA, Ai = inst.A.scaled_int_rows()
     ds, (si,) = _scaled_ints([inst.s])
@@ -84,9 +83,7 @@ def polarization_kernel(inst: FixInstance) -> list[tuple[int, ...]]:
     wi = [x // g for x in w]
     if not any(wi):
         raise ValueError("degenerate covector: s^T A = 0 despite invertible A")
-    col = [[x] for x in wi]
-    _, U, rank = kernels.hnf_transform(col)
-    return [tuple(U[t]) for t in range(rank, inst.n)]
+    return [tuple(x) for x in left_kernel([[x] for x in wi])]
 
 
 class FixSolution:

@@ -19,7 +19,19 @@ the rational vectors fed to them are handled as integer rows over one
 denominator; ``Fraction`` values are made only at the edges (reading a
 ``Mat`` entry, ``basis_rows``, ``rational_coords``, a ``coset_feasible``
 witness) and rationals are printed by the one formatter ``_frac_str``.
-``Mat.inverse`` is a fraction-free Gauss-Jordan on the integer rows.
+Integer rows over a denominator are brought to lowest terms by the one
+helper ``_lowest_terms`` (``Mat``, ``Lattice`` and ``h4_model.H4Class``).
+``Mat.from_int_rows`` checks its entries; matrices the library computes
+(sums, products, transposes, inverses, Gram matrices) take the private
+``Mat._of``, which only normalizes. ``Mat.inverse`` is a fraction-free
+Gauss-Jordan on the integer rows.
+
+Each job of the layer has one function: ``left_kernel`` is the saturated
+left kernel of an integer matrix (the rows of the HNF transform below the
+rank), behind ``lattice_meet``, orthogonal complements, transcendental
+lattices and the deformation polarization kernel; ``_pair`` is the
+bilinear value u * F * v^T over the sparse rows of F, behind the degree-2
+form and the degree-4 Fujiki pairing.
 
 There is one vector API: ``Lattice.contains``, ``coords`` and
 ``divisibility`` take a vector v and a denominator den (default 1) and
@@ -153,6 +165,20 @@ def _scaled_vector(v, den) -> tuple[int, list[int]]:
     return d * den, w
 
 
+def _lowest_terms(den: int, rows):
+    """``(den, rows)`` for the rational rows rows/den (den > 0), divided by
+    the gcd of den and every entry; the scan stops once that gcd is 1 and
+    the rows then come back as they are."""
+    g = den
+    for r in rows:
+        if g == 1:
+            return den, rows
+        g = gcd(g, *r)
+    if g == 1:
+        return den, rows
+    return den // g, [[x // g for x in r] for r in rows]
+
+
 def _sparse_rows(rows) -> tuple[tuple[tuple[int, int], ...], ...]:
     """The one sparse row form: per integer row, its nonzero entries as
     ``(column, value)`` pairs in ascending column order."""
@@ -176,6 +202,16 @@ def _combine_rows(coeff_rows, rows, n: int) -> list[list[int]]:
                     vec[k] += c * x
         out.append(vec)
     return out
+
+
+def _pair(u, v, sparse_rows) -> int:
+    """The bilinear value u * F * v^T of integer vectors u and v, for the
+    sparse rows of an integer matrix F; walks the nonzeros of u and F."""
+    total = 0
+    for x, row in zip(u, sparse_rows):
+        if x:
+            total += x * sum([g * v[k] for k, g in row])
+    return total
 
 
 class Mat:
@@ -208,17 +244,7 @@ class Mat:
             raise ValueError("matrix needs at least one column")
         if any(len(r) != ncols for r in rows):
             raise ValueError("ragged rows")
-        if den != 1:
-            g = den
-            for r in rows:
-                for x in r:
-                    if x:
-                        g = gcd(g, x)
-                if g == 1:
-                    break
-            if g > 1:
-                den //= g
-                rows = [[x // g for x in r] for r in rows]
+        den, rows = _lowest_terms(den, rows)
         self._den = den
         self._num = tuple(tuple(r) for r in rows)
         self._hash = None
@@ -231,8 +257,14 @@ class Mat:
         """The matrix rows/den for integer rows and an integer den > 0."""
         if parse_int(den) <= 0:
             raise ValueError("denominator must be positive")
+        return cls._of([int_vector(r) for r in rows], den)
+
+    @classmethod
+    def _of(cls, rows, den: int) -> "Mat":
+        """The matrix rows/den for a list of int rows the library built and
+        an int den > 0, without the entry checks of ``from_int_rows``."""
         m = cls.__new__(cls)
-        m._set(den, [int_vector(r) for r in rows])
+        m._set(den, rows)
         return m
 
     @classmethod
@@ -285,7 +317,7 @@ class Mat:
         da, db = self._den, other._den
         D = lcm(da, db)
         fa, fb = D // da, sign * (D // db)
-        return Mat.from_int_rows(
+        return Mat._of(
             [
                 [fa * a + fb * b for a, b in zip(ra, rb)]
                 for ra, rb in zip(self._num, other._num)
@@ -304,28 +336,28 @@ class Mat:
         return self._plus(other, -1)
 
     def __neg__(self):
-        return Mat.from_int_rows([[-a for a in r] for r in self._num], self._den)
+        return Mat._of([[-a for a in r] for r in self._num], self._den)
 
     def __mul__(self, other):
         if isinstance(other, Mat):
             if self.cols != other.rows:
                 raise ValueError("shape mismatch in product")
-            return Mat.from_int_rows(
+            return Mat._of(
                 _combine_rows(self._num, other.sparse_rows(), other.cols),
                 self._den * other._den,
             )
-        if isinstance(other, (int, Fraction)):
+        if isinstance(other, (int, Fraction)) and type(other) is not bool:
             p, q = other.numerator, other.denominator
-            return Mat.from_int_rows([[p * a for a in r] for r in self._num], self._den * q)
+            return Mat._of([[p * a for a in r] for r in self._num], self._den * q)
         return NotImplemented
 
     def __rmul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return self * other
-        return NotImplemented
+        # a Mat on the left multiplies in its own __mul__, so other is a
+        # scalar here, and scalars commute
+        return self.__mul__(other)
 
     def transpose(self) -> "Mat":
-        return Mat.from_int_rows(zip(*self._num), self._den)
+        return Mat._of(list(zip(*self._num)), self._den)
 
     def is_symmetric(self) -> bool:
         if self._symmetric is None:
@@ -393,7 +425,7 @@ class Mat:
             prev = p
         if prev < 0:
             prev, d = -prev, -d
-        return Mat.from_int_rows([[d * x for x in r[n:]] for r in aug], prev)
+        return Mat._of([[d * x for x in r[n:]] for r in aug], prev)
 
     def to_json(self) -> list[list[str]]:
         d, m = self._den, self._num
@@ -488,19 +520,7 @@ class Lattice:
     @staticmethod
     def _canonicalize(ambient_dim, int_rows, den, form):
         H = kernels.hnf(int_rows) if int_rows else []
-        if H:
-            g = den
-            for row in H:
-                for x in row:
-                    if x:
-                        g = gcd(g, x)
-                if g == 1:
-                    break
-            if g > 1:
-                den //= g
-                H = [[x // g for x in row] for row in H]
-        else:
-            den = 1
+        den, H = _lowest_terms(den, H) if H else (1, H)
         return Lattice(
             ambient_dim,
             den,
@@ -538,8 +558,9 @@ class Lattice:
         """Z^n."""
         if form is not None:
             _check_form(form, n)
-        eye = tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n))
-        return cls(n, 1, eye, form, _canonical=True)
+        eye = tuple(tuple([0] * i + [1] + [0] * (n - 1 - i)) for i in range(n))
+        sparse = tuple(((i, 1),) for i in range(n))
+        return cls(n, 1, eye, form, _canonical=True, _sparse=sparse)
 
     @property
     def rank(self) -> int:
@@ -549,7 +570,7 @@ class Lattice:
         """Canonical basis as rational rows."""
         if not self.int_basis:
             raise ValueError("rank-0 lattice has no basis matrix")
-        return Mat.from_int_rows(self.int_basis, self.den)
+        return Mat._of(self.int_basis, self.den)
 
     def basis_rows(self) -> list[tuple[Fraction, ...]]:
         d = self.den
@@ -694,7 +715,7 @@ class Lattice:
         df = self.form.scaled_int_rows()[0]
         BF = _combine_rows(self.int_basis, self.form.sparse_rows(), self.ambient_dim)
         B = self._sparse
-        return Mat.from_int_rows(
+        return Mat._of(
             [[sum(bf[k] * x for k, x in b) for b in B] for bf in BF],
             df * self.den * self.den,
         )
@@ -771,13 +792,26 @@ def lattice_join(a: Lattice, b: Lattice) -> Lattice:
     return Lattice._canonicalize(a.ambient_dim, rows, D, a.form)
 
 
+def left_kernel(rows) -> list[list[int]]:
+    """A basis of the saturated left kernel {x in Z^m : x * rows = 0} of an
+    integer m x n matrix.
+
+    ``kernels.hnf_transform`` gives a unimodular U with U * rows equal to
+    the Hermite form stacked over zero rows; the rows of U below the rank
+    are a basis of the kernel, and a saturated one because U is unimodular
+    (Cohen, A Course in Computational Algebraic Number Theory, 2.4.3).
+    """
+    _, U, rank = kernels.hnf_transform(rows)
+    return U[rank:]
+
+
 def lattice_meet(a: Lattice, b: Lattice) -> Lattice:
     """Intersection of two lattices as sets of vectors.
 
     Over a common denominator D the operands are integer row spans A and B;
     a vector lies in both iff it is u*A = -w*B for an integer left-kernel
-    element (u | w) of the stacked matrix [[A],[B]]. hnf_transform returns a
-    basis of that kernel, whose images u*A generate the intersection.
+    element (u | w) of the stacked matrix [[A],[B]], and the images u*A of
+    a ``left_kernel`` basis generate the intersection.
     """
     _check_ambient(a, b)
     if not a.int_basis or not b.int_basis:
@@ -787,9 +821,8 @@ def lattice_meet(a: Lattice, b: Lattice) -> Lattice:
     fb = D // b.den
     A = [[x * fa for x in row] for row in a.int_basis]
     B = [[x * fb for x in row] for row in b.int_basis]
-    _, U, rank = kernels.hnf_transform(A + B)
     # the first len(A) entries of a kernel row are u
-    gens = _combine_rows(U[rank:], _sparse_rows(A), a.ambient_dim)
+    gens = _combine_rows(left_kernel(A + B), _sparse_rows(A), a.ambient_dim)
     return Lattice._canonicalize(a.ambient_dim, gens, D, a.form)
 
 
@@ -1021,15 +1054,25 @@ def _echelon_mod(rows, p: int) -> list[tuple[int, int, int, list[tuple[int, int]
 def _kernel_mod(rows, ncols: int, p: int) -> dict[int, list[int]]:
     """Canonical kernel basis of sparse integer rows modulo the prime p.
 
-    ``rows`` are in the sparse row form. Returns ``{f: x_f}`` over the
-    columns f that are combinations of earlier columns mod p; x_f has last
-    nonzero entry 1 at f and is zero on the other such columns.
+    ``rows`` are in the sparse row form. Returns ``{f: x_f}``, in ascending
+    f, over the free columns f (those that are combinations of earlier
+    columns mod p); x_f has last nonzero entry 1 at f and is zero on the
+    other free columns. These conditions fix x_f, so the basis is the
+    kernel's echelon form from the right.
+
+    Back-substitution already gives that shape, so no further reduction is
+    needed. A pivot row of ``_echelon_mod`` pivots at its smallest column c,
+    and the rest of the row lies on later pivots and on free columns, all
+    past c; solving the pivots in reverse elimination order therefore finds
+    every other unknown of the row already solved. With x_f = 1 at f and 0
+    on the other free columns, a pivot c > f sees only columns past f: free
+    ones, which are 0, and pivots past c, which are 0 by induction on c
+    downwards. So x_c = 0 for every c > f. ``rational_nullspace`` relies on
+    this shape.
     """
     pivots = [(c, items) for _, c, _, items in _echelon_mod(rows, p)]
-    # back-substitution: a pivot row involves only later pivots and free
-    # columns, so solve the pivots in reverse order
     pivot_cols = {c for c, _ in pivots}
-    basis = []
+    basis = {}
     for f in range(ncols):
         if f in pivot_cols:
             continue
@@ -1041,27 +1084,8 @@ def _kernel_mod(rows, ncols: int, p: int) -> dict[int, list[int]]:
                 if x[k]:
                     s += v * x[k]
             x[c] = -s % p
-        basis.append(x)
-    # echelon form from the right: reduced, with the last nonzero entries
-    # at distinct columns
-    done: dict[int, list[int]] = {}
-    for c in range(ncols - 1, -1, -1):
-        if not basis:
-            break
-        piv = next((v for v in basis if v[c]), None)
-        if piv is None:
-            continue
-        basis = [v for v in basis if v is not piv]
-        inv = pow(piv[c], -1, p)
-        piv = [x * inv % p for x in piv]
-        for v in (*basis, *done.values()):
-            f = v[c]
-            if f:
-                for k in range(c + 1):
-                    if piv[k]:
-                        v[k] = (v[k] - f * piv[k]) % p
-        done[c] = piv
-    return done
+        basis[f] = x
+    return basis
 
 
 def _wang(a: int, m: int, bound: int):

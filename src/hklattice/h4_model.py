@@ -21,11 +21,12 @@ constructor; sums, multiples, products ``sym2_embed`` and torsion lifts
 are built from checked classes and take the private ``H4Class._of``,
 which only normalizes. The torsion quotient keeps its invariant factors
 and the parts of the Smith transforms that ``class_of`` and ``lift``
-read, and no Fraction lifts. The caches
-are the Fujiki Gram (one shared integer ``Mat``, whose symmetry check and
-JSON text are computed once), its determinant, the class q of the
-distinguished exceptional class, and the default lattice and torsion
-quotient built from that class.
+read, and no Fraction lifts. The caches are the Fujiki Gram (one shared
+integer ``Mat``, whose symmetry check and JSON text are computed once), its
+determinant, and the default lattice and torsion quotient built from the
+distinguished exceptional class. The class q is not cached on its own:
+``build_h4_lattice`` builds it once from the complement data it also keeps,
+and the default lattice carries it as ``q``.
 """
 
 from __future__ import annotations
@@ -41,6 +42,7 @@ from .bb_lattice import (
     RANK,
     ExceptionalClass,
     H2Class,
+    _as_h2,
     bb_form,
     delta0,
     gram_apply,
@@ -53,11 +55,14 @@ from .exact_linalg import (
     _combine_rows,
     _coord_matrix,
     _frac_str,
+    _lowest_terms,
+    _pair,
+    _scaled_ints,
     _sparse_rows,
     combine_basis,
     det_int,
-    fraction_vector,
     int_vector,
+    lattice_join,
     parse_int,
     parse_rational,
     quotient_invariants,
@@ -107,16 +112,8 @@ class H4Class:
         """Store num/den with den > 0 and gcd(den, num) = 1."""
         if den < 0:
             den, num = -den, tuple(-x for x in num)
-        g = den
-        for x in num:
-            if x:
-                g = gcd(g, x)
-            if g == 1:
-                break
-        if g > 1:
-            den //= g
-            num = tuple(x // g for x in num)
-        self.num = num
+        den, (num,) = _lowest_terms(den, (num,))
+        self.num = tuple(num)
         self.den = den
 
     @classmethod
@@ -133,11 +130,10 @@ class H4Class:
 
     @classmethod
     def from_fractions(cls, coords) -> "H4Class":
-        coords = fraction_vector(coords)
-        if len(coords) != AMBIENT:
+        d, (num,) = _scaled_ints([coords])
+        if len(num) != AMBIENT:
             raise ValueError(f"need {AMBIENT} coordinates")
-        d = lcm(*(x.denominator for x in coords))
-        return cls._of(tuple([(x * d).numerator for x in coords]), d)
+        return cls._of(tuple(num), d)
 
     def coords(self) -> tuple[Fraction, ...]:
         d = self.den
@@ -211,30 +207,18 @@ class H4Class:
 
 
 def sym2_embed(a: H2Class, b: H2Class) -> H4Class:
-    """The product class of two degree-2 classes, as monomial coordinates."""
+    """The product class of two degree-2 classes, as monomial coordinates:
+    a_i*b_i at x_i^2 and a_i*b_j + a_j*b_i at x_i*x_j for i < j."""
     ac, bc = a.coords, b.coords
     num = [0] * AMBIENT
     n = 0
     for i in range(RANK):
         ai, bi = ac[i], bc[i]
-        if ai:
+        if ai or bi:
             num[n] = ai * bi
-            base = n
-            for j in range(i + 1, RANK):
-                if bc[j]:
-                    num[base + j - i] += ai * bc[j]
-        elif bi:
-            num[n] = 0
-        n += RANK - i
-    # second bilinear half: a_j * b_i contributions for i < j
-    n = 0
-    for i in range(RANK):
-        bi = bc[i]
-        if bi:
-            base = n
-            for j in range(i + 1, RANK):
-                if ac[j]:
-                    num[base + j - i] += ac[j] * bi
+            num[n + 1 : n + RANK - i] = [
+                ai * y + x * bi for x, y in zip(ac[i + 1 :], bc[i + 1 :])
+            ]
         n += RANK - i
     return H4Class._of(tuple(num), 1)
 
@@ -256,7 +240,7 @@ def fujiki_mat() -> Mat:
             rows.append(
                 [gi[k] * gj[l] + gi[l] * gj[k] + gij * g[k][l] for (k, l) in _PAIRS]
             )
-        _FUJIKI_MAT = Mat.from_int_rows(rows)
+        _FUJIKI_MAT = Mat._of(rows, 1)
     return _FUJIKI_MAT
 
 
@@ -274,12 +258,7 @@ def fujiki_det() -> int:
 
 def fujiki_pair(u: H4Class, v: H4Class) -> Fraction:
     """The intersection pairing of two degree-4 classes."""
-    total = 0
-    vn = v.num
-    for x, row in zip(u.num, fujiki_mat().sparse_rows()):
-        if x:
-            total += x * sum([g * vn[k] for k, g in row])
-    return Fraction(total, u.den * v.den)
+    return Fraction(_pair(u.num, v.num, fujiki_mat().sparse_rows()), u.den * v.den)
 
 
 def fujiki_with_product(u: H4Class, a: H2Class, b: H2Class) -> Fraction:
@@ -313,48 +292,46 @@ def _inverse_int_symmetric(rows) -> list[list[int]]:
     return U
 
 
-_DEFAULT_Q: H4Class | None = None
-
-
-def bb_inverse_class(d=None, abasis=None) -> H4Class:
-    """The canonical degree-4 class dual to the bilinear form.
-
-    Built from an exceptional class d and a basis of its complement as
-    sum_ij B_ij a_i a_j - d^2/2 with B the inverse complement Gram; the
-    result is independent of both choices. The class built from the
-    distinguished exceptional class with its own complement basis is cached;
-    every other exceptional class is built from scratch.
-    """
-    global _DEFAULT_Q
-    dh = d.h2 if isinstance(d, ExceptionalClass) else d
-    default = abasis is None and (dh is None or dh == delta0())
-    if default and _DEFAULT_Q is not None:
-        return _DEFAULT_Q
-    if dh is None:
-        dh = delta0()
-    if abasis is None:
-        abasis = orth_complement_basis(dh)
+def _complement_data(dh: H2Class):
+    """``(abasis, a_gram, b_inv)`` for an exceptional class: the basis of
+    its complement, the Gram A of that basis and the integer inverse B of A,
+    each as tuples."""
+    abasis = tuple(orth_complement_basis(dh))
     a_gram = [[bb_form(x, y) for y in abasis] for x in abasis]
-    binv = _inverse_int_symmetric(a_gram)
-    # numerators of sum_ij B_ij a_i a_j - d^2/2 over the denominator 2
+    b_inv = _inverse_int_symmetric(a_gram)
+    return abasis, tuple(map(tuple, a_gram)), tuple(map(tuple, b_inv))
+
+
+def _q_class(dh: H2Class, abasis, b_inv) -> H4Class:
+    """sum_ij B_ij a_i a_j - d^2/2 for the complement data of d."""
+    # numerators over the denominator 2
     acc = [-x for x in sym2_embed(dh, dh).num]
     k = len(abasis)
     for i in range(k):
         for j in range(i, k):
-            w = binv[i][j] if i == j else 2 * binv[i][j]
+            w = b_inv[i][j] if i == j else 2 * b_inv[i][j]
             if w:
                 p = sym2_embed(abasis[i], abasis[j]).num
                 acc = [a + 2 * w * x for a, x in zip(acc, p)]
-    q = H4Class._of(tuple(acc), 2)
-    if default:
-        _DEFAULT_Q = q
-    return q
+    return H4Class._of(tuple(acc), 2)
+
+
+def bb_inverse_class(d=None) -> H4Class:
+    """The canonical degree-4 class q dual to the bilinear form.
+
+    Built from an exceptional class d (default: the distinguished one) and
+    the basis of its complement as sum_ij B_ij a_i a_j - d^2/2, with B the
+    inverse complement Gram; the result does not depend on d. Each call
+    builds q from scratch; the default lattice carries it as ``q``.
+    """
+    dh = delta0() if d is None else _as_h2(d)
+    abasis, _, b_inv = _complement_data(dh)
+    return _q_class(dh, abasis, b_inv)
 
 
 def half_product_class(d, a: H2Class) -> H4Class:
     """The integral class a*(a - d)/2 attached to an exceptional d."""
-    dh = d.h2 if isinstance(d, ExceptionalClass) else d
-    return Fraction(1, 2) * (sym2_embed(a, a) - sym2_embed(a, dh))
+    return Fraction(1, 2) * (sym2_embed(a, a) - sym2_embed(a, _as_h2(d)))
 
 
 def point_surface_class(d, q: H4Class | None = None) -> H4Class:
@@ -363,15 +340,15 @@ def point_surface_class(d, q: H4Class | None = None) -> H4Class:
     Satisfies 8*v = (2/5)q + d^2 and pairs with any product a*b as
     b(a,b) + b(d,a)b(d,b)/4.
     """
-    dh = d.h2 if isinstance(d, ExceptionalClass) else d
+    dh = _as_h2(d)
     if q is None:
-        q = bb_inverse_class(d if isinstance(d, ExceptionalClass) else ExceptionalClass(dh))
+        q = bb_inverse_class(dh)
     return Fraction(1, 8) * sym2_embed(dh, dh) + Fraction(1, 20) * q
 
 
 def second_chern_class(d, q: H4Class | None = None) -> H4Class:
     """24 times the point/surface class minus 3 d^2; equals (6/5)q."""
-    dh = d.h2 if isinstance(d, ExceptionalClass) else d
+    dh = _as_h2(d)
     v0 = point_surface_class(d, q)
     return 24 * v0 - 3 * sym2_embed(dh, dh)
 
@@ -452,27 +429,14 @@ def build_h4_lattice(d=None) -> H4Lattice:
         d = ExceptionalClass(delta0())
     elif not isinstance(d, ExceptionalClass):
         d = ExceptionalClass(d)
-    abasis = orth_complement_basis(d)
-    a_gram = [[bb_form(x, y) for y in abasis] for x in abasis]
-    b_inv = _inverse_int_symmetric(a_gram)
-    q = bb_inverse_class(d, abasis)
+    abasis, a_gram, b_inv = _complement_data(d.h2)
+    q = _q_class(d.h2, abasis, b_inv)
     v0 = point_surface_class(d, q)
     extra = [half_product_class(d, a) for a in abasis] + [v0]
-    den = lcm(*(c.den for c in extra))
-    gens = [[den if k == i else 0 for k in range(AMBIENT)] for i in range(AMBIENT)]
-    gens += [[x * (den // c.den) for x in c.num] for c in extra]
-    lat = Lattice.from_int_rows(gens, den, AMBIENT, fujiki_mat())
+    lat = lattice_join(sym2_lattice(), h4_span(extra))
     if lat.rank != AMBIENT:
         raise ArithmeticError("degree-4 lattice has a rank defect")
-    return H4Lattice(
-        lat,
-        d,
-        tuple(abasis),
-        tuple(tuple(r) for r in a_gram),
-        tuple(tuple(r) for r in b_inv),
-        q,
-        v0,
-    )
+    return H4Lattice(lat, d, abasis, a_gram, b_inv, q, v0)
 
 
 class TorsionQuotient:
@@ -699,10 +663,10 @@ def double_cover_sym2_matrix() -> Mat:
         m[c][k + t] = -b_rows[i][j]
     for i in range(c + 1, n):
         m[i][i] = 2
-    return Mat.from_int_rows(m)
+    return Mat._of(m, 1)
 
 
-def verify_cup_product_table(d=None, strict: bool = True) -> dict:
+def verify_cup_product_table(h4: H4Lattice) -> dict:
     """Check the closed-form cup product table against the lattice model.
 
     The table expresses all pairwise products of the 23 degree-2 basis
@@ -712,9 +676,9 @@ def verify_cup_product_table(d=None, strict: bool = True) -> dict:
     of every dictionary element in the lattice, the dictionary being an
     actual basis (span equality), and 2-divisibility of the half products.
 
-    Returns {check_name: bool}; with strict=True raises on first failure.
+    Returns {check_name: bool}; a failed check reads False and the others
+    still run.
     """
-    h4 = d if isinstance(d, H4Lattice) else build_h4_lattice(d)
     dh = h4.delta_used.h2
     abasis = h4.abasis
     A = h4.a_gram
@@ -732,27 +696,6 @@ def verify_cup_product_table(d=None, strict: bool = True) -> dict:
         for j in range(i + 1, k):
             vij[(i, j)] = sym2_embed(abasis[i], abasis[j]) - A[i][j] * v0
 
-    checks: dict[str, bool] = {}
-
-    def record(name: str, ok: bool):
-        checks[name] = bool(ok)
-        if strict and not ok:
-            raise ArithmeticError(f"cup product table check failed: {name}")
-
-    ok_mixed = all(
-        sym2_embed(abasis[i], abasis[j]) == vij[(i, j)] + A[i][j] * v0
-        for i in range(k)
-        for j in range(i + 1, k)
-    )
-    record("product_mixed", ok_mixed)
-    ok_square = all(
-        sym2_embed(abasis[i], abasis[i]) == 2 * v[i] + u[i] + A[i][i] * v0
-        for i in range(k)
-    )
-    record("product_square", ok_square)
-    ok_delta = all(sym2_embed(abasis[i], dh) == u[i] for i in range(k))
-    record("product_with_exceptional", ok_delta)
-
     rhs = -1 * v0
     for i in range(k):
         if B[i][i]:
@@ -760,15 +703,22 @@ def verify_cup_product_table(d=None, strict: bool = True) -> dict:
         for j in range(i + 1, k):
             if B[i][j]:
                 rhs = rhs - B[i][j] * vij[(i, j)]
-    record("product_exceptional_square", sym2_embed(dh, dh) == rhs)
-
     dictionary = [v0] + v + list(vij.values()) + u
-    record("dictionary_integral", all(h4.contains(x) for x in dictionary))
-    record("dictionary_is_basis", h4_span(dictionary) == h4.lattice)
-    record(
-        "half_products_divisible",
-        all(
+    return {
+        "product_mixed": all(
+            sym2_embed(abasis[i], abasis[j]) == vij[(i, j)] + A[i][j] * v0
+            for i in range(k)
+            for j in range(i + 1, k)
+        ),
+        "product_square": all(
+            sym2_embed(abasis[i], abasis[i]) == 2 * v[i] + u[i] + A[i][i] * v0
+            for i in range(k)
+        ),
+        "product_with_exceptional": all(sym2_embed(abasis[i], dh) == u[i] for i in range(k)),
+        "product_exceptional_square": sym2_embed(dh, dh) == rhs,
+        "dictionary_integral": all(h4.contains(x) for x in dictionary),
+        "dictionary_is_basis": h4_span(dictionary) == h4.lattice,
+        "half_products_divisible": all(
             h4.contains(half_product_class(h4.delta_used, a)) for a in abasis
         ),
-    )
-    return checks
+    }

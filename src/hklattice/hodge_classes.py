@@ -21,14 +21,12 @@ import hashlib
 import json
 from fractions import Fraction
 
-from . import kernels
 from .bb_lattice import (
-    GRAM,
     RANK,
-    ExceptionalClass,
     H2Class,
     bb_form,
     decompose_even,
+    gram_apply,
     gram_mat,
     is_even,
     is_primitive,
@@ -40,6 +38,7 @@ from .exact_linalg import (
     _frac_str,
     coset_feasible,
     int_vector,
+    left_kernel,
     parse_rational,
     quotient_invariants,
     saturate_in,
@@ -135,23 +134,21 @@ def transcendental(p: PicardData | Lattice) -> Lattice:
     """The saturated orthogonal complement of the Picard lattice.
 
     Accepts full Picard data or a bare sublattice (useful for complements of
-    negative-definite pieces, which carry no polarization). Rows of the
-    pairing matrix of the ambient basis against the Picard basis feed the
-    HNF transform; the rows of the transform below the rank line are a
-    basis of the saturated left kernel, i.e. of the complement.
+    negative-definite pieces, which carry no polarization). The complement
+    is the saturated left kernel of the pairing matrix of the ambient basis
+    against the Picard basis (``left_kernel``).
     """
     plat = p.p_lattice if isinstance(p, PicardData) else p
     prows = _int_rows(plat)
-    pairing = [
-        [sum(GRAM[k][l] * pr[l] for l in range(RANK) if pr[l]) for pr in prows]
-        for k in range(RANK)
-    ]
-    _, U, rank = kernels.hnf_transform(pairing)
-    if rank != len(prows):
+    # column t of the pairing matrix is Gram * prows[t]
+    cols = [gram_apply(H2Class._of(pr)) for pr in prows]
+    pairing = [[c[k] for c in cols] for k in range(RANK)]
+    kern = left_kernel(pairing)
+    if len(kern) != RANK - len(prows):
         raise DegenerateTranscendentalError(
             "pairing matrix dropped rank; complement is not a true complement"
         )
-    return Lattice.from_int_rows(U[rank:], 1, RANK, gram_mat())
+    return Lattice.from_int_rows(kern, 1, RANK, gram_mat())
 
 
 def canonical_hodge_lattice(l0: H2Class, h4: H4Lattice | None = None) -> Lattice:

@@ -11,8 +11,10 @@ Both modules stay importable as ``hklattice._pykernels`` and, when built,
 
 The library calls ``hnf``, ``hnf_transform``, ``smith_normal_form``,
 ``snf_diagonal`` and ``solve_left_int_row`` (lattice membership and
-coordinates). ``det_bareiss``, ``pivot_columns`` and ``row_echelon_bareiss``
-have no library caller: determinants are ``exact_linalg.det_int``, pivots
+coordinates). ``hnf_transform`` has two callers: ``exact_linalg.left_kernel``
+(every saturated left kernel) and ``h4_model._inverse_int_symmetric``.
+``det_bareiss``, ``pivot_columns`` and ``row_echelon_bareiss`` have no
+library caller: determinants are ``exact_linalg.det_int``, pivots
 are read off the sparse basis rows and nullspaces are
 ``rational_nullspace``. They stay as the tests' dense references and for
 the benchmark's per-layer trace.

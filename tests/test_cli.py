@@ -75,6 +75,13 @@ class TestVerify:
         byname = {c["name"]: c for c in rep["checks"]}
         assert byname["residue_value_3_3"]["expected"] == "9"
 
+    @pytest.mark.parametrize("trials", ["0", "-2"])
+    def test_nonpositive_trials_usage_error(self, capsys, trials):
+        code, out, err = _run(capsys, ["verify", "blowup", "--json", "--trials", trials])
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error:") and len(err.strip().splitlines()) == 1
+
     def test_unknown_suite_usage_error(self, capsys):
         with pytest.raises(SystemExit) as exc:
             cli.main(["verify", "bogus"])
@@ -214,8 +221,10 @@ class TestSample:
         assert all(r["parity"] == "even" and r["assumption"] for r in json.loads(out))
 
     def test_bad_count(self, capsys):
-        code, _, err = _run(capsys, ["sample", "exceptional", "--count", "0"])
+        code, out, err = _run(capsys, ["sample", "exceptional", "--count", "0"])
         assert code == 2
+        assert out == ""
+        assert err.startswith("error:") and len(err.strip().splitlines()) == 1
 
 
 class TestSearch:

@@ -102,7 +102,7 @@ class TestSampler:
     def test_sampled_models_build(self, h4, rng):
         for _ in range(2):
             m = build_cubic_model(sample_square6_even(rng), h4)
-            assert lines_hodge_basis(m).rank == 2
+            assert lines_hodge_basis(m) == canonical_hodge_lattice(m.g1, h4)
 
 
 class TestPfaffian:

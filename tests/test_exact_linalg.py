@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hklattice import kernels
+from hklattice import exact_linalg, kernels
 from hklattice.exact_linalg import (
     AmbientMismatchError,
     FiniteAbelianGroup,
@@ -16,10 +16,14 @@ from hklattice.exact_linalg import (
     Mat,
     NonIntegerMatrixError,
     NotASublatticeError,
+    _pair,
+    _sparse_rows,
     coset_feasible,
     divisibility,
     lattice_join,
     lattice_meet,
+    left_kernel,
+    rational_nullspace,
     quotient_invariants,
     saturate_in,
     saturation_int,
@@ -424,3 +428,93 @@ def test_integer_storage_matches_fraction_arithmetic(mats, k):
         assert same.scaled_int_rows() == (d, num)
     assert A.is_integer() == (d == 1)
     assert A.to_json() == [[str(x) for x in r] for r in a]
+
+
+@st.composite
+def int_matrix(draw):
+    """An m x n integer matrix, m >= 0, often of deficient rank."""
+    m = draw(st.integers(0, 7))
+    n = draw(st.integers(1, 6))
+    entry = st.sampled_from([0, 0, 0, 1, -1, 2, -3, 6, 35])
+    rows = draw(st.lists(st.lists(entry, min_size=n, max_size=n), min_size=m, max_size=m))
+    for i in draw(st.lists(st.integers(0, max(m - 1, 0)), max_size=2)) if m else []:
+        k = draw(st.integers(-3, 3))
+        rows.append([k * x for x in rows[i]])
+    return rows, n
+
+
+@settings(max_examples=200, deadline=None)
+@given(int_matrix())
+def test_left_kernel_is_saturated_and_complete(case):
+    rows, n = case
+    m = len(rows)
+    kern = left_kernel(rows)
+    for x in kern:
+        assert len(x) == m
+        assert all(sum(x[i] * rows[i][j] for i in range(m)) == 0 for j in range(n))
+    # m - rank rows: the rational kernel of the transpose has that dimension
+    cols = [[rows[i][j] for i in range(m)] for j in range(n)]
+    assert len(kern) == len(rational_nullspace(cols, m)) if m else kern == []
+    if m:
+        K = Lattice.from_int_rows(kern, 1, m)
+        assert K.rank == len(kern)
+        assert saturate_in(K, Lattice.standard(m)) == K
+
+
+def test_left_kernel_small_cases():
+    assert left_kernel([[2], [3]]) in ([[3, -2]], [[-3, 2]])
+    assert left_kernel([[1, 0], [0, 1]]) == []
+    # saturated: 2*(1, -1) is in the kernel of [[2], [2]], but so is (1, -1)
+    assert left_kernel([[2], [2]]) in ([[1, -1]], [[-1, 1]])
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 8).flatmap(
+    lambda n: st.tuples(
+        st.lists(st.integers(-9, 9) | st.just(0), min_size=n, max_size=n),
+        st.lists(st.integers(-9, 9), min_size=n, max_size=n),
+        st.lists(
+            st.lists(st.sampled_from([0, 0, 0, 1, -2, 5]), min_size=n, max_size=n),
+            min_size=n,
+            max_size=n,
+        ),
+    )
+))
+def test_pair_is_the_dense_bilinear_value(case):
+    u, v, F_rows = case
+    n = len(u)
+    dense = sum(u[i] * F_rows[i][j] * v[j] for i in range(n) for j in range(n))
+    assert _pair(u, v, _sparse_rows(F_rows)) == dense
+
+
+def test_scalar_operands_are_strict():
+    eye = Mat.identity(2)
+    for bad in (True, False, 1.0, "2"):
+        with pytest.raises(TypeError):
+            eye * bad
+        with pytest.raises(TypeError):
+            bad * eye
+    assert 3 * eye == eye * 3 == Mat.from_int_rows([[3, 0], [0, 3]])
+    assert F(1, 2) * eye == eye * F(1, 2) == Mat.from_int_rows([[1, 0], [0, 1]], 2)
+
+
+def test_library_built_matrices_take_the_trusted_path(monkeypatch):
+    A = Mat([[F(1, 2), 1], [3, 4]])
+    B = Mat.from_int_rows([[2, 0], [1, 5]])
+    lat = Lattice.from_int_rows([[1, 1], [0, 2]], form=Mat.from_int_rows([[2, 1], [1, 2]]))
+
+    def built():
+        return [A + B, A - B, -A, A * B, 2 * A, A.transpose(), A.inverse()] + [
+            lat.gram(),
+            lat.basis(),
+        ]
+
+    want = built()
+
+    def refuse(v):
+        raise AssertionError("library-built rows were re-validated")
+
+    monkeypatch.setattr(exact_linalg, "int_vector", refuse)
+    assert built() == want
+    with pytest.raises(AssertionError):
+        Mat.from_int_rows([[1]])

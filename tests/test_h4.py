@@ -234,8 +234,8 @@ def test_double_cover_determinant():
 
 
 def test_cup_product_table_strict(h4):
-    rep = verify_cup_product_table(h4, strict=True)
-    assert rep and all(rep.values())
+    rep = verify_cup_product_table(h4)
+    assert len(rep) == 7 and all(v is True for v in rep.values())
 
 
 small = st.integers(-3, 3)

@@ -19,7 +19,13 @@ from hklattice.deformation_fix import (
     random_instance,
     solve_fixed_space,
 )
-from hklattice.exact_linalg import Mat, _nullspace_primes, rational_nullspace
+from hklattice.exact_linalg import (
+    Mat,
+    _kernel_mod,
+    _nullspace_primes,
+    _sparse_rows,
+    rational_nullspace,
+)
 
 
 def bareiss_nullspace(rows, ncols):
@@ -67,6 +73,85 @@ def bareiss_route(inst: FixInstance) -> FixSolution:
                 rows.append([x // g for x in ints])
     sols = bareiss_nullspace(rows, nvars)
     return FixSolution(n, [_vector_to_pair(v, n, pairs) for v in sols])
+
+
+def dense_kernel_mod(rows, ncols, p):
+    """Reference: a kernel basis mod p by dense Gauss-Jordan elimination."""
+    A = [[x % p for x in r] for r in rows]
+    pivots = []
+    for c in range(ncols):
+        r = len(pivots)
+        k = next((i for i in range(r, len(A)) if A[i][c]), None)
+        if k is None:
+            continue
+        A[r], A[k] = A[k], A[r]
+        inv = pow(A[r][c], -1, p)
+        A[r] = [x * inv % p for x in A[r]]
+        for i in range(len(A)):
+            if i != r and A[i][c]:
+                f = A[i][c]
+                A[i] = [(a - f * b) % p for a, b in zip(A[i], A[r])]
+        pivots.append(c)
+    basis = []
+    for f in range(ncols):
+        if f not in pivots:
+            x = [0] * ncols
+            x[f] = 1
+            for row, c in zip(A, pivots):
+                x[c] = -row[f] % p
+            basis.append(x)
+    return basis
+
+
+def right_echelon_mod(basis, ncols, p):
+    """Reference: the echelon form from the right of a kernel basis mod p,
+    reduced, with last nonzero entries 1 at distinct columns, as
+    ``{column: vector}``. Any basis of the kernel gives the same result."""
+    basis = [list(v) for v in basis]
+    done = {}
+    for c in range(ncols - 1, -1, -1):
+        if not basis:
+            break
+        piv = next((v for v in basis if v[c]), None)
+        if piv is None:
+            continue
+        basis = [v for v in basis if v is not piv]
+        inv = pow(piv[c], -1, p)
+        piv = [x * inv % p for x in piv]
+        for v in (*basis, *done.values()):
+            f = v[c]
+            if f:
+                for k in range(c + 1):
+                    if piv[k]:
+                        v[k] = (v[k] - f * piv[k]) % p
+        done[c] = piv
+    return done
+
+
+@st.composite
+def sparse_int_matrices(draw):
+    m = draw(st.integers(0, 12))
+    n = draw(st.integers(1, 16))
+    entry = st.sampled_from([0] * 8 + [1, -1, 2, 3, -5, 7, 10, 35])
+    rows = draw(st.lists(st.lists(entry, min_size=n, max_size=n), min_size=m, max_size=m))
+    return rows, n
+
+
+@settings(max_examples=300, deadline=None)
+@given(sparse_int_matrices(), st.sampled_from([2, 5, 7, "proth"]))
+def test_kernel_mod_is_the_right_echelon_form(case, p):
+    rows, ncols = case
+    if p == "proth":
+        p = next(_nullspace_primes())
+    sparse = _sparse_rows(rows)
+    kern = _kernel_mod(sparse, ncols, p)
+    assert kern == right_echelon_mod(dense_kernel_mod(rows, ncols, p), ncols, p)
+    # the shape rational_nullspace relies on, keys ascending
+    assert list(kern) == sorted(kern)
+    for f, x in kern.items():
+        assert x[f] == 1 and not any(x[f + 1 :])
+        assert all(x[g] == 0 for g in kern if g != f)
+        assert all(sum(a * x[k] for k, a in r) % p == 0 for r in sparse)
 
 
 @st.composite

@@ -36,6 +36,10 @@ def h4_classes(draw):
 
 
 h2_classes = st.lists(st.integers(-9, 9), min_size=RANK, max_size=RANK).map(H2Class)
+# sparse classes, where whole rows of the product vanish
+sparse_h2_classes = st.dictionaries(
+    st.integers(0, RANK - 1), st.integers(-40, 40), max_size=4
+).map(lambda d: H2Class([d.get(i, 0) for i in range(RANK)]))
 scalars = st.integers(-7, 7) | st.builds(F, st.integers(-7, 7), st.integers(1, 9))
 
 
@@ -63,8 +67,8 @@ def test_h4_arithmetic_matches_checked_constructor(a, b, c):
         same(c.numerator * a, want)
 
 
-@settings(max_examples=100, deadline=None)
-@given(h2_classes, h2_classes)
+@settings(max_examples=200, deadline=None)
+@given(h2_classes | sparse_h2_classes, h2_classes | sparse_h2_classes)
 def test_sym2_embed_matches_checked_constructor(a, b):
     ac, bc = a.coords, b.coords
     want = [
@@ -107,6 +111,19 @@ def test_built_classes_match_checked_constructor(tq):
         v = tq.lift(t)
         same(v, H4Class(v.num, v.den))
         assert tq.class_of(v) == tuple(x % d for x, d in zip(t, tq.moduli))
+
+
+def test_h2_operands_are_strict():
+    a = H2Class.zero()
+    for bad in (1, "a", 0.5, (0,) * RANK, H4Class.zero()):
+        with pytest.raises(TypeError):
+            a + bad
+        with pytest.raises(TypeError):
+            a - bad
+        with pytest.raises(TypeError):
+            bad + a
+        with pytest.raises(TypeError):
+            bad - a
 
 
 def test_public_constructors_refuse_unchecked_input():
