@@ -1,20 +1,32 @@
 """Compare the pure-Python and compiled kernel backends on the workloads
-that dominate real verification runs.
+that dominate real verification runs, and time the library's Smith-free
+routes against the Smith-form routes they replace.
 
-Run as: python3 benchmarks/bench_kernels.py [--repeat N]
+Run as: PYTHONPATH=src python3 benchmarks/bench_kernels.py [--repeat N]
 
 The inputs are the actual matrices the library builds (generator stacks,
-quotient relation matrices, the double-cover comparison matrix), not
-synthetic randoms, so the ratios reflect end-to-end behaviour.
+quotient relation matrices, the double-cover comparison matrix, the
+coordinate rows ``saturate_in`` hands to ``saturation_int`` during
+``verify all --seed 7``, the 420x232 system of the 21-variable deformation
+instance), not synthetic randoms, so the ratios reflect end-to-end
+behaviour.
 """
 
 import argparse
+import contextlib
+import io
 import random
 import time
 
-from hklattice import _pykernels
-from hklattice.deformation_fix import random_instance
-from hklattice.exact_linalg import rational_nullspace
+from hklattice import _pykernels, cli, deformation_fix, exact_linalg
+from hklattice.deformation_fix import random_instance, solve_fixed_space
+from hklattice.exact_linalg import (
+    _echelon_mod,
+    _nullspace_primes,
+    _sparse_rows,
+    rational_nullspace,
+    saturation_int,
+)
 from hklattice.h4_model import default_h4_lattice, double_cover_sym2_matrix
 
 try:
@@ -51,8 +63,6 @@ def _double_cover_rows():
 
 def _deformation_rows(n=13, seed=2):
     # rebuild the raw constraint matrix of the deformation solver
-    from fractions import Fraction
-
     from hklattice.deformation_fix import polarization_kernel
 
     inst = random_instance(random.Random(seed), n)
@@ -77,6 +87,49 @@ def _deformation_rows(n=13, seed=2):
                 coeffs[pos[key]] -= 2 * amu[kk]
             rows.append(coeffs)
     return rows
+
+
+def _saturation_inputs():
+    """The rows ``saturate_in`` passes to ``saturation_int`` in one
+    ``verify all --seed 7`` run."""
+    seen = []
+    real = exact_linalg.saturation_int
+
+    def record(rows):
+        seen.append([list(r) for r in rows])
+        return real(rows)
+
+    exact_linalg.saturation_int = record
+    try:
+        with contextlib.redirect_stdout(io.StringIO()):
+            cli.main(["verify", "all", "--seed", "7", "--json"])
+    finally:
+        exact_linalg.saturation_int = real
+    return seen
+
+
+def _full_deformation_rows():
+    """The 420x232 system ``solve_fixed_space`` builds for a 21-variable
+    instance, as it reaches ``rational_nullspace``."""
+    seen = []
+    real = deformation_fix.rational_nullspace
+
+    def record(rows, ncols):
+        seen.append((rows, ncols))
+        return real(rows, ncols)
+
+    deformation_fix.rational_nullspace = record
+    try:
+        solve_fixed_space(random_instance(random.Random(7), 21))
+    finally:
+        deformation_fix.rational_nullspace = real
+    return seen[0]
+
+
+def _smith_saturation(mod, rows):
+    """The Smith route saturation_int replaced: the first rank rows of V^-1."""
+    diag, _, vinv = mod.smith_normal_form(rows, want_vinv=True)
+    return vinv[: sum(1 for d in diag if d)]
 
 
 def _time(fn, repeat):
@@ -114,12 +167,6 @@ def main():
             "row_echelon 156x92 deformation",
             lambda m: m.row_echelon_bareiss([row[:] for row in def_rows]),
         ),
-        # the deformation solver's modular nullspace calls no kernel, so both
-        # columns time the same code
-        (
-            "rational_nullspace 156x92 deformation",
-            lambda m: rational_nullspace(def_rows, len(def_rows[0])),
-        ),
     ]
 
     backends = [("python", _pykernels)]
@@ -142,6 +189,42 @@ def main():
         if len(times) == 2 and times[1] > 0:
             line += f"{times[0] / times[1]:>9.1f}x"
         print(line)
+
+    # the library's Smith-free routes call no kernel but hnf, so they are
+    # timed once, against the Smith routes on each backend
+    sat_inputs = _saturation_inputs()
+    full_rows, full_cols = _full_deformation_rows()
+    sparse = _sparse_rows(full_rows)
+    p = next(_nullspace_primes())
+    routes = [
+        (
+            f"saturation_int, {len(sat_inputs)} verify-all inputs",
+            lambda: [saturation_int(r) for r in sat_inputs],
+        ),
+    ]
+    routes += [
+        (
+            f"  Smith route ({name}), same inputs",
+            lambda m=mod: [_smith_saturation(m, r) for r in sat_inputs],
+        )
+        for name, mod in backends
+    ]
+    routes += [
+        (
+            f"rational_nullspace {len(full_rows)}x{full_cols} deformation",
+            lambda: rational_nullspace(full_rows, full_cols),
+        ),
+        (
+            "  one _echelon_mod of the same rows",
+            lambda: _echelon_mod(sparse, p),
+        ),
+    ]
+    print()
+    width = max(len(name) for name, _ in routes)
+    print(f"{'library route':<{width}}  {'time':>11}")
+    print("-" * (width + 13))
+    for name, fn in routes:
+        print(f"{name:<{width}}  {_time(fn, args.repeat):>10.3f}s")
 
 
 if __name__ == "__main__":

@@ -7,10 +7,11 @@ selects a backend at import time. Matrices are sequences of rows of Python
 ints. Inputs are never mutated. Everything is exact: arbitrary-precision
 integers only, no floating point, no modular shortcuts.
 
-``det_bareiss``, ``pivot_columns`` and ``row_echelon_bareiss`` serve only as
-dense test references (and as per-layer trace points of the benchmark); the
-library uses the sparse and modular routines of ``hklattice.exact_linalg``
-instead.
+``det_bareiss``, ``pivot_columns``, ``row_echelon_bareiss`` and
+``smith_normal_form`` serve only as dense test references (and as per-layer
+trace points of the benchmark); the library uses the sparse, modular and
+congruence routines of ``hklattice.exact_linalg`` instead, and
+``snf_diagonal`` for quotient invariants.
 
 Conventions
 -----------

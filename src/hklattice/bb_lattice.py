@@ -289,7 +289,12 @@ def orth_complement_basis(d) -> list[H2Class]:
     class, HNF-reduced; its Gram must be even of determinant +-1 and
     signature (3, 19), which is verified before returning.
     """
-    dh = _as_h2(d)
+    return _orth_complement(_as_h2(d))[0]
+
+
+def _orth_complement(dh: H2Class) -> tuple[list[H2Class], list[list[int]]]:
+    """The checked complement basis of ``orth_complement_basis`` and its
+    Gram, built once for the checks and handed to the caller."""
     if not is_exceptional(dh):
         raise ValueError("complement basis needs an exceptional class")
     basis_rows = kernels.hnf(left_kernel([[x] for x in gram_apply(dh)]))
@@ -304,7 +309,7 @@ def orth_complement_basis(d) -> list[H2Class]:
         raise ArithmeticError("complement Gram is not even")
     if signature_symmetric(Mat._of(g, 1)) != (3, 19, 0):
         raise ArithmeticError("complement has wrong signature")
-    return vecs
+    return vecs, g
 
 
 def decompose_even(l0: H2Class, d) -> tuple[H2Class, int]:

@@ -130,7 +130,7 @@ def _place(lat: Lattice, before: int, after: int, form: Mat) -> Lattice:
     """The lattice moved into a larger space, with `before` zero coordinates
     in front of its own and `after` behind them."""
     rows = [[0] * before + list(r) + [0] * after for r in lat.int_basis]
-    return Lattice.from_int_rows(rows, lat.den, before + lat.ambient_dim + after, form)
+    return Lattice._from_int_rows(rows, lat.den, before + lat.ambient_dim + after, form)
 
 
 def blowup_h4(y: FourfoldH4, c: BlowupCenter) -> FourfoldH4:

@@ -11,9 +11,9 @@ The solution space is always 2-dimensional, spanned by (A^{-1}, 2) and
 (s s^T, 0); this module solves the system exactly as one integer linear
 system in n(n+1)/2 + 1 unknowns and checks that span equality, rather than
 assuming it. The system is solved by the certified modular nullspace
-``exact_linalg.rational_nullspace``: elimination modulo primes, rational
-reconstruction, exact verification of every equation over Z, and a rank
-bound proving the basis complete. The structural generators use the
+``exact_linalg.rational_nullspace``: one elimination modulo a prime,
+p-adic lifting, rational reconstruction, exact verification of every
+equation over Z, and a rank bound proving the basis complete. The structural generators use the
 fraction-free ``Mat.inverse``.
 """
 
@@ -132,8 +132,8 @@ def solve_fixed_space(inst: FixInstance) -> FixSolution:
     each equation is built in integers as dA*c0*mu - 2*C*(Ai*mu) and made
     primitive. The system is large and sparse (420 x 232 with about 21
     nonzeros per row at n = 21) while its solutions are small, so
-    ``rational_nullspace`` solves it modulo primes and verifies the
-    reconstructed basis exactly; its basis is one primitive integer vector
+    ``rational_nullspace`` eliminates it once modulo a prime, lifts the
+    kernel p-adically and verifies the reconstructed basis exactly; its basis is one primitive integer vector
     per free column, the same vectors back-substitution through a
     fraction-free echelon form gives.
     """
@@ -173,10 +173,10 @@ def expected_generators(inst: FixInstance) -> list[tuple[Mat, Fraction]]:
 def verify_generators(sol: FixSolution, inst: FixInstance) -> bool:
     """Exact Q-span equality of the solved space with the structural one."""
     pairs = _sym_pairs(inst.n)
-    got = Lattice.from_int_rows(
+    got = Lattice._from_int_rows(
         [_pair_to_vector(C, c0, pairs) for C, c0 in sol.pairs], 1, len(pairs) + 1
     )
-    want = Lattice.from_int_rows(
+    want = Lattice._from_int_rows(
         [_pair_to_vector(C, c0, pairs) for C, c0 in expected_generators(inst)],
         1,
         len(pairs) + 1,

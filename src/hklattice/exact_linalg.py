@@ -21,9 +21,11 @@ denominator; ``Fraction`` values are made only at the edges (reading a
 witness) and rationals are printed by the one formatter ``_frac_str``.
 Integer rows over a denominator are brought to lowest terms by the one
 helper ``_lowest_terms`` (``Mat``, ``Lattice`` and ``h4_model.H4Class``).
-``Mat.from_int_rows`` checks its entries; matrices the library computes
-(sums, products, transposes, inverses, Gram matrices) take the private
-``Mat._of``, which only normalizes. ``Mat.inverse`` is a fraction-free
+``Mat.from_int_rows`` and ``Lattice.from_int_rows`` check their entries;
+matrices the library computes (sums, products, transposes, inverses, Gram
+matrices) take the private ``Mat._of``, which only normalizes, and
+lattices it spans from its own integer rows take
+``Lattice._from_int_rows``. ``Mat.inverse`` is a fraction-free
 Gauss-Jordan on the integer rows.
 
 Each job of the layer has one function: ``left_kernel`` is the saturated
@@ -51,17 +53,20 @@ dense HNF rows. A ``Mat`` builds its sparse rows once on demand
 coefficient rows through a lattice basis.
 
 Two certified modular routines share one sparse elimination modulo proven
-Proth primes (``_echelon_mod``):
+Proth primes (``_echelon_mod``, which also records its row multipliers, so
+its pivots are an LU factorization mod p):
 
-* ``rational_nullspace`` is a modular nullspace for large sparse integer
-  systems: rational reconstruction of the canonical kernel basis, exact
-  verification over Z, and a rank bound that proves the verified basis
-  complete.
+* ``rational_nullspace`` is a p-adic nullspace for large sparse integer
+  systems: one elimination, Dixon lifting of the canonical kernel vectors
+  through its factors, rational reconstruction, exact verification over Z,
+  and a rank bound that proves the verified basis complete.
 * ``det_int`` is every determinant of the library: det mod p from the
   pivots and the row-to-pivot-column permutation, combined by CRT until the
   modulus passes twice Hadamard's bound, so no prime can be unlucky.
 
-Their docstrings carry the proofs. Input numbers are parsed strictly by
+``saturation_int`` saturates an integer row span by congruences on its
+HNF, without a Smith form. The docstrings carry the proofs. Input numbers
+are parsed strictly by
 ``parse_int`` and ``parse_rational`` (and their vector forms ``int_vector``
 and ``fraction_vector``): no float is truncated and no bool becomes 1.
 
@@ -531,7 +536,16 @@ class Lattice:
 
     @classmethod
     def from_int_rows(cls, int_rows, den: int = 1, ambient_dim=None, form=None) -> "Lattice":
-        """Lattice spanned by the vectors row/den for integer rows and den > 0."""
+        """Lattice spanned by the vectors row/den for integer rows and den > 0;
+        entries and den are parsed like ``parse_int``."""
+        if parse_int(den) <= 0:
+            raise ValueError("denominator must be positive")
+        return cls._from_int_rows([int_vector(r) for r in int_rows], den, ambient_dim, form)
+
+    @classmethod
+    def _from_int_rows(cls, int_rows, den: int, ambient_dim=None, form=None) -> "Lattice":
+        """``from_int_rows`` for int rows the library built and an int den > 0,
+        without the entry checks."""
         int_rows = list(int_rows)
         if ambient_dim is None:
             if not int_rows:
@@ -539,8 +553,6 @@ class Lattice:
             ambient_dim = len(int_rows[0])
         if any(len(r) != ambient_dim for r in int_rows):
             raise ValueError("generator length differs from ambient_dim")
-        if parse_int(den) <= 0:
-            raise ValueError("denominator must be positive")
         if form is not None:
             _check_form(form, ambient_dim)
         return cls._canonicalize(ambient_dim, int_rows, den, form)
@@ -551,7 +563,7 @@ class Lattice:
         d, int_rows = _scaled_ints(rows)
         if ambient_dim is None and not int_rows:
             raise ValueError("ambient_dim required for an empty generating set")
-        return cls.from_int_rows(int_rows, d, ambient_dim, form)
+        return cls._from_int_rows(int_rows, d, ambient_dim, form)
 
     @classmethod
     def standard(cls, n: int, form=None) -> "Lattice":
@@ -777,7 +789,7 @@ def combine_basis(coeff_rows, lat: Lattice) -> tuple[int, list[list[int]]]:
 
     Returns ``(lat.den, rows)`` with ``rows[i] = sum_j coeff_rows[i][j] *
     lat.int_basis[j]``, so the lifted ambient vectors are ``rows[i] /
-    lat.den``; the pair feeds ``Lattice.from_int_rows`` directly.
+    lat.den``; the pair feeds ``Lattice._from_int_rows`` directly.
     """
     return lat.den, _combine_rows(coeff_rows, lat._sparse, lat.ambient_dim)
 
@@ -942,15 +954,84 @@ def _bezout(a: int, b: int) -> tuple[int, int]:
     return old_s, old_t
 
 
-def saturation_int(rows: list[list[int]]) -> list[list[int]]:
-    """Basis of the saturation of an integer row span inside Z^n.
+def saturation_int(rows) -> list[list[int]]:
+    """HNF basis of the saturation (Q-span of the rows) meet Z^n of integer
+    rows, by congruences (Cohen, A Course in Computational Algebraic Number
+    Theory, 2.4); no Smith form and no n x n transform.
 
-    With U*M*V = D in Smith form, the saturation pulls back from the span of
-    the first rank coordinate vectors, i.e. the first rank rows of V^-1.
+    Let H be the HNF of the rows, of rank k, with pivot columns P, and H_P
+    its k x k pivot block: upper triangular with the positive pivots on its
+    diagonal, so D = det H_P is their product. Then A = adj(H_P) * H =
+    D * H_P^-1 * H is an integer matrix whose P-block is D * I; it is built
+    by back-substitution from the last row, A_i = (D * H_i - sum_(j>i)
+    H[i][P_j] * A_j) / H[i][P_i], each division exact because adj(H_P) is
+    integral.
+
+    * Every v in the Q-span is y * H_P^-1 * H = y * A / D with y = v_P, the
+      P-block of H_P^-1 * H being I. If v is integral, so is y. Hence the
+      saturation is S = {z * A / D : z in Z^k, z * A = 0 mod D}.
+    * The lattice Z = {z : z * A = 0 mod D} is found one column of A at a
+      time, keeping a basis of the z that satisfy the columns done so far
+      (the identity to start). For the next column, with residues r_i of
+      the basis rows mod D, unimodular row operations (extended gcd) leave
+      one row with residue g = gcd of the r_i and the others with residue
+      0. A combination sum t_i * z_i then has residue t * g mod D, with t
+      its coefficient of that row, which is 0 exactly when t is a multiple
+      of D / gcd(g, D); so scaling that row by D / gcd(g, D) gives a basis
+      of the z that also satisfy this column. The P-columns are 0 mod D
+      and need no step.
+    * z -> z * A / D is injective (A has rank k), so the rows z * A / D of
+      the final basis are a basis of S, and their HNF is returned.
     """
-    diag, _, vinv = kernels.smith_normal_form(rows, want_vinv=True)
-    r = sum(1 for d in diag if d)
-    return [list(vinv[i]) for i in range(r)]
+    H = kernels.hnf(rows) if rows else []
+    k = len(H)
+    if not k:
+        return []
+    piv = [next(c for c, x in enumerate(r) if x) for r in H]
+    D = 1
+    for r, c in zip(H, piv):
+        D *= r[c]
+    if D == 1:
+        # H_P is unimodular, so the span is already saturated
+        return H
+    A: list[list[int]] = [[]] * k
+    for i in range(k - 1, -1, -1):
+        Hi = H[i]
+        row = [D * x for x in Hi]
+        for j in range(i + 1, k):
+            h = Hi[piv[j]]
+            if h:
+                row = [a - h * b for a, b in zip(row, A[j])]
+        p = Hi[piv[i]]
+        A[i] = [a // p for a in row]
+    Z = [[int(i == j) for j in range(k)] for i in range(k)]
+    for col in zip(*A):
+        col = [x % D for x in col]
+        if not any(col):
+            continue
+        res = [sum([z * x for z, x in zip(zr, col)]) % D for zr in Z]
+        top = None
+        for i, r in enumerate(res):
+            if not r:
+                continue
+            if top is None:
+                top, g = i, r
+                continue
+            # [[a, b], [r/e, -g/e]] has determinant -1 and clears row i
+            a, b = _bezout(g, r)
+            e = gcd(g, r)
+            zt, zi = Z[top], Z[i]
+            fr, fg = r // e, g // e
+            Z[top] = [a * x + b * y for x, y in zip(zt, zi)]
+            Z[i] = [fr * x - fg * y for x, y in zip(zt, zi)]
+            g = e
+        if top is not None:
+            m = D // gcd(g, D)
+            if m != 1:
+                Z[top] = [m * x for x in Z[top]]
+    n = len(H[0])
+    S = _combine_rows(Z, _sparse_rows(A), n)
+    return kernels.hnf([[x // D for x in r] for r in S])
 
 
 def saturate_in(sub: Lattice, sup: Lattice) -> Lattice:
@@ -1004,17 +1085,24 @@ def _nullspace_primes():
         yield _PRIMES[i]
 
 
-def _echelon_mod(rows, p: int) -> list[tuple[int, int, int, list[tuple[int, int]]]]:
-    """Sparse echelon of integer rows modulo the prime p.
+def _echelon_mod(rows, p: int):
+    """Sparse echelon of integer rows modulo the prime p, with its row
+    multipliers.
 
     ``rows`` are in the sparse row form. Each step takes the sparsest
     active row, pivots at its smallest column and clears that column from
     the other active rows, which keeps the fill-in low; rows that vanish
-    mod p drop out. Returns one ``(i, c, v, items)`` per pivot, in
+    mod p drop out. Returns one ``(i, c, v, items, mults)`` per pivot, in
     elimination order: the input row i, the pivot column c, the pivot value
-    v and the rest of the row divided by v, as (column, value) pairs on
-    columns that are not earlier pivots. Only row additions are applied, so
-    the rows as they stood when chosen have the input's determinant mod p.
+    v, the rest of the row divided by v, as (column, value) pairs on
+    columns that are not earlier pivots, and the multipliers ``(o, f)``:
+    input row o had f times that divided row (with its 1 at c) subtracted.
+    Only row additions are applied, so the rows as they stood when chosen
+    have the input's determinant mod p.
+
+    Together the pivots are an LU factorization of the pivot rows mod p:
+    input row i_k equals v_k * R_k + sum_(j<k) f_j * R_j, for the divided
+    rows R_j and the multipliers (i_k, f_j) of the earlier pivots.
     """
     active = []
     for i, r in enumerate(rows):
@@ -1033,11 +1121,13 @@ def _echelon_mod(rows, p: int) -> list[tuple[int, int, int, list[tuple[int, int]
         v = row.pop(c)
         inv = pow(v, -1, p)
         items = [(k, x * inv % p) for k, x in row.items()]
+        mults = []
         remaining = []
         for other in active:
             d = other[1]
             f = d.pop(c, 0)
             if f:
+                mults.append((other[0], f))
                 for k, x in items:
                     w = (d.get(k, 0) - f * x) % p
                     if w:
@@ -1047,14 +1137,15 @@ def _echelon_mod(rows, p: int) -> list[tuple[int, int, int, list[tuple[int, int]
             if d:
                 remaining.append(other)
         active = remaining
-        pivots.append((i, c, v, items))
+        pivots.append((i, c, v, items, mults))
     return pivots
 
 
-def _kernel_mod(rows, ncols: int, p: int) -> dict[int, list[int]]:
-    """Canonical kernel basis of sparse integer rows modulo the prime p.
+def _kernel_mod(pivots, ncols: int, p: int) -> dict[int, list[int]]:
+    """Canonical kernel basis modulo the prime p of the rows that
+    ``_echelon_mod`` eliminated into ``pivots``.
 
-    ``rows`` are in the sparse row form. Returns ``{f: x_f}``, in ascending
+    Returns ``{f: x_f}``, in ascending
     f, over the free columns f (those that are combinations of earlier
     columns mod p); x_f has last nonzero entry 1 at f and is zero on the
     other free columns. These conditions fix x_f, so the basis is the
@@ -1067,18 +1158,17 @@ def _kernel_mod(rows, ncols: int, p: int) -> dict[int, list[int]]:
     every other unknown of the row already solved. With x_f = 1 at f and 0
     on the other free columns, a pivot c > f sees only columns past f: free
     ones, which are 0, and pivots past c, which are 0 by induction on c
-    downwards. So x_c = 0 for every c > f. ``rational_nullspace`` relies on
-    this shape.
+    downwards. So x_c = 0 for every c > f. ``rational_nullspace`` lifts
+    these vectors p-adically and relies on this shape.
     """
-    pivots = [(c, items) for _, c, _, items in _echelon_mod(rows, p)]
-    pivot_cols = {c for c, _ in pivots}
+    pivot_cols = {c for _, c, _, _, _ in pivots}
     basis = {}
     for f in range(ncols):
         if f in pivot_cols:
             continue
         x = [0] * ncols
         x[f] = 1
-        for c, items in reversed(pivots):
+        for _, c, _, items, _ in reversed(pivots):
             s = 0
             for k, v in items:
                 if x[k]:
@@ -1119,6 +1209,82 @@ def _primitive_lift(residues, m: int, bound: int):
     return [x // g for x in v]
 
 
+def _solve_mod(pivots, invs, rhs, x, p: int) -> None:
+    """Complete x mod p so that each pivot row of ``_echelon_mod`` takes the
+    value rhs[i] at x: forward through the multipliers, back through the
+    divided rows.
+
+    ``x`` is preset on the free columns and is overwritten on the pivot
+    columns; ``rhs`` maps each pivot row (by input index) to its value and
+    is overwritten, and the multipliers may only reach pivot rows; ``invs``
+    are the inverses mod p of the pivot values. With the divided rows R_k,
+    the values z_k = R_k . x follow in elimination order from input row
+    i_k = v_k * R_k + sum_(j<k) f_j * R_j, and x at c_k from R_k . x = z_k
+    in reverse order, R_k holding 1 at c_k and otherwise only columns that
+    are not earlier pivots.
+    """
+    z = []
+    for (i, _, _, _, mults), inv in zip(pivots, invs):
+        zk = rhs[i] * inv % p
+        z.append(zk)
+        if zk:
+            for o, f in mults:
+                rhs[o] -= f * zk
+    for (_, c, _, items, _), zk in zip(reversed(pivots), reversed(z)):
+        s = zk
+        for k, v in items:
+            if x[k]:
+                s -= v * x[k]
+        x[c] = s % p
+
+
+def _row_values(rows, x) -> list[int]:
+    """The values row . x of sparse integer rows at a dense vector x."""
+    return [sum([a * x[k] for k, a in row]) for row in rows]
+
+
+def _lifted_kernel(rows, pivots, ncols: int, p: int):
+    """The canonical kernel vectors from one elimination mod p, lifted
+    p-adically (Dixon 1982), or None when p is proven unlucky.
+
+    For each free column f, x with 1 at f and 0 on the other free columns
+    is solved from the pivot rows alone: digit y_0 is the vector of
+    ``_kernel_mod``, and each next digit comes from the residual r (the
+    pivot rows at the partial sum, over p^t) by one pass of ``_solve_mod``
+    and one sparse product. After each digit the partial sum is
+    reconstructed by Wang's method; a candidate that satisfies every pivot
+    row is the exact solution. It must also vanish past f and satisfy every
+    other row, else the prime is unlucky (see ``rational_nullspace``) and
+    None is returned.
+    """
+    invs = [pow(v, -1, p) for _, _, v, _, _ in pivots]
+    prows = [rows[i] for i, _, _, _, _ in pivots]
+    # only multipliers onto pivot rows reach a value that is read
+    used = {i for i, _, _, _, _ in pivots}
+    pivots = [
+        (i, c, v, items, [(o, f) for o, f in mults if o in used])
+        for i, c, v, items, mults in pivots
+    ]
+    basis = []
+    for f, x in _kernel_mod(pivots, ncols, p).items():
+        modulus = p
+        r = [t // p for t in _row_values(prows, x)]
+        while True:
+            v = _primitive_lift(x, modulus, isqrt(modulus >> 1))
+            if v is not None and not any(_row_values(prows, v)):
+                if any(v[f + 1 :]) or any(_row_values(rows, v)):
+                    return None
+                basis.append(v)
+                break
+            rhs = {i: -ri for (i, _, _, _, _), ri in zip(pivots, r)}
+            y = [0] * ncols
+            _solve_mod(pivots, invs, rhs, y, p)
+            x = [a + modulus * b for a, b in zip(x, y)]
+            r = [(ri + t) // p for ri, t in zip(r, _row_values(prows, y))]
+            modulus *= p
+    return basis
+
+
 def rational_nullspace(int_rows, ncols: int) -> list[list[int]]:
     """Canonical basis of the rational kernel {x : row . x = 0 for every row}.
 
@@ -1129,64 +1295,50 @@ def rational_nullspace(int_rows, ncols: int) -> list[list[int]]:
     on F minus f: exactly what back-substitution through a fraction-free
     echelon form yields, made primitive.
 
-    Method (certified modular nullspace, after Dixon 1982 and
-    Chen-Storjohann 2005): for each prime p of a fixed sequence of proven
-    primes of about 130 bits, a sparse echelon mod p gives the canonical
-    basis mod p and its free set F_p. Primes whose pivot count or free set
-    differ from the best seen so far are dropped (a better one restarts the
-    accumulation); the others are combined by the Chinese remainder
-    theorem. After each prime every entry is reconstructed as a fraction by
-    Wang's method, denominators are cleared, each vector is made primitive
-    and checked exactly against every row over Z. The loop ends when all
-    |F_p| vectors are verified. Reconstruction keeps the shape of the
-    residues (the entries 1 at f and 0 on F minus f and past f), so every
-    candidate x_f has that shape.
+    Method (certified p-adic nullspace, after Dixon 1982 and
+    Chen-Storjohann 2005): one sparse echelon modulo a prime p of a fixed
+    sequence of proven primes of about 130 bits (``_echelon_mod``, with its
+    multipliers) gives rank_p pivot rows I, pivot columns P and the free
+    set F_p. For each f in F_p, ``_lifted_kernel`` solves the pivot rows
+    with x = 1 at f and 0 on F_p minus f by p-adic lifting through that
+    one factorization, reconstructs by Wang's method until a candidate
+    satisfies every pivot row, and checks it exactly over Z against every
+    row, and for zeros past f. The basis is returned when every f passes;
+    a failure moves to the next prime, whose elimination starts afresh.
 
     Why the result is certified:
 
-    * A minor that is nonzero mod p is nonzero over Z, so rank_Q >= rank_p
-      and nullity_Q <= nullity_p = |F_p|.
-    * Each verified x_f shows that column f is a Q-combination of earlier
-      columns, so F_p is contained in F_Q, and the verified vectors are
-      independent (distinct last nonzero columns).
-    * When all |F_p| vectors verify, |F_Q| <= |F_p| gives F_p = F_Q, and
-      the vectors are the unique kernel vectors with the stated shape.
+    * The pivot block (rows I, columns P) is nonsingular mod p, so it is
+      nonsingular over Q, and rank_Q >= rank_p. The pivot rows with x fixed
+      on F_p therefore have exactly one rational solution, and a candidate
+      satisfying them is that solution.
+    * A candidate that satisfies every pivot row but fails another row
+      proves rank_p < rank_Q: when the ranks are equal the pivot rows span
+      the row space over Q. One that satisfies every row but is nonzero
+      past f proves F_p != F_Q: were the ranks and free sets equal, it
+      would be the canonical x_f (last bullet), which vanishes past f.
+      Either way p is unlucky and the next prime is taken.
+    * When every x_f, f in F_p, satisfies every row and vanishes past f:
+      the |F_p| = n - rank_p vectors are independent kernel vectors (1 at
+      f, 0 on F_p minus f), so rank_Q <= rank_p and the ranks are equal.
+      Each x_f shows that column f is a Q-combination of earlier columns,
+      so F_p lies in F_Q, and |F_Q| = n - rank_Q = |F_p| gives F_p = F_Q.
+      A kernel vector is fixed by its entries on F_Q (the pivot block is
+      nonsingular), so x_f is the canonical vector, made primitive.
 
-    The loop needs no give-up path: only finitely many primes divide the
-    minors that fix the rational echelon structure, every other prime has
-    the best key (more pivots, then earlier ones), and the growing modulus
-    eventually exceeds twice the product of the numerator and denominator
-    bounds of the answer, when reconstruction returns it.
+    The loop needs no give-up path. Only finitely many primes divide the
+    minors that fix the rank and the free set over Q; for every other
+    prime the exact solution is the canonical x_f, which satisfies every
+    row and vanishes past f, and the lifting reaches it once p^t exceeds
+    twice the product of its numerator and denominator bounds, when
+    Wang's reconstruction returns it.
     """
     if any(len(r) != ncols for r in int_rows):
         raise ValueError("row length does not match the column count")
     rows = _sparse_rows(int_rows)
-    best = None
     for p in _nullspace_primes():
-        kern = _kernel_mod(rows, ncols, p)
-        free = sorted(kern)
-        pivots = [c for c in range(ncols) if c not in kern]
-        key = (len(pivots), [-c for c in pivots])
-        if best is None or key > best:
-            best, modulus = key, p
-            residues = [kern[f] for f in free]
-        elif key < best:
-            continue
-        else:
-            inv = pow(modulus, -1, p)
-            residues = [
-                [a + modulus * ((b - a) * inv % p) for a, b in zip(x, kern[f])]
-                for x, f in zip(residues, free)
-            ]
-            modulus *= p
-        bound = isqrt(modulus >> 1)
-        basis = []
-        for x in residues:
-            v = _primitive_lift(x, modulus, bound)
-            if v is None or any(sum(c * v[k] for k, c in r) for r in rows):
-                break
-            basis.append(v)
-        if len(basis) == len(residues):
+        basis = _lifted_kernel(rows, _echelon_mod(rows, p), ncols, p)
+        if basis is not None:
             return basis
 
 
@@ -1230,7 +1382,7 @@ def det_int(int_rows) -> int:
         if len(pivots) == n:
             perm = [0] * n
             d = 1
-            for i, c, v, _ in pivots:
+            for i, c, v, _, _ in pivots:
                 perm[i] = c
                 d = d * v % p
             # the sign of a permutation is (-1)^(n - number of cycles)

@@ -19,9 +19,11 @@ one vector API of ``Lattice`` (``contains(num, den)`` and its siblings).
 Input from outside is checked once, by the public ``H4Class``
 constructor; sums, multiples, products ``sym2_embed`` and torsion lifts
 are built from checked classes and take the private ``H4Class._of``,
-which only normalizes. The torsion quotient keeps its invariant factors
-and the parts of the Smith transforms that ``class_of`` and ``lift``
-read, and no Fraction lifts. The caches are the Fujiki Gram (one shared
+which only normalizes. The torsion quotient is read off the glue code of
+the lattice (its basis rows that are not in Z^276, reduced mod each prime
+of the denominator), with no Smith form; it keeps the pivot columns that
+``class_of`` reads and the glue combinations that ``lift`` adds, and no
+Fraction lifts. The caches are the Fujiki Gram (one shared
 integer ``Mat``, whose symmetry check and JSON text are computed once), its
 determinant, and the default lattice and torsion quotient built from the
 distinguished exceptional class. The class q is not cached on its own:
@@ -43,29 +45,28 @@ from .bb_lattice import (
     ExceptionalClass,
     H2Class,
     _as_h2,
-    bb_form,
+    _orth_complement,
     delta0,
     gram_apply,
-    orth_complement_basis,
 )
 from .exact_linalg import (
     FiniteAbelianGroup,
     Lattice,
     Mat,
+    NotASublatticeError,
     _combine_rows,
-    _coord_matrix,
     _frac_str,
     _lowest_terms,
     _pair,
     _scaled_ints,
     _sparse_rows,
-    combine_basis,
     det_int,
     int_vector,
     lattice_join,
     parse_int,
     parse_rational,
     quotient_invariants,
+    sublattice_index,
 )
 
 AMBIENT = RANK * (RANK + 1) // 2  # 276
@@ -296,10 +297,9 @@ def _complement_data(dh: H2Class):
     """``(abasis, a_gram, b_inv)`` for an exceptional class: the basis of
     its complement, the Gram A of that basis and the integer inverse B of A,
     each as tuples."""
-    abasis = tuple(orth_complement_basis(dh))
-    a_gram = [[bb_form(x, y) for y in abasis] for x in abasis]
+    abasis, a_gram = _orth_complement(dh)
     b_inv = _inverse_int_symmetric(a_gram)
-    return abasis, tuple(map(tuple, a_gram)), tuple(map(tuple, b_inv))
+    return tuple(abasis), tuple(map(tuple, a_gram)), tuple(map(tuple, b_inv))
 
 
 def _q_class(dh: H2Class, abasis, b_inv) -> H4Class:
@@ -363,7 +363,7 @@ def h4_span(classes) -> Lattice:
     classes = list(classes)
     den = lcm(*(c.den for c in classes))
     rows = [[x * (den // c.den) for x in c.num] for c in classes]
-    return Lattice.from_int_rows(rows, den, AMBIENT, fujiki_mat())
+    return Lattice._from_int_rows(rows, den, AMBIENT, fujiki_mat())
 
 
 class H4Lattice:
@@ -439,6 +439,62 @@ def build_h4_lattice(d=None) -> H4Lattice:
     return H4Lattice(lat, d, abasis, a_gram, b_inv, q, v0)
 
 
+def _squarefree_primes(n: int) -> list[int]:
+    """The primes of n > 0 in ascending order; raises ``ArithmeticError``
+    if a square of one divides n."""
+    primes = []
+    p = 2
+    while p * p <= n:
+        if n % p == 0:
+            n //= p
+            if n % p == 0:
+                raise ArithmeticError(f"{p}^2 divides the lattice denominator")
+            primes.append(p)
+        p += 1
+    if n > 1:
+        primes.append(n)
+    return primes
+
+
+def _glue_echelon(glue, p: int) -> list[tuple[int, dict[int, int]]]:
+    """Reduced echelon basis mod p of the F_p-span of the sparse rows
+    ``glue``, as ``(pivot column, combination)`` in ascending pivot column:
+    the basis vector is sum_j combination[j] * glue[j] mod p, it holds 1 at
+    its pivot column and 0 at every other pivot column."""
+    basis: list[tuple[int, dict[int, int], dict[int, int]]] = []
+    for j, row in enumerate(glue):
+        vec = {c: x % p for c, x in row if x % p}
+        comb = {j: 1}
+        for c, bvec, bcomb in basis:
+            f = vec.get(c)
+            if f:
+                _axpy_mod(vec, bvec, -f, p)
+                _axpy_mod(comb, bcomb, -f, p)
+        if not vec:
+            continue
+        c = min(vec)
+        inv = pow(vec[c], -1, p)
+        vec = {k: x * inv % p for k, x in vec.items()}
+        comb = {k: x * inv % p for k, x in comb.items()}
+        for _, bvec, bcomb in basis:
+            f = bvec.get(c)
+            if f:
+                _axpy_mod(bvec, vec, -f, p)
+                _axpy_mod(bcomb, comb, -f, p)
+        basis.append((c, vec, comb))
+    return sorted((c, comb) for c, _, comb in basis)
+
+
+def _axpy_mod(y: dict[int, int], x: dict[int, int], a: int, p: int) -> None:
+    """y += a * x mod p for sparse vectors as dicts, dropping zeros."""
+    for k, v in x.items():
+        w = (y.get(k, 0) + a * v) % p
+        if w:
+            y[k] = w
+        else:
+            y.pop(k, None)
+
+
 class TorsionQuotient:
     """The finite quotient of the degree-4 lattice by the monomial lattice.
 
@@ -447,44 +503,79 @@ class TorsionQuotient:
     maps the torsion group supports: reduction of half-products, the
     order-10 point class, and the mod-2 pairing against products with the
     exceptional class.
+
+    The quotient is read off a glue code. The lattice L has denominator
+    den, and den * L is spanned by its HNF numerators; the rows that are 0
+    mod den (the 253 unit rows of the default lattice) lie in den * Z^276,
+    and the rest are the glue rows (23 here). For a squarefree den,
+    v -> (den * v mod p) over the primes p of den maps L onto the product
+    of the F_p-spans W_p of the glue rows (the idempotent e_p of Z/den,
+    1 mod p and 0 mod den/p, gives e_p * v in L with only the p-part), and
+    its kernel is L meet Z^276 = Z^276. So L / Z^276 is the product of
+    F_p^(r_p), r_p = dim W_p, which is the sum of Z/d_t over the invariant
+    factors d_t = prod of the p with r_p >= m - t, for t = 0 .. m - 1 and
+    m the largest r_p. ``__init__`` keeps a reduced echelon basis of each
+    W_p (r_2 = 23 and r_5 = 1 give (Z/2)^22 x Z/10); prime p fills the last
+    r_p positions. ``class_of`` checks membership with the lattice, reads
+    the pivot entries of den * v mod p (the coordinates in a reduced basis
+    of a vector of W_p) and combines them by CRT; ``lift`` combines glue
+    rows. The constructor certifies the result: den is squarefree,
+    prod p^(r_p) equals ``sublattice_index(sym2_lattice(), lattice)``, which
+    also proves that Z^276 lies in L, and class_of(lift(e_i)) = e_i for
+    every generator. It raises ``ArithmeticError`` otherwise.
     """
 
-    __slots__ = (
-        "h4",
-        "group",
-        "moduli",
-        "_positions",
-        "_residue_cols",
-        "_lift_rows",
-        "_lift_den",
-    )
+    __slots__ = ("h4", "group", "moduli", "_den", "_coord_cols", "_lift_rows")
 
     def __init__(self, h4: H4Lattice):
         self.h4 = h4
-        C = _coord_matrix(sym2_lattice(), h4.lattice)
-        diag, V, Vinv = kernels.smith_normal_form(C, want_v=True, want_vinv=True)
-        if any(d == 0 for d in diag):
-            raise ArithmeticError("quotient is not finite")
-        self._positions = [i for i, dd in enumerate(diag) if dd > 1]
-        self.moduli = tuple(diag[i] for i in self._positions)
-        # the columns of V at the torsion positions, in the sparse row form
-        self._residue_cols = _sparse_rows([[row[i] for row in V] for i in self._positions])
-        den, lifts = combine_basis([Vinv[i] for i in self._positions], h4.lattice)
-        self._lift_den = den
+        lat = h4.lattice
+        den = lat.den
+        primes = _squarefree_primes(den)
+        glue = [row for row in lat._sparse if any(x % den for _, x in row)]
+        echelons = [_glue_echelon(glue, p) for p in primes]
+        m = max(map(len, echelons), default=0)
+        moduli = [1] * m
+        # per position: (pivot column, CRT weight e_p) of each prime there
+        self._coord_cols = [[] for _ in range(m)]
+        lifts = [[0] * AMBIENT for _ in range(m)]
+        for p, ech in zip(primes, echelons):
+            q = den // p
+            e = q * pow(q, -1, p)
+            for t, (c, comb) in enumerate(ech, m - len(ech)):
+                moduli[t] *= p
+                self._coord_cols[t].append((c, e))
+                for j, a in comb.items():
+                    for k, x in glue[j]:
+                        lifts[t][k] += e * a * x
+        self._den = den
+        self.moduli = tuple(moduli)
         self._lift_rows = _sparse_rows(lifts)
         self.group = FiniteAbelianGroup(self.moduli)
+        try:
+            index = sublattice_index(sym2_lattice(), lat)
+        except NotASublatticeError as exc:
+            raise ArithmeticError("the lattice does not contain Z^276") from exc
+        if self.group.order() != index:
+            raise ArithmeticError("glue ranks do not give the index of Z^276")
+        for i in range(m):
+            e = tuple(int(t == i) for t in range(m))
+            if self.class_of(self.lift(e)) != e:
+                raise ArithmeticError("a generator lift does not return to its class")
 
     def order(self) -> int:
         return self.group.order()
 
     def class_of(self, v: H4Class) -> tuple[int, ...]:
         """Residue tuple of a lattice element; raises if v is outside."""
-        y = self.h4.coords(v)
-        if y is None:
+        if not self.h4.contains(v):
             raise ValueError("class is not in the degree-4 lattice")
+        # den * v is integral on L; only its pivot entries are read
+        num, f = v.num, v.den
+        den = self._den
         return tuple(
-            sum([y[j] * v for j, v in col]) % d
-            for col, d in zip(self._residue_cols, self.moduli)
+            sum([den * num[c] // f * e for c, e in cols]) % d
+            for cols, d in zip(self._coord_cols, self.moduli)
         )
 
     def zero(self) -> tuple[int, ...]:
@@ -506,7 +597,7 @@ class TorsionQuotient:
     def lift(self, t) -> H4Class:
         """One representative in the degree-4 lattice of a residue tuple."""
         (vec,) = _combine_rows([t], self._lift_rows, AMBIENT)
-        return H4Class._of(tuple(vec), self._lift_den)
+        return H4Class._of(tuple(vec), self._den)
 
     # -- structure maps -----------------------------------------------------
 

@@ -91,14 +91,14 @@ class PicardData:
 
     @classmethod
     def rank_one(cls, lambda0: H2Class) -> "PicardData":
-        lat = Lattice.from_int_rows([lambda0.coords], 1, RANK, gram_mat())
+        lat = Lattice._from_int_rows([lambda0.coords], 1, RANK, gram_mat())
         return cls(lat, lambda0)
 
     @classmethod
     def from_vectors(cls, vectors, lambda0: H2Class) -> "PicardData":
         """Saturated span of the given integer vectors; must contain lambda0."""
         rows = [int_vector(v) for v in vectors]
-        lat = Lattice.from_int_rows(rows, 1, RANK, gram_mat())
+        lat = Lattice._from_int_rows(rows, 1, RANK, gram_mat())
         lat = saturate_in(lat, Lattice.standard(RANK, form=gram_mat()))
         return cls(lat, lambda0)
 
@@ -148,7 +148,7 @@ def transcendental(p: PicardData | Lattice) -> Lattice:
         raise DegenerateTranscendentalError(
             "pairing matrix dropped rank; complement is not a true complement"
         )
-    return Lattice.from_int_rows(kern, 1, RANK, gram_mat())
+    return Lattice._from_int_rows(kern, 1, RANK, gram_mat())
 
 
 def canonical_hodge_lattice(l0: H2Class, h4: H4Lattice | None = None) -> Lattice:

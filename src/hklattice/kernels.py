@@ -9,15 +9,18 @@ debugging and for benchmarking the two backends against each other).
 Both modules stay importable as ``hklattice._pykernels`` and, when built,
 ``hklattice._speedups``, so parity tests can compare them directly.
 
-The library calls ``hnf``, ``hnf_transform``, ``smith_normal_form``,
-``snf_diagonal`` and ``solve_left_int_row`` (lattice membership and
-coordinates). ``hnf_transform`` has two callers: ``exact_linalg.left_kernel``
-(every saturated left kernel) and ``h4_model._inverse_int_symmetric``.
-``det_bareiss``, ``pivot_columns`` and ``row_echelon_bareiss`` have no
-library caller: determinants are ``exact_linalg.det_int``, pivots
-are read off the sparse basis rows and nullspaces are
-``rational_nullspace``. They stay as the tests' dense references and for
-the benchmark's per-layer trace.
+The library calls ``hnf``, ``hnf_transform``, ``snf_diagonal`` and
+``solve_left_int_row`` (lattice membership and coordinates).
+``hnf_transform`` has two callers: ``exact_linalg.left_kernel`` (every
+saturated left kernel) and ``h4_model._inverse_int_symmetric``.
+``snf_diagonal`` serves ``exact_linalg.quotient_invariants``. Saturation is
+``exact_linalg.saturation_int`` (congruences on the HNF) and the degree-4
+torsion quotient is read off a glue code, so ``smith_normal_form`` with its
+transforms has no library caller. Neither have ``det_bareiss``,
+``pivot_columns`` and ``row_echelon_bareiss``: determinants are
+``exact_linalg.det_int``, pivots are read off the sparse basis rows and
+nullspaces are ``rational_nullspace``. They stay as the tests' dense
+references and for the benchmark's per-layer trace.
 """
 
 from __future__ import annotations

@@ -518,3 +518,38 @@ def test_library_built_matrices_take_the_trusted_path(monkeypatch):
     assert built() == want
     with pytest.raises(AssertionError):
         Mat.from_int_rows([[1]])
+
+
+def test_lattice_from_int_rows_is_strict():
+    for bad in ([[1.5, 2]], [[True, 2]], [[1, "2"]], [[F(1), 2]]):
+        with pytest.raises(TypeError):
+            Lattice.from_int_rows(bad)
+    for den in (True, 2.0, "2"):
+        with pytest.raises(TypeError):
+            Lattice.from_int_rows([[1, 2]], den)
+    with pytest.raises(ValueError):
+        Lattice.from_int_rows([[1, 2]], 0)
+    assert Lattice.from_int_rows([(2, 4)], 2) == Lattice.from_generators([[1, 2]])
+
+
+def test_library_built_lattices_take_the_trusted_path(monkeypatch):
+    a = Lattice.from_generators([[F(1, 2), 1], [3, 4]])
+    b = Lattice.standard(2)
+
+    def built():
+        return [
+            Lattice.from_generators([[2, 4], [F(1, 3), 0]]),
+            lattice_join(a, b),
+            lattice_meet(a, b),
+            saturate_in(Lattice.from_generators([[2, 4]]), b),
+        ]
+
+    want = built()
+
+    def refuse(v):
+        raise AssertionError("library-built rows were re-validated")
+
+    monkeypatch.setattr(exact_linalg, "int_vector", refuse)
+    assert built() == want
+    with pytest.raises(AssertionError):
+        Lattice.from_int_rows([[1]])

@@ -21,6 +21,7 @@ from hklattice.deformation_fix import (
 )
 from hklattice.exact_linalg import (
     Mat,
+    _echelon_mod,
     _kernel_mod,
     _nullspace_primes,
     _sparse_rows,
@@ -144,7 +145,7 @@ def test_kernel_mod_is_the_right_echelon_form(case, p):
     if p == "proth":
         p = next(_nullspace_primes())
     sparse = _sparse_rows(rows)
-    kern = _kernel_mod(sparse, ncols, p)
+    kern = _kernel_mod(_echelon_mod(sparse, p), ncols, p)
     assert kern == right_echelon_mod(dense_kernel_mod(rows, ncols, p), ncols, p)
     # the shape rational_nullspace relies on, keys ascending
     assert list(kern) == sorted(kern)
