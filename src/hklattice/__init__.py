@@ -8,13 +8,11 @@ operator equation, cubic-fourfold models, and blow-up correspondences.
 Everything is exact and runs on Python integers, with no floating point:
 matrices, lattices and degree-4 classes are integer rows over one positive
 denominator, and ``fractions.Fraction`` values are made only at the edges
-(reading an entry, parsing input, printing JSON). The hot kernels
-(Hermite/Smith reduction, fraction-free elimination) have a compiled twin
-selected at import; see ``hklattice.kernels``.
+(reading an entry, parsing input, printing JSON). The integer-matrix
+kernels (Hermite and Smith reduction, triangular solving) are in
+``hklattice.kernels``.
 """
-
-from .kernels import IMPLEMENTATION
 
 __version__ = "0.1.0"
 
-__all__ = ["IMPLEMENTATION", "__version__"]
+__all__ = ["__version__"]

@@ -1,9 +1,8 @@
 """Integer matrix kernels: Hermite and Smith reduction, fraction-free
 elimination, triangular solving.
 
-Pure-Python reference implementation. ``hklattice._speedups`` is a compiled
-twin with identical signatures and identical algorithms; ``hklattice.kernels``
-selects a backend at import time. Matrices are sequences of rows of Python
+The library's only kernel implementation, in pure Python; callers import
+it through ``hklattice.kernels``. Matrices are sequences of rows of Python
 ints. Inputs are never mutated. Everything is exact: arbitrary-precision
 integers only, no floating point, no modular shortcuts.
 

@@ -35,6 +35,7 @@ from __future__ import annotations
 
 import json
 import re
+from collections.abc import Mapping
 from fractions import Fraction
 from math import gcd, lcm
 
@@ -195,6 +196,8 @@ class H4Class:
     def from_json(cls, obj) -> "H4Class":
         if isinstance(obj, str):
             obj = json.loads(obj)
+        if not isinstance(obj, Mapping):
+            raise ValueError("a degree-4 class is a mapping of monomial keys to values")
         coords = [Fraction(0)] * AMBIENT
         for key, val in obj.items():
             m = re.fullmatch(r"\((\d+),(\d+)\)", key.strip())

@@ -1,13 +1,4 @@
-"""Backend selection for the integer matrix kernels.
-
-Imports the compiled extension ``hklattice._speedups`` when it is available
-and falls back to the pure-Python twin otherwise. Set the environment
-variable ``HKLATTICE_PURE_PYTHON=1`` to force the fallback (useful for
-debugging and for benchmarking the two backends against each other).
-
-``IMPLEMENTATION`` names the active backend ("compiled" or "python").
-Both modules stay importable as ``hklattice._pykernels`` and, when built,
-``hklattice._speedups``, so parity tests can compare them directly.
+"""The integer-matrix kernels, re-exported from ``hklattice._pykernels``.
 
 The library calls ``hnf``, ``hnf_transform``, ``snf_diagonal`` and
 ``solve_left_int_row`` (lattice membership and coordinates).
@@ -25,30 +16,19 @@ references and for the benchmark's per-layer trace.
 
 from __future__ import annotations
 
-import os
+from ._pykernels import (
+    det_bareiss,
+    hnf,
+    hnf_transform,
+    pivot_columns,
+    row_echelon_bareiss,
+    smith_normal_form,
+    snf_diagonal,
+    solve_left_int_row,
+)
 
-from . import _pykernels
-
-_backend = _pykernels
+# perfbench stamps this on every record and accepts only "python"
 IMPLEMENTATION = "python"
-
-if not os.environ.get("HKLATTICE_PURE_PYTHON"):
-    try:
-        from . import _speedups as _backend_ext
-    except ImportError:
-        pass
-    else:
-        _backend = _backend_ext
-        IMPLEMENTATION = "compiled"
-
-hnf = _backend.hnf
-hnf_transform = _backend.hnf_transform
-pivot_columns = _backend.pivot_columns
-smith_normal_form = _backend.smith_normal_form
-snf_diagonal = _backend.snf_diagonal
-det_bareiss = _backend.det_bareiss
-solve_left_int_row = _backend.solve_left_int_row
-row_echelon_bareiss = _backend.row_echelon_bareiss
 
 __all__ = [
     "IMPLEMENTATION",

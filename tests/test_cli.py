@@ -151,6 +151,8 @@ class TestQuery:
         code, _, err = _run(capsys, ["query", "membership", "--payload", "{oops"])
         assert code == 2
         assert "JSON" in err
+        assert err.startswith("error:")
+        assert len(err.strip().splitlines()) == 1
 
     def test_unknown_named_class(self, capsys):
         code, _, err = _run(
@@ -192,6 +194,11 @@ class TestStrictPayload:
     def test_malformed_fraction_text_rejected(self, capsys):
         self._rejected(capsys, "membership", {"class": {"(0,0)": "0.1"}})
         self._rejected(capsys, "membership", {"class": {"(0,0)": "1/0"}})
+
+    def test_payload_of_the_wrong_shape_rejected(self, capsys):
+        self._rejected(capsys, "membership", {"class": []})
+        self._rejected(capsys, "membership", None)
+        self._rejected(capsys, "vlambda", [])
 
     def test_exact_numbers_still_accepted(self, capsys):
         code, out, _ = _run(

@@ -1,13 +1,6 @@
-"""Integer kernel routines against hand oracles, random cross-checks, and
-the compiled/pure backend parity contract."""
+"""Integer kernel routines against hand oracles and random cross-checks,
+and the contract that ``kernels`` re-exports the pure-Python kernels."""
 
-import importlib.util
-import os
-import random
-import shlex
-import shutil
-import subprocess
-import sysconfig
 from fractions import Fraction
 
 import pytest
@@ -15,17 +8,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hklattice import _pykernels, kernels
-
-try:
-    from hklattice import _speedups
-except ImportError:
-    _speedups = None
-
-BACKENDS = [_pykernels] if _speedups is None else [_pykernels, _speedups]
-
-
-def _ids(mods):
-    return ["python" if m is _pykernels else "compiled" for m in mods]
 
 
 small_entry = st.integers(min_value=-9, max_value=9)
@@ -78,7 +60,8 @@ def _is_hnf(H):
     return True
 
 
-@pytest.mark.parametrize("mod", BACKENDS, ids=_ids(BACKENDS))
+# one parameter, the kernels module, which keeps the "[python]" test ids
+@pytest.mark.parametrize("mod", [kernels], ids=[kernels.IMPLEMENTATION])
 class TestPerBackend:
     def test_hnf_known(self, mod):
         # span{(2,0),(0,2),(1,1)} = {(a,b): a+b even}, basis (1,1),(0,2)
@@ -201,60 +184,12 @@ def test_snf_diag_consistent_with_transform(mat):
     assert kernels.snf_diagonal(mat) == kernels.smith_normal_form(mat)[0]
 
 
-def _build_compiled(tmp_dir):
-    """The compiled twin built from the tracked C source at -O0 and loaded
-    without registering it as ``hklattice._speedups``; None when there is
-    no C compiler or no Python headers to build it with."""
-    cc = shlex.split(sysconfig.get_config_var("CC") or "")
-    include = sysconfig.get_paths()["include"]
-    source = os.path.join(os.path.dirname(_pykernels.__file__), "_speedups.c")
-    if not cc or shutil.which(cc[0]) is None:
-        return None
-    if not os.path.exists(os.path.join(include, "Python.h")):
-        return None
-    target = tmp_dir / ("_speedups" + sysconfig.get_config_var("EXT_SUFFIX"))
-    subprocess.run(
-        [*cc, "-O0", "-shared", "-fPIC", f"-I{include}", source, "-o", str(target)],
-        check=True,
-        capture_output=True,
-    )
-    spec = importlib.util.spec_from_file_location("_speedups", target)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
-
-
-@pytest.fixture(scope="module")
-def compiled(tmp_path_factory):
-    if _speedups is not None:
-        return _speedups
-    module = _build_compiled(tmp_path_factory.mktemp("speedups"))
-    if module is None:
-        pytest.skip("compiled extension not built and no C compiler to build it")
-    return module
-
-
-def test_backend_parity_randomized(compiled):
-    _speedups = compiled
-    rng = random.Random(99)
-    for trial in range(30):
-        m = rng.randint(1, 6)
-        n = rng.randint(1, 6)
-        A = [[rng.randint(-20, 20) for _ in range(n)] for _ in range(m)]
-        assert _pykernels.hnf(A) == _speedups.hnf(A), A
-        h1, u1, r1 = _pykernels.hnf_transform(A)
-        h2, u2, r2 = _speedups.hnf_transform(A)
-        assert (h1, r1) == (h2, r2), A
-        assert abs(_pykernels.det_bareiss(u2)) == 1
-        assert _pykernels.snf_diagonal(A) == _speedups.snf_diagonal(A), A
-        e1 = _pykernels.row_echelon_bareiss(A)
-        e2 = _speedups.row_echelon_bareiss(A)
-        assert e1 == e2, A
-        if m == n:
-            assert _pykernels.det_bareiss(A) == _speedups.det_bareiss(A), A
-
-
 def test_active_backend_is_reported():
-    assert kernels.IMPLEMENTATION in ("python", "compiled")
-    if _speedups is not None:
-        assert kernels.IMPLEMENTATION == "compiled"
+    assert kernels.IMPLEMENTATION == "python"
+
+
+def test_kernels_are_the_pure_python_functions():
+    names = [n for n in kernels.__all__ if n != "IMPLEMENTATION"]
+    assert sorted(names) == sorted(_pykernels.__all__)
+    for name in names:
+        assert getattr(kernels, name) is getattr(_pykernels, name), name
