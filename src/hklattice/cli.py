@@ -434,21 +434,28 @@ def _suite_cubic(ck: _Checks, rng: random.Random, trials: int | None):
     )
 
 
+def _fixed_space_status(inst: FixInstance) -> str:
+    """One instance as the deformation checks read it. A system whose kernel
+    the structural generators do not span is a failing check, not an error."""
+    try:
+        sol = solve_fixed_space(inst)
+    except ArithmeticError:
+        return "kernel not spanned by the structural generators"
+    return f"dim {sol.dimension}, span {'ok' if verify_generators(sol, inst) else 'bad'}"
+
+
 def _suite_deformation(ck: _Checks, rng: random.Random, trials: int | None):
-    inst = FixInstance(Mat.identity(2), [1, 0])
-    sol = solve_fixed_space(inst)
     ck.add(
         "hand_instance",
         "dim 2, span ok",
-        f"dim {sol.dimension}, span {'ok' if verify_generators(sol, inst) else 'bad'}",
+        _fixed_space_status(FixInstance(Mat.identity(2), [1, 0])),
         "two-dimensional fixed space on the 2x2 identity instance",
     )
     n = trials or 10
     ok = 0
     for _ in range(n):
         inst = random_instance(rng, rng.randint(3, 10))
-        sol = solve_fixed_space(inst)
-        if sol.dimension == 2 and not sol.extra_solutions and verify_generators(sol, inst):
+        if _fixed_space_status(inst) == "dim 2, span ok":
             ok += 1
     ck.add(
         "random_instances",
@@ -456,12 +463,10 @@ def _suite_deformation(ck: _Checks, rng: random.Random, trials: int | None):
         f"{ok}/{n}",
         "fixed space is spanned by the inverse matrix and the outer square",
     )
-    inst21 = random_instance(rng, 21)
-    sol21 = solve_fixed_space(inst21)
     ck.add(
         "full_size_instance",
         "dim 2, span ok",
-        f"dim {sol21.dimension}, span {'ok' if verify_generators(sol21, inst21) else 'bad'}",
+        _fixed_space_status(random_instance(rng, 21)),
         "the 21-variable instance matching the geometric setup",
     )
 
@@ -682,7 +687,7 @@ def _render_text(report: dict) -> str:
 
 
 def _emit(args, obj, is_report: bool) -> int:
-    text = json.dumps(obj, indent=2, sort_keys=True, default=str)
+    text = json.dumps(obj, indent=2, sort_keys=True)
     if args.out:
         with open(args.out, "w") as fh:
             fh.write(text + "\n")

@@ -8,12 +8,12 @@ invariance under the relevant deformations reduces to the linear system
     (c0*I - 2*C*A) mu = 0   for every mu with (s^T A) mu = 0.
 
 The solution space is always 2-dimensional, spanned by (A^{-1}, 2) and
-(s s^T, 0); this module solves the system exactly as one integer linear
+(s s^T, 0); this module builds the system exactly as one integer linear
 system in n(n+1)/2 + 1 unknowns and checks that span equality, rather than
-assuming it. The system is solved by the certified modular nullspace
-``exact_linalg.rational_nullspace``: one elimination modulo a prime,
-p-adic lifting, rational reconstruction, exact verification of every
-equation over Z, and a rank bound proving the basis complete. The structural generators use the
+assuming it. The kernel is decided by ``exact_linalg.certified_kernel``
+with the two structural generators as candidates: each equation is checked
+exactly at both over Z, and the rank of the system modulo a prime proves
+that no other solution exists. The structural generators use the
 fraction-free ``Mat.inverse``.
 """
 
@@ -28,9 +28,9 @@ from .exact_linalg import (
     Mat,
     _frac_str,
     _scaled_ints,
+    certified_kernel,
     fraction_vector,
     left_kernel,
-    rational_nullspace,
 )
 
 
@@ -131,11 +131,12 @@ def solve_fixed_space(inst: FixInstance) -> FixSolution:
     c0, equations are n per kernel vector. With A = Ai/dA for integer Ai,
     each equation is built in integers as dA*c0*mu - 2*C*(Ai*mu) and made
     primitive. The system is large and sparse (420 x 232 with about 21
-    nonzeros per row at n = 21) while its solutions are small, so
-    ``rational_nullspace`` eliminates it once modulo a prime, lifts the
-    kernel p-adically and verifies the reconstructed basis exactly; its basis is one primitive integer vector
-    per free column, the same vectors back-substitution through a
-    fraction-free echelon form gives.
+    nonzeros per row at n = 21), so rather than solving it,
+    ``certified_kernel`` checks the two structural generators against every
+    equation and proves by the rank modulo a prime that they span its
+    kernel (else ``ArithmeticError``); the basis is canonical, one
+    primitive integer vector per free column, as back-substitution through
+    a fraction-free echelon form gives.
     """
     n = inst.n
     pairs = _sym_pairs(n)
@@ -158,7 +159,8 @@ def solve_fixed_space(inst: FixInstance) -> FixSolution:
 
     if not rows:
         raise ValueError("empty constraint system")
-    sols = rational_nullspace(rows, nvars)
+    gens = [_pair_to_vector(C, c0, pairs) for C, c0 in expected_generators(inst)]
+    sols = certified_kernel(rows, nvars, gens)
     return FixSolution(n, [_vector_to_pair(v, n, pairs) for v in sols])
 
 

@@ -53,13 +53,12 @@ dense HNF rows. A ``Mat`` builds its sparse rows once on demand
 coefficient rows through a lattice basis.
 
 Two certified modular routines share one sparse elimination modulo proven
-Proth primes (``_echelon_mod``, which also records its row multipliers, so
-its pivots are an LU factorization mod p):
+Proth primes (``_echelon_mod``):
 
-* ``rational_nullspace`` is a p-adic nullspace for large sparse integer
-  systems: one elimination, Dixon lifting of the canonical kernel vectors
-  through its factors, rational reconstruction, exact verification over Z,
-  and a rank bound that proves the verified basis complete.
+* ``certified_kernel`` certifies a claimed rational kernel: the candidate
+  vectors are checked exactly over Z and reduced to the canonical basis,
+  and a nonsingular r x r minor mod p (the rank mod p) proves that they
+  span the whole kernel.
 * ``det_int`` is every determinant of the library: det mod p from the
   pivots and the row-to-pivot-column permutation, combined by CRT until the
   modulus passes twice Hadamard's bound, so no prime can be unlucky.
@@ -79,7 +78,7 @@ import json
 import re
 from fractions import Fraction
 from itertools import compress, count
-from math import gcd, isqrt, lcm
+from math import gcd, isqrt, lcm, prod
 
 from . import kernels
 
@@ -711,6 +710,12 @@ class Lattice:
         D, c = sol
         return tuple(Fraction(x, D) for x in c)
 
+    def _pivot_product(self) -> int:
+        """Product of the HNF pivots of den * L. The rows restricted to
+        their pivot columns are triangular, so this is the covolume of
+        den * L projected onto those columns."""
+        return prod(row[0][1] for row in self._sparse)
+
     def spans_same_qspace(self, other: "Lattice") -> bool:
         _check_ambient(self, other)
         return self.rank == other.rank and all(
@@ -854,16 +859,22 @@ def _coord_matrix(sub: Lattice, sup: Lattice) -> list[list[int]]:
 
 
 def sublattice_index(sub: Lattice, sup: Lattice) -> int:
-    """Index [sup : sub] for a finite-index sublattice."""
+    """Index [sup : sub] for a finite-index sublattice, from the HNF pivots.
+
+    The coordinate solves of ``_coord_matrix`` prove sub in sup (else
+    ``NotASublatticeError``), and equal ranks then make the Q-spans equal.
+    Equal Q-spans have the same HNF pivot columns P, and projecting onto P
+    is injective on that span, so the index is the ratio of the projected
+    covolumes. The HNF rows on P are triangular, so den * L projects to
+    covolume ``_pivot_product`` and L, of rank k, to that over den^k:
+
+        [sup : sub] = (prod sub pivots * sup.den^k) / (prod sup pivots * sub.den^k).
+    """
     if sub.rank != sup.rank:
         raise NotASublatticeError("rank mismatch: the index would be infinite")
-    if sub.rank == 0:
-        return 1
-    C = _coord_matrix(sub, sup)
-    d = det_int(C)
-    if d == 0:
-        raise NotASublatticeError("degenerate coordinate matrix")
-    return -d if d < 0 else d
+    _coord_matrix(sub, sup)  # the containment proof; the coordinates are not needed
+    k = sub.rank
+    return (sub._pivot_product() * sup.den**k) // (sup._pivot_product() * sub.den**k)
 
 
 def quotient_invariants(sub: Lattice, sup: Lattice) -> FiniteAbelianGroup:
@@ -1086,23 +1097,17 @@ def _nullspace_primes():
 
 
 def _echelon_mod(rows, p: int):
-    """Sparse echelon of integer rows modulo the prime p, with its row
-    multipliers.
+    """Sparse echelon of integer rows modulo the prime p.
 
     ``rows`` are in the sparse row form. Each step takes the sparsest
     active row, pivots at its smallest column and clears that column from
     the other active rows, which keeps the fill-in low; rows that vanish
-    mod p drop out. Returns one ``(i, c, v, items, mults)`` per pivot, in
-    elimination order: the input row i, the pivot column c, the pivot value
-    v, the rest of the row divided by v, as (column, value) pairs on
-    columns that are not earlier pivots, and the multipliers ``(o, f)``:
-    input row o had f times that divided row (with its 1 at c) subtracted.
+    mod p drop out, so the number of pivots is the rank mod p. Returns one
+    ``(i, c, v, items)`` per pivot, in elimination order: the input row i,
+    the pivot column c, the pivot value v and the rest of the row divided
+    by v, as (column, value) pairs on columns that are not earlier pivots.
     Only row additions are applied, so the rows as they stood when chosen
     have the input's determinant mod p.
-
-    Together the pivots are an LU factorization of the pivot rows mod p:
-    input row i_k equals v_k * R_k + sum_(j<k) f_j * R_j, for the divided
-    rows R_j and the multipliers (i_k, f_j) of the earlier pivots.
     """
     active = []
     for i, r in enumerate(rows):
@@ -1121,13 +1126,11 @@ def _echelon_mod(rows, p: int):
         v = row.pop(c)
         inv = pow(v, -1, p)
         items = [(k, x * inv % p) for k, x in row.items()]
-        mults = []
         remaining = []
         for other in active:
             d = other[1]
             f = d.pop(c, 0)
             if f:
-                mults.append((other[0], f))
                 for k, x in items:
                     w = (d.get(k, 0) - f * x) % p
                     if w:
@@ -1137,209 +1140,101 @@ def _echelon_mod(rows, p: int):
             if d:
                 remaining.append(other)
         active = remaining
-        pivots.append((i, c, v, items, mults))
+        pivots.append((i, c, v, items))
     return pivots
 
 
-def _kernel_mod(pivots, ncols: int, p: int) -> dict[int, list[int]]:
-    """Canonical kernel basis modulo the prime p of the rows that
-    ``_echelon_mod`` eliminated into ``pivots``.
-
-    Returns ``{f: x_f}``, in ascending
-    f, over the free columns f (those that are combinations of earlier
-    columns mod p); x_f has last nonzero entry 1 at f and is zero on the
-    other free columns. These conditions fix x_f, so the basis is the
-    kernel's echelon form from the right.
-
-    Back-substitution already gives that shape, so no further reduction is
-    needed. A pivot row of ``_echelon_mod`` pivots at its smallest column c,
-    and the rest of the row lies on later pivots and on free columns, all
-    past c; solving the pivots in reverse elimination order therefore finds
-    every other unknown of the row already solved. With x_f = 1 at f and 0
-    on the other free columns, a pivot c > f sees only columns past f: free
-    ones, which are 0, and pivots past c, which are 0 by induction on c
-    downwards. So x_c = 0 for every c > f. ``rational_nullspace`` lifts
-    these vectors p-adically and relies on this shape.
-    """
-    pivot_cols = {c for _, c, _, _, _ in pivots}
-    basis = {}
-    for f in range(ncols):
-        if f in pivot_cols:
-            continue
-        x = [0] * ncols
-        x[f] = 1
-        for _, c, _, items, _ in reversed(pivots):
-            s = 0
-            for k, v in items:
-                if x[k]:
-                    s += v * x[k]
-            x[c] = -s % p
-        basis[f] = x
-    return basis
+def _right_echelon(vectors, ncols: int) -> list[list[int]]:
+    """The reduced echelon form from the right of independent integer
+    vectors: one vector per column f that is some vector's last nonzero
+    entry, in ascending f, zero on the other such columns, primitive and
+    positive at f. It depends only on the Q-span. Dependent vectors raise
+    ``ArithmeticError``."""
+    basis: dict[int, list[int]] = {}
+    for v in vectors:
+        v = list(v)
+        # the basis vectors vanish on each other's columns, so clearing one
+        # column never refills another
+        for c, w in basis.items():
+            if v[c]:
+                g = gcd(w[c], v[c])
+                a, b = w[c] // g, v[c] // g
+                v = [a * x - b * y for x, y in zip(v, w)]
+        f = next((c for c in range(ncols - 1, -1, -1) if v[c]), None)
+        if f is None:
+            raise ArithmeticError("dependent candidate kernel vectors")
+        for c, w in basis.items():
+            if w[f]:
+                g = gcd(v[f], w[f])
+                a, b = v[f] // g, w[f] // g
+                basis[c] = [a * x - b * y for x, y in zip(w, v)]
+        basis[f] = v
+    out = []
+    for f in sorted(basis):
+        g = gcd(*basis[f]) if basis[f][f] > 0 else -gcd(*basis[f])
+        out.append([x // g for x in basis[f]])
+    return out
 
 
-def _wang(a: int, m: int, bound: int):
-    """``(n, d)`` with n = a*d (mod m), |n| <= bound, 0 < d <= bound and
-    gcd(n, d) = 1, or None (Wang 1981). Unique when 2*bound^2 < m."""
-    r0, r1 = m, a
-    t0, t1 = 0, 1
-    while r1 > bound:
-        q = r0 // r1
-        r0, r1 = r1, r0 - q * r1
-        t0, t1 = t1, t0 - q * t1
-    if t1 < 0:
-        r1, t1 = -r1, -t1
-    if t1 > bound or gcd(r1, t1) != 1:
-        return None
-    return r1, t1
+def certified_kernel(int_rows, ncols: int, candidates) -> list[list[int]]:
+    """Canonical basis of the rational kernel {x : row . x = 0 for every
+    row}, certified from a list of candidate vectors claimed to span it.
 
+    The canonical basis has one vector x_f per free column f, in ascending
+    order of f, where the free columns are those that are Q-combinations of
+    earlier columns: x_f is the primitive integer vector with last nonzero
+    entry at f, positive there, and zero on the other free columns. It is
+    the kernel's reduced echelon form from the right (``_right_echelon``),
+    and what back-substitution through a fraction-free echelon form yields,
+    made primitive.
 
-def _primitive_lift(residues, m: int, bound: int):
-    """The primitive integer vector of the rational reconstruction of the
-    residues mod m, or None if some entry has none."""
-    fracs = []
-    for a in residues:
-        nd = _wang(a, m, bound)
-        if nd is None:
-            return None
-        fracs.append(nd)
-    d = lcm(*(q for _, q in fracs))
-    v = [n * (d // q) for n, q in fracs]
-    g = gcd(*v)
-    return [x // g for x in v]
-
-
-def _solve_mod(pivots, invs, rhs, x, p: int) -> None:
-    """Complete x mod p so that each pivot row of ``_echelon_mod`` takes the
-    value rhs[i] at x: forward through the multipliers, back through the
-    divided rows.
-
-    ``x`` is preset on the free columns and is overwritten on the pivot
-    columns; ``rhs`` maps each pivot row (by input index) to its value and
-    is overwritten, and the multipliers may only reach pivot rows; ``invs``
-    are the inverses mod p of the pivot values. With the divided rows R_k,
-    the values z_k = R_k . x follow in elimination order from input row
-    i_k = v_k * R_k + sum_(j<k) f_j * R_j, and x at c_k from R_k . x = z_k
-    in reverse order, R_k holding 1 at c_k and otherwise only columns that
-    are not earlier pivots.
-    """
-    z = []
-    for (i, _, _, _, mults), inv in zip(pivots, invs):
-        zk = rhs[i] * inv % p
-        z.append(zk)
-        if zk:
-            for o, f in mults:
-                rhs[o] -= f * zk
-    for (_, c, _, items, _), zk in zip(reversed(pivots), reversed(z)):
-        s = zk
-        for k, v in items:
-            if x[k]:
-                s -= v * x[k]
-        x[c] = s % p
-
-
-def _row_values(rows, x) -> list[int]:
-    """The values row . x of sparse integer rows at a dense vector x."""
-    return [sum([a * x[k] for k, a in row]) for row in rows]
-
-
-def _lifted_kernel(rows, pivots, ncols: int, p: int):
-    """The canonical kernel vectors from one elimination mod p, lifted
-    p-adically (Dixon 1982), or None when p is proven unlucky.
-
-    For each free column f, x with 1 at f and 0 on the other free columns
-    is solved from the pivot rows alone: digit y_0 is the vector of
-    ``_kernel_mod``, and each next digit comes from the residual r (the
-    pivot rows at the partial sum, over p^t) by one pass of ``_solve_mod``
-    and one sparse product. After each digit the partial sum is
-    reconstructed by Wang's method; a candidate that satisfies every pivot
-    row is the exact solution. It must also vanish past f and satisfy every
-    other row, else the prime is unlucky (see ``rational_nullspace``) and
-    None is returned.
-    """
-    invs = [pow(v, -1, p) for _, _, v, _, _ in pivots]
-    prows = [rows[i] for i, _, _, _, _ in pivots]
-    # only multipliers onto pivot rows reach a value that is read
-    used = {i for i, _, _, _, _ in pivots}
-    pivots = [
-        (i, c, v, items, [(o, f) for o, f in mults if o in used])
-        for i, c, v, items, mults in pivots
-    ]
-    basis = []
-    for f, x in _kernel_mod(pivots, ncols, p).items():
-        modulus = p
-        r = [t // p for t in _row_values(prows, x)]
-        while True:
-            v = _primitive_lift(x, modulus, isqrt(modulus >> 1))
-            if v is not None and not any(_row_values(prows, v)):
-                if any(v[f + 1 :]) or any(_row_values(rows, v)):
-                    return None
-                basis.append(v)
-                break
-            rhs = {i: -ri for (i, _, _, _, _), ri in zip(pivots, r)}
-            y = [0] * ncols
-            _solve_mod(pivots, invs, rhs, y, p)
-            x = [a + modulus * b for a, b in zip(x, y)]
-            r = [(ri + t) // p for ri, t in zip(r, _row_values(prows, y))]
-            modulus *= p
-    return basis
-
-
-def rational_nullspace(int_rows, ncols: int) -> list[list[int]]:
-    """Canonical basis of the rational kernel {x : row . x = 0 for every row}.
-
-    One vector per free column f, in ascending order of f, where the free
-    columns F are those that are Q-combinations of earlier columns (the
-    non-pivot columns of the row echelon form). x_f is the primitive
-    integer vector with last nonzero entry at f, positive there, and zero
-    on F minus f: exactly what back-substitution through a fraction-free
-    echelon form yields, made primitive.
-
-    Method (certified p-adic nullspace, after Dixon 1982 and
-    Chen-Storjohann 2005): one sparse echelon modulo a prime p of a fixed
-    sequence of proven primes of about 130 bits (``_echelon_mod``, with its
-    multipliers) gives rank_p pivot rows I, pivot columns P and the free
-    set F_p. For each f in F_p, ``_lifted_kernel`` solves the pivot rows
-    with x = 1 at f and 0 on F_p minus f by p-adic lifting through that
-    one factorization, reconstructs by Wang's method until a candidate
-    satisfies every pivot row, and checks it exactly over Z against every
-    row, and for zeros past f. The basis is returned when every f passes;
-    a failure moves to the next prime, whose elimination starts afresh.
+    Method (a certifying algorithm, after McConnell-Mehlhorn-Naher-
+    Schweitzer 2011): each candidate is checked exactly over Z against
+    every row by a sparse product, the k candidates are reduced to the
+    canonical basis of their span, and the rank r = ncols - k is certified
+    by one sparse echelon ``_echelon_mod`` modulo a prime of the fixed
+    sequence of proven primes ``_nullspace_primes``: the basis is returned
+    as soon as some prime gives rank_p = r. When r = 0 no elimination is
+    needed. With H = isqrt(product of the r largest squared row norms) + 1,
+    ``ArithmeticError`` is raised once the product of the primes tried
+    exceeds H, or at once when fewer than r rows are nonzero; it is also
+    raised for a candidate that fails a row and for dependent candidates.
 
     Why the result is certified:
 
-    * The pivot block (rows I, columns P) is nonsingular mod p, so it is
-      nonsingular over Q, and rank_Q >= rank_p. The pivot rows with x fixed
-      on F_p therefore have exactly one rational solution, and a candidate
-      satisfying them is that solution.
-    * A candidate that satisfies every pivot row but fails another row
-      proves rank_p < rank_Q: when the ranks are equal the pivot rows span
-      the row space over Q. One that satisfies every row but is nonzero
-      past f proves F_p != F_Q: were the ranks and free sets equal, it
-      would be the canonical x_f (last bullet), which vanishes past f.
-      Either way p is unlucky and the next prime is taken.
-    * When every x_f, f in F_p, satisfies every row and vanishes past f:
-      the |F_p| = n - rank_p vectors are independent kernel vectors (1 at
-      f, 0 on F_p minus f), so rank_Q <= rank_p and the ranks are equal.
-      Each x_f shows that column f is a Q-combination of earlier columns,
-      so F_p lies in F_Q, and |F_Q| = n - rank_Q = |F_p| gives F_p = F_Q.
-      A kernel vector is fixed by its entries on F_Q (the pivot block is
-      nonsingular), so x_f is the canonical vector, made primitive.
-
-    The loop needs no give-up path. Only finitely many primes divide the
-    minors that fix the rank and the free set over Q; for every other
-    prime the exact solution is the canonical x_f, which satisfies every
-    row and vanishes past f, and the lifting reaches it once p^t exceeds
-    twice the product of its numerator and denominator bounds, when
-    Wang's reconstruction returns it.
+    * rank_p <= rank_Q: a nonzero r x r minor mod p is nonzero over Z.
+    * k independent exact solutions give rank_Q <= ncols - k = r.
+    * So rank_p = r means rank_Q = r and the kernel has dimension k: it is
+      exactly the span of the candidates, and the reduced echelon form
+      from the right of that span is unique, so it is the canonical basis.
+    * When rank_Q = r, some r x r minor D is nonzero, and Hadamard's
+      inequality bounds |D| by the product of the norms of its r rows,
+      which is below H. Each prime with rank_p < r divides D; distinct
+      primes whose product exceeds H cannot all divide D, so their failure
+      proves rank_Q < r: the candidates do not span the kernel. Fewer than
+      r nonzero rows prove the same directly.
     """
-    if any(len(r) != ncols for r in int_rows):
-        raise ValueError("row length does not match the column count")
+    if any(len(r) != ncols for r in (*int_rows, *candidates)):
+        raise ValueError("row or candidate length does not match the column count")
     rows = _sparse_rows(int_rows)
-    for p in _nullspace_primes():
-        basis = _lifted_kernel(rows, _echelon_mod(rows, p), ncols, p)
-        if basis is not None:
-            return basis
+    for v in candidates:
+        if any(sum([a * v[k] for k, a in row]) for row in rows):
+            raise ArithmeticError("a candidate is not in the kernel")
+    basis = _right_echelon(candidates, ncols)
+    r = ncols - len(basis)
+    if r == 0:
+        return basis
+    norms = sorted(sum(a * a for _, a in row) for row in rows if row)
+    if len(norms) >= r:
+        bound = isqrt(prod(norms[-r:])) + 1
+        modulus = 1
+        for p in _nullspace_primes():
+            if len(_echelon_mod(rows, p)) == r:
+                return basis
+            modulus *= p
+            if modulus > bound:
+                break
+    raise ArithmeticError("rank below ncols - k: the candidates miss kernel vectors")
 
 
 def det_int(int_rows) -> int:
@@ -1371,10 +1266,7 @@ def det_int(int_rows) -> int:
     if any(len(r) != n for r in int_rows):
         raise ValueError("determinant of a non-square matrix")
     rows = _sparse_rows(int_rows)
-    norms = 1
-    for r in rows:
-        norms *= sum(v * v for _, v in r)
-    bound = 2 * (isqrt(norms) + 1)
+    bound = 2 * (isqrt(prod(sum(v * v for _, v in r) for r in rows)) + 1)
     det, modulus = 0, 1
     for p in _nullspace_primes():
         pivots = _echelon_mod(rows, p)
@@ -1382,7 +1274,7 @@ def det_int(int_rows) -> int:
         if len(pivots) == n:
             perm = [0] * n
             d = 1
-            for i, c, v, _, _ in pivots:
+            for i, c, v, _ in pivots:
                 perm[i] = c
                 d = d * v % p
             # the sign of a permutation is (-1)^(n - number of cycles)

@@ -414,10 +414,7 @@ class H4Lattice:
         basis is triangular, so det(B) is the pivot product over den^276.
         """
         lat = self.lattice
-        piv_prod = 1
-        for row in lat._sparse:
-            piv_prod *= row[0][1]
-        detb = Fraction(piv_prod, lat.den**AMBIENT)
+        detb = Fraction(lat._pivot_product(), lat.den**AMBIENT)
         return fujiki_det() * detb * detb
 
 

@@ -10,7 +10,8 @@ torsion quotient is read off a glue code, so ``smith_normal_form`` with its
 transforms has no library caller. Neither have ``det_bareiss``,
 ``pivot_columns`` and ``row_echelon_bareiss``: determinants are
 ``exact_linalg.det_int``, pivots are read off the sparse basis rows and
-nullspaces are ``rational_nullspace``. They stay as the tests' dense
+the one nullspace, the deformation kernel, is certified by
+``exact_linalg.certified_kernel``. They stay as the tests' dense
 references and for the benchmark's per-layer trace.
 """
 

@@ -5,7 +5,7 @@ import json
 
 import pytest
 
-from hklattice import cli
+from hklattice import cli, deformation_fix
 
 
 def _run(capsys, argv):
@@ -58,6 +58,17 @@ class TestVerify:
         bad = [c for c in rep["checks"] if c["status"] == "fail"]
         assert len(bad) == 1
         assert bad[0]["name"] == "rational_map_indices"
+
+    def test_refuted_fixed_space_fails_its_checks(self, capsys, monkeypatch):
+        # one structural generator dropped: the kernel is not their span, and
+        # every deformation check fails instead of the run ending in an error
+        real = deformation_fix.expected_generators
+        monkeypatch.setattr(deformation_fix, "expected_generators", lambda inst: real(inst)[:1])
+        code, out, _ = _run(capsys, ["verify", "deformation", "--json", "--trials", "2"])
+        assert code == 1
+        rep = json.loads(out)
+        assert [c["status"] for c in rep["checks"]] == ["fail"] * 3
+        assert rep["checks"][0]["actual"] == "kernel not spanned by the structural generators"
 
     def test_out_file(self, capsys, tmp_path):
         target = tmp_path / "report.json"

@@ -1,6 +1,6 @@
 """The Smith-free routes against their Smith-form oracles: saturation by
 congruences, the glue-code torsion quotient, and the deformation kernel
-lifted p-adically from one elimination."""
+certified by the rank modulo a prime."""
 
 import random
 from contextlib import contextmanager
@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from oracles import SmithTorsionQuotient, smith_saturation_int
-from test_nullspace import bareiss_nullspace
+from test_nullspace import bareiss_nullspace, certified
 
 from hklattice import exact_linalg, kernels
 from hklattice.bb_lattice import sample_exceptional
@@ -18,7 +18,6 @@ from hklattice.exact_linalg import (
     Lattice,
     _nullspace_primes,
     lattice_join,
-    rational_nullspace,
     saturate_in,
     saturation_int,
 )
@@ -223,7 +222,7 @@ def test_unlucky_first_prime_still_gives_the_bareiss_basis(rank, ncols, rnd):
     # their rank may rise
     rows[rnd.randrange(len(rows))][rnd.randrange(ncols)] += p
     with counted_echelons() as calls:
-        got = rational_nullspace(rows, ncols)
+        got = certified(rows, ncols)
     assert got == bareiss_nullspace(rows, ncols)
     assert calls[0] == p
     if len(kernels.hnf(rows)) > rank_p:
@@ -235,7 +234,7 @@ def test_rank_drop_mod_the_first_prime_restarts():
     # equal rows mod p, independent over Q: rank 1 mod p, 2 over Q
     rows = [[1, 2, 3, 4], [1, 2 + p, 3, 4 + 2 * p]]
     with counted_echelons() as calls:
-        got = rational_nullspace(rows, 4)
+        got = certified(rows, 4)
     assert got == bareiss_nullspace(rows, 4)
     assert len(got) == 2
     assert calls[0] == p and len(calls) == 2

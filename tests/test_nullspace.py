@@ -1,5 +1,5 @@
-"""The certified modular nullspace against fraction-free back-substitution,
-and the deformation solver against its Bareiss route."""
+"""The certified kernel against fraction-free back-substitution, and the
+deformation solver against its Bareiss route."""
 
 import random
 from fractions import Fraction
@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hklattice import kernels
+from hklattice import deformation_fix, kernels
 from hklattice.deformation_fix import (
     FixInstance,
     FixSolution,
@@ -19,14 +19,7 @@ from hklattice.deformation_fix import (
     random_instance,
     solve_fixed_space,
 )
-from hklattice.exact_linalg import (
-    Mat,
-    _echelon_mod,
-    _kernel_mod,
-    _nullspace_primes,
-    _sparse_rows,
-    rational_nullspace,
-)
+from hklattice.exact_linalg import Mat, _nullspace_primes, certified_kernel
 
 
 def bareiss_nullspace(rows, ncols):
@@ -76,83 +69,18 @@ def bareiss_route(inst: FixInstance) -> FixSolution:
     return FixSolution(n, [_vector_to_pair(v, n, pairs) for v in sols])
 
 
-def dense_kernel_mod(rows, ncols, p):
-    """Reference: a kernel basis mod p by dense Gauss-Jordan elimination."""
-    A = [[x % p for x in r] for r in rows]
-    pivots = []
-    for c in range(ncols):
-        r = len(pivots)
-        k = next((i for i in range(r, len(A)) if A[i][c]), None)
-        if k is None:
-            continue
-        A[r], A[k] = A[k], A[r]
-        inv = pow(A[r][c], -1, p)
-        A[r] = [x * inv % p for x in A[r]]
-        for i in range(len(A)):
-            if i != r and A[i][c]:
-                f = A[i][c]
-                A[i] = [(a - f * b) % p for a, b in zip(A[i], A[r])]
-        pivots.append(c)
-    basis = []
-    for f in range(ncols):
-        if f not in pivots:
-            x = [0] * ncols
-            x[f] = 1
-            for row, c in zip(A, pivots):
-                x[c] = -row[f] % p
-            basis.append(x)
-    return basis
+def recombined(basis):
+    """Another basis of the same span: reversed, each vector plus the next,
+    scaled by -3."""
+    rev = basis[::-1]
+    out = [[a + b for a, b in zip(u, v)] for u, v in zip(rev, rev[1:])]
+    out += rev[-1:]
+    return [[-3 * x for x in v] for v in out]
 
 
-def right_echelon_mod(basis, ncols, p):
-    """Reference: the echelon form from the right of a kernel basis mod p,
-    reduced, with last nonzero entries 1 at distinct columns, as
-    ``{column: vector}``. Any basis of the kernel gives the same result."""
-    basis = [list(v) for v in basis]
-    done = {}
-    for c in range(ncols - 1, -1, -1):
-        if not basis:
-            break
-        piv = next((v for v in basis if v[c]), None)
-        if piv is None:
-            continue
-        basis = [v for v in basis if v is not piv]
-        inv = pow(piv[c], -1, p)
-        piv = [x * inv % p for x in piv]
-        for v in (*basis, *done.values()):
-            f = v[c]
-            if f:
-                for k in range(c + 1):
-                    if piv[k]:
-                        v[k] = (v[k] - f * piv[k]) % p
-        done[c] = piv
-    return done
-
-
-@st.composite
-def sparse_int_matrices(draw):
-    m = draw(st.integers(0, 12))
-    n = draw(st.integers(1, 16))
-    entry = st.sampled_from([0] * 8 + [1, -1, 2, 3, -5, 7, 10, 35])
-    rows = draw(st.lists(st.lists(entry, min_size=n, max_size=n), min_size=m, max_size=m))
-    return rows, n
-
-
-@settings(max_examples=300, deadline=None)
-@given(sparse_int_matrices(), st.sampled_from([2, 5, 7, "proth"]))
-def test_kernel_mod_is_the_right_echelon_form(case, p):
-    rows, ncols = case
-    if p == "proth":
-        p = next(_nullspace_primes())
-    sparse = _sparse_rows(rows)
-    kern = _kernel_mod(_echelon_mod(sparse, p), ncols, p)
-    assert kern == right_echelon_mod(dense_kernel_mod(rows, ncols, p), ncols, p)
-    # the shape rational_nullspace relies on, keys ascending
-    assert list(kern) == sorted(kern)
-    for f, x in kern.items():
-        assert x[f] == 1 and not any(x[f + 1 :])
-        assert all(x[g] == 0 for g in kern if g != f)
-        assert all(sum(a * x[k] for k, a in r) % p == 0 for r in sparse)
+def certified(rows, ncols):
+    """``certified_kernel`` given the oracle basis recombined."""
+    return certified_kernel(rows, ncols, recombined(bareiss_nullspace(rows, ncols)))
 
 
 @st.composite
@@ -195,7 +123,7 @@ def int_matrices(draw):
 @given(int_matrices())
 def test_rational_nullspace_matches_bareiss(case):
     rows, ncols = case
-    assert rational_nullspace(rows, ncols) == bareiss_nullspace(rows, ncols)
+    assert certified(rows, ncols) == bareiss_nullspace(rows, ncols)
 
 
 def test_small_and_degenerate_shapes():
@@ -209,9 +137,13 @@ def test_small_and_degenerate_shapes():
         ([[0, 0, 4]], 3),
         ([[2, 4], [1, 2], [3, 6]], 2),
     ]:
-        assert rational_nullspace(rows, ncols) == bareiss_nullspace(rows, ncols)
-    assert rational_nullspace([[0, 0, 0]], 3) == [[1, 0, 0], [0, 1, 0], [0, 0, 1]]
-    assert rational_nullspace([[2, 4]], 2) == [[-2, 1]]
+        assert certified(rows, ncols) == bareiss_nullspace(rows, ncols)
+    assert certified_kernel([[0, 0, 0]], 3, [[0, 0, -5], [1, 1, 1], [0, 2, 0]]) == [
+        [1, 0, 0],
+        [0, 1, 0],
+        [0, 0, 1],
+    ]
+    assert certified_kernel([[2, 4]], 2, [[6, -3]]) == [[-2, 1]]
 
 
 def test_unlucky_primes_still_give_the_rational_basis():
@@ -229,15 +161,52 @@ def test_unlucky_primes_still_give_the_rational_basis():
         [[p, 0, 1], [0, 1, 0]],
     ]
     for rows in cases:
-        got = rational_nullspace(rows, 3)
+        got = certified(rows, 3)
         assert got == bareiss_nullspace(rows, 3)
         assert all(sum(a * x for a, x in zip(r, v)) == 0 for r in rows for v in got)
-    assert rational_nullspace(cases[0], 3) == [[-2, 1, 0]]
+    assert certified(cases[0], 3) == [[-2, 1, 0]]
 
 
 def test_row_length_checked():
     with pytest.raises(ValueError):
-        rational_nullspace([[1, 2]], 3)
+        certified_kernel([[1, 2]], 3, [])
+
+
+def test_a_dropped_candidate_is_refuted():
+    # the kernel of one row in three columns is 2-dimensional
+    with pytest.raises(ArithmeticError):
+        certified_kernel([[1, 2, 3]], 3, [[-2, 1, 0]])
+    # rank 2 over Q and 0 mod the first two primes: no prime gives the
+    # claimed rank 3, and the Hadamard bound ends the search
+    primes = _nullspace_primes()
+    pq = next(primes) * next(primes)
+    rows = [[pq, 2 * pq, 3 * pq], [2 * pq, 4 * pq, 7 * pq], [3 * pq, 6 * pq, 10 * pq]]
+    with pytest.raises(ArithmeticError):
+        certified_kernel(rows, 3, [])
+    # fewer nonzero rows than the claimed rank
+    with pytest.raises(ArithmeticError):
+        certified_kernel([[1, 1, 0], [0, 0, 0]], 3, [])
+
+
+def test_a_candidate_failing_one_row_is_refuted():
+    with pytest.raises(ArithmeticError):
+        certified_kernel([[1, 2, 3], [0, 1, 1]], 3, [[-2, 1, 0]])
+
+
+def test_dependent_candidates_are_refuted():
+    with pytest.raises(ArithmeticError):
+        certified_kernel([[1, 2, 3]], 3, [[-2, 1, 0], [4, -2, 0]])
+    with pytest.raises(ArithmeticError):
+        certified_kernel([[1, 2, 3]], 3, [[-2, 1, 0], [-3, 0, 1], [-5, 1, 1]])
+
+
+def test_solve_refutes_a_span_that_misses_a_solution(monkeypatch):
+    # with one structural generator dropped the fixed space is not their span
+    inst = FixInstance(Mat([[2, 1], [1, 3]]), [1, 1])
+    gens = deformation_fix.expected_generators(inst)
+    monkeypatch.setattr(deformation_fix, "expected_generators", lambda _: gens[:1])
+    with pytest.raises(ArithmeticError):
+        solve_fixed_space(inst)
 
 
 def _assert_same_as_bareiss_route(inst):

@@ -1,6 +1,7 @@
 """The report contract in Tier-1: ``verify all --seed 7 --json`` has the
-canonical digest recorded for seed 7 in ``perfbench/baseline.json``, and
-fixed ``sample`` and ``query`` invocations print the bytes recorded here.
+canonical digest recorded for seed 7 in ``perfbench/baseline.json``,
+``verify deformation --seed S --json`` for S = 1..5 and fixed ``sample``
+and ``query`` invocations have the digests recorded here.
 
 The report digest is the SHA-256 of the report as JSON with sorted keys
 and compact separators, ``elapsed_ms`` removed; the others are the SHA-256
@@ -18,14 +19,33 @@ from hklattice import cli
 BASELINE = Path(__file__).resolve().parent.parent / "perfbench" / "baseline.json"
 
 
-def test_verify_all_seed7_has_the_recorded_digest(capsys):
-    want = json.loads(BASELINE.read_text())["verify_all_digests"]["7"]
-    code = cli.main(["verify", "all", "--seed", "7", "--json"])
+def _report_digest(capsys, argv):
+    code = cli.main(argv)
     report = json.loads(capsys.readouterr().out)
     assert code == 0
     body = {k: v for k, v in report.items() if k != "elapsed_ms"}
     text = json.dumps(body, sort_keys=True, separators=(",", ":"))
-    assert hashlib.sha256(text.encode()).hexdigest() == want
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+def test_verify_all_seed7_has_the_recorded_digest(capsys):
+    want = json.loads(BASELINE.read_text())["verify_all_digests"]["7"]
+    assert _report_digest(capsys, ["verify", "all", "--seed", "7", "--json"]) == want
+
+
+DEFORMATION_DIGESTS = {
+    1: "ac9dee4326572bb3a1e9ba7cbf7e5a8b620ee743d292616ec901cb262f247cdb",
+    2: "1babcf677eea3fea70129de06b5f84aa8f2b628bdd4bbf8c5d714c2bf4aec4f5",
+    3: "ced82dce091ec72b899608ba8ebc32f1a07cc20e9de15d21e2c444432c98a94a",
+    4: "f2108a38403178ce67badbd5e284a9c3ba245588269502eced87c9a4b8e98012",
+    5: "204d32c50a1891d3317aab4fa4d3a55e960f6d1ec440fdf8a1fd3bbad4173f01",
+}
+
+
+@pytest.mark.parametrize("seed", list(DEFORMATION_DIGESTS))
+def test_verify_deformation_has_the_recorded_digest(capsys, seed):
+    argv = ["verify", "deformation", "--seed", str(seed), "--json"]
+    assert _report_digest(capsys, argv) == DEFORMATION_DIGESTS[seed]
 
 
 # SHA-256 of stdout for fixed ``sample`` and ``query`` invocations: the
