@@ -18,7 +18,8 @@ Conventions
   Z-module as the input rows, pivot entries are positive, entries above each
   pivot are reduced into [0, pivot), pivot columns strictly increase, zero
   rows are dropped. Two integer matrices have equal row span over Z exactly
-  when their HNFs coincide.
+  when their HNFs coincide. ``hnf`` and ``hnf_transform`` run one Hermite
+  reduction; the second also records its row operations in a unimodular U.
 * ``smith_normal_form`` returns the full diagonal (with trailing zeros on
   rank deficiency); nonzero entries are positive and each divides the next.
 """
@@ -49,11 +50,17 @@ def _row_submul(row, prow, q, start, stop):
             row[c] -= q * v
 
 
-def hnf(mat):
-    """Row-style Hermite normal form of an integer matrix, zero rows dropped."""
+def _hermite(mat, want_u):
+    """``(H, U, rank)`` for ``hnf`` and ``hnf_transform``. With ``want_u``,
+    U starts as the m x m identity to the right of the working rows, so
+    every row operation reaches it; otherwise U is None."""
     A = _copy(mat)
     m = len(A)
     n = len(A[0]) if m else 0
+    if want_u:
+        for i, row in enumerate(A):
+            row.extend([int(i == c) for c in range(m)])
+    w = n + m if want_u else n
     r = 0
     for j in range(n):
         if r == m:
@@ -83,7 +90,7 @@ def hnf(mat):
                 if v:
                     q = v // pv
                     if q:
-                        _row_submul(A[i], pk, q, j, n)
+                        _row_submul(A[i], pk, q, j, w)
                     if A[i][j]:
                         clean = False
             if clean:
@@ -95,10 +102,17 @@ def hnf(mat):
                 for i in range(r):
                     q = A[i][j] // pv
                     if q:
-                        _row_submul(A[i], A[r], q, j, n)
+                        _row_submul(A[i], A[r], q, j, w)
                 r += 1
                 break
-    return A[:r]
+    if not want_u:
+        return A[:r], None, r
+    return [row[:n] for row in A[:r]], [row[n:] for row in A], r
+
+
+def hnf(mat):
+    """Row-style Hermite normal form of an integer matrix, zero rows dropped."""
+    return _hermite(mat, False)[0]
 
 
 def hnf_transform(mat):
@@ -108,59 +122,7 @@ def hnf_transform(mat):
     ``U * mat`` equals ``H`` stacked over zero rows. Rows ``U[rank:]`` form a
     basis of the saturated left kernel ``{x : x * mat = 0}``.
     """
-    A = _copy(mat)
-    m = len(A)
-    n = len(A[0]) if m else 0
-    U = [[1 if i == j else 0 for j in range(m)] for i in range(m)]
-    r = 0
-    for j in range(n):
-        if r == m:
-            break
-        while True:
-            k = -1
-            best = 0
-            for i in range(r, m):
-                v = A[i][j]
-                if v:
-                    av = -v if v < 0 else v
-                    if k < 0 or av < best:
-                        k = i
-                        best = av
-                        if av == 1:
-                            break
-            if k < 0:
-                break
-            clean = True
-            pk = A[k]
-            uk = U[k]
-            pv = pk[j]
-            for i in range(r, m):
-                if i == k:
-                    continue
-                v = A[i][j]
-                if v:
-                    q = v // pv
-                    if q:
-                        _row_submul(A[i], pk, q, j, n)
-                        _row_submul(U[i], uk, q, 0, m)
-                    if A[i][j]:
-                        clean = False
-            if clean:
-                if k != r:
-                    A[k], A[r] = A[r], A[k]
-                    U[k], U[r] = U[r], U[k]
-                if A[r][j] < 0:
-                    A[r] = [-x for x in A[r]]
-                    U[r] = [-x for x in U[r]]
-                pv = A[r][j]
-                for i in range(r):
-                    q = A[i][j] // pv
-                    if q:
-                        _row_submul(A[i], A[r], q, j, n)
-                        _row_submul(U[i], U[r], q, 0, m)
-                r += 1
-                break
-    return A[:r], U, r
+    return _hermite(mat, True)
 
 
 def pivot_columns(H):

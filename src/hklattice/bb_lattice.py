@@ -292,24 +292,27 @@ def orth_complement_basis(d) -> list[H2Class]:
     return _orth_complement(_as_h2(d))[0]
 
 
-def _orth_complement(dh: H2Class) -> tuple[list[H2Class], list[list[int]]]:
-    """The checked complement basis of ``orth_complement_basis`` and its
-    Gram, built once for the checks and handed to the caller."""
+def _orth_complement(dh: H2Class) -> tuple[list[H2Class], list[list[int]], list[list[int]]]:
+    """The checked complement basis of ``orth_complement_basis``, its Gram
+    g and the inverse U of g, built once for the checks and handed to the
+    caller. The inverse is the unimodularity proof: ``hnf_transform`` gives
+    a unimodular U with U * g = H, and H = I exactly when det g = +-1."""
     if not is_exceptional(dh):
         raise ValueError("complement basis needs an exceptional class")
     basis_rows = kernels.hnf(left_kernel([[x] for x in gram_apply(dh)]))
-    if len(basis_rows) != RANK - 1:
+    k = RANK - 1
+    if len(basis_rows) != k:
         raise ArithmeticError("complement has unexpected rank")
     vecs = [H2Class._of(tuple(row)) for row in basis_rows]
     g = [[bb_form(x, y) for y in vecs] for x in vecs]
-    det = det_int(g)
-    if det not in (1, -1):
-        raise ArithmeticError(f"complement Gram determinant {det}, expected +-1")
-    if any(g[i][i] % 2 for i in range(RANK - 1)):
+    H, U, _ = kernels.hnf_transform(g)
+    if H != [[int(i == j) for j in range(k)] for i in range(k)]:
+        raise ArithmeticError("complement Gram is not unimodular")
+    if any(g[i][i] % 2 for i in range(k)):
         raise ArithmeticError("complement Gram is not even")
     if signature_symmetric(Mat._of(g, 1)) != (3, 19, 0):
         raise ArithmeticError("complement has wrong signature")
-    return vecs, g
+    return vecs, g, U
 
 
 def decompose_even(l0: H2Class, d) -> tuple[H2Class, int]:

@@ -89,19 +89,17 @@ def polarization_kernel(inst: FixInstance) -> list[tuple[int, ...]]:
 class FixSolution:
     """Basis of the fixed space: pairs (C, c0) with C symmetric rational."""
 
-    __slots__ = ("n", "pairs", "dimension", "extra_solutions")
+    __slots__ = ("n", "pairs", "dimension")
 
     def __init__(self, n: int, pairs):
         self.n = n
         self.pairs = list(pairs)
         self.dimension = len(self.pairs)
-        self.extra_solutions = self.dimension > 2
 
     def to_json(self) -> dict:
         return {
             "n": self.n,
             "dimension": self.dimension,
-            "extra_solutions": self.extra_solutions,
             "pairs": [
                 {"C": C.to_json(), "c0": _frac_str(c0)} for C, c0 in self.pairs
             ],

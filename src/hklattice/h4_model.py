@@ -23,7 +23,8 @@ which only normalizes. The torsion quotient is read off the glue code of
 the lattice (its basis rows that are not in Z^276, reduced mod each prime
 of the denominator), with no Smith form; it keeps the pivot columns that
 ``class_of`` reads and the glue combinations that ``lift`` adds, and no
-Fraction lifts. The caches are the Fujiki Gram (one shared
+Fraction lifts; its mod-2 structure maps come from the same reduced
+echelon mod p, ``_reduce_mod``. The caches are the Fujiki Gram (one shared
 integer ``Mat``, whose symmetry check and JSON text are computed once), its
 determinant, and the default lattice and torsion quotient built from the
 distinguished exceptional class. The class q is not cached on its own:
@@ -39,7 +40,6 @@ from collections.abc import Mapping
 from fractions import Fraction
 from math import gcd, lcm
 
-from . import kernels
 from .bb_lattice import (
     GRAM,
     RANK,
@@ -282,26 +282,11 @@ def fujiki_with_product(u: H4Class, a: H2Class, b: H2Class) -> Fraction:
     return Fraction(total, u.den)
 
 
-def _inverse_int_symmetric(rows) -> list[list[int]]:
-    """Inverse of an integer symmetric matrix with det +-1, as integers.
-
-    The row HNF of a unimodular matrix is the identity, so the unimodular
-    transform U with U * rows = H is the inverse; anything else is singular
-    or not unimodular and raises.
-    """
-    n = len(rows)
-    H, U, rank = kernels.hnf_transform(rows)
-    if rank != n or any(H[i][j] != (i == j) for i in range(n) for j in range(n)):
-        raise ArithmeticError("matrix is not unimodular")
-    return U
-
-
 def _complement_data(dh: H2Class):
     """``(abasis, a_gram, b_inv)`` for an exceptional class: the basis of
-    its complement, the Gram A of that basis and the integer inverse B of A,
-    each as tuples."""
-    abasis, a_gram = _orth_complement(dh)
-    b_inv = _inverse_int_symmetric(a_gram)
+    its complement, the Gram A of that basis and the integer inverse B of A
+    (the proof that A is unimodular), each as tuples."""
+    abasis, a_gram, b_inv = _orth_complement(dh)
     return tuple(abasis), tuple(map(tuple, a_gram)), tuple(map(tuple, b_inv))
 
 
@@ -456,13 +441,18 @@ def _squarefree_primes(n: int) -> list[int]:
     return primes
 
 
-def _glue_echelon(glue, p: int) -> list[tuple[int, dict[int, int]]]:
-    """Reduced echelon basis mod p of the F_p-span of the sparse rows
-    ``glue``, as ``(pivot column, combination)`` in ascending pivot column:
-    the basis vector is sum_j combination[j] * glue[j] mod p, it holds 1 at
-    its pivot column and 0 at every other pivot column."""
+def _reduce_mod(rows, p: int):
+    """``(basis, relations)`` of the sparse integer rows ``rows`` mod p.
+
+    ``basis`` is the reduced echelon basis of their F_p-span as ``(pivot
+    column, combination)`` in ascending pivot column: the basis vector is
+    sum_j combination[j] * rows[j] mod p, 1 at its pivot column and 0 at
+    every other. ``relations`` are the combinations recorded for the rows
+    that reduce to zero (1 at that row, else only earlier rows): a basis of
+    the left kernel mod p."""
     basis: list[tuple[int, dict[int, int], dict[int, int]]] = []
-    for j, row in enumerate(glue):
+    relations: list[dict[int, int]] = []
+    for j, row in enumerate(rows):
         vec = {c: x % p for c, x in row if x % p}
         comb = {j: 1}
         for c, bvec, bcomb in basis:
@@ -471,6 +461,7 @@ def _glue_echelon(glue, p: int) -> list[tuple[int, dict[int, int]]]:
                 _axpy_mod(vec, bvec, -f, p)
                 _axpy_mod(comb, bcomb, -f, p)
         if not vec:
+            relations.append(comb)
             continue
         c = min(vec)
         inv = pow(vec[c], -1, p)
@@ -482,7 +473,7 @@ def _glue_echelon(glue, p: int) -> list[tuple[int, dict[int, int]]]:
                 _axpy_mod(bvec, vec, -f, p)
                 _axpy_mod(bcomb, comb, -f, p)
         basis.append((c, vec, comb))
-    return sorted((c, comb) for c, _, comb in basis)
+    return sorted((c, comb) for c, _, comb in basis), relations
 
 
 def _axpy_mod(y: dict[int, int], x: dict[int, int], a: int, p: int) -> None:
@@ -515,8 +506,8 @@ class TorsionQuotient:
     F_p^(r_p), r_p = dim W_p, which is the sum of Z/d_t over the invariant
     factors d_t = prod of the p with r_p >= m - t, for t = 0 .. m - 1 and
     m the largest r_p. ``__init__`` keeps a reduced echelon basis of each
-    W_p (r_2 = 23 and r_5 = 1 give (Z/2)^22 x Z/10); prime p fills the last
-    r_p positions. ``class_of`` checks membership with the lattice, reads
+    W_p (r_2 = 23 and r_5 = 1 give (Z/2)^22 x Z/10), by the reduction mod p
+    that also gives the mod-2 maps; prime p fills the last r_p positions. ``class_of`` checks membership with the lattice, reads
     the pivot entries of den * v mod p (the coordinates in a reduced basis
     of a vector of W_p) and combines them by CRT; ``lift`` combines glue
     rows. The constructor certifies the result: den is squarefree,
@@ -533,7 +524,7 @@ class TorsionQuotient:
         den = lat.den
         primes = _squarefree_primes(den)
         glue = [row for row in lat._sparse if any(x % den for _, x in row)]
-        echelons = [_glue_echelon(glue, p) for p in primes]
+        echelons = [_reduce_mod(glue, p)[0] for p in primes]
         m = max(map(len, echelons), default=0)
         moduli = [1] * m
         # per position: (pivot column, CRT weight e_p) of each prime there
@@ -645,7 +636,7 @@ class TorsionQuotient:
         kernel size is (product of d_i/2) * 2^(moduli count - F2 rank).
         """
         m = self.delta_pairing_matrix()
-        r = len(m) - len(_f2_nullspace(m))
+        r = len(_reduce_mod(_sparse_rows(m), 2)[0])
         half_product = 1
         for d in self.moduli:
             if d % 2:
@@ -657,8 +648,8 @@ class TorsionQuotient:
         """Basis of {a mod 2 : a*(a-d)/2 reduces to 0 in the quotient}.
 
         The images are 2-torsion, so after identifying the 2-torsion
-        subgroup with an F2 space this is an F2 nullspace computation over
-        the 23 basis classes.
+        subgroup with an F2 space these are the relations mod 2 among the
+        images of the 23 basis classes, as dense 0/1 tuples.
         """
         rows = []
         for k in range(RANK):
@@ -670,7 +661,8 @@ class TorsionQuotient:
                     raise ArithmeticError("half-product image is not 2-torsion")
                 row.append((a // half) % 2)
             rows.append(row)
-        return _f2_nullspace(rows)
+        _, relations = _reduce_mod(_sparse_rows(rows), 2)
+        return [tuple(rel.get(k, 0) for k in range(RANK)) for rel in relations]
 
     def subgroup(self, elements) -> FiniteAbelianGroup:
         """Abstract structure of the subgroup generated by residue tuples."""
@@ -705,26 +697,6 @@ def default_torsion_quotient() -> TorsionQuotient:
     return _DEFAULT_TQ
 
 
-def _f2_nullspace(rows: list[list[int]]) -> list[tuple[int, ...]]:
-    """Basis of {x : x * rows = 0 over F2}: left nullspace of the matrix."""
-    m = len(rows)
-    aug = []
-    for i in range(m):
-        aug.append([x & 1 for x in rows[i]] + [int(k == i) for k in range(m)])
-    n = len(rows[0])
-    rank = 0
-    for col in range(n):
-        piv = next((r for r in range(rank, m) if aug[r][col]), None)
-        if piv is None:
-            continue
-        aug[rank], aug[piv] = aug[piv], aug[rank]
-        for r in range(m):
-            if r != rank and aug[r][col]:
-                aug[r] = [(a + b) & 1 for a, b in zip(aug[r], aug[rank])]
-        rank += 1
-    return [tuple(row[n:]) for row in aug[rank:]]
-
-
 def double_cover_sym2_matrix() -> Mat:
     """The 276x276 change-of-basis matrix of the double-cover comparison.
 
@@ -734,9 +706,10 @@ def double_cover_sym2_matrix() -> Mat:
     determinant, 5*2^45, is the index computation for the quotient group of
     the double cover.
     """
-    k = RANK - 1
-    a_rows = [list(GRAM[i][:k]) for i in range(k)]
-    b_rows = _inverse_int_symmetric(a_rows)
+    # the complement of delta0 is e_0..e_21, so its Gram is GRAM's leading
+    # 22x22 block
+    _, a_rows, b_rows = _orth_complement(delta0())
+    k = len(a_rows)
     n = AMBIENT
     pairs = [(i, j) for i in range(k) for j in range(i + 1, k)]
     m = [[0] * n for _ in range(n)]

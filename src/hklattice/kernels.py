@@ -3,7 +3,9 @@
 The library calls ``hnf``, ``hnf_transform``, ``snf_diagonal`` and
 ``solve_left_int_row`` (lattice membership and coordinates).
 ``hnf_transform`` has two callers: ``exact_linalg.left_kernel`` (every
-saturated left kernel) and ``h4_model._inverse_int_symmetric``.
+saturated left kernel) and ``bb_lattice._orth_complement``, whose
+transform of the complement Gram is both its inverse and the proof that it
+is unimodular. ``hnf`` and ``hnf_transform`` share one Hermite reduction.
 ``snf_diagonal`` serves ``exact_linalg.quotient_invariants``. Saturation is
 ``exact_linalg.saturation_int`` (congruences on the HNF) and the degree-4
 torsion quotient is read off a glue code, so ``smith_normal_form`` with its

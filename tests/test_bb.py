@@ -6,9 +6,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hklattice.bb_lattice import (
+    GRAM,
     RANK,
     ExceptionalClass,
     H2Class,
+    _orth_complement,
     ambient_lattice,
     bb_form,
     decompose_even,
@@ -132,6 +134,12 @@ class TestComplement:
         assert signature_symmetric(g) == (3, 19, 0)
         for x in basis:
             assert bb_form(x, delta0()) == 0
+
+    def test_complement_of_delta0_is_the_leading_block(self):
+        # double_cover_sym2_matrix reads its Gram block and inverse from here
+        basis, g, _ = _orth_complement(delta0())
+        assert basis == [H2Class.basis_vector(i) for i in range(RANK - 1)]
+        assert g == [list(row[: RANK - 1]) for row in GRAM[: RANK - 1]]
 
     def test_complement_of_sampled_exceptional(self, rng):
         d = sample_exceptional(rng)

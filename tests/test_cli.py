@@ -1,9 +1,13 @@
 """Command-line harness: suite reports, queries, samples, searches, exit
 codes, and reproducibility of JSON output."""
 
+import contextlib
+import io
 import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hklattice import cli, deformation_fix
 
@@ -243,6 +247,67 @@ class TestSample:
         assert code == 2
         assert out == ""
         assert err.startswith("error:") and len(err.strip().splitlines()) == 1
+
+
+_small = st.integers(-3, 3)
+_junk = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.integers(-(10**6), 10**6),
+    st.text(max_size=4),
+)
+_vector = st.one_of(
+    # on the first hyperbolic pair: square 2xy, often positive
+    st.builds(lambda x, y: [x, y] + [0] * 21, _small, _small),
+    st.lists(_small, min_size=23, max_size=23),
+    st.lists(st.one_of(_small, _junk), max_size=24),
+    _junk,
+)
+_monomial_key = st.one_of(
+    st.sampled_from(["(0,0)", "(0,22)", "(3,7)", "(22,22)", " (1,2) "]),
+    st.sampled_from(["(1,0)", "(0,23)", "(0, 0)", "0,0", "(-1,2)", "(a,b)", ""]),
+    st.text(max_size=6),
+)
+_value = st.one_of(_small, st.sampled_from(["1/2", "-3/10", "1/0", "0.1", "x"]), _junk)
+_payload = st.one_of(
+    st.fixed_dictionaries({"named": st.sampled_from(["v0", "q", "c2", "two-fifths-q"])}),
+    st.fixed_dictionaries({"lambda0": _vector}),
+    st.fixed_dictionaries(
+        {},
+        optional={
+            "named": st.one_of(st.sampled_from(["v0", "q", "c2", "two-fifths-q", "zzz"]), _junk),
+            "class": st.one_of(st.dictionaries(_monomial_key, _value, max_size=4), _junk),
+            "lambda0": _vector,
+            "plus_two_fifths_q": _junk,
+            "picard": st.one_of(st.lists(_vector, max_size=2), _junk),
+        },
+    ),
+    _junk,
+    st.lists(_small, max_size=3),
+)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    kind=st.sampled_from(["membership", "divisibility", "vlambda", "minimal-search"]),
+    payload=_payload,
+    as_json=st.booleans(),
+)
+def test_query_payload_fuzz(kind, payload, as_json):
+    """Any payload either answers (exit 0) or is a payload error (exit 2,
+    one ``error:`` line on stderr); no exception escapes ``cli.main``."""
+    argv = ["query", kind, f"--payload={json.dumps(payload)}"] + (["--json"] if as_json else [])
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.main(argv)
+    assert code in (0, 2)
+    if code == 2:
+        assert out.getvalue() == ""
+        lines = err.getvalue().splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error:")
+    else:
+        json.loads(out.getvalue())
 
 
 class TestSearch:

@@ -64,7 +64,6 @@ class TestSolve:
         inst = FixInstance(Mat.identity(2), [1, 0])
         sol = solve_fixed_space(inst)
         assert sol.dimension == 2
-        assert not sol.extra_solutions
         assert verify_generators(sol, inst)
 
     def test_expected_generators_satisfy_system(self):

@@ -1,6 +1,7 @@
 """Degree-4 model: monomial indexing, the intersection form, the integral
 lattice and its finite quotient."""
 
+import itertools
 from fractions import Fraction
 
 import pytest
@@ -17,10 +18,11 @@ from hklattice.bb_lattice import (
     sample_exceptional,
     sample_primitive,
 )
-from hklattice.exact_linalg import divisibility, sublattice_index
+from hklattice.exact_linalg import _sparse_rows, divisibility, sublattice_index
 from hklattice.h4_model import (
     AMBIENT,
     H4Class,
+    _reduce_mod,
     bb_inverse_class,
     build_h4_lattice,
     double_cover_sym2_matrix,
@@ -221,10 +223,50 @@ class TestTorsionQuotient:
             assert tq.scale(2, t) == tq.zero()
 
     def test_pairing_matrix_full_rank(self, tq):
-        from hklattice.h4_model import _f2_nullspace
+        basis, relations = _reduce_mod(_sparse_rows(tq.delta_pairing_matrix()), 2)
+        assert len(basis) == RANK
+        assert relations == []
 
-        m = tq.delta_pairing_matrix()
-        assert len(m) - len(_f2_nullspace(m)) == RANK
+
+def _mod_matrix(p):
+    return st.integers(1, 5 if p == 2 else 4).flatmap(
+        lambda m: st.integers(1, 5).flatmap(
+            lambda n: st.lists(
+                st.lists(st.integers(-2 * p, 2 * p), min_size=n, max_size=n),
+                min_size=m,
+                max_size=m,
+            )
+        )
+    )
+
+
+@pytest.mark.parametrize("p", [2, 5])
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_reduce_mod_relations_span_the_left_kernel(p, data):
+    rows = data.draw(_mod_matrix(p))
+    m, n = len(rows), len(rows[0])
+    basis, relations = _reduce_mod(_sparse_rows(rows), p)
+
+    def combine(comb):
+        return [sum(a * rows[j][c] for j, a in comb.items()) % p for c in range(n)]
+
+    assert len(basis) + len(relations) == m
+    pivots = [c for c, _ in basis]
+    assert pivots == sorted(set(pivots))
+    for c, comb in basis:
+        vec = combine(comb)
+        assert [vec[k] for k in pivots] == [int(k == c) for k in pivots]
+    for rel in relations:
+        assert any(rel.values())
+        assert not any(combine(rel))
+    # brute force: the relations are independent and span the left kernel,
+    # so the vanishing combinations number p^(number of relations)
+    vanishing = sum(
+        not any(combine(dict(enumerate(x))))
+        for x in itertools.product(range(p), repeat=m)
+    )
+    assert vanishing == p ** len(relations)
 
 
 def test_double_cover_determinant():

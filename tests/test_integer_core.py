@@ -12,13 +12,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from hklattice import bb_lattice
 from hklattice.bb_lattice import (
     GRAM,
     ExceptionalClass,
+    _orth_complement,
     bb_form,
     delta0,
     gram_mat,
-    orth_complement_basis,
     sample_exceptional,
     sample_polarization_even,
     sample_polarization_odd,
@@ -39,7 +40,6 @@ from hklattice.exact_linalg import (
 )
 from hklattice.h4_model import (
     AMBIENT,
-    _inverse_int_symmetric,
     bb_inverse_class,
     fujiki_mat,
     h4_span,
@@ -194,12 +194,21 @@ def test_default_q_cached_and_sampled_q_rebuilt(h4):
     assert bb_inverse_class(sample_exceptional(random.Random(8))) == q
 
 
-def test_integer_inverse_of_unimodular_matrix():
-    basis = orth_complement_basis(delta0())
-    g = [[bb_form(x, y) for y in basis] for x in basis]
-    assert _inverse_int_symmetric(g) == Mat(g).inverse().int_rows()
-    with pytest.raises(ArithmeticError):
-        _inverse_int_symmetric([[2, 0], [0, 1]])
+def test_integer_inverse_of_unimodular_matrix(monkeypatch):
+    # the complement Gram's unimodularity proof is its integer inverse U:
+    # U * g = I, and U agrees with the rational inverse
+    basis, g, U = _orth_complement(delta0())
+    assert g == [[bb_form(x, y) for y in basis] for x in basis]
+    k = len(g)
+    assert [
+        [sum(U[i][t] * g[t][j] for t in range(k)) for j in range(k)] for i in range(k)
+    ] == [[int(i == j) for j in range(k)] for i in range(k)]
+    assert U == Mat(g).inverse().int_rows()
+    # a Gram that is not unimodular has no integer inverse and raises
+    form = bb_lattice.bb_form
+    monkeypatch.setattr(bb_lattice, "bb_form", lambda x, y: 2 * form(x, y))
+    with pytest.raises(ArithmeticError, match="not unimodular"):
+        _orth_complement(delta0())
 
 
 def test_strict_number_parsers():

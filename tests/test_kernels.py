@@ -162,6 +162,20 @@ def test_hnf_preserves_row_lattice(mat):
     assert kernels.hnf(mat + H) == H
 
 
+@settings(max_examples=60, deadline=None)
+@given(small_matrix())
+def test_hnf_transform_is_hnf_with_unimodular_u(mat):
+    # the transform branch of the shared Hermite loop: U is unimodular and
+    # U * A is hnf(A) stacked over zero rows
+    H, U, rank = kernels.hnf_transform(mat)
+    assert H == kernels.hnf(mat)
+    assert rank == len(H)
+    assert abs(kernels.det_bareiss(U)) == 1
+    prod = [[sum(u * row[j] for u, row in zip(urow, mat)) for j in range(len(mat[0]))] for urow in U]
+    assert prod[:rank] == H
+    assert not any(any(row) for row in prod[rank:])
+
+
 @settings(max_examples=40, deadline=None)
 @given(st.integers(1, 4).flatmap(lambda n: st.lists(st.lists(small_entry, min_size=n, max_size=n), min_size=n, max_size=n)))
 def test_det_matches_fraction_elimination(mat):
