@@ -5,8 +5,10 @@ pass/fail per check; ``query`` answers one-off lattice questions from a JSON
 payload; ``sample`` emits seeded random classes that pass their validating
 predicates; ``search`` runs the combination search. Reports are JSON
 (canonical, deterministic for a fixed seed except the elapsed_ms field) or
-a plain-text table. Exit codes: 0 all checks pass, 1 any check failed,
-2 usage or payload errors.
+a plain-text table. Each check runs on its own: an exception inside one is
+that check's ``error`` status, and the others still run. Exit codes: 0 all
+checks pass, 1 any check failed or raised, 2 argv or payload errors found
+before any computation (one ``error:`` line on stderr).
 
 All randomness flows through ``random.Random(seed)`` (the standard
 Mersenne-Twister); a fixed seed reproduces every sampled class, and thus the
@@ -18,9 +20,11 @@ from __future__ import annotations
 import argparse
 import json
 import random
+import re
 import sys
 import time
 from fractions import Fraction
+from functools import cache
 
 from .bb_lattice import (
     RANK,
@@ -69,6 +73,7 @@ from .h4_model import (
     default_torsion_quotient,
     double_cover_sym2_matrix,
     fujiki_det,
+    fujiki_pair,
     fujiki_with_product,
     h4_span,
     half_product_class,
@@ -87,351 +92,252 @@ from .hodge_classes import (
 )
 
 SCHEMA_VERSION = "1"
-SUITES = (
-    "h4-torsion",
-    "minimal-class",
-    "even-odd",
-    "cubic",
-    "deformation",
-    "blowup",
-    "t4-structure",
-    "all",
-)
 
 
-class _Checks:
-    def __init__(self, prefix: str = ""):
-        self.prefix = prefix
-        self.items: list[dict] = []
+def _check(name: str, expected, thunk, anchor: str) -> dict:
+    """Evaluate one check. An exception from its thunk is status ``"error"``
+    with ``"<Type>: <message>"`` as the actual value, so one failing
+    computation never hides the other checks."""
+    e = str(expected)
+    try:
+        a = str(thunk())
+    except Exception as exc:
+        status, a = "error", f"{type(exc).__name__}: {exc}"
+    else:
+        status = "pass" if e == a else "fail"
+    return {"name": name, "status": status, "expected": e, "actual": a, "anchor": anchor}
 
-    def add(self, name, expected, actual, anchor):
-        e, a = str(expected), str(actual)
-        self.items.append(
-            {
-                "name": self.prefix + name,
-                "status": "pass" if e == a else "fail",
-                "expected": e,
-                "actual": a,
-                "anchor": anchor,
-            }
-        )
+
+def _tally(n: int, trial) -> int:
+    """How many of trial(0), ..., trial(n - 1) hold. Every trial runs, in
+    order, so a sampled trial draws the same numbers whatever the others
+    answered."""
+    return sum(1 for k in range(n) if trial(k))
 
 
 # ---------------------------------------------------------------------------
-# suites
+# suites: each returns its checks (name, expected, thunk, anchor) in the
+# order they run. Thunks draw from rng in that order, and shared work sits in
+# helpers memoized for one run.
 
 
-def _suite_h4_torsion(ck: _Checks, rng: random.Random, trials: int | None):
-    h4 = default_h4_lattice()
-    tq = default_torsion_quotient()
-    # TorsionQuotient proves its group order equal to this index when built
-    ck.add(
-        "index_sym2_in_L",
-        5 * 2**23,
-        tq.order(),
-        "index of the monomial lattice in the full degree-4 lattice",
-    )
-    facs = tq.group.invariant_factors
-    ck.add(
-        "invariant_factors",
-        "2^22,10",
-        f"2^{sum(1 for f in facs if f == 2)},{facs[-1]}" if facs else "none",
-        "invariant factors of the degree-4 quotient group",
-    )
-    ck.add(
-        "gram_det_abs",
-        1,
-        abs(h4.gram_det()),
-        "unimodularity of the full degree-4 lattice",
-    )
-    ck.add(
-        "fujiki_gram_det_abs",
-        25 * 2**46,
-        abs(fujiki_det()),
-        "determinant of the monomial intersection Gram",
-    )
-    ck.add(
-        "det_double_cover",
-        5 * 2**45,
-        double_cover_sym2_matrix().det(),
-        "determinant of the double-cover comparison matrix",
-    )
-    d2 = sample_exceptional(rng)
-    ck.add(
-        "delta_independence",
-        True,
-        build_h4_lattice(d2) == h4,
-        "the degree-4 lattice does not depend on the exceptional class",
-    )
-    rep = verify_cup_product_table(h4)
-    ck.add(
-        "cup_product_table",
-        "all_ok",
-        "all_ok" if all(rep.values()) else ",".join(k for k, v in rep.items() if not v),
-        "closed-form product table over the dictionary basis",
-    )
+def _suite_h4_torsion(rng: random.Random, trials: int | None, convention: str):
+    tq = default_torsion_quotient
+
+    def invariant_factors():
+        facs = tq().group.invariant_factors
+        return f"2^{sum(1 for f in facs if f == 2)},{facs[-1]}" if facs else "none"
+
+    def cup_product_table():
+        rep = verify_cup_product_table(default_h4_lattice())
+        return "all_ok" if all(rep.values()) else ",".join(k for k, v in rep.items() if not v)
+
+    return [
+        # TorsionQuotient proves its group order equal to this index when built
+        ("index_sym2_in_L", 5 * 2**23, lambda: tq().order(),
+         "index of the monomial lattice in the full degree-4 lattice"),
+        ("invariant_factors", "2^22,10", invariant_factors,
+         "invariant factors of the degree-4 quotient group"),
+        ("gram_det_abs", 1, lambda: abs(default_h4_lattice().gram_det()),
+         "unimodularity of the full degree-4 lattice"),
+        ("fujiki_gram_det_abs", 25 * 2**46, lambda: abs(fujiki_det()),
+         "determinant of the monomial intersection Gram"),
+        ("det_double_cover", 5 * 2**45, lambda: double_cover_sym2_matrix().det(),
+         "determinant of the double-cover comparison matrix"),
+        ("delta_independence", True,
+         lambda: build_h4_lattice(sample_exceptional(rng)) == default_h4_lattice(),
+         "the degree-4 lattice does not depend on the exceptional class"),
+        ("cup_product_table", "all_ok", cup_product_table,
+         "closed-form product table over the dictionary basis"),
+    ]
 
 
-def _suite_t4_structure(ck: _Checks, rng: random.Random, trials: int | None):
-    tq = default_torsion_quotient()
-    p = tq.point_image()
-    ck.add("point_class_order", 10, tq.element_order(p), "order of the point class in the quotient")
-    w0 = tq.order5_generator()
-    ck.add("order5_element_order", 5, tq.element_order(w0), "order of twice the point class")
-    ck.add(
-        "order5_subgroup",
-        "(5,)",
-        tq.subgroup([w0]).invariant_factors,
-        "subgroup generated by twice the point class",
-    )
-    ck.add(
-        "psi_kernel_order",
-        5,
-        tq.delta_pairing_kernel_order(),
-        "kernel size of the mod-2 pairing on the quotient",
-    )
-    ck.add(
-        "psi_kills_order5",
-        (0,) * RANK,
-        tq.delta_pairing_mod2(w0),
-        "the mod-2 pairing vanishes on the order-5 subgroup",
-    )
-    ker = tq.half_product_kernel_mod2()
-    expect = (tuple(c % 2 for c in tq.h4.delta_used.h2.coords),)
-    ck.add(
-        "half_product_kernel_mod2",
-        expect,
-        tuple(ker),
-        "kernel of the half-product reduction is {0, exceptional}",
-    )
-    good = 0
-    for k in range(RANK):
-        img = tq.half_product_image(H2Class.basis_vector(k))
-        row = tq.delta_pairing_mod2(img)
-        want = tuple(
-            bb_form(H2Class.basis_vector(k), H2Class.basis_vector(j)) % 2
-            for j in range(RANK)
-        )
-        if row == want:
-            good += 1
-    ck.add(
-        "pairing_after_half_product",
-        f"{RANK}/{RANK}",
-        f"{good}/{RANK}",
-        "mod-2 pairing after half-product equals the form mod 2",
-    )
-    ok = 0
+def _suite_t4_structure(rng: random.Random, trials: int | None, convention: str):
+    tq = default_torsion_quotient
+    w0 = cache(lambda: tq().order5_generator())
     n = trials or 10
-    for _ in range(n):
+
+    def pairing_after_half_product(k):
+        e = H2Class.basis_vector
+        row = tq().delta_pairing_mod2(tq().half_product_image(e(k)))
+        return row == tuple(bb_form(e(k), e(j)) % 2 for j in range(RANK))
+
+    def additive_2torsion(_):
         a = sample_primitive(rng)
         b = sample_primitive(rng)
-        lhs = tq.half_product_image(a + b)
-        rhs = tq.add(tq.half_product_image(a), tq.half_product_image(b))
-        if lhs == rhs and tq.scale(2, rhs) == tq.zero():
-            ok += 1
-    ck.add(
-        "half_product_additive_2torsion",
-        f"{n}/{n}",
-        f"{ok}/{n}",
-        "half-product reduction is additive with 2-torsion values",
-    )
+        lhs = tq().half_product_image(a + b)
+        rhs = tq().add(tq().half_product_image(a), tq().half_product_image(b))
+        return lhs == rhs and tq().scale(2, rhs) == tq().zero()
+
+    return [
+        ("point_class_order", 10, lambda: tq().element_order(tq().point_image()),
+         "order of the point class in the quotient"),
+        ("order5_element_order", 5, lambda: tq().element_order(w0()),
+         "order of twice the point class"),
+        ("order5_subgroup", "(5,)", lambda: tq().subgroup([w0()]).invariant_factors,
+         "subgroup generated by twice the point class"),
+        ("psi_kernel_order", 5, lambda: tq().delta_pairing_kernel_order(),
+         "kernel size of the mod-2 pairing on the quotient"),
+        ("psi_kills_order5", (0,) * RANK, lambda: tq().delta_pairing_mod2(w0()),
+         "the mod-2 pairing vanishes on the order-5 subgroup"),
+        ("half_product_kernel_mod2", (tuple(c % 2 for c in delta0().coords),),
+         lambda: tuple(tq().half_product_kernel_mod2()),
+         "kernel of the half-product reduction is {0, exceptional}"),
+        ("pairing_after_half_product", f"{RANK}/{RANK}",
+         lambda: f"{_tally(RANK, pairing_after_half_product)}/{RANK}",
+         "mod-2 pairing after half-product equals the form mod 2"),
+        ("half_product_additive_2torsion", f"{n}/{n}",
+         lambda: f"{_tally(n, additive_2torsion)}/{n}",
+         "half-product reduction is additive with 2-torsion values"),
+    ]
 
 
-def _suite_minimal_class(ck: _Checks, rng: random.Random, trials: int | None):
-    h4 = default_h4_lattice()
+def _suite_minimal_class(rng: random.Random, trials: int | None, convention: str):
+    h4 = default_h4_lattice
     e1, f1 = hyperbolic_pair(0)
     u = e1 + f1
-    T1 = transcendental(PicardData.rank_one(u))
-    ck.add(
-        "functional_on_q_scaled",
-        10,
-        minimality_scalar(Fraction(2, 5) * h4.q, T1),
-        "the canonical dual class pairs with multiplier 10 after scaling by 2/5",
-    )
-    ck.add(
-        "functional_on_square",
-        bb_form(u, u),
-        minimality_scalar(sym2_embed(u, u), T1),
-        "the square of the polarization pairs with its own square",
-    )
+    T1 = cache(lambda: transcendental(PicardData.rank_one(u)))
     n = trials or 20
-    bad = []
-    for k in range(n):
+
+    def infeasible_with_even_image(k):
         l0 = sample_polarization_odd(rng) if k % 2 else sample_polarization_even(rng, True)
-        rep = minimal_class_search(PicardData.rank_one(l0), h4)
-        if rep.feasible or rep.image_generator % 2 != 0:
-            bad.append(list(l0.coords))
-    ck.add(
-        "rank1_assumption_infeasible",
-        f"{n}/{n} infeasible with even image",
-        f"{n - len(bad)}/{n} infeasible with even image",
-        "no minimal class over rank-1 algebraic data under the side condition",
-    )
-    l0e = 2 * u + delta0()
-    pd = PicardData.from_vectors([delta0().coords, u.coords], l0e)
-    rep = minimal_class_search(pd, h4)
-    wit_ok = (
-        rep.feasible
-        and rep.image_generator == 1
-        and rep.witness is not None
-        and minimality_scalar(rep.witness, transcendental(pd)) == 1
-        and h4.contains(rep.witness)
-    )
-    ck.add(
-        "positive_control_witness",
-        True,
-        wit_ok,
-        "rank-2 algebraic data containing the exceptional class admits m = 1",
-    )
+        rep = minimal_class_search(PicardData.rank_one(l0), h4())
+        return not rep.feasible and rep.image_generator % 2 == 0
+
+    def positive_control_witness():
+        pd = PicardData.from_vectors([delta0().coords, u.coords], 2 * u + delta0())
+        rep = minimal_class_search(pd, h4())
+        return (
+            rep.feasible
+            and rep.image_generator == 1
+            and rep.witness is not None
+            and minimality_scalar(rep.witness, transcendental(pd)) == 1
+            and h4().contains(rep.witness)
+        )
+
+    return [
+        ("functional_on_q_scaled", 10,
+         lambda: minimality_scalar(Fraction(2, 5) * h4().q, T1()),
+         "the canonical dual class pairs with multiplier 10 after scaling by 2/5"),
+        # b(u, u) = 2 for u = e1 + f1
+        ("functional_on_square", 2, lambda: minimality_scalar(sym2_embed(u, u), T1()),
+         "the square of the polarization pairs with its own square"),
+        ("rank1_assumption_infeasible", f"{n}/{n} infeasible with even image",
+         lambda: f"{_tally(n, infeasible_with_even_image)}/{n} infeasible with even image",
+         "no minimal class over rank-1 algebraic data under the side condition"),
+        ("positive_control_witness", True, positive_control_witness,
+         "rank-2 algebraic data containing the exceptional class admits m = 1"),
+    ]
 
 
-def _suite_even_odd(ck: _Checks, rng: random.Random, trials: int | None):
-    h4 = default_h4_lattice()
-    tq = default_torsion_quotient()
+def _suite_even_odd(rng: random.Random, trials: int | None, convention: str):
+    h4 = default_h4_lattice
+    tfq = cache(lambda: Fraction(2, 5) * h4().q)
+    e1, f1 = hyperbolic_pair(0)
+    odd, even = e1 + f1, 2 * (e1 + f1) + delta0()
     n = trials or 40
-    agree = 0
-    for k in range(n):
-        if k % 4 == 0:
-            l0 = sample_polarization_even(rng, bool(k % 8))
-        else:
-            l0 = sample_primitive(rng)
-        preds = even_class_predicates(l0, tq)
-        if len(set(preds.values())) == 1:
-            agree += 1
-    ck.add(
-        "sextuple_agreement",
-        f"{n}/{n}",
-        f"{agree}/{n}",
-        "six characterizations of evenness agree on sampled primitive classes",
-    )
     m = max(4, (trials or 20) // 2)
-    ok = 0
-    tfq = Fraction(2, 5) * h4.q
-    for _ in range(m):
-        l0 = sample_polarization_odd(rng)
-        V = canonical_hodge_lattice(l0, h4)
-        if V == h4_span([sym2_embed(l0, l0), tfq]):
-            ok += 1
-    ck.add(
-        "v_structure_odd",
-        f"{m}/{m}",
-        f"{ok}/{m}",
-        "odd polarization: integral span generated by the square and (2/5)q",
-    )
-    ok = 0
-    for k in range(m):
-        l0 = sample_polarization_even(rng, bool(k % 2))
-        V = canonical_hodge_lattice(l0, h4)
-        gen2 = Fraction(1, 8) * (sym2_embed(l0, l0) + tfq)
-        if V == h4_span([sym2_embed(l0, l0), gen2]):
-            ok += 1
-    ck.add(
-        "v_structure_even",
-        f"{m}/{m}",
-        f"{ok}/{m}",
-        "even polarization: second generator divides by 8",
-    )
     k = max(5, (trials or 50) // 2)
-    ok = 0
-    for _ in range(k):
+
+    def sextuple_agreement(j):
+        l0 = sample_polarization_even(rng, bool(j % 8)) if j % 4 == 0 else sample_primitive(rng)
+        return len(set(even_class_predicates(l0, default_torsion_quotient()).values())) == 1
+
+    def v_structure_odd(_):
+        l0 = sample_polarization_odd(rng)
+        return canonical_hodge_lattice(l0, h4()) == h4_span([sym2_embed(l0, l0), tfq()])
+
+    def v_structure_even(j):
+        l0 = sample_polarization_even(rng, bool(j % 2))
+        V = canonical_hodge_lattice(l0, h4())
+        return V == h4_span([sym2_embed(l0, l0), Fraction(1, 8) * (sym2_embed(l0, l0) + tfq())])
+
+    def divisibility(_):
         d1 = sample_exceptional(rng)
         d2 = sample_exceptional(rng)
         a = sample_primitive(rng)
-        c1 = all(c % 2 == 0 for c in (d1.h2 - d2.h2).coords)
         sq_diff = sym2_embed(d1.h2, d1.h2) - sym2_embed(d2.h2, d2.h2)
-        c2 = h4.contains(Fraction(1, 8) * sq_diff)
-        c3 = h4.contains(half_product_class(d1, a))
-        if c1 and c2 and c3:
-            ok += 1
-    ck.add(
-        "divisibility_suite",
-        f"{k}/{k}",
-        f"{ok}/{k}",
-        "half differences, eighth square differences, half products all integral",
-    )
-    img_o = hodge_image_in_torsion(hyperbolic_pair(0)[0] + hyperbolic_pair(0)[1], tq)
-    img_e = hodge_image_in_torsion(2 * (hyperbolic_pair(0)[0] + hyperbolic_pair(0)[1]) + delta0(), tq)
-    ck.add(
-        "hodge_image_orders",
-        "(5,)/(10,)",
-        f"{img_o.invariant_factors}/{img_e.invariant_factors}",
-        "torsion image cyclic of order 5 (odd) and 10 (even)",
-    )
-    zo = algebraic_quotient_bound(hyperbolic_pair(0)[0] + hyperbolic_pair(0)[1], h4)
-    ze = algebraic_quotient_bound(2 * (hyperbolic_pair(0)[0] + hyperbolic_pair(0)[1]) + delta0(), h4)
-    ck.add(
-        "z4_quotient_bounds",
-        "(3,)/(24,)",
-        f"{zo.invariant_factors}/{ze.invariant_factors}",
-        "quotient by the two unconditional algebraic classes",
-    )
+        return (
+            all(c % 2 == 0 for c in (d1.h2 - d2.h2).coords)
+            and h4().contains(Fraction(1, 8) * sq_diff)
+            and h4().contains(half_product_class(d1, a))
+        )
+
+    def odd_even(group):
+        return lambda: f"{group(odd).invariant_factors}/{group(even).invariant_factors}"
+
+    return [
+        ("sextuple_agreement", f"{n}/{n}", lambda: f"{_tally(n, sextuple_agreement)}/{n}",
+         "six characterizations of evenness agree on sampled primitive classes"),
+        ("v_structure_odd", f"{m}/{m}", lambda: f"{_tally(m, v_structure_odd)}/{m}",
+         "odd polarization: integral span generated by the square and (2/5)q"),
+        ("v_structure_even", f"{m}/{m}", lambda: f"{_tally(m, v_structure_even)}/{m}",
+         "even polarization: second generator divides by 8"),
+        ("divisibility_suite", f"{k}/{k}", lambda: f"{_tally(k, divisibility)}/{k}",
+         "half differences, eighth square differences, half products all integral"),
+        ("hodge_image_orders", "(5,)/(10,)",
+         odd_even(lambda l0: hodge_image_in_torsion(l0, default_torsion_quotient())),
+         "torsion image cyclic of order 5 (odd) and 10 (even)"),
+        ("z4_quotient_bounds", "(3,)/(24,)", odd_even(lambda l0: algebraic_quotient_bound(l0, h4())),
+         "quotient by the two unconditional algebraic classes"),
+    ]
 
 
-def _suite_cubic(ck: _Checks, rng: random.Random, trials: int | None):
-    h4 = default_h4_lattice()
+def _suite_cubic(rng: random.Random, trials: int | None, convention: str):
+    h4 = default_h4_lattice
     e1, f1 = hyperbolic_pair(0)
     g1 = 2 * (e1 + f1) + delta0()
-    m = build_cubic_model(g1, h4)
-    sq = sym2_embed(g1, g1)
-    from .h4_model import fujiki_pair
-
-    ck.add("g1_fourth_power", 108, fujiki_pair(sq, sq), "fourth power of the degree-2 polarization")
-    ck.add("g2_dot_g1_squared", 45, fujiki_pair(m.g2, sq), "pairing of g2 against the polarization square")
-    ck.add("g2_integral", True, h4.contains(m.g2), "g2 lies in the degree-4 lattice")
-    resid = m.residual_generator()
-    ck.add(
-        "residual_integral_primitive",
-        True,
-        h4.contains(resid) and h4.divisibility(resid) == 1,
-        "(g1^2 - g2)/3 integral and primitive",
-    )
-    ck.add(
-        "lines_basis_equals_v",
-        True,
-        lines_hodge_basis(m) == canonical_hodge_lattice(g1, h4),
-        "g2 and the residual class generate the whole rank-2 integral span",
-    )
-    T = transcendental(PicardData.rank_one(g1))
-    rows = [H2Class._of(r) for r in T.int_basis]
-    bad = 0
-    for _ in range(trials or 20):
-        a, b = rng.choice(rows), rng.choice(rows)
-        if fujiki_with_product(m.g2, a, b) != 0:
-            bad += 1
-    ck.add(
-        "g2_kills_transcendental",
-        "0 nonzero",
-        f"{bad} nonzero",
-        "g2 pairs to zero against transcendental pairs",
-    )
+    sq = cache(lambda: sym2_embed(g1, g1))
+    model = cache(lambda: build_cubic_model(g1, h4()))
+    pfaffian = cache(lambda: pfaffian_check())
+    rows = cache(lambda: [H2Class._of(r) for r in transcendental(PicardData.rank_one(g1)).int_basis])
     n = max(3, (trials or 10) // 2)
-    ok = 0
-    for _ in range(n):
+
+    def residual_integral_primitive():
+        resid = model().residual_generator()
+        return h4().contains(resid) and h4().divisibility(resid) == 1
+
+    def nonzero_on_transcendental(_):
+        a, b = rng.choice(rows()), rng.choice(rows())
+        return fujiki_with_product(model().g2, a, b) != 0
+
+    def sampled_embedding(_):
         g = sample_square6_even(rng)
         try:
-            mm = build_cubic_model(g, h4)
-            if lines_hodge_basis(mm) == canonical_hodge_lattice(g, h4):
-                ok += 1
+            return lines_hodge_basis(build_cubic_model(g, h4())) == canonical_hodge_lattice(g, h4())
         except (ValueError, ArithmeticError):
-            pass
-    ck.add(
-        "sampled_embeddings",
-        f"{n}/{n}",
-        f"{ok}/{n}",
-        "model invariants hold for sampled square-6 even classes",
-    )
-    rep = pfaffian_check()
-    ck.add("pfaffian_lambda0_square", 6, rep["lambda0_square"], "square of 2b - 5d for b of square 14")
-    ck.add("pfaffian_even", True, rep["lambda0_even"], "2b - 5d is even")
-    ck.add("pfaffian_assumption", True, rep["assumption_holds"], "the polarization side condition holds")
-    ck.add("c2_consistency", True, c2_consistency(trials=3, rng=rng), "(1/3) of the degree-4 characteristic class equals (2/5)q")
-    rep1 = minimal_class_search(PicardData.rank_one(g1), h4)
-    ck.add(
-        "lines_rank1_obstruction",
-        "infeasible,2",
-        f"{'infeasible' if not rep1.feasible else 'feasible'},{_frac_str(rep1.image_generator)}",
-        "rank-1 algebraic data on the fourfold of lines has image 2Z",
-    )
+            return False
+
+    def lines_rank1_obstruction():
+        rep = minimal_class_search(PicardData.rank_one(g1), h4())
+        return f"{'infeasible' if not rep.feasible else 'feasible'},{_frac_str(rep.image_generator)}"
+
+    return [
+        ("g1_fourth_power", 108, lambda: fujiki_pair(sq(), sq()),
+         "fourth power of the degree-2 polarization"),
+        ("g2_dot_g1_squared", 45, lambda: fujiki_pair(model().g2, sq()),
+         "pairing of g2 against the polarization square"),
+        ("g2_integral", True, lambda: h4().contains(model().g2), "g2 lies in the degree-4 lattice"),
+        ("residual_integral_primitive", True, residual_integral_primitive,
+         "(g1^2 - g2)/3 integral and primitive"),
+        ("lines_basis_equals_v", True,
+         lambda: lines_hodge_basis(model()) == canonical_hodge_lattice(g1, h4()),
+         "g2 and the residual class generate the whole rank-2 integral span"),
+        ("g2_kills_transcendental", "0 nonzero",
+         lambda: f"{_tally(trials or 20, nonzero_on_transcendental)} nonzero",
+         "g2 pairs to zero against transcendental pairs"),
+        ("sampled_embeddings", f"{n}/{n}", lambda: f"{_tally(n, sampled_embedding)}/{n}",
+         "model invariants hold for sampled square-6 even classes"),
+        ("pfaffian_lambda0_square", 6, lambda: pfaffian()["lambda0_square"],
+         "square of 2b - 5d for b of square 14"),
+        ("pfaffian_even", True, lambda: pfaffian()["lambda0_even"], "2b - 5d is even"),
+        ("pfaffian_assumption", True, lambda: pfaffian()["assumption_holds"],
+         "the polarization side condition holds"),
+        ("c2_consistency", True, lambda: c2_consistency(trials=3, rng=rng),
+         "(1/3) of the degree-4 characteristic class equals (2/5)q"),
+        ("lines_rank1_obstruction", "infeasible,2", lines_rank1_obstruction,
+         "rank-1 algebraic data on the fourfold of lines has image 2Z"),
+    ]
 
 
 def _fixed_space_status(inst: FixInstance) -> str:
@@ -444,122 +350,108 @@ def _fixed_space_status(inst: FixInstance) -> str:
     return f"dim {sol.dimension}, span {'ok' if verify_generators(sol, inst) else 'bad'}"
 
 
-def _suite_deformation(ck: _Checks, rng: random.Random, trials: int | None):
-    ck.add(
-        "hand_instance",
-        "dim 2, span ok",
-        _fixed_space_status(FixInstance(Mat.identity(2), [1, 0])),
-        "two-dimensional fixed space on the 2x2 identity instance",
-    )
+def _suite_deformation(rng: random.Random, trials: int | None, convention: str):
     n = trials or 10
-    ok = 0
-    for _ in range(n):
+
+    def spanned(_):
         inst = random_instance(rng, rng.randint(3, 10))
-        if _fixed_space_status(inst) == "dim 2, span ok":
-            ok += 1
-    ck.add(
-        "random_instances",
-        f"{n}/{n}",
-        f"{ok}/{n}",
-        "fixed space is spanned by the inverse matrix and the outer square",
-    )
-    ck.add(
-        "full_size_instance",
-        "dim 2, span ok",
-        _fixed_space_status(random_instance(rng, 21)),
-        "the 21-variable instance matching the geometric setup",
-    )
+        return _fixed_space_status(inst) == "dim 2, span ok"
+
+    return [
+        ("hand_instance", "dim 2, span ok",
+         lambda: _fixed_space_status(FixInstance(Mat.identity(2), [1, 0])),
+         "two-dimensional fixed space on the 2x2 identity instance"),
+        ("random_instances", f"{n}/{n}", lambda: f"{_tally(n, spanned)}/{n}",
+         "fixed space is spanned by the inverse matrix and the outer square"),
+        ("full_size_instance", "dim 2, span ok",
+         lambda: _fixed_space_status(random_instance(rng, 21)),
+         "the 21-variable instance matching the geometric setup"),
+    ]
 
 
-def _suite_blowup(ck: _Checks, rng: random.Random, trials: int | None, convention: str):
+def _suite_blowup(rng: random.Random, trials: int | None, convention: str):
     U = [[0, 1], [1, 0]]
-    y = FourfoldH4.standard(U, transcendental_rows=[[1, 0]])
-    yp = blowup_h4(y, BlowupCenter.point())
-    g = yp.lattice.gram()
-    ck.add("point_block", -1, g[(2, 2)], "a point contributes an orthogonal square -1 class")
-    yc = blowup_h4(y, BlowupCenter.curve(5))
-    g = yc.lattice.gram()
-    blk = (g[(2, 2)], g[(2, 3)], g[(3, 3)])
-    ck.add("curve_block", (5, -1, 0), tuple(int(x) for x in blk), "a degree-d curve contributes [[d,-1],[-1,0]]")
-    sub = Lattice.from_int_rows([[1, 0]])
-    ys = blowup_h4(y, BlowupCenter.surface(U, transcendental_sub=sub, label="S"))
-    g = ys.lattice.gram()
-    ck.add("surface_block_negated", (0, -1), (int(g[(2, 2)]), int(g[(2, 3)])), "a surface contributes its negated degree-2 Gram")
-    pt_preserved = [list(r) for r in yp.transcendental.basis_rows()] == [
-        list(r) + [Fraction(0)] for r in y.transcendental.basis_rows()
+    y = cache(lambda: FourfoldH4.standard(U, transcendental_rows=[[1, 0]]))
+    yp = cache(lambda: blowup_h4(y(), BlowupCenter.point()))
+    yc = cache(lambda: blowup_h4(y(), BlowupCenter.curve(5)))
+    ys = cache(
+        lambda: blowup_h4(
+            y(),
+            BlowupCenter.surface(U, transcendental_sub=Lattice.from_int_rows([[1, 0]]), label="S"),
+        )
+    )
+    residues = [(e0, e, conv) for conv in ("quadratic", "paper") for e0 in (1, 3, 5) for e in (2, 3, 4)]
+    total = len(residues)
+
+    def gram_entries(fourfold, *entries):
+        g = fourfold().lattice.gram()
+        return tuple(int(g[ij]) for ij in entries)
+
+    def transcendental_invariance():
+        rows = [list(r) for r in y().transcendental.basis_rows()]
+        return (
+            [list(r) for r in yp().transcendental.basis_rows()] == [r + [Fraction(0)] for r in rows]
+            and [list(r) for r in yc().transcendental.basis_rows()] == [r + [Fraction(0)] * 2 for r in rows]
+            and ys().transcendental.rank == 2
+        )
+
+    def search_even_multiplier():
+        r2 = potential_jacobian_search([2], 3)
+        return f"{'empty' if not r2.solutions else 'found'},{'certified' if r2.provably_empty else 'open'}"
+
+    return [
+        ("point_block", -1, lambda: gram_entries(yp, (2, 2))[0],
+         "a point contributes an orthogonal square -1 class"),
+        ("curve_block", (5, -1, 0), lambda: gram_entries(yc, (2, 2), (2, 3), (3, 3)),
+         "a degree-d curve contributes [[d,-1],[-1,0]]"),
+        ("surface_block_negated", (0, -1), lambda: gram_entries(ys, (2, 2), (2, 3)),
+         "a surface contributes its negated degree-2 Gram"),
+        ("transcendental_invariance", True, transcendental_invariance,
+         "points and curves leave the transcendental part unchanged; surfaces add theirs"),
+        ("residue_parity", f"{total}/{total} odd",
+         lambda: f"{_tally(total, lambda k: residue_transform(*residues[k]) % 2 == 1)}/{total} odd",
+         "the residue construction preserves oddness under both conventions"),
+        ("residue_value_3_3", 27 if convention == "quadratic" else 9,
+         lambda: residue_transform(3, 3, convention), "worked value of the selected residue convention"),
+        ("search_unit_multiplier", "[(-1,), (1,)]",
+         lambda: sorted(potential_jacobian_search([1], 1).solutions),
+         "a unit multiplier already gives a minimal combination"),
+        ("search_even_multiplier", "empty,certified", search_even_multiplier,
+         "even multipliers can never combine to 1"),
+        ("rational_map_indices", (-1, 1), rational_map_indices,
+         "bookkeeping indices of the two projection maps"),
+        ("combine_pairing", 5,
+         lambda: combine_pairing(Combination([(1, Correspondence("a", 3)), (1, Correspondence("b", 2))])),
+         "disjoint surfaces combine quadratically"),
     ]
-    cv_preserved = [list(r) for r in yc.transcendental.basis_rows()] == [
-        list(r) + [Fraction(0), Fraction(0)] for r in y.transcendental.basis_rows()
-    ]
-    ck.add(
-        "transcendental_invariance",
-        True,
-        pt_preserved and cv_preserved and ys.transcendental.rank == 2,
-        "points and curves leave the transcendental part unchanged; surfaces add theirs",
-    )
-    total = odd = 0
-    for conv in ("quadratic", "paper"):
-        for e0 in (1, 3, 5):
-            for e in (2, 3, 4):
-                total += 1
-                if residue_transform(e0, e, conv) % 2 == 1:
-                    odd += 1
-    ck.add(
-        "residue_parity",
-        f"{total}/{total} odd",
-        f"{odd}/{total} odd",
-        "the residue construction preserves oddness under both conventions",
-    )
-    ck.add(
-        "residue_value_3_3",
-        27 if convention == "quadratic" else 9,
-        residue_transform(3, 3, convention),
-        "worked value of the selected residue convention",
-    )
-    r1 = potential_jacobian_search([1], 1)
-    ck.add(
-        "search_unit_multiplier",
-        "[(-1,), (1,)]",
-        sorted(r1.solutions),
-        "a unit multiplier already gives a minimal combination",
-    )
-    r2 = potential_jacobian_search([2], 3)
-    ck.add(
-        "search_even_multiplier",
-        "empty,certified",
-        f"{'empty' if not r2.solutions else 'found'},{'certified' if r2.provably_empty else 'open'}",
-        "even multipliers can never combine to 1",
-    )
-    ck.add("rational_map_indices", (-1, 1), rational_map_indices(), "bookkeeping indices of the two projection maps")
-    comb = Combination([(1, Correspondence("a", 3)), (1, Correspondence("b", 2))])
-    ck.add("combine_pairing", 5, combine_pairing(comb), "disjoint surfaces combine quadratically")
+
+
+# the order ``verify all`` runs them in
+_SUITES = {
+    "h4-torsion": _suite_h4_torsion,
+    "t4-structure": _suite_t4_structure,
+    "minimal-class": _suite_minimal_class,
+    "even-odd": _suite_even_odd,
+    "cubic": _suite_cubic,
+    "deformation": _suite_deformation,
+    "blowup": _suite_blowup,
+}
+SUITES = (*_SUITES, "all")
 
 
 def run_suite(suite: str, seed: int, trials: int | None, convention: str) -> dict:
     t0 = time.perf_counter()
-    ck = _Checks()
-    runners = {
-        "h4-torsion": lambda c, r: _suite_h4_torsion(c, r, trials),
-        "t4-structure": lambda c, r: _suite_t4_structure(c, r, trials),
-        "minimal-class": lambda c, r: _suite_minimal_class(c, r, trials),
-        "even-odd": lambda c, r: _suite_even_odd(c, r, trials),
-        "cubic": lambda c, r: _suite_cubic(c, r, trials),
-        "deformation": lambda c, r: _suite_deformation(c, r, trials),
-        "blowup": lambda c, r: _suite_blowup(c, r, trials, convention),
-    }
-    if suite == "all":
-        for name, fn in runners.items():
-            sub = _Checks(prefix=name + ".")
-            fn(sub, random.Random(seed))
-            ck.items.extend(sub.items)
-    else:
-        runners[suite](ck, random.Random(seed))
-    ck.items.sort(key=lambda item: item["name"])
+    checks = []
+    for name in _SUITES if suite == "all" else (suite,):
+        prefix = name + "." if suite == "all" else ""
+        for check_name, expected, thunk, anchor in _SUITES[name](random.Random(seed), trials, convention):
+            checks.append(_check(prefix + check_name, expected, thunk, anchor))
+    checks.sort(key=lambda c: c["name"])
     return {
         "schema_version": SCHEMA_VERSION,
         "suite": suite,
         "seed": seed,
-        "checks": ck.items,
+        "checks": checks,
         "elapsed_ms": int((time.perf_counter() - t0) * 1000),
     }
 
@@ -674,10 +566,9 @@ def _render_text(report: dict) -> str:
     width = max((len(c["name"]) for c in report["checks"]), default=10)
     npass = 0
     for c in report["checks"]:
-        mark = "PASS" if c["status"] == "pass" else "FAIL"
         npass += c["status"] == "pass"
         lines.append(
-            f"{mark}  {c['name']:<{width}}  expected={c['expected']}  actual={c['actual']}"
+            f"{c['status'].upper()}  {c['name']:<{width}}  expected={c['expected']}  actual={c['actual']}"
         )
     lines.append(
         f"suite {report['suite']}: {npass}/{len(report['checks'])} checks passed"
@@ -700,13 +591,29 @@ def _emit(args, obj, is_report: bool) -> int:
     return 0
 
 
+class _Parser(argparse.ArgumentParser):
+    """Reports an argv error as one ``error:`` line on stderr and exit code 2;
+    subparsers are built from the same class."""
+
+    def error(self, message):
+        self.exit(2, f"error: {message}\n")
+
+
+def _integer(text: str) -> int:
+    """An integer in argv: ASCII digits after an optional minus sign, so
+    neither ``1_0`` nor non-ASCII digits are read as a number."""
+    if not re.fullmatch(r"-?[0-9]+", text):
+        raise argparse.ArgumentTypeError(f"not an integer: {text!r}")
+    return int(text)
+
+
 def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--json", action="store_true", help="machine-readable output")
-    common.add_argument("--seed", type=int, default=0, help="PRNG seed (default 0)")
+    common.add_argument("--seed", type=_integer, default=0, help="PRNG seed (default 0)")
     common.add_argument("--out", help="also write the JSON report to this file")
 
-    p = argparse.ArgumentParser(
+    p = _Parser(
         prog="hklattice",
         description="Exact verification of the degree-4 integral lattice model",
     )
@@ -714,7 +621,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     pv = sub.add_parser("verify", parents=[common], help="run a verification suite")
     pv.add_argument("suite", choices=SUITES)
-    pv.add_argument("--trials", type=int, default=None, help="sample count for randomized checks")
+    pv.add_argument("--trials", type=_integer, default=None, help="sample count for randomized checks")
     pv.add_argument(
         "--convention",
         choices=("quadratic", "paper"),
@@ -728,12 +635,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     ps = sub.add_parser("sample", parents=[common], help="seeded random classes")
     ps.add_argument("kind", choices=("exceptional", "polarization-odd", "polarization-even"))
-    ps.add_argument("--count", type=int, default=5)
+    ps.add_argument("--count", type=_integer, default=5)
 
     pr = sub.add_parser("search", parents=[common], help="combination searches")
     pr.add_argument("kind", choices=("jacobian-combos",))
     pr.add_argument("--multipliers", required=True, help="comma-separated integers, e.g. 3,2")
-    pr.add_argument("--bound", type=int, default=3)
+    pr.add_argument("--bound", type=_integer, default=3)
     return p
 
 
@@ -757,10 +664,10 @@ def main(argv=None) -> int:
                 raise ValueError("count must be at least 1")
             return _emit(args, run_sample(args.kind, args.count, args.seed), is_report=False)
         if args.command == "search":
-            mults = [int(x) for x in args.multipliers.split(",") if x.strip()]
+            mults = [_integer(x.strip()) for x in args.multipliers.split(",") if x.strip()]
             res = potential_jacobian_search(mults, args.bound)
             return _emit(args, res.to_json(), is_report=False)
-    except (ValueError, KeyError, TypeError) as exc:
+    except (ValueError, KeyError, TypeError, argparse.ArgumentTypeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     raise AssertionError("unreachable")

@@ -967,8 +967,15 @@ def _bezout(a: int, b: int) -> tuple[int, int]:
 
 def saturation_int(rows) -> list[list[int]]:
     """HNF basis of the saturation (Q-span of the rows) meet Z^n of integer
-    rows, by congruences (Cohen, A Course in Computational Algebraic Number
-    Theory, 2.4); no Smith form and no n x n transform.
+    rows; see ``_saturation_basis``."""
+    S = _saturation_basis(rows)
+    return kernels.hnf(S) if S else []
+
+
+def _saturation_basis(rows) -> list[list[int]]:
+    """A basis, not reduced, of the saturation (Q-span of the rows) meet Z^n
+    of integer rows, by congruences (Cohen, A Course in Computational
+    Algebraic Number Theory, 2.4); no Smith form and no n x n transform.
 
     Let H be the HNF of the rows, of rank k, with pivot columns P, and H_P
     its k x k pivot block: upper triangular with the positive pivots on its
@@ -992,7 +999,7 @@ def saturation_int(rows) -> list[list[int]]:
       of the z that also satisfy this column. The P-columns are 0 mod D
       and need no step.
     * z -> z * A / D is injective (A has rank k), so the rows z * A / D of
-      the final basis are a basis of S, and their HNF is returned.
+      the final basis are a basis of S.
     """
     H = kernels.hnf(rows) if rows else []
     k = len(H)
@@ -1042,7 +1049,7 @@ def saturation_int(rows) -> list[list[int]]:
                 Z[top] = [m * x for x in Z[top]]
     n = len(H[0])
     S = _combine_rows(Z, _sparse_rows(A), n)
-    return kernels.hnf([[x // D for x in r] for r in S])
+    return [[x // D for x in r] for r in S]
 
 
 def saturate_in(sub: Lattice, sup: Lattice) -> Lattice:
@@ -1057,7 +1064,8 @@ def saturate_in(sub: Lattice, sup: Lattice) -> Lattice:
         C.append(sol[1])
     if not C:
         return Lattice._canonicalize(sup.ambient_dim, [], 1, sup.form)
-    den, gens = combine_basis(saturation_int(C), sup)
+    # _canonicalize reduces the lifted rows, so the basis needs no HNF here
+    den, gens = combine_basis(_saturation_basis(C), sup)
     return Lattice._canonicalize(sup.ambient_dim, gens, den, sup.form)
 
 

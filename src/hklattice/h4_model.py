@@ -200,7 +200,7 @@ class H4Class:
             raise ValueError("a degree-4 class is a mapping of monomial keys to values")
         coords = [Fraction(0)] * AMBIENT
         for key, val in obj.items():
-            m = re.fullmatch(r"\((\d+),(\d+)\)", key.strip())
+            m = re.fullmatch(r"\(([0-9]+),([0-9]+)\)", key.strip())
             if not m:
                 raise ValueError(f"bad monomial key {key!r}")
             i, j = int(m.group(1)), int(m.group(2))

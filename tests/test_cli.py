@@ -63,6 +63,46 @@ class TestVerify:
         assert len(bad) == 1
         assert bad[0]["name"] == "rational_map_indices"
 
+    @pytest.mark.parametrize("kind", [ValueError, KeyError, TypeError, ArithmeticError])
+    def test_raising_check_is_an_error_and_the_others_run(self, capsys, monkeypatch, kind):
+        want = cli.run_suite("blowup", seed=0, trials=None, convention="quadratic")["checks"]
+
+        def raising(comb):
+            raise kind("library fault")
+
+        monkeypatch.setattr(cli, "combine_pairing", raising)
+        code, out, _ = _run(capsys, ["verify", "blowup", "--json"])
+        assert code == 1
+        err = f"{kind.__name__}: {kind('library fault')}"
+        assert json.loads(out)["checks"] == [
+            dict(c, status="error", actual=err) if c["name"] == "combine_pairing" else c
+            for c in want
+        ]
+
+        code, out, _ = _run(capsys, ["verify", "blowup"])
+        assert code == 1
+        marks = {line.split()[1]: line.split()[0] for line in out.splitlines()[:-1]}
+        assert marks.pop("combine_pairing") == "ERROR"
+        assert set(marks.values()) == {"PASS"}
+
+    def test_raising_shared_helper_errors_exactly_its_checks(self, monkeypatch):
+        def raising(g1, h4=None):
+            raise RuntimeError("no model")
+
+        monkeypatch.setattr(cli, "build_cubic_model", raising)
+        rep = cli.run_suite("cubic", seed=0, trials=1, convention="quadratic")
+        status = {c["name"]: c["status"] for c in rep["checks"]}
+        users = {
+            "g2_dot_g1_squared",
+            "g2_integral",
+            "residual_integral_primitive",
+            "lines_basis_equals_v",
+            "g2_kills_transcendental",
+            "sampled_embeddings",
+        }
+        assert {n for n, s in status.items() if s == "error"} == users
+        assert {s for n, s in status.items() if n not in users} == {"pass"}
+
     def test_refuted_fixed_space_fails_its_checks(self, capsys, monkeypatch):
         # one structural generator dropped: the kernel is not their span, and
         # every deformation check fails instead of the run ending in an error
@@ -113,6 +153,25 @@ class TestVerify:
         with pytest.raises(SystemExit) as exc:
             cli.main(argv)
         assert exc.value.code == 2
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["query", "membership", "--payload", "-1e+16"],
+        ["verify", "bogus"],
+        ["verify", "blowup", "--seed", "\u0663"],
+        ["sample", "exceptional", "--count", "1_0"],
+    ],
+)
+def test_argv_error_is_one_error_line(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(argv)
+    assert exc.value.code == 2
+    out = capsys.readouterr()
+    assert out.out == ""
+    lines = out.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error:")
 
 
 class TestQuery:
@@ -214,6 +273,9 @@ class TestStrictPayload:
         self._rejected(capsys, "membership", {"class": []})
         self._rejected(capsys, "membership", None)
         self._rejected(capsys, "vlambda", [])
+
+    def test_non_ascii_digits_in_a_monomial_key_rejected(self, capsys):
+        self._rejected(capsys, "membership", {"class": {"(\u0663,\u0663)": "1"}})
 
     def test_exact_numbers_still_accepted(self, capsys):
         code, out, _ = _run(
@@ -321,10 +383,11 @@ class TestSearch:
         assert obj["provably_empty"] is True
 
     def test_multiplier_parse_error(self, capsys):
-        code, _, _ = _run(
-            capsys, ["search", "jacobian-combos", "--multipliers", "2,x"]
-        )
-        assert code == 2
+        for mults in ["2,x", "1_0,\u0663"]:
+            code, out, err = _run(capsys, ["search", "jacobian-combos", "--multipliers", mults])
+            assert code == 2
+            assert out == ""
+            assert err.startswith("error:") and len(err.strip().splitlines()) == 1
 
 
 def test_all_suite_prefixes_names():
