@@ -3,7 +3,9 @@ elimination, triangular solving.
 
 The library's only kernel implementation, in pure Python; callers import
 it through ``hklattice.kernels``. Matrices are sequences of rows of Python
-ints. Inputs are never mutated. Everything is exact: arbitrary-precision
+ints; ``solve_left_int_row`` alone takes the sparse rows of
+``hklattice.exact_linalg`` (per row, its ``(column, value)`` nonzeros).
+Inputs are never mutated. Everything is exact: arbitrary-precision
 integers only, no floating point, no modular shortcuts.
 
 ``det_bareiss``, ``pivot_columns``, ``row_echelon_bareiss`` and
@@ -140,33 +142,30 @@ def pivot_columns(H):
     return pivots
 
 
-def solve_left_int_row(H, pivots, b):
+def solve_left_int_row(rows, b):
     """Integer solution x of ``x * H = b`` for H in row HNF, else None.
 
-    ``pivots`` must be ``pivot_columns(H)``. Returns None when b is not an
-    integer combination of the rows of H.
+    ``rows`` holds the rows of H in sparse form: per row, a tuple of
+    ``(column, value)`` pairs in ascending column order, so the pivot comes
+    first. The forward substitution walks their nonzeros only. Returns None
+    when b is not an integer combination of the rows; with no rows, that is
+    whenever b is nonzero.
     """
     res = list(b)
-    n = len(res)
     x = []
-    for t, p in enumerate(pivots):
+    for row in rows:
+        p, h = row[0]
         v = res[p]
         if v:
-            q, rem = divmod(v, H[t][p])
+            q, rem = divmod(v, h)
             if rem:
                 return None
-            x.append(q)
-            ht = H[t]
-            for c in range(p, n):
-                hv = ht[c]
-                if hv:
-                    res[c] -= q * hv
+            for c, hv in row:
+                res[c] -= q * hv
         else:
-            x.append(0)
-    for v in res:
-        if v:
-            return None
-    return x
+            q = 0
+        x.append(q)
+    return None if any(res) else x
 
 
 def det_bareiss(mat):

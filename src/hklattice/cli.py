@@ -8,7 +8,8 @@ predicates; ``search`` runs the combination search. Reports are JSON
 a plain-text table. Each check runs on its own: an exception inside one is
 that check's ``error`` status, and the others still run. Exit codes: 0 all
 checks pass, 1 any check failed or raised, 2 argv or payload errors found
-before any computation (one ``error:`` line on stderr).
+before any computation (one ``error:`` line on stderr). An ``--out`` file
+that cannot be opened for writing is an argv error: it is opened first.
 
 All randomness flows through ``random.Random(seed)`` (the standard
 Mersenne-Twister); a fixed seed reproduces every sampled class, and thus the
@@ -18,6 +19,7 @@ whole report, byte for byte.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import random
 import re
@@ -577,11 +579,15 @@ def _render_text(report: dict) -> str:
     return "\n".join(lines)
 
 
-def _emit(args, obj, is_report: bool) -> int:
+def _emit(args, out, obj, is_report: bool) -> int:
+    """Print obj (a report as text unless ``--json``) and write its JSON to
+    ``out``, the file opened for ``--out``, when there is one. That file is
+    opened for appending and emptied only here, so a run that stops before
+    its answer leaves an existing file as it was."""
     text = json.dumps(obj, indent=2, sort_keys=True)
-    if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(text + "\n")
+    if out is not None:
+        out.truncate(0)
+        out.write(text + "\n")
     if is_report and not args.json:
         print(_render_text(obj))
     else:
@@ -645,28 +651,37 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
+    try:
+        out = open(args.out, "a") if args.out else contextlib.nullcontext()
+    except OSError as exc:
+        print(f"error: cannot write --out: {exc}", file=sys.stderr)
+        return 2
+    with out as fh:
+        return _run(args, fh)
+
+
+def _run(args, out) -> int:
     try:
         if args.command == "verify":
             if args.trials is not None and args.trials < 1:
                 raise ValueError("trials must be at least 1")
             report = run_suite(args.suite, args.seed, args.trials, args.convention)
-            return _emit(args, report, is_report=True)
+            return _emit(args, out, report, is_report=True)
         if args.command == "query":
             try:
                 payload = json.loads(args.payload)
             except json.JSONDecodeError as exc:
                 raise ValueError(f"payload is not valid JSON: {exc}") from None
-            return _emit(args, run_query(args.kind, payload), is_report=False)
+            return _emit(args, out, run_query(args.kind, payload), is_report=False)
         if args.command == "sample":
             if args.count < 1:
                 raise ValueError("count must be at least 1")
-            return _emit(args, run_sample(args.kind, args.count, args.seed), is_report=False)
+            return _emit(args, out, run_sample(args.kind, args.count, args.seed), is_report=False)
         if args.command == "search":
             mults = [_integer(x.strip()) for x in args.multipliers.split(",") if x.strip()]
             res = potential_jacobian_search(mults, args.bound)
-            return _emit(args, res.to_json(), is_report=False)
+            return _emit(args, out, res.to_json(), is_report=False)
     except (ValueError, KeyError, TypeError, argparse.ArgumentTypeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

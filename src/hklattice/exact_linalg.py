@@ -45,12 +45,12 @@ The matrices of the degree-4 lattice are very sparse (its 276x276 HNF basis
 has 371 nonzeros), so loops walk nonzeros only, in one sparse row form: per
 integer row, a tuple of ``(column, value)`` pairs in ascending column order
 (``_sparse_rows``). A ``Lattice`` keeps its basis in that form once, and
-rational coordinates and basis-value products walk it; membership, integer
-coordinates and divisibility call ``kernels.solve_left_int_row`` on the
-dense HNF rows. A ``Mat`` builds its sparse rows once on demand
-(``Mat.sparse_rows``). Integer rows are combined by the one loop
-``_combine_rows`` over sparse rows, which ``combine_basis`` uses to lift
-coefficient rows through a lattice basis.
+rational coordinates and basis-value products walk it; so do membership,
+integer coordinates and divisibility, through the forward substitution
+``kernels.solve_left_int_row`` over the sparse HNF rows. A ``Mat`` builds
+its sparse rows once on demand (``Mat.sparse_rows``). Integer rows are
+combined by the one loop ``_combine_rows`` over sparse rows, which
+``combine_basis`` uses to lift coefficient rows through a lattice basis.
 
 Two certified modular routines share one sparse elimination modulo proven
 Proth primes (``_echelon_mod``):
@@ -504,8 +504,9 @@ class Lattice:
     binary operations demand that both operands carry the same form.
 
     The basis rows are also kept once in the sparse row form (``_sparse``);
-    rational coordinates and basis lifts walk only their nonzeros. A row's
-    pivot is its first pair's column.
+    membership, rational and integer coordinates, divisibility and basis
+    lifts walk only their nonzeros. A row's pivot is its first pair's
+    column.
     """
 
     __slots__ = ("ambient_dim", "den", "int_basis", "form", "_sparse")
@@ -639,11 +640,9 @@ class Lattice:
 
     def _solve(self, w):
         """Integer x with ``x * int_basis = w``, or None when w is not an
-        integer combination of the basis rows (``kernels.solve_left_int_row``
-        on the HNF rows, whose pivots are the sparse rows' first columns)."""
-        if not self._sparse:
-            return None if any(w) else []
-        return kernels.solve_left_int_row(self.int_basis, [row[0][0] for row in self._sparse], w)
+        integer combination of the basis rows: ``kernels.solve_left_int_row``
+        walks the nonzeros of the sparse HNF rows, pivot first."""
+        return kernels.solve_left_int_row(self._sparse, w)
 
     def contains(self, v, den: int = 1) -> bool:
         """Whether the rational vector v/den lies in M."""

@@ -1,7 +1,9 @@
 """The integer-matrix kernels, re-exported from ``hklattice._pykernels``.
 
 The library calls ``hnf``, ``hnf_transform``, ``snf_diagonal`` and
-``solve_left_int_row`` (lattice membership and coordinates).
+``solve_left_int_row``. The last is lattice membership, integer
+coordinates and divisibility: a forward substitution that walks the sparse
+HNF rows a ``Lattice`` keeps, nonzeros only.
 ``hnf_transform`` has two callers: ``exact_linalg.left_kernel`` (every
 saturated left kernel) and ``bb_lattice._orth_complement``, whose
 transform of the complement Gram is both its inverse and the proof that it

@@ -1,5 +1,8 @@
-"""Smith-form routes kept as test oracles for the library's Smith-free ones.
+"""Dense and Smith-form routes kept as test oracles for the library's
+sparse and Smith-free ones.
 
+``solve_left_int_row`` is the dense forward substitution through the rows
+of an HNF matrix, the reference for the sparse kernel of the same name.
 ``smith_saturation_int`` is the saturation by a full Smith form with its
 right transform; ``SmithTorsionQuotient`` reads the degree-4 torsion
 quotient off the Smith form of the coordinate matrix of Z^276 in the
@@ -9,6 +12,35 @@ lattice, with the 276 x 276 transforms V and V^-1.
 from hklattice import kernels
 from hklattice.exact_linalg import _combine_rows, _coord_matrix, _sparse_rows, combine_basis
 from hklattice.h4_model import AMBIENT, H4Class, H4Lattice, sym2_lattice
+
+
+def solve_left_int_row(H, pivots, b):
+    """Integer solution x of ``x * H = b`` for H in row HNF, else None.
+
+    ``pivots`` must be ``kernels.pivot_columns(H)``. Each step walks the
+    dense row from its pivot to the last column.
+    """
+    res = list(b)
+    n = len(res)
+    x = []
+    for t, p in enumerate(pivots):
+        v = res[p]
+        if v:
+            q, rem = divmod(v, H[t][p])
+            if rem:
+                return None
+            x.append(q)
+            ht = H[t]
+            for c in range(p, n):
+                hv = ht[c]
+                if hv:
+                    res[c] -= q * hv
+        else:
+            x.append(0)
+    for v in res:
+        if v:
+            return None
+    return x
 
 
 def smith_saturation_int(rows):

@@ -116,10 +116,41 @@ class TestVerify:
 
     def test_out_file(self, capsys, tmp_path):
         target = tmp_path / "report.json"
-        code, _, _ = _run(capsys, ["verify", "blowup", "--json", "--out", str(target)])
+        target.write_text("x" * 100_000)
+        code, out, _ = _run(capsys, ["verify", "blowup", "--json", "--out", str(target)])
         assert code == 0
+        assert target.read_text() == out
         rep = json.loads(target.read_text())
         assert rep["suite"] == "blowup"
+
+    def test_out_to_a_missing_directory_is_a_usage_error(self, capsys, monkeypatch, tmp_path):
+        def run_suite(*args):
+            raise AssertionError("the suite ran before --out was opened")
+
+        monkeypatch.setattr(cli, "run_suite", run_suite)
+        target = tmp_path / "missing" / "report.json"
+        code, out, err = _run(capsys, ["verify", "blowup", "--json", "--out", str(target)])
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error:") and len(err.strip().splitlines()) == 1
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["verify", "blowup", "--trials", "0"],
+            ["query", "membership", "--payload", "{oops"],
+            ["query", "membership", "--payload", '{"named": "nope"}'],
+            ["sample", "exceptional", "--count", "0"],
+            ["search", "jacobian-combos", "--multipliers", "3,x"],
+        ],
+    )
+    def test_exit_2_leaves_an_existing_out_file(self, capsys, tmp_path, argv):
+        target = tmp_path / "report.json"
+        target.write_text('{"kept": true}\n')
+        code, out, err = _run(capsys, [*argv, "--json", "--out", str(target)])
+        assert code == 2 and out == ""
+        assert err.startswith("error:") and len(err.strip().splitlines()) == 1
+        assert target.read_text() == '{"kept": true}\n'
 
     def test_convention_flag(self, capsys):
         code, out, _ = _run(

@@ -4,8 +4,9 @@ and the contract that ``kernels`` re-exports the pure-Python kernels."""
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
+import oracles
 
 from hklattice import _pykernels, kernels
 
@@ -43,6 +44,12 @@ def _det_fraction(mat):
             for k in range(c, n):
                 a[r][k] -= f * a[c][k]
     return det
+
+
+def _sparse(H):
+    """The sparse row form the lattices keep: per row, its (column, value)
+    nonzeros in column order, so the pivot comes first."""
+    return [tuple((c, x) for c, x in enumerate(row) if x) for row in H]
 
 
 def _is_hnf(H):
@@ -98,13 +105,13 @@ class TestPerBackend:
 
     def test_solve_left_int_row(self, mod):
         H = mod.hnf([[2, 0, 1], [0, 3, 1]])
-        piv = mod.pivot_columns(H)
-        x = mod.solve_left_int_row(H, piv, [2, 3, 2])
+        rows = _sparse(H)
+        x = mod.solve_left_int_row(rows, [2, 3, 2])
         assert x is not None
         n = len(H[0])
         back = [sum(x[i] * H[i][j] for i in range(len(H))) for j in range(n)]
         assert back == [2, 3, 2]
-        assert mod.solve_left_int_row(H, piv, [1, 0, 0]) is None
+        assert mod.solve_left_int_row(rows, [1, 0, 0]) is None
 
     def test_det_bareiss_known(self, mod):
         assert mod.det_bareiss([[1, 2], [3, 4]]) == -2
@@ -174,6 +181,48 @@ def test_hnf_transform_is_hnf_with_unimodular_u(mat):
     prod = [[sum(u * row[j] for u, row in zip(urow, mat)) for j in range(len(mat[0]))] for urow in U]
     assert prod[:rank] == H
     assert not any(any(row) for row in prod[rank:])
+
+
+@st.composite
+def hnf_and_target(draw):
+    """An HNF matrix H, rank 0 included, and a target b of one of four
+    kinds: a member x * H; a member plus 0 < d < h at a pivot whose entry h
+    exceeds 1 (a nonzero remainder there); a member plus d != 0 at a
+    column without a pivot (a residual the rows cannot clear); a random
+    vector. Entries of H off its pivots, x, d and b may be negative."""
+    n = draw(st.integers(1, 6))
+    k = draw(st.integers(0, n))
+    mat = draw(st.lists(st.lists(small_entry, min_size=n, max_size=n), min_size=k, max_size=k))
+    H = kernels.hnf(mat) if mat else []
+    pivots = kernels.pivot_columns(H)
+    x = draw(st.lists(st.integers(-9, 9), min_size=len(H), max_size=len(H)))
+    b = [sum(xi * row[j] for xi, row in zip(x, H)) for j in range(n)]
+    kind = draw(st.sampled_from(["member", "pivot-remainder", "off-pivot", "random"]))
+    wide = [(p, row[p]) for row, p in zip(H, pivots) if row[p] > 1]
+    free = [c for c in range(n) if c not in pivots]
+    if kind == "pivot-remainder" and wide:
+        p, h = draw(st.sampled_from(wide))
+        b[p] += draw(st.integers(1, h - 1))
+    elif kind == "off-pivot" and free:
+        b[draw(st.sampled_from(free))] += draw(st.integers(-5, 5).filter(bool))
+    elif kind == "random":
+        b = draw(st.lists(st.integers(-20, 20), min_size=n, max_size=n))
+    return H, b
+
+
+@settings(max_examples=200, deadline=None)
+@given(hnf_and_target())
+@example(([], [0, 0]))  # rank 0, zero target: the empty solution
+@example(([], [0, 1]))  # rank 0, nonzero target
+@example(([[2, 1, 0], [0, 3, 1]], [3, 1, 0]))  # remainder 1 at the pivot 2
+@example(([[1, 0, 2], [0, 0, 3]], [1, 1, 2]))  # residual at column 1, no pivot
+@example(([[1, 0, -2], [0, 3, -1]], [-2, 3, 3]))  # x = (-2, 1)
+def test_sparse_solve_matches_dense_oracle(case):
+    H, b = case
+    x = kernels.solve_left_int_row(_sparse(H), b)
+    assert x == oracles.solve_left_int_row(H, kernels.pivot_columns(H), b)
+    if x is not None:
+        assert [sum(xi * row[j] for xi, row in zip(x, H)) for j in range(len(b))] == b
 
 
 @settings(max_examples=40, deadline=None)

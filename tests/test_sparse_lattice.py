@@ -2,8 +2,8 @@
 
 Membership, integer coordinates and divisibility (scaling, the rank-0
 case, pivots read off the sparse rows, the vector given as integers over a
-denominator, as Fractions or as strings) are compared with
-``kernels.solve_left_int_row`` on the dense HNF rows, rational coordinates
+denominator, as Fractions or as strings) are compared with the dense
+solve of ``oracles.solve_left_int_row`` on the HNF rows, rational coordinates
 with a Fraction back-substitution, basis lifts with dense row sums, and
 ``det_int`` with ``kernels.det_bareiss``."""
 
@@ -14,6 +14,7 @@ from math import gcd
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+import oracles
 
 from hklattice import kernels
 from hklattice.exact_linalg import (
@@ -72,9 +73,7 @@ def dense_coords(lat, num, den):
     if any(x % den for x in scaled):
         return None
     w = [x // den for x in scaled]
-    if not lat.int_basis:
-        return () if not any(w) else None
-    x = kernels.solve_left_int_row(lat.int_basis, kernels.pivot_columns(lat.int_basis), w)
+    x = oracles.solve_left_int_row(lat.int_basis, kernels.pivot_columns(lat.int_basis), w)
     return None if x is None else tuple(x)
 
 
