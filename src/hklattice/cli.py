@@ -27,6 +27,7 @@ import sys
 import time
 from fractions import Fraction
 from functools import cache
+from math import gcd
 
 from .bb_lattice import (
     RANK,
@@ -492,11 +493,12 @@ def run_query(kind: str, payload: dict) -> dict:
         raise ValueError("payload must be a JSON object")
     h4 = default_h4_lattice()
     if kind == "membership":
-        cls = _payload_class(payload, h4)
-        member = h4.contains(cls)
-        out = {"member": member}
-        if member and not cls.is_zero():
-            out["divisibility"] = h4.divisibility(cls)
+        # one solve answers both: the coordinates are None outside the
+        # lattice, and their gcd is the divisibility of a nonzero member
+        c = h4.coords(_payload_class(payload, h4))
+        out = {"member": c is not None}
+        if c is not None and any(c):
+            out["divisibility"] = gcd(*c)
         return out
     if kind == "divisibility":
         cls = _payload_class(payload, h4)

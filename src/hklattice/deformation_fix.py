@@ -13,7 +13,9 @@ system in n(n+1)/2 + 1 unknowns and checks that span equality, rather than
 assuming it. The kernel is decided by ``exact_linalg.certified_kernel``
 with the two structural generators as candidates: each equation is checked
 exactly at both over Z, and the rank of the system modulo a prime proves
-that no other solution exists. The structural generators use the
+that no other solution exists. That prime is the word-size 32749 unless
+the rank drops modulo it, in which case the proof moves on to the Proth
+primes (``exact_linalg._rank_primes``). The structural generators use the
 fraction-free ``Mat.inverse``.
 """
 
@@ -132,7 +134,9 @@ def solve_fixed_space(inst: FixInstance) -> FixSolution:
     nonzeros per row at n = 21), so rather than solving it,
     ``certified_kernel`` checks the two structural generators against every
     equation and proves by the rank modulo a prime that they span its
-    kernel (else ``ArithmeticError``); the basis is canonical, one
+    kernel (else ``ArithmeticError``). The first prime tried is 32749,
+    whose residue products fit in 30 bits, so the proof is usually one
+    elimination in one-digit ints; the basis is canonical, one
     primitive integer vector per free column, as back-substitution through
     a fraction-free echelon form gives.
     """

@@ -265,21 +265,35 @@ def fujiki_pair(u: H4Class, v: H4Class) -> Fraction:
     return Fraction(_pair(u.num, v.num, fujiki_mat().sparse_rows()), u.den * v.den)
 
 
-def fujiki_with_product(u: H4Class, a: H2Class, b: H2Class) -> Fraction:
-    """fujiki_pair(u, sym2_embed(a, b)) without building the product.
+def fujiki_product_covector(u: H4Class, b: H2Class) -> tuple[int, ...]:
+    """Numerators over ``u.den`` of the covector a -> fujiki_pair(u, a*b).
 
-    For a monomial x_i*x_j the pairing against a*b is
-    g_ij*b(a,b) + (Ga)_i(Gb)_j + (Gb)_i(Ga)_j, which needs only the two
-    covectors Ga, Gb and runs in O(rank^2 + dim) time.
+    A monomial x_i*x_j pairs against a*b as
+    g_ij*b(a,b) + (Ga)_i(Gb)_j + (Gb)_i(Ga)_j, so with s = sum_(i<=j) u_ij g_ij
+    and W symmetric, W_ii = 2u_ii and W_ij = u_ij, the pairing is
+    s*(a.Gb) + (Ga).W(Gb): the covector is s*Gb + G*W*Gb, one pass over the
+    276 coordinates of u and two products with G.
     """
-    ua = gram_apply(a)
-    ub = gram_apply(b)
-    bab = sum(x * y for x, y in zip(a.coords, ub))
-    total = 0
+    gb = gram_apply(b)
+    s = 0
+    wgb = [0] * RANK
     for (i, j), x in zip(_PAIRS, u.num):
         if x:
-            total += x * (GRAM[i][j] * bab + ua[i] * ub[j] + ub[i] * ua[j])
-    return Fraction(total, u.den)
+            s += x * GRAM[i][j]
+            if i == j:
+                wgb[i] += 2 * x * gb[i]
+            else:
+                wgb[i] += x * gb[j]
+                wgb[j] += x * gb[i]
+    gwgb = gram_apply(H2Class._of(tuple(wgb)))
+    return tuple([s * y + z for y, z in zip(gb, gwgb)])
+
+
+def fujiki_with_product(u: H4Class, a: H2Class, b: H2Class) -> Fraction:
+    """fujiki_pair(u, sym2_embed(a, b)) without building the product: a
+    dot product with ``fujiki_product_covector(u, b)``."""
+    cov = fujiki_product_covector(u, b)
+    return Fraction(sum([x * y for x, y in zip(a.coords, cov)]), u.den)
 
 
 def _complement_data(dh: H2Class):
@@ -291,17 +305,21 @@ def _complement_data(dh: H2Class):
 
 
 def _q_class(dh: H2Class, abasis, b_inv) -> H4Class:
-    """sum_ij B_ij a_i a_j - d^2/2 for the complement data of d."""
-    # numerators over the denominator 2
-    acc = [-x for x in sym2_embed(dh, dh).num]
-    k = len(abasis)
-    for i in range(k):
-        for j in range(i, k):
-            w = b_inv[i][j] if i == j else 2 * b_inv[i][j]
-            if w:
-                p = sym2_embed(abasis[i], abasis[j]).num
-                acc = [a + 2 * w * x for a, x in zip(acc, p)]
-    return H4Class._of(tuple(acc), 2)
+    """sum_ij B_ij a_i a_j - d^2/2 for the complement data of d.
+
+    In matrix form this is the symmetric S = P^T B P - d d^T / 2, with the
+    a_i as the rows of P: x_k^2 takes S_kk and x_k*x_l (k < l) takes 2*S_kl.
+    """
+    pcols = list(zip(*[a.coords for a in abasis]))
+    bp = [[sum([b * x for b, x in zip(brow, col)]) for col in pcols] for brow in b_inv]
+    bpcols = list(zip(*bp))
+    d = dh.coords
+    # numerators over the denominator 2: 2S = 2 P^T B P - d d^T
+    num = []
+    for i, j in _PAIRS:
+        s2 = 2 * sum([x * y for x, y in zip(pcols[i], bpcols[j])]) - d[i] * d[j]
+        num.append(s2 if i == j else 2 * s2)
+    return H4Class._of(tuple(num), 2)
 
 
 def bb_inverse_class(d=None) -> H4Class:
@@ -607,19 +625,17 @@ class TorsionQuotient:
     def delta_pairing_mod2(self, t) -> tuple[int, ...]:
         """The mod-2 covector a_k -> (lift(t) . a_k . d) on the 23 basis classes.
 
-        Well-defined on residues because every monomial pairs evenly against
-        products with an exceptional class; independence of the lift choice
-        is re-verified on demand in the tests rather than assumed.
+        All 23 values are the entries of one ``fujiki_product_covector`` of
+        the lift against d, each checked to be integral. Well-defined on
+        residues because every monomial pairs evenly against products with
+        an exceptional class; independence of the lift choice is
+        re-verified on demand in the tests rather than assumed.
         """
         theta = self.lift(t)
-        dh = self.h4.delta_used.h2
-        out = []
-        for k in range(RANK):
-            val = fujiki_with_product(theta, H2Class.basis_vector(k), dh)
-            if val.denominator != 1:
-                raise ArithmeticError("pairing against the lattice must be integral")
-            out.append(val.numerator % 2)
-        return tuple(out)
+        cov = fujiki_product_covector(theta, self.h4.delta_used.h2)
+        if any(x % theta.den for x in cov):
+            raise ArithmeticError("pairing against the lattice must be integral")
+        return tuple([x // theta.den % 2 for x in cov])
 
     def delta_pairing_matrix(self) -> list[list[int]]:
         """Rows: the mod-2 covectors of the quotient generators."""

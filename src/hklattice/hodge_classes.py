@@ -51,7 +51,7 @@ from .h4_model import (
     default_h4_lattice,
     default_torsion_quotient,
     fujiki_mat,
-    fujiki_with_product,
+    fujiki_product_covector,
     h4_span,
     second_chern_class,
     sym2_embed,
@@ -182,7 +182,9 @@ def minimality_scalar(v: H4Class, T: Lattice) -> Fraction:
     """The unique m with (v . a . b) = m * b(a, b) on the given lattice.
 
     Checked on every basis pair: pairs with b(a, b) = 0 must pair to zero
-    with v, pairs with b(a, b) != 0 must give one constant ratio. Raises
+    with v, pairs with b(a, b) != 0 must give one constant ratio. Each basis
+    vector a gives one ``fujiki_product_covector`` of v against a, and
+    (v . a . b) for every later b is a dot product with it. Raises
     ValueError when the ratio is not constant (v lies outside the
     admissible span) and DegenerateTranscendentalError when no pair
     constrains m at all.
@@ -192,8 +194,10 @@ def minimality_scalar(v: H4Class, T: Lattice) -> Fraction:
     basis = _t_basis(T)
     m = None
     for i, a in enumerate(basis):
+        cov = fujiki_product_covector(v, a)
         for b in basis[i:]:
-            val = fujiki_with_product(v, a, b)
+            # (v . a . b) = val / v.den
+            val = sum([x * y for x, y in zip(b.coords, cov)])
             bab = bb_form(a, b)
             if bab == 0:
                 if val != 0:
@@ -201,7 +205,7 @@ def minimality_scalar(v: H4Class, T: Lattice) -> Fraction:
                         "no scalar exists: nonzero product over a null pairing"
                     )
             else:
-                r = val / bab
+                r = Fraction(val, v.den * bab)
                 if m is None:
                     m = r
                 elif r != m:

@@ -7,11 +7,28 @@ of an HNF matrix, the reference for the sparse kernel of the same name.
 right transform; ``SmithTorsionQuotient`` reads the degree-4 torsion
 quotient off the Smith form of the coordinate matrix of Z^276 in the
 lattice, with the 276 x 276 transforms V and V^-1.
+
+``fujiki_with_product`` pairs a degree-4 class against a product a*b one
+monomial at a time, the reference for the library's covector form;
+``q_class`` accumulates the class q from 276 ``sym2_embed`` products, the
+reference for its matrix form; ``delta_pairing_mod2`` makes one pairing
+call per basis class.
 """
 
+from fractions import Fraction
+
 from hklattice import kernels
+from hklattice.bb_lattice import GRAM, RANK, H2Class, gram_apply
 from hklattice.exact_linalg import _combine_rows, _coord_matrix, _sparse_rows, combine_basis
-from hklattice.h4_model import AMBIENT, H4Class, H4Lattice, sym2_lattice
+from hklattice.h4_model import (
+    AMBIENT,
+    H4Class,
+    H4Lattice,
+    TorsionQuotient,
+    monomial_pairs,
+    sym2_embed,
+    sym2_lattice,
+)
 
 
 def solve_left_int_row(H, pivots, b):
@@ -82,3 +99,44 @@ class SmithTorsionQuotient:
     def lift(self, t) -> H4Class:
         (vec,) = _combine_rows([t], self._lift_rows, AMBIENT)
         return H4Class._of(tuple(vec), self._lift_den)
+
+
+def fujiki_with_product(u: H4Class, a: H2Class, b: H2Class) -> Fraction:
+    """fujiki_pair(u, sym2_embed(a, b)) monomial by monomial: x_i*x_j pairs
+    against a*b as g_ij*b(a,b) + (Ga)_i(Gb)_j + (Gb)_i(Ga)_j."""
+    ua = gram_apply(a)
+    ub = gram_apply(b)
+    bab = sum(x * y for x, y in zip(a.coords, ub))
+    total = 0
+    for (i, j), x in zip(monomial_pairs(), u.num):
+        if x:
+            total += x * (GRAM[i][j] * bab + ua[i] * ub[j] + ub[i] * ua[j])
+    return Fraction(total, u.den)
+
+
+def q_class(dh: H2Class, abasis, b_inv) -> H4Class:
+    """sum_ij B_ij a_i a_j - d^2/2, accumulated from ``sym2_embed`` products."""
+    # numerators over the denominator 2
+    acc = [-x for x in sym2_embed(dh, dh).num]
+    k = len(abasis)
+    for i in range(k):
+        for j in range(i, k):
+            w = b_inv[i][j] if i == j else 2 * b_inv[i][j]
+            if w:
+                p = sym2_embed(abasis[i], abasis[j]).num
+                acc = [a + 2 * w * x for a, x in zip(acc, p)]
+    return H4Class._of(tuple(acc), 2)
+
+
+def delta_pairing_mod2(tq: TorsionQuotient, t) -> tuple[int, ...]:
+    """The mod-2 covector a_k -> (lift(t) . a_k . d), one pairing per basis
+    class a_k."""
+    theta = tq.lift(t)
+    dh = tq.h4.delta_used.h2
+    out = []
+    for k in range(RANK):
+        val = fujiki_with_product(theta, H2Class.basis_vector(k), dh)
+        if val.denominator != 1:
+            raise ArithmeticError("pairing against the lattice must be integral")
+        out.append(val.numerator % 2)
+    return tuple(out)

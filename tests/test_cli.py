@@ -9,7 +9,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hklattice import cli, deformation_fix
+from hklattice import cli, deformation_fix, kernels
+from hklattice.h4_model import default_h4_lattice
 
 
 def _run(capsys, argv):
@@ -212,6 +213,21 @@ class TestQuery:
         obj = json.loads(out)
         assert obj["member"] is True
         assert obj["divisibility"] == 1
+
+    def test_membership_lookup_solves_once(self, capsys, monkeypatch):
+        default_h4_lattice()  # build the lattice before counting
+        calls = []
+        real = kernels.solve_left_int_row
+
+        def counting(rows, b):
+            calls.append(b)
+            return real(rows, b)
+
+        monkeypatch.setattr(kernels, "solve_left_int_row", counting)
+        code, out, _ = _run(capsys, ["query", "membership", "--payload", '{"named": "c2"}'])
+        assert code == 0
+        assert json.loads(out) == {"member": True, "divisibility": 3}
+        assert len(calls) == 1
 
     def test_divisibility_c2(self, capsys):
         code, out, _ = _run(

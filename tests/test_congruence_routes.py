@@ -4,6 +4,7 @@ certified by the rank modulo a prime."""
 
 import random
 from contextlib import contextmanager
+from math import isqrt, prod
 
 import pytest
 from hypothesis import given, settings
@@ -15,8 +16,11 @@ from hklattice import exact_linalg, kernels
 from hklattice.bb_lattice import sample_exceptional
 from hklattice.deformation_fix import random_instance, solve_fixed_space
 from hklattice.exact_linalg import (
+    _WORD_PRIME,
     Lattice,
     _nullspace_primes,
+    _rank_primes,
+    certified_kernel,
     lattice_join,
     saturate_in,
     saturation_int,
@@ -209,9 +213,9 @@ def test_21_variable_deformation_solve_eliminates_once():
 @settings(max_examples=60, deadline=None)
 @given(st.integers(1, 4), st.integers(2, 7), st.randoms(use_true_random=False))
 def test_unlucky_first_prime_still_gives_the_bareiss_basis(rank, ncols, rnd):
-    # small rows of rank at most `rank`; their minors are far below the
-    # first prime p, so their rank is also their rank mod p
-    p = next(_nullspace_primes())
+    # small rows of rank at most `rank`; their rank mod p is at most their
+    # rank over Q, so if the rank over Q rises below, p cannot prove it
+    p = next(_rank_primes())
     basis = [[rnd.randint(-5, 5) for _ in range(ncols)] for _ in range(rank)]
     rows = [
         [sum(c * b[j] for c, b in zip(cs, basis)) for j in range(ncols)]
@@ -230,7 +234,7 @@ def test_unlucky_first_prime_still_gives_the_bareiss_basis(rank, ncols, rnd):
 
 
 def test_rank_drop_mod_the_first_prime_restarts():
-    p = next(_nullspace_primes())
+    p = next(_rank_primes())
     # equal rows mod p, independent over Q: rank 1 mod p, 2 over Q
     rows = [[1, 2, 3, 4], [1, 2 + p, 3, 4 + 2 * p]]
     with counted_echelons() as calls:
@@ -238,3 +242,36 @@ def test_rank_drop_mod_the_first_prime_restarts():
     assert got == bareiss_nullspace(rows, 4)
     assert len(got) == 2
     assert calls[0] == p and len(calls) == 2
+
+
+def test_rank_proofs_start_at_the_word_size_prime():
+    p = _WORD_PRIME
+    assert all(p % d for d in range(2, isqrt(p) + 1))
+    # no prime lies between p and 2^15
+    assert all(any(n % d == 0 for d in range(2, isqrt(n) + 1)) for n in range(p + 1, 2**15))
+    # residue products stay one-digit CPython ints
+    assert (p - 1) ** 2 < 2**30
+    primes = _rank_primes()
+    assert [next(primes) for _ in range(4)] == [p] + [
+        q for q, _ in zip(_nullspace_primes(), range(3))
+    ]
+
+
+def test_rank_drop_mod_the_word_size_prime_moves_to_a_proth_prime():
+    rows = [[1, 1, 0], [1, 1 + _WORD_PRIME, 0]]
+    with counted_echelons() as calls:
+        got = certified(rows, 3)
+    assert calls == [_WORD_PRIME, next(_nullspace_primes())]
+    assert got == bareiss_nullspace(rows, 3) == [[0, 0, 1]]
+
+
+def test_a_refutation_counts_the_word_size_prime():
+    # rank 2 over Q, claimed rank 3 (no candidates): every prime fails, and
+    # the search stops at the shortest prefix of the primes whose product
+    # passes the Hadamard bound of the three rows, 32749 among them
+    rows = [[1, 2, 3], [2, 4, 7], [3, 6, 10]]
+    bound = isqrt(prod(sum(x * x for x in r) for r in rows)) + 1
+    assert _WORD_PRIME > bound
+    with counted_echelons() as calls, pytest.raises(ArithmeticError):
+        certified_kernel(rows, 3, [])
+    assert calls == [_WORD_PRIME]
