@@ -22,11 +22,15 @@ Conventions
   rows are dropped. Two integer matrices have equal row span over Z exactly
   when their HNFs coincide. ``hnf`` and ``hnf_transform`` run one Hermite
   reduction; the second also records its row operations in a unimodular U.
+  Each pivot row is subtracted over its nonzeros only, listed at most once
+  per pivot.
 * ``smith_normal_form`` returns the full diagonal (with trailing zeros on
   rank deficiency); nonzero entries are positive and each divides the next.
 """
 
 from __future__ import annotations
+
+from itertools import compress
 
 __all__ = [
     "hnf",
@@ -50,6 +54,11 @@ def _row_submul(row, prow, q, start, stop):
         v = prow[c]
         if v:
             row[c] -= q * v
+
+
+def _nonzeros(row, start, stop):
+    """The ``(column, value)`` nonzeros of row on columns [start, stop)."""
+    return [(c, row[c]) for c in compress(range(start, stop), row[start:stop])]
 
 
 def _hermite(mat, want_u):
@@ -85,26 +94,38 @@ def _hermite(mat, want_u):
             clean = True
             pk = A[k]
             pv = pk[j]
+            # the pivot row is zero left of j; its nonzeros on [j, w), listed
+            # on its first use, are all that a subtraction of it touches
+            nz = None
             for i in range(r, m):
                 if i == k:
                     continue
-                v = A[i][j]
+                row = A[i]
+                v = row[j]
                 if v:
                     q = v // pv
                     if q:
-                        _row_submul(A[i], pk, q, j, w)
-                    if A[i][j]:
+                        if nz is None:
+                            nz = _nonzeros(pk, j, w)
+                        for c, x in nz:
+                            row[c] -= q * x
+                    if row[j]:
                         clean = False
             if clean:
                 if k != r:
                     A[k], A[r] = A[r], A[k]
-                if A[r][j] < 0:
-                    A[r] = [-x for x in A[r]]
-                pv = A[r][j]
+                if pv < 0:
+                    pk = A[r] = [-x for x in pk]
+                    pv = -pv
+                    nz = None
                 for i in range(r):
-                    q = A[i][j] // pv
+                    row = A[i]
+                    q = row[j] // pv
                     if q:
-                        _row_submul(A[i], A[r], q, j, w)
+                        if nz is None:
+                            nz = _nonzeros(pk, j, w)
+                        for c, x in nz:
+                            row[c] -= q * x
                 r += 1
                 break
     if not want_u:

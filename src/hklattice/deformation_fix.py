@@ -10,13 +10,17 @@ invariance under the relevant deformations reduces to the linear system
 The solution space is always 2-dimensional, spanned by (A^{-1}, 2) and
 (s s^T, 0); this module builds the system exactly as one integer linear
 system in n(n+1)/2 + 1 unknowns and checks that span equality, rather than
-assuming it. The kernel is decided by ``exact_linalg.certified_kernel``
-with the two structural generators as candidates: each equation is checked
-exactly at both over Z, and the rank of the system modulo a prime proves
-that no other solution exists. That prime is the word-size 32749 unless
-the rank drops modulo it, in which case the proof moves on to the Proth
-primes (``exact_linalg._rank_primes``). The structural generators use the
-fraction-free ``Mat.inverse``.
+assuming it. The mu run over A^{-1} times a basis of the hyperplane s^perp,
+whose vectors have two nonzero entries each, so every equation has at most
+three nonzero coefficients (``solve_fixed_space``). The kernel is decided
+by ``exact_linalg.certified_kernel`` with the two structural generators as
+candidates: each equation is checked exactly at both over Z, and the rank
+of the system modulo a prime proves that no other solution exists. That
+prime is the word-size 32749 unless the rank drops modulo it, in which
+case the proof moves on to the Proth primes (``exact_linalg._rank_primes``).
+The inverse of A is computed once per instance, by the fraction-free
+``Mat.inverse``, and serves both the equations and the generator
+(A^{-1}, 2).
 """
 
 from __future__ import annotations
@@ -32,21 +36,23 @@ from .exact_linalg import (
     _scaled_ints,
     certified_kernel,
     fraction_vector,
-    left_kernel,
 )
 
 
 class FixInstance:
-    """Problem data: symmetric invertible A and a nonzero vector s."""
+    """Problem data: symmetric invertible A and a nonzero vector s, with the
+    inverse ``A_inv`` of A, which proves that A is invertible."""
 
-    __slots__ = ("n", "A", "s")
+    __slots__ = ("n", "A", "s", "A_inv")
 
     def __init__(self, A, s):
         A = A if isinstance(A, Mat) else Mat(A)
         if not A.is_symmetric():
             raise ValueError("intersection matrix must be symmetric")
-        if A.det() == 0:
-            raise ValueError("intersection matrix must be invertible")
+        try:
+            self.A_inv = A.inverse()
+        except ZeroDivisionError:
+            raise ValueError("intersection matrix must be invertible") from None
         s = fraction_vector(s)
         if len(s) != A.shape[0]:
             raise ValueError("vector length must match the matrix size")
@@ -68,24 +74,6 @@ class FixInstance:
 
 def _sym_pairs(n: int) -> list[tuple[int, int]]:
     return [(i, j) for i in range(n) for j in range(i, n)]
-
-
-def polarization_kernel(inst: FixInstance) -> list[tuple[int, ...]]:
-    """Integer basis of {mu : (s^T A) mu = 0}; always n - 1 vectors.
-
-    The covector s^T A is cleared to integers and the kernel is the
-    saturated left kernel of it as a one-column matrix (``left_kernel``).
-    """
-    dA, Ai = inst.A.scaled_int_rows()
-    ds, (si,) = _scaled_ints([inst.s])
-    # w = ds * dA * s^T A; dividing by gcd(ds * dA, w) gives s^T A times the
-    # least common denominator of its entries
-    w = [sum(x * a for x, a in zip(si, col) if x) for col in zip(*Ai)]
-    g = gcd(ds * dA, *w)
-    wi = [x // g for x in w]
-    if not any(wi):
-        raise ValueError("degenerate covector: s^T A = 0 despite invertible A")
-    return [tuple(x) for x in left_kernel([[x] for x in wi])]
 
 
 class FixSolution:
@@ -125,39 +113,55 @@ def _vector_to_pair(vec, n: int, pairs) -> tuple[Mat, Fraction]:
 
 
 def solve_fixed_space(inst: FixInstance) -> FixSolution:
-    """Solve (c0*I - 2*C*A) mu = 0 over all mu in the polarization kernel.
+    """Solve (c0*I - 2*C*A) mu = 0 over all mu with (s^T A) mu = 0.
 
     One homogeneous linear system: unknowns are the upper triangle of C plus
-    c0, equations are n per kernel vector. With A = Ai/dA for integer Ai,
-    each equation is built in integers as dA*c0*mu - 2*C*(Ai*mu) and made
-    primitive. The system is large and sparse (420 x 232 with about 21
-    nonzeros per row at n = 21), so rather than solving it,
+    c0, equations are n per vector mu of a basis of ker(s^T A). With s
+    scaled to integers and s_m its first nonzero entry, the n - 1 vectors
+    nu_k = s_m*e_k - s_k*e_m (k != m) are a basis of s^perp, and A^{-1}
+    maps s^perp onto ker(s^T A) (s^T A mu = 0 exactly when A mu is in
+    s^perp), so mu_k = A^{-1} nu_k is a basis of it. Then A mu_k = nu_k,
+    and with A^{-1} = B/d for integer B (symmetric, as A is) the equation
+    in row r, times d, is
+
+        c0*(B nu_k)_r - 2d*(s_m*C_rk - s_k*C_rm) = 0,
+
+    with at most three nonzero coefficients, made primitive. Scaling an
+    equation does not change its solutions, and the solutions of the
+    system depend only on the span of the mu, so the kernel is the one of
+    the system over any basis of ker(s^T A). The system is large and
+    sparse (420 x 232 at n = 21), so rather than solving it,
     ``certified_kernel`` checks the two structural generators against every
     equation and proves by the rank modulo a prime that they span its
     kernel (else ``ArithmeticError``). The first prime tried is 32749,
     whose residue products fit in 30 bits, so the proof is usually one
-    elimination in one-digit ints; the basis is canonical, one
-    primitive integer vector per free column, as back-substitution through
-    a fraction-free echelon form gives.
+    elimination in one-digit ints; the basis is canonical, one primitive
+    integer vector per free column, as back-substitution through a
+    fraction-free echelon form gives.
     """
     n = inst.n
     pairs = _sym_pairs(n)
     nvars = len(pairs) + 1
     var_index = {p: k for k, p in enumerate(pairs)}
-    dA, Ai = inst.A.scaled_int_rows()
+    d, B = inst.A_inv.scaled_int_rows()
+    _, (s,) = _scaled_ints([inst.s])
+    m = next(k for k, x in enumerate(s) if x)
+    sm, Bm = s[m], B[m]
 
     rows: list[list[int]] = []
-    for mu in polarization_kernel(inst):
-        amu = [sum(a * m for a, m in zip(row, mu) if m) for row in Ai]
+    for k, (sk, Bk) in enumerate(zip(s, B)):
+        if k == m:
+            continue
+        ck, cm = -2 * d * sm, 2 * d * sk
         for r in range(n):
+            # (B nu_k)_r, read off rows k and m of the symmetric B
+            bnu = sm * Bk[r] - sk * Bm[r]
+            g = gcd(ck, cm, bnu)
             coeffs = [0] * nvars
-            coeffs[-1] = dA * mu[r]
-            for k, a in enumerate(amu):
-                if a:
-                    coeffs[var_index[(min(r, k), max(r, k))]] = -2 * a
-            g = gcd(*coeffs)
-            if g:
-                rows.append([x // g for x in coeffs])
+            coeffs[-1] = bnu // g
+            coeffs[var_index[(min(r, k), max(r, k))]] = ck // g
+            coeffs[var_index[(min(r, m), max(r, m))]] = cm // g
+            rows.append(coeffs)
 
     if not rows:
         raise ValueError("empty constraint system")
@@ -168,10 +172,9 @@ def solve_fixed_space(inst: FixInstance) -> FixSolution:
 
 def expected_generators(inst: FixInstance) -> list[tuple[Mat, Fraction]]:
     """The structural generators (A^{-1}, 2) and (s s^T, 0)."""
-    binv = inst.A.inverse()
     ds, (s,) = _scaled_ints([inst.s])
     outer = Mat.from_int_rows([[a * b for b in s] for a in s], ds * ds)
-    return [(binv, Fraction(2)), (outer, Fraction(0))]
+    return [(inst.A_inv, Fraction(2)), (outer, Fraction(0))]
 
 
 def verify_generators(sol: FixSolution, inst: FixInstance) -> bool:

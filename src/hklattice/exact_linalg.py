@@ -30,10 +30,9 @@ Gauss-Jordan on the integer rows.
 
 Each job of the layer has one function: ``left_kernel`` is the saturated
 left kernel of an integer matrix (the rows of the HNF transform below the
-rank), behind ``lattice_meet``, orthogonal complements, transcendental
-lattices and the deformation polarization kernel; ``_pair`` is the
-bilinear value u * F * v^T over the sparse rows of F, behind the degree-2
-form and the degree-4 Fujiki pairing.
+rank), behind ``lattice_meet``, orthogonal complements and transcendental
+lattices; ``_pair`` is the bilinear value u * F * v^T over the sparse rows
+of F, behind the degree-2 form and the degree-4 Fujiki pairing.
 
 There is one vector API: ``Lattice.contains``, ``coords`` and
 ``divisibility`` take a vector v and a denominator den (default 1) and
@@ -52,8 +51,8 @@ its sparse rows once on demand (``Mat.sparse_rows``). Integer rows are
 combined by the one loop ``_combine_rows`` over sparse rows, which
 ``combine_basis`` uses to lift coefficient rows through a lattice basis.
 
-Two certified modular routines share one sparse elimination modulo proven
-primes (``_echelon_mod``):
+Two certified modular routines share one sparse elimination modulo a
+product of proven primes (``_echelon_mod``):
 
 * ``certified_kernel`` certifies a claimed rational kernel: the candidate
   vectors are checked exactly over Z and reduced to the canonical basis,
@@ -63,14 +62,17 @@ primes (``_echelon_mod``):
   primes k * 2^126 + 1. One prime that keeps the rank ends the proof, and
   mod 32749 every product of two residues is below 2^30, so each
   elimination step stays in one-digit CPython ints; the 420 x 232
-  deformation system is eliminated in about 0.4 times the time it takes
-  mod the first Proth prime.
-* ``det_int`` is every determinant of the library: det mod p from the
-  pivots and the row-to-pivot-column permutation, combined by CRT until the
-  modulus passes twice Hadamard's bound, so no prime can be unlucky. It
-  uses the Proth primes alone: every elimination must add bits to the
-  modulus, and a 15-bit prime adds 15 where a Proth prime adds 127, so
-  it would only add an elimination.
+  deformation system, whose rows have at most three nonzeros of up to
+  about 115 bits, is eliminated in about 0.7 times the time it takes mod
+  the first Proth prime.
+* ``det_int`` is every determinant of the library: det mod M from the
+  pivots and the row-to-pivot-column permutation, where M is the product
+  of the Proth primes needed to pass twice Hadamard's bound, so no modulus
+  can be unlucky. The elimination runs once, modulo M itself, whose pivots
+  are almost always units; a pivot that shares a prime with M drops that
+  round, and the primes are then taken one per round and combined by CRT.
+  The elimination is bound by interpreter overhead, so its cost grows
+  little with the size of M, and only the Proth primes are used.
 
 ``saturation_int`` saturates an integer row span by congruences on its
 HNF, without a Smith form. The docstrings carry the proofs. Input numbers
@@ -1124,24 +1126,26 @@ def _rank_primes():
     yield from _nullspace_primes()
 
 
-def _echelon_mod(rows, p: int):
-    """Sparse echelon of integer rows modulo the prime p.
+def _echelon_mod(rows, m: int):
+    """Sparse echelon of integer rows modulo m > 1.
 
     ``rows`` are in the sparse row form. Each step takes the sparsest
     active row, pivots at its smallest column and clears that column from
     the other active rows, which keeps the fill-in low; rows that vanish
-    mod p drop out, so the number of pivots is the rank mod p. Returns one
-    ``(i, c, v, items)`` per pivot, in elimination order: the input row i,
-    the pivot column c, the pivot value v and the rest of the row divided
-    by v, as (column, value) pairs on columns that are not earlier pivots.
-    Only row additions are applied, so the rows as they stood when chosen
-    have the input's determinant mod p.
+    mod m drop out, so for a prime m the number of pivots is the rank mod
+    m. Returns one ``(i, c, v, items)`` per pivot, in elimination order:
+    the input row i, the pivot column c, the pivot value v and the rest of
+    the row divided by v, as (column, value) pairs on columns that are not
+    earlier pivots. Only row additions are applied, so the rows as they
+    stood when chosen have the input's determinant mod m. Each pivot must
+    be a unit mod m; one that is not (gcd(v, m) > 1, never the case for a
+    prime m) raises ``ValueError``.
     """
     active = []
     for i, r in enumerate(rows):
         d = {}
         for c, v in r:
-            v %= p
+            v %= m
             if v:
                 d[c] = v
         if d:
@@ -1152,15 +1156,15 @@ def _echelon_mod(rows, p: int):
         i, row = active.pop(lens.index(min(lens)))
         c = min(row)
         v = row.pop(c)
-        inv = pow(v, -1, p)
-        items = [(k, x * inv % p) for k, x in row.items()]
+        inv = pow(v, -1, m)
+        items = [(k, x * inv % m) for k, x in row.items()]
         remaining = []
         for other in active:
             d = other[1]
             f = d.pop(c, 0)
             if f:
                 for k, x in items:
-                    w = (d.get(k, 0) - f * x) % p
+                    w = (d.get(k, 0) - f * x) % m
                     if w:
                         d[k] = w
                     else:
@@ -1269,63 +1273,87 @@ def certified_kernel(int_rows, ncols: int, candidates) -> list[list[int]]:
     raise ArithmeticError("rank below ncols - k: the candidates miss kernel vectors")
 
 
+def _det_mod(rows, m: int) -> int:
+    """det mod m of the square matrix of sparse ``rows``, from one
+    ``_echelon_mod`` (whose ``ValueError`` on a non-unit pivot passes on)."""
+    n = len(rows)
+    pivots = _echelon_mod(rows, m)
+    if len(pivots) < n:
+        return 0
+    perm = [0] * n
+    d = 1
+    for i, c, v, _ in pivots:
+        perm[i] = c
+        d = d * v % m
+    # the sign of a permutation is (-1)^(n - number of cycles)
+    seen = [False] * n
+    cycles = 0
+    for i in range(n):
+        if not seen[i]:
+            cycles += 1
+            while not seen[i]:
+                seen[i] = True
+                i = perm[i]
+    return -d % m if (n - cycles) % 2 else d
+
+
 def det_int(int_rows) -> int:
     """Determinant of a square integer matrix, by a certified multimodular
     method (Abbott-Bronstein-Mulders 1999).
 
-    For each prime p of the proven sequence ``_nullspace_primes`` (Proth
-    primes only: the modulus must pass 2*H, so the word-size prime that
-    ``certified_kernel`` tries first would only cost one more elimination)
-    the sparse elimination ``_echelon_mod`` gives det mod p; the residues are
-    combined by the Chinese remainder theorem until the modulus M exceeds
-    2*H, where H = isqrt(prod ||row||^2) + 1, and the residue in
-    (-M/2, M/2] is returned. A 0x0 matrix has determinant 1; a non-square
-    input raises ``ValueError``.
+    With H = isqrt(prod ||row||^2) + 1, the primes needed are the shortest
+    prefix of the proven sequence ``_nullspace_primes`` (Proth primes only:
+    the modulus must pass 2*H, so the word-size prime that
+    ``certified_kernel`` tries first would only add a round) whose product
+    M exceeds 2*H. One round, a single sparse elimination ``_echelon_mod``
+    modulo M itself, usually gives det mod M: the 276 x 276 Fujiki Gram,
+    whose bound needs five primes, is eliminated once, modulo a 667-bit M,
+    at little more than the cost of one elimination modulo one prime. If a
+    pivot is not a unit mod M (it shares one of the primes, as an entry
+    divisible by a Proth prime can make it), that round is dropped and the
+    CRT loop takes the primes of the prefix one per round. The residue of
+    det in (-M/2, M/2] is returned. A 0x0 matrix has determinant 1; a non-square input raises
+    ``ValueError``.
 
     Why the result is exact:
 
-    * Mod p, ``_echelon_mod`` applies only row additions, so the rows R_k
-      as they stood when chosen (k-th pivot at row i_k, column c_k, value
-      v_k) have the input's determinant mod p. R_k is zero on c_1 .. c_(k-1),
-      so in the order k of the rows and columns the matrix is triangular,
-      and det = sign(i_k -> c_k) * v_1 * ... * v_n mod p. Fewer than n
-      pivots means a row vanished: the rank mod p is below n and det = 0
-      mod p.
-    * Every prime gives det mod p, so no prime is unlucky, and Hadamard's
-      inequality gives |det| <= prod ||row|| < H.
-    * Two integers of absolute value below H that agree mod M > 2*H are
-      equal, so the symmetric residue is det.
+    * Mod any m, ``_echelon_mod`` applies only row additions, each a unit
+      pivot's row times a multiple of its inverse, so the rows R_k as they
+      stood when chosen (k-th pivot at row i_k, column c_k, value v_k) have
+      the input's determinant in Z/m. R_k is zero on c_1 .. c_(k-1), so in
+      the order k of the rows and columns the matrix is triangular, and
+      det = sign(i_k -> c_k) * v_1 * ... * v_n mod m: the Leibniz expansion
+      of a triangular matrix holds over any commutative ring. Fewer than n
+      pivots means a row vanished mod m, and a matrix with a zero row has
+      determinant 0 in Z/m.
+    * So every round gives det mod its modulus, composite or prime, and no
+      modulus is unlucky; a round whose pivot is not a unit gives nothing
+      and is not counted. Either the one round modulo M is counted, or the
+      rounds modulo the distinct primes of M, which the Chinese remainder
+      theorem combines into det mod M.
+    * Hadamard's inequality gives |det| <= prod ||row|| < H, and two
+      integers of absolute value below H that agree mod M > 2*H are equal,
+      so the symmetric residue is det.
     """
     n = len(int_rows)
     if any(len(r) != n for r in int_rows):
         raise ValueError("determinant of a non-square matrix")
     rows = _sparse_rows(int_rows)
     bound = 2 * (isqrt(prod(sum(v * v for _, v in r) for r in rows)) + 1)
-    det, modulus = 0, 1
+    primes, modulus = [], 1
     for p in _nullspace_primes():
-        pivots = _echelon_mod(rows, p)
-        d = 0
-        if len(pivots) == n:
-            perm = [0] * n
-            d = 1
-            for i, c, v, _ in pivots:
-                perm[i] = c
-                d = d * v % p
-            # the sign of a permutation is (-1)^(n - number of cycles)
-            seen = [False] * n
-            cycles = 0
-            for i in range(n):
-                if not seen[i]:
-                    cycles += 1
-                    while not seen[i]:
-                        seen[i] = True
-                        i = perm[i]
-            if (n - cycles) % 2:
-                d = -d % p
-        det += modulus * ((d - det) * pow(modulus, -1, p) % p)
+        primes.append(p)
         modulus *= p
         if modulus > bound:
             break
+    try:
+        det = _det_mod(rows, modulus)
+    except ValueError:
+        # a pivot shares a prime with the product: one prime per round
+        det, modulus = 0, 1
+        for p in primes:
+            det += modulus * ((_det_mod(rows, p) - det) * pow(modulus, -1, p) % p)
+            modulus *= p
     return det if 2 * det <= modulus else det - modulus
 
 

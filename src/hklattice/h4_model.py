@@ -9,7 +9,7 @@ lattice tensored with Q. The intersection pairing is the Fujiki relation
 extended bilinearly. The full integral degree-4 lattice L is the overlattice
 of Sym^2 generated by the half-product classes a(a - d)/2 for a in the
 complement of an exceptional class d, together with one extra class of
-denominator 20 dual to a point (the "point/surface" class below). L does not
+denominator 10 dual to a point (the "point/surface" class below). L does not
 depend on which exceptional class is used, which is one of the verified
 facts rather than an assumption.
 
@@ -236,14 +236,28 @@ def fujiki_mat() -> Mat:
     shared Mat used as the ambient form of lattices (cached)."""
     global _FUJIKI_MAT
     if _FUJIKI_MAT is None:
-        g = GRAM
+        # (x_i x_j) . (x_k x_l) = g_ik g_jl + g_il g_jk + g_ij g_kl over the
+        # nonzeros of GRAM: a nonzero g_ik g_jl is the first term at the
+        # monomial (k, l) if k < l, the second at (l, k) if k > l, and both
+        # if k = l; the last term is g_ij times the upper triangle of GRAM
+        nz = [[(k, x) for k, x in enumerate(row) if x] for row in GRAM]
+        upper = [(_PAIR_INDEX[(k, l)], x) for k, row in enumerate(nz) for l, x in row if k <= l]
         rows = []
         for (i, j) in _PAIRS:
-            gi, gj = g[i], g[j]
-            gij = gi[j]
-            rows.append(
-                [gi[k] * gj[l] + gi[l] * gj[k] + gij * g[k][l] for (k, l) in _PAIRS]
-            )
+            row = [0] * AMBIENT
+            for k, x in nz[i]:
+                for l, y in nz[j]:
+                    if k < l:
+                        row[_PAIR_INDEX[(k, l)]] += x * y
+                    elif k > l:
+                        row[_PAIR_INDEX[(l, k)]] += x * y
+                    else:
+                        row[_PAIR_INDEX[(k, k)]] += 2 * x * y
+            gij = GRAM[i][j]
+            if gij:
+                for c, y in upper:
+                    row[c] += gij * y
+            rows.append(row)
         _FUJIKI_MAT = Mat._of(rows, 1)
     return _FUJIKI_MAT
 
@@ -341,7 +355,8 @@ def half_product_class(d, a: H2Class) -> H4Class:
 
 
 def point_surface_class(d, q: H4Class | None = None) -> H4Class:
-    """The denominator-20 generator d^2/8 + q/20 of the overlattice.
+    """The generator d^2/8 + q/20 of the overlattice; its denominator in
+    lowest terms is 10.
 
     Satisfies 8*v = (2/5)q + d^2 and pairs with any product a*b as
     b(a,b) + b(d,a)b(d,b)/4.
@@ -425,7 +440,7 @@ def build_h4_lattice(d=None) -> H4Lattice:
     """Construct the full degree-4 lattice from an exceptional class.
 
     Joins the monomial lattice with the 22 half-product classes of a
-    complement basis and the denominator-20 class; the result has rank 276
+    complement basis and the denominator-10 class; the result has rank 276
     and index 5*2^23 over the monomial lattice.
     """
     if d is None:
@@ -615,7 +630,7 @@ class TorsionQuotient:
         return self.class_of(half_product_class(self.h4.delta_used, a))
 
     def point_image(self) -> tuple[int, ...]:
-        """Residue of the denominator-20 class; has order 10."""
+        """Residue of the denominator-10 class; has order 10."""
         return self.class_of(self.h4.v0)
 
     def order5_generator(self) -> tuple[int, ...]:

@@ -12,14 +12,29 @@ lattice, with the 276 x 276 transforms V and V^-1.
 monomial at a time, the reference for the library's covector form;
 ``q_class`` accumulates the class q from 276 ``sym2_embed`` products, the
 reference for its matrix form; ``delta_pairing_mod2`` makes one pairing
-call per basis class.
+call per basis class; ``fujiki_rows_dense`` evaluates the Fujiki Gram
+entry by entry, the reference for its build from the nonzeros of GRAM.
+
+``hermite`` is the Hermite reduction that subtracts a pivot row over every
+column from the pivot to the last, the reference for the kernel that walks
+the pivot row's nonzeros. ``polarization_kernel`` is the saturated left
+kernel basis of s^T A, so the deformation reference route builds its
+equations over another basis of ker(s^T A) than the library does.
 """
 
 from fractions import Fraction
+from math import gcd
 
 from hklattice import kernels
 from hklattice.bb_lattice import GRAM, RANK, H2Class, gram_apply
-from hklattice.exact_linalg import _combine_rows, _coord_matrix, _sparse_rows, combine_basis
+from hklattice.exact_linalg import (
+    _combine_rows,
+    _coord_matrix,
+    _scaled_ints,
+    _sparse_rows,
+    combine_basis,
+    left_kernel,
+)
 from hklattice.h4_model import (
     AMBIENT,
     H4Class,
@@ -140,3 +155,98 @@ def delta_pairing_mod2(tq: TorsionQuotient, t) -> tuple[int, ...]:
             raise ArithmeticError("pairing against the lattice must be integral")
         out.append(val.numerator % 2)
     return tuple(out)
+
+
+def fujiki_rows_dense():
+    """The Fujiki Gram on monomials, entry by entry:
+    (x_i x_j) . (x_k x_l) = g_ik g_jl + g_il g_jk + g_ij g_kl."""
+    g = GRAM
+    pairs = monomial_pairs()
+    return [
+        [g[i][k] * g[j][l] + g[i][l] * g[j][k] + g[i][j] * g[k][l] for (k, l) in pairs]
+        for (i, j) in pairs
+    ]
+
+
+def _row_submul_dense(row, prow, q, start, stop):
+    # row -= q * prow on columns [start, stop)
+    for c in range(start, stop):
+        v = prow[c]
+        if v:
+            row[c] -= q * v
+
+
+def hermite(mat, want_u):
+    """``(H, U, rank)`` as ``kernels.hnf_transform`` (U None without
+    ``want_u``), subtracting each pivot row over every column from the
+    pivot column to the last."""
+    A = [list(row) for row in mat]
+    m = len(A)
+    n = len(A[0]) if m else 0
+    if want_u:
+        for i, row in enumerate(A):
+            row.extend([int(i == c) for c in range(m)])
+    w = n + m if want_u else n
+    r = 0
+    for j in range(n):
+        if r == m:
+            break
+        while True:
+            # smallest nonzero entry of column j at or below row r
+            k = -1
+            best = 0
+            for i in range(r, m):
+                v = A[i][j]
+                if v:
+                    av = -v if v < 0 else v
+                    if k < 0 or av < best:
+                        k = i
+                        best = av
+                        if av == 1:
+                            break
+            if k < 0:
+                break
+            clean = True
+            pk = A[k]
+            pv = pk[j]
+            for i in range(r, m):
+                if i == k:
+                    continue
+                v = A[i][j]
+                if v:
+                    q = v // pv
+                    if q:
+                        _row_submul_dense(A[i], pk, q, j, w)
+                    if A[i][j]:
+                        clean = False
+            if clean:
+                if k != r:
+                    A[k], A[r] = A[r], A[k]
+                if A[r][j] < 0:
+                    A[r] = [-x for x in A[r]]
+                pv = A[r][j]
+                for i in range(r):
+                    q = A[i][j] // pv
+                    if q:
+                        _row_submul_dense(A[i], A[r], q, j, w)
+                r += 1
+                break
+    if not want_u:
+        return A[:r], None, r
+    return [row[:n] for row in A[:r]], [row[n:] for row in A], r
+
+
+def polarization_kernel(inst) -> list[tuple[int, ...]]:
+    """Integer basis of {mu : (s^T A) mu = 0} for a ``FixInstance``; always
+    n - 1 vectors, the saturated left kernel of s^T A cleared to integers
+    as a one-column matrix (``left_kernel``)."""
+    dA, Ai = inst.A.scaled_int_rows()
+    ds, (si,) = _scaled_ints([inst.s])
+    # w = ds * dA * s^T A; dividing by gcd(ds * dA, w) gives s^T A times the
+    # least common denominator of its entries
+    w = [sum(x * a for x, a in zip(si, col) if x) for col in zip(*Ai)]
+    g = gcd(ds * dA, *w)
+    wi = [x // g for x in w]
+    if not any(wi):
+        raise ValueError("degenerate covector: s^T A = 0 despite invertible A")
+    return [tuple(x) for x in left_kernel([[x] for x in wi])]

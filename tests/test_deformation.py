@@ -7,16 +7,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from hklattice import deformation_fix
 from hklattice.deformation_fix import (
     FixInstance,
     FixSolution,
     expected_generators,
-    polarization_kernel,
     random_instance,
     solve_fixed_space,
     verify_generators,
 )
 from hklattice.exact_linalg import Mat
+from oracles import polarization_kernel
 
 F = Fraction
 
@@ -60,6 +61,35 @@ class TestKernel:
 
 
 class TestSolve:
+    def test_rows_have_at_most_three_nonzeros(self, rng, monkeypatch):
+        systems = []
+        real = deformation_fix.certified_kernel
+
+        def recording(rows, ncols, candidates):
+            systems.append((rows, ncols))
+            return real(rows, ncols, candidates)
+
+        monkeypatch.setattr(deformation_fix, "certified_kernel", recording)
+        for n in (2, 5, 21):
+            inst = random_instance(rng, n)
+            assert solve_fixed_space(inst).dimension == 2
+            rows, ncols = systems[-1]
+            assert (len(rows), ncols) == (n * (n - 1), n * (n + 1) // 2 + 1)
+            assert max(sum(1 for x in r if x) for r in rows) <= 3
+        # for s = e_1 the basis of s^perp is e_0, e_2: two nonzeros per row
+        solve_fixed_space(FixInstance(Mat([[2, 1, 0], [1, 3, 1], [0, 1, 4]]), [0, 1, 0]))
+        assert max(sum(1 for x in r if x) for r in systems[-1][0]) == 2
+
+    def test_inverse_is_computed_once(self, monkeypatch):
+        calls = []
+        real = Mat.inverse
+        monkeypatch.setattr(Mat, "inverse", lambda m: calls.append(m) or real(m))
+        inst = FixInstance(Mat([[2, 1], [1, 3]]), [1, 1])
+        sol = solve_fixed_space(inst)
+        assert verify_generators(sol, inst)
+        assert len(calls) == 1
+        assert expected_generators(inst)[0][0] is inst.A_inv
+
     def test_identity_2x2(self):
         inst = FixInstance(Mat.identity(2), [1, 0])
         sol = solve_fixed_space(inst)

@@ -184,6 +184,34 @@ def test_hnf_transform_is_hnf_with_unimodular_u(mat):
 
 
 @st.composite
+def hermite_inputs(draw):
+    """Small dense matrices, or the shape of the degree-4 join: a diagonal
+    block with dense rows appended (or prepended), optionally duplicated,
+    zeroed or negated in places."""
+    if draw(st.booleans()):
+        return draw(small_matrix(6))
+    n = draw(st.integers(1, 9))
+    diag = draw(st.lists(st.sampled_from([1, 1, 2, 3, 5, -1, -2, 10]), min_size=n, max_size=n))
+    rows = [[d if i == j else 0 for j in range(n)] for i, d in enumerate(diag)]
+    dense = draw(st.lists(st.lists(st.integers(-40, 40), min_size=n, max_size=n), min_size=1, max_size=4))
+    rows = rows + dense if draw(st.booleans()) else dense + rows
+    if draw(st.booleans()):
+        rows.append(list(rows[draw(st.integers(0, len(rows) - 1))]))
+    return rows
+
+
+@settings(max_examples=150, deadline=None)
+@given(hermite_inputs(), st.booleans())
+@example([[2, 0, 0], [0, 3, 0], [0, 0, 5], [7, -4, 9]], True)
+@example([[0, 0], [0, 0]], True)
+@example([[-3, 6, 1], [0, -2, 4]], False)
+def test_hermite_matches_the_dense_loop(mat, want_u):
+    # the kernel walks each pivot row's nonzeros; the oracle every column
+    # from the pivot to the last; H, U and the rank must be the same
+    assert _pykernels._hermite(mat, want_u) == oracles.hermite(mat, want_u)
+
+
+@st.composite
 def hnf_and_target(draw):
     """An HNF matrix H, rank 0 included, and a target b of one of four
     kinds: a member x * H; a member plus 0 < d < h at a pivot whose entry h

@@ -111,3 +111,8 @@ def test_one_covector_per_pairing_row(tq, h4, counted_covectors):
     counted_covectors.clear()
     assert minimality_scalar(h4.q, T) == 25
     assert len(counted_covectors) == T.rank
+
+
+def test_fujiki_gram_matches_the_entrywise_formula():
+    # built from the nonzeros of GRAM; the oracle evaluates every entry
+    assert h4_model.fujiki_rows() == tuple(map(tuple, oracles.fujiki_rows_dense()))

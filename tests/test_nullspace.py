@@ -15,11 +15,11 @@ from hklattice.deformation_fix import (
     FixSolution,
     _sym_pairs,
     _vector_to_pair,
-    polarization_kernel,
     random_instance,
     solve_fixed_space,
 )
 from hklattice.exact_linalg import Mat, _nullspace_primes, certified_kernel
+from oracles import polarization_kernel
 
 
 def bareiss_nullspace(rows, ncols):
@@ -47,7 +47,9 @@ def bareiss_nullspace(rows, ncols):
 
 
 def bareiss_route(inst: FixInstance) -> FixSolution:
-    """Reference solver: Fraction-built equations and the Bareiss nullspace."""
+    """Reference solver: Fraction-built equations over the saturated kernel
+    basis of s^T A (not the library's A^{-1} s^perp basis) and the Bareiss
+    nullspace."""
     n = inst.n
     pairs = _sym_pairs(n)
     nvars = len(pairs) + 1

@@ -5,22 +5,25 @@ case, pivots read off the sparse rows, the vector given as integers over a
 denominator, as Fractions or as strings) are compared with the dense
 solve of ``oracles.solve_left_int_row`` on the HNF rows, rational coordinates
 with a Fraction back-substitution, basis lifts with dense row sums, and
-``det_int`` with ``kernels.det_bareiss``."""
+``det_int`` with ``kernels.det_bareiss``, including entries divisible by a
+Proth prime, whose pivots need not be units modulo a product of primes."""
 
 import random
 from fractions import Fraction
-from math import gcd
+from itertools import islice
+from math import gcd, isqrt, prod
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 import oracles
 
-from hklattice import kernels
+from hklattice import exact_linalg, kernels
 from hklattice.exact_linalg import (
     Lattice,
     Mat,
     _coord_matrix,
+    _nullspace_primes,
     combine_basis,
     det_int,
     sublattice_index,
@@ -217,6 +220,50 @@ def test_det_int_of_signed_permutation(case):
     rows = [[signs[i] if j == perm[i] else 0 for j in range(n)] for i in range(n)]
     assert det_int(rows) == kernels.det_bareiss(rows)
     assert abs(det_int(rows)) == 1
+
+
+_P = next(_nullspace_primes())
+
+
+@pytest.fixture()
+def echelon_moduli(monkeypatch):
+    """The modulus of each ``_echelon_mod`` call made during the test."""
+    moduli = []
+    real = exact_linalg._echelon_mod
+
+    def counting(rows, m):
+        moduli.append(m)
+        return real(rows, m)
+
+    monkeypatch.setattr(exact_linalg, "_echelon_mod", counting)
+    return moduli
+
+
+@settings(max_examples=60, deadline=None)
+@given(square_matrices(st.integers(-3, 3).map(lambda x: _P * x) | entry))
+def test_det_int_matches_bareiss_on_multiples_of_a_proth_prime(rows):
+    # entries divisible by the first Proth prime make pivots that are not
+    # units modulo a product of primes; such a round is dropped
+    assert det_int(rows) == kernels.det_bareiss(rows)
+
+
+def test_a_non_unit_pivot_drops_the_product_round(echelon_moduli):
+    q = _nullspace_primes()
+    p, p2 = next(q), next(q)
+    # the bound 2 * (p + 1) needs two primes; the pivot p is not a unit
+    # modulo p * p2, so each prime takes its own round
+    assert det_int([[p, 0], [0, 1]]) == p
+    assert echelon_moduli == [p * p2, p, p2]
+
+
+def test_the_fujiki_gram_determinant_is_one_elimination(echelon_moduli):
+    rows = fujiki_rows()
+    bound = 2 * (isqrt(prod(sum(x * x for x in r) for r in rows)) + 1)
+    assert det_int(rows) == 25 * 2**46
+    # one elimination modulo the product of the five primes the bound needs
+    primes = list(islice(_nullspace_primes(), 5))
+    assert prod(primes[:4]) <= bound < prod(primes)
+    assert echelon_moduli == [prod(primes)]
 
 
 def test_det_int_small_cases():
