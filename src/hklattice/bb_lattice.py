@@ -284,7 +284,7 @@ def _as_h2(d) -> H2Class:
     return d.h2 if isinstance(d, ExceptionalClass) else d
 
 
-def orth_complement_basis(d) -> list[H2Class]:
+def orth_complement_basis(d) -> tuple[H2Class, ...]:
     """Integral basis of the rank-22 orthogonal complement of an exceptional
     class, HNF-reduced; its Gram must be even of determinant +-1 and
     signature (3, 19), which is verified before returning.
@@ -292,11 +292,13 @@ def orth_complement_basis(d) -> list[H2Class]:
     return _orth_complement(_as_h2(d))[0]
 
 
-def _orth_complement(dh: H2Class) -> tuple[list[H2Class], list[list[int]], list[list[int]]]:
-    """The checked complement basis of ``orth_complement_basis``, its Gram
-    g and the inverse U of g, built once for the checks and handed to the
-    caller. The inverse is the unimodularity proof: ``hnf_transform`` gives
-    a unimodular U with U * g = H, and H = I exactly when det g = +-1."""
+def _orth_complement(dh: H2Class):
+    """``(basis, g, U)`` as tuples: the checked complement basis of
+    ``orth_complement_basis``, its Gram g and the inverse U of g, built once
+    for the checks and handed to the caller (``H4Lattice`` stores them as
+    its ``abasis``, ``a_gram`` and ``b_inv``). The inverse is the
+    unimodularity proof: ``hnf_transform`` gives a unimodular U with
+    U * g = H, and H = I exactly when det g = +-1."""
     if not is_exceptional(dh):
         raise ValueError("complement basis needs an exceptional class")
     basis_rows = kernels.hnf(left_kernel([[x] for x in gram_apply(dh)]))
@@ -312,7 +314,7 @@ def _orth_complement(dh: H2Class) -> tuple[list[H2Class], list[list[int]], list[
         raise ArithmeticError("complement Gram is not even")
     if signature_symmetric(Mat._of(g, 1)) != (3, 19, 0):
         raise ArithmeticError("complement has wrong signature")
-    return vecs, g, U
+    return tuple(vecs), tuple(map(tuple, g)), tuple(map(tuple, U))
 
 
 def decompose_even(l0: H2Class, d) -> tuple[H2Class, int]:

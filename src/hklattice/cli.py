@@ -204,12 +204,12 @@ def _suite_minimal_class(rng: random.Random, trials: int | None, convention: str
 
     def infeasible_with_even_image(k):
         l0 = sample_polarization_odd(rng) if k % 2 else sample_polarization_even(rng, True)
-        rep = minimal_class_search(PicardData.rank_one(l0), h4())
+        rep = minimal_class_search(PicardData.rank_one(l0))
         return not rep.feasible and rep.image_generator % 2 == 0
 
     def positive_control_witness():
         pd = PicardData.from_vectors([delta0().coords, u.coords], 2 * u + delta0())
-        rep = minimal_class_search(pd, h4())
+        rep = minimal_class_search(pd)
         return (
             rep.feasible
             and rep.image_generator == 1
@@ -244,15 +244,15 @@ def _suite_even_odd(rng: random.Random, trials: int | None, convention: str):
 
     def sextuple_agreement(j):
         l0 = sample_polarization_even(rng, bool(j % 8)) if j % 4 == 0 else sample_primitive(rng)
-        return len(set(even_class_predicates(l0, default_torsion_quotient()).values())) == 1
+        return len(set(even_class_predicates(l0).values())) == 1
 
     def v_structure_odd(_):
         l0 = sample_polarization_odd(rng)
-        return canonical_hodge_lattice(l0, h4()) == h4_span([sym2_embed(l0, l0), tfq()])
+        return canonical_hodge_lattice(l0) == h4_span([sym2_embed(l0, l0), tfq()])
 
     def v_structure_even(j):
         l0 = sample_polarization_even(rng, bool(j % 2))
-        V = canonical_hodge_lattice(l0, h4())
+        V = canonical_hodge_lattice(l0)
         return V == h4_span([sym2_embed(l0, l0), Fraction(1, 8) * (sym2_embed(l0, l0) + tfq())])
 
     def divisibility(_):
@@ -279,9 +279,9 @@ def _suite_even_odd(rng: random.Random, trials: int | None, convention: str):
         ("divisibility_suite", f"{k}/{k}", lambda: f"{_tally(k, divisibility)}/{k}",
          "half differences, eighth square differences, half products all integral"),
         ("hodge_image_orders", "(5,)/(10,)",
-         odd_even(lambda l0: hodge_image_in_torsion(l0, default_torsion_quotient())),
+         odd_even(hodge_image_in_torsion),
          "torsion image cyclic of order 5 (odd) and 10 (even)"),
-        ("z4_quotient_bounds", "(3,)/(24,)", odd_even(lambda l0: algebraic_quotient_bound(l0, h4())),
+        ("z4_quotient_bounds", "(3,)/(24,)", odd_even(algebraic_quotient_bound),
          "quotient by the two unconditional algebraic classes"),
     ]
 
@@ -291,7 +291,7 @@ def _suite_cubic(rng: random.Random, trials: int | None, convention: str):
     e1, f1 = hyperbolic_pair(0)
     g1 = 2 * (e1 + f1) + delta0()
     sq = cache(lambda: sym2_embed(g1, g1))
-    model = cache(lambda: build_cubic_model(g1, h4()))
+    model = cache(lambda: build_cubic_model(g1))
     pfaffian = cache(lambda: pfaffian_check())
     rows = cache(lambda: [H2Class._of(r) for r in transcendental(PicardData.rank_one(g1)).int_basis])
     n = max(3, (trials or 10) // 2)
@@ -307,12 +307,12 @@ def _suite_cubic(rng: random.Random, trials: int | None, convention: str):
     def sampled_embedding(_):
         g = sample_square6_even(rng)
         try:
-            return lines_hodge_basis(build_cubic_model(g, h4())) == canonical_hodge_lattice(g, h4())
+            return lines_hodge_basis(build_cubic_model(g)) == canonical_hodge_lattice(g)
         except (ValueError, ArithmeticError):
             return False
 
     def lines_rank1_obstruction():
-        rep = minimal_class_search(PicardData.rank_one(g1), h4())
+        rep = minimal_class_search(PicardData.rank_one(g1))
         return f"{'infeasible' if not rep.feasible else 'feasible'},{_frac_str(rep.image_generator)}"
 
     return [
@@ -324,7 +324,7 @@ def _suite_cubic(rng: random.Random, trials: int | None, convention: str):
         ("residual_integral_primitive", True, residual_integral_primitive,
          "(g1^2 - g2)/3 integral and primitive"),
         ("lines_basis_equals_v", True,
-         lambda: lines_hodge_basis(model()) == canonical_hodge_lattice(g1, h4()),
+         lambda: lines_hodge_basis(model()) == canonical_hodge_lattice(g1),
          "g2 and the residual class generate the whole rank-2 integral span"),
         ("g2_kills_transcendental", "0 nonzero",
          lambda: f"{_tally(trials or 20, nonzero_on_transcendental)} nonzero",
@@ -505,7 +505,7 @@ def run_query(kind: str, payload: dict) -> dict:
         return {"divisibility": h4.divisibility(cls)}
     if kind == "vlambda":
         l0 = H2Class(payload["lambda0"])
-        V = canonical_hodge_lattice(l0, h4)
+        V = canonical_hodge_lattice(l0)
         rows = [H4Class._of(r, V.den) for r in V.int_basis]
         gram = V.gram()
         return {
@@ -521,7 +521,7 @@ def run_query(kind: str, payload: dict) -> dict:
             pd = PicardData.from_vectors(payload["picard"], l0)
         else:
             pd = PicardData.rank_one(l0)
-        rep = minimal_class_search(pd, h4)
+        rep = minimal_class_search(pd)
         return rep.to_json()
     raise ValueError(f"unknown query kind {kind!r}")
 

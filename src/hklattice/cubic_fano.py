@@ -36,7 +36,6 @@ from .bb_lattice import (
 from .exact_linalg import Lattice
 from .h4_model import (
     H4Class,
-    H4Lattice,
     bb_inverse_class,
     default_h4_lattice,
     fujiki_pair,
@@ -50,12 +49,11 @@ from .h4_model import (
 class CubicModel:
     """Validated (g1, g2) pair for a fourfold of lines."""
 
-    __slots__ = ("g1", "g2", "h4")
+    __slots__ = ("g1", "g2")
 
-    def __init__(self, g1: H2Class, g2: H4Class, h4: H4Lattice):
+    def __init__(self, g1: H2Class, g2: H4Class):
         self.g1 = g1
         self.g2 = g2
-        self.h4 = h4
 
     def residual_generator(self) -> H4Class:
         """(g1^2 - g2)/3, the class of the surface of lines through a line."""
@@ -65,15 +63,15 @@ class CubicModel:
         return {"g1": self.g1.to_json(), "g2": self.g2.to_json()}
 
 
-def build_cubic_model(g1: H2Class, h4: H4Lattice | None = None) -> CubicModel:
+def build_cubic_model(g1: H2Class) -> CubicModel:
     """Construct and fully validate the model for a square-6 even class.
 
     The square is not assumed: the fourth power 3*b(g1,g1)^2 must come out
     to 108, pinning b(g1,g1) = 6; parity and primitivity are checked, then
-    every integrality and intersection invariant of the model.
+    every integrality and intersection invariant of the model, in the
+    default degree-4 lattice.
     """
-    if h4 is None:
-        h4 = default_h4_lattice()
+    h4 = default_h4_lattice()
     if not is_primitive(g1):
         raise ValueError("polarization must be primitive")
     if not is_even(g1):
@@ -86,7 +84,7 @@ def build_cubic_model(g1: H2Class, h4: H4Lattice | None = None) -> CubicModel:
         )
     q = h4.q
     g2 = Fraction(5, 8) * sq - Fraction(3, 20) * q
-    model = CubicModel(g1, g2, h4)
+    model = CubicModel(g1, g2)
     if not h4.contains(g2):
         raise ArithmeticError("g2 fell outside the integral lattice")
     resid = model.residual_generator()
@@ -154,14 +152,14 @@ def default_pfaffian_b() -> H2Class:
     return e1 + 7 * f1
 
 
-def pfaffian_check(b_class: H2Class | None = None) -> dict:
-    """Verify the polarization produced by a square-14 class.
+def pfaffian_check() -> dict:
+    """Verify the polarization produced by the square-14 class
+    ``default_pfaffian_b()``.
 
     lambda0 = 2b - 5d has square 4*14 - 25*2 = 6, is even, and satisfies
     the side condition ((10 + 6)/8 = 2, an even integer).
     """
-    if b_class is None:
-        b_class = default_pfaffian_b()
+    b_class = default_pfaffian_b()
     model = PfaffianModel(b_class)
     l0 = model.lambda0
     report = {
@@ -181,13 +179,11 @@ def pfaffian_check(b_class: H2Class | None = None) -> dict:
     return report
 
 
-def c2_consistency(trials: int = 3, rng: random.Random | None = None) -> bool:
+def c2_consistency(rng: random.Random, trials: int = 3) -> bool:
     """(1/3)(24 v0 - 3 d^2) = (2/5) q for the frozen and sampled exceptionals.
 
     Also checks the equivalent form 8 v0 = (2/5) q + d^2 each time.
     """
-    if rng is None:
-        rng = random.Random(0)
     deltas = [ExceptionalClass(delta0())]
     for _ in range(trials):
         deltas.append(sample_exceptional(rng))

@@ -310,14 +310,6 @@ def fujiki_with_product(u: H4Class, a: H2Class, b: H2Class) -> Fraction:
     return Fraction(sum([x * y for x, y in zip(a.coords, cov)]), u.den)
 
 
-def _complement_data(dh: H2Class):
-    """``(abasis, a_gram, b_inv)`` for an exceptional class: the basis of
-    its complement, the Gram A of that basis and the integer inverse B of A
-    (the proof that A is unimodular), each as tuples."""
-    abasis, a_gram, b_inv = _orth_complement(dh)
-    return tuple(abasis), tuple(map(tuple, a_gram)), tuple(map(tuple, b_inv))
-
-
 def _q_class(dh: H2Class, abasis, b_inv) -> H4Class:
     """sum_ij B_ij a_i a_j - d^2/2 for the complement data of d.
 
@@ -345,7 +337,7 @@ def bb_inverse_class(d=None) -> H4Class:
     builds q from scratch; the default lattice carries it as ``q``.
     """
     dh = delta0() if d is None else _as_h2(d)
-    abasis, _, b_inv = _complement_data(dh)
+    abasis, _, b_inv = _orth_complement(dh)
     return _q_class(dh, abasis, b_inv)
 
 
@@ -447,7 +439,7 @@ def build_h4_lattice(d=None) -> H4Lattice:
         d = ExceptionalClass(delta0())
     elif not isinstance(d, ExceptionalClass):
         d = ExceptionalClass(d)
-    abasis, a_gram, b_inv = _complement_data(d.h2)
+    abasis, a_gram, b_inv = _orth_complement(d.h2)
     q = _q_class(d.h2, abasis, b_inv)
     v0 = point_surface_class(d, q)
     extra = [half_product_class(d, a) for a in abasis] + [v0]
@@ -705,10 +697,6 @@ class TorsionQuotient:
         return quotient_invariants(sub, sup)
 
 
-def torsion_quotient(h4: H4Lattice) -> TorsionQuotient:
-    return TorsionQuotient(h4)
-
-
 _DEFAULT_H4: H4Lattice | None = None
 _DEFAULT_TQ: TorsionQuotient | None = None
 
@@ -724,7 +712,7 @@ def default_h4_lattice() -> H4Lattice:
 def default_torsion_quotient() -> TorsionQuotient:
     global _DEFAULT_TQ
     if _DEFAULT_TQ is None:
-        _DEFAULT_TQ = torsion_quotient(default_h4_lattice())
+        _DEFAULT_TQ = TorsionQuotient(default_h4_lattice())
     return _DEFAULT_TQ
 
 
@@ -737,9 +725,10 @@ def double_cover_sym2_matrix() -> Mat:
     determinant, 5*2^45, is the index computation for the quotient group of
     the double cover.
     """
-    # the complement of delta0 is e_0..e_21, so its Gram is GRAM's leading
-    # 22x22 block
-    _, a_rows, b_rows = _orth_complement(delta0())
+    # the default lattice is built from delta0, whose complement is
+    # e_0..e_21, so its Gram is GRAM's leading 22x22 block
+    h4 = default_h4_lattice()
+    a_rows, b_rows = h4.a_gram, h4.b_inv
     k = len(a_rows)
     n = AMBIENT
     pairs = [(i, j) for i in range(k) for j in range(i + 1, k)]

@@ -13,6 +13,13 @@ of Sym^2(P) and q. The search is complete for that span; producing a class
 with m = 1 outside it would contradict the rank-2 structure theorem the
 span restriction rests on, so feasibility here is the whole story at the
 lattice level (effectivity of a witness is out of scope).
+
+The degree-4 lattice does not depend on the exceptional class it is built
+from, so every function here reads the cached ``default_h4_lattice()`` and
+``default_torsion_quotient()`` itself and takes none as an argument.
+That independence is checked where lattices are built from sampled
+exceptional classes: the h4-torsion suite's ``delta_independence`` and the
+tests.
 """
 
 from __future__ import annotations
@@ -46,8 +53,6 @@ from .exact_linalg import (
 from .h4_model import (
     AMBIENT,
     H4Class,
-    H4Lattice,
-    TorsionQuotient,
     default_h4_lattice,
     default_torsion_quotient,
     fujiki_mat,
@@ -151,14 +156,13 @@ def transcendental(p: PicardData | Lattice) -> Lattice:
     return Lattice._from_int_rows(kern, 1, RANK, gram_mat())
 
 
-def canonical_hodge_lattice(l0: H2Class, h4: H4Lattice | None = None) -> Lattice:
+def canonical_hodge_lattice(l0: H2Class) -> Lattice:
     """Integral classes in the rational span of the polarization square and q.
 
     Always rank 2. For an odd polarization the result is Z*l0^2 + Z*(2/5)q;
     for an even one the second generator tightens to (l0^2 + (2/5)q)/8.
     """
-    if h4 is None:
-        h4 = default_h4_lattice()
+    h4 = default_h4_lattice()
     if not is_primitive(l0):
         raise ValueError("polarization must be primitive")
     if bb_form(l0, l0) <= 0:
@@ -248,9 +252,7 @@ class MinimalityReport:
         }
 
 
-def minimal_class_search(
-    p: PicardData, h4: H4Lattice | None = None
-) -> MinimalityReport:
+def minimal_class_search(p: PicardData) -> MinimalityReport:
     """Search the integral classes in span(Sym^2 P, q) for one with m = 1.
 
     The functional m is linear on that span (products of Picard classes pair
@@ -260,8 +262,7 @@ def minimal_class_search(
     exactly when 1 lies in it. The witness, when produced, is re-verified
     against the full basis-pair identity.
     """
-    if h4 is None:
-        h4 = default_h4_lattice()
+    h4 = default_h4_lattice()
     T = transcendental(p)
     if T.rank < 2:
         raise DegenerateTranscendentalError("transcendental rank below 2")
@@ -307,24 +308,19 @@ def minimal_class_search(
     )
 
 
-def hodge_image_in_torsion(
-    l0: H2Class, tq: TorsionQuotient | None = None
-) -> FiniteAbelianGroup:
+def hodge_image_in_torsion(l0: H2Class) -> FiniteAbelianGroup:
     """Image of the rank-2 integral span in the finite quotient.
 
     Cyclic of order 5 for an odd polarization and 10 for an even one; the
     square of the polarization itself always lands on zero.
     """
-    if tq is None:
-        tq = default_torsion_quotient()
-    V = canonical_hodge_lattice(l0, tq.h4)
+    tq = default_torsion_quotient()
+    V = canonical_hodge_lattice(l0)
     gens = [tq.class_of(H4Class._of(row, V.den)) for row in V.int_basis]
     return tq.subgroup(gens)
 
 
-def algebraic_quotient_bound(
-    l0: H2Class, h4: H4Lattice | None = None
-) -> FiniteAbelianGroup:
+def algebraic_quotient_bound(l0: H2Class) -> FiniteAbelianGroup:
     """Quotient of the rank-2 span by its two unconditional algebraic classes.
 
     The polarization square and the degree-4 characteristic class
@@ -332,24 +328,20 @@ def algebraic_quotient_bound(
     the group of integral classes modulo algebraic ones from above: Z/3 for
     odd polarizations, Z/24 for even ones.
     """
-    if h4 is None:
-        h4 = default_h4_lattice()
-    V = canonical_hodge_lattice(l0, h4)
+    h4 = default_h4_lattice()
+    V = canonical_hodge_lattice(l0)
     c2 = second_chern_class(h4.delta_used, h4.q)
     return quotient_invariants(h4_span([sym2_embed(l0, l0), c2]), V)
 
 
-def even_class_predicates(
-    l0: H2Class, tq: TorsionQuotient | None = None
-) -> dict[str, bool]:
+def even_class_predicates(l0: H2Class) -> dict[str, bool]:
     """Six equivalent characterizations of evenness for a primitive class.
 
     All six booleans must agree for every primitive class and every choice
     of exceptional class; the equivalence is asserted by the test suite on
     random samples rather than assumed here.
     """
-    if tq is None:
-        tq = default_torsion_quotient()
+    tq = default_torsion_quotient()
     if not is_primitive(l0):
         raise ValueError("predicates apply to primitive classes")
     h4 = tq.h4

@@ -39,6 +39,7 @@ from hklattice.deformation_fix import (
 from hklattice.exact_linalg import Lattice, Mat, divisibility, sublattice_index
 from hklattice.h4_model import (
     AMBIENT,
+    TorsionQuotient,
     build_h4_lattice,
     double_cover_sym2_matrix,
     fujiki_mat,
@@ -47,7 +48,6 @@ from hklattice.h4_model import (
     half_product_class,
     sym2_embed,
     sym2_lattice,
-    torsion_quotient,
 )
 from hklattice.hodge_classes import (
     PicardData,
@@ -71,7 +71,7 @@ def test_criterion_01_torsion_order_and_factors():
     t0 = time.perf_counter()
     fresh = build_h4_lattice()
     index = sublattice_index(sym2_lattice(), fresh.lattice)
-    group = torsion_quotient(fresh).group
+    group = TorsionQuotient(fresh).group
     elapsed = time.perf_counter() - t0
     assert index == 5 * 2**23 == 41943040
     assert group.invariant_factors == (2,) * 22 + (10,)
@@ -124,7 +124,7 @@ def test_criterion_04_unimodular_and_delta_independent(h4):
     _ok(4, "|det Gram| = 1; lattice equal under 5 sampled exceptional classes")
 
 
-def test_criterion_05_divisibility_and_parity_sextuple(h4, tq):
+def test_criterion_05_divisibility_and_parity_sextuple(h4):
     rng = random.Random(5)
     for _ in range(50):
         a = sample_primitive(rng)
@@ -139,7 +139,7 @@ def test_criterion_05_divisibility_and_parity_sextuple(h4, tq):
             l0 = sample_polarization_even(rng, bool(k % 8))
         else:
             l0 = sample_primitive(rng)
-        preds = even_class_predicates(l0, tq)
+        preds = even_class_predicates(l0)
         assert len(preds) == 6
         if len(set(preds.values())) == 1:
             agree += 1
@@ -158,7 +158,7 @@ def test_criterion_06_rank2_span_structure(h4):
             ambient_dim=AMBIENT,
             form=fujiki_mat(),
         )
-        assert canonical_hodge_lattice(l0, h4) == want
+        assert canonical_hodge_lattice(l0) == want
     for k in range(20):
         l0 = sample_polarization_even(rng, bool(k % 2))
         sq = sym2_embed(l0, l0)
@@ -168,7 +168,7 @@ def test_criterion_06_rank2_span_structure(h4):
             ambient_dim=AMBIENT,
             form=fujiki_mat(),
         )
-        assert canonical_hodge_lattice(l0, h4) == want
+        assert canonical_hodge_lattice(l0) == want
     _ok(6, "20 odd and 20 even integral spans match the closed forms exactly")
 
 
@@ -180,7 +180,7 @@ def test_criterion_07_minimal_class_obstruction(h4):
             if k % 2
             else sample_polarization_even(rng, True)
         )
-        rep = minimal_class_search(PicardData.rank_one(l0), h4)
+        rep = minimal_class_search(PicardData.rank_one(l0))
         assert not rep.feasible
         assert rep.witness is None
         assert rep.image_generator.denominator == 1
@@ -190,7 +190,7 @@ def test_criterion_07_minimal_class_obstruction(h4):
     p = PicardData.from_vectors(
         [list(delta0().coords), list((e1 + f1).coords)], l0
     )
-    rep = minimal_class_search(p, h4)
+    rep = minimal_class_search(p)
     assert rep.feasible and rep.image_generator == 1
     assert rep.witness is not None and h4.contains(rep.witness)
     assert minimality_scalar(rep.witness, transcendental(p)) == 1
@@ -215,24 +215,24 @@ def test_criterion_08_torsion_structure_maps(tq):
     _ok(8, "orders 10/5, both kernels as stated, pairing matches the form mod 2")
 
 
-def test_criterion_09_images_and_quotient_bounds(h4, tq):
+def test_criterion_09_images_and_quotient_bounds():
     rng = random.Random(9)
     e1, f1 = hyperbolic_pair(0)
     odds = [e1 + f1, sample_polarization_odd(rng)]
     evens = [2 * (e1 + f1) + delta0(), sample_polarization_even(rng, True)]
     for l0 in odds:
-        assert hodge_image_in_torsion(l0, tq).invariant_factors == (5,)
-        assert algebraic_quotient_bound(l0, h4).invariant_factors == (3,)
+        assert hodge_image_in_torsion(l0).invariant_factors == (5,)
+        assert algebraic_quotient_bound(l0).invariant_factors == (3,)
     for l0 in evens:
-        assert hodge_image_in_torsion(l0, tq).invariant_factors == (10,)
-        assert algebraic_quotient_bound(l0, h4).invariant_factors == (24,)
+        assert hodge_image_in_torsion(l0).invariant_factors == (10,)
+        assert algebraic_quotient_bound(l0).invariant_factors == (24,)
     _ok(9, "torsion images Z/5 and Z/10; quotient bounds Z/3 and Z/24")
 
 
 def test_criterion_10_cubic_suite(h4):
     e1, f1 = hyperbolic_pair(0)
     g1 = 2 * (e1 + f1) + delta0()
-    m = build_cubic_model(g1, h4)
+    m = build_cubic_model(g1)
     sq = sym2_embed(g1, g1)
     assert fujiki_pair(sq, sq) == 108
     assert fujiki_pair(m.g2, sq) == 45
@@ -244,7 +244,7 @@ def test_criterion_10_cubic_suite(h4):
     resid = m.residual_generator()
     assert h4.contains(resid)
     assert divisibility(list(resid.coords()), h4.lattice) == 1
-    assert lines_hodge_basis(m) == canonical_hodge_lattice(g1, h4)
+    assert lines_hodge_basis(m) == canonical_hodge_lattice(g1)
     rep = pfaffian_check()
     assert rep["lambda0_square"] == 6
     assert rep["lambda0_even"] is True

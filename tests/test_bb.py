@@ -136,10 +136,11 @@ class TestComplement:
             assert bb_form(x, delta0()) == 0
 
     def test_complement_of_delta0_is_the_leading_block(self):
-        # double_cover_sym2_matrix reads its Gram block and inverse from here
+        # the default lattice keeps this Gram and its inverse, and
+        # double_cover_sym2_matrix reads them from there as GRAM's block
         basis, g, _ = _orth_complement(delta0())
-        assert basis == [H2Class.basis_vector(i) for i in range(RANK - 1)]
-        assert g == [list(row[: RANK - 1]) for row in GRAM[: RANK - 1]]
+        assert basis == tuple(H2Class.basis_vector(i) for i in range(RANK - 1))
+        assert g == tuple(tuple(row[: RANK - 1]) for row in GRAM[: RANK - 1])
 
     def test_complement_of_sampled_exceptional(self, rng):
         d = sample_exceptional(rng)

@@ -87,7 +87,7 @@ class TestVerify:
         assert set(marks.values()) == {"PASS"}
 
     def test_raising_shared_helper_errors_exactly_its_checks(self, monkeypatch):
-        def raising(g1, h4=None):
+        def raising(g1):
             raise RuntimeError("no model")
 
         monkeypatch.setattr(cli, "build_cubic_model", raising)

@@ -175,11 +175,29 @@ def test_torsion_quotient_certifies_its_input(h4):
     with pytest.raises(ArithmeticError):
         # 4 = 2^2 divides the denominator
         TorsionQuotient(with_lattice(lattice_join(sym2_lattice(), h4_span([quarter]))))
+    twice = sym2_lattice().scaled(2)
     with pytest.raises(ArithmeticError):
         # 2 * Z^276 plus a glue vector does not contain Z^276
-        twice = sym2_lattice().scaled(2)
         ones = H4Class._of((1,) * AMBIENT, 1)
         TorsionQuotient(with_lattice(lattice_join(twice, h4_span([ones]))))
+    # a squarefree denominator above 1
+    fifth = H4Class._of((1,) + (0,) * (AMBIENT - 1), 5)
+    assert TorsionQuotient(with_lattice(lattice_join(sym2_lattice(), h4_span([fifth])))).moduli == (5,)
+    for glue in (
+        H4Class._of((1,) * AMBIENT, 5),
+        fifth,
+        H4Class._of((1,) * AMBIENT, 10),
+    ):
+        lat = lattice_join(twice, h4_span([glue]))
+        assert lat.den == glue.den
+        with pytest.raises(ArithmeticError):
+            # 2 * Z^276 plus glue over 5 or 10 misses Z^276
+            TorsionQuotient(with_lattice(lat))
+    # rank 275, den 1: the 275 unit pivots agree with the empty glue code,
+    # but the quotient is infinite
+    unit_rows = [[int(i == j) for j in range(AMBIENT)] for i in range(AMBIENT - 1)]
+    with pytest.raises(ArithmeticError):
+        TorsionQuotient(with_lattice(Lattice.from_int_rows(unit_rows, 1, AMBIENT, h4.lattice.form)))
 
 
 # -- deformation kernel -----------------------------------------------------

@@ -43,7 +43,7 @@ def _g1():
 
 class TestModel:
     def test_numbers(self, h4):
-        m = build_cubic_model(_g1(), h4)
+        m = build_cubic_model(_g1())
         sq = sym2_embed(m.g1, m.g1)
         assert fujiki_pair(sq, sq) == 108
         assert fujiki_pair(m.g2, sq) == 45
@@ -51,43 +51,43 @@ class TestModel:
         assert h4.contains(m.g2)
 
     def test_residual_class(self, h4):
-        m = build_cubic_model(_g1(), h4)
+        m = build_cubic_model(_g1())
         resid = m.residual_generator()
         assert 3 * resid == sym2_embed(m.g1, m.g1) - m.g2
         assert resid == F(1, 8) * (F(2, 5) * h4.q + sym2_embed(m.g1, m.g1))
         assert h4.contains(resid)
         assert divisibility(list(resid.coords()), h4.lattice) == 1
 
-    def test_lines_basis_is_canonical_span(self, h4):
-        m = build_cubic_model(_g1(), h4)
-        assert lines_hodge_basis(m) == canonical_hodge_lattice(m.g1, h4)
+    def test_lines_basis_is_canonical_span(self):
+        m = build_cubic_model(_g1())
+        assert lines_hodge_basis(m) == canonical_hodge_lattice(m.g1)
 
-    def test_g2_annihilates_transcendental(self, h4):
-        m = build_cubic_model(_g1(), h4)
+    def test_g2_annihilates_transcendental(self):
+        m = build_cubic_model(_g1())
         T = transcendental(PicardData.rank_one(m.g1))
         rows = [H2Class([int(x) for x in r]) for r in T.basis_rows()]
         for a, b in combinations_with_replacement(rows, 2):
             assert fujiki_with_product(m.g2, a, b) == 0
 
-    def test_rejects_odd(self, h4):
+    def test_rejects_odd(self):
         e1, f1 = hyperbolic_pair(0)
         with pytest.raises(ValueError):
-            build_cubic_model(e1 + 3 * f1, h4)  # square 6 but odd
+            build_cubic_model(e1 + 3 * f1)  # square 6 but odd
 
-    def test_rejects_wrong_square(self, h4):
+    def test_rejects_wrong_square(self):
         e1, f1 = hyperbolic_pair(0)
         l0 = 2 * (e1 + 3 * f1) + delta0()  # even but square 22
         assert is_even(l0)
         with pytest.raises(ValueError):
-            build_cubic_model(l0, h4)
+            build_cubic_model(l0)
 
-    def test_json(self, h4):
-        m = build_cubic_model(_g1(), h4)
+    def test_json(self):
+        m = build_cubic_model(_g1())
         obj = m.to_json()
         assert set(obj) >= {"g1", "g2"}
 
-    def test_rank1_minimality_obstruction(self, h4):
-        rep = minimal_class_search(PicardData.rank_one(_g1()), h4)
+    def test_rank1_minimality_obstruction(self):
+        rep = minimal_class_search(PicardData.rank_one(_g1()))
         assert not rep.feasible
         assert rep.image_generator == 2
 
@@ -99,10 +99,10 @@ class TestSampler:
             assert bb_form(g, g) == 6
             assert is_primitive(g) and is_even(g)
 
-    def test_sampled_models_build(self, h4, rng):
+    def test_sampled_models_build(self, rng):
         for _ in range(2):
-            m = build_cubic_model(sample_square6_even(rng), h4)
-            assert lines_hodge_basis(m) == canonical_hodge_lattice(m.g1, h4)
+            m = build_cubic_model(sample_square6_even(rng))
+            assert lines_hodge_basis(m) == canonical_hodge_lattice(m.g1)
 
 
 class TestPfaffian:

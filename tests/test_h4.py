@@ -143,6 +143,24 @@ class TestInverseFormClass:
         assert 8 * v == F(2, 5) * h4.q + sym2_embed(d.h2, d.h2)
         assert second_chern_class(d) == F(6, 5) * h4.q
 
+    def test_riemann_roch(self, h4, rng):
+        # c2^2 = 828 and, with the Euler number c4 = 324 of the fourfold,
+        # chi(L) = L^4/24 + L^2.c2/24 + (3 c2^2 - c4)/720 for a line bundle
+        # L = lambda, which Ellingsrud-Goettsche-Lehn write as
+        # (q + 4)(q + 6)/8 in q = b(lambda, lambda)
+        c2 = second_chern_class(h4.delta_used, h4.q)
+        c2c2 = fujiki_pair(c2, c2)
+        assert c2c2 == 828
+        e1, f1 = hyperbolic_pair(0)
+        # e1 + f1 has q = 2; the samples have q < 0
+        for lam in [e1 + f1] + [sample_primitive(rng) for _ in range(4)]:
+            q = bb_form(lam, lam)
+            sq = sym2_embed(lam, lam)
+            l4, l2c2 = fujiki_pair(sq, sq), fujiki_pair(sq, c2)
+            assert l4 == 3 * q * q
+            assert l2c2 == 30 * q
+            assert l4 / 24 + l2c2 / 24 + F(3 * c2c2 - 324, 720) == F((q + 4) * (q + 6), 8)
+
 
 class TestIntegralLattice:
     def test_rank_and_unimodularity(self, h4):

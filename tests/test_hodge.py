@@ -110,7 +110,7 @@ class TestTranscendental:
 class TestCanonicalRank2:
     def test_odd_structure(self, h4):
         l0 = _u_pol()
-        V = canonical_hodge_lattice(l0, h4)
+        V = canonical_hodge_lattice(l0)
         want = Lattice.from_generators(
             [
                 list(sym2_embed(l0, l0).coords()),
@@ -123,7 +123,7 @@ class TestCanonicalRank2:
 
     def test_even_structure(self, h4):
         l0 = _even_pol()
-        V = canonical_hodge_lattice(l0, h4)
+        V = canonical_hodge_lattice(l0)
         gen2 = F(1, 8) * (sym2_embed(l0, l0) + F(2, 5) * h4.q)
         want = Lattice.from_generators(
             [list(sym2_embed(l0, l0).coords()), list(gen2.coords())],
@@ -164,7 +164,7 @@ class TestMinimality:
         assert minimality_scalar(F(2, 5) * h4.q, T) == 10
         assert minimality_scalar(sym2_embed(_u_pol(), _u_pol()), T) == 2
 
-    def test_non_constant_ratio_rejected(self, h4):
+    def test_non_constant_ratio_rejected(self):
         T = transcendental(PicardData.rank_one(_u_pol()))
         e2, f2 = hyperbolic_pair(1)
         with pytest.raises(ValueError):
@@ -185,17 +185,17 @@ class TestMinimality:
         with pytest.raises(DegenerateTranscendentalError):
             minimality_scalar(sym2_embed(e1, e1), T)
 
-    def test_rank1_odd_infeasible(self, h4, rng):
+    def test_rank1_odd_infeasible(self, rng):
         for _ in range(3):
             l0 = sample_polarization_odd(rng)
-            rep = minimal_class_search(PicardData.rank_one(l0), h4)
+            rep = minimal_class_search(PicardData.rank_one(l0))
             assert not rep.feasible
             assert rep.witness is None
             assert rep.image_generator == 2
 
-    def test_rank1_even_infeasible(self, h4, rng):
+    def test_rank1_even_infeasible(self, rng):
         l0 = sample_polarization_even(rng, True)
-        rep = minimal_class_search(PicardData.rank_one(l0), h4)
+        rep = minimal_class_search(PicardData.rank_one(l0))
         assert not rep.feasible
         assert rep.image_generator % 2 == 0
 
@@ -204,20 +204,20 @@ class TestMinimality:
         p = PicardData.from_vectors(
             [list(delta0().coords), list(_u_pol().coords)], l0
         )
-        rep = minimal_class_search(p, h4)
+        rep = minimal_class_search(p)
         assert rep.feasible and rep.image_generator == 1
         assert rep.witness is not None
         assert h4.contains(rep.witness)
         assert minimality_scalar(rep.witness, transcendental(p)) == 1
 
-    def test_report_json_and_hash_deterministic(self, h4):
+    def test_report_json_and_hash_deterministic(self):
         l0 = _u_pol()
-        r1 = minimal_class_search(PicardData.rank_one(l0), h4)
-        r2 = minimal_class_search(PicardData.rank_one(l0), h4)
+        r1 = minimal_class_search(PicardData.rank_one(l0))
+        r2 = minimal_class_search(PicardData.rank_one(l0))
         assert r1.to_json() == r2.to_json()
         assert len(r1.basis_hash) == 16
 
-    def test_isometry_invariance(self, h4, rng):
+    def test_isometry_invariance(self, rng):
         # swapping the first two hyperbolic planes is an isometry; the
         # image ideal of the functional is unchanged
         def swap(v: H2Class) -> H2Class:
@@ -227,44 +227,42 @@ class TestMinimality:
 
         for _ in range(3):
             l0 = sample_polarization_odd(rng)
-            g1 = minimal_class_search(PicardData.rank_one(l0), h4).image_generator
-            g2 = minimal_class_search(
-                PicardData.rank_one(swap(l0)), h4
-            ).image_generator
+            g1 = minimal_class_search(PicardData.rank_one(l0)).image_generator
+            g2 = minimal_class_search(PicardData.rank_one(swap(l0))).image_generator
             assert g1 == g2
 
 
 class TestParityPredicates:
-    def test_even_class_all_true(self, tq):
-        preds = even_class_predicates(_even_pol(), tq)
+    def test_even_class_all_true(self):
+        preds = even_class_predicates(_even_pol())
         assert len(preds) == 6
         assert all(preds.values())
 
-    def test_odd_class_all_false(self, tq):
-        preds = even_class_predicates(_u_pol(), tq)
+    def test_odd_class_all_false(self):
+        preds = even_class_predicates(_u_pol())
         assert not any(preds.values())
 
-    def test_sextuple_agreement_sampled(self, tq, rng):
+    def test_sextuple_agreement_sampled(self, rng):
         for k in range(12):
             if k % 3 == 0:
                 l0 = sample_polarization_even(rng, bool(k % 2))
             else:
                 l0 = sample_primitive(rng)
-            preds = even_class_predicates(l0, tq)
+            preds = even_class_predicates(l0)
             assert len(set(preds.values())) == 1, (list(l0.coords), preds)
 
 
 class TestTorsionImages:
-    def test_image_orders(self, tq):
-        assert hodge_image_in_torsion(_u_pol(), tq).invariant_factors == (5,)
-        assert hodge_image_in_torsion(_even_pol(), tq).invariant_factors == (10,)
+    def test_image_orders(self):
+        assert hodge_image_in_torsion(_u_pol()).invariant_factors == (5,)
+        assert hodge_image_in_torsion(_even_pol()).invariant_factors == (10,)
 
-    def test_quotient_bounds(self, h4):
-        assert algebraic_quotient_bound(_u_pol(), h4).invariant_factors == (3,)
-        assert algebraic_quotient_bound(_even_pol(), h4).invariant_factors == (24,)
+    def test_quotient_bounds(self):
+        assert algebraic_quotient_bound(_u_pol()).invariant_factors == (3,)
+        assert algebraic_quotient_bound(_even_pol()).invariant_factors == (24,)
 
-    def test_sampled_orders(self, tq, rng):
+    def test_sampled_orders(self, rng):
         l0 = sample_polarization_odd(rng)
-        assert hodge_image_in_torsion(l0, tq).invariant_factors == (5,)
+        assert hodge_image_in_torsion(l0).invariant_factors == (5,)
         l0 = sample_polarization_even(rng, True)
-        assert hodge_image_in_torsion(l0, tq).invariant_factors == (10,)
+        assert hodge_image_in_torsion(l0).invariant_factors == (10,)

@@ -71,10 +71,10 @@ def test_saturate_in_h4_equals_saturate_scale_meet(h4):
         assert saturate_in(span, h4.lattice) == old
 
 
-def test_basis_hash_equals_full_json_digest(h4):
+def test_basis_hash_equals_full_json_digest():
     for l0 in _polarizations(2, seed=3):
         pd = PicardData.rank_one(l0)
-        rep = minimal_class_search(pd, h4)
+        rep = minimal_class_search(pd)
         T = transcendental(pd)
         h = hashlib.sha256()
         h.update(json.dumps(rep.search_lattice.to_json(), sort_keys=True).encode())
@@ -198,12 +198,12 @@ def test_integer_inverse_of_unimodular_matrix(monkeypatch):
     # the complement Gram's unimodularity proof is its integer inverse U:
     # U * g = I, and U agrees with the rational inverse
     basis, g, U = _orth_complement(delta0())
-    assert g == [[bb_form(x, y) for y in basis] for x in basis]
+    assert g == tuple(tuple(bb_form(x, y) for y in basis) for x in basis)
     k = len(g)
     assert [
         [sum(U[i][t] * g[t][j] for t in range(k)) for j in range(k)] for i in range(k)
     ] == [[int(i == j) for j in range(k)] for i in range(k)]
-    assert U == Mat(g).inverse().int_rows()
+    assert U == tuple(map(tuple, Mat(g).inverse().int_rows()))
     # a Gram that is not unimodular has no integer inverse and raises
     form = bb_lattice.bb_form
     monkeypatch.setattr(bb_lattice, "bb_form", lambda x, y: 2 * form(x, y))

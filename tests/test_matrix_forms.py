@@ -10,11 +10,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hklattice import h4_model, hodge_classes
-from hklattice.bb_lattice import RANK, H2Class, delta0, sample_exceptional
+from hklattice.bb_lattice import RANK, H2Class, _orth_complement, delta0, sample_exceptional
 from hklattice.h4_model import (
     AMBIENT,
     H4Class,
-    _complement_data,
     _q_class,
     fujiki_pair,
     fujiki_product_covector,
@@ -76,7 +75,7 @@ def test_covector_on_the_named_denominators(h4):
 def test_q_class_matches_the_sym2_accumulation():
     rng = random.Random(20)
     for dh in [delta0()] + [sample_exceptional(rng).h2 for _ in range(20)]:
-        abasis, _, b_inv = _complement_data(dh)
+        abasis, _, b_inv = _orth_complement(dh)
         assert _q_class(dh, abasis, b_inv) == oracles.q_class(dh, abasis, b_inv)
 
 
