@@ -482,7 +482,10 @@ def _payload_class(payload: dict, h4) -> H4Class:
     if "lambda0" in payload:
         l0 = H2Class(payload["lambda0"])
         cls = sym2_embed(l0, l0)
-        if payload.get("plus_two_fifths_q"):
+        plus = payload.get("plus_two_fifths_q", False)
+        if plus is not True and plus is not False:
+            raise ValueError(f"plus_two_fifths_q must be true or false, got {json.dumps(plus)}")
+        if plus:
             cls = cls + Fraction(2, 5) * h4.q
         return cls
     raise ValueError("payload needs one of: named, class, lambda0")

@@ -160,6 +160,15 @@ def _frac_str(x, d: int = 1) -> str:
     return f"{p // g}/{q // g}"
 
 
+def _json_rows(rows, den: int = 1) -> str:
+    """``json.dumps`` of the rational rows rows/den as arrays of "p"/"p/q"
+    strings, written row by row: no list of strings for the whole matrix."""
+    fmt = str if den == 1 else (lambda x: _frac_str(x, den))
+    return "[" + ", ".join(
+        '["' + '", "'.join(map(fmt, r)) + '"]' if r else "[]" for r in rows
+    ) + "]"
+
+
 def _scaled_ints(vectors) -> tuple[int, list[list[int]]]:
     """Smallest d > 0 making the rational vectors integral, and d times them."""
     vecs = [tuple(v) for v in vectors]
@@ -451,7 +460,7 @@ class Mat:
     def json_text(self) -> str:
         """``json.dumps(self.to_json())``, serialized once per matrix."""
         if self._json is None:
-            self._json = json.dumps(self.to_json())
+            self._json = _json_rows(self._num, self._den)
         return self._json
 
     @classmethod
@@ -747,14 +756,11 @@ class Lattice:
             df * self.den * self.den,
         )
 
-    def _basis_json(self) -> list[list[str]]:
-        d = self.den
-        return [[_frac_str(x, d) for x in row] for row in self.int_basis]
-
     def to_json(self) -> dict:
+        d = self.den
         return {
             "ambient_dim": self.ambient_dim,
-            "basis": self._basis_json(),
+            "basis": [[_frac_str(x, d) for x in row] for row in self.int_basis],
             "form": None if self.form is None else self.form.to_json(),
         }
 
@@ -762,7 +768,7 @@ class Lattice:
         """``json.dumps(self.to_json(), sort_keys=True)``, with the form's
         text serialized once per form rather than once per call."""
         form = "null" if self.form is None else self.form.json_text()
-        basis = json.dumps(self._basis_json())
+        basis = _json_rows(self.int_basis, self.den)
         return f'{{"ambient_dim": {self.ambient_dim}, "basis": {basis}, "form": {form}}}'
 
     @classmethod

@@ -19,12 +19,15 @@ one vector API of ``Lattice`` (``contains(num, den)`` and its siblings).
 Input from outside is checked once, by the public ``H4Class``
 constructor; sums, multiples, products ``sym2_embed`` and torsion lifts
 are built from checked classes and take the private ``H4Class._of``,
-which only normalizes. The torsion quotient is read off the glue code of
-the lattice (its basis rows that are not in Z^276, reduced mod each prime
-of the denominator), with no Smith form; it keeps the pivot columns that
-``class_of`` reads and the glue combinations that ``lift`` adds, and no
-Fraction lifts; its mod-2 structure maps come from the same reduced
-echelon mod p, ``_reduce_mod``. The caches are the Fujiki Gram (one shared
+which only normalizes. The cup product table check builds no ``H4Class``
+for its dictionary: those classes are integer numerator maps over one
+denominator, and their products are read off the nonzeros of the two
+degree-2 factors (``_product_num``). The torsion quotient is read off the
+glue code of the lattice (its basis rows that are not in Z^276, reduced
+mod each prime of the denominator), with no Smith form; it keeps the
+pivot columns that ``class_of`` reads and the glue combinations that
+``lift`` adds, and no Fraction lifts; its mod-2 structure maps come from
+the same reduced echelon mod p, ``_reduce_mod``. The caches are the Fujiki Gram (one shared
 integer ``Mat``, whose symmetry check and JSON text are computed once), its
 determinant, and the default lattice and torsion quotient built from the
 distinguished exceptional class. The class q is not cached on its own:
@@ -750,6 +753,52 @@ def double_cover_sym2_matrix() -> Mat:
     return Mat._of(m, 1)
 
 
+_MONOMIAL_OF = [[monomial_index(i, j) for j in range(RANK)] for i in range(RANK)]
+
+
+def _product_num(a: H2Class, b: H2Class) -> dict[int, int]:
+    """The nonzero monomial coordinates of sym2_embed(a, b), read off the
+    nonzeros of a and b: each a_i*b_j lands on the monomial of {i, j}."""
+    bn = [(j, y) for j, y in enumerate(b.coords) if y]
+    out: dict[int, int] = {}
+    for i, x in enumerate(a.coords):
+        if x:
+            index = _MONOMIAL_OF[i]
+            for j, y in bn:
+                c = index[j]
+                out[c] = out.get(c, 0) + x * y
+    return {c: x for c, x in out.items() if x}
+
+
+def _combo(terms) -> tuple[int, dict[int, int]]:
+    """sum a*x over the pairs (a, x) of ``terms``, for numerator maps
+    x = (c, s) meaning c*w + s: an integer multiple of one dense vector w
+    plus sparse coordinates s (nonzeros only)."""
+    c, s = 0, {}
+    for a, (xc, xs) in terms:
+        c += a * xc
+        for k, x in xs.items():
+            s[k] = s.get(k, 0) + a * x
+    return c, {k: x for k, x in s.items() if x}
+
+
+def _dense(x, w) -> list[int]:
+    """The AMBIENT coordinates of the numerator map x = (c, s) over w."""
+    c, s = x
+    row = [c * y for y in w] if c else [0] * AMBIENT
+    for k, y in s.items():
+        row[k] += y
+    return row
+
+
+def _same(x, y, w) -> bool:
+    """Whether the numerator maps x and y over w are the same vector: equal
+    multiples of w and equal sparse parts, else entry by entry."""
+    if x[0] == y[0]:
+        return x[1] == y[1]
+    return _dense(x, w) == _dense(y, w)
+
+
 def verify_cup_product_table(h4: H4Lattice) -> dict:
     """Check the closed-form cup product table against the lattice model.
 
@@ -760,6 +809,21 @@ def verify_cup_product_table(h4: H4Lattice) -> dict:
     of every dictionary element in the lattice, the dictionary being an
     actual basis (span equality), and 2-divisibility of the half products.
 
+    Every class is an integer numerator map over the one denominator
+    D = 2*den(v0): (c, s) is c*w + s over D, with w the numerators of v0
+    over den(v0) (so v0 is (2, {}) and (A_ii/2)v0 is (A_ii, {})) and s the
+    sparse rest. A product a*b is D times the coordinates that
+    ``_product_num`` reads off the nonzeros of a and b, a half product
+    a(a - d)/2 is den(v0) times those of a*(a - d), and (B_ii/2)u_i is
+    den(v0)*B_ii times those of d*a_i, so every coefficient is an integer
+    and v0 is the only dense vector. No ``H4Class`` is built.
+
+    ``dictionary_is_basis`` compares the Hermite form of the dictionary's
+    span with ``h4.lattice``. Equality also proves ``dictionary_integral``:
+    every generator lies in its span, which is then the lattice. Only when
+    the spans differ is integrality decided by one membership solve per
+    element, so the value stays exact on any input.
+
     Returns {check_name: bool}; a failed check reads False and the others
     still run.
     """
@@ -767,42 +831,61 @@ def verify_cup_product_table(h4: H4Lattice) -> dict:
     abasis = h4.abasis
     A = h4.a_gram
     B = h4.b_inv
-    v0 = h4.v0
+    w, h = h4.v0.num, h4.v0.den
+    D = 2 * h
     k = len(abasis)
-    u = [sym2_embed(dh, a) for a in abasis]
-    v = [
-        half_product_class(h4.delta_used, abasis[i])
-        - Fraction(A[i][i], 2) * v0
-        for i in range(k)
-    ]
+    W = (1, {})  # v0/2
+    v0 = (2, {})
+
+    def product(a, b):
+        return 0, _product_num(a, b)
+
+    half = [product(a, a - dh) for a in abasis]
+    d_a = [product(dh, a) for a in abasis]
+    u = [_combo([(D, x)]) for x in d_a]
+    v = [_combo([(h, half[i]), (-A[i][i], W)]) for i in range(k)]
+    mixed = {}
     vij = {}
     for i in range(k):
         for j in range(i + 1, k):
-            vij[(i, j)] = sym2_embed(abasis[i], abasis[j]) - A[i][j] * v0
+            mixed[(i, j)] = _combo([(D, product(abasis[i], abasis[j]))])
+            vij[(i, j)] = _combo([(1, mixed[(i, j)]), (-2 * A[i][j], W)])
 
-    rhs = -1 * v0
+    terms = [(-1, v0)]
     for i in range(k):
         if B[i][i]:
-            rhs = rhs - B[i][i] * v[i] - Fraction(B[i][i], 2) * u[i]
+            terms += [(-B[i][i], v[i]), (-B[i][i] * h, d_a[i])]
         for j in range(i + 1, k):
             if B[i][j]:
-                rhs = rhs - B[i][j] * vij[(i, j)]
+                terms.append((-B[i][j], vij[(i, j)]))
+    rhs = _combo(terms)
     dictionary = [v0] + v + list(vij.values()) + u
+    # the rows go in over D/g, g a common factor of D and every numerator,
+    # so that the span's Hermite rows need no reduction to lowest terms
+    g = D
+    for c, sp in dictionary:
+        g = gcd(g, c, *sp.values())
+    rows = [_dense((c // g, {m: x // g for m, x in sp.items()}), w) for c, sp in dictionary]
+    lat = h4.lattice
+    is_basis = Lattice._from_int_rows(rows, D // g, AMBIENT, fujiki_mat()) == lat
     return {
         "product_mixed": all(
-            sym2_embed(abasis[i], abasis[j]) == vij[(i, j)] + A[i][j] * v0
-            for i in range(k)
-            for j in range(i + 1, k)
+            _same(x, _combo([(1, vij[ij]), (2 * A[ij[0]][ij[1]], W)]), w)
+            for ij, x in mixed.items()
         ),
         "product_square": all(
-            sym2_embed(abasis[i], abasis[i]) == 2 * v[i] + u[i] + A[i][i] * v0
+            _same(
+                _combo([(D, product(abasis[i], abasis[i]))]),
+                _combo([(2, v[i]), (1, u[i]), (2 * A[i][i], W)]),
+                w,
+            )
             for i in range(k)
         ),
-        "product_with_exceptional": all(sym2_embed(abasis[i], dh) == u[i] for i in range(k)),
-        "product_exceptional_square": sym2_embed(dh, dh) == rhs,
-        "dictionary_integral": all(h4.contains(x) for x in dictionary),
-        "dictionary_is_basis": h4_span(dictionary) == h4.lattice,
-        "half_products_divisible": all(
-            h4.contains(half_product_class(h4.delta_used, a)) for a in abasis
+        "product_with_exceptional": all(
+            _same(_combo([(D, product(abasis[i], dh))]), u[i], w) for i in range(k)
         ),
+        "product_exceptional_square": _same(_combo([(D, product(dh, dh))]), rhs, w),
+        "dictionary_integral": is_basis or all(lat.contains(r, D // g) for r in rows),
+        "dictionary_is_basis": is_basis,
+        "half_products_divisible": all(lat.contains(_dense(x, w), 2) for x in half),
     }

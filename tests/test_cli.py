@@ -4,6 +4,11 @@ codes, and reproducibility of JSON output."""
 import contextlib
 import io
 import json
+import os
+import re
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -42,6 +47,22 @@ class TestVerify:
         b = cli.run_suite("blowup", seed=11, trials=None, convention="quadratic")
         a.pop("elapsed_ms"), b.pop("elapsed_ms")
         assert a == b
+
+    def test_python_dash_m_runs_the_cli(self, capsys):
+        """``python -m hklattice`` from a checkout prints what ``cli.main``
+        prints, byte for byte except ``elapsed_ms``."""
+        src = str(Path(cli.__file__).resolve().parents[1])
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        argv = ["verify", "blowup", "--json"]
+        proc = subprocess.run(
+            [sys.executable, "-m", "hklattice", *argv],
+            capture_output=True, text=True, env=env, timeout=120,
+        )
+        code, out, _ = _run(capsys, argv)
+        assert proc.returncode == code == 0
+        elapsed = re.compile(r'"elapsed_ms": [0-9]+')
+        assert elapsed.sub("", proc.stdout) == elapsed.sub("", out)
 
     def test_seed_changes_sampled_checks(self):
         a = cli.run_suite("deformation", seed=1, trials=2, convention="quadratic")
@@ -323,6 +344,26 @@ class TestStrictPayload:
 
     def test_non_ascii_digits_in_a_monomial_key_rejected(self, capsys):
         self._rejected(capsys, "membership", {"class": {"(\u0663,\u0663)": "1"}})
+
+    @pytest.mark.parametrize("flag", ["false", "true", 2, 0, 1, None, [], {}])
+    def test_plus_two_fifths_q_takes_only_json_booleans(self, capsys, flag):
+        l0 = [5, 5] + [0] * 21
+        self._rejected(capsys, "divisibility", {"lambda0": l0, "plus_two_fifths_q": flag})
+
+    def test_plus_two_fifths_q_false_is_the_plain_square(self, capsys):
+        l0 = [5, 5] + [0] * 21
+        answers = []
+        for payload in (
+            {"lambda0": l0},
+            {"lambda0": l0, "plus_two_fifths_q": False},
+            {"lambda0": l0, "plus_two_fifths_q": True},
+        ):
+            code, out, _ = _run(
+                capsys, ["query", "divisibility", "--json", "--payload", json.dumps(payload)]
+            )
+            assert code == 0
+            answers.append(json.loads(out))
+        assert answers == [{"divisibility": 25}, {"divisibility": 25}, {"divisibility": 1}]
 
     def test_exact_numbers_still_accepted(self, capsys):
         code, out, _ = _run(

@@ -2,6 +2,7 @@
 lattice and its finite quotient."""
 
 import itertools
+import random
 from fractions import Fraction
 
 import pytest
@@ -18,10 +19,18 @@ from hklattice.bb_lattice import (
     sample_exceptional,
     sample_primitive,
 )
-from hklattice.exact_linalg import _sparse_rows, divisibility, sublattice_index
+from hklattice import kernels
+from hklattice.exact_linalg import (
+    Lattice,
+    _sparse_rows,
+    divisibility,
+    lattice_join,
+    sublattice_index,
+)
 from hklattice.h4_model import (
     AMBIENT,
     H4Class,
+    H4Lattice,
     _reduce_mod,
     bb_inverse_class,
     build_h4_lattice,
@@ -29,6 +38,7 @@ from hklattice.h4_model import (
     fujiki_det,
     fujiki_pair,
     fujiki_with_product,
+    h4_span,
     half_product_class,
     monomial_index,
     monomial_pairs,
@@ -296,6 +306,103 @@ def test_double_cover_determinant():
 def test_cup_product_table_strict(h4):
     rep = verify_cup_product_table(h4)
     assert len(rep) == 7 and all(v is True for v in rep.values())
+
+
+_TABLE_KEYS = [
+    "product_mixed",
+    "product_square",
+    "product_with_exceptional",
+    "product_exceptional_square",
+    "dictionary_integral",
+    "dictionary_is_basis",
+    "half_products_divisible",
+]
+
+
+def _with(h4, **fields):
+    """A copy of the default lattice's record with some fields replaced."""
+    names = ("lattice", "delta_used", "abasis", "a_gram", "b_inv", "q", "v0")
+    kept = {n: getattr(h4, n) for n in names}
+    return H4Lattice(**{**kept, **fields})
+
+
+def _bump(m, i, j):
+    """m with 1 added at (i, j) and at (j, i)."""
+    m = [list(r) for r in m]
+    m[i][j] += 1
+    m[j][i] += 1
+    return m
+
+
+def _table_input(h4, name):
+    x0_sq = sym2_embed(H2Class.basis_vector(0), H2Class.basis_vector(0))
+    third = H4Class([1] + [0] * (AMBIENT - 1), 3)
+    build = {
+        "default": lambda: h4,
+        "sampled": lambda: build_h4_lattice(sample_exceptional(random.Random(3))),
+        "v0_plus_x0_squared": lambda: _with(h4, v0=h4.v0 + x0_sq),
+        "half_v0": lambda: _with(h4, v0=F(1, 2) * h4.v0),
+        "sym2_in_place_of_L": lambda: _with(h4, lattice=sym2_lattice()),
+        "b01_b10_plus_one": lambda: _with(h4, b_inv=_bump(h4.b_inv, 0, 1)),
+        "a67_a76_plus_one": lambda: _with(h4, a_gram=_bump(h4.a_gram, 6, 7)),
+        "L_plus_x0_squared_over_3": lambda: _with(
+            h4, lattice=lattice_join(h4.lattice, h4_span([third]))
+        ),
+    }
+    return build[name]()
+
+
+# the checks that read False on each input, as the dense H4Class
+# implementation of the table computed them
+_TABLE_FAILURES = {
+    "default": set(),
+    "sampled": set(),
+    "v0_plus_x0_squared": {"product_exceptional_square"},
+    "half_v0": {"dictionary_integral", "dictionary_is_basis", "product_exceptional_square"},
+    "sym2_in_place_of_L": {
+        "dictionary_integral", "dictionary_is_basis", "half_products_divisible"
+    },
+    "b01_b10_plus_one": {"product_exceptional_square"},
+    "a67_a76_plus_one": {"product_exceptional_square"},
+    # a strictly larger lattice: the dictionary lies in it but does not span it
+    "L_plus_x0_squared_over_3": {"dictionary_is_basis"},
+}
+
+
+@pytest.mark.parametrize("name", list(_TABLE_FAILURES))
+def test_cup_product_table_negative_controls(h4, name):
+    rep = verify_cup_product_table(_table_input(h4, name))
+    assert list(rep) == _TABLE_KEYS
+    assert rep == {k: k not in _TABLE_FAILURES[name] for k in _TABLE_KEYS}
+
+
+def test_cup_product_table_solves_and_membership_fallback(h4, monkeypatch):
+    """The span equality proves the dictionary integral on the default
+    lattice, so only the half products are solved for; a lattice the
+    dictionary does not span still asks membership of its elements."""
+    solves = []
+    asked = []
+    solve = kernels.solve_left_int_row
+    contains = Lattice.contains
+
+    def counting_solve(rows, w):
+        solves.append(1)
+        return solve(rows, w)
+
+    def recording_contains(self, v, den=1):
+        asked.append(tuple(F(x, den) for x in v))
+        return contains(self, v, den)
+
+    monkeypatch.setattr(kernels, "solve_left_int_row", counting_solve)
+    monkeypatch.setattr(Lattice, "contains", recording_contains)
+    assert all(verify_cup_product_table(h4).values())
+    assert len(solves) <= 22
+    assert h4.v0.coords() not in asked
+
+    asked.clear()
+    rep = verify_cup_product_table(_table_input(h4, "sym2_in_place_of_L"))
+    assert not rep["dictionary_integral"]
+    assert h4.v0.coords() in asked
 
 
 small = st.integers(-3, 3)

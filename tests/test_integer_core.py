@@ -29,6 +29,7 @@ from hklattice.exact_linalg import (
     Lattice,
     Mat,
     _check_ambient,
+    _json_rows,
     combine_basis,
     fraction_vector,
     int_vector,
@@ -90,6 +91,18 @@ def test_json_text_matches_sorted_dumps():
     ]
     for lat in lats:
         assert lat.json_text() == json.dumps(lat.to_json(), sort_keys=True)
+    mats = [
+        fujiki_mat(),
+        Mat([[F(-1, 2), 3, 0], [F(7, -3), -4, F(5, 6)]]),
+        Mat([[-5]]),
+    ]
+    for m in mats:
+        assert m.json_text() == json.dumps(m.to_json())
+        d, rows = m.scaled_int_rows()
+        assert _json_rows(rows, d) == json.dumps(m.to_json())
+    # Mat refuses empty shapes; the row writer behind it still handles them
+    assert _json_rows([]) == json.dumps([]) == "[]"
+    assert _json_rows([[]]) == json.dumps([[]]) == "[[]]"
 
 
 small_rows = st.lists(
