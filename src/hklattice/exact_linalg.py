@@ -88,6 +88,7 @@ from __future__ import annotations
 import json
 import re
 from fractions import Fraction
+from heapq import heapify, heappop, heappush
 from itertools import compress, count
 from math import gcd, isqrt, lcm, prod
 
@@ -1136,48 +1137,74 @@ def _echelon_mod(rows, m: int):
     """Sparse echelon of integer rows modulo m > 1.
 
     ``rows`` are in the sparse row form. Each step takes the sparsest
-    active row, pivots at its smallest column and clears that column from
-    the other active rows, which keeps the fill-in low; rows that vanish
-    mod m drop out, so for a prime m the number of pivots is the rank mod
-    m. Returns one ``(i, c, v, items)`` per pivot, in elimination order:
-    the input row i, the pivot column c, the pivot value v and the rest of
-    the row divided by v, as (column, value) pairs on columns that are not
-    earlier pivots. Only row additions are applied, so the rows as they
-    stood when chosen have the input's determinant mod m. Each pivot must
-    be a unit mod m; one that is not (gcd(v, m) > 1, never the case for a
-    prime m) raises ``ValueError``.
+    active row, the one of lowest input index among those, pivots at its
+    smallest column and clears that column from the other active rows,
+    which keeps the fill-in low; rows that vanish mod m drop out, so for a
+    prime m the number of pivots is the rank mod m. Returns one
+    ``(i, c, v, items)`` per pivot, in elimination order: the input row i,
+    the pivot column c, the pivot value v and the rest of the row divided
+    by v, as (column, value) pairs on columns that are not earlier pivots.
+    Only row additions are applied, so the rows as they stood when chosen
+    have the input's determinant mod m. Each pivot must be a unit mod m;
+    one that is not (gcd(v, m) > 1, never the case for a prime m) raises
+    ``ValueError``.
+
+    A column index (the active rows with a nonzero in each column) finds
+    the rows a pivot clears without scanning the others, and the next
+    pivot row comes off a heap of (length, row) entries: an entry is
+    pushed whenever a row's length changes, and one that no longer matches
+    its row is skipped when it comes up.
     """
-    active = []
+    live: dict[int, dict[int, int]] = {}
+    cols: dict[int, set[int]] = {}
+    heap = []
     for i, r in enumerate(rows):
         d = {}
         for c, v in r:
             v %= m
             if v:
                 d[c] = v
+                cols.setdefault(c, set()).add(i)
         if d:
-            active.append((i, d))
+            live[i] = d
+            heap.append((len(d), i))
+    heapify(heap)
     pivots = []
-    while active:
-        lens = [len(d) for _, d in active]
-        i, row = active.pop(lens.index(min(lens)))
+    while heap:
+        n, i = heappop(heap)
+        row = live.get(i)
+        if row is None or len(row) != n:
+            continue
+        del live[i]
+        for k in row:
+            cols[k].discard(i)
         c = min(row)
         v = row.pop(c)
         inv = pow(v, -1, m)
         items = [(k, x * inv % m) for k, x in row.items()]
-        remaining = []
-        for other in active:
-            d = other[1]
-            f = d.pop(c, 0)
-            if f:
-                for k, x in items:
-                    w = (d.get(k, 0) - f * x) % m
+        for j in cols.pop(c):
+            d = live[j]
+            n = len(d)
+            f = d.pop(c)
+            for k, x in items:
+                w = d.get(k)
+                if w is None:
+                    # f * x can vanish mod a composite m: k stays absent
+                    w = -f * x % m
+                    if w:
+                        d[k] = w
+                        cols[k].add(j)
+                else:
+                    w = (w - f * x) % m
                     if w:
                         d[k] = w
                     else:
-                        d.pop(k, None)
-            if d:
-                remaining.append(other)
-        active = remaining
+                        del d[k]
+                        cols[k].discard(j)
+            if not d:
+                del live[j]
+            elif len(d) != n:
+                heappush(heap, (len(d), j))
         pivots.append((i, c, v, items))
     return pivots
 

@@ -431,25 +431,49 @@ class H4Lattice:
         return fujiki_det() * detb * detb
 
 
+def _exceptional(d) -> ExceptionalClass:
+    """d as an ``ExceptionalClass`` (checked); None is the distinguished one."""
+    if d is None:
+        return ExceptionalClass(delta0())
+    return d if isinstance(d, ExceptionalClass) else ExceptionalClass(d)
+
+
+def _glue(d: ExceptionalClass, abasis, q: H4Class) -> list[H4Class]:
+    """The 22 half products a(a - d)/2 over ``abasis`` and then the
+    denominator-10 class d^2/8 + q/20."""
+    return [half_product_class(d, a) for a in abasis] + [point_surface_class(d, q)]
+
+
+def glue_classes(d=None) -> list[H4Class]:
+    """The 23 glue classes of an exceptional class d (default: the
+    distinguished one): the half products a(a - d)/2 of the basis of d's
+    complement and the denominator-10 class, in that order. With Z^276
+    they generate the degree-4 lattice built from d."""
+    d = _exceptional(d)
+    abasis, _, b_inv = _orth_complement(d.h2)
+    return _glue(d, abasis, _q_class(d.h2, abasis, b_inv))
+
+
 def build_h4_lattice(d=None) -> H4Lattice:
     """Construct the full degree-4 lattice from an exceptional class.
 
-    Joins the monomial lattice with the 22 half-product classes of a
-    complement basis and the denominator-10 class; the result has rank 276
-    and index 5*2^23 over the monomial lattice.
+    Joins the monomial lattice with the 23 glue classes of d (the 22
+    half-product classes of a complement basis and the denominator-10
+    class, ``glue_classes``); the result has rank 276 and index 5*2^23
+    over the monomial lattice. To decide whether another exceptional class
+    gives the same lattice, no second join is needed: the torsion
+    quotient's ``generated_by`` certifies that its glue classes generate
+    this one, from 23 membership solves and the ranks of the glue mod 2
+    and mod 5.
     """
-    if d is None:
-        d = ExceptionalClass(delta0())
-    elif not isinstance(d, ExceptionalClass):
-        d = ExceptionalClass(d)
+    d = _exceptional(d)
     abasis, a_gram, b_inv = _orth_complement(d.h2)
     q = _q_class(d.h2, abasis, b_inv)
-    v0 = point_surface_class(d, q)
-    extra = [half_product_class(d, a) for a in abasis] + [v0]
-    lat = lattice_join(sym2_lattice(), h4_span(extra))
+    glue = _glue(d, abasis, q)
+    lat = lattice_join(sym2_lattice(), h4_span(glue))
     if lat.rank != AMBIENT:
         raise ArithmeticError("degree-4 lattice has a rank defect")
-    return H4Lattice(lat, d, abasis, a_gram, b_inv, q, v0)
+    return H4Lattice(lat, d, abasis, a_gram, b_inv, q, glue[-1])
 
 
 def _squarefree_primes(n: int) -> list[int]:
@@ -542,6 +566,13 @@ class TorsionQuotient:
     prod p^(r_p) equals ``sublattice_index(sym2_lattice(), lattice)``, which
     also proves that Z^276 lies in L, and class_of(lift(e_i)) = e_i for
     every generator. It raises ``ArithmeticError`` otherwise.
+
+    The same glue map certifies a generating set: ``generated_by(classes)``
+    decides whether Z^276 and some classes generate L from one membership
+    solve per class and the rank mod each p of den times the classes, with
+    no Hermite form of their join (the proof is in its docstring). The
+    h4-torsion suite's ``delta_independence`` asks it for the glue classes
+    of a sampled exceptional class.
     """
 
     __slots__ = ("h4", "group", "moduli", "_den", "_coord_cols", "_lift_rows")
@@ -584,6 +615,38 @@ class TorsionQuotient:
 
     def order(self) -> int:
         return self.group.order()
+
+    def generated_by(self, classes) -> bool:
+        """Whether Z^276 and ``classes`` together generate the lattice L.
+
+        A certificate in two steps, with no Hermite form of the join:
+
+        * every class lies in L (one sparse membership solve each), so the
+          lattice M they generate with Z^276 lies in L; and
+        * prod p^(rank_p) equals ``order()``, where rank_p is the rank mod
+          p of the integer rows den * c (``_reduce_mod``) for each prime p
+          of the squarefree denominator den of L.
+
+        Why this decides M = L: L lies in (1/den) Z^276, so containment
+        makes each den * c integral. ``__init__`` certified Z^276 in L and
+        that v -> (den * v mod p)_p maps L onto the direct sum of the W_p
+        with kernel Z^276. The image of M is the Z-span of the images of
+        the classes (Z^276 maps to 0); by CRT the direct sum is (Z/den)^276,
+        a Z-span there is a Z/den-submodule, and the idempotents e_p split
+        it into the F_p-spans of the rows mod p. So [M : Z^276] =
+        prod p^(rank_p), and a sublattice of L containing Z^276 has the
+        index |L / Z^276| = ``order()`` exactly when it is L. A class
+        outside L, or too few independent classes mod some p, gives False.
+        """
+        classes = list(classes)
+        if not all(self.h4.contains(c) for c in classes):
+            return False
+        den = self._den
+        rows = _sparse_rows([[den // c.den * x for x in c.num] for c in classes])
+        index = 1
+        for p in _squarefree_primes(den):
+            index *= p ** len(_reduce_mod(rows, p)[0])
+        return index == self.order()
 
     def class_of(self, v: H4Class) -> tuple[int, ...]:
         """Residue tuple of a lattice element; raises if v is outside."""
@@ -824,6 +887,20 @@ def verify_cup_product_table(h4: H4Lattice) -> dict:
     the spans differ is integrality decided by one membership solve per
     element, so the value stays exact on any input.
 
+    Equality proves ``half_products_divisible`` too when every A_ii is
+    even: v_i is built as a_i(a_i - d)/2 - (A_ii/2) v0, so the half
+    product a_i(a_i - d)/2 = v_i + (A_ii/2) v0 is an integer combination
+    of dictionary elements, which then lie in the lattice. Otherwise, with
+    the spans different or some A_ii odd, each half product takes one
+    membership solve.
+
+    ``product_mixed``, ``product_square`` and ``product_with_exceptional``
+    hold by construction: v_ij, v_i and u_i are defined from the very
+    products they are compared with, so in exact arithmetic these three
+    cannot read False. They re-check the bookkeeping of the numerator
+    maps, not the table; only ``product_exceptional_square`` and the
+    three lattice checks can fail on a wrong lattice or Gram.
+
     Returns {check_name: bool}; a failed check reads False and the others
     still run.
     """
@@ -887,5 +964,6 @@ def verify_cup_product_table(h4: H4Lattice) -> dict:
         "product_exceptional_square": _same(_combo([(D, product(dh, dh))]), rhs, w),
         "dictionary_integral": is_basis or all(lat.contains(r, D // g) for r in rows),
         "dictionary_is_basis": is_basis,
-        "half_products_divisible": all(lat.contains(_dense(x, w), 2) for x in half),
+        "half_products_divisible": (is_basis and all(A[i][i] % 2 == 0 for i in range(k)))
+        or all(lat.contains(_dense(x, w), 2) for x in half),
     }

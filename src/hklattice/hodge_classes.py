@@ -17,9 +17,10 @@ lattice level (effectivity of a witness is out of scope).
 The degree-4 lattice does not depend on the exceptional class it is built
 from, so every function here reads the cached ``default_h4_lattice()`` and
 ``default_torsion_quotient()`` itself and takes none as an argument.
-That independence is checked where lattices are built from sampled
-exceptional classes: the h4-torsion suite's ``delta_independence`` and the
-tests.
+That independence is checked for sampled exceptional classes: by the
+h4-torsion suite's ``delta_independence``, through the glue-index
+certificate ``TorsionQuotient.generated_by``, and by the tests, which also
+build the lattices.
 """
 
 from __future__ import annotations
@@ -220,7 +221,12 @@ def minimality_scalar(v: H4Class, T: Lattice) -> Fraction:
 
 
 class MinimalityReport:
-    """Outcome of the minimal-class search over one Picard datum."""
+    """Outcome of the minimal-class search over one Picard datum.
+
+    ``basis_hash`` is the first 16 hex digits of a SHA-256 over the JSON
+    text of the search lattice and then of the transcendental lattice. It
+    is computed when first read, since only the report's JSON shows it.
+    """
 
     __slots__ = (
         "search_lattice",
@@ -228,18 +234,35 @@ class MinimalityReport:
         "feasible",
         "witness",
         "delta_used",
-        "basis_hash",
+        "transcendental_lattice",
+        "_basis_hash",
     )
 
     def __init__(
-        self, search_lattice, image_generator, feasible, witness, delta_used, basis_hash
+        self,
+        search_lattice,
+        image_generator,
+        feasible,
+        witness,
+        delta_used,
+        transcendental_lattice,
     ):
         self.search_lattice = search_lattice
         self.image_generator = image_generator
         self.feasible = feasible
         self.witness = witness
         self.delta_used = delta_used
-        self.basis_hash = basis_hash
+        self.transcendental_lattice = transcendental_lattice
+        self._basis_hash = None
+
+    @property
+    def basis_hash(self) -> str:
+        if self._basis_hash is None:
+            h = hashlib.sha256()
+            h.update(self.search_lattice.json_text().encode())
+            h.update(self.transcendental_lattice.json_text().encode())
+            self._basis_hash = h.hexdigest()[:16]
+        return self._basis_hash
 
     def to_json(self) -> dict:
         return {
@@ -300,12 +323,7 @@ def minimal_class_search(p: PicardData) -> MinimalityReport:
         if minimality_scalar(witness, T) != 1:
             raise ArithmeticError("witness failed re-verification across pairs")
 
-    h = hashlib.sha256()
-    h.update(search.json_text().encode())
-    h.update(T.json_text().encode())
-    return MinimalityReport(
-        search, g, feasible, witness, h4.delta_used, h.hexdigest()[:16]
-    )
+    return MinimalityReport(search, g, feasible, witness, h4.delta_used, T)
 
 
 def hodge_image_in_torsion(l0: H2Class) -> FiniteAbelianGroup:

@@ -17,7 +17,9 @@ entry by entry, the reference for its build from the nonzeros of GRAM.
 
 ``hermite`` is the Hermite reduction that subtracts a pivot row over every
 column from the pivot to the last, the reference for the kernel that walks
-the pivot row's nonzeros. ``polarization_kernel`` is the saturated left
+the pivot row's nonzeros. ``echelon_mod`` is the sparse elimination mod m
+that finds each pivot row and each row to clear by a scan of every active
+row, the reference for the library's column-indexed ``_echelon_mod``. ``polarization_kernel`` is the saturated left
 kernel basis of s^T A, so the deformation reference route builds its
 equations over another basis of ker(s^T A) than the library does.
 """
@@ -234,6 +236,46 @@ def hermite(mat, want_u):
     if not want_u:
         return A[:r], None, r
     return [row[:n] for row in A[:r]], [row[n:] for row in A], r
+
+
+def echelon_mod(rows, m):
+    """``exact_linalg._echelon_mod`` by scans: each step takes the first of
+    the sparsest active rows (the active rows stay in input order), pivots
+    at its smallest column and clears that column from every other active
+    row."""
+    active = []
+    for i, r in enumerate(rows):
+        d = {}
+        for c, v in r:
+            v %= m
+            if v:
+                d[c] = v
+        if d:
+            active.append((i, d))
+    pivots = []
+    while active:
+        lens = [len(d) for _, d in active]
+        i, row = active.pop(lens.index(min(lens)))
+        c = min(row)
+        v = row.pop(c)
+        inv = pow(v, -1, m)
+        items = [(k, x * inv % m) for k, x in row.items()]
+        remaining = []
+        for other in active:
+            d = other[1]
+            f = d.pop(c, 0)
+            if f:
+                for k, x in items:
+                    w = (d.get(k, 0) - f * x) % m
+                    if w:
+                        d[k] = w
+                    else:
+                        d.pop(k, None)
+            if d:
+                remaining.append(other)
+        active = remaining
+        pivots.append((i, c, v, items))
+    return pivots
 
 
 def polarization_kernel(inst) -> list[tuple[int, ...]]:

@@ -2,6 +2,7 @@
 codes, and reproducibility of JSON output."""
 
 import contextlib
+import hashlib
 import io
 import json
 import os
@@ -278,6 +279,34 @@ class TestQuery:
         obj = json.loads(out)
         assert obj["feasible"] is False
         assert obj["image_generator"] == "2"
+
+    def test_minimal_search_stdout_is_pinned(self, capsys):
+        # basis_hash is computed when the report is written; these bytes
+        # were printed when every search computed it up front
+        l0 = [1, 2] + [0] * 21
+        code, out, _ = _run(
+            capsys,
+            ["query", "minimal-search", "--json", "--payload", json.dumps({"lambda0": l0})],
+        )
+        assert code == 0
+        assert out == (
+            '{\n  "basis_hash": "991bf5273bbf952c",\n  "delta_used": [\n'
+            + "    0,\n" * 22
+            + '    1\n  ],\n  "feasible": false,\n  "image_generator": "2",\n'
+            '  "search_rank": 2,\n  "witness": null\n}\n'
+        )
+        # an even polarization with a witness
+        l0 = [2, 4] + [0] * 20 + [1]
+        code, out, _ = _run(
+            capsys,
+            ["query", "minimal-search", "--json", "--payload", json.dumps({"lambda0": l0})],
+        )
+        assert code == 0
+        assert '"basis_hash": "92c74a476f12aeaa"' in out
+        assert len(out) == 2008
+        assert hashlib.sha256(out.encode()).hexdigest() == (
+            "5590e6b88249939849ab6337374d963aa8146a26c1d29303bf81f6f387b81754"
+        )
 
     def test_lambda_plus_q_membership(self, capsys):
         # (lambda0^2 + (2/5)q)/1 with even lambda0 is divisible by 8

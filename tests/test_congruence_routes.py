@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 from oracles import SmithTorsionQuotient, smith_saturation_int
 from test_nullspace import bareiss_nullspace, certified
 
-from hklattice import exact_linalg, kernels
+from hklattice import cli, exact_linalg, kernels
 from hklattice.bb_lattice import sample_exceptional
 from hklattice.deformation_fix import random_instance, solve_fixed_space
 from hklattice.exact_linalg import (
@@ -33,6 +33,7 @@ from hklattice.h4_model import (
     build_h4_lattice,
     default_h4_lattice,
     default_torsion_quotient,
+    glue_classes,
     h4_span,
     sym2_lattice,
 )
@@ -198,6 +199,53 @@ def test_torsion_quotient_certifies_its_input(h4):
     unit_rows = [[int(i == j) for j in range(AMBIENT)] for i in range(AMBIENT - 1)]
     with pytest.raises(ArithmeticError):
         TorsionQuotient(with_lattice(Lattice.from_int_rows(unit_rows, 1, AMBIENT, h4.lattice.form)))
+
+
+# -- glue-index certificate ---------------------------------------------------
+
+
+@pytest.mark.parametrize("seed", [0, 3, 7, 31])
+def test_glue_certificate_agrees_with_the_join(seed):
+    tq = default_torsion_quotient()
+    d = sample_exceptional(random.Random(seed))
+    assert tq.generated_by(glue_classes(d)) is True
+    assert build_h4_lattice(d) == default_h4_lattice()
+
+
+def test_glue_certificate_rejects(h4):
+    tq = default_torsion_quotient()
+    glue = glue_classes()
+    assert tq.generated_by(glue)
+    # one glue class dropped: the rank mod 5 or mod 2 falls, and the index
+    # with it, although every class still lies in L
+    assert not tq.generated_by(glue[:-1])
+    assert not tq.generated_by(glue[1:])
+    x0_sq = (1,) + (0,) * (AMBIENT - 1)
+    # v0 + x_0^2/3 is not in L
+    assert not tq.generated_by(glue[:-1] + [h4.v0 + H4Class._of(x0_sq, 3)])
+    # nor is a class over denominator 40
+    assert not tq.generated_by(glue + [H4Class._of(x0_sq, 40)])
+    # the glue of a sampled class with one of the default lattice's own
+    d = sample_exceptional(random.Random(5))
+    assert tq.generated_by(glue_classes(d)[:-1] + [h4.v0])
+
+
+def test_delta_independence_check_builds_no_276_row_hermite_form(monkeypatch):
+    sizes = []
+    hnf = kernels.hnf
+
+    def recording(rows, *args, **kwargs):
+        sizes.append(len(rows))
+        return hnf(rows, *args, **kwargs)
+
+    default_torsion_quotient()
+    monkeypatch.setattr(kernels, "hnf", recording)
+    checks = {c[0]: c[2] for c in cli._suite_h4_torsion(random.Random(7), None, "quadratic")}
+    assert checks["delta_independence"]() is True
+    assert max(sizes, default=0) < AMBIENT
+    # the join that the certificate replaces is one
+    build_h4_lattice(sample_exceptional(random.Random(7)))
+    assert max(sizes) >= AMBIENT
 
 
 # -- deformation kernel -----------------------------------------------------

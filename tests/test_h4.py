@@ -405,6 +405,51 @@ def test_cup_product_table_solves_and_membership_fallback(h4, monkeypatch):
     assert h4.v0.coords() in asked
 
 
+def _half_product_solves(monkeypatch):
+    """The membership questions asked over the denominator 2."""
+    asked = []
+    contains = Lattice.contains
+
+    def recording(self, v, den=1):
+        if den == 2:
+            asked.append(v)
+        return contains(self, v, den)
+
+    monkeypatch.setattr(Lattice, "contains", recording)
+    return asked
+
+
+def test_half_products_need_no_solve_when_the_span_proves_them(h4, monkeypatch):
+    # every A_ii of the default lattice is even, and the dictionary spans it
+    assert all(h4.a_gram[i][i] % 2 == 0 for i in range(len(h4.abasis)))
+    asked = _half_product_solves(monkeypatch)
+    assert verify_cup_product_table(h4)["half_products_divisible"]
+    assert asked == []
+
+
+def test_an_odd_a_ii_still_solves_for_the_half_products(h4, monkeypatch):
+    # A_00 made odd, and the lattice replaced by the span of the dictionary
+    # that this A builds, so that dictionary_is_basis holds; v_0 then
+    # differs from a_0(a_0 - d)/2 by (A_00/2) v0, a half of v0, and the
+    # half product is outside the span: only a solve can tell
+    A = [list(r) for r in h4.a_gram]
+    A[0][0] += 1
+    d, ab, v0 = h4.delta_used, h4.abasis, h4.v0
+    k = len(ab)
+    dictionary = [v0]
+    dictionary += [half_product_class(d, a) - F(A[i][i], 2) * v0 for i, a in enumerate(ab)]
+    dictionary += [
+        sym2_embed(ab[i], ab[j]) - A[i][j] * v0 for i in range(k) for j in range(i + 1, k)
+    ]
+    dictionary += [sym2_embed(d.h2, a) for a in ab]
+    odd = _with(h4, a_gram=A, lattice=h4_span(dictionary))
+    asked = _half_product_solves(monkeypatch)
+    rep = verify_cup_product_table(odd)
+    assert rep["dictionary_is_basis"] and rep["dictionary_integral"]
+    assert not rep["half_products_divisible"]
+    assert len(asked) >= 1
+
+
 small = st.integers(-3, 3)
 
 

@@ -217,6 +217,24 @@ class TestMinimality:
         assert r1.to_json() == r2.to_json()
         assert len(r1.basis_hash) == 16
 
+    def test_basis_hash_is_computed_when_read(self, monkeypatch):
+        # the search serializes no lattice; the first read of basis_hash
+        # writes the search and transcendental lattices once
+        written = []
+        json_text = Lattice.json_text
+
+        def recording(self):
+            written.append(self)
+            return json_text(self)
+
+        monkeypatch.setattr(Lattice, "json_text", recording)
+        rep = minimal_class_search(PicardData.rank_one(_u_pol()))
+        assert written == []
+        h = rep.basis_hash
+        assert written == [rep.search_lattice, rep.transcendental_lattice]
+        assert rep.to_json()["basis_hash"] == rep.basis_hash == h
+        assert len(written) == 2
+
     def test_isometry_invariance(self, rng):
         # swapping the first two hyperbolic planes is an isometry; the
         # image ideal of the functional is unchanged

@@ -266,6 +266,61 @@ def test_the_fujiki_gram_determinant_is_one_elimination(echelon_moduli):
     assert echelon_moduli == [prod(primes)]
 
 
+def _echelon_or_refusal(echelon, rows, m):
+    try:
+        return echelon(rows, m)
+    except ValueError:
+        return "non-unit pivot"
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.sampled_from([2, 3, 10, 12, 32749]),
+    st.integers(1, 8).flatmap(
+        lambda n: st.lists(
+            st.lists(entry | st.just(0), min_size=n, max_size=n), max_size=9
+        )
+    ),
+)
+def test_echelon_mod_matches_the_scanning_oracle(m, rows):
+    # the same pivots, in the same order, with the same items; a composite
+    # modulus refuses the same non-unit pivot
+    sparse = exact_linalg._sparse_rows(rows)
+    assert _echelon_or_refusal(exact_linalg._echelon_mod, sparse, m) == _echelon_or_refusal(
+        oracles.echelon_mod, sparse, m
+    )
+
+
+def test_echelon_mod_drops_a_fill_in_that_vanishes_mod_m():
+    # mod 12 the pivot row (1, 6, 0) clears the 2 of (2, 0, 1): the fill-in
+    # -2 * 6 is 0 mod 12 at a column the row did not have, which stays out
+    rows = exact_linalg._sparse_rows([[1, 6, 0], [2, 0, 1]])
+    assert exact_linalg._echelon_mod(rows, 12) == oracles.echelon_mod(rows, 12) == [
+        (0, 0, 1, [(1, 6)]),
+        (1, 2, 1, []),
+    ]
+    # an update that cancels an entry the row had removes it
+    rows = exact_linalg._sparse_rows([[1, 6, 0], [1, 6, 1]])
+    assert exact_linalg._echelon_mod(rows, 12) == oracles.echelon_mod(rows, 12) == [
+        (0, 0, 1, [(1, 6)]),
+        (1, 2, 1, []),
+    ]
+    # a pivot that is not a unit mod 12 is refused by both
+    rows = exact_linalg._sparse_rows([[1, 6, 0], [2, 0, 1], [0, 0, 4]])
+    for echelon in (exact_linalg._echelon_mod, oracles.echelon_mod):
+        with pytest.raises(ValueError):
+            echelon(rows, 12)
+
+
+def test_echelon_mod_on_the_276_matrices_matches_the_oracle():
+    modulus = prod(islice(_nullspace_primes(), 5))
+    for rows in (
+        exact_linalg._sparse_rows(fujiki_rows()),
+        double_cover_sym2_matrix().sparse_rows(),
+    ):
+        assert exact_linalg._echelon_mod(rows, modulus) == oracles.echelon_mod(rows, modulus)
+
+
 def test_det_int_small_cases():
     assert det_int([]) == 1
     assert det_int([[0]]) == 0
