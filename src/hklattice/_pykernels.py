@@ -8,11 +8,14 @@ ints; ``solve_left_int_row`` alone takes the sparse rows of
 Inputs are never mutated. Everything is exact: arbitrary-precision
 integers only, no floating point, no modular shortcuts.
 
-``det_bareiss``, ``pivot_columns``, ``row_echelon_bareiss`` and
-``smith_normal_form`` serve only as dense test references (and as per-layer
-trace points of the benchmark); the library uses the sparse, modular and
-congruence routines of ``hklattice.exact_linalg`` instead, and
-``snf_diagonal`` for quotient invariants.
+The library calls ``hnf``, ``hnf_transform``, ``snf_diagonal`` (the
+diagonal of ``smith_normal_form``, whose transforms V and V^-1 only the
+tests' Smith-form oracles ask for) and ``solve_left_int_row``.
+``det_bareiss`` and ``row_echelon_bareiss`` have no library caller: the
+library uses the sparse and modular routines of ``hklattice.exact_linalg``
+instead. They stay only for the benchmark's per-layer bit counters, which
+need a traced function of each name, and serve the tests as dense
+references.
 
 Conventions
 -----------
@@ -35,7 +38,6 @@ from itertools import compress
 __all__ = [
     "hnf",
     "hnf_transform",
-    "pivot_columns",
     "smith_normal_form",
     "snf_diagonal",
     "det_bareiss",
@@ -146,21 +148,6 @@ def hnf_transform(mat):
     basis of the saturated left kernel ``{x : x * mat = 0}``.
     """
     return _hermite(mat, True)
-
-
-def pivot_columns(H):
-    """Pivot (first nonzero) column index of each row of an echelon matrix."""
-    pivots = []
-    for row in H:
-        p = -1
-        for c, v in enumerate(row):
-            if v:
-                p = c
-                break
-        if p < 0:
-            raise ValueError("zero row in echelon matrix")
-        pivots.append(p)
-    return pivots
 
 
 def solve_left_int_row(rows, b):

@@ -24,7 +24,6 @@ from math import gcd
 
 from . import kernels
 from .exact_linalg import (
-    Lattice,
     Mat,
     _pair,
     det_int,
@@ -152,13 +151,6 @@ class H2Class:
     def __repr__(self):
         return f"H2Class{self.coords}"
 
-    def to_json(self) -> list[int]:
-        return list(self.coords)
-
-    @classmethod
-    def from_json(cls, obj) -> "H2Class":
-        return cls(obj)
-
 
 def delta0() -> H2Class:
     """The distinguished square -2 class (last basis vector)."""
@@ -236,13 +228,6 @@ class ExceptionalClass:
 
     def __repr__(self):
         return f"ExceptionalClass{self.h2.coords}"
-
-    def to_json(self) -> list[int]:
-        return self.h2.to_json()
-
-    @classmethod
-    def from_json(cls, obj) -> "ExceptionalClass":
-        return cls(H2Class(obj))
 
 
 def make_exceptional(a_hat: H2Class, c: int) -> ExceptionalClass:
@@ -340,11 +325,6 @@ def decompose_even(l0: H2Class, d) -> tuple[H2Class, int]:
     if c % 2 == 0:
         raise ArithmeticError("primitive even class must have odd coefficient")
     return a_hat, c
-
-
-def ambient_lattice() -> Lattice:
-    """Z^23 carrying the frozen Gram as ambient form."""
-    return Lattice.standard(RANK, form=gram_mat())
 
 
 # -- seeded samplers ---------------------------------------------------------

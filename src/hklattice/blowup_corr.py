@@ -11,6 +11,11 @@ surfaces: each carries a multiplier e with
 
 on transcendental classes, disjoint surfaces combine quadratically, and the
 question "can a combination reach multiplier exactly 1" is a finite search.
+The degree-2 comparison map from the cubic's primitive cohomology to the
+fourfold of lines negates the pairing, so a family that receives the
+cubic's cohomology with index e pairs with multiplier e against the
+canonical form on the fourfold of lines: the index is the multiplier, and
+it is minimal exactly when it is 1.
 
 The residue construction (third intersection point of a conic/secant with
 the cubic) rescales a multiplier; the literal transform constant is 3 - 2e,
@@ -153,39 +158,6 @@ def blowup_h4(y: FourfoldH4, c: BlowupCenter) -> FourfoldH4:
     if c.kind == "surface":
         t = lattice_join(t, _place(c.transcendental_sub, n, 0, form))
     return FourfoldH4(lat, t)
-
-
-def blowup_sequence(
-    y: FourfoldH4, centers, require_distinct_surfaces: bool = True
-) -> FourfoldH4:
-    """Successive blow-ups; the flag enforces pairwise-distinct surface labels.
-
-    "Simple" sequences (all surface centers distinct) are the hypothesis
-    under which the correspondence calculus applies; the check requires a
-    label on every surface center when enabled.
-    """
-    if require_distinct_surfaces:
-        labels = [c.label for c in centers if c.kind == "surface"]
-        if any(lbl is None for lbl in labels):
-            raise ValueError("surface centers need labels to certify distinctness")
-        if len(set(labels)) != len(labels):
-            raise ValueError("surface centers must be pairwise distinct")
-    out = y
-    for c in centers:
-        out = blowup_h4(out, c)
-    return out
-
-
-def receiving_multiplier_on_F(e_on_x: int) -> int:
-    """Translate a receiving index on the cubic into a pairing multiplier.
-
-    The degree-2 comparison map from the cubic's primitive cohomology to the
-    fourfold of lines negates the pairing; a family receiving the cubic's
-    cohomology with index e therefore pairs with multiplier e against the
-    canonical form on the fourfold of lines. Identity on purpose; the sign
-    bookkeeping is the content. Minimal exactly when the result is 1.
-    """
-    return e_on_x
 
 
 _CONVENTIONS = ("quadratic", "paper")

@@ -473,24 +473,44 @@ _NAMED_CLASSES = {
 }
 
 
+_CLASS_FORMS = ("named", "class", "lambda0")
+
+
 def _payload_class(payload: dict, h4) -> H4Class:
-    if "named" in payload:
+    forms = [k for k in _CLASS_FORMS if k in payload]
+    if len(forms) != 1:
+        raise ValueError(
+            f"payload needs exactly one of: {', '.join(_CLASS_FORMS)}; got {', '.join(forms) or 'none'}"
+        )
+    (form,) = forms
+    if form != "lambda0" and "plus_two_fifths_q" in payload:
+        raise ValueError(f"plus_two_fifths_q goes only with lambda0, not with {form}")
+    if form == "named":
         name = payload["named"]
         if name not in _NAMED_CLASSES:
             raise ValueError(f"unknown named class {name!r}; know {sorted(_NAMED_CLASSES)}")
         return _NAMED_CLASSES[name](h4)
-    if "class" in payload:
+    if form == "class":
         return H4Class.from_json(payload["class"])
-    if "lambda0" in payload:
-        l0 = H2Class(payload["lambda0"])
-        cls = sym2_embed(l0, l0)
-        plus = payload.get("plus_two_fifths_q", False)
-        if plus is not True and plus is not False:
-            raise ValueError(f"plus_two_fifths_q must be true or false, got {json.dumps(plus)}")
-        if plus:
-            cls = cls + Fraction(2, 5) * h4.q
-        return cls
-    raise ValueError("payload needs one of: named, class, lambda0")
+    l0 = H2Class(payload["lambda0"])
+    cls = sym2_embed(l0, l0)
+    plus = payload.get("plus_two_fifths_q", False)
+    if plus is not True and plus is not False:
+        raise ValueError(f"plus_two_fifths_q must be true or false, got {json.dumps(plus)}")
+    if plus:
+        cls = cls + Fraction(2, 5) * h4.q
+    return cls
+
+
+def _unique_keys(pairs) -> dict:
+    """A JSON object that names each key once; a repeated key, at any
+    depth, is a payload error rather than a silent overwrite."""
+    obj = {}
+    for key, value in pairs:
+        if key in obj:
+            raise ValueError(f"payload repeats the key {json.dumps(key)}")
+        obj[key] = value
+    return obj
 
 
 def run_query(kind: str, payload: dict) -> dict:
@@ -677,7 +697,7 @@ def _run(args, out) -> int:
             return _emit(args, out, report, is_report=True)
         if args.command == "query":
             try:
-                payload = json.loads(args.payload)
+                payload = json.loads(args.payload, object_pairs_hook=_unique_keys)
             except json.JSONDecodeError as exc:
                 raise ValueError(f"payload is not valid JSON: {exc}") from None
             return _emit(args, out, run_query(args.kind, payload), is_report=False)

@@ -59,9 +59,6 @@ class CubicModel:
         """(g1^2 - g2)/3, the class of the surface of lines through a line."""
         return Fraction(1, 3) * (sym2_embed(self.g1, self.g1) - self.g2)
 
-    def to_json(self) -> dict:
-        return {"g1": self.g1.to_json(), "g2": self.g2.to_json()}
-
 
 def build_cubic_model(g1: H2Class) -> CubicModel:
     """Construct and fully validate the model for a square-6 even class.
@@ -138,12 +135,6 @@ class PfaffianModel:
             raise ValueError("expected square 14")
         self.b_class = b_class
         self.lambda0 = 2 * b_class - 5 * d0
-
-    def to_json(self) -> dict:
-        return {
-            "b_class": self.b_class.to_json(),
-            "lambda0": self.lambda0.to_json(),
-        }
 
 
 def default_pfaffian_b() -> H2Class:

@@ -25,7 +25,6 @@ The inverse of A is computed once per instance, by the fraction-free
 
 from __future__ import annotations
 
-import json
 from fractions import Fraction
 from math import gcd, lcm
 
@@ -65,12 +64,6 @@ class FixInstance:
     def to_json(self) -> dict:
         return {"A": self.A.to_json(), "s": [_frac_str(x) for x in self.s]}
 
-    @classmethod
-    def from_json(cls, obj) -> "FixInstance":
-        if isinstance(obj, str):
-            obj = json.loads(obj)
-        return cls(Mat.from_json(obj["A"]), obj["s"])
-
 
 def _sym_pairs(n: int) -> list[tuple[int, int]]:
     return [(i, j) for i in range(n) for j in range(i, n)]
@@ -85,15 +78,6 @@ class FixSolution:
         self.n = n
         self.pairs = list(pairs)
         self.dimension = len(self.pairs)
-
-    def to_json(self) -> dict:
-        return {
-            "n": self.n,
-            "dimension": self.dimension,
-            "pairs": [
-                {"C": C.to_json(), "c0": _frac_str(c0)} for C, c0 in self.pairs
-            ],
-        }
 
 
 def _pair_to_vector(C: Mat, c0, pairs) -> list[int]:

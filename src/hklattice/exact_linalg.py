@@ -17,8 +17,8 @@ Python integers do the work. A ``Mat`` is stored the same way, as integer
 rows over its smallest positive denominator, and lattices, their forms and
 the rational vectors fed to them are handled as integer rows over one
 denominator; ``Fraction`` values are made only at the edges (reading a
-``Mat`` entry, ``basis_rows``, ``rational_coords``, a ``coset_feasible``
-witness) and rationals are printed by the one formatter ``_frac_str``.
+``Mat`` entry, ``basis_rows``, a ``coset_feasible`` witness) and rationals
+are printed by the one formatter ``_frac_str``.
 Integer rows over a denominator are brought to lowest terms by the one
 helper ``_lowest_terms`` (``Mat``, ``Lattice`` and ``h4_model.H4Class``).
 ``Mat.from_int_rows`` and ``Lattice.from_int_rows`` check their entries;
@@ -30,9 +30,9 @@ Gauss-Jordan on the integer rows.
 
 Each job of the layer has one function: ``left_kernel`` is the saturated
 left kernel of an integer matrix (the rows of the HNF transform below the
-rank), behind ``lattice_meet``, orthogonal complements and transcendental
-lattices; ``_pair`` is the bilinear value u * F * v^T over the sparse rows
-of F, behind the degree-2 form and the degree-4 Fujiki pairing.
+rank), behind orthogonal complements and transcendental lattices;
+``_pair`` is the bilinear value u * F * v^T over the sparse rows of F,
+behind the degree-2 form and the degree-4 Fujiki pairing.
 
 There is one vector API: ``Lattice.contains``, ``coords`` and
 ``divisibility`` take a vector v and a denominator den (default 1) and
@@ -48,8 +48,9 @@ rational coordinates and basis-value products walk it; so do membership,
 integer coordinates and divisibility, through the forward substitution
 ``kernels.solve_left_int_row`` over the sparse HNF rows. A ``Mat`` builds
 its sparse rows once on demand (``Mat.sparse_rows``). Integer rows are
-combined by the one loop ``_combine_rows`` over sparse rows, which
-``combine_basis`` uses to lift coefficient rows through a lattice basis.
+combined by the one loop ``_combine_rows`` over sparse rows, which also
+lifts coefficient rows through the sparse basis of a lattice
+(``saturate_in``, the ``coset_feasible`` witness).
 
 Two certified modular routines share one sparse elimination modulo a
 product of proven primes (``_echelon_mod``):
@@ -74,11 +75,11 @@ product of proven primes (``_echelon_mod``):
   The elimination is bound by interpreter overhead, so its cost grows
   little with the size of M, and only the Proth primes are used.
 
-``saturation_int`` saturates an integer row span by congruences on its
-HNF, without a Smith form. The docstrings carry the proofs. Input numbers
-are parsed strictly by
-``parse_int`` and ``parse_rational`` (and their vector forms ``int_vector``
-and ``fraction_vector``): no float is truncated and no bool becomes 1.
+``saturate_in`` saturates by congruences on the HNF of the coordinate
+rows (``_saturation_basis``), without a Smith form. The docstrings carry
+the proofs. Input numbers are parsed strictly by ``parse_int`` and
+``parse_rational`` (and their vector forms ``int_vector`` and
+``fraction_vector``): no float is truncated and no bool becomes 1.
 
 All operations are pure; nothing here mutates its inputs.
 """
@@ -93,10 +94,6 @@ from itertools import compress, count
 from math import gcd, isqrt, lcm, prod
 
 from . import kernels
-
-
-class NonIntegerMatrixError(ValueError):
-    """An operation that requires integer entries got a proper fraction."""
 
 
 class AmbientMismatchError(ValueError):
@@ -296,10 +293,6 @@ class Mat:
     def identity(cls, n: int) -> "Mat":
         return cls.from_int_rows([[int(i == j) for j in range(n)] for i in range(n)])
 
-    @classmethod
-    def zeros(cls, rows: int, cols: int) -> "Mat":
-        return cls.from_int_rows([[0] * cols for _ in range(rows)])
-
     @property
     def rows(self) -> int:
         return len(self._num)
@@ -396,12 +389,6 @@ class Mat:
     def is_integer(self) -> bool:
         return self._den == 1
 
-    def int_rows(self) -> list[list[int]]:
-        """Entries as plain ints; raises if any entry is a proper fraction."""
-        if self._den != 1:
-            raise NonIntegerMatrixError("matrix has non-integer entries")
-        return [list(r) for r in self._num]
-
     def scaled_int_rows(self) -> tuple[int, tuple[tuple[int, ...], ...]]:
         """Smallest d > 0 with d*self integral, and the integer entries of d*self.
 
@@ -494,12 +481,6 @@ class FiniteAbelianGroup:
         for d in self.invariant_factors:
             n *= d
         return n
-
-    def exponent(self) -> int:
-        return self.invariant_factors[-1] if self.invariant_factors else 1
-
-    def is_trivial(self) -> bool:
-        return not self.invariant_factors
 
     def __eq__(self, other):
         if not isinstance(other, FiniteAbelianGroup):
@@ -717,19 +698,6 @@ class Lattice:
             return None
         return D, coeffs
 
-    def rational_coords(self, v):
-        """Coordinates of v in the canonical basis over Q, or None.
-
-        Triangular back-substitution against the HNF basis; returns None when
-        v lies outside the Q-span.
-        """
-        d, (w,) = _scaled_ints([v])
-        sol = self._rational_coords_int(w, d)
-        if sol is None:
-            return None
-        D, c = sol
-        return tuple(Fraction(x, D) for x in c)
-
     def _pivot_product(self) -> int:
         """Product of the HNF pivots of den * L. The rows restricted to
         their pivot columns are triangular, so this is the covolume of
@@ -806,16 +774,6 @@ def _check_ambient(a: Lattice, b: Lattice):
         raise AmbientMismatchError("ambient forms differ")
 
 
-def combine_basis(coeff_rows, lat: Lattice) -> tuple[int, list[list[int]]]:
-    """Lift integer coefficient rows through the canonical basis of a lattice.
-
-    Returns ``(lat.den, rows)`` with ``rows[i] = sum_j coeff_rows[i][j] *
-    lat.int_basis[j]``, so the lifted ambient vectors are ``rows[i] /
-    lat.den``; the pair feeds ``Lattice._from_int_rows`` directly.
-    """
-    return lat.den, _combine_rows(coeff_rows, lat._sparse, lat.ambient_dim)
-
-
 def lattice_join(a: Lattice, b: Lattice) -> Lattice:
     """Smallest lattice containing both operands."""
     _check_ambient(a, b)
@@ -837,27 +795,6 @@ def left_kernel(rows) -> list[list[int]]:
     """
     _, U, rank = kernels.hnf_transform(rows)
     return U[rank:]
-
-
-def lattice_meet(a: Lattice, b: Lattice) -> Lattice:
-    """Intersection of two lattices as sets of vectors.
-
-    Over a common denominator D the operands are integer row spans A and B;
-    a vector lies in both iff it is u*A = -w*B for an integer left-kernel
-    element (u | w) of the stacked matrix [[A],[B]], and the images u*A of
-    a ``left_kernel`` basis generate the intersection.
-    """
-    _check_ambient(a, b)
-    if not a.int_basis or not b.int_basis:
-        return Lattice._canonicalize(a.ambient_dim, [], 1, a.form)
-    D = lcm(a.den, b.den)
-    fa = D // a.den
-    fb = D // b.den
-    A = [[x * fa for x in row] for row in a.int_basis]
-    B = [[x * fb for x in row] for row in b.int_basis]
-    # the first len(A) entries of a kernel row are u
-    gens = _combine_rows(left_kernel(A + B), _sparse_rows(A), a.ambient_dim)
-    return Lattice._canonicalize(a.ambient_dim, gens, D, a.form)
 
 
 def _coord_matrix(sub: Lattice, sup: Lattice) -> list[list[int]]:
@@ -963,8 +900,8 @@ def coset_feasible(lat: Lattice, functional, target, den: int = 1):
     coeffs = [0] * lat.rank
     for i, c in coeff.items():
         coeffs[i] = m * c
-    den, (wit,) = combine_basis([coeffs], lat)
-    return True, tuple(Fraction(x, den) for x in wit), gen
+    (wit,) = _combine_rows([coeffs], lat._sparse, lat.ambient_dim)
+    return True, tuple(Fraction(x, lat.den) for x in wit), gen
 
 
 def _bezout(a: int, b: int) -> tuple[int, int]:
@@ -980,13 +917,6 @@ def _bezout(a: int, b: int) -> tuple[int, int]:
     if old_r < 0:
         return -old_s, -old_t
     return old_s, old_t
-
-
-def saturation_int(rows) -> list[list[int]]:
-    """HNF basis of the saturation (Q-span of the rows) meet Z^n of integer
-    rows; see ``_saturation_basis``."""
-    S = _saturation_basis(rows)
-    return kernels.hnf(S) if S else []
 
 
 def _saturation_basis(rows) -> list[list[int]]:
@@ -1082,8 +1012,8 @@ def saturate_in(sub: Lattice, sup: Lattice) -> Lattice:
     if not C:
         return Lattice._canonicalize(sup.ambient_dim, [], 1, sup.form)
     # _canonicalize reduces the lifted rows, so the basis needs no HNF here
-    den, gens = combine_basis(_saturation_basis(C), sup)
-    return Lattice._canonicalize(sup.ambient_dim, gens, den, sup.form)
+    gens = _combine_rows(_saturation_basis(C), sup._sparse, sup.ambient_dim)
+    return Lattice._canonicalize(sup.ambient_dim, gens, sup.den, sup.form)
 
 
 _PROTH_SHIFT = 126

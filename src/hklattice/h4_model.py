@@ -345,11 +345,12 @@ def bb_inverse_class(d=None) -> H4Class:
 
 
 def half_product_class(d, a: H2Class) -> H4Class:
-    """The integral class a*(a - d)/2 attached to an exceptional d."""
-    return Fraction(1, 2) * (sym2_embed(a, a) - sym2_embed(a, _as_h2(d)))
+    """The integral class a*(a - d)/2 attached to an exceptional d: one
+    product, a*a - a*d = a*(a - d) by bilinearity, over 2."""
+    return H4Class._of(sym2_embed(a, a - _as_h2(d)).num, 2)
 
 
-def point_surface_class(d, q: H4Class | None = None) -> H4Class:
+def point_surface_class(d, q: H4Class) -> H4Class:
     """The generator d^2/8 + q/20 of the overlattice; its denominator in
     lowest terms is 10.
 
@@ -357,12 +358,10 @@ def point_surface_class(d, q: H4Class | None = None) -> H4Class:
     b(a,b) + b(d,a)b(d,b)/4.
     """
     dh = _as_h2(d)
-    if q is None:
-        q = bb_inverse_class(dh)
     return Fraction(1, 8) * sym2_embed(dh, dh) + Fraction(1, 20) * q
 
 
-def second_chern_class(d, q: H4Class | None = None) -> H4Class:
+def second_chern_class(d, q: H4Class) -> H4Class:
     """24 times the point/surface class minus 3 d^2; equals (6/5)q."""
     dh = _as_h2(d)
     v0 = point_surface_class(d, q)

@@ -26,7 +26,6 @@ build the lattices.
 from __future__ import annotations
 
 import hashlib
-import json
 from fractions import Fraction
 
 from .bb_lattice import (
@@ -47,7 +46,6 @@ from .exact_linalg import (
     coset_feasible,
     int_vector,
     left_kernel,
-    parse_rational,
     quotient_invariants,
     saturate_in,
 )
@@ -107,26 +105,6 @@ class PicardData:
         lat = Lattice._from_int_rows(rows, 1, RANK, gram_mat())
         lat = saturate_in(lat, Lattice.standard(RANK, form=gram_mat()))
         return cls(lat, lambda0)
-
-    def to_json(self) -> dict:
-        return {
-            "basis": [[str(x) for x in row] for row in _int_rows(self.p_lattice)],
-            "lambda0": self.lambda0.to_json(),
-        }
-
-    @classmethod
-    def from_json(cls, obj) -> "PicardData":
-        if isinstance(obj, str):
-            obj = json.loads(obj)
-        l0 = H2Class.from_json(obj["lambda0"])
-        vecs = [[_integer(parse_rational(x)) for x in row] for row in obj["basis"]]
-        return cls.from_vectors(vecs, l0)
-
-
-def _integer(x: Fraction) -> int:
-    if x.denominator != 1:
-        raise ValueError(f"expected an integer, got {x}")
-    return x.numerator
 
 
 def _int_rows(lat: Lattice):

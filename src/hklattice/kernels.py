@@ -8,15 +8,19 @@ HNF rows a ``Lattice`` keeps, nonzeros only.
 saturated left kernel) and ``bb_lattice._orth_complement``, whose
 transform of the complement Gram is both its inverse and the proof that it
 is unimodular. ``hnf`` and ``hnf_transform`` share one Hermite reduction.
-``snf_diagonal`` serves ``exact_linalg.quotient_invariants``. Saturation is
-``exact_linalg.saturation_int`` (congruences on the HNF) and the degree-4
-torsion quotient is read off a glue code, so ``smith_normal_form`` with its
-transforms has no library caller. Neither have ``det_bareiss``,
-``pivot_columns`` and ``row_echelon_bareiss``: determinants are
-``exact_linalg.det_int``, pivots are read off the sparse basis rows and
-the one nullspace, the deformation kernel, is certified by
-``exact_linalg.certified_kernel``. They stay as the tests' dense
-references and for the benchmark's per-layer trace.
+``snf_diagonal`` serves ``exact_linalg.quotient_invariants``; it is the
+diagonal of ``smith_normal_form``, whose transforms V and V^-1 only the
+tests' Smith-form oracles ask for. Saturation is congruences on the HNF
+(``exact_linalg.saturate_in``) and the degree-4 torsion quotient is read
+off a glue code, so no Smith transform is needed.
+
+``det_bareiss`` and ``row_echelon_bareiss`` have no library caller:
+determinants are ``exact_linalg.det_int`` and the one nullspace, the
+deformation kernel, is certified by ``exact_linalg.certified_kernel``. They
+stay only for the benchmark's per-layer bit counters
+(``kernels.det_bareiss.max_bits_*`` and
+``kernels.row_echelon_bareiss.max_bits_*``), which need a traced function
+of each name; the tests also use them as dense references.
 """
 
 from __future__ import annotations
@@ -25,7 +29,6 @@ from ._pykernels import (
     det_bareiss,
     hnf,
     hnf_transform,
-    pivot_columns,
     row_echelon_bareiss,
     smith_normal_form,
     snf_diagonal,
@@ -39,7 +42,6 @@ __all__ = [
     "IMPLEMENTATION",
     "hnf",
     "hnf_transform",
-    "pivot_columns",
     "smith_normal_form",
     "snf_diagonal",
     "det_bareiss",

@@ -2,7 +2,10 @@
 sparse and Smith-free ones.
 
 ``solve_left_int_row`` is the dense forward substitution through the rows
-of an HNF matrix, the reference for the sparse kernel of the same name.
+of an HNF matrix, the reference for the sparse kernel of the same name;
+``pivot_columns`` reads the pivots it walks off the dense rows.
+``lattice_meet`` intersects two lattices through a left kernel of their
+stacked bases, the reference for ``saturate_in`` on the degree-4 lattice.
 ``smith_saturation_int`` is the saturation by a full Smith form with its
 right transform; ``SmithTorsionQuotient`` reads the degree-4 torsion
 quotient off the Smith form of the coordinate matrix of Z^276 in the
@@ -25,16 +28,17 @@ equations over another basis of ker(s^T A) than the library does.
 """
 
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 
 from hklattice import kernels
 from hklattice.bb_lattice import GRAM, RANK, H2Class, gram_apply
 from hklattice.exact_linalg import (
+    Lattice,
+    _check_ambient,
     _combine_rows,
     _coord_matrix,
     _scaled_ints,
     _sparse_rows,
-    combine_basis,
     left_kernel,
 )
 from hklattice.h4_model import (
@@ -48,10 +52,25 @@ from hklattice.h4_model import (
 )
 
 
+def pivot_columns(H):
+    """Pivot (first nonzero) column index of each row of an echelon matrix."""
+    pivots = []
+    for row in H:
+        p = -1
+        for c, v in enumerate(row):
+            if v:
+                p = c
+                break
+        if p < 0:
+            raise ValueError("zero row in echelon matrix")
+        pivots.append(p)
+    return pivots
+
+
 def solve_left_int_row(H, pivots, b):
     """Integer solution x of ``x * H = b`` for H in row HNF, else None.
 
-    ``pivots`` must be ``kernels.pivot_columns(H)``. Each step walks the
+    ``pivots`` must be ``pivot_columns(H)``. Each step walks the
     dense row from its pivot to the last column.
     """
     res = list(b)
@@ -75,6 +94,28 @@ def solve_left_int_row(H, pivots, b):
         if v:
             return None
     return x
+
+
+def lattice_meet(a: Lattice, b: Lattice) -> Lattice:
+    """Intersection of two lattices as sets of vectors.
+
+    Over a common denominator D the operands are integer row spans A and B;
+    a vector lies in both iff it is u*A = -w*B for an integer left-kernel
+    element (u | w) of the stacked matrix [[A],[B]], and the images u*A of
+    a ``left_kernel`` basis generate the intersection.
+    """
+    _check_ambient(a, b)
+    if not a.int_basis or not b.int_basis:
+        return Lattice._canonicalize(a.ambient_dim, [], 1, a.form)
+    D = lcm(a.den, b.den)
+    fa = D // a.den
+    fb = D // b.den
+    A = [[x * fa for x in row] for row in a.int_basis]
+    B = [[x * fb for x in row] for row in b.int_basis]
+    # the first len(A) entries of a kernel row are u
+    gens = _combine_rows(left_kernel(A + B), _sparse_rows(A), a.ambient_dim)
+    return Lattice._canonicalize(a.ambient_dim, gens, D, a.form)
+
 
 
 def smith_saturation_int(rows):
@@ -101,7 +142,9 @@ class SmithTorsionQuotient:
         positions = [i for i, dd in enumerate(diag) if dd > 1]
         self.moduli = tuple(diag[i] for i in positions)
         self._residue_cols = _sparse_rows([[row[i] for row in V] for i in positions])
-        self._lift_den, lifts = combine_basis([Vinv[i] for i in positions], h4.lattice)
+        lat = h4.lattice
+        self._lift_den = lat.den
+        lifts = _combine_rows([Vinv[i] for i in positions], lat._sparse, AMBIENT)
         self._lift_rows = _sparse_rows(lifts)
 
     def class_of(self, v: H4Class) -> tuple[int, ...]:

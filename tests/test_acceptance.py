@@ -13,7 +13,6 @@ from itertools import combinations_with_replacement
 
 from hklattice.bb_lattice import (
     RANK,
-    ExceptionalClass,
     H2Class,
     bb_form,
     delta0,

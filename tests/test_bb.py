@@ -11,7 +11,6 @@ from hklattice.bb_lattice import (
     ExceptionalClass,
     H2Class,
     _orth_complement,
-    ambient_lattice,
     bb_form,
     decompose_even,
     delta0,
@@ -118,10 +117,6 @@ class TestExceptionalClass:
         with pytest.raises(ValueError):
             make_exceptional(e1, 3)  # norm condition fails
 
-    def test_json_roundtrip(self):
-        d = ExceptionalClass(delta0())
-        assert ExceptionalClass.from_json(d.to_json()) == d
-
 
 class TestComplement:
     def test_orth_complement_is_unimodular_k3(self):
@@ -189,12 +184,6 @@ class TestSamplers:
     def test_primitive(self, rng):
         for _ in range(10):
             assert is_primitive(sample_primitive(rng))
-
-
-def test_ambient_lattice_contains_basis():
-    amb = ambient_lattice()
-    assert amb.rank == RANK
-    assert amb.contains(list(delta0().coords))
 
 
 coords = st.lists(st.integers(-5, 5), min_size=RANK, max_size=RANK)

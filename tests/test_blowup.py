@@ -12,11 +12,9 @@ from hklattice.blowup_corr import (
     Correspondence,
     FourfoldH4,
     blowup_h4,
-    blowup_sequence,
     combine_pairing,
     potential_jacobian_search,
     rational_map_indices,
-    receiving_multiplier_on_F,
     residue_transform,
 )
 from hklattice.exact_linalg import Lattice, Mat
@@ -78,38 +76,10 @@ class TestSingleBlowup:
 
 class TestSequence:
     def test_mixed_sequence(self):
-        y = _base()
-        out = blowup_sequence(
-            y,
-            [
-                BlowupCenter.point(),
-                BlowupCenter.curve(3),
-                BlowupCenter.surface(U, label="S1"),
-            ],
-        )
+        out = _base()
+        for c in (BlowupCenter.point(), BlowupCenter.curve(3), BlowupCenter.surface(U, label="S1")):
+            out = blowup_h4(out, c)
         assert out.lattice.rank == 2 + 1 + 2 + 2
-
-    def test_distinct_surface_labels_required(self):
-        y = _base()
-        with pytest.raises(ValueError):
-            blowup_sequence(
-                y,
-                [
-                    BlowupCenter.surface(U, label="S"),
-                    BlowupCenter.surface(U, label="S"),
-                ],
-            )
-        with pytest.raises(ValueError):
-            blowup_sequence(y, [BlowupCenter.surface(U)])  # unlabeled
-
-    def test_labels_not_required_when_disabled(self):
-        y = _base()
-        out = blowup_sequence(
-            y,
-            [BlowupCenter.surface(U), BlowupCenter.surface(U)],
-            require_distinct_surfaces=False,
-        )
-        assert out.lattice.rank == 6
 
 
 class TestResidue:
@@ -132,10 +102,6 @@ class TestResidue:
             residue_transform(1, 1, "quadratic")
         with pytest.raises(ValueError):
             residue_transform(1, 2, "other")
-
-    def test_receiving_multiplier_identity(self):
-        for e in (1, 2, 5):
-            assert receiving_multiplier_on_F(e) == e
 
 
 class TestCombinations:

@@ -338,9 +338,10 @@ class TestStrictPayload:
     read as 1, and either one is a payload error (exit 2, one error line)."""
 
     def _rejected(self, capsys, kind, payload):
-        code, out, err = _run(
-            capsys, ["query", kind, "--json", "--payload", json.dumps(payload)]
-        )
+        self._rejected_text(capsys, kind, json.dumps(payload))
+
+    def _rejected_text(self, capsys, kind, text):
+        code, out, err = _run(capsys, ["query", kind, "--json", "--payload", text])
         assert code == 2
         assert out == ""
         assert err.startswith("error:")
@@ -393,6 +394,35 @@ class TestStrictPayload:
             assert code == 0
             answers.append(json.loads(out))
         assert answers == [{"divisibility": 25}, {"divisibility": 25}, {"divisibility": 1}]
+
+    @pytest.mark.parametrize("kind", ["membership", "divisibility"])
+    def test_more_than_one_class_form_rejected(self, capsys, kind):
+        l0 = [5, 5] + [0] * 21
+        for payload in (
+            {"named": "c2", "lambda0": [1] + [0] * 22},
+            {"named": "q", "class": {"(0,0)": 1}},
+            {"class": {"(0,0)": 1}, "lambda0": l0},
+            {"named": "v0", "class": {}, "lambda0": l0, "plus_two_fifths_q": False},
+        ):
+            self._rejected(capsys, kind, payload)
+
+    def test_plus_two_fifths_q_only_next_to_lambda0(self, capsys):
+        for payload in (
+            {"named": "q", "plus_two_fifths_q": False},
+            {"class": {"(0,0)": 1}, "plus_two_fifths_q": True},
+            {"plus_two_fifths_q": True},
+        ):
+            self._rejected(capsys, "membership", payload)
+
+    def test_repeated_key_rejected_at_any_depth(self, capsys):
+        # json.dumps never repeats a key, so the payloads are written out
+        l0, other = json.dumps([5, 5] + [0] * 21), json.dumps([1] + [0] * 22)
+        self._rejected_text(capsys, "membership", f'{{"lambda0": {l0}, "lambda0": {other}}}')
+        self._rejected_text(capsys, "divisibility", '{"class": {"(0,0)": 1, "(0,0)": 2}}')
+        self._rejected_text(capsys, "vlambda", f'{{"lambda0": {l0}, "lambda0": {l0}}}')
+        self._rejected_text(
+            capsys, "minimal-search", f'{{"lambda0": {l0}, "picard": [{l0}], "picard": []}}'
+        )
 
     def test_exact_numbers_still_accepted(self, capsys):
         code, out, _ = _run(

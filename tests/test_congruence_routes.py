@@ -18,12 +18,12 @@ from hklattice.deformation_fix import random_instance, solve_fixed_space
 from hklattice.exact_linalg import (
     _WORD_PRIME,
     Lattice,
+    _combine_rows,
     _nullspace_primes,
     _rank_primes,
     certified_kernel,
     lattice_join,
     saturate_in,
-    saturation_int,
 )
 from hklattice.h4_model import (
     AMBIENT,
@@ -74,27 +74,34 @@ def generator_stacks(draw):
     return rows
 
 
+def _saturation(rows) -> Lattice:
+    """The saturation of the span of integer rows inside Z^n, by ``saturate_in``."""
+    n = len(rows[0])
+    return saturate_in(Lattice.from_int_rows(rows, 1, n), Lattice.standard(n))
+
+
 @settings(max_examples=400, deadline=None)
 @given(generator_stacks())
 def test_saturation_matches_the_smith_route(rows):
     want = smith_saturation_int(rows)
-    got = saturation_int(rows)
-    assert got == (kernels.hnf(want) if want else [])
-    # an HNF basis of a saturated lattice that holds every row
-    if got:
-        assert kernels.hnf(got) == got
-        assert saturation_int(got) == got
-        sat = Lattice.from_int_rows(got)
-        assert all(sat.contains(r) for r in rows)
-        assert sat.rank == len(kernels.hnf(rows))
+    sat = _saturation(rows)
+    assert sat.den == 1
+    assert [list(r) for r in sat.int_basis] == (kernels.hnf(want) if want else [])
+    # a saturated lattice that holds every row
+    assert saturate_in(sat, Lattice.standard(len(rows[0]))) == sat
+    assert all(sat.contains(r) for r in rows)
+    assert sat.rank == len(kernels.hnf(rows))
 
 
 def test_saturation_small_cases():
-    assert saturation_int([[2, 4]]) == [[1, 2]]
-    assert saturation_int([[0, 0, 0]]) == []
-    assert saturation_int([[6, 0], [0, 10], [6, 10]]) == [[1, 0], [0, 1]]
-    assert saturation_int([[2, 0, 2], [0, 2, 2]]) == [[1, 0, 1], [0, 1, 1]]
-    assert saturation_int([[4, 6, 8]]) == [[2, 3, 4]]
+    for rows, want in [
+        ([[2, 4]], [[1, 2]]),
+        ([[0, 0, 0]], []),
+        ([[6, 0], [0, 10], [6, 10]], [[1, 0], [0, 1]]),
+        ([[2, 0, 2], [0, 2, 2]], [[1, 0, 1], [0, 1, 1]]),
+        ([[4, 6, 8]], [[2, 3, 4]]),
+    ]:
+        assert [list(r) for r in _saturation(rows).int_basis] == want
 
 
 def test_saturate_in_the_degree4_lattice_matches_the_smith_route(h4):
@@ -104,8 +111,8 @@ def test_saturate_in_the_degree4_lattice_matches_the_smith_route(h4):
     sub = h4_span([H4Class._of(tuple(3 * x for x in row), lat.den) for row in rows])
     sat = saturate_in(sub, lat)
     coords = [list(lat.coords(row, sub.den)) for row in sub.int_basis]
-    den, gens = exact_linalg.combine_basis(smith_saturation_int(coords), lat)
-    assert sat == Lattice.from_int_rows(gens, den, AMBIENT, lat.form)
+    gens = _combine_rows(smith_saturation_int(coords), lat._sparse, AMBIENT)
+    assert sat == Lattice.from_int_rows(gens, lat.den, AMBIENT, lat.form)
     assert sat == h4_span([H4Class._of(row, lat.den) for row in rows])
 
 

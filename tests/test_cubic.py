@@ -15,7 +15,6 @@ from hklattice.bb_lattice import (
     is_primitive,
 )
 from hklattice.cubic_fano import (
-    CubicModel,
     PfaffianModel,
     build_cubic_model,
     c2_consistency,
@@ -80,11 +79,6 @@ class TestModel:
         assert is_even(l0)
         with pytest.raises(ValueError):
             build_cubic_model(l0)
-
-    def test_json(self):
-        m = build_cubic_model(_g1())
-        obj = m.to_json()
-        assert set(obj) >= {"g1", "g2"}
 
     def test_rank1_minimality_obstruction(self):
         rep = minimal_class_search(PicardData.rank_one(_g1()))

@@ -147,11 +147,12 @@ class TestInverseFormClass:
         # the point-class formula depends on the chosen exceptional class,
         # but always lands in the lattice with the same invariants
         d = sample_exceptional(rng)
-        v = point_surface_class(d)
+        q = bb_inverse_class(d)
+        v = point_surface_class(d, q)
         assert h4.contains(v)
         assert fujiki_pair(v, v) == 1
         assert 8 * v == F(2, 5) * h4.q + sym2_embed(d.h2, d.h2)
-        assert second_chern_class(d) == F(6, 5) * h4.q
+        assert second_chern_class(d, q) == F(6, 5) * h4.q
 
     def test_riemann_roch(self, h4, rng):
         # c2^2 = 828 and, with the Euler number c4 = 324 of the fourfold,

@@ -66,12 +66,6 @@ class TestPicardData:
         with pytest.raises(ValueError):
             PicardData.from_vectors([list(delta0().coords)], e2 + f2)
 
-    def test_json_roundtrip(self):
-        p = PicardData.from_vectors(
-            [list(delta0().coords), list(_u_pol().coords)], _even_pol()
-        )
-        assert PicardData.from_json(p.to_json()).lambda0 == p.lambda0
-
 
 class TestTranscendental:
     def test_rank_complementary(self):

@@ -25,7 +25,7 @@ def faddeev_leverrier_signature(m: Mat) -> tuple[int, int, int]:
     n = m.rows
     c = [Fraction(0)] * (n + 1)
     c[n] = Fraction(1)
-    Mk = Mat.zeros(n, n)
+    Mk = Mat.from_int_rows([[0] * n] * n)
     eye = Mat.identity(n)
     for k in range(1, n + 1):
         Mk = m * Mk + c[n - k + 1] * eye

@@ -11,6 +11,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from oracles import lattice_meet
 
 from hklattice import bb_lattice
 from hklattice.bb_lattice import (
@@ -29,12 +30,12 @@ from hklattice.exact_linalg import (
     Lattice,
     Mat,
     _check_ambient,
+    _combine_rows,
     _json_rows,
-    combine_basis,
+    _scaled_ints,
     fraction_vector,
     int_vector,
     lattice_join,
-    lattice_meet,
     parse_int,
     parse_rational,
     saturate_in,
@@ -134,13 +135,14 @@ def test_integer_gram_equals_fraction_product(rows, upper):
 @settings(max_examples=60, deadline=None)
 @given(small_rows, st.lists(st.lists(st.integers(-5, 5), min_size=3, max_size=3), max_size=3))
 def test_combine_basis_equals_fraction_combination(rows, coeffs):
+    # coefficient rows lifted through the sparse basis are rows over lat.den
     lat = Lattice.from_generators(rows, ambient_dim=3)
     coeffs = [c[: lat.rank] for c in coeffs]
-    den, out = combine_basis(coeffs, lat)
+    out = _combine_rows(coeffs, lat._sparse, lat.ambient_dim)
     basis = lat.basis_rows()
     for c, v in zip(coeffs, out):
         want = [sum((x * b[k] for x, b in zip(c, basis)), F(0)) for k in range(3)]
-        assert [F(x, den) for x in v] == want
+        assert [F(x, lat.den) for x in v] == want
 
 
 @settings(max_examples=60, deadline=None)
@@ -149,8 +151,9 @@ def test_rational_coords_reconstruct(rows, coeffs, den):
     lat = Lattice.from_generators(rows, ambient_dim=3)
     basis = lat.basis_rows()
     v = [sum((F(c, den) * b[k] for c, b in zip(coeffs, basis)), F(0)) for k in range(3)]
-    c = lat.rational_coords(v)
-    assert c is not None
+    d, (w,) = _scaled_ints([v])
+    D, c = lat._rational_coords_int(w, d)
+    c = [F(x, D) for x in c]
     assert [sum((x * b[k] for x, b in zip(c, basis)), F(0)) for k in range(3)] == v
 
 
@@ -216,7 +219,7 @@ def test_integer_inverse_of_unimodular_matrix(monkeypatch):
     assert [
         [sum(U[i][t] * g[t][j] for t in range(k)) for j in range(k)] for i in range(k)
     ] == [[int(i == j) for j in range(k)] for i in range(k)]
-    assert U == tuple(map(tuple, Mat(g).inverse().int_rows()))
+    assert Mat(g).inverse().scaled_int_rows() == (1, U)
     # a Gram that is not unimodular has no integer inverse and raises
     form = bb_lattice.bb_form
     monkeypatch.setattr(bb_lattice, "bb_form", lambda x, y: 2 * form(x, y))

@@ -214,8 +214,7 @@ def test_solve_refutes_a_span_that_misses_a_solution(monkeypatch):
 def _assert_same_as_bareiss_route(inst):
     got = solve_fixed_space(inst)
     want = bareiss_route(inst)
-    assert got.pairs == want.pairs
-    assert got.to_json() == want.to_json()
+    assert (got.n, got.dimension, got.pairs) == (want.n, want.dimension, want.pairs)
 
 
 def test_hand_instance_matches_bareiss_route():

@@ -22,9 +22,9 @@ from hklattice import exact_linalg, kernels
 from hklattice.exact_linalg import (
     Lattice,
     Mat,
+    _combine_rows,
     _coord_matrix,
     _nullspace_primes,
-    combine_basis,
     det_int,
     sublattice_index,
 )
@@ -61,7 +61,8 @@ def lattice_and_vector(draw):
         num = draw(st.lists(st.integers(-40, 40), min_size=n, max_size=n))
         return lat, num, den
     coeffs = draw(st.lists(st.integers(-5, 5), min_size=lat.rank, max_size=lat.rank))
-    d, (vec,) = combine_basis([coeffs], lat)
+    d = lat.den
+    (vec,) = _combine_rows([coeffs], lat._sparse, n)
     # vec / d lies in the lattice; write it over den * d
     num = [x * den for x in vec]
     if kind == "perturbed":
@@ -76,7 +77,7 @@ def dense_coords(lat, num, den):
     if any(x % den for x in scaled):
         return None
     w = [x // den for x in scaled]
-    x = oracles.solve_left_int_row(lat.int_basis, kernels.pivot_columns(lat.int_basis), w)
+    x = oracles.solve_left_int_row(lat.int_basis, oracles.pivot_columns(lat.int_basis), w)
     return None if x is None else tuple(x)
 
 
@@ -165,7 +166,7 @@ def test_combine_basis_matches_dense_sum(lat, data):
         for c, row in zip(coeffs, lat.int_basis):
             vec = [a + c * x for a, x in zip(vec, row)]
         want.append(vec)
-    assert combine_basis(coeff_rows, lat) == (lat.den, want)
+    assert _combine_rows(coeff_rows, lat._sparse, lat.ambient_dim) == want
 
 
 def test_sparse_rows_are_the_nonzeros_of_the_basis(h4):
@@ -173,7 +174,7 @@ def test_sparse_rows_are_the_nonzeros_of_the_basis(h4):
     assert lat._sparse == tuple(
         tuple((c, x) for c, x in enumerate(row) if x) for row in lat.int_basis
     )
-    assert [r[0][0] for r in lat._sparse] == kernels.pivot_columns(lat.int_basis)
+    assert [r[0][0] for r in lat._sparse] == oracles.pivot_columns(lat.int_basis)
     assert sum(len(r) for r in lat._sparse) == 371
     assert sorted(len(r) for r in lat._sparse) == [1] * 253 + [2] * 22 + [74]
     # a new form reuses the rows
