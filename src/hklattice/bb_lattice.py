@@ -113,10 +113,6 @@ class H2Class:
         return c
 
     @classmethod
-    def zero(cls) -> "H2Class":
-        return cls._of((0,) * RANK)
-
-    @classmethod
     def basis_vector(cls, i: int) -> "H2Class":
         return cls._of(tuple([1 if j == i else 0 for j in range(RANK)]))
 
@@ -132,9 +128,6 @@ class H2Class:
         if not isinstance(other, H2Class):
             return NotImplemented
         return H2Class._of(tuple([a - b for a, b in zip(self.coords, other.coords)]))
-
-    def __neg__(self) -> "H2Class":
-        return H2Class._of(tuple([-a for a in self.coords]))
 
     def __rmul__(self, c: int) -> "H2Class":
         c = parse_int(c)
@@ -213,10 +206,6 @@ class ExceptionalClass:
         if not is_exceptional(h2):
             raise ValueError("class is not exceptional")
         self.h2 = h2
-
-    @property
-    def coords(self):
-        return self.h2.coords
 
     def __eq__(self, other):
         if not isinstance(other, ExceptionalClass):

@@ -475,6 +475,14 @@ _NAMED_CLASSES = {
 
 _CLASS_FORMS = ("named", "class", "lambda0")
 
+# the keys a payload of each query kind may hold; any other is an error
+_PAYLOAD_KEYS = {
+    "membership": (*_CLASS_FORMS, "plus_two_fifths_q"),
+    "divisibility": (*_CLASS_FORMS, "plus_two_fifths_q"),
+    "vlambda": ("lambda0",),
+    "minimal-search": ("lambda0", "picard"),
+}
+
 
 def _payload_class(payload: dict, h4) -> H4Class:
     forms = [k for k in _CLASS_FORMS if k in payload]
@@ -514,8 +522,16 @@ def _unique_keys(pairs) -> dict:
 
 
 def run_query(kind: str, payload: dict) -> dict:
+    if kind not in _PAYLOAD_KEYS:
+        raise ValueError(f"unknown query kind {kind!r}")
     if not isinstance(payload, dict):
         raise ValueError("payload must be a JSON object")
+    allowed = _PAYLOAD_KEYS[kind]
+    for key in payload:
+        if key not in allowed:
+            raise ValueError(
+                f"unknown payload key {json.dumps(key)} for {kind}; allowed: {', '.join(allowed)}"
+            )
     h4 = default_h4_lattice()
     if kind == "membership":
         # one solve answers both: the coordinates are None outside the
@@ -540,15 +556,13 @@ def run_query(kind: str, payload: dict) -> dict:
             "gram": [[_frac_str(gram[(i, j)]) for j in range(2)] for i in range(2)],
             "gram_det": _frac_str(gram.det()),
         }
-    if kind == "minimal-search":
-        l0 = H2Class(payload["lambda0"])
-        if "picard" in payload:
-            pd = PicardData.from_vectors(payload["picard"], l0)
-        else:
-            pd = PicardData.rank_one(l0)
-        rep = minimal_class_search(pd)
-        return rep.to_json()
-    raise ValueError(f"unknown query kind {kind!r}")
+    # minimal-search
+    l0 = H2Class(payload["lambda0"])
+    if "picard" in payload:
+        pd = PicardData.from_vectors(payload["picard"], l0)
+    else:
+        pd = PicardData.rank_one(l0)
+    return minimal_class_search(pd).to_json()
 
 
 _POLARIZATION_SAMPLERS = {

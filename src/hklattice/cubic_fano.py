@@ -121,9 +121,10 @@ def sample_square6_even(rng: random.Random) -> H2Class:
 
 
 class PfaffianModel:
-    """The square-14 class and the square-6 polarization it produces."""
+    """The square-6 polarization 2b - 5d produced by a square-14 class b
+    orthogonal to the exceptional class d, checked at construction."""
 
-    __slots__ = ("b_class", "lambda0")
+    __slots__ = ("lambda0",)
 
     def __init__(self, b_class: H2Class):
         d0 = delta0()
@@ -133,7 +134,6 @@ class PfaffianModel:
             raise ValueError("the square-14 class must be orthogonal to the exceptional class")
         if bb_form(b_class, b_class) != 14:
             raise ValueError("expected square 14")
-        self.b_class = b_class
         self.lambda0 = 2 * b_class - 5 * d0
 
 

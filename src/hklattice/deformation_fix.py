@@ -72,10 +72,9 @@ def _sym_pairs(n: int) -> list[tuple[int, int]]:
 class FixSolution:
     """Basis of the fixed space: pairs (C, c0) with C symmetric rational."""
 
-    __slots__ = ("n", "pairs", "dimension")
+    __slots__ = ("pairs", "dimension")
 
-    def __init__(self, n: int, pairs):
-        self.n = n
+    def __init__(self, pairs):
         self.pairs = list(pairs)
         self.dimension = len(self.pairs)
 
@@ -151,7 +150,7 @@ def solve_fixed_space(inst: FixInstance) -> FixSolution:
         raise ValueError("empty constraint system")
     gens = [_pair_to_vector(C, c0, pairs) for C, c0 in expected_generators(inst)]
     sols = certified_kernel(rows, nvars, gens)
-    return FixSolution(n, [_vector_to_pair(v, n, pairs) for v in sols])
+    return FixSolution([_vector_to_pair(v, n, pairs) for v in sols])
 
 
 def expected_generators(inst: FixInstance) -> list[tuple[Mat, Fraction]]:

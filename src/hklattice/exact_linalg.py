@@ -22,8 +22,8 @@ are printed by the one formatter ``_frac_str``.
 Integer rows over a denominator are brought to lowest terms by the one
 helper ``_lowest_terms`` (``Mat``, ``Lattice`` and ``h4_model.H4Class``).
 ``Mat.from_int_rows`` and ``Lattice.from_int_rows`` check their entries;
-matrices the library computes (sums, products, transposes, inverses, Gram
-matrices) take the private ``Mat._of``, which only normalizes, and
+matrices the library computes (products, inverses, Gram matrices) take the
+private ``Mat._of``, which only normalizes, and
 lattices it spans from its own integer rows take
 ``Lattice._from_int_rows``. ``Mat.inverse`` is a fraction-free
 Gauss-Jordan on the integer rows.
@@ -44,13 +44,15 @@ The matrices of the degree-4 lattice are very sparse (its 276x276 HNF basis
 has 371 nonzeros), so loops walk nonzeros only, in one sparse row form: per
 integer row, a tuple of ``(column, value)`` pairs in ascending column order
 (``_sparse_rows``). A ``Lattice`` keeps its basis in that form once, and
-rational coordinates and basis-value products walk it; so do membership,
-integer coordinates and divisibility, through the forward substitution
-``kernels.solve_left_int_row`` over the sparse HNF rows. A ``Mat`` builds
-its sparse rows once on demand (``Mat.sparse_rows``). Integer rows are
-combined by the one loop ``_combine_rows`` over sparse rows, which also
-lifts coefficient rows through the sparse basis of a lattice
-(``saturate_in``, the ``coset_feasible`` witness).
+basis-value products walk it; so do membership, integer coordinates and
+divisibility, through the one triangular solve, the forward substitution
+``kernels.solve_left_int_row`` over the sparse HNF rows. Rational
+coordinates take the same solve, on the vector or on the vector times the
+pivot product, which makes them integral (``Lattice._q_coords``). A
+``Mat`` builds its sparse rows once on demand (``Mat.sparse_rows``).
+Integer rows are combined by the one loop ``_combine_rows`` over sparse
+rows, which also lifts coefficient rows through the sparse basis of a
+lattice (``saturate_in``, the ``coset_feasible`` witness).
 
 Two certified modular routines share one sparse elimination modulo a
 product of proven primes (``_echelon_mod``):
@@ -86,7 +88,6 @@ All operations are pure; nothing here mutates its inputs.
 
 from __future__ import annotations
 
-import json
 import re
 from fractions import Fraction
 from heapq import heapify, heappop, heappush
@@ -242,16 +243,17 @@ class Mat:
 
     The storage is ``(den, rows)``: ``den`` is the smallest positive integer
     with ``den * M`` integral and ``rows`` are the integer entries of
-    ``den * M``, so equal matrices have equal storage. Arithmetic,
-    transpose, determinant, inverse and JSON run on the integers; a
-    ``Fraction`` is made only when an entry is read (``m[i, j]``, ``row``,
-    iteration). Supports +, -, unary -, scalar and matrix multiplication,
-    and JSON round-tripping as an array of arrays of "p/q" strings. The
-    symmetry test, the sparse rows and the JSON text are computed once per
-    matrix.
+    ``den * M``, so equal matrices have equal storage. Products,
+    determinant, inverse and JSON run on the integers; a ``Fraction`` is
+    made only when an entry is read (``m[i, j]``). Supports scalar and
+    matrix multiplication, and JSON output as an array of arrays of "p/q"
+    strings (``to_json``, ``json_text``); it is built from rational rows by
+    the constructor or from integer rows over a denominator by
+    ``from_int_rows``. The symmetry test, the sparse rows and the JSON text
+    are computed once per matrix.
     """
 
-    __slots__ = ("_den", "_num", "_hash", "_symmetric", "_json", "_sparse")
+    __slots__ = ("_den", "_num", "_symmetric", "_json", "_sparse")
 
     def __init__(self, rows):
         self._set(*_scaled_ints(rows))
@@ -269,7 +271,6 @@ class Mat:
         den, rows = _lowest_terms(den, rows)
         self._den = den
         self._num = tuple(tuple(r) for r in rows)
-        self._hash = None
         self._symmetric = None
         self._json = None
         self._sparse = None
@@ -305,16 +306,9 @@ class Mat:
     def shape(self) -> tuple[int, int]:
         return len(self._num), len(self._num[0])
 
-    def row(self, i: int) -> tuple[Fraction, ...]:
-        d = self._den
-        return tuple(Fraction(x, d) for x in self._num[i])
-
     def __getitem__(self, key):
         i, j = key
         return Fraction(self._num[i][j], self._den)
-
-    def __iter__(self):
-        return (self.row(i) for i in range(len(self._num)))
 
     def __eq__(self, other):
         if not isinstance(other, Mat):
@@ -322,39 +316,10 @@ class Mat:
         return self is other or (self._den == other._den and self._num == other._num)
 
     def __hash__(self):
-        if self._hash is None:
-            self._hash = hash((self._den, self._num))
-        return self._hash
+        return hash((self._den, self._num))
 
     def __repr__(self):
         return f"Mat({self.rows}x{self.cols})"
-
-    def _plus(self, other, sign: int) -> "Mat":
-        if self.shape != other.shape:
-            raise ValueError("shape mismatch")
-        da, db = self._den, other._den
-        D = lcm(da, db)
-        fa, fb = D // da, sign * (D // db)
-        return Mat._of(
-            [
-                [fa * a + fb * b for a, b in zip(ra, rb)]
-                for ra, rb in zip(self._num, other._num)
-            ],
-            D,
-        )
-
-    def __add__(self, other):
-        if not isinstance(other, Mat):
-            return NotImplemented
-        return self._plus(other, 1)
-
-    def __sub__(self, other):
-        if not isinstance(other, Mat):
-            return NotImplemented
-        return self._plus(other, -1)
-
-    def __neg__(self):
-        return Mat._of([[-a for a in r] for r in self._num], self._den)
 
     def __mul__(self, other):
         if isinstance(other, Mat):
@@ -373,9 +338,6 @@ class Mat:
         # a Mat on the left multiplies in its own __mul__, so other is a
         # scalar here, and scalars commute
         return self.__mul__(other)
-
-    def transpose(self) -> "Mat":
-        return Mat._of(list(zip(*self._num)), self._den)
 
     def is_symmetric(self) -> bool:
         if self._symmetric is None:
@@ -450,12 +412,6 @@ class Mat:
         if self._json is None:
             self._json = _json_rows(self._num, self._den)
         return self._json
-
-    @classmethod
-    def from_json(cls, obj) -> "Mat":
-        if isinstance(obj, str):
-            obj = json.loads(obj)
-        return cls(obj)
 
 
 class FiniteAbelianGroup:
@@ -580,12 +536,6 @@ class Lattice:
     def rank(self) -> int:
         return len(self.int_basis)
 
-    def basis(self) -> Mat:
-        """Canonical basis as rational rows."""
-        if not self.int_basis:
-            raise ValueError("rank-0 lattice has no basis matrix")
-        return Mat._of(self.int_basis, self.den)
-
     def basis_rows(self) -> list[tuple[Fraction, ...]]:
         d = self.den
         return [tuple(Fraction(x, d) for x in row) for row in self.int_basis]
@@ -595,19 +545,6 @@ class Lattice:
             _check_form(form, self.ambient_dim)
         return Lattice(
             self.ambient_dim, self.den, self.int_basis, form, _canonical=True, _sparse=self._sparse
-        )
-
-    def scaled(self, c) -> "Lattice":
-        """The lattice c*M."""
-        c = parse_rational(c)
-        if c == 0:
-            raise ValueError("scaling a lattice by zero")
-        p = c.numerator
-        return Lattice._canonicalize(
-            self.ambient_dim,
-            [[p * x for x in row] for row in self.int_basis],
-            self.den * c.denominator,
-            self.form,
         )
 
     def __eq__(self, other):
@@ -666,49 +603,39 @@ class Lattice:
             raise ValueError("divisibility of the zero vector is undefined")
         return gcd(*c)
 
-    def _rational_coords_int(self, num, den: int):
-        """Coordinates of num/den over Q as (D, c) meaning c/D, or None.
-
-        Fraction-free back-substitution against the HNF basis: the residual
-        and the coefficients share one denominator D, raised just enough at
-        each pivot to keep the division exact. Each step updates the
-        residual at the nonzeros of one basis row.
-        """
-        if len(num) != self.ambient_dim:
-            raise ValueError("vector length differs from ambient_dim")
-        res = [x * self.den for x in num]
-        D = den
-        coeffs: list[int] = []
-        for row in self._sparse:
-            p, h = row[0]
-            x = res[p]
-            if not x:
-                coeffs.append(0)
-                continue
-            f = h // gcd(x, h)
-            if f != 1:
-                res = [y * f for y in res]
-                coeffs = [c * f for c in coeffs]
-                D *= f
-            c = res[p] // h
-            coeffs.append(c)
-            for k, r in row:
-                res[k] -= c * r
-        if any(res):
-            return None
-        return D, coeffs
-
     def _pivot_product(self) -> int:
         """Product of the HNF pivots of den * L. The rows restricted to
         their pivot columns are triangular, so this is the covolume of
         den * L projected onto those columns."""
         return prod(row[0][1] for row in self._sparse)
 
+    def _q_coords(self, w):
+        """A positive integer multiple of the rational coordinates of the
+        integer vector w in the canonical basis, or None exactly when w lies
+        outside the Q-span of the lattice.
+
+        The coordinates y solve y * H = den * w for the HNF rows H. Let H_P
+        be their triangular block on the pivot columns, with det H_P = P =
+        ``_pivot_product()``. A w in the Q-span has y = (den * w)_P * H_P^-1
+        = (den * w)_P * adj(H_P) / P, so P * y is an integer vector and the
+        triangular ``_solve(P * den * w)`` finds it; a w outside the Q-span
+        has no rational y, so that solve is None. P has 892 bits on the
+        degree-4 lattice, so den * w is solved first: y is integral, and
+        found at once, whenever w lies in the lattice.
+        """
+        w = [self.den * x for x in w]
+        y = self._solve(w)
+        if y is None:
+            P = self._pivot_product()
+            y = self._solve([P * x for x in w])
+        return y
+
     def spans_same_qspace(self, other: "Lattice") -> bool:
+        """Whether both lattices span the same Q-space: equal ranks, and
+        every basis row of self in the Q-span of other (``_q_coords``)."""
         _check_ambient(self, other)
         return self.rank == other.rank and all(
-            other._rational_coords_int(row, self.den) is not None
-            for row in self.int_basis
+            other._q_coords(row) is not None for row in self.int_basis
         )
 
     def gram(self) -> Mat:
@@ -725,27 +652,14 @@ class Lattice:
             df * self.den * self.den,
         )
 
-    def to_json(self) -> dict:
-        d = self.den
-        return {
-            "ambient_dim": self.ambient_dim,
-            "basis": [[_frac_str(x, d) for x in row] for row in self.int_basis],
-            "form": None if self.form is None else self.form.to_json(),
-        }
-
     def json_text(self) -> str:
-        """``json.dumps(self.to_json(), sort_keys=True)``, with the form's
-        text serialized once per form rather than once per call."""
+        """The lattice as a JSON object with sorted keys: ``ambient_dim``,
+        ``basis`` (the rows of ``basis_rows`` as arrays of "p"/"p/q"
+        strings) and ``form`` (the form's ``json_text``, or null). The
+        form's text is serialized once per form rather than once per call."""
         form = "null" if self.form is None else self.form.json_text()
         basis = _json_rows(self.int_basis, self.den)
         return f'{{"ambient_dim": {self.ambient_dim}, "basis": {basis}, "form": {form}}}'
-
-    @classmethod
-    def from_json(cls, obj) -> "Lattice":
-        form = None if obj.get("form") is None else Mat.from_json(obj["form"])
-        return cls.from_generators(
-            obj["basis"], ambient_dim=obj["ambient_dim"], form=form
-        )
 
 
 def _check_form(form, n):
@@ -1000,15 +914,20 @@ def _saturation_basis(rows) -> list[list[int]]:
 
 
 def saturate_in(sub: Lattice, sup: Lattice) -> Lattice:
-    """Saturation of sub inside sup: (sub tensor Q) intersected with sup."""
+    """Saturation of sub inside sup: (sub tensor Q) intersected with sup.
+
+    Each basis row of sub only matters up to a rational multiple, so its
+    coordinates in sup's basis are any integer multiple of the rational
+    ones (``sup._q_coords``), made primitive.
+    """
     _check_ambient(sub, sup)
     C = []
     for row in sub.int_basis:
-        sol = sup._rational_coords_int(row, sub.den)
-        if sol is None:
+        c = sup._q_coords(row)
+        if c is None:
             raise NotASublatticeError("vector outside the Q-span of the superlattice")
-        # each row only matters up to a rational multiple
-        C.append(sol[1])
+        g = gcd(*c)
+        C.append([x // g for x in c])
     if not C:
         return Lattice._canonicalize(sup.ambient_dim, [], 1, sup.form)
     # _canonicalize reduces the lifted rows, so the basis needs no HNF here

@@ -37,7 +37,6 @@ and the default lattice carries it as ``q``.
 
 from __future__ import annotations
 
-import json
 import re
 from collections.abc import Mapping
 from fractions import Fraction
@@ -130,10 +129,6 @@ class H4Class:
         return c
 
     @classmethod
-    def zero(cls) -> "H4Class":
-        return cls._of((0,) * AMBIENT, 1)
-
-    @classmethod
     def from_fractions(cls, coords) -> "H4Class":
         d, (num,) = _scaled_ints([coords])
         if len(num) != AMBIENT:
@@ -143,9 +138,6 @@ class H4Class:
     def coords(self) -> tuple[Fraction, ...]:
         d = self.den
         return tuple(Fraction(x, d) for x in self.num)
-
-    def is_zero(self) -> bool:
-        return not any(self.num)
 
     def _plus(self, other: "H4Class", sign: int) -> "H4Class":
         da, db = self.den, other.den
@@ -162,9 +154,6 @@ class H4Class:
         if not isinstance(other, H4Class):
             return NotImplemented
         return self._plus(other, -1)
-
-    def __neg__(self) -> "H4Class":
-        return H4Class._of(tuple([-x for x in self.num]), self.den)
 
     def scale(self, c) -> "H4Class":
         c = parse_rational(c)
@@ -197,11 +186,9 @@ class H4Class:
 
     @classmethod
     def from_json(cls, obj) -> "H4Class":
-        if isinstance(obj, str):
-            obj = json.loads(obj)
         if not isinstance(obj, Mapping):
             raise ValueError("a degree-4 class is a mapping of monomial keys to values")
-        coords = [Fraction(0)] * AMBIENT
+        vals = {}
         for key, val in obj.items():
             m = re.fullmatch(r"\(([0-9]+),([0-9]+)\)", key.strip())
             if not m:
@@ -209,8 +196,12 @@ class H4Class:
             i, j = int(m.group(1)), int(m.group(2))
             if not (0 <= i <= j < RANK):
                 raise ValueError(f"monomial key {key!r} out of range")
-            coords[_PAIR_INDEX[(i, j)]] = parse_rational(val)
-        return cls.from_fractions(coords)
+            k = _PAIR_INDEX[(i, j)]
+            # two spellings of one monomial, such as "(0,1)" and "(00,1)"
+            if k in vals:
+                raise ValueError(f"monomial ({i},{j}) is given twice, the last time as {key!r}")
+            vals[k] = parse_rational(val)
+        return cls.from_fractions([vals.get(k, 0) for k in range(AMBIENT)])
 
 
 def sym2_embed(a: H2Class, b: H2Class) -> H4Class:

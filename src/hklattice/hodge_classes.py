@@ -107,23 +107,13 @@ class PicardData:
         return cls(lat, lambda0)
 
 
-def _int_rows(lat: Lattice):
-    """The canonical basis of a sublattice of Z^23 as integer rows."""
-    if lat.den != 1:
-        raise ValueError("lattice is not integral")
-    return lat.int_basis
-
-
-def transcendental(p: PicardData | Lattice) -> Lattice:
-    """The saturated orthogonal complement of the Picard lattice.
-
-    Accepts full Picard data or a bare sublattice (useful for complements of
-    negative-definite pieces, which carry no polarization). The complement
-    is the saturated left kernel of the pairing matrix of the ambient basis
+def transcendental(p: PicardData) -> Lattice:
+    """The saturated orthogonal complement of the Picard lattice: the
+    saturated left kernel of the pairing matrix of the ambient basis
     against the Picard basis (``left_kernel``).
     """
-    plat = p.p_lattice if isinstance(p, PicardData) else p
-    prows = _int_rows(plat)
+    # PicardData is saturated in Z^23, so its basis rows are integral
+    prows = p.p_lattice.int_basis
     # column t of the pairing matrix is Gram * prows[t]
     cols = [gram_apply(H2Class._of(pr)) for pr in prows]
     pairing = [[c[k] for c in cols] for k in range(RANK)]
@@ -158,7 +148,10 @@ def canonical_hodge_lattice(l0: H2Class) -> Lattice:
 
 
 def _t_basis(T: Lattice) -> list[H2Class]:
-    return [H2Class._of(row) for row in _int_rows(T)]
+    """The canonical basis of a sublattice of Z^23 as classes."""
+    if T.den != 1:
+        raise ValueError("lattice is not integral")
+    return [H2Class._of(row) for row in T.int_basis]
 
 
 def minimality_scalar(v: H4Class, T: Lattice) -> Fraction:

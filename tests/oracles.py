@@ -25,6 +25,11 @@ that finds each pivot row and each row to clear by a scan of every active
 row, the reference for the library's column-indexed ``_echelon_mod``. ``polarization_kernel`` is the saturated left
 kernel basis of s^T A, so the deformation reference route builds its
 equations over another basis of ker(s^T A) than the library does.
+
+``fraction_rows`` reads a ``Mat`` entry by entry into Fraction rows, for
+references written over exact rationals, and ``lattice_json`` is the JSON
+object of a lattice built from ``basis_rows`` and the form's ``to_json``,
+the reference for ``Lattice.json_text``.
 """
 
 from fractions import Fraction
@@ -50,6 +55,21 @@ from hklattice.h4_model import (
     sym2_embed,
     sym2_lattice,
 )
+
+
+def fraction_rows(m) -> list[list[Fraction]]:
+    """The entries of a Mat as rows of Fractions."""
+    return [[m[i, j] for j in range(m.cols)] for i in range(m.rows)]
+
+
+def lattice_json(lat: Lattice) -> dict:
+    """The JSON object of a lattice: its ambient dimension, its canonical
+    basis as "p"/"p/q" strings and its form, or None."""
+    return {
+        "ambient_dim": lat.ambient_dim,
+        "basis": [[str(x) for x in row] for row in lat.basis_rows()],
+        "form": None if lat.form is None else lat.form.to_json(),
+    }
 
 
 def pivot_columns(H):

@@ -82,7 +82,7 @@ class TestPredicates:
         assert is_primitive(e1 + f1)
         assert not is_primitive(2 * e1 + 2 * f1)
         with pytest.raises(ValueError):
-            is_primitive(H2Class.zero())
+            is_primitive(H2Class([0] * RANK))
 
     def test_exceptional(self):
         assert is_exceptional(delta0())

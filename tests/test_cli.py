@@ -424,6 +424,33 @@ class TestStrictPayload:
             capsys, "minimal-search", f'{{"lambda0": {l0}, "picard": [{l0}], "picard": []}}'
         )
 
+    def test_unknown_payload_key_rejected(self, capsys):
+        l0 = [5, 5] + [0] * 21
+        for kind, payload in (
+            ("membership", {"named": "q", "extra": 1}),
+            ("divisibility", {"lambda0": l0, "picard": [l0]}),
+            ("vlambda", {"lambda0": l0, "plus_two_fifths_q": False}),
+            ("minimal-search", {"lambda0": l0, "named": "q"}),
+        ):
+            self._rejected(capsys, kind, payload)
+
+    @pytest.mark.parametrize("kind", ["membership", "divisibility"])
+    def test_monomial_given_twice_rejected(self, capsys, kind):
+        # two spellings of x0*x1: a stripped space, a leading zero
+        for other in (" (0,1)", "(00,1)", "(0,01)"):
+            self._rejected(capsys, kind, {"class": {"(0,1)": "1", other: "2"}})
+
+    def test_class_given_as_json_text_rejected(self, capsys):
+        # a class is a JSON object; JSON text inside a string is not parsed,
+        # so it cannot slip a repeated key past the payload parser
+        for text in ('{"(0,0)": 1}', '{"(0,0)": 1, "(0,0)": 2}'):
+            self._rejected(capsys, "membership", {"class": text})
+
+    def test_divisibility_of_the_zero_class_is_an_error(self, capsys):
+        code, out, err = _run(capsys, ["query", "divisibility", "--payload", '{"class": {}}'])
+        assert (code, out) == (2, "")
+        assert err == "error: divisibility of the zero vector is undefined\n"
+
     def test_exact_numbers_still_accepted(self, capsys):
         code, out, _ = _run(
             capsys,

@@ -34,17 +34,17 @@ class TestFixInstance:
     def test_json_roundtrip(self):
         inst = FixInstance(Mat([[2, 1], [1, 2]]), [1, -1])
         obj = inst.to_json()
-        back = FixInstance(Mat.from_json(obj["A"]), obj["s"])
+        back = FixInstance(Mat(obj["A"]), obj["s"])
         assert back.A == inst.A and back.s == inst.s
 
     def test_from_json_is_strict(self):
         A = [["1", "0"], ["0", "1"]]
-        assert FixInstance(Mat.from_json(A), ["1", "1/2"]).s == (1, F(1, 2))
+        assert FixInstance(Mat(A), ["1", "1/2"]).s == (1, F(1, 2))
         for bad in ([True, 0], [1, 0.5], [1.0, 0]):
             with pytest.raises(TypeError):
-                FixInstance(Mat.from_json(A), bad)
+                FixInstance(Mat(A), bad)
         with pytest.raises(ValueError):
-            FixInstance(Mat.from_json(A), ["1", "0.5"])
+            FixInstance(Mat(A), ["1", "0.5"])
 
 
 class TestKernel:

@@ -83,15 +83,6 @@ class TestTranscendental:
             assert bb_form(t, delta0()) == 0
             assert bb_form(t, _u_pol()) == 0
 
-    def test_bare_lattice_overload(self):
-        # the exceptional span itself is legal input even though it carries
-        # no positive class
-        P = Lattice.from_generators([list(delta0().coords)], ambient_dim=RANK)
-        T = transcendental(P)
-        assert T.rank == RANK - 1
-        for row in T.basis_rows():
-            assert bb_form(H2Class([int(x) for x in row]), delta0()) == 0
-
     def test_saturated(self):
         from hklattice.bb_lattice import gram_mat
         from hklattice.exact_linalg import saturate_in

@@ -1,16 +1,28 @@
 """Every name a module of the package or of the tests imports is used in
-that module, and every public function or class of the package is read
-somewhere else in the package.
+that module, and every public function, class and class member of the
+package is read somewhere else in the package.
 
 Read with ``ast``, nothing is imported. A name counts as used when it is
 loaded anywhere in the module, listed in ``__all__``, or named inside a
-string annotation such as ``-> "H4Class"``. A module-level public function
-or class counts as read when its name is loaded, as a name or as an
-attribute, somewhere in the package outside its own definition; an import
-or an ``__all__`` entry is not a read.
+string annotation such as ``-> "H4Class"``.
+
+A module-level public function or class counts as read when it is loaded
+somewhere in the package outside its own definition, in one of two ways:
+as a bare name, in its own module or in a module that imports it (through
+any chain of relative imports, as ``kernels`` re-exports ``_pykernels``);
+or as ``mod.name`` for an imported package module ``mod``, as in
+``kernels.hnf``. An attribute ``x.name`` of anything else is not a read of
+the module-level ``name``, and neither is an import or an ``__all__`` entry.
+
+A public method, property, classmethod or staticmethod of a package class,
+and a public ``__slots__`` entry, counts as read when some attribute
+``x.name`` is loaded in the package outside the member's own definition.
+Dunders are not scanned. The scan does not know the type of ``x``, so two
+classes that share a member name are both read when either is.
 """
 
 import ast
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -30,6 +42,13 @@ UNREAD_ALLOWED = {
     "bb_lattice.orth_complement_basis.repeat_ratio counter needs it",
     "h4_model.monomial_pairs": "it is the frozen coordinate order of the "
     "degree-4 classes",
+    "exact_linalg.divisibility": "tests/test_acceptance.py reads it, and the "
+    "acceptance criteria stay as they are",
+}
+
+# Public class members that nothing in the package reads, each kept for a reason.
+UNREAD_MEMBERS_ALLOWED = {
+    "cli._Parser.error": "argparse calls it on a bad argv",
 }
 
 
@@ -74,29 +93,94 @@ def _used(tree: ast.Module) -> set[str]:
     return used
 
 
+def _relative_imports(tree: ast.Module) -> dict[str, tuple[str, str | None]]:
+    """Bound name -> ``(module, name)`` for each ``from .module import
+    name``, and ``(module, None)`` for each ``from . import module``."""
+    out = {}
+    for node in tree.body:
+        if isinstance(node, ast.ImportFrom) and node.level == 1:
+            for alias in node.names:
+                bound = alias.asname or alias.name
+                out[bound] = (node.module, alias.name) if node.module else (alias.name, None)
+    return out
+
+
 def _unread(trees: dict[str, ast.Module]) -> set[str]:
     """``module.name`` of each module-level public function or class that no
     module loads outside the definition itself."""
-    loads: dict[str, int] = {}
-    defs = []
+    imports = {mod: _relative_imports(tree) for mod, tree in trees.items()}
+    defined = {
+        mod: {n.name for n in tree.body if isinstance(n, (ast.FunctionDef, ast.ClassDef))}
+        for mod, tree in trees.items()
+    }
+
+    def origin(mod, name):
+        # follow re-exports to the module that defines the name
+        while imports.get(mod, {}).get(name, (None, None))[1] is not None:
+            mod, name = imports[mod][name]
+        return mod, name
+
+    reads = set()
     for mod, tree in trees.items():
-        for node in ast.walk(tree):
-            name = _loaded(node)
-            if name is not None:
-                loads[name] = loads.get(name, 0) + 1
-        for node in tree.body:
-            if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and not node.name.startswith("_"):
-                own = sum(1 for n in ast.walk(node) if _loaded(n) == node.name)
-                defs.append((mod, node.name, own))
-    return {f"{mod}.{name}" for mod, name, own in defs if loads.get(name, 0) == own}
+        for stmt in tree.body:
+            own = (mod, getattr(stmt, "name", None))
+            for node in ast.walk(stmt):
+                key = None
+                if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                    bound = imports[mod].get(node.id)
+                    if bound is not None and bound[1] is not None:
+                        key = origin(mod, node.id)
+                    elif bound is None and node.id in defined[mod]:
+                        key = (mod, node.id)
+                elif (
+                    isinstance(node, ast.Attribute)
+                    and isinstance(node.ctx, ast.Load)
+                    and isinstance(node.value, ast.Name)
+                ):
+                    bound = imports[mod].get(node.value.id)
+                    if bound is not None and bound[1] is None:
+                        key = origin(bound[0], node.attr)
+                if key is not None and key != own:
+                    reads.add(key)
+    return {
+        f"{mod}.{name}"
+        for mod, names in defined.items()
+        for name in names
+        if not name.startswith("_") and (mod, name) not in reads
+    }
 
 
-def _loaded(node: ast.AST) -> str | None:
-    if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
-        return node.id
-    if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
-        return node.attr
-    return None
+def _attribute_loads(node: ast.AST, name: str | None = None):
+    return [
+        n.attr
+        for n in ast.walk(node)
+        if isinstance(n, ast.Attribute)
+        and isinstance(n.ctx, ast.Load)
+        and (name is None or n.attr == name)
+    ]
+
+
+def _unread_members(trees: dict[str, ast.Module]) -> set[str]:
+    """``module.Class.member`` of each public method (property,
+    classmethod, staticmethod) or ``__slots__`` entry of a module-level
+    class that no attribute load reads outside the member's definition."""
+    loads = Counter(a for tree in trees.values() for a in _attribute_loads(tree))
+    out = set()
+    for mod, tree in trees.items():
+        for cls in tree.body:
+            if not isinstance(cls, ast.ClassDef):
+                continue
+            for stmt in cls.body:
+                if isinstance(stmt, ast.FunctionDef) and not stmt.name.startswith("_"):
+                    if loads[stmt.name] == len(_attribute_loads(stmt, stmt.name)):
+                        out.add(f"{mod}.{cls.name}.{stmt.name}")
+                elif isinstance(stmt, ast.Assign) and any(
+                    isinstance(t, ast.Name) and t.id == "__slots__" for t in stmt.targets
+                ):
+                    for slot in stmt.value.elts:
+                        if not slot.value.startswith("_") and not loads[slot.value]:
+                            out.add(f"{mod}.{cls.name}.{slot.value}")
+    return out
 
 
 @pytest.mark.parametrize(
@@ -146,12 +230,56 @@ def test_the_scan_sees_an_unread_name():
             "def recursive(n): return recursive(n - 1)\n"
             "def _private(): ...\n"
             "class Built: ...\n"
+            "def divisibility(v): ...\n"
+            "class L:\n"
+            "    def divisibility(self, v): ...\n"
             "x = 0\n"
         ),
         "b": ast.parse(
             "from . import a\n"
             "from .a import imported, read\n"
-            "def helper(): return read(), a.Built()\n"
+            "def helper(x): return read(), a.Built(), x.divisibility(1)\n"
         ),
+        "c": ast.parse("from .a import L as K\ndef again(): return K\n"),
+        "d": ast.parse("from . import c\ndef twice(): return c.K(), c.again()\n"),
     }
-    assert _unread(trees) == {"a.imported", "a.exported", "a.recursive"}
+    assert _unread(trees) == {"a.imported", "a.exported", "a.recursive", "a.divisibility", "d.twice"}
+
+
+def test_every_public_member_of_the_package_is_read():
+    trees = {p.stem: ast.parse(p.read_text(), filename=str(p)) for p in sorted(PACKAGE.glob("*.py"))}
+    unread = _unread_members(trees)
+    assert not unread - set(UNREAD_MEMBERS_ALLOWED), (
+        "public class members that nothing in src/hklattice reads; delete them "
+        f"or give them a caller: {sorted(unread - set(UNREAD_MEMBERS_ALLOWED))}"
+    )
+    assert not set(UNREAD_MEMBERS_ALLOWED) - unread, (
+        "allowed as unread but now read or gone: "
+        f"{sorted(set(UNREAD_MEMBERS_ALLOWED) - unread)}"
+    )
+
+
+def test_the_scan_sees_an_unread_member():
+    trees = {
+        "a": ast.parse(
+            "class P:\n"
+            "    __slots__ = ('used', 'unused', '_private')\n"
+            "    def __init__(self):\n"
+            "        self.used = self.unused = self._private = 0\n"
+            "    def read(self): return self.used\n"
+            "    def unread(self): return self.read()\n"
+            "    def recursive(self): return self.recursive()\n"
+            "    @property\n"
+            "    def prop(self): return 1\n"
+            "    @classmethod\n"
+            "    def build(cls): return cls()\n"
+            "    def _helper(self): ...\n"
+            "    def __neg__(self): ...\n"
+            "class Q:\n"
+            "    def shared(self): ...\n"
+            "class R:\n"
+            "    def shared(self): ...\n"
+        ),
+        "b": ast.parse("def f(p): return p.prop, p.shared(), a.P.build\n"),
+    }
+    assert _unread_members(trees) == {"a.P.unused", "a.P.unread", "a.P.recursive"}

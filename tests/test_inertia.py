@@ -8,6 +8,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from oracles import fraction_rows
 
 from hklattice.bb_lattice import bb_form, orth_complement_basis, sample_exceptional
 from hklattice.exact_linalg import Mat, signature_symmetric
@@ -23,14 +24,22 @@ def faddeev_leverrier_signature(m: Mat) -> tuple[int, int, int]:
     like n^4, so this serves only as an oracle on small matrices.
     """
     n = m.rows
+    A = fraction_rows(m)
+
+    def times_a(M):
+        return [[sum(x * y for x, y in zip(r, col)) for col in zip(*M)] for r in A]
+
     c = [Fraction(0)] * (n + 1)
     c[n] = Fraction(1)
-    Mk = Mat.from_int_rows([[0] * n] * n)
-    eye = Mat.identity(n)
+    Mk = [[Fraction(0)] * n for _ in range(n)]
     for k in range(1, n + 1):
-        Mk = m * Mk + c[n - k + 1] * eye
-        AM = m * Mk
-        tr = sum(AM[i, i] for i in range(n))
+        # M_k = A * M_(k-1) + c_(n-k+1) * I
+        Mk = [
+            [x + c[n - k + 1] * (i == j) for j, x in enumerate(r)]
+            for i, r in enumerate(times_a(Mk))
+        ]
+        AM = times_a(Mk)
+        tr = sum(AM[i][i] for i in range(n))
         c[n - k] = Fraction(-tr, k)
     n_zero = 0
     while n_zero <= n and c[n_zero] == 0:

@@ -11,7 +11,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from oracles import lattice_meet
+from oracles import fraction_rows, lattice_json, lattice_meet
 
 from hklattice import bb_lattice
 from hklattice.bb_lattice import (
@@ -67,9 +67,9 @@ def test_saturate_in_h4_equals_saturate_scale_meet(h4):
     z = Lattice.standard(AMBIENT, form=fujiki_mat())
     for l0 in _polarizations(6):
         span = h4_span([sym2_embed(l0, l0), h4.q])
-        old = lattice_meet(
-            h4.lattice, saturate_in(span, z).scaled(F(1, h4.lattice.den))
-        )
+        sat = saturate_in(span, z)
+        scaled = Lattice.from_int_rows(sat.int_basis, sat.den * h4.lattice.den, form=sat.form)
+        old = lattice_meet(h4.lattice, scaled)
         assert saturate_in(span, h4.lattice) == old
 
 
@@ -79,8 +79,8 @@ def test_basis_hash_equals_full_json_digest():
         rep = minimal_class_search(pd)
         T = transcendental(pd)
         h = hashlib.sha256()
-        h.update(json.dumps(rep.search_lattice.to_json(), sort_keys=True).encode())
-        h.update(json.dumps(T.to_json(), sort_keys=True).encode())
+        h.update(json.dumps(lattice_json(rep.search_lattice), sort_keys=True).encode())
+        h.update(json.dumps(lattice_json(T), sort_keys=True).encode())
         assert rep.basis_hash == h.hexdigest()[:16]
 
 
@@ -91,7 +91,7 @@ def test_json_text_matches_sorted_dumps():
         Lattice.from_generators([], ambient_dim=2, form=Mat([[1, 0], [0, 1]])),
     ]
     for lat in lats:
-        assert lat.json_text() == json.dumps(lat.to_json(), sort_keys=True)
+        assert lat.json_text() == json.dumps(lattice_json(lat), sort_keys=True)
     mats = [
         fujiki_mat(),
         Mat([[F(-1, 2), 3, 0], [F(7, -3), -4, F(5, 6)]]),
@@ -128,8 +128,9 @@ def test_integer_gram_equals_fraction_product(rows, upper):
     lat = Lattice.from_generators(rows, ambient_dim=3, form=form)
     if lat.rank == 0:
         return
-    B = lat.basis()
-    assert lat.gram() == B * form * B.transpose()
+    B = lat.basis_rows()
+    BF = [[sum(x * g for x, g in zip(b, col)) for col in zip(*f)] for b in B]
+    assert fraction_rows(lat.gram()) == [[sum(x * y for x, y in zip(r, b)) for b in B] for r in BF]
 
 
 @settings(max_examples=60, deadline=None)
@@ -152,9 +153,11 @@ def test_rational_coords_reconstruct(rows, coeffs, den):
     basis = lat.basis_rows()
     v = [sum((F(c, den) * b[k] for c, b in zip(coeffs, basis)), F(0)) for k in range(3)]
     d, (w,) = _scaled_ints([v])
-    D, c = lat._rational_coords_int(w, d)
-    c = [F(x, D) for x in c]
-    assert [sum((x * b[k] for x, b in zip(c, basis)), F(0)) for k in range(3)] == v
+    # a positive integer multiple of the coordinates of w = d * v
+    c = lat._q_coords(w)
+    got = [sum((x * b[k] for x, b in zip(c, basis)), F(0)) for k in range(3)]
+    m = next((g / x for g, x in zip(got, v) if x), F(1))
+    assert m > 0 and m.denominator == 1 and got == [m * x for x in v]
 
 
 def test_non_symmetric_form_rejected():

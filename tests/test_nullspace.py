@@ -68,7 +68,7 @@ def bareiss_route(inst: FixInstance) -> FixSolution:
             if g:
                 rows.append([x // g for x in ints])
     sols = bareiss_nullspace(rows, nvars)
-    return FixSolution(n, [_vector_to_pair(v, n, pairs) for v in sols])
+    return FixSolution([_vector_to_pair(v, n, pairs) for v in sols])
 
 
 def recombined(basis):
@@ -214,7 +214,7 @@ def test_solve_refutes_a_span_that_misses_a_solution(monkeypatch):
 def _assert_same_as_bareiss_route(inst):
     got = solve_fixed_space(inst)
     want = bareiss_route(inst)
-    assert (got.n, got.dimension, got.pairs) == (want.n, want.dimension, want.pairs)
+    assert (got.dimension, got.pairs) == (want.dimension, want.pairs)
 
 
 def test_hand_instance_matches_bareiss_route():

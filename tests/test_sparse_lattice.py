@@ -146,12 +146,19 @@ def test_merged_api_is_strict():
 def test_rational_coords_match_fraction_solve(case):
     lat, num, den = case
     want = fraction_coords(lat, num, den)
-    got = lat._rational_coords_int(num, den)
+    # _q_coords(num) is None exactly off the Q-span, and otherwise a
+    # positive integer multiple m of the coordinates of num = den * (num/den),
+    # with m = 1 when num lies in the lattice
+    got = lat._q_coords(num)
     if want is None:
         assert got is None
-    else:
-        D, c = got
-        assert [Fraction(x, D) for x in c] == want
+        return
+    y = [den * c for c in want]
+    m = next((Fraction(g) / c for g, c in zip(got, y) if c), Fraction(1))
+    assert m.denominator == 1 and m > 0
+    assert [Fraction(g) for g in got] == [m * c for c in y]
+    if all(c.denominator == 1 for c in y):
+        assert m == 1
 
 
 @settings(max_examples=200, deadline=None)

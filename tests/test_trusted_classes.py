@@ -57,7 +57,6 @@ def test_h4_arithmetic_matches_checked_constructor(a, b, c):
     da, db = a.den, b.den
     same(a + b, H4Class([x * db + y * da for x, y in zip(a.num, b.num)], da * db))
     same(a - b, H4Class([x * db - y * da for x, y in zip(a.num, b.num)], da * db))
-    same(-a, H4Class([-x for x in a.num], da))
     c = F(c)
     want = H4Class([c.numerator * x for x in a.num], da * c.denominator)
     same(a.scale(c), want)
@@ -88,7 +87,6 @@ def test_h2_arithmetic_matches_checked_constructor(a, b, c):
 
     same2(a + b, [x + y for x, y in zip(a.coords, b.coords)])
     same2(a - b, [x - y for x, y in zip(a.coords, b.coords)])
-    same2(-a, [-x for x in a.coords])
     same2(c * a, [c * x for x in a.coords])
 
 
@@ -96,8 +94,6 @@ def test_built_classes_match_checked_constructor(tq):
     for i in range(RANK):
         e = H2Class.basis_vector(i)
         assert e.coords == H2Class([int(j == i) for j in range(RANK)]).coords
-    assert H2Class.zero() == H2Class([0] * RANK)
-    assert H4Class.zero() == H4Class([0] * AMBIENT)
     rng = random.Random(3)
     sampled = [sample_polarization_odd(rng) for _ in range(4)]
     sampled += [sample_polarization_even(rng, k % 2 == 0) for k in range(4)]
@@ -114,8 +110,8 @@ def test_built_classes_match_checked_constructor(tq):
 
 
 def test_h2_operands_are_strict():
-    a = H2Class.zero()
-    for bad in (1, "a", 0.5, (0,) * RANK, H4Class.zero()):
+    a = H2Class([0] * RANK)
+    for bad in (1, "a", 0.5, (0,) * RANK, H4Class([0] * AMBIENT)):
         with pytest.raises(TypeError):
             a + bad
         with pytest.raises(TypeError):
@@ -148,4 +144,4 @@ def test_public_constructors_refuse_unchecked_input():
         with pytest.raises(TypeError):
             c * a
     with pytest.raises(TypeError):
-        H4Class.zero().scale(0.5)
+        H4Class(zeros).scale(0.5)
