@@ -483,6 +483,13 @@ _PAYLOAD_KEYS = {
     "minimal-search": ("lambda0", "picard"),
 }
 
+# the keys a payload of each query kind must hold; a membership or
+# divisibility payload needs one class form instead (see _payload_class)
+_REQUIRED_KEYS = {
+    "vlambda": ("lambda0",),
+    "minimal-search": ("lambda0",),
+}
+
 
 def _payload_class(payload: dict, h4) -> H4Class:
     forms = [k for k in _CLASS_FORMS if k in payload]
@@ -532,6 +539,9 @@ def run_query(kind: str, payload: dict) -> dict:
             raise ValueError(
                 f"unknown payload key {json.dumps(key)} for {kind}; allowed: {', '.join(allowed)}"
             )
+    for key in _REQUIRED_KEYS.get(kind, ()):
+        if key not in payload:
+            raise ValueError(f"{kind} payload needs the key {json.dumps(key)}")
     h4 = default_h4_lattice()
     if kind == "membership":
         # one solve answers both: the coordinates are None outside the
@@ -654,7 +664,10 @@ def _integer(text: str) -> int:
     return int(text)
 
 
+@cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argv parser, built on the first call and shared by later ones:
+    parsing reads it and never changes it."""
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--json", action="store_true", help="machine-readable output")
     common.add_argument("--seed", type=_integer, default=0, help="PRNG seed (default 0)")

@@ -120,21 +120,17 @@ def sample_square6_even(rng: random.Random) -> H2Class:
     return out
 
 
-class PfaffianModel:
+def pfaffian_polarization(b_class: H2Class) -> H2Class:
     """The square-6 polarization 2b - 5d produced by a square-14 class b
-    orthogonal to the exceptional class d, checked at construction."""
-
-    __slots__ = ("lambda0",)
-
-    def __init__(self, b_class: H2Class):
-        d0 = delta0()
-        if not is_primitive(b_class):
-            raise ValueError("the square-14 class must be primitive")
-        if bb_form(b_class, d0) != 0:
-            raise ValueError("the square-14 class must be orthogonal to the exceptional class")
-        if bb_form(b_class, b_class) != 14:
-            raise ValueError("expected square 14")
-        self.lambda0 = 2 * b_class - 5 * d0
+    orthogonal to the exceptional class d; b is checked first."""
+    d0 = delta0()
+    if not is_primitive(b_class):
+        raise ValueError("the square-14 class must be primitive")
+    if bb_form(b_class, d0) != 0:
+        raise ValueError("the square-14 class must be orthogonal to the exceptional class")
+    if bb_form(b_class, b_class) != 14:
+        raise ValueError("expected square 14")
+    return 2 * b_class - 5 * d0
 
 
 def default_pfaffian_b() -> H2Class:
@@ -151,8 +147,7 @@ def pfaffian_check() -> dict:
     the side condition ((10 + 6)/8 = 2, an even integer).
     """
     b_class = default_pfaffian_b()
-    model = PfaffianModel(b_class)
-    l0 = model.lambda0
+    l0 = pfaffian_polarization(b_class)
     report = {
         "b_square": bb_form(b_class, b_class),
         "lambda0_square": bb_form(l0, l0),

@@ -67,14 +67,15 @@ class DegenerateTranscendentalError(ValueError):
 
 
 class PicardData:
-    """A saturated algebraic sublattice with a distinguished polarization.
+    """A saturated algebraic sublattice, checked against a polarization.
 
-    ``p_lattice`` lives in the standard rank-23 ambient; ``lambda0`` must be
-    a primitive class of positive square lying in it. Both the rank of P and
-    of its complement must be at least 1.
+    ``p_lattice`` lives in the standard rank-23 ambient; the polarization
+    ``lambda0`` given to the constructor must be a primitive class of
+    positive square lying in it. Both the rank of P and of its complement
+    must be at least 1.
     """
 
-    __slots__ = ("p_lattice", "lambda0")
+    __slots__ = ("p_lattice",)
 
     def __init__(self, p_lattice: Lattice, lambda0: H2Class):
         if p_lattice.ambient_dim != RANK:
@@ -91,7 +92,6 @@ class PicardData:
         if not p_lattice.contains(lambda0.coords):
             raise ValueError("polarization must lie in the Picard lattice")
         self.p_lattice = p_lattice
-        self.lambda0 = lambda0
 
     @classmethod
     def rank_one(cls, lambda0: H2Class) -> "PicardData":

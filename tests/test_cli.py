@@ -1,6 +1,8 @@
 """Command-line harness: suite reports, queries, samples, searches, exit
 codes, and reproducibility of JSON output."""
 
+import argparse
+import concurrent.futures
 import contextlib
 import hashlib
 import io
@@ -23,6 +25,33 @@ def _run(capsys, argv):
     code = cli.main(argv)
     out = capsys.readouterr()
     return code, out.out, out.err
+
+
+def _call(argv):
+    """(exit code, stdout, stderr) of one in-process ``cli.main`` call; an
+    argparse exit (an argv error or ``--help``) gives its SystemExit code."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = cli.main(argv)
+        except SystemExit as exc:
+            code = exc.code
+    return code, out.getvalue(), err.getvalue()
+
+
+def _call_fresh(argv):
+    """The same as ``_call``, run in a new ``python -m hklattice`` process."""
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = dict(os.environ, COLUMNS="80")
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-m", "hklattice", *argv],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    return proc.returncode, proc.stdout, proc.stderr
+
+
+_ELAPSED = re.compile(r'"elapsed_ms": [0-9]+|in [0-9]+ ms')
 
 
 class TestVerify:
@@ -52,18 +81,11 @@ class TestVerify:
     def test_python_dash_m_runs_the_cli(self, capsys):
         """``python -m hklattice`` from a checkout prints what ``cli.main``
         prints, byte for byte except ``elapsed_ms``."""
-        src = str(Path(cli.__file__).resolve().parents[1])
-        env = dict(os.environ)
-        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
         argv = ["verify", "blowup", "--json"]
-        proc = subprocess.run(
-            [sys.executable, "-m", "hklattice", *argv],
-            capture_output=True, text=True, env=env, timeout=120,
-        )
+        fresh_code, fresh_out, _ = _call_fresh(argv)
         code, out, _ = _run(capsys, argv)
-        assert proc.returncode == code == 0
-        elapsed = re.compile(r'"elapsed_ms": [0-9]+')
-        assert elapsed.sub("", proc.stdout) == elapsed.sub("", out)
+        assert fresh_code == code == 0
+        assert _ELAPSED.sub("", fresh_out) == _ELAPSED.sub("", out)
 
     def test_seed_changes_sampled_checks(self):
         a = cli.run_suite("deformation", seed=1, trials=2, convention="quadratic")
@@ -226,6 +248,60 @@ def test_argv_error_is_one_error_line(capsys, argv):
     assert out.out == ""
     lines = out.err.splitlines()
     assert len(lines) == 1 and lines[0].startswith("error:")
+
+
+class TestEntryPoint:
+    def test_parser_is_built_once_per_process(self, capsys, monkeypatch):
+        argv = ["query", "membership", "--payload", '{"named": "v0"}']
+        assert _run(capsys, argv)[0] == 0
+        built = []
+        real = argparse.ArgumentParser.__init__
+
+        def counting(self, *args, **kwargs):
+            built.append(self)
+            real(self, *args, **kwargs)
+
+        monkeypatch.setattr(cli._Parser, "__init__", counting)
+        for _ in range(2):
+            assert _run(capsys, argv)[0] == 0
+        assert built == []
+
+    def test_calls_in_one_process_answer_as_in_a_fresh_one(self, monkeypatch, tmp_path):
+        """A sequence of calls run twice in this process prints, call by
+        call, what each prints first in its own process: no option value,
+        default or ``--out`` file carries from one call into the next."""
+        monkeypatch.setenv("COLUMNS", "80")  # the width --help wraps at
+
+        def sequence(out):
+            l0 = json.dumps({"lambda0": [1, 1] + [0] * 21})
+            return [
+                ["verify", "blowup", "--json", "--seed", "3", "--out", str(out)],
+                ["query", "membership", "--payload", '{"named": "c2"}'],
+                ["query", "vlambda", "--payload", l0],
+                ["sample", "polarization-odd", "--count", "2", "--seed", "5"],
+                ["sample", "exceptional"],
+                ["verify", "deformation", "--json", "--trials", "2"],
+                ["verify", "deformation"],
+                ["search", "jacobian-combos", "--multipliers", "3,2", "--bound", "1"],
+                ["search", "jacobian-combos", "--multipliers", "3,2"],
+                ["sample", "exceptional", "--count", "1_0"],
+                ["query", "vlambda", "--payload", "{}"],
+                ["--help"],
+                ["query", "--help"],
+            ]
+
+        def masked(result):
+            code, out, err = result
+            return code, _ELAPSED.sub("", out), err
+
+        fresh_out = tmp_path / "fresh.json"
+        with concurrent.futures.ThreadPoolExecutor(2) as pool:
+            fresh = [masked(r) for r in pool.map(_call_fresh, sequence(fresh_out))]
+        assert [r[0] for r in fresh] == [0] * 9 + [2, 2, 0, 0]
+        for run in range(2):
+            out = tmp_path / f"run{run}.json"
+            assert [masked(_call(argv)) for argv in sequence(out)] == fresh
+            assert _ELAPSED.sub("", out.read_text()) == _ELAPSED.sub("", fresh_out.read_text())
 
 
 class TestQuery:
@@ -450,6 +526,14 @@ class TestStrictPayload:
         code, out, err = _run(capsys, ["query", "divisibility", "--payload", '{"class": {}}'])
         assert (code, out) == (2, "")
         assert err == "error: divisibility of the zero vector is undefined\n"
+
+    @pytest.mark.parametrize(
+        "kind, payload", [("vlambda", "{}"), ("minimal-search", '{"picard": [[1]]}')]
+    )
+    def test_missing_required_key_is_named(self, capsys, kind, payload):
+        code, out, err = _run(capsys, ["query", kind, "--payload", payload])
+        assert (code, out) == (2, "")
+        assert err == f'error: {kind} payload needs the key "lambda0"\n'
 
     def test_exact_numbers_still_accepted(self, capsys):
         code, out, _ = _run(

@@ -15,12 +15,12 @@ from hklattice.bb_lattice import (
     is_primitive,
 )
 from hklattice.cubic_fano import (
-    PfaffianModel,
     build_cubic_model,
     c2_consistency,
     default_pfaffian_b,
     lines_hodge_basis,
     pfaffian_check,
+    pfaffian_polarization,
     sample_square6_even,
 )
 from hklattice.exact_linalg import divisibility
@@ -114,17 +114,17 @@ class TestPfaffian:
         assert rep["assumption_holds"] is True
         assert rep["ok"] is True
 
-    def test_model_object(self):
-        pm = PfaffianModel(default_pfaffian_b())
-        assert bb_form(pm.lambda0, pm.lambda0) == 6
-        assert pm.lambda0 == 2 * default_pfaffian_b() - 5 * delta0()
+    def test_polarization(self):
+        l0 = pfaffian_polarization(default_pfaffian_b())
+        assert bb_form(l0, l0) == 6
+        assert l0 == 2 * default_pfaffian_b() - 5 * delta0()
 
     def test_rejects_bad_b(self):
         e1, f1 = hyperbolic_pair(0)
         with pytest.raises(ValueError):
-            PfaffianModel(e1 + f1)  # wrong square
+            pfaffian_polarization(e1 + f1)  # wrong square
         with pytest.raises(ValueError):
-            PfaffianModel(e1 + 7 * f1 + delta0())  # not orthogonal to delta
+            pfaffian_polarization(e1 + 7 * f1 + delta0())  # not orthogonal to delta
 
 
 def test_c2_consistency(rng):

@@ -46,7 +46,7 @@ class TestPicardData:
     def test_rank_one(self):
         p = PicardData.rank_one(_u_pol())
         assert p.p_lattice.rank == 1
-        assert p.lambda0 == _u_pol()
+        assert p.p_lattice.contains(list(_u_pol().coords))
 
     def test_from_vectors_saturates(self):
         l0 = _u_pol()
