@@ -3,14 +3,17 @@ elimination, triangular solving.
 
 The library's only kernel implementation, in pure Python; callers import
 it through ``hklattice.kernels``. Matrices are sequences of rows of Python
-ints; ``solve_left_int_row`` alone takes the sparse rows of
-``hklattice.exact_linalg`` (per row, its ``(column, value)`` nonzeros).
+ints. The triangular solve is two calls: ``solve_plan`` takes the sparse
+rows of ``hklattice.exact_linalg`` (per row, its ``(column, value)``
+nonzeros) of an HNF and its number of columns, and
+``solve_left_int_row`` takes that plan and an integer target vector.
 Inputs are never mutated. Everything is exact: arbitrary-precision
 integers only, no floating point, no modular shortcuts.
 
 The library calls ``hnf``, ``hnf_transform``, ``snf_diagonal`` (the
 diagonal of ``smith_normal_form``, whose transforms V and V^-1 only the
-tests' Smith-form oracles ask for) and ``solve_left_int_row``.
+tests' Smith-form oracles ask for), ``solve_plan`` and
+``solve_left_int_row``.
 ``det_bareiss`` and ``row_echelon_bareiss`` have no library caller: the
 library uses the sparse and modular routines of ``hklattice.exact_linalg``
 instead. They stay only for the benchmark's per-layer bit counters, which
@@ -34,6 +37,8 @@ Conventions
 from __future__ import annotations
 
 from itertools import compress
+from math import gcd
+from operator import itemgetter
 
 __all__ = [
     "hnf",
@@ -41,6 +46,7 @@ __all__ = [
     "smith_normal_form",
     "snf_diagonal",
     "det_bareiss",
+    "solve_plan",
     "solve_left_int_row",
     "row_echelon_bareiss",
 ]
@@ -150,19 +156,72 @@ def hnf_transform(mat):
     return _hermite(mat, True)
 
 
-def solve_left_int_row(rows, b):
+def _gather(cols):
+    """A function from a list to the tuple of its entries at ``cols`` (not
+    empty), at C speed: ``itemgetter``, which returns a bare entry for a
+    single column, wrapped in that case."""
+    if len(cols) == 1:
+        (c,) = cols
+        return lambda seq: (seq[c],)
+    return itemgetter(*cols)
+
+
+def solve_plan(rows, n):
+    """The plan ``solve_left_int_row`` walks for the rows of an HNF H with
+    n columns, in the sparse form (per row, its ``(column, value)`` pairs in
+    ascending column order, so the pivot comes first).
+
+    The forward substitution through H subtracts from the target, row by
+    row, the multiple of the row that clears the row's pivot column. A row
+    whose only nonzero is its pivot changes no other column, and a later
+    row is zero left of its own pivot, so the value such a row divides is
+    the target minus what the earlier multi-entry rows subtracted. The
+    plan therefore holds:
+
+    * ``multi``: the rows with more than one nonzero, as ``(pivot column,
+      pivot, row)`` in row order, substituted one by one;
+    * ``groups``: per pivot value h, the gather of the pivot columns of the
+      pivot-only rows with that pivot, solved in bulk after ``multi``;
+    * ``free``: the gather of the columns that are no row's pivot, or None,
+      which must be 0 once ``multi`` is done (pivot-only rows never touch
+      them);
+    * ``order``: the gather that puts the coefficients, found in the order
+      ``multi`` then ``groups``, back in row order.
+    """
+    multi = []
+    singles = {}
+    found = []
+    for i, row in enumerate(rows):
+        p, h = row[0]
+        if len(row) > 1:
+            multi.append((p, h, row))
+            found.append(i)
+        else:
+            singles.setdefault(h, []).append((i, p))
+    groups = []
+    for h, members in singles.items():
+        found += [i for i, _ in members]
+        groups.append((h, _gather([p for _, p in members])))
+    free = sorted(set(range(n)).difference(row[0][0] for row in rows))
+    # row i's coefficient is found at the k with found[k] == i
+    order = _gather(sorted(range(len(found)), key=found.__getitem__)) if rows else None
+    return tuple(multi), tuple(groups), _gather(free) if free else None, order
+
+
+def solve_left_int_row(plan, b):
     """Integer solution x of ``x * H = b`` for H in row HNF, else None.
 
-    ``rows`` holds the rows of H in sparse form: per row, a tuple of
-    ``(column, value)`` pairs in ascending column order, so the pivot comes
-    first. The forward substitution walks their nonzeros only. Returns None
-    when b is not an integer combination of the rows; with no rows, that is
-    whenever b is nonzero.
+    ``plan`` is ``solve_plan`` of the sparse rows of H, built once per H.
+    The multi-entry rows are substituted over their nonzeros, in row order;
+    then each group of pivot-only rows with pivot h takes its target values
+    in one gather, is tested by one ``gcd(...) % h`` and divided in one
+    pass. Returns None when b is not an integer combination of the rows;
+    with no rows, that is whenever b is nonzero.
     """
+    multi, groups, free, order = plan
     res = list(b)
     x = []
-    for row in rows:
-        p, h = row[0]
+    for p, h, row in multi:
         v = res[p]
         if v:
             q, rem = divmod(v, h)
@@ -173,7 +232,14 @@ def solve_left_int_row(rows, b):
         else:
             q = 0
         x.append(q)
-    return None if any(res) else x
+    if free is not None and any(free(res)):
+        return None
+    for h, gather in groups:
+        vals = gather(res)
+        if gcd(*vals) % h:
+            return None
+        x += [v // h for v in vals]
+    return list(order(x)) if order is not None else x
 
 
 def det_bareiss(mat):

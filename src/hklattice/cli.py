@@ -469,7 +469,7 @@ _NAMED_CLASSES = {
     "q": lambda h4: h4.q,
     "two-fifths-q": lambda h4: Fraction(2, 5) * h4.q,
     "v0": lambda h4: h4.v0,
-    "c2": lambda h4: 3 * (Fraction(2, 5) * h4.q),
+    "c2": lambda h4: Fraction(6, 5) * h4.q,
 }
 
 
@@ -650,7 +650,20 @@ def _emit(args, out, obj, is_report: bool) -> int:
 
 class _Parser(argparse.ArgumentParser):
     """Reports an argv error as one ``error:`` line on stderr and exit code 2;
-    subparsers are built from the same class."""
+    subparsers are built from the same class.
+
+    An argument that starts with a minus sign is read as an option unless
+    it looks like a negative number, and a comma-separated integer list
+    that starts with one, such as the ``--multipliers`` value ``-3,2``,
+    counts as one too. Any other text after a minus sign, such as the
+    payload ``-1e+16``, still reads as an option and must be joined to its
+    option (``--payload=-1e+16``).
+    """
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        number = self._negative_number_matcher.pattern
+        self._negative_number_matcher = re.compile(f"{number}|^-[0-9]+(,(-?[0-9]+)?)+$")
 
     def error(self, message):
         self.exit(2, f"error: {message}\n")

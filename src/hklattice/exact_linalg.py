@@ -20,7 +20,8 @@ denominator; ``Fraction`` values are made only at the edges (reading a
 ``Mat`` entry, ``basis_rows``, a ``coset_feasible`` witness) and rationals
 are printed by the one formatter ``_frac_str``.
 Integer rows over a denominator are brought to lowest terms by the one
-helper ``_lowest_terms`` (``Mat``, ``Lattice`` and ``h4_model.H4Class``).
+helper ``_lowest_terms`` (``Mat`` and ``Lattice``); ``h4_model.H4Class``,
+a single row, does it with one ``gcd`` over its entries.
 ``Mat.from_int_rows`` and ``Lattice.from_int_rows`` check their entries;
 matrices the library computes (products, inverses, Gram matrices) take the
 private ``Mat._of``, which only normalizes, and
@@ -44,9 +45,12 @@ The matrices of the degree-4 lattice are very sparse (its 276x276 HNF basis
 has 371 nonzeros), so loops walk nonzeros only, in one sparse row form: per
 integer row, a tuple of ``(column, value)`` pairs in ascending column order
 (``_sparse_rows``). A ``Lattice`` keeps its basis in that form once, and
-basis-value products walk it; so do membership, integer coordinates and
-divisibility, through the one triangular solve, the forward substitution
-``kernels.solve_left_int_row`` over the sparse HNF rows. Rational
+basis-value products walk it. Membership, integer coordinates and
+divisibility are the one triangular solve, ``kernels.solve_left_int_row``,
+which walks a solve plan each lattice builds once from its sparse HNF rows
+(``kernels.solve_plan``): the multi-entry rows by forward substitution,
+the pivot-only rows (253 of the 276 on the degree-4 lattice) in bulk per
+pivot value. Rational
 coordinates take the same solve, on the vector or on the vector times the
 pivot product, which makes them integral (``Lattice._q_coords``). A
 ``Mat`` builds its sparse rows once on demand (``Mat.sparse_rows``).
@@ -160,9 +164,13 @@ def _frac_str(x, d: int = 1) -> str:
 
 
 def _json_rows(rows, den: int = 1) -> str:
-    """``json.dumps`` of the rational rows rows/den as arrays of "p"/"p/q"
-    strings, written row by row: no list of strings for the whole matrix."""
-    fmt = str if den == 1 else (lambda x: _frac_str(x, den))
+    """``json.dumps`` of the integer rows rows/den as arrays of "p"/"p/q"
+    strings, written row by row: no list of strings for the whole matrix.
+    Over a denominator, each distinct entry is formatted once."""
+    if den == 1:
+        fmt = str
+    else:
+        fmt = {x: _frac_str(x, den) for x in set().union(*rows)}.__getitem__
     return "[" + ", ".join(
         '["' + '", "'.join(map(fmt, r)) + '"]' if r else "[]" for r in rows
     ) + "]"
@@ -462,12 +470,16 @@ class Lattice:
     binary operations demand that both operands carry the same form.
 
     The basis rows are also kept once in the sparse row form (``_sparse``);
-    membership, rational and integer coordinates, divisibility and basis
-    lifts walk only their nonzeros. A row's pivot is its first pair's
-    column.
+    basis lifts and basis values walk only their nonzeros. A row's pivot is
+    its first pair's column. Membership, rational and integer coordinates
+    and divisibility are one triangular solve, ``kernels.solve_left_int_row``,
+    which takes the lattice's solve plan (``_plan``): ``kernels.solve_plan``
+    of the sparse rows, built on the first solve and kept, which splits the
+    rows into those substituted one by one and the pivot-only rows solved
+    in bulk per pivot value.
     """
 
-    __slots__ = ("ambient_dim", "den", "int_basis", "form", "_sparse")
+    __slots__ = ("ambient_dim", "den", "int_basis", "form", "_sparse", "_plan")
 
     def __init__(
         self, ambient_dim: int, den: int, int_basis, form=None, _canonical=False, _sparse=None
@@ -479,6 +491,7 @@ class Lattice:
         self.int_basis = int_basis
         self.form = form
         self._sparse = _sparse_rows(int_basis) if _sparse is None else _sparse
+        self._plan = None
 
     @staticmethod
     def _canonicalize(ambient_dim, int_rows, den, form):
@@ -543,9 +556,11 @@ class Lattice:
     def with_form(self, form) -> "Lattice":
         if form is not None:
             _check_form(form, self.ambient_dim)
-        return Lattice(
+        lat = Lattice(
             self.ambient_dim, self.den, self.int_basis, form, _canonical=True, _sparse=self._sparse
         )
+        lat._plan = self._plan
+        return lat
 
     def __eq__(self, other):
         if not isinstance(other, Lattice):
@@ -573,15 +588,21 @@ class Lattice:
             raise ValueError("vector length differs from ambient_dim")
         g = gcd(self.den, den)
         a, b = self.den // g, den // g
-        if b != 1 and any(x % b for x in num):
+        if b == 1:
+            return num if a == 1 else [x * a for x in num]
+        # b divides every entry exactly when it is their gcd with b
+        if gcd(b, *num) != b:
             return None
         return [x // b * a for x in num]
 
     def _solve(self, w):
         """Integer x with ``x * int_basis = w``, or None when w is not an
         integer combination of the basis rows: ``kernels.solve_left_int_row``
-        walks the nonzeros of the sparse HNF rows, pivot first."""
-        return kernels.solve_left_int_row(self._sparse, w)
+        on the lattice's solve plan, built here on the first solve."""
+        plan = self._plan
+        if plan is None:
+            plan = self._plan = kernels.solve_plan(self._sparse, self.ambient_dim)
+        return kernels.solve_left_int_row(plan, w)
 
     def contains(self, v, den: int = 1) -> bool:
         """Whether the rational vector v/den lies in M."""
@@ -857,8 +878,11 @@ def _saturation_basis(rows) -> list[list[int]]:
       0. A combination sum t_i * z_i then has residue t * g mod D, with t
       its coefficient of that row, which is 0 exactly when t is a multiple
       of D / gcd(g, D); so scaling that row by D / gcd(g, D) gives a basis
-      of the z that also satisfy this column. The P-columns are 0 mod D
-      and need no step.
+      of the z that also satisfy this column. A column's condition depends
+      only on its residues mod D, so the steps run once per distinct
+      nonzero residue column, in sorted order: a repeated column adds no
+      condition, and the P-columns, 0 mod D, none at all. Another order
+      gives another basis of the same Z.
     * z -> z * A / D is injective (A has rank k), so the rows z * A / D of
       the final basis are a basis of S.
     """
@@ -884,10 +908,9 @@ def _saturation_basis(rows) -> list[list[int]]:
         p = Hi[piv[i]]
         A[i] = [a // p for a in row]
     Z = [[int(i == j) for j in range(k)] for i in range(k)]
-    for col in zip(*A):
-        col = [x % D for x in col]
-        if not any(col):
-            continue
+    cols = set(zip(*[[x % D for x in r] for r in A]))
+    cols.discard((0,) * k)
+    for col in sorted(cols):
         res = [sum([z * x for z, x in zip(zr, col)]) % D for zr in Z]
         top = None
         for i, r in enumerate(res):
@@ -908,9 +931,15 @@ def _saturation_basis(rows) -> list[list[int]]:
             m = D // gcd(g, D)
             if m != 1:
                 Z[top] = [m * x for x in Z[top]]
-    n = len(H[0])
-    S = _combine_rows(Z, _sparse_rows(A), n)
-    return [[x // D for x in r] for r in S]
+    out = []
+    for zr in Z:
+        # z * A / D, one pass over the dense rows of A per nonzero of z
+        row = [0] * len(H[0])
+        for z, Ar in zip(zr, A):
+            if z:
+                row = [s + z * x for s, x in zip(row, Ar)]
+        out.append([s // D for s in row])
+    return out
 
 
 def saturate_in(sub: Lattice, sup: Lattice) -> Lattice:

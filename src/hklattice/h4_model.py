@@ -59,7 +59,6 @@ from .exact_linalg import (
     NotASublatticeError,
     _combine_rows,
     _frac_str,
-    _lowest_terms,
     _pair,
     _scaled_ints,
     _sparse_rows,
@@ -113,10 +112,16 @@ class H4Class:
         self._set(num, den)
 
     def _set(self, num: tuple[int, ...], den: int):
-        """Store num/den with den > 0 and gcd(den, num) = 1."""
-        if den < 0:
-            den, num = -den, tuple(-x for x in num)
-        den, (num,) = _lowest_terms(den, (num,))
+        """Store num/den with den > 0 and gcd(den, num) = 1: den = 1 is in
+        lowest terms already; otherwise one gcd finds the common factor,
+        taken negative when den is, and one pass divides it out."""
+        if den != 1:
+            g = gcd(den, *num)
+            if den < 0:
+                g = -g
+            if g != 1:
+                den //= g
+                num = [x // g for x in num]
         self.num = tuple(num)
         self.den = den
 
@@ -156,9 +161,19 @@ class H4Class:
         return self._plus(other, -1)
 
     def scale(self, c) -> "H4Class":
+        """The class c * self for a rational c, in one pass. With c = p/q and
+        self = num/den, both in lowest terms, gcd(p, q) = gcd(den, num) = 1,
+        so the common factor of p * num and q * den is gcd(p, den) *
+        gcd(num, q), and each part divides its own side."""
         c = parse_rational(c)
-        p = c.numerator
-        return H4Class._of(tuple([p * x for x in self.num]), self.den * c.denominator)
+        p, q = c.numerator, c.denominator
+        g = gcd(p, self.den)
+        h = gcd(q, *self.num) if q != 1 else 1
+        m = p // g
+        out = H4Class.__new__(H4Class)
+        out.num = tuple([x * m for x in self.num] if h == 1 else [x // h * m for x in self.num])
+        out.den = self.den // g * (q // h)
+        return out
 
     def __rmul__(self, c) -> "H4Class":
         if isinstance(c, (int, Fraction)):

@@ -1,9 +1,13 @@
 """The integer-matrix kernels, re-exported from ``hklattice._pykernels``.
 
-The library calls ``hnf``, ``hnf_transform``, ``snf_diagonal`` and
-``solve_left_int_row``. The last is lattice membership, integer
-coordinates and divisibility: a forward substitution that walks the sparse
-HNF rows a ``Lattice`` keeps, nonzeros only.
+The library calls ``hnf``, ``hnf_transform``, ``snf_diagonal``,
+``solve_plan`` and ``solve_left_int_row``. The last two are lattice
+membership, integer coordinates and divisibility. ``solve_plan`` takes the
+sparse HNF rows a ``Lattice`` keeps and the number of columns, once per
+lattice, and ``solve_left_int_row`` takes that plan and the integer target
+vector: it substitutes the multi-entry rows one by one over their
+nonzeros, then solves the rows that hold only their pivot in bulk, one
+gather, one ``gcd`` test and one division pass per pivot value.
 ``hnf_transform`` has two callers: ``exact_linalg.left_kernel`` (every
 saturated left kernel) and ``bb_lattice._orth_complement``, whose
 transform of the complement Gram is both its inverse and the proof that it
@@ -33,6 +37,7 @@ from ._pykernels import (
     smith_normal_form,
     snf_diagonal,
     solve_left_int_row,
+    solve_plan,
 )
 
 # perfbench stamps this on every record and accepts only "python"
@@ -45,6 +50,7 @@ __all__ = [
     "smith_normal_form",
     "snf_diagonal",
     "det_bareiss",
+    "solve_plan",
     "solve_left_int_row",
     "row_echelon_bareiss",
 ]

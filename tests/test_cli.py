@@ -18,7 +18,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hklattice import cli, deformation_fix, kernels
-from hklattice.h4_model import default_h4_lattice
 
 
 def _run(capsys, argv):
@@ -235,6 +234,7 @@ class TestVerify:
     "argv",
     [
         ["query", "membership", "--payload", "-1e+16"],
+        ["query", "membership", "--payload", "-1e+16,2"],
         ["verify", "bogus"],
         ["verify", "blowup", "--seed", "\u0663"],
         ["sample", "exceptional", "--count", "1_0"],
@@ -313,19 +313,27 @@ class TestQuery:
         assert obj["divisibility"] == 1
 
     def test_membership_lookup_solves_once(self, capsys, monkeypatch):
-        default_h4_lattice()  # build the lattice before counting
-        calls = []
-        real = kernels.solve_left_int_row
+        # the first lookup builds the lattice and its solve plan; a second
+        # one builds no plan and makes exactly one solve
+        argv = ["query", "membership", "--payload", '{"named": "c2"}']
+        assert _run(capsys, argv)[0] == 0
+        plans, calls = [], []
+        solve_plan, solve = kernels.solve_plan, kernels.solve_left_int_row
 
-        def counting(rows, b):
+        def counting_plan(rows, n):
+            plans.append(n)
+            return solve_plan(rows, n)
+
+        def counting(plan, b):
             calls.append(b)
-            return real(rows, b)
+            return solve(plan, b)
 
+        monkeypatch.setattr(kernels, "solve_plan", counting_plan)
         monkeypatch.setattr(kernels, "solve_left_int_row", counting)
-        code, out, _ = _run(capsys, ["query", "membership", "--payload", '{"named": "c2"}'])
+        code, out, _ = _run(capsys, argv)
         assert code == 0
         assert json.loads(out) == {"member": True, "divisibility": 3}
-        assert len(calls) == 1
+        assert (len(plans), len(calls)) == (0, 1)
 
     def test_divisibility_c2(self, capsys):
         code, out, _ = _run(
@@ -639,6 +647,16 @@ class TestSearch:
         assert code == 0
         obj = json.loads(out)
         assert obj["provably_empty"] is True
+
+    @pytest.mark.parametrize("mults", ["-3,2", "-3,-2,", "-1,,4"])
+    def test_negative_first_multiplier(self, capsys, mults):
+        # a list that starts with a minus sign is the option's value, as
+        # when it is joined to the option
+        argv = ["search", "jacobian-combos", "--bound", "2", "--json"]
+        joined = _run(capsys, [*argv, f"--multipliers={mults}"])
+        assert joined[0] == 0
+        assert _run(capsys, [*argv, "--multipliers", mults]) == joined
+        assert json.loads(joined[1])["multipliers"] == [int(x) for x in mults.split(",") if x]
 
     def test_multiplier_parse_error(self, capsys):
         for mults in ["2,x", "1_0,\u0663"]:

@@ -171,9 +171,7 @@ def _sample(draw):
 
 @st.composite
 def _search(draw):
-    # a first multiplier of "-3" would read as an option: argparse needs "--multipliers=-3"
-    first, more = draw(st.integers(0, 6)), draw(st.lists(st.integers(-6, 6), max_size=2))
-    mults = [first, *more]
+    mults = draw(st.lists(st.integers(-6, 6), min_size=1, max_size=3))
     argv = ["search", "jacobian-combos", "--multipliers", ",".join(map(str, mults))]
     argv += ["--bound", str(draw(st.integers(0, 3)))]
     return draw(_argv_edit(argv, ["--multipliers", "--bound"])), None

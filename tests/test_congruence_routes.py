@@ -104,6 +104,29 @@ def test_saturation_small_cases():
         assert [list(r) for r in _saturation(rows).int_basis] == want
 
 
+@st.composite
+def repeated_columns(draw):
+    """Integer rows whose columns repeat a few distinct columns, in any
+    order, some scaled by a factor: the congruence steps of
+    ``_saturation_basis`` run once per distinct residue column."""
+    k = draw(st.integers(1, 4))
+    pool = draw(st.lists(st.lists(st.integers(-12, 12), min_size=k, max_size=k), min_size=1, max_size=4))
+    cols = draw(st.lists(st.sampled_from(pool), min_size=1, max_size=30))
+    rows = [list(r) for r in zip(*cols)]
+    f = draw(st.sampled_from([2, 4, 6, 16]))
+    for i in draw(st.lists(st.integers(0, k - 1), max_size=2, unique=True)):
+        rows[i] = [f * x for x in rows[i]]
+    return rows
+
+
+@settings(max_examples=200, deadline=None)
+@given(repeated_columns())
+def test_saturation_basis_over_repeated_columns_matches_the_smith_route(rows):
+    want = smith_saturation_int(rows)
+    got = exact_linalg._saturation_basis(rows)
+    assert (kernels.hnf(got) if got else []) == (kernels.hnf(want) if want else [])
+
+
 def test_saturate_in_the_degree4_lattice_matches_the_smith_route(h4):
     # saturate_in's coordinate rows in a 276-dimensional basis
     lat = h4.lattice

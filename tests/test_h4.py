@@ -4,6 +4,7 @@ lattice and its finite quotient."""
 import itertools
 import random
 from fractions import Fraction
+from math import gcd
 
 import pytest
 from hypothesis import given, settings
@@ -87,6 +88,33 @@ class TestH4Class:
         assert w != zero
         assert w - w == zero
         assert (F(2, 3) * w).scale(F(3, 2)) == w
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        st.dictionaries(
+            st.integers(0, AMBIENT - 1),
+            st.fractions(min_value=-30, max_value=30, max_denominator=12),
+            max_size=6,
+        ),
+        st.one_of(
+            st.just(F(0)),
+            st.sampled_from([F(-1), F(-6, 5), F(5, 6), F(2, 3), F(-4, 9), F(12)]),
+            st.fractions(min_value=-20, max_value=20, max_denominator=30),
+        ),
+    )
+    def test_scale_matches_fraction_arithmetic(self, entries, c):
+        coords = [entries.get(k, F(0)) for k in range(AMBIENT)]
+        w = H4Class.from_fractions(coords)
+        got = w.scale(c)
+        assert got.coords() == tuple(c * x for x in coords)
+        # stored in lowest terms, as the normalizing constructor would
+        assert got.den > 0 and gcd(got.den, *got.num) == 1
+        assert got == H4Class._of(tuple(c.numerator * x for x in w.num), c.denominator * w.den)
+
+    def test_lowest_terms_with_a_negative_denominator(self):
+        w = H4Class._of((6, -4) + (0,) * (AMBIENT - 2), -10)
+        assert (w.num[:2], w.den) == ((-3, 2), 5)
+        assert H4Class._of((0,) * AMBIENT, -7).den == 1
 
     def test_json_roundtrip(self):
         w = F(7, 10) * sym2_embed(delta0(), delta0()) - F(1, 4) * sym2_embed(

@@ -31,6 +31,7 @@ from hklattice.exact_linalg import (
     Mat,
     _check_ambient,
     _combine_rows,
+    _frac_str,
     _json_rows,
     _scaled_ints,
     fraction_vector,
@@ -104,6 +105,16 @@ def test_json_text_matches_sorted_dumps():
     # Mat refuses empty shapes; the row writer behind it still handles them
     assert _json_rows([]) == json.dumps([]) == "[]"
     assert _json_rows([[]]) == json.dumps([[]]) == "[[]]"
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    st.lists(st.lists(st.sampled_from([0, 1, -1, 4, -6, 15, 2**70]), max_size=6), max_size=4),
+    st.sampled_from([1, 2, 6, 10, 2**64]),
+)
+def test_json_rows_formats_each_entry_like_frac_str(rows, den):
+    # the distinct entries are formatted once; each cell reads as its own
+    assert _json_rows(rows, den) == json.dumps([[_frac_str(x, den) for x in r] for r in rows])
 
 
 small_rows = st.lists(

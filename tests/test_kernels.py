@@ -101,13 +101,13 @@ class TestPerBackend:
 
     def test_solve_left_int_row(self, mod):
         H = mod.hnf([[2, 0, 1], [0, 3, 1]])
-        rows = _sparse(H)
-        x = mod.solve_left_int_row(rows, [2, 3, 2])
-        assert x is not None
         n = len(H[0])
+        plan = mod.solve_plan(_sparse(H), n)
+        x = mod.solve_left_int_row(plan, [2, 3, 2])
+        assert x is not None
         back = [sum(x[i] * H[i][j] for i in range(len(H))) for j in range(n)]
         assert back == [2, 3, 2]
-        assert mod.solve_left_int_row(rows, [1, 0, 0]) is None
+        assert mod.solve_left_int_row(plan, [1, 0, 0]) is None
 
     def test_det_bareiss_known(self, mod):
         assert mod.det_bareiss([[1, 2], [3, 4]]) == -2
@@ -208,16 +208,39 @@ def test_hermite_matches_the_dense_loop(mat, want_u):
 
 
 @st.composite
-def hnf_and_target(draw):
-    """An HNF matrix H, rank 0 included, and a target b of one of four
-    kinds: a member x * H; a member plus 0 < d < h at a pivot whose entry h
-    exceeds 1 (a nonzero remainder there); a member plus d != 0 at a
-    column without a pivot (a residual the rows cannot clear); a random
-    vector. Entries of H off its pivots, x, d and b may be negative."""
+def random_hnf(draw):
+    """``(H, n)``: the HNF of a random n-column matrix, rank 0 included."""
     n = draw(st.integers(1, 6))
     k = draw(st.integers(0, n))
     mat = draw(st.lists(st.lists(small_entry, min_size=n, max_size=n), min_size=k, max_size=k))
-    H = kernels.hnf(mat) if mat else []
+    return (kernels.hnf(mat) if mat else []), n
+
+
+@st.composite
+def pivot_heavy_hnf(draw):
+    """``(H, n)``: an HNF most of whose rows hold only their pivot, the
+    pivots drawn from a few values, between rows with more entries; the
+    pivot columns are a random subset, so free columns and rank 0 occur."""
+    n = draw(st.integers(1, 9))
+    rows = []
+    for p in sorted(draw(st.sets(st.integers(0, n - 1)))):
+        row = [0] * n
+        row[p] = draw(st.sampled_from([1, 2, 3, 6]))
+        if draw(st.integers(0, 3)) == 0:
+            row[p + 1 :] = draw(st.lists(small_entry, min_size=n - p - 1, max_size=n - p - 1))
+        rows.append(row)
+    return (kernels.hnf(rows) if rows else []), n
+
+
+@st.composite
+def hnf_and_target(draw):
+    """An HNF matrix H, from ``random_hnf`` or ``pivot_heavy_hnf``, and a
+    target b of one of four kinds: a member x * H; a member plus 0 < d < h
+    at a pivot whose entry h exceeds 1 (a nonzero remainder there); a
+    member plus d != 0 at a column without a pivot (a residual the rows
+    cannot clear); a random vector. Entries of H off its pivots, x, d and b
+    may be negative."""
+    H, n = draw(st.one_of(random_hnf(), pivot_heavy_hnf()))
     pivots = oracles.pivot_columns(H)
     x = draw(st.lists(st.integers(-9, 9), min_size=len(H), max_size=len(H)))
     b = [sum(xi * row[j] for xi, row in zip(x, H)) for j in range(n)]
@@ -241,9 +264,19 @@ def hnf_and_target(draw):
 @example(([[2, 1, 0], [0, 3, 1]], [3, 1, 0]))  # remainder 1 at the pivot 2
 @example(([[1, 0, 2], [0, 0, 3]], [1, 1, 2]))  # residual at column 1, no pivot
 @example(([[1, 0, -2], [0, 3, -1]], [-2, 3, 3]))  # x = (-2, 1)
+# pivot-only rows of pivots 2 and 3 around multi-entry rows, which change
+# the targets of the later pivot-only rows; column 3 is free
+@example(([[2, 0, 0, 0, 0, 0], [0, 1, 1, 0, 1, 2], [0, 0, 3, 0, 0, 0], [0, 0, 0, 0, 2, 0],
+           [0, 0, 0, 0, 0, 3]], [4, -1, 2, 0, -3, 4]))  # x = (2, -1, 1, -1, 2)
+@example(([[2, 0, 0, 0, 0, 0], [0, 1, 1, 0, 1, 2], [0, 0, 3, 0, 0, 0], [0, 0, 0, 0, 2, 0],
+           [0, 0, 0, 0, 0, 3]], [4, -1, 2, 0, -2, 4]))  # remainder 1 at the pivot 2 of column 4
+@example(([[2, 0, 0, 0, 0, 0], [0, 1, 1, 0, 1, 2], [0, 0, 3, 0, 0, 0], [0, 0, 0, 0, 2, 0],
+           [0, 0, 0, 0, 0, 3]], [4, -1, 2, 7, -3, 4]))  # residual at the free column 3
+@example(([[1, 0, 0], [0, 1, 0]], [5, -7, 0]))  # pivot-only rows of pivot 1 only
+@example(([[6]], [-12]))  # one row, a single pivot-only group
 def test_sparse_solve_matches_dense_oracle(case):
     H, b = case
-    x = kernels.solve_left_int_row(_sparse(H), b)
+    x = kernels.solve_left_int_row(kernels.solve_plan(_sparse(H), len(b)), b)
     assert x == oracles.solve_left_int_row(H, oracles.pivot_columns(H), b)
     if x is not None:
         assert [sum(xi * row[j] for xi, row in zip(x, H)) for j in range(len(b))] == b

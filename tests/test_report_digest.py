@@ -73,6 +73,21 @@ QUERY_DIGESTS = {
     ("divisibility", "two-fifths-q"): (0, "5974f34bfd3b1cb3e43efdb81c4b9372c6bbf42739a9e37fffbf10a0ce043ff9"),
     ("divisibility", "v0"): (0, "5974f34bfd3b1cb3e43efdb81c4b9372c6bbf42739a9e37fffbf10a0ce043ff9"),
     ("divisibility", "c2"): (0, "b4316df0bd221b80664e0f765832137a7654e54f1fea1d19472cd53f079642a4"),
+    # lambda0 squared, alone and plus (2/5)q, and classes over the denominator 2
+    ("membership", "lambda0-odd"): (0, "76747b5206d4d8d8d2b1a79fb9b459491c37c884557fcb7d09c2b962f6466945"),
+    ("membership", "lambda0-even"): (0, "76747b5206d4d8d8d2b1a79fb9b459491c37c884557fcb7d09c2b962f6466945"),
+    ("membership", "lambda0-odd-plus"): (0, "76747b5206d4d8d8d2b1a79fb9b459491c37c884557fcb7d09c2b962f6466945"),
+    ("membership", "lambda0-even-plus"): (0, "7c32d7640cb9597722329601eb56cda3229849c115e6c04f6d5616e4a4fe50a0"),
+    ("membership", "half"): (0, "76747b5206d4d8d8d2b1a79fb9b459491c37c884557fcb7d09c2b962f6466945"),
+    ("membership", "three-halves"): (0, "7c1161fc923cb1184ce71625e7938b65fe4958c53a5abaad5f842c8eabe426ab"),
+    ("membership", "half-outside"): (0, "d02ba242cb261c22fe7573813011af3d4e223e42a9f0063c557965ef3c1de603"),
+    ("divisibility", "lambda0-odd"): (0, "5974f34bfd3b1cb3e43efdb81c4b9372c6bbf42739a9e37fffbf10a0ce043ff9"),
+    ("divisibility", "lambda0-even"): (0, "5974f34bfd3b1cb3e43efdb81c4b9372c6bbf42739a9e37fffbf10a0ce043ff9"),
+    ("divisibility", "lambda0-odd-plus"): (0, "5974f34bfd3b1cb3e43efdb81c4b9372c6bbf42739a9e37fffbf10a0ce043ff9"),
+    ("divisibility", "lambda0-even-plus"): (0, "8b0e7d3345ca94bc63254c29c2946be17872e8fb233182c9872485558cb1c7ce"),
+    ("divisibility", "half"): (0, "5974f34bfd3b1cb3e43efdb81c4b9372c6bbf42739a9e37fffbf10a0ce043ff9"),
+    ("divisibility", "three-halves"): (0, "b4316df0bd221b80664e0f765832137a7654e54f1fea1d19472cd53f079642a4"),
+    ("divisibility", "half-outside"): (2, EMPTY),
     ("vlambda", "odd"): (0, "ff7d28d996f896561e11b5253674ece8e8543a25965df6e1eceb01940824d863"),
     ("vlambda", "even"): (0, "1d7ef249b4d34dd69015fb5d784665f264029ca06692f0e67241226e277f18f0"),
     ("minimal-search", "odd"): (0, "3c35c54d029f3799823852fff29122dc14379f1acb5248b7cfe5d54598505e68"),
@@ -80,9 +95,23 @@ QUERY_DIGESTS = {
 }
 
 
+# the membership and divisibility payloads other than a named class
+LOOKUP_PAYLOADS = {
+    "lambda0-odd": {"lambda0": ODD},
+    "lambda0-even": {"lambda0": EVEN},
+    "lambda0-odd-plus": {"lambda0": ODD, "plus_two_fifths_q": True},
+    "lambda0-even-plus": {"lambda0": EVEN, "plus_two_fifths_q": True},
+    "half": {"class": {"(0,0)": "1/2", "(0,22)": "1/2"}},
+    "three-halves": {
+        "class": {"(0,0)": "3/2", "(0,22)": "3/2", "(5,5)": "-3/2", "(5,22)": "-3/2", "(1,2)": "6"}
+    },
+    "half-outside": {"class": {"(0,1)": "1/2"}},
+}
+
+
 def _payload(kind, arg):
     if kind in ("membership", "divisibility"):
-        return {"named": arg}
+        return LOOKUP_PAYLOADS.get(arg, {"named": arg})
     return {"lambda0": ODD if arg == "odd" else EVEN}
 
 

@@ -184,8 +184,19 @@ def test_sparse_rows_are_the_nonzeros_of_the_basis(h4):
     assert [r[0][0] for r in lat._sparse] == oracles.pivot_columns(lat.int_basis)
     assert sum(len(r) for r in lat._sparse) == 371
     assert sorted(len(r) for r in lat._sparse) == [1] * 253 + [2] * 22 + [74]
-    # a new form reuses the rows
+    # a new form reuses the rows and the solve plan
+    assert lat.coords(lat.int_basis[0], lat.den) is not None
     assert lat.with_form(None)._sparse is lat._sparse
+    assert lat.with_form(None)._plan is lat._plan is not None
+
+
+def test_solve_plan_of_the_degree4_basis(h4):
+    # 23 rows substituted one by one; the 253 pivot-only rows, all of
+    # pivot 10, solved in one group; every column is a pivot
+    multi, groups, free, order = kernels.solve_plan(h4.lattice._sparse, h4.lattice.ambient_dim)
+    assert len(multi) == 23 and free is None
+    assert [(h, len(gather(range(276)))) for h, gather in groups] == [(10, 253)]
+    assert sorted(order(range(276))) == list(range(276))
 
 
 # -- det_int -----------------------------------------------------------------
