@@ -80,7 +80,7 @@ assert abs(det_int(GRAM)) == 2
 assert all(GRAM[i][i] % 2 == 0 for i in range(RANK))
 
 
-_GRAM_MAT = Mat.from_int_rows(GRAM)
+_GRAM_MAT = Mat._of(GRAM, 1)
 
 
 def gram_mat() -> Mat:
@@ -266,6 +266,13 @@ def orth_complement_basis(d) -> tuple[H2Class, ...]:
     return _orth_complement(_as_h2(d))[0]
 
 
+def _perp_rows(classes) -> list[list[int]]:
+    """A basis of the saturated {x in Z^23 : b(x, c) = 0 for every c of
+    ``classes``}: the ``left_kernel`` of the matrix whose columns are the
+    pairing covectors Gram * c."""
+    return left_kernel(list(zip(*[gram_apply(c) for c in classes])))
+
+
 def _orth_complement(dh: H2Class):
     """``(basis, g, U)`` as tuples: the checked complement basis of
     ``orth_complement_basis``, its Gram g and the inverse U of g, built once
@@ -275,7 +282,7 @@ def _orth_complement(dh: H2Class):
     U * g = H, and H = I exactly when det g = +-1."""
     if not is_exceptional(dh):
         raise ValueError("complement basis needs an exceptional class")
-    basis_rows = kernels.hnf(left_kernel([[x] for x in gram_apply(dh)]))
+    basis_rows = kernels.hnf(_perp_rows([dh]))
     k = RANK - 1
     if len(basis_rows) != k:
         raise ArithmeticError("complement has unexpected rank")

@@ -57,7 +57,7 @@ class FourfoldH4:
         n = form.shape[0]
         lat = Lattice.standard(n, form=form)
         if transcendental_rows is None:
-            t = Lattice.from_generators([], ambient_dim=n, form=form)
+            t = Lattice._from_int_rows([], 1, n, form)
         else:
             t = Lattice.from_generators(transcendental_rows, ambient_dim=n, form=form)
             t = saturate_in(t, lat)
@@ -90,7 +90,7 @@ class BlowupCenter:
             self.h2_gram = g
             k = g.shape[0]
             if transcendental_sub is None:
-                transcendental_sub = Lattice.from_generators([], ambient_dim=k)
+                transcendental_sub = Lattice._from_int_rows([], 1, k)
             if transcendental_sub.ambient_dim != k:
                 raise ValueError("surface transcendental part must match its Gram size")
             self.transcendental_sub = transcendental_sub
@@ -115,9 +115,9 @@ class BlowupCenter:
     def block(self) -> Mat:
         """The Gram block the center contributes to the blown-up fourfold."""
         if self.kind == "point":
-            return Mat.from_int_rows([[-1]])
+            return Mat._of([[-1]], 1)
         if self.kind == "curve":
-            return Mat.from_int_rows([[self.d, -1], [-1, 0]])
+            return Mat._of([[self.d, -1], [-1, 0]], 1)
         return -1 * self.h2_gram
 
 
@@ -128,7 +128,7 @@ def _block_diag(a: Mat, b: Mat) -> Mat:
     fa, fb = D // da, D // db
     rows = [[x * fa for x in r] + [0] * len(B) for r in A]
     rows += [[0] * len(A) + [x * fb for x in r] for r in B]
-    return Mat.from_int_rows(rows, D)
+    return Mat._of(rows, D)
 
 
 def _place(lat: Lattice, before: int, after: int, form: Mat) -> Lattice:

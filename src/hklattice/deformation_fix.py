@@ -92,7 +92,7 @@ def _vector_to_pair(vec, n: int, pairs) -> tuple[Mat, Fraction]:
     rows = [[0] * n for _ in range(n)]
     for (i, j), x in zip(pairs, vec):
         rows[i][j] = rows[j][i] = x
-    return Mat.from_int_rows(rows), Fraction(vec[-1])
+    return Mat._of(rows, 1), Fraction(vec[-1])
 
 
 def solve_fixed_space(inst: FixInstance) -> FixSolution:
@@ -156,7 +156,7 @@ def solve_fixed_space(inst: FixInstance) -> FixSolution:
 def expected_generators(inst: FixInstance) -> list[tuple[Mat, Fraction]]:
     """The structural generators (A^{-1}, 2) and (s s^T, 0)."""
     ds, (s,) = _scaled_ints([inst.s])
-    outer = Mat.from_int_rows([[a * b for b in s] for a in s], ds * ds)
+    outer = Mat._of([[a * b for b in s] for a in s], ds * ds)
     return [(inst.A_inv, Fraction(2)), (outer, Fraction(0))]
 
 
@@ -182,7 +182,7 @@ def random_instance(rng, n: int) -> FixInstance:
             [m[i][j] + m[j][i] + (2 * n if i == j else 0) for j in range(n)]
             for i in range(n)
         ]
-        A = Mat.from_int_rows(rows)
+        A = Mat._of(rows, 1)
         if A.det() != 0:
             break
     while True:

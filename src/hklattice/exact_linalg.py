@@ -22,18 +22,28 @@ are printed by the one formatter ``_frac_str``.
 Integer rows over a denominator are brought to lowest terms by the one
 helper ``_lowest_terms`` (``Mat`` and ``Lattice``); ``h4_model.H4Class``,
 a single row, does it with one ``gcd`` over its entries.
-``Mat.from_int_rows`` and ``Lattice.from_int_rows`` check their entries;
-matrices the library computes (products, inverses, Gram matrices) take the
-private ``Mat._of``, which only normalizes, and
-lattices it spans from its own integer rows take
-``Lattice._from_int_rows``. ``Mat.inverse`` is a fraction-free
-Gauss-Jordan on the integer rows.
+The checked constructors (``Mat(rows)``, ``Mat.from_int_rows``,
+``Lattice.from_int_rows``, ``Lattice.from_generators``) take values from
+outside the library and check their entries. Values the library builds
+take the trusted ones, which only normalize: ``Mat._of`` for matrices
+(products, inverses, Gram matrices, block sums, the identity) and
+``Lattice._from_int_rows`` for lattices. ``Mat.inverse`` is a
+fraction-free Gauss-Jordan on the integer rows.
 
-Each job of the layer has one function: ``left_kernel`` is the saturated
-left kernel of an integer matrix (the rows of the HNF transform below the
-rank), behind orthogonal complements and transcendental lattices;
-``_pair`` is the bilinear value u * F * v^T over the sparse rows of F,
-behind the degree-2 form and the degree-4 Fujiki pairing.
+Each job of the layer has one function:
+
+* ``Lattice._from_int_rows`` is the one path to a canonical lattice: the
+  HNF of integer rows over a denominator, brought to lowest terms. The
+  checked constructors, ``lattice_join`` and ``saturate_in`` end in it.
+* ``left_kernel`` is the saturated left kernel of an integer matrix (the
+  rows of the HNF transform below the rank). The one orthogonal
+  complement in Z^23, ``bb_lattice._perp_rows``, is built on it, behind
+  the complement of an exceptional class and transcendental lattices.
+* ``_pair`` is the bilinear value u * F * v^T over the sparse rows of F,
+  behind the degree-2 form and the degree-4 Fujiki pairing.
+* A value kept for the whole process is a ``functools.cache`` function:
+  ``_proth_prime`` here, and in ``h4_model`` the Fujiki Gram, its
+  determinant, the default lattice and its torsion quotient.
 
 There is one vector API: ``Lattice.contains``, ``coords`` and
 ``divisibility`` take a vector v and a denominator den (default 1) and
@@ -56,7 +66,8 @@ pivot product, which makes them integral (``Lattice._q_coords``). A
 ``Mat`` builds its sparse rows once on demand (``Mat.sparse_rows``).
 Integer rows are combined by the one loop ``_combine_rows`` over sparse
 rows, which also lifts coefficient rows through the sparse basis of a
-lattice (``saturate_in``, the ``coset_feasible`` witness).
+lattice (``saturate_in``, the ``coset_feasible`` witness) and through the
+glue rows of the torsion quotient (``h4_model.TorsionQuotient``).
 
 Two certified modular routines share one sparse elimination modulo a
 product of proven primes (``_echelon_mod``):
@@ -95,6 +106,7 @@ from __future__ import annotations
 import re
 from fractions import Fraction
 from heapq import heapify, heappop, heappush
+from functools import cache
 from itertools import compress, count
 from math import gcd, isqrt, lcm, prod
 
@@ -300,7 +312,7 @@ class Mat:
 
     @classmethod
     def identity(cls, n: int) -> "Mat":
-        return cls.from_int_rows([[int(i == j) for j in range(n)] for i in range(n)])
+        return cls._of([[int(i == j) for j in range(n)] for i in range(n)], 1)
 
     @property
     def rows(self) -> int:
@@ -493,18 +505,6 @@ class Lattice:
         self._sparse = _sparse_rows(int_basis) if _sparse is None else _sparse
         self._plan = None
 
-    @staticmethod
-    def _canonicalize(ambient_dim, int_rows, den, form):
-        H = kernels.hnf(int_rows) if int_rows else []
-        den, H = _lowest_terms(den, H) if H else (1, H)
-        return Lattice(
-            ambient_dim,
-            den,
-            tuple(tuple(r) for r in H),
-            form,
-            _canonical=True,
-        )
-
     @classmethod
     def from_int_rows(cls, int_rows, den: int = 1, ambient_dim=None, form=None) -> "Lattice":
         """Lattice spanned by the vectors row/den for integer rows and den > 0;
@@ -516,7 +516,8 @@ class Lattice:
     @classmethod
     def _from_int_rows(cls, int_rows, den: int, ambient_dim=None, form=None) -> "Lattice":
         """``from_int_rows`` for int rows the library built and an int den > 0,
-        without the entry checks."""
+        without the entry checks: the one path to a canonical lattice, the
+        HNF of the rows with the pair (den, HNF) brought to lowest terms."""
         int_rows = list(int_rows)
         if ambient_dim is None:
             if not int_rows:
@@ -526,14 +527,14 @@ class Lattice:
             raise ValueError("generator length differs from ambient_dim")
         if form is not None:
             _check_form(form, ambient_dim)
-        return cls._canonicalize(ambient_dim, int_rows, den, form)
+        H = kernels.hnf(int_rows) if int_rows else []
+        den, H = _lowest_terms(den, H) if H else (1, H)
+        return cls(ambient_dim, den, tuple(tuple(r) for r in H), form, _canonical=True)
 
     @classmethod
     def from_generators(cls, rows, ambient_dim=None, form=None) -> "Lattice":
         """Lattice spanned by possibly dependent rational generators."""
         d, int_rows = _scaled_ints(rows)
-        if ambient_dim is None and not int_rows:
-            raise ValueError("ambient_dim required for an empty generating set")
         return cls._from_int_rows(int_rows, d, ambient_dim, form)
 
     @classmethod
@@ -716,7 +717,7 @@ def lattice_join(a: Lattice, b: Lattice) -> Lattice:
     fa, fb = D // a.den, D // b.den
     rows = [[x * fa for x in row] for row in a.int_basis]
     rows += [[x * fb for x in row] for row in b.int_basis]
-    return Lattice._canonicalize(a.ambient_dim, rows, D, a.form)
+    return Lattice._from_int_rows(rows, D, a.ambient_dim, a.form)
 
 
 def left_kernel(rows) -> list[list[int]]:
@@ -957,46 +958,40 @@ def saturate_in(sub: Lattice, sup: Lattice) -> Lattice:
             raise NotASublatticeError("vector outside the Q-span of the superlattice")
         g = gcd(*c)
         C.append([x // g for x in c])
-    if not C:
-        return Lattice._canonicalize(sup.ambient_dim, [], 1, sup.form)
-    # _canonicalize reduces the lifted rows, so the basis needs no HNF here
+    # _from_int_rows reduces the lifted rows, so the basis needs no HNF here
     gens = _combine_rows(_saturation_basis(C), sup._sparse, sup.ambient_dim)
-    return Lattice._canonicalize(sup.ambient_dim, gens, sup.den, sup.form)
+    return Lattice._from_int_rows(gens, sup.den, sup.ambient_dim, sup.form)
 
 
 _PROTH_SHIFT = 126
 _PROTH_BASES = (3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47)
 
 
-def _proth_primes():
-    """Primes N = k * 2^126 + 1 for k = 1, 3, 5, ..., each proven prime.
+@cache
+def _proth_prime(i: int) -> int:
+    """The i-th (from 0) proven prime N = k * 2^126 + 1 over k = 1, 3, 5, ...
+    The search continues from the cached prime i - 1, which a first call
+    for i computes by recursion; ``_nullspace_primes`` asks in order.
 
     Proth's theorem: for odd k < 2^n, N = k * 2^n + 1 is prime exactly when
     a^((N-1)/2) = -1 (mod N) for some a. A base giving neither 1 nor -1
     proves N composite; a candidate on which every listed base gives 1 is
     skipped, so the sequence is fixed and every member is certified.
     """
-    for k in count(1, 2):
+    start = (_proth_prime(i - 1) >> _PROTH_SHIFT) + 2 if i else 1
+    for k in count(start, 2):
         N = (k << _PROTH_SHIFT) | 1
         for a in _PROTH_BASES:
             r = pow(a, N >> 1, N)
             if r == N - 1:
-                yield N
-                break
+                return N
             if r != 1:
                 break
 
 
-_PRIMES: list[int] = []
-_PRIME_SOURCE = _proth_primes()
-
-
 def _nullspace_primes():
-    """The sequence of ``_proth_primes``, each one searched for once per process."""
-    for i in count():
-        if i == len(_PRIMES):
-            _PRIMES.append(next(_PRIME_SOURCE))
-        yield _PRIMES[i]
+    """The sequence of ``_proth_prime``, each one searched for once per process."""
+    return map(_proth_prime, count())
 
 
 # the largest prime below 2^15: (p - 1)^2 < 2^30, so residue products are

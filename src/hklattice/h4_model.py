@@ -27,12 +27,15 @@ glue code of the lattice (its basis rows that are not in Z^276, reduced
 mod each prime of the denominator), with no Smith form; it keeps the
 pivot columns that ``class_of`` reads and the glue combinations that
 ``lift`` adds, and no Fraction lifts; its mod-2 structure maps come from
-the same reduced echelon mod p, ``_reduce_mod``. The caches are the Fujiki Gram (one shared
-integer ``Mat``, whose symmetry check and JSON text are computed once), its
-determinant, and the default lattice and torsion quotient built from the
-distinguished exceptional class. The class q is not cached on its own:
-``build_h4_lattice`` builds it once from the complement data it also keeps,
-and the default lattice carries it as ``q``.
+the same reduced echelon mod p, ``_reduce_mod``.
+
+The process-wide caches are the four ``functools.cache`` functions
+``fujiki_mat`` (one shared integer ``Mat``, whose symmetry check and JSON
+text are computed once), ``fujiki_det``, and ``default_h4_lattice`` and
+``default_torsion_quotient``, built from the distinguished exceptional
+class. The class q is not cached on its own: ``build_h4_lattice`` builds
+it once from the complement data it also keeps, and the default lattice
+carries it as ``q``.
 """
 
 from __future__ import annotations
@@ -40,6 +43,7 @@ from __future__ import annotations
 import re
 from collections.abc import Mapping
 from fractions import Fraction
+from functools import cache
 from math import gcd, lcm
 
 from .bb_lattice import (
@@ -236,39 +240,33 @@ def sym2_embed(a: H2Class, b: H2Class) -> H4Class:
     return H4Class._of(tuple(num), 1)
 
 
-_FUJIKI_MAT: Mat | None = None
-_FUJIKI_DET: int | None = None
-
-
+@cache
 def fujiki_mat() -> Mat:
     """The 276x276 integer Gram of the Fujiki pairing on monomials, as one
     shared Mat used as the ambient form of lattices (cached)."""
-    global _FUJIKI_MAT
-    if _FUJIKI_MAT is None:
-        # (x_i x_j) . (x_k x_l) = g_ik g_jl + g_il g_jk + g_ij g_kl over the
-        # nonzeros of GRAM: a nonzero g_ik g_jl is the first term at the
-        # monomial (k, l) if k < l, the second at (l, k) if k > l, and both
-        # if k = l; the last term is g_ij times the upper triangle of GRAM
-        nz = [[(k, x) for k, x in enumerate(row) if x] for row in GRAM]
-        upper = [(_PAIR_INDEX[(k, l)], x) for k, row in enumerate(nz) for l, x in row if k <= l]
-        rows = []
-        for (i, j) in _PAIRS:
-            row = [0] * AMBIENT
-            for k, x in nz[i]:
-                for l, y in nz[j]:
-                    if k < l:
-                        row[_PAIR_INDEX[(k, l)]] += x * y
-                    elif k > l:
-                        row[_PAIR_INDEX[(l, k)]] += x * y
-                    else:
-                        row[_PAIR_INDEX[(k, k)]] += 2 * x * y
-            gij = GRAM[i][j]
-            if gij:
-                for c, y in upper:
-                    row[c] += gij * y
-            rows.append(row)
-        _FUJIKI_MAT = Mat._of(rows, 1)
-    return _FUJIKI_MAT
+    # (x_i x_j) . (x_k x_l) = g_ik g_jl + g_il g_jk + g_ij g_kl over the
+    # nonzeros of GRAM: a nonzero g_ik g_jl is the first term at the
+    # monomial (k, l) if k < l, the second at (l, k) if k > l, and both
+    # if k = l; the last term is g_ij times the upper triangle of GRAM
+    nz = [[(k, x) for k, x in enumerate(row) if x] for row in GRAM]
+    upper = [(_PAIR_INDEX[(k, l)], x) for k, row in enumerate(nz) for l, x in row if k <= l]
+    rows = []
+    for (i, j) in _PAIRS:
+        row = [0] * AMBIENT
+        for k, x in nz[i]:
+            for l, y in nz[j]:
+                if k < l:
+                    row[_PAIR_INDEX[(k, l)]] += x * y
+                elif k > l:
+                    row[_PAIR_INDEX[(l, k)]] += x * y
+                else:
+                    row[_PAIR_INDEX[(k, k)]] += 2 * x * y
+        gij = GRAM[i][j]
+        if gij:
+            for c, y in upper:
+                row[c] += gij * y
+        rows.append(row)
+    return Mat._of(rows, 1)
 
 
 def fujiki_rows() -> tuple[tuple[int, ...], ...]:
@@ -276,11 +274,9 @@ def fujiki_rows() -> tuple[tuple[int, ...], ...]:
     return fujiki_mat().scaled_int_rows()[1]
 
 
+@cache
 def fujiki_det() -> int:
-    global _FUJIKI_DET
-    if _FUJIKI_DET is None:
-        _FUJIKI_DET = det_int(fujiki_rows())
-    return _FUJIKI_DET
+    return det_int(fujiki_rows())
 
 
 def fujiki_pair(u: H4Class, v: H4Class) -> Fraction:
@@ -591,9 +587,10 @@ class TorsionQuotient:
         echelons = [_reduce_mod(glue, p)[0] for p in primes]
         m = max(map(len, echelons), default=0)
         moduli = [1] * m
-        # per position: (pivot column, CRT weight e_p) of each prime there
+        # per position: (pivot column, CRT weight e_p) of each prime there,
+        # and the coefficients over the glue rows of the lift of e_t
         self._coord_cols = [[] for _ in range(m)]
-        lifts = [[0] * AMBIENT for _ in range(m)]
+        coeffs = [[0] * len(glue) for _ in range(m)]
         for p, ech in zip(primes, echelons):
             q = den // p
             e = q * pow(q, -1, p)
@@ -601,11 +598,10 @@ class TorsionQuotient:
                 moduli[t] *= p
                 self._coord_cols[t].append((c, e))
                 for j, a in comb.items():
-                    for k, x in glue[j]:
-                        lifts[t][k] += e * a * x
+                    coeffs[t][j] += e * a
         self._den = den
         self.moduli = tuple(moduli)
-        self._lift_rows = _sparse_rows(lifts)
+        self._lift_rows = _sparse_rows(_combine_rows(coeffs, glue, AMBIENT))
         self.group = FiniteAbelianGroup(self.moduli)
         try:
             index = sublattice_index(sym2_lattice(), lat)
@@ -763,28 +759,21 @@ class TorsionQuotient:
         k = len(self.moduli)
         rel = [[self.moduli[i] if j == i else 0 for j in range(k)] for i in range(k)]
         gens = [list(t) for t in elements]
-        sub = Lattice.from_generators(rel, ambient_dim=k)
-        sup = Lattice.from_generators(rel + gens, ambient_dim=k)
+        sub = Lattice._from_int_rows(rel, 1, k)
+        sup = Lattice._from_int_rows(rel + gens, 1, k)
         return quotient_invariants(sub, sup)
 
 
-_DEFAULT_H4: H4Lattice | None = None
-_DEFAULT_TQ: TorsionQuotient | None = None
-
-
+@cache
 def default_h4_lattice() -> H4Lattice:
     """The lattice built from the distinguished exceptional class (cached)."""
-    global _DEFAULT_H4
-    if _DEFAULT_H4 is None:
-        _DEFAULT_H4 = build_h4_lattice()
-    return _DEFAULT_H4
+    return build_h4_lattice()
 
 
+@cache
 def default_torsion_quotient() -> TorsionQuotient:
-    global _DEFAULT_TQ
-    if _DEFAULT_TQ is None:
-        _DEFAULT_TQ = TorsionQuotient(default_h4_lattice())
-    return _DEFAULT_TQ
+    """The torsion quotient of ``default_h4_lattice()`` (cached)."""
+    return TorsionQuotient(default_h4_lattice())
 
 
 def double_cover_sym2_matrix() -> Mat:
@@ -883,8 +872,13 @@ def verify_cup_product_table(h4: H4Lattice) -> dict:
     sparse rest. A product a*b is D times the coordinates that
     ``_product_num`` reads off the nonzeros of a and b, a half product
     a(a - d)/2 is den(v0) times those of a*(a - d), and (B_ii/2)u_i is
-    den(v0)*B_ii times those of d*a_i, so every coefficient is an integer
-    and v0 is the only dense vector. No ``H4Class`` is built.
+    den(v0)*B_ii times those of d*a_i, so every coefficient is an integer.
+    No ``H4Class`` is built. v0 is not the only dense vector (on the
+    default lattice v0 and q each have 76 nonzeros of 276), but it is the
+    one that enters the sums: 133 times on the default lattice, leaving a
+    multiple of it in 34 dictionary classes. One tracked multiple c saves
+    adding its entries each time, and ``_same`` compares two maps with
+    equal multiples on their sparse parts alone.
 
     ``dictionary_is_basis`` compares the Hermite form of the dictionary's
     span with ``h4.lattice``. Equality also proves ``dictionary_integral``:

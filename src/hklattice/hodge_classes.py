@@ -31,9 +31,9 @@ from fractions import Fraction
 from .bb_lattice import (
     RANK,
     H2Class,
+    _perp_rows,
     bb_form,
     decompose_even,
-    gram_apply,
     gram_mat,
     is_even,
     is_primitive,
@@ -45,7 +45,6 @@ from .exact_linalg import (
     _frac_str,
     coset_feasible,
     int_vector,
-    left_kernel,
     quotient_invariants,
     saturate_in,
 )
@@ -85,10 +84,7 @@ class PicardData:
         ambient = Lattice.standard(RANK, form=p_lattice.form)
         if saturate_in(p_lattice, ambient) != p_lattice:
             raise ValueError("Picard lattice is not saturated")
-        if not is_primitive(lambda0):
-            raise ValueError("polarization must be primitive")
-        if bb_form(lambda0, lambda0) <= 0:
-            raise ValueError("polarization must have positive square")
+        _check_polarization(lambda0)
         if not p_lattice.contains(lambda0.coords):
             raise ValueError("polarization must lie in the Picard lattice")
         self.p_lattice = p_lattice
@@ -107,17 +103,22 @@ class PicardData:
         return cls(lat, lambda0)
 
 
+def _check_polarization(l0: H2Class) -> None:
+    """Raise ``ValueError`` unless l0 is primitive and of positive square,
+    checked in that order."""
+    if not is_primitive(l0):
+        raise ValueError("polarization must be primitive")
+    if bb_form(l0, l0) <= 0:
+        raise ValueError("polarization must have positive square")
+
+
 def transcendental(p: PicardData) -> Lattice:
-    """The saturated orthogonal complement of the Picard lattice: the
-    saturated left kernel of the pairing matrix of the ambient basis
-    against the Picard basis (``left_kernel``).
+    """The saturated orthogonal complement of the Picard lattice
+    (``bb_lattice._perp_rows`` of its basis).
     """
     # PicardData is saturated in Z^23, so its basis rows are integral
     prows = p.p_lattice.int_basis
-    # column t of the pairing matrix is Gram * prows[t]
-    cols = [gram_apply(H2Class._of(pr)) for pr in prows]
-    pairing = [[c[k] for c in cols] for k in range(RANK)]
-    kern = left_kernel(pairing)
+    kern = _perp_rows([H2Class._of(pr) for pr in prows])
     if len(kern) != RANK - len(prows):
         raise DegenerateTranscendentalError(
             "pairing matrix dropped rank; complement is not a true complement"
@@ -132,10 +133,7 @@ def canonical_hodge_lattice(l0: H2Class) -> Lattice:
     for an even one the second generator tightens to (l0^2 + (2/5)q)/8.
     """
     h4 = default_h4_lattice()
-    if not is_primitive(l0):
-        raise ValueError("polarization must be primitive")
-    if bb_form(l0, l0) <= 0:
-        raise ValueError("polarization must have positive square")
+    _check_polarization(l0)
     span = h4_span([sym2_embed(l0, l0), h4.q])
     if span.rank != 2:
         raise ArithmeticError("polarization square and q failed independence")

@@ -126,7 +126,7 @@ def lattice_meet(a: Lattice, b: Lattice) -> Lattice:
     """
     _check_ambient(a, b)
     if not a.int_basis or not b.int_basis:
-        return Lattice._canonicalize(a.ambient_dim, [], 1, a.form)
+        return Lattice._from_int_rows([], 1, a.ambient_dim, a.form)
     D = lcm(a.den, b.den)
     fa = D // a.den
     fb = D // b.den
@@ -134,7 +134,7 @@ def lattice_meet(a: Lattice, b: Lattice) -> Lattice:
     B = [[x * fb for x in row] for row in b.int_basis]
     # the first len(A) entries of a kernel row are u
     gens = _combine_rows(left_kernel(A + B), _sparse_rows(A), a.ambient_dim)
-    return Lattice._canonicalize(a.ambient_dim, gens, D, a.form)
+    return Lattice._from_int_rows(gens, D, a.ambient_dim, a.form)
 
 
 

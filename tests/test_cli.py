@@ -38,16 +38,25 @@ def _call(argv):
     return code, out.getvalue(), err.getvalue()
 
 
-def _call_fresh(argv):
-    """The same as ``_call``, run in a new ``python -m hklattice`` process."""
+@pytest.fixture(scope="module")
+def call_fresh(tmp_path_factory):
+    """The same as ``_call``, run in a new ``python -m hklattice`` process.
+    The children write their bytecode to one temporary cache, which the
+    later ones read, so not every child compiles the package again."""
     src = str(Path(cli.__file__).resolve().parents[1])
     env = dict(os.environ, COLUMNS="80")
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-    proc = subprocess.run(
-        [sys.executable, "-m", "hklattice", *argv],
-        capture_output=True, text=True, env=env, timeout=120,
-    )
-    return proc.returncode, proc.stdout, proc.stderr
+    env["PYTHONPYCACHEPREFIX"] = str(tmp_path_factory.mktemp("pycache"))
+    env.pop("PYTHONDONTWRITEBYTECODE", None)
+
+    def call(argv):
+        proc = subprocess.run(
+            [sys.executable, "-m", "hklattice", *argv],
+            capture_output=True, text=True, env=env, timeout=120,
+        )
+        return proc.returncode, proc.stdout, proc.stderr
+
+    return call
 
 
 _ELAPSED = re.compile(r'"elapsed_ms": [0-9]+|in [0-9]+ ms')
@@ -77,11 +86,11 @@ class TestVerify:
         a.pop("elapsed_ms"), b.pop("elapsed_ms")
         assert a == b
 
-    def test_python_dash_m_runs_the_cli(self, capsys):
+    def test_python_dash_m_runs_the_cli(self, capsys, call_fresh):
         """``python -m hklattice`` from a checkout prints what ``cli.main``
         prints, byte for byte except ``elapsed_ms``."""
         argv = ["verify", "blowup", "--json"]
-        fresh_code, fresh_out, _ = _call_fresh(argv)
+        fresh_code, fresh_out, _ = call_fresh(argv)
         code, out, _ = _run(capsys, argv)
         assert fresh_code == code == 0
         assert _ELAPSED.sub("", fresh_out) == _ELAPSED.sub("", out)
@@ -266,7 +275,9 @@ class TestEntryPoint:
             assert _run(capsys, argv)[0] == 0
         assert built == []
 
-    def test_calls_in_one_process_answer_as_in_a_fresh_one(self, monkeypatch, tmp_path):
+    def test_calls_in_one_process_answer_as_in_a_fresh_one(
+        self, monkeypatch, tmp_path, call_fresh
+    ):
         """A sequence of calls run twice in this process prints, call by
         call, what each prints first in its own process: no option value,
         default or ``--out`` file carries from one call into the next."""
@@ -296,7 +307,7 @@ class TestEntryPoint:
 
         fresh_out = tmp_path / "fresh.json"
         with concurrent.futures.ThreadPoolExecutor(2) as pool:
-            fresh = [masked(r) for r in pool.map(_call_fresh, sequence(fresh_out))]
+            fresh = [masked(r) for r in pool.map(call_fresh, sequence(fresh_out))]
         assert [r[0] for r in fresh] == [0] * 9 + [2, 2, 0, 0]
         for run in range(2):
             out = tmp_path / f"run{run}.json"

@@ -91,6 +91,15 @@ class TestSolve:
         assert len(calls) == 1
         assert expected_generators(inst)[0][0] is inst.A_inv
 
+    def test_a_wrong_or_short_basis_is_not_the_fixed_space(self):
+        # negative controls: (I, 0) is no solution, and (A^-1, 2) alone spans
+        # only a line of the two-dimensional fixed space
+        inst = FixInstance(Mat([[2, 1], [1, 3]]), [1, 1])
+        wrong = FixSolution([(inst.A_inv, F(2)), (Mat.identity(2), F(0))])
+        short = FixSolution([(inst.A_inv, F(2))])
+        assert not verify_generators(wrong, inst)
+        assert not verify_generators(short, inst)
+
     def test_identity_2x2(self):
         inst = FixInstance(Mat.identity(2), [1, 0])
         sol = solve_fixed_space(inst)

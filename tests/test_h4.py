@@ -35,8 +35,11 @@ from hklattice.h4_model import (
     _reduce_mod,
     bb_inverse_class,
     build_h4_lattice,
+    default_h4_lattice,
+    default_torsion_quotient,
     double_cover_sym2_matrix,
     fujiki_det,
+    fujiki_mat,
     fujiki_pair,
     fujiki_with_product,
     h4_span,
@@ -324,6 +327,23 @@ def test_reduce_mod_relations_span_the_left_kernel(p, data):
         for x in itertools.product(range(p), repeat=m)
     )
     assert vanishing == p ** len(relations)
+
+
+def test_the_process_wide_memos_return_one_object():
+    assert fujiki_mat() is fujiki_mat()
+    assert default_h4_lattice() is default_h4_lattice()
+    assert default_torsion_quotient() is default_torsion_quotient()
+
+
+def test_a_cleared_torsion_quotient_rebuilds_equal():
+    # fujiki_mat and default_h4_lattice are never cleared: the session
+    # fixtures and the identity fast path of _same_form share their objects
+    old = default_torsion_quotient()
+    default_torsion_quotient.cache_clear()
+    new = default_torsion_quotient()
+    assert new is not old and new is default_torsion_quotient()
+    assert new.moduli == old.moduli
+    assert new.group == old.group
 
 
 def test_double_cover_determinant():

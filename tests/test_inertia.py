@@ -8,7 +8,6 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from oracles import fraction_rows
 
 from hklattice.bb_lattice import bb_form, orth_complement_basis, sample_exceptional
 from hklattice.exact_linalg import Mat, signature_symmetric
@@ -18,20 +17,24 @@ def faddeev_leverrier_signature(m: Mat) -> tuple[int, int, int]:
     """(positive, negative, zero) eigenvalue counts, from the characteristic
     polynomial.
 
-    Faddeev-LeVerrier over exact rationals gives det(xI - A); a real-rooted
-    polynomial has as many positive roots as sign variations in its
-    coefficients (Descartes), and p(-x) counts the negative ones. Cost grows
-    like n^4, so this serves only as an oracle on small matrices.
+    Faddeev-LeVerrier gives det(xI - A); a real-rooted polynomial has as
+    many positive roots as sign variations in its coefficients (Descartes),
+    and p(-x) counts the negative ones. Scaling the matrix by its positive
+    common denominator (``scaled_int_rows``) keeps the inertia, and an
+    integer matrix has an integer characteristic polynomial, so the
+    recursion runs on integers: the trace at step k is divisible by k, and
+    the division is exact. Cost grows like n^4, so this serves only as an
+    oracle on small matrices.
     """
     n = m.rows
-    A = fraction_rows(m)
+    A = m.scaled_int_rows()[1]
 
     def times_a(M):
         return [[sum(x * y for x, y in zip(r, col)) for col in zip(*M)] for r in A]
 
-    c = [Fraction(0)] * (n + 1)
-    c[n] = Fraction(1)
-    Mk = [[Fraction(0)] * n for _ in range(n)]
+    c = [0] * (n + 1)
+    c[n] = 1
+    Mk = [[0] * n for _ in range(n)]
     for k in range(1, n + 1):
         # M_k = A * M_(k-1) + c_(n-k+1) * I
         Mk = [
@@ -40,7 +43,8 @@ def faddeev_leverrier_signature(m: Mat) -> tuple[int, int, int]:
         ]
         AM = times_a(Mk)
         tr = sum(AM[i][i] for i in range(n))
-        c[n - k] = Fraction(-tr, k)
+        assert tr % k == 0
+        c[n - k] = -tr // k
     n_zero = 0
     while n_zero <= n and c[n_zero] == 0:
         n_zero += 1

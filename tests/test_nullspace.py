@@ -3,6 +3,7 @@ deformation solver against its Bareiss route."""
 
 import random
 from fractions import Fraction
+from itertools import islice
 from math import gcd, lcm
 
 import pytest
@@ -146,6 +147,15 @@ def test_small_and_degenerate_shapes():
         [0, 0, 1],
     ]
     assert certified_kernel([[2, 4]], 2, [[6, -3]]) == [[-2, 1]]
+
+
+def test_the_proth_prime_sequence_is_pinned():
+    # the k of the first primes k * 2^126 + 1, the same on every call
+    ks = [99, 163, 187, 199, 205, 399, 513, 529]
+    for _ in range(2):
+        primes = list(islice(_nullspace_primes(), 8))
+        assert [p >> 126 for p in primes] == ks
+        assert all(p == (k << 126) + 1 for p, k in zip(primes, ks))
 
 
 def test_unlucky_primes_still_give_the_rational_basis():
