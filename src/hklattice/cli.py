@@ -11,6 +11,12 @@ checks pass, 1 any check failed or raised, 2 argv or payload errors found
 before any computation (one ``error:`` line on stderr). An ``--out`` file
 that cannot be opened for writing is an argv error: it is opened first.
 
+The parsers are built once per process, on the first call. An argv that
+starts with a subcommand name goes straight to that subcommand's parser;
+the top-level parser reads only the rest (no argv, ``-h``, an unknown
+command), and so serves only its help and its errors. The named classes
+of a ``query`` payload are built once too, on the first lookup.
+
 All randomness flows through ``random.Random(seed)`` (the standard
 Mersenne-Twister); a fixed seed reproduces every sampled class, and thus the
 whole report, byte for byte.
@@ -465,12 +471,20 @@ def run_suite(suite: str, seed: int, trials: int | None, convention: str) -> dic
 # queries
 
 
-_NAMED_CLASSES = {
-    "q": lambda h4: h4.q,
-    "two-fifths-q": lambda h4: Fraction(2, 5) * h4.q,
-    "v0": lambda h4: h4.v0,
-    "c2": lambda h4: Fraction(6, 5) * h4.q,
-}
+@cache
+def _named_classes() -> dict[str, H4Class]:
+    """The classes a payload may name, constants of the default lattice,
+    built on the first lookup and shared by later ones: (2/5)q is scaled
+    from q once, and ``plus_two_fifths_q`` adds this one. A test that
+    rebuilds the default lattice (ROADMAP item 10's mutant fixture) clears
+    this cache along with the four caches of ``h4_model``."""
+    h4 = default_h4_lattice()
+    return {
+        "q": h4.q,
+        "two-fifths-q": Fraction(2, 5) * h4.q,
+        "v0": h4.v0,
+        "c2": Fraction(6, 5) * h4.q,
+    }
 
 
 _CLASS_FORMS = ("named", "class", "lambda0")
@@ -491,7 +505,7 @@ _REQUIRED_KEYS = {
 }
 
 
-def _payload_class(payload: dict, h4) -> H4Class:
+def _payload_class(payload: dict) -> H4Class:
     forms = [k for k in _CLASS_FORMS if k in payload]
     if len(forms) != 1:
         raise ValueError(
@@ -502,9 +516,10 @@ def _payload_class(payload: dict, h4) -> H4Class:
         raise ValueError(f"plus_two_fifths_q goes only with lambda0, not with {form}")
     if form == "named":
         name = payload["named"]
-        if name not in _NAMED_CLASSES:
-            raise ValueError(f"unknown named class {name!r}; know {sorted(_NAMED_CLASSES)}")
-        return _NAMED_CLASSES[name](h4)
+        named = _named_classes()
+        if name not in named:
+            raise ValueError(f"unknown named class {name!r}; know {sorted(named)}")
+        return named[name]
     if form == "class":
         return H4Class.from_json(payload["class"])
     l0 = H2Class(payload["lambda0"])
@@ -513,7 +528,7 @@ def _payload_class(payload: dict, h4) -> H4Class:
     if plus is not True and plus is not False:
         raise ValueError(f"plus_two_fifths_q must be true or false, got {json.dumps(plus)}")
     if plus:
-        cls = cls + Fraction(2, 5) * h4.q
+        cls = cls + _named_classes()["two-fifths-q"]
     return cls
 
 
@@ -546,13 +561,13 @@ def run_query(kind: str, payload: dict) -> dict:
     if kind == "membership":
         # one solve answers both: the coordinates are None outside the
         # lattice, and their gcd is the divisibility of a nonzero member
-        c = h4.coords(_payload_class(payload, h4))
+        c = h4.coords(_payload_class(payload))
         out = {"member": c is not None}
         if c is not None and any(c):
             out["divisibility"] = gcd(*c)
         return out
     if kind == "divisibility":
-        cls = _payload_class(payload, h4)
+        cls = _payload_class(payload)
         return {"divisibility": h4.divisibility(cls)}
     if kind == "vlambda":
         l0 = H2Class(payload["lambda0"])
@@ -717,8 +732,32 @@ def build_parser() -> argparse.ArgumentParser:
     return p
 
 
+@cache
+def _subcommand_parsers() -> dict[str, argparse.ArgumentParser]:
+    """Each subcommand's own parser by name: the map through which the
+    top-level parser's subparsers action dispatches."""
+    (action,) = [a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)]
+    return action.choices
+
+
+def _parse_args(argv) -> argparse.Namespace:
+    """``build_parser().parse_args(argv)`` with one pass over argv: when
+    ``argv[0]`` names a subcommand, the rest goes straight to that
+    subcommand's parser, as the top-level one would pass it on. Any other
+    argv (none, ``-h``, an unknown command, or ``None`` for ``sys.argv``)
+    goes through the top-level parser, which prints its help and errors."""
+    if argv is not None:
+        argv = list(argv)
+        sub = _subcommand_parsers().get(argv[0]) if argv else None
+        if sub is not None:
+            args = sub.parse_args(argv[1:])
+            args.command = argv[0]
+            return args
+    return build_parser().parse_args(argv)
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _parse_args(argv)
     try:
         out = open(args.out, "a") if args.out else contextlib.nullcontext()
     except OSError as exc:

@@ -22,13 +22,13 @@ are printed by the one formatter ``_frac_str``.
 Integer rows over a denominator are brought to lowest terms by the one
 helper ``_lowest_terms`` (``Mat`` and ``Lattice``); ``h4_model.H4Class``,
 a single row, does it with one ``gcd`` over its entries.
-The checked constructors (``Mat(rows)``, ``Mat.from_int_rows``,
-``Lattice.from_int_rows``, ``Lattice.from_generators``) take values from
-outside the library and check their entries. Values the library builds
-take the trusted ones, which only normalize: ``Mat._of`` for matrices
-(products, inverses, Gram matrices, block sums, the identity) and
-``Lattice._from_int_rows`` for lattices. ``Mat.inverse`` is a
-fraction-free Gauss-Jordan on the integer rows.
+The checked constructors (``Mat(rows)``, ``Lattice.from_int_rows``,
+``Lattice.from_generators``) take values from outside the library and
+check their entries. Values the library builds take the trusted ones,
+which only normalize: ``Mat._of`` for matrices (products, inverses, Gram
+matrices, block sums, the identity) and ``Lattice._from_int_rows`` for
+lattices. ``Mat.inverse`` is a fraction-free Gauss-Jordan on the integer
+rows.
 
 Each job of the layer has one function:
 
@@ -268,8 +268,7 @@ class Mat:
     made only when an entry is read (``m[i, j]``). Supports scalar and
     matrix multiplication, and JSON output as an array of arrays of "p/q"
     strings (``to_json``, ``json_text``); it is built from rational rows by
-    the constructor or from integer rows over a denominator by
-    ``from_int_rows``. The symmetry test, the sparse rows and the JSON text
+    the constructor. The symmetry test, the sparse rows and the JSON text
     are computed once per matrix.
     """
 
@@ -296,16 +295,9 @@ class Mat:
         self._sparse = None
 
     @classmethod
-    def from_int_rows(cls, rows, den: int = 1) -> "Mat":
-        """The matrix rows/den for integer rows and an integer den > 0."""
-        if parse_int(den) <= 0:
-            raise ValueError("denominator must be positive")
-        return cls._of([int_vector(r) for r in rows], den)
-
-    @classmethod
     def _of(cls, rows, den: int) -> "Mat":
         """The matrix rows/den for a list of int rows the library built and
-        an int den > 0, without the entry checks of ``from_int_rows``."""
+        an int den > 0, without the entry checks of the constructor."""
         m = cls.__new__(cls)
         m._set(den, rows)
         return m

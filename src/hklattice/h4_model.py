@@ -83,6 +83,12 @@ _PAIRS: list[tuple[int, int]] = [
 _PAIR_INDEX: dict[tuple[int, int], int] = {p: n for n, p in enumerate(_PAIRS)}
 
 
+@cache
+def _monomial_keys() -> tuple[str, ...]:
+    """The JSON key "(i,j)" of each coordinate, in the frozen order."""
+    return tuple([f"({i},{j})" for i, j in _PAIRS])
+
+
 def monomial_pairs() -> list[tuple[int, int]]:
     """The frozen coordinate order: (i, j) with i <= j, lexicographic."""
     return list(_PAIRS)
@@ -197,11 +203,11 @@ class H4Class:
         return f"H4Class({nz} nonzero coords, den {self.den})"
 
     def to_json(self) -> dict[str, str]:
-        out = {}
-        for (i, j), x in zip(_PAIRS, self.num):
-            if x:
-                out[f"({i},{j})"] = _frac_str(x, self.den)
-        return out
+        """The nonzero coordinates by monomial key, each distinct value
+        formatted once, as ``_json_rows`` does."""
+        num, den = self.num, self.den
+        fmt = str if den == 1 else {x: _frac_str(x, den) for x in set(num)}.__getitem__
+        return {key: fmt(x) for key, x in zip(_monomial_keys(), num) if x}
 
     @classmethod
     def from_json(cls, obj) -> "H4Class":

@@ -43,6 +43,7 @@ from .exact_linalg import (
     Lattice,
     _combine_rows,
     _frac_str,
+    _saturation_basis,
     coset_feasible,
     int_vector,
     quotient_invariants,
@@ -81,8 +82,7 @@ class PicardData:
             raise ValueError(f"Picard lattice must live in dimension {RANK}")
         if not (1 <= p_lattice.rank <= RANK - 1):
             raise ValueError("Picard rank must be between 1 and 22")
-        ambient = Lattice.standard(RANK, form=p_lattice.form)
-        if saturate_in(p_lattice, ambient) != p_lattice:
+        if p_lattice.den != 1 or _saturated(p_lattice) != p_lattice:
             raise ValueError("Picard lattice is not saturated")
         _check_polarization(lambda0)
         if not p_lattice.contains(lambda0.coords):
@@ -99,8 +99,15 @@ class PicardData:
         """Saturated span of the given integer vectors; must contain lambda0."""
         rows = [int_vector(v) for v in vectors]
         lat = Lattice._from_int_rows(rows, 1, RANK, gram_mat())
-        lat = saturate_in(lat, Lattice.standard(RANK, form=gram_mat()))
-        return cls(lat, lambda0)
+        return cls(_saturated(lat), lambda0)
+
+
+def _saturated(lat: Lattice) -> Lattice:
+    """The saturation of an integer lattice in Z^23, its Q-span meet Z^23:
+    ``saturate_in`` with Z^23, where a row's coordinates are the row itself,
+    so no solve is needed."""
+    rows = [list(r) for r in lat.int_basis]
+    return Lattice._from_int_rows(_saturation_basis(rows), 1, RANK, lat.form)
 
 
 def _check_polarization(l0: H2Class) -> None:

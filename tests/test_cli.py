@@ -18,6 +18,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hklattice import cli, deformation_fix, kernels
+from hklattice.h4_model import H4Class
 
 
 def _run(capsys, argv):
@@ -363,6 +364,46 @@ class TestQuery:
         assert obj["parity"] == "odd"
         assert obj["square"] == 2
         assert obj["gram_det"] == "704"  # 176 * 2^2
+
+    @pytest.mark.parametrize(
+        "l0, digest",
+        [
+            ([1, 1] + [0] * 21,
+             "ff7d28d996f896561e11b5253674ece8e8543a25965df6e1eceb01940824d863"),
+            ([2, 2] + [0] * 20 + [1],
+             "1d7ef249b4d34dd69015fb5d784665f264029ca06692f0e67241226e277f18f0"),
+        ],
+        ids=["odd", "even"],
+    )
+    def test_vlambda_json_bytes(self, capsys, l0, digest):
+        # the SHA-256 of the whole stdout, recorded before the basis rows
+        # were written from the shared monomial key table
+        argv = ["query", "vlambda", "--json", "--payload", json.dumps({"lambda0": l0})]
+        code, out, _ = _run(capsys, argv)
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+    def test_named_classes_are_built_once(self, capsys, monkeypatch):
+        # after the first named lookup, (2/5)q and c2 = 3 * (2/5)q are read
+        # from the cache: no lookup scales q again
+        assert _run(capsys, ["query", "membership", "--payload", '{"named": "two-fifths-q"}'])[0] == 0
+        scaled = []
+        scale = H4Class.scale
+
+        def counting(self, c):
+            scaled.append(c)
+            return scale(self, c)
+
+        monkeypatch.setattr(H4Class, "scale", counting)
+        l0 = [1, 1] + [0] * 21
+        for payload in (
+            {"named": "two-fifths-q"},
+            {"named": "c2"},
+            {"lambda0": l0, "plus_two_fifths_q": True},
+        ):
+            for kind in ("membership", "divisibility"):
+                assert _run(capsys, ["query", kind, "--payload", json.dumps(payload)])[0] == 0
+        assert scaled == []
 
     def test_minimal_search(self, capsys):
         l0 = [1, 2] + [0] * 21  # square 4, odd

@@ -5,7 +5,8 @@ Every call ends with exit code 0, 1 or 2 and prints no traceback. Exit 2
 prints one ``error:`` line on stderr that is not a bare ``KeyError`` repr;
 exit 0 prints JSON; and a ``membership`` or ``divisibility`` answer
 re-verifies from its class through the dense forward substitution of
-``oracles.solve_left_int_row``. The work of one draw is bounded: ``--count``
+``oracles.solve_left_int_row``. The same draws check that the CLI's argv
+dispatch reads each argv as the top-level parser does (``argv_parity``). The work of one draw is bounded: ``--count``
 is at most 5, ``--bound`` at most 3, and ``verify`` draws only argv that
 argparse rejects before any suite runs.
 """
@@ -25,6 +26,7 @@ from hypothesis import strategies as st
 from hklattice import cli
 from hklattice.bb_lattice import RANK, H2Class
 from hklattice.h4_model import H4Class, default_h4_lattice, sym2_embed
+from argv_parity import CORPUS, check_parity, product_corpus
 from oracles import pivot_columns, solve_left_int_row
 
 QUERY_KINDS = ("membership", "divisibility", "vlambda", "minimal-search")
@@ -237,16 +239,18 @@ def _reverify(kind: str, payload: dict, answer: dict) -> None:
         assert answer == {"divisibility": gcd(*x)}
 
 
-@settings(max_examples=300, deadline=None)
-@given(
-    case=st.one_of(
-        _query(),
-        _sample(),
-        _search(),
-        _verify_rejected(),
-        st.sampled_from([[], ["bogus"], ["--json"], ["query"]]).map(lambda a: (a, None)),
-    )
+# (argv, query) pairs: the query is (kind, payload pairs) for a query argv
+_CASES = st.one_of(
+    _query(),
+    _sample(),
+    _search(),
+    _verify_rejected(),
+    st.sampled_from([[], ["bogus"], ["--json"], ["query"]]).map(lambda a: (a, None)),
 )
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=_CASES)
 def test_cli_fuzz(case):
     argv, query = case
     out, err = io.StringIO(), io.StringIO()
@@ -270,3 +274,16 @@ def test_cli_fuzz(case):
         answer = json.loads(out)
         if query and query[0] in ("membership", "divisibility"):
             _reverify(query[0], dict(query[1]), answer)
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=_CASES)
+def test_dispatch_reads_argv_as_the_top_level_parser(case):
+    check_parity(case[0])
+
+
+def test_dispatch_parity_on_the_fixed_and_product_corpora():
+    for argv in CORPUS:
+        check_parity(argv)
+    for argv in product_corpus(3):
+        check_parity(argv)

@@ -404,11 +404,12 @@ def test_integer_storage_matches_fraction_arithmetic(mats, k):
     ]
     assert fraction_rows(k * A) == fraction_rows(A * k) == [[k * x for x in r] for r in a]
     # one storage: the same matrix from "p/q" strings or from scaled
-    # integers over a larger denominator is equal and hashes equal
+    # integers over a larger denominator (the trusted ``_of``, which only
+    # normalizes) is equal and hashes equal
     d, num = A.scaled_int_rows()
     for same in (
         Mat([[str(x) for x in r] for r in a]),
-        Mat.from_int_rows([[3 * x for x in r] for r in num], 3 * d),
+        Mat._of([[3 * x for x in r] for r in num], 3 * d),
     ):
         assert same == A and hash(same) == hash(A)
         assert same.scaled_int_rows() == (d, num)
@@ -479,14 +480,14 @@ def test_scalar_operands_are_strict():
             eye * bad
         with pytest.raises(TypeError):
             bad * eye
-    assert 3 * eye == eye * 3 == Mat.from_int_rows([[3, 0], [0, 3]])
-    assert F(1, 2) * eye == eye * F(1, 2) == Mat.from_int_rows([[1, 0], [0, 1]], 2)
+    assert 3 * eye == eye * 3 == Mat([[3, 0], [0, 3]])
+    assert F(1, 2) * eye == eye * F(1, 2) == Mat([[F(1, 2), 0], [0, F(1, 2)]])
 
 
 def test_library_built_matrices_take_the_trusted_path(monkeypatch):
     A = Mat([[F(1, 2), 1], [3, 4]])
-    B = Mat.from_int_rows([[2, 0], [1, 5]])
-    lat = Lattice.from_int_rows([[1, 1], [0, 2]], form=Mat.from_int_rows([[2, 1], [1, 2]]))
+    B = Mat([[2, 0], [1, 5]])
+    lat = Lattice.from_int_rows([[1, 1], [0, 2]], form=Mat([[2, 1], [1, 2]]))
 
     def built():
         return [A * B, 2 * A, A.inverse(), lat.gram()]
@@ -499,7 +500,7 @@ def test_library_built_matrices_take_the_trusted_path(monkeypatch):
     monkeypatch.setattr(exact_linalg, "int_vector", refuse)
     assert built() == want
     with pytest.raises(AssertionError):
-        Mat.from_int_rows([[1]])
+        Lattice.from_int_rows([[1]])
 
 
 def test_lattice_from_int_rows_is_strict():

@@ -11,12 +11,13 @@ from hklattice.bb_lattice import (
     H2Class,
     bb_form,
     delta0,
+    gram_mat,
     hyperbolic_pair,
     sample_polarization_even,
     sample_polarization_odd,
     sample_primitive,
 )
-from hklattice.exact_linalg import Lattice, Mat, sublattice_index
+from hklattice.exact_linalg import Lattice, Mat, saturate_in, sublattice_index
 from hklattice.h4_model import AMBIENT, fujiki_mat, fujiki_pair, sym2_embed
 from hklattice.hodge_classes import (
     DegenerateTranscendentalError,
@@ -53,6 +54,37 @@ class TestPicardData:
         p = PicardData.from_vectors([[2 * c for c in l0.coords]], l0)
         assert p.p_lattice.contains(list(l0.coords))
 
+    def test_rejects_an_unsaturated_lattice(self):
+        l0 = _u_pol()
+        with pytest.raises(ValueError, match="Picard lattice is not saturated"):
+            PicardData(Lattice.from_int_rows([[2 * c for c in l0.coords]]), l0)
+
+    def test_rejects_a_lattice_over_a_denominator(self):
+        # Z * l0/2 is not inside Z^23, so it is not its own saturation there
+        l0 = _u_pol()
+        with pytest.raises(ValueError, match="Picard lattice is not saturated"):
+            PicardData(Lattice.from_int_rows([l0.coords], 2), l0)
+
+    def test_accepts_a_saturated_lattice_with_a_non_unit_pivot(self):
+        # Z * (2, 1, 0, ...) has HNF pivot 2 and is saturated
+        l0 = H2Class([2, 1] + [0] * (RANK - 2))
+        p = PicardData(Lattice.from_int_rows([l0.coords]), l0)
+        assert p.p_lattice.rank == 1
+
+    @pytest.mark.parametrize(
+        "vectors",
+        [
+            [[2, 2] + [0] * 21],
+            [[2, 2] + [0] * 21, [0, 0, 4, 6] + [0] * 19],
+            [[1, 1] + [0] * 21, [0, 0, 3, 0, 6] + [0] * 18, [0, 0, 0, 5] + [0] * 18 + [10]],
+        ],
+    )
+    def test_from_vectors_is_the_saturation_in_z23(self, vectors):
+        l0 = _u_pol()
+        lat = Lattice.from_int_rows(vectors, form=gram_mat())
+        want = saturate_in(lat, Lattice.standard(RANK, form=gram_mat()))
+        assert PicardData.from_vectors(vectors, l0).p_lattice == want
+
     def test_rejects_negative_square(self):
         with pytest.raises(ValueError):
             PicardData.rank_one(delta0())
@@ -84,10 +116,7 @@ class TestTranscendental:
             assert bb_form(t, _u_pol()) == 0
 
     def test_saturated(self):
-        from hklattice.bb_lattice import gram_mat
-        from hklattice.exact_linalg import saturate_in
-
-        T = transcendental(PicardData.rank_one(_u_pol()))
+        T =transcendental(PicardData.rank_one(_u_pol()))
         amb = Lattice.standard(RANK, form=gram_mat())
         assert saturate_in(T, amb) == T
 

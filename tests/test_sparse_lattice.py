@@ -354,7 +354,7 @@ def test_det_int_rejects_non_square():
     with pytest.raises(ValueError):
         det_int([[1, 2], [3]])
     with pytest.raises(ValueError):
-        Mat.from_int_rows([[1, 2, 3], [4, 5, 6]]).det()
+        Mat([[1, 2, 3], [4, 5, 6]]).det()
 
 
 def test_det_int_on_the_three_276_matrices(h4):
