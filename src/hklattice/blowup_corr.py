@@ -67,16 +67,15 @@ class FourfoldH4:
 class BlowupCenter:
     """A point, a curve with normal-bundle degree d, or a surface."""
 
-    __slots__ = ("kind", "d", "h2_gram", "transcendental_sub", "label")
+    __slots__ = ("kind", "d", "h2_gram", "transcendental_sub")
 
-    def __init__(self, kind, d=None, h2_gram=None, transcendental_sub=None, label=None):
+    def __init__(self, kind, d=None, h2_gram=None, transcendental_sub=None):
         if kind not in ("point", "curve", "surface"):
             raise ValueError(f"unknown center kind {kind!r}")
         self.kind = kind
         self.d = None
         self.h2_gram = None
         self.transcendental_sub = None
-        self.label = label
         if kind == "curve":
             if d is None:
                 raise ValueError("curve center needs its degree d")
@@ -96,21 +95,16 @@ class BlowupCenter:
             self.transcendental_sub = transcendental_sub
 
     @classmethod
-    def point(cls, label=None) -> "BlowupCenter":
-        return cls("point", label=label)
+    def point(cls) -> "BlowupCenter":
+        return cls("point")
 
     @classmethod
-    def curve(cls, d: int, label=None) -> "BlowupCenter":
-        return cls("curve", d=d, label=label)
+    def curve(cls, d: int) -> "BlowupCenter":
+        return cls("curve", d=d)
 
     @classmethod
-    def surface(cls, h2_gram, transcendental_sub=None, label=None) -> "BlowupCenter":
-        return cls(
-            "surface",
-            h2_gram=h2_gram,
-            transcendental_sub=transcendental_sub,
-            label=label,
-        )
+    def surface(cls, h2_gram, transcendental_sub=None) -> "BlowupCenter":
+        return cls("surface", h2_gram=h2_gram, transcendental_sub=transcendental_sub)
 
     def block(self) -> Mat:
         """The Gram block the center contributes to the blown-up fourfold."""

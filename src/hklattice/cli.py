@@ -388,7 +388,7 @@ def _suite_blowup(rng: random.Random, trials: int | None, convention: str):
     ys = cache(
         lambda: blowup_h4(
             y(),
-            BlowupCenter.surface(U, transcendental_sub=Lattice.from_int_rows([[1, 0]]), label="S"),
+            BlowupCenter.surface(U, transcendental_sub=Lattice.from_int_rows([[1, 0]])),
         )
     )
     residues = [(e0, e, conv) for conv in ("quadratic", "paper") for e0 in (1, 3, 5) for e in (2, 3, 4)]

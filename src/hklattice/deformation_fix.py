@@ -31,7 +31,6 @@ from math import gcd, lcm
 from .exact_linalg import (
     Lattice,
     Mat,
-    _frac_str,
     _scaled_ints,
     certified_kernel,
     fraction_vector,
@@ -39,10 +38,11 @@ from .exact_linalg import (
 
 
 class FixInstance:
-    """Problem data: symmetric invertible A and a nonzero vector s, with the
-    inverse ``A_inv`` of A, which proves that A is invertible."""
+    """Problem data: a nonzero vector s and the inverse ``A_inv`` of the
+    symmetric invertible A the instance is built from, which proves that A
+    is invertible. The solver reads A through ``A_inv`` only."""
 
-    __slots__ = ("n", "A", "s", "A_inv")
+    __slots__ = ("n", "s", "A_inv")
 
     def __init__(self, A, s):
         A = A if isinstance(A, Mat) else Mat(A)
@@ -58,11 +58,7 @@ class FixInstance:
         if not any(s):
             raise ValueError("distinguished vector must be nonzero")
         self.n = A.shape[0]
-        self.A = A
         self.s = s
-
-    def to_json(self) -> dict:
-        return {"A": self.A.to_json(), "s": [_frac_str(x) for x in self.s]}
 
 
 def _sym_pairs(n: int) -> list[tuple[int, int]]:

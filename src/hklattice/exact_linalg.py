@@ -25,10 +25,10 @@ a single row, does it with one ``gcd`` over its entries.
 The checked constructors (``Mat(rows)``, ``Lattice.from_int_rows``,
 ``Lattice.from_generators``) take values from outside the library and
 check their entries. Values the library builds take the trusted ones,
-which only normalize: ``Mat._of`` for matrices (products, inverses, Gram
-matrices, block sums, the identity) and ``Lattice._from_int_rows`` for
-lattices. ``Mat.inverse`` is a fraction-free Gauss-Jordan on the integer
-rows.
+which only normalize: ``Mat._of`` for matrices (scalar multiples,
+inverses, Gram matrices, block sums, the identity) and
+``Lattice._from_int_rows`` for lattices. ``Mat.inverse`` is a
+fraction-free Gauss-Jordan on the integer rows.
 
 Each job of the layer has one function:
 
@@ -263,13 +263,13 @@ class Mat:
 
     The storage is ``(den, rows)``: ``den`` is the smallest positive integer
     with ``den * M`` integral and ``rows`` are the integer entries of
-    ``den * M``, so equal matrices have equal storage. Products,
+    ``den * M``, so equal matrices have equal storage. Scalar multiples,
     determinant, inverse and JSON run on the integers; a ``Fraction`` is
-    made only when an entry is read (``m[i, j]``). Supports scalar and
-    matrix multiplication, and JSON output as an array of arrays of "p/q"
-    strings (``to_json``, ``json_text``); it is built from rational rows by
-    the constructor. The symmetry test, the sparse rows and the JSON text
-    are computed once per matrix.
+    made only when an entry is read (``m[i, j]``). A Mat multiplies by
+    scalars only, and its JSON is an array of arrays of "p"/"p/q" strings
+    (``json_text``); it is built from rational rows by the constructor.
+    The symmetry test, the sparse rows and the JSON text are computed once
+    per matrix.
     """
 
     __slots__ = ("_den", "_num", "_symmetric", "_json", "_sparse")
@@ -334,21 +334,13 @@ class Mat:
         return f"Mat({self.rows}x{self.cols})"
 
     def __mul__(self, other):
-        if isinstance(other, Mat):
-            if self.cols != other.rows:
-                raise ValueError("shape mismatch in product")
-            return Mat._of(
-                _combine_rows(self._num, other.sparse_rows(), other.cols),
-                self._den * other._den,
-            )
         if isinstance(other, (int, Fraction)) and type(other) is not bool:
             p, q = other.numerator, other.denominator
             return Mat._of([[p * a for a in r] for r in self._num], self._den * q)
         return NotImplemented
 
     def __rmul__(self, other):
-        # a Mat on the left multiplies in its own __mul__, so other is a
-        # scalar here, and scalars commute
+        # only scalars multiply a Mat, and they commute
         return self.__mul__(other)
 
     def is_symmetric(self) -> bool:
@@ -413,14 +405,9 @@ class Mat:
             prev, d = -prev, -d
         return Mat._of([[d * x for x in r[n:]] for r in aug], prev)
 
-    def to_json(self) -> list[list[str]]:
-        d, m = self._den, self._num
-        if d == 1:
-            return [[str(x) for x in r] for r in m]
-        return [[_frac_str(x, d) for x in r] for r in m]
-
     def json_text(self) -> str:
-        """``json.dumps(self.to_json())``, serialized once per matrix."""
+        """The matrix as a JSON array of arrays of "p"/"p/q" strings,
+        serialized once per matrix."""
         if self._json is None:
             self._json = _json_rows(self._num, self._den)
         return self._json

@@ -150,10 +150,6 @@ class H4Class:
             raise ValueError(f"need {AMBIENT} coordinates")
         return cls._of(tuple(num), d)
 
-    def coords(self) -> tuple[Fraction, ...]:
-        d = self.den
-        return tuple(Fraction(x, d) for x in self.num)
-
     def _plus(self, other: "H4Class", sign: int) -> "H4Class":
         da, db = self.den, other.den
         D = lcm(da, db)

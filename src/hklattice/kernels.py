@@ -12,11 +12,13 @@ gather, one ``gcd`` test and one division pass per pivot value.
 saturated left kernel) and ``bb_lattice._orth_complement``, whose
 transform of the complement Gram is both its inverse and the proof that it
 is unimodular. ``hnf`` and ``hnf_transform`` share one Hermite reduction.
-``snf_diagonal`` serves ``exact_linalg.quotient_invariants``; it is the
-diagonal of ``smith_normal_form``, whose transforms V and V^-1 only the
-tests' Smith-form oracles ask for. Saturation is congruences on the HNF
+``snf_diagonal`` serves ``exact_linalg.quotient_invariants``; it returns
+``smith_normal_form``, which is the Smith diagonal only (the benchmark's
+per-layer counters trace both names). Saturation is congruences on the HNF
 (``exact_linalg.saturate_in``) and the degree-4 torsion quotient is read
-off a glue code, so no Smith transform is needed.
+off a glue code, so the library needs no Smith transform: the transforms V
+and V^-1 that the tests' Smith-form oracles ask for live in
+``tests/oracles.py``.
 
 ``det_bareiss`` and ``row_echelon_bareiss`` have no library caller:
 determinants are ``exact_linalg.det_int`` and the one nullspace, the

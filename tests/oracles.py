@@ -6,8 +6,10 @@ of an HNF matrix, the reference for the sparse kernel of the same name;
 ``pivot_columns`` reads the pivots it walks off the dense rows.
 ``lattice_meet`` intersects two lattices through a left kernel of their
 stacked bases, the reference for ``saturate_in`` on the degree-4 lattice.
-``smith_saturation_int`` is the saturation by a full Smith form with its
-right transform; ``SmithTorsionQuotient`` reads the degree-4 torsion
+``smith_normal_form`` is the Smith form with its right transforms V and
+V^-1, which the library's diagonal-only kernel of the same name does not
+keep. ``smith_saturation_int`` is the saturation by a full Smith form with
+its right transform; ``SmithTorsionQuotient`` reads the degree-4 torsion
 quotient off the Smith form of the coordinate matrix of Z^276 in the
 lattice, with the 276 x 276 transforms V and V^-1.
 
@@ -27,15 +29,17 @@ kernel basis of s^T A, so the deformation reference route builds its
 equations over another basis of ker(s^T A) than the library does.
 
 ``fraction_rows`` reads a ``Mat`` entry by entry into Fraction rows, for
-references written over exact rationals, and ``lattice_json`` is the JSON
-object of a lattice built from ``basis_rows`` and the form's ``to_json``,
-the reference for ``Lattice.json_text``.
+references written over exact rationals, and ``mat_product`` multiplies
+two of them that way; ``h4_coords`` reads a degree-4 class into its 276
+Fraction coordinates. ``mat_json`` is the JSON array of a ``Mat`` built
+from its entries, the reference for ``Mat.json_text``, and
+``lattice_json`` is the JSON object of a lattice built from ``basis_rows``
+and ``mat_json``, the reference for ``Lattice.json_text``.
 """
 
 from fractions import Fraction
 from math import gcd, lcm
 
-from hklattice import kernels
 from hklattice.bb_lattice import GRAM, RANK, H2Class, gram_apply
 from hklattice.exact_linalg import (
     Lattice,
@@ -62,13 +66,29 @@ def fraction_rows(m) -> list[list[Fraction]]:
     return [[m[i, j] for j in range(m.cols)] for i in range(m.rows)]
 
 
+def h4_coords(v: H4Class) -> tuple[Fraction, ...]:
+    """The 276 coordinates of a degree-4 class as Fractions."""
+    return tuple(Fraction(x, v.den) for x in v.num)
+
+
+def mat_product(a, b) -> list[list[Fraction]]:
+    """The product of two Mats as rows of Fractions, entry by entry."""
+    cols = list(zip(*fraction_rows(b)))
+    return [[sum(x * y for x, y in zip(row, col)) for col in cols] for row in fraction_rows(a)]
+
+
+def mat_json(m) -> list[list[str]]:
+    """The entries of a Mat as rows of "p"/"p/q" strings."""
+    return [[str(x) for x in row] for row in fraction_rows(m)]
+
+
 def lattice_json(lat: Lattice) -> dict:
     """The JSON object of a lattice: its ambient dimension, its canonical
     basis as "p"/"p/q" strings and its form, or None."""
     return {
         "ambient_dim": lat.ambient_dim,
         "basis": [[str(x) for x in row] for row in lat.basis_rows()],
-        "form": None if lat.form is None else lat.form.to_json(),
+        "form": None if lat.form is None else mat_json(lat.form),
     }
 
 
@@ -137,6 +157,87 @@ def lattice_meet(a: Lattice, b: Lattice) -> Lattice:
     return Lattice._from_int_rows(gens, D, a.ambient_dim, a.form)
 
 
+def smith_normal_form(mat):
+    """``(diag, V, Vinv)``: the Smith normal form diagonal, as
+    ``kernels.smith_normal_form`` returns it, with its right transforms.
+
+    V (n x n, unimodular) collects the column operations: there is a
+    unimodular U with ``U * mat * V`` diagonal, and ``Vinv = V^-1``. Only
+    column operations touch V and Vinv, so for a full-rank relations matrix
+    R the quotient map of ``Z^n / rowspan(R)`` sends y to ``(y * V) mod
+    diag`` and generator i lifts to row i of Vinv.
+    """
+    A = [list(row) for row in mat]
+    m = len(A)
+    n = len(A[0]) if m else 0
+    limit = min(m, n)
+    V = [[int(i == j) for j in range(n)] for i in range(n)]
+    W = [[int(i == j) for j in range(n)] for i in range(n)]
+
+    def col_submul(j, k, q):
+        # column j -= q * column k, and row k of V^-1 += q * row j
+        for R in (A, V):
+            for row in R:
+                if row[k]:
+                    row[j] -= q * row[k]
+        W[k] = [a + q * b for a, b in zip(W[k], W[j])]
+
+    def col_swap(j, k):
+        for R in (A, V):
+            for row in R:
+                row[j], row[k] = row[k], row[j]
+        W[j], W[k] = W[k], W[j]
+
+    t = 0
+    while t < limit:
+        # global pivot search over the trailing submatrix
+        pi = pj = -1
+        best = 0
+        for i in range(t, m):
+            for j in range(t, n):
+                if A[i][j] and (pi < 0 or abs(A[i][j]) < best):
+                    pi, pj, best = i, j, abs(A[i][j])
+        if pi < 0:
+            break
+        A[pi], A[t] = A[t], A[pi]
+        if pj != t:
+            col_swap(pj, t)
+        while True:
+            # clear column t below the pivot
+            i = t + 1
+            while i < m:
+                if A[i][t]:
+                    _row_submul_dense(A[i], A[t], A[i][t] // A[t][t], t, n)
+                    if A[i][t]:
+                        A[t], A[i] = A[i], A[t]
+                        i = t + 1
+                        continue
+                i += 1
+            # clear row t to the right of the pivot
+            j = t + 1
+            dirty = False
+            while j < n:
+                if A[t][j]:
+                    col_submul(j, t, A[t][j] // A[t][t])
+                    if A[t][j]:
+                        col_swap(t, j)
+                        dirty = True
+                        j = t + 1
+                        continue
+                j += 1
+            if dirty or any(A[i][t] for i in range(t + 1, m)):
+                continue
+            # the pivot must divide every remaining entry
+            p = A[t][t]
+            bad = next((i for i in range(t + 1, m) if any(x % p for x in A[i][t + 1 :])), None)
+            if bad is None:
+                break
+            _row_submul_dense(A[t], A[bad], -1, t, n)
+        if A[t][t] < 0:
+            A[t] = [-x for x in A[t]]
+        t += 1
+    return [A[i][i] if i < t else 0 for i in range(limit)], V, W
+
 
 def smith_saturation_int(rows):
     """Basis of the saturation of an integer row span inside Z^n.
@@ -144,7 +245,7 @@ def smith_saturation_int(rows):
     With U*M*V = D in Smith form, the saturation pulls back from the span of
     the first rank coordinate vectors, i.e. the first rank rows of V^-1.
     """
-    diag, _, vinv = kernels.smith_normal_form(rows, want_vinv=True)
+    diag, _, vinv = smith_normal_form(rows)
     r = sum(1 for d in diag if d)
     return [list(vinv[i]) for i in range(r)]
 
@@ -156,7 +257,7 @@ class SmithTorsionQuotient:
     def __init__(self, h4: H4Lattice):
         self.h4 = h4
         C = _coord_matrix(sym2_lattice(), h4.lattice)
-        diag, V, Vinv = kernels.smith_normal_form(C, want_v=True, want_vinv=True)
+        diag, V, Vinv = smith_normal_form(C)
         if any(d == 0 for d in diag):
             raise ArithmeticError("quotient is not finite")
         positions = [i for i, dd in enumerate(diag) if dd > 1]
@@ -345,7 +446,7 @@ def polarization_kernel(inst) -> list[tuple[int, ...]]:
     """Integer basis of {mu : (s^T A) mu = 0} for a ``FixInstance``; always
     n - 1 vectors, the saturated left kernel of s^T A cleared to integers
     as a one-column matrix (``left_kernel``)."""
-    dA, Ai = inst.A.scaled_int_rows()
+    dA, Ai = inst.A_inv.inverse().scaled_int_rows()
     ds, (si,) = _scaled_ints([inst.s])
     # w = ds * dA * s^T A; dividing by gcd(ds * dA, w) gives s^T A times the
     # least common denominator of its entries

@@ -57,7 +57,7 @@ class TestSingleBlowup:
 
     def test_surface_block_negates(self):
         sub = Lattice.from_generators([[1, 0]], ambient_dim=2)
-        c = BlowupCenter.surface(U, transcendental_sub=sub, label="S")
+        c = BlowupCenter.surface(U, transcendental_sub=sub)
         y2 = blowup_h4(_base(), c)
         g = y2.lattice.gram()
         assert (g[(2, 2)], g[(2, 3)], g[(3, 3)]) == (0, -1, 0)
@@ -67,7 +67,7 @@ class TestSingleBlowup:
         yp = blowup_h4(y, BlowupCenter.point())
         assert [list(r) for r in yp.transcendental.basis_rows()] == [[1, 0, 0]]
         sub = Lattice.from_generators([[0, 1]], ambient_dim=2)
-        ys = blowup_h4(y, BlowupCenter.surface(U, transcendental_sub=sub, label="S"))
+        ys = blowup_h4(y, BlowupCenter.surface(U, transcendental_sub=sub))
         assert ys.transcendental.rank == 2
         rows = [list(r) for r in ys.transcendental.basis_rows()]
         assert [1, 0, 0, 0] in rows
@@ -77,7 +77,7 @@ class TestSingleBlowup:
 class TestSequence:
     def test_mixed_sequence(self):
         out = _base()
-        for c in (BlowupCenter.point(), BlowupCenter.curve(3), BlowupCenter.surface(U, label="S1")):
+        for c in (BlowupCenter.point(), BlowupCenter.curve(3), BlowupCenter.surface(U)):
             out = blowup_h4(out, c)
         assert out.lattice.rank == 2 + 1 + 2 + 2
 

@@ -30,6 +30,7 @@ from hklattice.hodge_classes import (
     minimality_scalar,
     transcendental,
 )
+from oracles import h4_coords
 
 F = Fraction
 
@@ -127,8 +128,8 @@ class TestCanonicalRank2:
         V = canonical_hodge_lattice(l0)
         want = Lattice.from_generators(
             [
-                list(sym2_embed(l0, l0).coords()),
-                list((F(2, 5) * h4.q).coords()),
+                list(h4_coords(sym2_embed(l0, l0))),
+                list(h4_coords(F(2, 5) * h4.q)),
             ],
             ambient_dim=AMBIENT,
             form=fujiki_mat(),
@@ -140,7 +141,7 @@ class TestCanonicalRank2:
         V = canonical_hodge_lattice(l0)
         gen2 = F(1, 8) * (sym2_embed(l0, l0) + F(2, 5) * h4.q)
         want = Lattice.from_generators(
-            [list(sym2_embed(l0, l0).coords()), list(gen2.coords())],
+            [list(h4_coords(sym2_embed(l0, l0))), list(h4_coords(gen2))],
             ambient_dim=AMBIENT,
             form=fujiki_mat(),
         )
@@ -148,8 +149,8 @@ class TestCanonicalRank2:
         # the even overlattice is strictly bigger than the odd-shape span
         odd_shape = Lattice.from_generators(
             [
-                list(sym2_embed(l0, l0).coords()),
-                list((F(2, 5) * h4.q).coords()),
+                list(h4_coords(sym2_embed(l0, l0))),
+                list(h4_coords(F(2, 5) * h4.q)),
             ],
             ambient_dim=AMBIENT,
             form=fujiki_mat(),

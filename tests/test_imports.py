@@ -1,45 +1,61 @@
 """Every name a module of the package or of the tests imports is used in
-that module, and every public function, class and class member of the
-package is read somewhere else in the package.
+that module, every public function, class and class member of the package
+is read somewhere else in the package, and every public helper of
+``tests/oracles.py`` is read by a test module.
 
 Read with ``ast``, nothing is imported. A name counts as used when it is
 loaded anywhere in the module, listed in ``__all__``, or named inside a
 string annotation such as ``-> "H4Class"``.
 
 A module-level public function or class counts as read when it is loaded
-somewhere in the package outside its own definition, in one of two ways:
-as a bare name, in its own module or in a module that imports it (through
-any chain of relative imports, as ``kernels`` re-exports ``_pykernels``);
-or as ``mod.name`` for an imported package module ``mod``, as in
-``kernels.hnf``. An attribute ``x.name`` of anything else is not a read of
-the module-level ``name``, and neither is an import or an ``__all__`` entry.
+somewhere in the scanned modules outside its own definition, in one of two
+ways: as a bare name, in its own module or in a module that imports it
+(through any chain of sibling imports, as ``kernels`` re-exports
+``_pykernels``); or as ``mod.name`` for an imported sibling module
+``mod``, as in ``kernels.hnf``. The siblings are the package's modules,
+imported relatively, or the test modules, imported by name (``import
+oracles``). An attribute ``x.name`` of anything else is not a read of the
+module-level ``name``, and neither is an import or an ``__all__`` entry.
 
 A public method, property, classmethod or staticmethod of a package class,
 and a public ``__slots__`` entry, counts as read when some attribute
 ``x.name`` is loaded in the package outside the member's own definition.
-Dunders are not scanned. The scan does not know the type of ``x``, so two
-classes that share a member name are both read when either is.
+Dunders are not scanned. When several package classes define ``name``, a
+load counts for class C only when ``x`` is tied to C: ``self`` or ``cls``
+in a method of C, the name of C or an import alias of it, ``mod.C``, or a
+parameter annotated with C. Any other load of a shared name credits no
+class, and a member read only through such loads is named in
+``SHARED_MEMBER_READERS`` with the package function that reads it; the
+test checks that the function exists and loads the name.
 """
 
 import ast
-from collections import Counter
+import json
+from collections import defaultdict
 from pathlib import Path
 
 import pytest
 
 TESTS = Path(__file__).resolve().parent
 PACKAGE = TESTS.parent / "src" / "hklattice"
+BENCHMARK = TESTS.parent / "BENCHMARK.json"
+
+# Public names of the package that nothing in it reads, kept because a
+# per-layer metric of the benchmark needs a traced function of the name: the
+# name -> the metric, which BENCHMARK.json must still list.
+BENCHMARK_COUNTERS = {
+    "_pykernels.det_bareiss": "kernels.det_bareiss.max_bits_in",
+    "_pykernels.row_echelon_bareiss": "kernels.row_echelon_bareiss.max_bits_in",
+    "bb_lattice.orth_complement_basis": "bb_lattice.orth_complement_basis.repeat_ratio",
+}
 
 # Public names of the package that nothing in it reads, each kept for a reason.
 UNREAD_ALLOWED = {
-    "_pykernels.det_bareiss": "the benchmark's kernels.det_bareiss.max_bits_in/out "
-    "need a traced function of this name; without one the traced run finds "
-    "no way to measure them",
-    "_pykernels.row_echelon_bareiss": "the benchmark's "
-    "kernels.row_echelon_bareiss.max_bits_in/out need a traced function of "
-    "this name, as for det_bareiss",
-    "bb_lattice.orth_complement_basis": "the benchmark's "
-    "bb_lattice.orth_complement_basis.repeat_ratio counter needs it",
+    **{
+        name: f"the benchmark's per-layer metric {metric} needs a traced "
+        "function of this name"
+        for name, metric in BENCHMARK_COUNTERS.items()
+    },
     "h4_model.monomial_pairs": "it is the frozen coordinate order of the "
     "degree-4 classes",
     "exact_linalg.divisibility": "tests/test_acceptance.py reads it, and the "
@@ -49,6 +65,21 @@ UNREAD_ALLOWED = {
 # Public class members that nothing in the package reads, each kept for a reason.
 UNREAD_MEMBERS_ALLOWED = {
     "cli._Parser.error": "argparse calls it on a bad argv",
+}
+
+# Members whose name several package classes define, read only where the
+# receiver is not tied to a class: the member -> the package function
+# (``module.qualname``) that reads it.
+SHARED_MEMBER_READERS = {
+    "blowup_corr.CombinationSearchResult.to_json": "cli._run",
+    "exact_linalg.FiniteAbelianGroup.order": "h4_model.TorsionQuotient.order",
+    "exact_linalg.Lattice.json_text": "hodge_classes.MinimalityReport.basis_hash",
+    "exact_linalg.Mat.json_text": "exact_linalg.Lattice.json_text",
+    "h4_model.H4Class.to_json": "cli.run_query",
+    "h4_model.H4Lattice.contains": "cubic_fano.build_cubic_model",
+    "h4_model.H4Lattice.coords": "cli.run_query",
+    "h4_model.H4Lattice.divisibility": "cubic_fano.build_cubic_model",
+    "hodge_classes.MinimalityReport.to_json": "cli.run_query",
 }
 
 
@@ -93,33 +124,41 @@ def _used(tree: ast.Module) -> set[str]:
     return used
 
 
-def _relative_imports(tree: ast.Module) -> dict[str, tuple[str, str | None]]:
-    """Bound name -> ``(module, name)`` for each ``from .module import
-    name``, and ``(module, None)`` for each ``from . import module``."""
+def _sibling_imports(tree: ast.Module, siblings) -> dict[str, tuple[str, str | None]]:
+    """Bound name -> ``(module, name)`` for each ``from .module import name``
+    or ``from module import name`` of a sibling module, and ``(module,
+    None)`` for each ``from . import module`` or ``import module``."""
     out = {}
     for node in tree.body:
-        if isinstance(node, ast.ImportFrom) and node.level == 1:
+        if isinstance(node, ast.ImportFrom) and (
+            node.level == 1 or node.level == 0 and node.module in siblings
+        ):
             for alias in node.names:
                 bound = alias.asname or alias.name
                 out[bound] = (node.module, alias.name) if node.module else (alias.name, None)
+        elif isinstance(node, ast.Import):
+            for alias in node.names:
+                if alias.name in siblings:
+                    out[alias.asname or alias.name] = (alias.name, None)
     return out
+
+
+def _origin(imports, mod: str, name: str) -> tuple[str, str]:
+    """``(module, name)`` of the definition that ``name`` in ``mod`` stands
+    for, following re-exports."""
+    while imports.get(mod, {}).get(name, (None, None))[1] is not None:
+        mod, name = imports[mod][name]
+    return mod, name
 
 
 def _unread(trees: dict[str, ast.Module]) -> set[str]:
     """``module.name`` of each module-level public function or class that no
     module loads outside the definition itself."""
-    imports = {mod: _relative_imports(tree) for mod, tree in trees.items()}
+    imports = {mod: _sibling_imports(tree, trees) for mod, tree in trees.items()}
     defined = {
         mod: {n.name for n in tree.body if isinstance(n, (ast.FunctionDef, ast.ClassDef))}
         for mod, tree in trees.items()
     }
-
-    def origin(mod, name):
-        # follow re-exports to the module that defines the name
-        while imports.get(mod, {}).get(name, (None, None))[1] is not None:
-            mod, name = imports[mod][name]
-        return mod, name
-
     reads = set()
     for mod, tree in trees.items():
         for stmt in tree.body:
@@ -129,7 +168,7 @@ def _unread(trees: dict[str, ast.Module]) -> set[str]:
                 if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
                     bound = imports[mod].get(node.id)
                     if bound is not None and bound[1] is not None:
-                        key = origin(mod, node.id)
+                        key = _origin(imports, mod, node.id)
                     elif bound is None and node.id in defined[mod]:
                         key = (mod, node.id)
                 elif (
@@ -139,7 +178,7 @@ def _unread(trees: dict[str, ast.Module]) -> set[str]:
                 ):
                     bound = imports[mod].get(node.value.id)
                     if bound is not None and bound[1] is None:
-                        key = origin(bound[0], node.attr)
+                        key = _origin(imports, bound[0], node.attr)
                 if key is not None and key != own:
                     reads.add(key)
     return {
@@ -150,37 +189,127 @@ def _unread(trees: dict[str, ast.Module]) -> set[str]:
     }
 
 
-def _attribute_loads(node: ast.AST, name: str | None = None):
-    return [
-        n.attr
-        for n in ast.walk(node)
-        if isinstance(n, ast.Attribute)
-        and isinstance(n.ctx, ast.Load)
-        and (name is None or n.attr == name)
-    ]
+def _public_members(cls: ast.ClassDef):
+    """Each public method (property, classmethod, staticmethod) and public
+    ``__slots__`` entry of a class."""
+    for stmt in cls.body:
+        if isinstance(stmt, ast.FunctionDef) and not stmt.name.startswith("_"):
+            yield stmt.name
+        elif isinstance(stmt, ast.Assign) and any(
+            isinstance(t, ast.Name) and t.id == "__slots__" for t in stmt.targets
+        ):
+            yield from (e.value for e in stmt.value.elts if not e.value.startswith("_"))
 
 
-def _unread_members(trees: dict[str, ast.Module]) -> set[str]:
+def _member_loads(mod: str, tree: ast.Module, imports, classes):
+    """``(name, tied, within)`` for each attribute load ``x.name`` of the
+    module: ``tied`` is the package class ``(module, class)`` that ``x`` is
+    tied to, or None, and ``within`` is the ``(module, class, member)``
+    whose definition holds the load, or None."""
+
+    def as_class(m, name):
+        key = _origin(imports, m, name)
+        return key if key in classes else None
+
+    # module-level names of package classes: their own names and import aliases
+    names = {*imports[mod], *(c for m, c in classes if m == mod)}
+    top = {n: key for n in names if (key := as_class(mod, n)) is not None}
+
+    def annotated(ann):
+        if isinstance(ann, ast.Constant) and isinstance(ann.value, str):
+            ann = ast.parse(ann.value, mode="eval").body
+        return top.get(ann.id) if isinstance(ann, ast.Name) else None
+
+    def receiver(node, env):
+        if isinstance(node, ast.Name):
+            return env.get(node.id)
+        if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name):
+            bound = imports[mod].get(node.value.id)
+            if bound is not None and bound[1] is None:
+                return as_class(bound[0], node.attr)
+        return None
+
+    out = []
+
+    def visit(node, env, within, owner=None):
+        if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+            out.append((node.attr, receiver(node.value, env), within))
+        elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            args = node.args
+            positional = args.posonlyargs + args.args
+            env = {**env, **{a.arg: None for a in (args.vararg, args.kwarg) if a is not None}}
+            env.update({a.arg: annotated(a.annotation) for a in positional + args.kwonlyargs})
+            if owner is not None and positional and not any(
+                getattr(d, "id", None) == "staticmethod" for d in node.decorator_list
+            ):
+                # self or cls
+                env[positional[0].arg] = owner
+        for child in ast.iter_child_nodes(node):
+            visit(child, env, within)
+
+    for stmt in tree.body:
+        if not isinstance(stmt, ast.ClassDef):
+            visit(stmt, top, None)
+            continue
+        for node in ast.iter_child_nodes(stmt):
+            if isinstance(node, ast.FunctionDef):
+                visit(node, top, (mod, stmt.name, node.name), (mod, stmt.name))
+            else:
+                visit(node, top, None)
+    return out
+
+
+def _unread_members(trees: dict[str, ast.Module], readers=()) -> set[str]:
     """``module.Class.member`` of each public method (property,
     classmethod, staticmethod) or ``__slots__`` entry of a module-level
-    class that no attribute load reads outside the member's definition."""
-    loads = Counter(a for tree in trees.values() for a in _attribute_loads(tree))
-    out = set()
+    class that no attribute load reads outside the member's definition. A
+    load of a name that several classes define counts only for the class
+    its receiver is tied to; each member named in ``readers`` counts as
+    read."""
+    imports = {mod: _sibling_imports(tree, trees) for mod, tree in trees.items()}
+    classes = {
+        (mod, node.name): node
+        for mod, tree in trees.items()
+        for node in tree.body
+        if isinstance(node, ast.ClassDef)
+    }
+    owners = defaultdict(list)
+    for key, node in classes.items():
+        for name in _public_members(node):
+            owners[name].append(key)
+    read = {tuple(member.split(".")) for member in readers}
     for mod, tree in trees.items():
-        for cls in tree.body:
-            if not isinstance(cls, ast.ClassDef):
-                continue
-            for stmt in cls.body:
-                if isinstance(stmt, ast.FunctionDef) and not stmt.name.startswith("_"):
-                    if loads[stmt.name] == len(_attribute_loads(stmt, stmt.name)):
-                        out.add(f"{mod}.{cls.name}.{stmt.name}")
-                elif isinstance(stmt, ast.Assign) and any(
-                    isinstance(t, ast.Name) and t.id == "__slots__" for t in stmt.targets
-                ):
-                    for slot in stmt.value.elts:
-                        if not slot.value.startswith("_") and not loads[slot.value]:
-                            out.add(f"{mod}.{cls.name}.{slot.value}")
-    return out
+        for name, tied, within in _member_loads(mod, tree, imports, classes):
+            holders = owners.get(name, [])
+            key = holders[0] if len(holders) == 1 else tied if tied in holders else None
+            if key is not None and (*key, name) != within:
+                read.add((*key, name))
+    return {
+        f"{mod}.{cls}.{name}"
+        for name, holders in owners.items()
+        for mod, cls in holders
+        if (mod, cls, name) not in read
+    }
+
+
+def _definition(trees: dict[str, ast.Module], qualname: str):
+    """The function ``module.qualname`` of the scanned modules, or None."""
+    mod, *path = qualname.split(".")
+    node = trees.get(mod)
+    for part in path:
+        node = next(
+            (
+                n
+                for n in getattr(node, "body", [])
+                if isinstance(n, (ast.FunctionDef, ast.ClassDef)) and n.name == part
+            ),
+            None,
+        )
+    return node if isinstance(node, ast.FunctionDef) else None
+
+
+def _trees(paths) -> dict[str, ast.Module]:
+    return {p.stem: ast.parse(p.read_text(), filename=str(p)) for p in sorted(paths)}
 
 
 @pytest.mark.parametrize(
@@ -208,8 +337,7 @@ def test_the_scan_sees_an_unused_import():
 
 
 def test_every_public_name_of_the_package_is_read():
-    trees = {p.stem: ast.parse(p.read_text(), filename=str(p)) for p in sorted(PACKAGE.glob("*.py"))}
-    unread = _unread(trees)
+    unread = _unread(_trees(PACKAGE.glob("*.py")))
     assert not unread - set(UNREAD_ALLOWED), (
         "public names that nothing in src/hklattice reads; delete them or give "
         f"them a caller: {sorted(unread - set(UNREAD_ALLOWED))}"
@@ -217,6 +345,27 @@ def test_every_public_name_of_the_package_is_read():
     assert not set(UNREAD_ALLOWED) - unread, (
         f"allowed as unread but now read or gone: {sorted(set(UNREAD_ALLOWED) - unread)}"
     )
+
+
+def test_the_allowlists_hold_their_reasons():
+    metrics = {m["name"] for m in json.loads(BENCHMARK.read_text())["per_layer"]}
+    for name, metric in BENCHMARK_COUNTERS.items():
+        assert metric in metrics, (
+            f"the benchmark no longer lists {metric}: move {name} out of src/ "
+            "(to tests/oracles.py if a test needs it) and drop its allowlist entry"
+        )
+    acceptance = ast.parse((TESTS / "test_acceptance.py").read_text())
+    assert any(
+        isinstance(node, ast.ImportFrom)
+        and node.module == "hklattice.exact_linalg"
+        and any(alias.name == "divisibility" for alias in node.names)
+        for node in acceptance.body
+    ), "tests/test_acceptance.py no longer imports exact_linalg.divisibility"
+
+
+def test_every_oracle_has_a_test_reader():
+    unread = sorted(n for n in _unread(_trees(TESTS.glob("*.py"))) if n.startswith("oracles."))
+    assert not unread, f"oracle helpers that no test reads; delete them or test with them: {unread}"
 
 
 def test_the_scan_sees_an_unread_name():
@@ -242,13 +391,14 @@ def test_the_scan_sees_an_unread_name():
         ),
         "c": ast.parse("from .a import L as K\ndef again(): return K\n"),
         "d": ast.parse("from . import c\ndef twice(): return c.K(), c.again()\n"),
+        # sibling modules imported by name, as the tests import oracles
+        "e": ast.parse("import d\nfrom c import again\ndef thrice(): return d.twice(), again\n"),
     }
-    assert _unread(trees) == {"a.imported", "a.exported", "a.recursive", "a.divisibility", "d.twice"}
+    assert _unread(trees) == {"a.imported", "a.exported", "a.recursive", "a.divisibility", "e.thrice"}
 
 
 def test_every_public_member_of_the_package_is_read():
-    trees = {p.stem: ast.parse(p.read_text(), filename=str(p)) for p in sorted(PACKAGE.glob("*.py"))}
-    unread = _unread_members(trees)
+    unread = _unread_members(_trees(PACKAGE.glob("*.py")), SHARED_MEMBER_READERS)
     assert not unread - set(UNREAD_MEMBERS_ALLOWED), (
         "public class members that nothing in src/hklattice reads; delete them "
         f"or give them a caller: {sorted(unread - set(UNREAD_MEMBERS_ALLOWED))}"
@@ -257,6 +407,20 @@ def test_every_public_member_of_the_package_is_read():
         "allowed as unread but now read or gone: "
         f"{sorted(set(UNREAD_MEMBERS_ALLOWED) - unread)}"
     )
+
+
+def test_each_shared_member_reader_reads_it():
+    trees = _trees(PACKAGE.glob("*.py"))
+    untied = _unread_members(trees)
+    for member, reader in SHARED_MEMBER_READERS.items():
+        assert member in untied, f"{member} is read through a tied receiver, or gone: drop its entry"
+        fn = _definition(trees, reader)
+        assert fn is not None, f"{reader}, the reader of {member}, is gone"
+        name = member.rsplit(".", 1)[1]
+        assert any(
+            isinstance(n, ast.Attribute) and isinstance(n.ctx, ast.Load) and n.attr == name
+            for n in ast.walk(fn)
+        ), f"{reader} no longer loads .{name}"
 
 
 def test_the_scan_sees_an_unread_member():
@@ -279,7 +443,20 @@ def test_the_scan_sees_an_unread_member():
             "    def shared(self): ...\n"
             "class R:\n"
             "    def shared(self): ...\n"
+            "class S:\n"
+            "    def shared(self): ...\n"
+            "    def again(self): return self.shared()\n"
+            "class T:\n"
+            "    def shared(self): ...\n"
         ),
-        "b": ast.parse("def f(p): return p.prop, p.shared(), a.P.build\n"),
+        "b": ast.parse(
+            "from . import a\n"
+            "from .a import Q as K\n"
+            "def f(p, q: 'K'):\n"
+            "    return p.prop, p.shared(), p.again(), q.shared(), a.P.build, a.T.shared\n"
+        ),
     }
-    assert _unread_members(trees) == {"a.P.unused", "a.P.unread", "a.P.recursive"}
+    assert _unread_members(trees) == {"a.P.unused", "a.P.unread", "a.P.recursive", "a.R.shared"}
+    assert _unread_members(trees, {"a.R.shared": "b.f"}) == {"a.P.unused", "a.P.unread", "a.P.recursive"}
+    assert _definition(trees, "b.f") is not None and _definition(trees, "a.S.again") is not None
+    assert _definition(trees, "a.S") is None and _definition(trees, "b.g") is None

@@ -55,9 +55,10 @@ def bareiss_route(inst: FixInstance) -> FixSolution:
     pairs = _sym_pairs(n)
     nvars = len(pairs) + 1
     var_index = {p: k for k, p in enumerate(pairs)}
+    A = inst.A_inv.inverse()
     rows = []
     for mu in polarization_kernel(inst):
-        amu = [sum(inst.A[(k, l)] * mu[l] for l in range(n)) for k in range(n)]
+        amu = [sum(A[(k, l)] * mu[l] for l in range(n)) for k in range(n)]
         for r in range(n):
             coeffs = [Fraction(0)] * nvars
             coeffs[-1] = Fraction(mu[r])
