@@ -66,11 +66,13 @@ pivot product, which makes them integral (``Lattice._q_coords``). A
 ``Mat`` builds its sparse rows once on demand (``Mat.sparse_rows``).
 Integer rows are combined by the one loop ``_combine_rows`` over sparse
 rows, which also lifts coefficient rows through the sparse basis of a
-lattice (``saturate_in``, the ``coset_feasible`` witness) and through the
-glue rows of the torsion quotient (``h4_model.TorsionQuotient``).
+lattice (``saturate_in``, the ``coset_feasible`` witness) and adds the
+lift rows of a residue tuple (``h4_model.TorsionQuotient.lift``).
 
-Two certified modular routines share one sparse elimination modulo a
-product of proven primes (``_echelon_mod``):
+There is one sparse elimination modulo m, ``_echelon_mod``: every rank,
+basis and relation mod a prime comes from it or from its back-substituted
+reduced basis ``_reduced_basis_mod`` (``h4_model.TorsionQuotient``). Two
+certified routines run it modulo proven primes or their product:
 
 * ``certified_kernel`` certifies a claimed rational kernel: the candidate
   vectors are checked exactly over Z and reduced to the canonical basis,
@@ -104,6 +106,7 @@ All operations are pure; nothing here mutates its inputs.
 from __future__ import annotations
 
 import re
+from collections.abc import Iterable, Mapping
 from fractions import Fraction
 from heapq import heapify, heappop, heappush
 from functools import cache
@@ -148,7 +151,10 @@ def parse_rational(x) -> Fraction:
 
 
 def int_vector(v) -> tuple[int, ...]:
-    """An iterable of exact integers as a tuple; raises like ``parse_int``."""
+    """An array of exact integers as a tuple; raises like ``parse_int``, and
+    refuses a string, a mapping or a non-iterable whole."""
+    if isinstance(v, (str, Mapping)) or not isinstance(v, Iterable):
+        raise TypeError(f"expected an array of integers, got {v!r}")
     out = tuple(v)
     for x in out:
         if type(x) is not int:
@@ -1059,6 +1065,25 @@ def _echelon_mod(rows, m: int):
                 heappush(heap, (len(d), j))
         pivots.append((i, c, v, items))
     return pivots
+
+
+def _reduced_basis_mod(rows, p: int) -> dict[int, tuple[tuple[int, int], ...]]:
+    """The reduced echelon basis mod a prime p of the span of sparse
+    integer rows, ``{pivot column: sparse row}`` in ascending pivot order,
+    entries in [0, p): the pivots of ``_echelon_mod`` back-substituted from
+    the last. Each pivot is the smallest column of a vector of the span,
+    so the pivots are its leading columns and the basis is canonical,
+    whatever the order of the rows."""
+    basis: dict[int, tuple[tuple[int, int], ...]] = {}
+    for _, c, _, items in reversed(_echelon_mod(rows, p)):
+        row = dict(items)
+        # a reduced row is 0 on the other pivots, so it adds no pivot key
+        for k in [k for k in row if k in basis]:
+            x = row.pop(k)
+            for j, y in basis[k][1:]:
+                row[j] = (row.get(j, 0) - x * y) % p
+        basis[c] = ((c, 1), *sorted((j, y) for j, y in row.items() if y))
+    return dict(sorted(basis.items()))
 
 
 def _right_echelon(vectors, ncols: int) -> list[list[int]]:

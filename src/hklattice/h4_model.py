@@ -25,9 +25,10 @@ denominator, and their products are read off the nonzeros of the two
 degree-2 factors (``_product_num``). The torsion quotient is read off the
 glue code of the lattice (its basis rows that are not in Z^276, reduced
 mod each prime of the denominator), with no Smith form; it keeps the
-pivot columns that ``class_of`` reads and the glue combinations that
-``lift`` adds, and no Fraction lifts; its mod-2 structure maps come from
-the same reduced echelon mod p, ``_reduce_mod``.
+pivot columns that ``class_of`` reads and the CRT-weighted reduced basis
+rows that ``lift`` adds, and no Fraction lifts. Every basis, rank and
+relation mod p here comes from the library's one elimination mod p,
+``exact_linalg._echelon_mod``, or its reduced basis ``_reduced_basis_mod``.
 
 The process-wide caches are the four ``functools.cache`` functions
 ``fujiki_mat`` (one shared integer ``Mat``, whose symmetry check and JSON
@@ -62,8 +63,10 @@ from .exact_linalg import (
     Mat,
     NotASublatticeError,
     _combine_rows,
+    _echelon_mod,
     _frac_str,
     _pair,
+    _reduced_basis_mod,
     _scaled_ints,
     _sparse_rows,
     det_int,
@@ -496,51 +499,6 @@ def _squarefree_primes(n: int) -> list[int]:
     return primes
 
 
-def _reduce_mod(rows, p: int):
-    """``(basis, relations)`` of the sparse integer rows ``rows`` mod p.
-
-    ``basis`` is the reduced echelon basis of their F_p-span as ``(pivot
-    column, combination)`` in ascending pivot column: the basis vector is
-    sum_j combination[j] * rows[j] mod p, 1 at its pivot column and 0 at
-    every other. ``relations`` are the combinations recorded for the rows
-    that reduce to zero (1 at that row, else only earlier rows): a basis of
-    the left kernel mod p."""
-    basis: list[tuple[int, dict[int, int], dict[int, int]]] = []
-    relations: list[dict[int, int]] = []
-    for j, row in enumerate(rows):
-        vec = {c: x % p for c, x in row if x % p}
-        comb = {j: 1}
-        for c, bvec, bcomb in basis:
-            f = vec.get(c)
-            if f:
-                _axpy_mod(vec, bvec, -f, p)
-                _axpy_mod(comb, bcomb, -f, p)
-        if not vec:
-            relations.append(comb)
-            continue
-        c = min(vec)
-        inv = pow(vec[c], -1, p)
-        vec = {k: x * inv % p for k, x in vec.items()}
-        comb = {k: x * inv % p for k, x in comb.items()}
-        for _, bvec, bcomb in basis:
-            f = bvec.get(c)
-            if f:
-                _axpy_mod(bvec, vec, -f, p)
-                _axpy_mod(bcomb, comb, -f, p)
-        basis.append((c, vec, comb))
-    return sorted((c, comb) for c, _, comb in basis), relations
-
-
-def _axpy_mod(y: dict[int, int], x: dict[int, int], a: int, p: int) -> None:
-    """y += a * x mod p for sparse vectors as dicts, dropping zeros."""
-    for k, v in x.items():
-        w = (y.get(k, 0) + a * v) % p
-        if w:
-            y[k] = w
-        else:
-            y.pop(k, None)
-
-
 class TorsionQuotient:
     """The finite quotient of the degree-4 lattice by the monomial lattice.
 
@@ -560,15 +518,19 @@ class TorsionQuotient:
     its kernel is L meet Z^276 = Z^276. So L / Z^276 is the product of
     F_p^(r_p), r_p = dim W_p, which is the sum of Z/d_t over the invariant
     factors d_t = prod of the p with r_p >= m - t, for t = 0 .. m - 1 and
-    m the largest r_p. ``__init__`` keeps a reduced echelon basis of each
-    W_p (r_2 = 23 and r_5 = 1 give (Z/2)^22 x Z/10), by the reduction mod p
-    that also gives the mod-2 maps; prime p fills the last r_p positions. ``class_of`` checks membership with the lattice, reads
-    the pivot entries of den * v mod p (the coordinates in a reduced basis
-    of a vector of W_p) and combines them by CRT; ``lift`` combines glue
-    rows. The constructor certifies the result: den is squarefree,
-    prod p^(r_p) equals ``sublattice_index(sym2_lattice(), lattice)``, which
-    also proves that Z^276 lies in L, and class_of(lift(e_i)) = e_i for
-    every generator. It raises ``ArithmeticError`` otherwise.
+    m the largest r_p. ``__init__`` keeps the reduced echelon basis b^(p)
+    of each W_p (``_reduced_basis_mod``; r_2 = 23 and r_5 = 1 give
+    (Z/2)^22 x Z/10); prime p fills the last r_p positions. ``class_of``
+    checks membership, reads the pivot entries of den * v mod p and
+    combines them by CRT; the lift of e_t is (sum_p e_p * b_t^(p)) / den.
+    It lies in L: with Z^276 in L, L is the full preimage of the sum of
+    the W_p among the vectors of (1/den) Z^276 (an l in L with the same
+    image leaves a difference that is 0 mod the squarefree den, so in
+    Z^276), and the lift reduces to b_t^(p) in W_p. The constructor
+    certifies the result: den is squarefree, prod p^(r_p) equals
+    ``sublattice_index(sym2_lattice(), lattice)``, which also proves that
+    Z^276 lies in L, and class_of(lift(e_i)) = e_i for every generator.
+    It raises ``ArithmeticError`` otherwise.
 
     The same glue map certifies a generating set: ``generated_by(classes)``
     decides whether Z^276 and some classes generate L from one membership
@@ -586,24 +548,24 @@ class TorsionQuotient:
         den = lat.den
         primes = _squarefree_primes(den)
         glue = [row for row in lat._sparse if any(x % den for _, x in row)]
-        echelons = [_reduce_mod(glue, p)[0] for p in primes]
-        m = max(map(len, echelons), default=0)
+        bases = [_reduced_basis_mod(glue, p) for p in primes]
+        m = max(map(len, bases), default=0)
         moduli = [1] * m
         # per position: (pivot column, CRT weight e_p) of each prime there,
-        # and the coefficients over the glue rows of the lift of e_t
+        # and the numerator sum_p e_p * b_t^(p) of the lift of e_t
         self._coord_cols = [[] for _ in range(m)]
-        coeffs = [[0] * len(glue) for _ in range(m)]
-        for p, ech in zip(primes, echelons):
+        lifts = [[0] * AMBIENT for _ in range(m)]
+        for p, basis in zip(primes, bases):
             q = den // p
             e = q * pow(q, -1, p)
-            for t, (c, comb) in enumerate(ech, m - len(ech)):
+            for t, (c, row) in enumerate(basis.items(), m - len(basis)):
                 moduli[t] *= p
                 self._coord_cols[t].append((c, e))
-                for j, a in comb.items():
-                    coeffs[t][j] += e * a
+                for k, x in row:
+                    lifts[t][k] += e * x
         self._den = den
         self.moduli = tuple(moduli)
-        self._lift_rows = _sparse_rows(_combine_rows(coeffs, glue, AMBIENT))
+        self._lift_rows = _sparse_rows(lifts)
         self.group = FiniteAbelianGroup(self.moduli)
         try:
             index = sublattice_index(sym2_lattice(), lat)
@@ -627,7 +589,7 @@ class TorsionQuotient:
         * every class lies in L (one sparse membership solve each), so the
           lattice M they generate with Z^276 lies in L; and
         * prod p^(rank_p) equals ``order()``, where rank_p is the rank mod
-          p of the integer rows den * c (``_reduce_mod``) for each prime p
+          p of the integer rows den * c (``_echelon_mod``) for each prime p
           of the squarefree denominator den of L.
 
         Why this decides M = L: L lies in (1/den) Z^276, so containment
@@ -648,7 +610,7 @@ class TorsionQuotient:
         rows = _sparse_rows([[den // c.den * x for x in c.num] for c in classes])
         index = 1
         for p in _squarefree_primes(den):
-            index *= p ** len(_reduce_mod(rows, p)[0])
+            index *= p ** len(_echelon_mod(rows, p))
         return index == self.order()
 
     def class_of(self, v: H4Class) -> tuple[int, ...]:
@@ -728,7 +690,7 @@ class TorsionQuotient:
         kernel size is (product of d_i/2) * 2^(moduli count - F2 rank).
         """
         m = self.delta_pairing_matrix()
-        r = len(_reduce_mod(_sparse_rows(m), 2)[0])
+        r = len(_echelon_mod(_sparse_rows(m), 2))
         half_product = 1
         for d in self.moduli:
             if d % 2:
@@ -741,8 +703,12 @@ class TorsionQuotient:
 
         The images are 2-torsion, so after identifying the 2-torsion
         subgroup with an F2 space these are the relations mod 2 among the
-        images of the 23 basis classes, as dense 0/1 tuples.
+        images of the 23 basis classes, as dense 0/1 tuples. With M the
+        matrix of the images, they are the I block of the rows of the
+        reduced basis of [M | I] mod 2 whose pivot is in that block: the
+        reduced basis of the left kernel of M.
         """
+        n = len(self.moduli)
         rows = []
         for k in range(RANK):
             t = self.half_product_image(H2Class.basis_vector(k))
@@ -752,9 +718,11 @@ class TorsionQuotient:
                 if a % half:
                     raise ArithmeticError("half-product image is not 2-torsion")
                 row.append((a // half) % 2)
-            rows.append(row)
-        _, relations = _reduce_mod(_sparse_rows(rows), 2)
-        return [tuple(rel.get(k, 0) for k in range(RANK)) for rel in relations]
+            rows.append(row + [int(j == k) for j in range(RANK)])
+        basis = _reduced_basis_mod(_sparse_rows(rows), 2)
+        return [
+            tuple(dict(r).get(n + k, 0) for k in range(RANK)) for c, r in basis.items() if c >= n
+        ]
 
     def subgroup(self, elements) -> FiniteAbelianGroup:
         """Abstract structure of the subgroup generated by residue tuples."""

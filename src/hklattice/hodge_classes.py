@@ -26,6 +26,7 @@ build the lattices.
 from __future__ import annotations
 
 import hashlib
+from collections.abc import Mapping
 from fractions import Fraction
 
 from .bb_lattice import (
@@ -97,6 +98,8 @@ class PicardData:
     @classmethod
     def from_vectors(cls, vectors, lambda0: H2Class) -> "PicardData":
         """Saturated span of the given integer vectors; must contain lambda0."""
+        if isinstance(vectors, (str, Mapping)):
+            raise TypeError(f"expected an array of integer arrays, got {vectors!r}")
         rows = [int_vector(v) for v in vectors]
         lat = Lattice._from_int_rows(rows, 1, RANK, gram_mat())
         return cls(_saturated(lat), lambda0)

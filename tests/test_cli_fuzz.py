@@ -20,6 +20,7 @@ from fractions import Fraction
 from functools import cache
 from math import gcd
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -98,12 +99,21 @@ def _integer_paths(value, path=()):
     return []
 
 
+def _array_paths(value, path=()):
+    """Paths to the JSON arrays inside a payload value, itself included."""
+    if not isinstance(value, list):
+        return []
+    return [path, *(p for i, v in enumerate(value) for p in _array_paths(v, (*path, i)))]
+
+
 @st.composite
 def _payload_edit(draw, pairs, kind):
     """(kind, pairs) after at most one edit: a dropped, repeated or stray
-    key, a float or a bool where an integer belongs, or another kind."""
-    pairs = copy.deepcopy(pairs)
-    edits = ["drop", "repeat", "stray", "inexact", "kind"]
+    key, a float or a bool where an integer belongs, a string, an object
+    or a number where an array belongs, or another kind."""
+    # [key, value] lists, so that a path from the pairs reaches any value
+    pairs = [list(pair) for pair in copy.deepcopy(pairs)]
+    edits = ["drop", "repeat", "stray", "inexact", "shape", "kind"]
     edit = draw(st.one_of(st.just("none"), st.sampled_from(edits)))
     if edit == "drop":
         del pairs[draw(st.integers(0, len(pairs) - 1))]
@@ -112,16 +122,17 @@ def _payload_edit(draw, pairs, kind):
         pairs.insert(draw(st.integers(0, len(pairs))), (key, draw(st.sampled_from([value, 0]))))
     elif edit == "stray":
         pairs.append((draw(_stray_key), draw(st.one_of(_small, _vector, st.booleans()))))
-    elif edit == "inexact":
-        # every integer of a valid payload sits inside a list or an object
-        paths = [(i, p) for i, (_, v) in enumerate(pairs) for p in _integer_paths(v)]
+    elif edit in ("inexact", "shape"):
+        find = _integer_paths if edit == "inexact" else _array_paths
+        paths = [(i, 1, *p) for i, (_, v) in enumerate(pairs) for p in find(v)]
         if paths:
-            i, path = draw(st.sampled_from(paths))
-            holder = pairs[i][1]
+            path = draw(st.sampled_from(paths))
+            holder = pairs
             for step in path[:-1]:
                 holder = holder[step]
             n = holder[path[-1]]
-            holder[path[-1]] = draw(st.sampled_from([float(n), n + 0.5, True, False]))
+            bad = [float(n), n + 0.5, True, False] if edit == "inexact" else ["abc", {"a": 1}, 5, None]
+            holder[path[-1]] = draw(st.sampled_from(bad))
     elif edit == "kind":
         kind = draw(st.sampled_from([k for k in QUERY_KINDS if k != kind]))
     return kind, pairs
@@ -270,10 +281,37 @@ def test_cli_fuzz(case):
         lines = err.splitlines()
         assert len(lines) == 1 and lines[0].startswith("error:")
         assert not re.fullmatch(r"error: '[^']*'", lines[0]), lines[0]
+        # "abc" or {"a": 1} where an array belongs is refused whole, not
+        # through its first character or key
+        assert "got 'a'" not in lines[0], lines[0]
     if code == 0:
         answer = json.loads(out)
         if query and query[0] in ("membership", "divisibility"):
             _reverify(query[0], dict(query[1]), answer)
+
+
+_L0 = [1] + [0] * (RANK - 1)
+
+
+@pytest.mark.parametrize(
+    "kind, payload, message",
+    [
+        ("vlambda", {"lambda0": "abc"}, "expected an array of integers, got 'abc'"),
+        ("membership", {"lambda0": {"a": 1}}, "expected an array of integers, got {'a': 1}"),
+        ("vlambda", {"lambda0": 5}, "expected an array of integers, got 5"),
+        ("minimal-search", {"lambda0": _L0, "picard": "x"},
+         "expected an array of integer arrays, got 'x'"),
+        ("minimal-search", {"lambda0": _L0, "picard": ["xy"]},
+         "expected an array of integers, got 'xy'"),
+    ],
+    ids=["text", "object", "number", "picard-text", "picard-row-text"],
+)
+def test_an_array_given_as_a_string_object_or_number_is_refused_whole(kind, payload, message):
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err):
+        code = cli.main(["query", kind, "--payload", json.dumps(payload)])
+    assert code == 2
+    assert err.getvalue() == f"error: {message}\n"
 
 
 @settings(max_examples=300, deadline=None)

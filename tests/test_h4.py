@@ -23,6 +23,8 @@ from hklattice.bb_lattice import (
 from hklattice import kernels
 from hklattice.exact_linalg import (
     Lattice,
+    _echelon_mod,
+    _reduced_basis_mod,
     _sparse_rows,
     divisibility,
     lattice_join,
@@ -32,7 +34,6 @@ from hklattice.h4_model import (
     AMBIENT,
     H4Class,
     H4Lattice,
-    _reduce_mod,
     bb_inverse_class,
     build_h4_lattice,
     default_h4_lattice,
@@ -284,9 +285,7 @@ class TestTorsionQuotient:
             assert tq.scale(2, t) == tq.zero()
 
     def test_pairing_matrix_full_rank(self, tq):
-        basis, relations = _reduce_mod(_sparse_rows(tq.delta_pairing_matrix()), 2)
-        assert len(basis) == RANK
-        assert relations == []
+        assert len(_echelon_mod(_sparse_rows(tq.delta_pairing_matrix()), 2)) == RANK
 
 
 def _mod_matrix(p):
@@ -304,27 +303,40 @@ def _mod_matrix(p):
 @pytest.mark.parametrize("p", [2, 5])
 @settings(max_examples=40, deadline=None)
 @given(data=st.data())
-def test_reduce_mod_relations_span_the_left_kernel(p, data):
+def test_reduced_basis_mod_of_m_beside_i_reads_the_left_kernel(p, data):
     rows = data.draw(_mod_matrix(p))
     m, n = len(rows), len(rows[0])
-    basis, relations = _reduce_mod(_sparse_rows(rows), p)
+    # [M | I]: the I block of a row of the span is its combination of rows
+    stacked = [row + [int(j == i) for j in range(m)] for i, row in enumerate(rows)]
+    basis = _reduced_basis_mod(_sparse_rows(stacked), p)
+    shuffled = data.draw(st.permutations(stacked))
+    assert _reduced_basis_mod(_sparse_rows(shuffled), p) == basis
 
-    def combine(comb):
-        return [sum(a * rows[j][c] for j, a in comb.items()) % p for c in range(n)]
-
-    assert len(basis) + len(relations) == m
-    pivots = [c for c, _ in basis]
+    pivots = list(basis)
     assert pivots == sorted(set(pivots))
-    for c, comb in basis:
-        vec = combine(comb)
+    relations = []
+    for c, sparse in basis.items():
+        vec = [0] * (n + m)
+        for k, x in sparse:
+            assert 0 < x < p
+            vec[k] = x
         assert [vec[k] for k in pivots] == [int(k == c) for k in pivots]
-    for rel in relations:
-        assert any(rel.values())
-        assert not any(combine(rel))
-    # brute force: the relations are independent and span the left kernel,
-    # so the vanishing combinations number p^(number of relations)
+        comb = vec[n:]
+        # in the F_p span: the combination comb of the rows gives the row
+        combined = [sum(a * r[k] for a, r in zip(comb, stacked)) % p for k in range(n + m)]
+        assert combined == vec
+        if c >= n:
+            assert not any(vec[:n])
+            relations.append(comb)
+    # the rows with a pivot in the M block, cut to it, are the reduced basis of M
+    assert {
+        c: tuple((k, a) for k, a in r if k < n) for c, r in basis.items() if c < n
+    } == _reduced_basis_mod(_sparse_rows(rows), p)
+    assert len(_echelon_mod(_sparse_rows(rows), p)) + len(relations) == m
+    # brute force: the relations are independent (distinct pivots) and span
+    # the left kernel, so the vanishing combinations number p^(len(relations))
     vanishing = sum(
-        not any(combine(dict(enumerate(x))))
+        not any(sum(a * r[k] for a, r in zip(x, rows)) % p for k in range(n))
         for x in itertools.product(range(p), repeat=m)
     )
     assert vanishing == p ** len(relations)

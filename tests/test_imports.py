@@ -22,9 +22,11 @@ and a public ``__slots__`` entry, counts as read when some attribute
 ``x.name`` is loaded in the package outside the member's own definition.
 Dunders are not scanned. When several package classes define ``name``, a
 load counts for class C only when ``x`` is tied to C: ``self`` or ``cls``
-in a method of C, the name of C or an import alias of it, ``mod.C``, or a
-parameter annotated with C. Any other load of a shared name credits no
-class, and a member read only through such loads is named in
+in a method of C, the name of C or an import alias of it, ``mod.C``, a
+parameter annotated with C, a call of a package function or of a method
+of a tied receiver annotated ``-> C`` (``f(...).name``), or a local last
+assigned such a value. Any other load of a shared name credits no class,
+and a member read only through such loads is named in
 ``SHARED_MEMBER_READERS`` with the package function that reads it; the
 test checks that the function exists and loads the name.
 """
@@ -71,15 +73,10 @@ UNREAD_MEMBERS_ALLOWED = {
 # receiver is not tied to a class: the member -> the package function
 # (``module.qualname``) that reads it.
 SHARED_MEMBER_READERS = {
-    "blowup_corr.CombinationSearchResult.to_json": "cli._run",
     "exact_linalg.FiniteAbelianGroup.order": "h4_model.TorsionQuotient.order",
     "exact_linalg.Lattice.json_text": "hodge_classes.MinimalityReport.basis_hash",
     "exact_linalg.Mat.json_text": "exact_linalg.Lattice.json_text",
     "h4_model.H4Class.to_json": "cli.run_query",
-    "h4_model.H4Lattice.contains": "cubic_fano.build_cubic_model",
-    "h4_model.H4Lattice.coords": "cli.run_query",
-    "h4_model.H4Lattice.divisibility": "cubic_fano.build_cubic_model",
-    "hodge_classes.MinimalityReport.to_json": "cli.run_query",
 }
 
 
@@ -201,24 +198,45 @@ def _public_members(cls: ast.ClassDef):
             yield from (e.value for e in stmt.value.elts if not e.value.startswith("_"))
 
 
-def _member_loads(mod: str, tree: ast.Module, imports, classes):
+def _class_names(mod: str, imports, classes) -> dict[str, tuple[str, str]]:
+    """The module-level names of package classes in ``mod``, their own
+    names and import aliases, each with its class ``(module, class)``."""
+    names = {*imports[mod], *(c for m, c in classes if m == mod)}
+    keys = {n: _origin(imports, mod, n) for n in names}
+    return {n: key for n, key in keys.items() if key in classes}
+
+
+def _annotated(ann, names):
+    """The class a bare or string annotation names, or None."""
+    if isinstance(ann, ast.Constant) and isinstance(ann.value, str):
+        ann = ast.parse(ann.value, mode="eval").body
+    return names.get(ann.id) if isinstance(ann, ast.Name) else None
+
+
+def _returns(trees: dict[str, ast.Module], imports, classes):
+    """The package class that each function or method annotated ``-> C``
+    returns: ``(module, function)`` or ``(module, class, method)`` -> C."""
+    out = {}
+    for mod, tree in trees.items():
+        names = _class_names(mod, imports, classes)
+        for stmt in tree.body:
+            path, body = (mod,), [stmt]
+            if isinstance(stmt, ast.ClassDef):
+                path, body = (mod, stmt.name), stmt.body
+            for fn in body:
+                if isinstance(fn, ast.FunctionDef) and fn.returns is not None:
+                    key = _annotated(fn.returns, names)
+                    if key is not None:
+                        out[(*path, fn.name)] = key
+    return out
+
+
+def _member_loads(mod: str, tree: ast.Module, imports, classes, returns):
     """``(name, tied, within)`` for each attribute load ``x.name`` of the
     module: ``tied`` is the package class ``(module, class)`` that ``x`` is
     tied to, or None, and ``within`` is the ``(module, class, member)``
     whose definition holds the load, or None."""
-
-    def as_class(m, name):
-        key = _origin(imports, m, name)
-        return key if key in classes else None
-
-    # module-level names of package classes: their own names and import aliases
-    names = {*imports[mod], *(c for m, c in classes if m == mod)}
-    top = {n: key for n in names if (key := as_class(mod, n)) is not None}
-
-    def annotated(ann):
-        if isinstance(ann, ast.Constant) and isinstance(ann.value, str):
-            ann = ast.parse(ann.value, mode="eval").body
-        return top.get(ann.id) if isinstance(ann, ast.Name) else None
+    top = _class_names(mod, imports, classes)
 
     def receiver(node, env):
         if isinstance(node, ast.Name):
@@ -226,7 +244,19 @@ def _member_loads(mod: str, tree: ast.Module, imports, classes):
         if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name):
             bound = imports[mod].get(node.value.id)
             if bound is not None and bound[1] is None:
-                return as_class(bound[0], node.attr)
+                key = _origin(imports, bound[0], node.attr)
+                return key if key in classes else None
+        if isinstance(node, ast.Call):
+            # f(...), mod.f(...) or x.method(...) with x tied to a class
+            f = node.func
+            if isinstance(f, ast.Name):
+                return returns.get(_origin(imports, mod, f.id))
+            if isinstance(f, ast.Attribute):
+                bound = imports[mod].get(getattr(f.value, "id", None))
+                if bound is not None and bound[1] is None:
+                    return returns.get(_origin(imports, bound[0], f.attr))
+                owner = receiver(f.value, env)
+                return None if owner is None else returns.get((*owner, f.attr))
         return None
 
     out = []
@@ -234,11 +264,18 @@ def _member_loads(mod: str, tree: ast.Module, imports, classes):
     def visit(node, env, within, owner=None):
         if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
             out.append((node.attr, receiver(node.value, env), within))
+        elif isinstance(node, ast.Assign):
+            # a local takes the class of its value, or loses its tie
+            for child in (node.value, *node.targets):
+                visit(child, env, within)
+            tied = receiver(node.value, env)
+            env.update({t.id: tied for t in node.targets if isinstance(t, ast.Name)})
+            return
         elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
             args = node.args
             positional = args.posonlyargs + args.args
             env = {**env, **{a.arg: None for a in (args.vararg, args.kwarg) if a is not None}}
-            env.update({a.arg: annotated(a.annotation) for a in positional + args.kwonlyargs})
+            env.update({a.arg: _annotated(a.annotation, top) for a in positional + args.kwonlyargs})
             if owner is not None and positional and not any(
                 getattr(d, "id", None) == "staticmethod" for d in node.decorator_list
             ):
@@ -249,13 +286,13 @@ def _member_loads(mod: str, tree: ast.Module, imports, classes):
 
     for stmt in tree.body:
         if not isinstance(stmt, ast.ClassDef):
-            visit(stmt, top, None)
+            visit(stmt, dict(top), None)
             continue
         for node in ast.iter_child_nodes(stmt):
             if isinstance(node, ast.FunctionDef):
                 visit(node, top, (mod, stmt.name, node.name), (mod, stmt.name))
             else:
-                visit(node, top, None)
+                visit(node, dict(top), None)
     return out
 
 
@@ -278,8 +315,9 @@ def _unread_members(trees: dict[str, ast.Module], readers=()) -> set[str]:
         for name in _public_members(node):
             owners[name].append(key)
     read = {tuple(member.split(".")) for member in readers}
+    returns = _returns(trees, imports, classes)
     for mod, tree in trees.items():
-        for name, tied, within in _member_loads(mod, tree, imports, classes):
+        for name, tied, within in _member_loads(mod, tree, imports, classes, returns):
             holders = owners.get(name, [])
             key = holders[0] if len(holders) == 1 else tied if tied in holders else None
             if key is not None and (*key, name) != within:
@@ -448,15 +486,33 @@ def test_the_scan_sees_an_unread_member():
             "    def again(self): return self.shared()\n"
             "class T:\n"
             "    def shared(self): ...\n"
+            "class U:\n"
+            "    def shared(self): ...\n"
+            "    def twin(self) -> 'V': ...\n"
+            "class V:\n"
+            "    def shared(self): ...\n"
+            "class W:\n"
+            "    def shared(self): ...\n"
+            "class X:\n"
+            "    def shared(self): ...\n"
+            "def make() -> 'U': ...\n"
+            "def make_w() -> W: ...\n"
+            "def make_x() -> X: ...\n"
         ),
         "b": ast.parse(
             "from . import a\n"
-            "from .a import Q as K\n"
+            "from .a import Q as K, make\n"
             "def f(p, q: 'K'):\n"
             "    return p.prop, p.shared(), p.again(), q.shared(), a.P.build, a.T.shared\n"
+            "def h(p):\n"
+            "    u = make()\n"
+            "    x = a.make_x()\n"
+            "    x = p\n"
+            "    return u.shared(), u.twin().shared(), a.make_w().shared, x.shared()\n"
         ),
     }
-    assert _unread_members(trees) == {"a.P.unused", "a.P.unread", "a.P.recursive", "a.R.shared"}
-    assert _unread_members(trees, {"a.R.shared": "b.f"}) == {"a.P.unused", "a.P.unread", "a.P.recursive"}
+    unread = {"a.P.unused", "a.P.unread", "a.P.recursive", "a.X.shared"}
+    assert _unread_members(trees) == {*unread, "a.R.shared"}
+    assert _unread_members(trees, {"a.R.shared": "b.f"}) == unread
     assert _definition(trees, "b.f") is not None and _definition(trees, "a.S.again") is not None
     assert _definition(trees, "a.S") is None and _definition(trees, "b.g") is None

@@ -2,6 +2,8 @@
 and the contract that ``kernels`` re-exports the pure-Python kernels."""
 
 from fractions import Fraction
+from itertools import combinations
+from math import gcd
 
 import pytest
 from hypothesis import example, given, settings
@@ -303,6 +305,31 @@ def test_echelon_rank_matches_hnf(mat):
 def test_snf_diag_consistent_with_transform(mat):
     diag = oracles.smith_normal_form(mat)[0]
     assert kernels.snf_diagonal(mat) == kernels.smith_normal_form(mat) == diag
+
+
+def _determinantal_diagonal(mat):
+    """The Smith diagonal from the determinantal divisors, independent of
+    any pivoting: D_k is the gcd of the k x k minors (``_det_fraction``),
+    D_0 = 1, and the k-th entry is D_k / D_(k-1), or 0 once D_k is 0."""
+    m, n = len(mat), len(mat[0])
+    diag, prev = [], 1
+    for k in range(1, min(m, n) + 1):
+        dk = gcd(*(
+            int(_det_fraction([[mat[i][j] for j in cols] for i in rows]))
+            for rows in combinations(range(m), k)
+            for cols in combinations(range(n), k)
+        ))
+        diag.append(dk // prev if dk else 0)
+        prev = dk
+    return diag
+
+
+@settings(max_examples=40, deadline=None)
+@given(small_matrix())
+@example([[2, 4], [6, 8]])
+@example([[0, 0, 0], [0, 6, 0], [0, 0, 4]])
+def test_snf_diagonal_matches_the_determinantal_divisors(mat):
+    assert kernels.snf_diagonal(mat) == _determinantal_diagonal(mat)
 
 
 def test_oracle_pivot_columns():
