@@ -40,6 +40,7 @@ from .bb_lattice import (
     H2Class,
     bb_form,
     delta0,
+    gram_apply,
     hyperbolic_pair,
     is_even,
     is_exceptional,
@@ -171,7 +172,8 @@ def _suite_t4_structure(rng: random.Random, trials: int | None, convention: str)
     def pairing_after_half_product(k):
         e = H2Class.basis_vector
         row = tq().delta_pairing_mod2(tq().half_product_image(e(k)))
-        return row == tuple(bb_form(e(k), e(j)) % 2 for j in range(RANK))
+        # b(e_k, e_j) = (G e_k)_j, as the Gram matrix G is symmetric
+        return row == tuple(x % 2 for x in gram_apply(e(k)))
 
     def additive_2torsion(_):
         a = sample_primitive(rng)

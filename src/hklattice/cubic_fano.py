@@ -22,7 +22,6 @@ from fractions import Fraction
 import random
 
 from .bb_lattice import (
-    ExceptionalClass,
     H2Class,
     bb_form,
     delta0,
@@ -168,15 +167,14 @@ def pfaffian_check() -> dict:
 def c2_consistency(rng: random.Random, trials: int = 3) -> bool:
     """(1/3)(24 v0 - 3 d^2) = (2/5) q for the frozen and sampled exceptionals.
 
-    Also checks the equivalent form 8 v0 = (2/5) q + d^2 each time.
+    Also checks the equivalent form 8 v0 = (2/5) q + d^2 each time. The
+    reference q is the default lattice's, built from the frozen delta.
     """
-    deltas = [ExceptionalClass(delta0())]
-    for _ in range(trials):
-        deltas.append(sample_exceptional(rng))
-    # q is built once from each delta; the frozen delta's is the reference
-    qs = [bb_inverse_class(d) for d in deltas]
+    h4 = default_h4_lattice()
+    sampled = [sample_exceptional(rng) for _ in range(trials)]
+    qs = [h4.q] + [bb_inverse_class(d) for d in sampled]
     tfq = Fraction(2, 5) * qs[0]
-    for d, q in zip(deltas, qs):
+    for d, q in zip([h4.delta_used, *sampled], qs):
         dsq = sym2_embed(d.h2, d.h2)
         v0 = point_surface_class(d, q)
         if Fraction(1, 3) * (24 * v0 - 3 * dsq) != tfq:

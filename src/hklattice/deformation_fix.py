@@ -11,16 +11,14 @@ The solution space is always 2-dimensional, spanned by (A^{-1}, 2) and
 (s s^T, 0); this module builds the system exactly as one integer linear
 system in n(n+1)/2 + 1 unknowns and checks that span equality, rather than
 assuming it. The mu run over A^{-1} times a basis of the hyperplane s^perp,
-whose vectors have two nonzero entries each, so every equation has at most
-three nonzero coefficients (``solve_fixed_space``). The kernel is decided
-by ``exact_linalg.certified_kernel`` with the two structural generators as
-candidates: each equation is checked exactly at both over Z, and the rank
-of the system modulo a prime proves that no other solution exists. That
-prime is the word-size 32749 unless the rank drops modulo it, in which
-case the proof moves on to the Proth primes (``exact_linalg._rank_primes``).
-The inverse of A is computed once per instance, by the fraction-free
-``Mat.inverse``, and serves both the equations and the generator
-(A^{-1}, 2).
+whose vectors have two nonzero entries each, so every equation is built as
+a sparse row of at most three nonzeros (``solve_fixed_space``). The kernel
+is decided by ``exact_linalg.certified_kernel`` with the two structural
+generators as candidates, which proves by the rank of the system modulo a
+prime that no other solution exists. The inverse of A, computed once per
+instance by the fraction-free ``Mat.inverse``, is the one proof that A is
+invertible (no determinant is taken) and serves both the equations and
+the generator (A^{-1}, 2).
 """
 
 from __future__ import annotations
@@ -29,8 +27,8 @@ from fractions import Fraction
 from math import gcd, lcm
 
 from .exact_linalg import (
-    Lattice,
     Mat,
+    _right_echelon,
     _scaled_ints,
     certified_kernel,
     fraction_vector,
@@ -59,6 +57,16 @@ class FixInstance:
             raise ValueError("distinguished vector must be nonzero")
         self.n = A.shape[0]
         self.s = s
+
+    @classmethod
+    def _of(cls, A_inv: Mat, s) -> "FixInstance":
+        """The instance for the inverse of a symmetric A and a nonzero s the
+        library built, without the checks of the constructor."""
+        inst = cls.__new__(cls)
+        inst.n = A_inv.rows
+        inst.A_inv = A_inv
+        inst.s = fraction_vector(s)
+        return inst
 
 
 def _sym_pairs(n: int) -> list[tuple[int, int]]:
@@ -105,29 +113,27 @@ def solve_fixed_space(inst: FixInstance) -> FixSolution:
 
         c0*(B nu_k)_r - 2d*(s_m*C_rk - s_k*C_rm) = 0,
 
-    with at most three nonzero coefficients, made primitive. Scaling an
-    equation does not change its solutions, and the solutions of the
-    system depend only on the span of the mu, so the kernel is the one of
-    the system over any basis of ker(s^T A). The system is large and
-    sparse (420 x 232 at n = 21), so rather than solving it,
-    ``certified_kernel`` checks the two structural generators against every
-    equation and proves by the rank modulo a prime that they span its
-    kernel (else ``ArithmeticError``). The first prime tried is 32749,
-    whose residue products fit in 30 bits, so the proof is usually one
-    elimination in one-digit ints; the basis is canonical, one primitive
-    integer vector per free column, as back-substitution through a
-    fraction-free echelon form gives.
+    with at most three nonzero coefficients, made primitive and built as
+    its sparse row: the nonzero ``(column, value)`` pairs in ascending
+    column order. Scaling an equation does not change its solutions, and
+    the solutions of the system depend only on the span of the mu, so the
+    kernel is the one of the system over any basis of ker(s^T A). The
+    system is large and sparse (420 x 232 at n = 21), so rather than
+    solving it, ``certified_kernel`` proves that the two structural
+    generators span its kernel (else ``ArithmeticError``) and returns its
+    canonical basis, one primitive integer vector per free column.
     """
     n = inst.n
     pairs = _sym_pairs(n)
     nvars = len(pairs) + 1
-    var_index = {p: k for k, p in enumerate(pairs)}
+    # C_ij and C_ji are one unknown
+    var_index = {q: k for k, (i, j) in enumerate(pairs) for q in ((i, j), (j, i))}
     d, B = inst.A_inv.scaled_int_rows()
     _, (s,) = _scaled_ints([inst.s])
     m = next(k for k, x in enumerate(s) if x)
     sm, Bm = s[m], B[m]
 
-    rows: list[list[int]] = []
+    rows: list[tuple[tuple[int, int], ...]] = []
     for k, (sk, Bk) in enumerate(zip(s, B)):
         if k == m:
             continue
@@ -136,14 +142,8 @@ def solve_fixed_space(inst: FixInstance) -> FixSolution:
             # (B nu_k)_r, read off rows k and m of the symmetric B
             bnu = sm * Bk[r] - sk * Bm[r]
             g = gcd(ck, cm, bnu)
-            coeffs = [0] * nvars
-            coeffs[-1] = bnu // g
-            coeffs[var_index[(min(r, k), max(r, k))]] = ck // g
-            coeffs[var_index[(min(r, m), max(r, m))]] = cm // g
-            rows.append(coeffs)
-
-    if not rows:
-        raise ValueError("empty constraint system")
+            eq = {var_index[r, k]: ck, var_index[r, m]: cm, nvars - 1: bnu}
+            rows.append(tuple([(c, x // g) for c, x in sorted(eq.items()) if x]))
     gens = [_pair_to_vector(C, c0, pairs) for C, c0 in expected_generators(inst)]
     sols = certified_kernel(rows, nvars, gens)
     return FixSolution([_vector_to_pair(v, n, pairs) for v in sols])
@@ -157,31 +157,35 @@ def expected_generators(inst: FixInstance) -> list[tuple[Mat, Fraction]]:
 
 
 def verify_generators(sol: FixSolution, inst: FixInstance) -> bool:
-    """Exact Q-span equality of the solved space with the structural one."""
+    """Exact Q-span equality of the solved space with the structural one,
+    by the canonical form that ``certified_kernel`` returns
+    (``exact_linalg._right_echelon``); dependent solution vectors fail."""
     pairs = _sym_pairs(inst.n)
-    got = Lattice._from_int_rows(
-        [_pair_to_vector(C, c0, pairs) for C, c0 in sol.pairs], 1, len(pairs) + 1
-    )
-    want = Lattice._from_int_rows(
-        [_pair_to_vector(C, c0, pairs) for C, c0 in expected_generators(inst)],
-        1,
-        len(pairs) + 1,
-    )
-    return got.spans_same_qspace(want)
+
+    def canonical(gens):
+        vectors = [_pair_to_vector(C, c0, pairs) for C, c0 in gens]
+        return _right_echelon(vectors, len(pairs) + 1)
+
+    try:
+        return canonical(sol.pairs) == canonical(expected_generators(inst))
+    except ArithmeticError:
+        return False
 
 
 def random_instance(rng, n: int) -> FixInstance:
-    """A = M + M^T + 2n*I for random small M; retried on the rare det 0."""
+    """A = M + M^T + 2n*I for random small M; retried on the rare singular A."""
     while True:
         m = [[rng.randint(-3, 3) for _ in range(n)] for _ in range(n)]
         rows = [
             [m[i][j] + m[j][i] + (2 * n if i == j else 0) for j in range(n)]
             for i in range(n)
         ]
-        A = Mat._of(rows, 1)
-        if A.det() != 0:
+        try:
+            A_inv = Mat._of(rows, 1).inverse()
             break
+        except ZeroDivisionError:
+            pass
     while True:
         s = [rng.randint(-3, 3) for _ in range(n)]
         if any(s):
-            return FixInstance(A, s)
+            return FixInstance._of(A_inv, s)

@@ -74,17 +74,14 @@ basis and relation mod a prime comes from it or from its back-substituted
 reduced basis ``_reduced_basis_mod`` (``h4_model.TorsionQuotient``). Two
 certified routines run it modulo proven primes or their product:
 
-* ``certified_kernel`` certifies a claimed rational kernel: the candidate
-  vectors are checked exactly over Z and reduced to the canonical basis,
-  and a nonsingular r x r minor mod p (the rank mod p) proves that they
-  span the whole kernel. It tries the primes of ``_rank_primes``:
-  ``_WORD_PRIME`` = 32749, the largest prime below 2^15, then the Proth
-  primes k * 2^126 + 1. One prime that keeps the rank ends the proof, and
-  mod 32749 every product of two residues is below 2^30, so each
-  elimination step stays in one-digit CPython ints; the 420 x 232
-  deformation system, whose rows have at most three nonzeros of up to
-  about 115 bits, is eliminated in about 0.7 times the time it takes mod
-  the first Proth prime.
+* ``certified_kernel`` certifies a claimed rational kernel of sparse rows:
+  the candidates are checked exactly over Z and reduced to the canonical
+  basis, and the rank modulo one prime of ``_rank_primes`` (32749, then
+  Proth primes) proves that they span the whole kernel; Hadamard's bound
+  is formed only once a prime fails. Mod 32749 the 420 x 232 deformation
+  system, whose rows have at most three nonzeros of up to about 115 bits,
+  is eliminated in one-digit CPython ints, in about 0.7 times the time it
+  takes mod the first Proth prime.
 * ``det_int`` is every determinant of the library: det mod M from the
   pivots and the row-to-pivot-column permutation, where M is the product
   of the Proth primes needed to pass twice Hadamard's bound, so no modulus
@@ -637,14 +634,6 @@ class Lattice:
             y = self._solve([P * x for x in w])
         return y
 
-    def spans_same_qspace(self, other: "Lattice") -> bool:
-        """Whether both lattices span the same Q-space: equal ranks, and
-        every basis row of self in the Q-span of other (``_q_coords``)."""
-        _check_ambient(self, other)
-        return self.rank == other.rank and all(
-            other._q_coords(row) is not None for row in self.int_basis
-        )
-
     def gram(self) -> Mat:
         """Gram matrix basis * form * basis^T of the canonical basis."""
         if self.form is None:
@@ -1118,9 +1107,11 @@ def _right_echelon(vectors, ncols: int) -> list[list[int]]:
     return out
 
 
-def certified_kernel(int_rows, ncols: int, candidates) -> list[list[int]]:
+def certified_kernel(rows, ncols: int, candidates) -> list[list[int]]:
     """Canonical basis of the rational kernel {x : row . x = 0 for every
-    row}, certified from a list of candidate vectors claimed to span it.
+    row} of sparse ``rows`` on the columns [0, ncols), certified from
+    candidate integer vectors of length ncols claimed to span it; a column
+    or a length out of range raises ``ValueError``.
 
     The canonical basis has one vector x_f per free column f, in ascending
     order of f, where the free columns are those that are Q-combinations of
@@ -1140,11 +1131,12 @@ def certified_kernel(int_rows, ncols: int, candidates) -> list[list[int]]:
     whose residue products stay below 2^30 (one-digit ints, so the usual
     single elimination is cheap), and goes on with the proven Proth primes
     of ``_nullspace_primes``, which are all distinct from it. When r = 0
-    no elimination is needed. With H = isqrt(product of the r largest
-    squared row norms) + 1, ``ArithmeticError`` is raised once the product
-    of the primes tried, 32749 included, exceeds H, or at once when fewer
-    than r rows are nonzero; it is also raised for a candidate that fails
-    a row and for dependent candidates.
+    no elimination is needed. Once a prime gives rank_p < r, and only then,
+    H = isqrt(product of the r largest squared row norms) + 1 is formed;
+    ``ArithmeticError`` is raised once the product of the primes tried,
+    32749 included, exceeds H, or at once when fewer than r rows are
+    nonzero; it is also raised for a candidate that fails a row and for
+    dependent candidates.
 
     Why the result is certified:
 
@@ -1160,9 +1152,10 @@ def certified_kernel(int_rows, ncols: int, candidates) -> list[list[int]]:
       proves rank_Q < r: the candidates do not span the kernel. Fewer than
       r nonzero rows prove the same directly.
     """
-    if any(len(r) != ncols for r in (*int_rows, *candidates)):
-        raise ValueError("row or candidate length does not match the column count")
-    rows = _sparse_rows(int_rows)
+    if any(not 0 <= c < ncols for row in rows for c, _ in row) or any(
+        len(v) != ncols for v in candidates
+    ):
+        raise ValueError("column index or candidate length does not match the column count")
     for v in candidates:
         if any(sum([a * v[k] for k, a in row]) for row in rows):
             raise ArithmeticError("a candidate is not in the kernel")
@@ -1170,13 +1163,15 @@ def certified_kernel(int_rows, ncols: int, candidates) -> list[list[int]]:
     r = ncols - len(basis)
     if r == 0:
         return basis
-    norms = sorted(sum(a * a for _, a in row) for row in rows if row)
-    if len(norms) >= r:
-        bound = isqrt(prod(norms[-r:])) + 1
+    if sum(1 for row in rows if row) >= r:
         modulus = 1
         for p in _rank_primes():
             if len(_echelon_mod(rows, p)) == r:
                 return basis
+            if modulus == 1:
+                # the first failed prime: a passing proof needs no bound
+                norms = sorted(sum(a * a for _, a in row) for row in rows)
+                bound = isqrt(prod(norms[-r:])) + 1
             modulus *= p
             if modulus > bound:
                 break

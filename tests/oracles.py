@@ -27,6 +27,9 @@ that finds each pivot row and each row to clear by a scan of every active
 row, the reference for the library's column-indexed ``_echelon_mod``. ``polarization_kernel`` is the saturated left
 kernel basis of s^T A, so the deformation reference route builds its
 equations over another basis of ker(s^T A) than the library does.
+``random_instance_by_det`` draws a deformation instance by the loop that
+retries on det A = 0 and then builds it through the checked constructor,
+the reference for ``random_instance``, which keeps the inverse instead.
 
 ``fraction_rows`` reads a ``Mat`` entry by entry into Fraction rows, for
 references written over exact rationals, and ``mat_product`` multiplies
@@ -41,8 +44,10 @@ from fractions import Fraction
 from math import gcd, lcm
 
 from hklattice.bb_lattice import GRAM, RANK, H2Class, gram_apply
+from hklattice.deformation_fix import FixInstance
 from hklattice.exact_linalg import (
     Lattice,
+    Mat,
     _check_ambient,
     _combine_rows,
     _coord_matrix,
@@ -456,3 +461,21 @@ def polarization_kernel(inst) -> list[tuple[int, ...]]:
     if not any(wi):
         raise ValueError("degenerate covector: s^T A = 0 despite invertible A")
     return [tuple(x) for x in left_kernel([[x] for x in wi])]
+
+
+def random_instance_by_det(rng, n: int) -> FixInstance:
+    """A = M + M^T + 2n*I for random small M, drawn again while det A = 0,
+    and a nonzero s, as one ``FixInstance`` by its checked constructor."""
+    while True:
+        m = [[rng.randint(-3, 3) for _ in range(n)] for _ in range(n)]
+        rows = [
+            [m[i][j] + m[j][i] + (2 * n if i == j else 0) for j in range(n)]
+            for i in range(n)
+        ]
+        A = Mat._of(rows, 1)
+        if A.det() != 0:
+            break
+    while True:
+        s = [rng.randint(-3, 3) for _ in range(n)]
+        if any(s):
+            return FixInstance(A, s)

@@ -1,6 +1,10 @@
 """Command-line fuzzer: argv and JSON payloads, drawn valid and one edit
 away from valid, run through ``cli.main`` in process.
 
+The payload edit is a ``pytest.mark.parametrize`` axis of
+``test_cli_fuzz``, so every edit kind reaches ``cli.main`` in every run;
+Hypothesis draws the rest.
+
 Every call ends with exit code 0, 1 or 2 and prints no traceback. Exit 2
 prints one ``error:`` line on stderr that is not a bare ``KeyError`` repr;
 exit 0 prints JSON; and a ``membership`` or ``divisibility`` answer
@@ -21,7 +25,7 @@ from functools import cache
 from math import gcd
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from hklattice import cli
@@ -58,6 +62,7 @@ _stray_key = st.sampled_from(
 )
 # argv values that are not integers to ``cli._integer``
 _not_integer = st.sampled_from(["x", "1.5", "1_0", "", "+1", "٣", "1e3"])
+PAYLOAD_EDITS = ("none", "drop", "repeat", "stray", "inexact", "shape", "kind")
 
 
 def _valid_payload(kind):
@@ -107,14 +112,13 @@ def _array_paths(value, path=()):
 
 
 @st.composite
-def _payload_edit(draw, pairs, kind):
-    """(kind, pairs) after at most one edit: a dropped, repeated or stray
-    key, a float or a bool where an integer belongs, a string, an object
-    or a number where an array belongs, or another kind."""
+def _payload_edit(draw, pairs, kind, edit):
+    """(kind, pairs) after the edit of ``PAYLOAD_EDITS``: none, a dropped,
+    repeated or stray key, a float or a bool where an integer belongs, a
+    string, an object or a number where an array belongs, or another kind.
+    A payload that offers the edit no place is not drawn."""
     # [key, value] lists, so that a path from the pairs reaches any value
     pairs = [list(pair) for pair in copy.deepcopy(pairs)]
-    edits = ["drop", "repeat", "stray", "inexact", "shape", "kind"]
-    edit = draw(st.one_of(st.just("none"), st.sampled_from(edits)))
     if edit == "drop":
         del pairs[draw(st.integers(0, len(pairs) - 1))]
     elif edit == "repeat":
@@ -125,14 +129,14 @@ def _payload_edit(draw, pairs, kind):
     elif edit in ("inexact", "shape"):
         find = _integer_paths if edit == "inexact" else _array_paths
         paths = [(i, 1, *p) for i, (_, v) in enumerate(pairs) for p in find(v)]
-        if paths:
-            path = draw(st.sampled_from(paths))
-            holder = pairs
-            for step in path[:-1]:
-                holder = holder[step]
-            n = holder[path[-1]]
-            bad = [float(n), n + 0.5, True, False] if edit == "inexact" else ["abc", {"a": 1}, 5, None]
-            holder[path[-1]] = draw(st.sampled_from(bad))
+        assume(paths)
+        path = draw(st.sampled_from(paths))
+        holder = pairs
+        for step in path[:-1]:
+            holder = holder[step]
+        n = holder[path[-1]]
+        bad = [float(n), n + 0.5, True, False] if edit == "inexact" else ["abc", {"a": 1}, 5, None]
+        holder[path[-1]] = draw(st.sampled_from(bad))
     elif edit == "kind":
         kind = draw(st.sampled_from([k for k in QUERY_KINDS if k != kind]))
     return kind, pairs
@@ -144,9 +148,9 @@ def _json_object(pairs) -> str:
 
 
 @st.composite
-def _query(draw):
+def _query(draw, edit):
     kind = draw(st.sampled_from(QUERY_KINDS))
-    kind, pairs = draw(_payload_edit(draw(_valid_payload(kind)), kind))
+    kind, pairs = draw(_payload_edit(draw(_valid_payload(kind)), kind, edit))
     json_flag = ["--json"] if draw(st.booleans()) else []
     return ["query", kind, "--payload", _json_object(pairs), *json_flag], (kind, pairs)
 
@@ -250,20 +254,23 @@ def _reverify(kind: str, payload: dict, answer: dict) -> None:
         assert answer == {"divisibility": gcd(*x)}
 
 
-# (argv, query) pairs: the query is (kind, payload pairs) for a query argv
-_CASES = st.one_of(
-    _query(),
-    _sample(),
-    _search(),
-    _verify_rejected(),
-    st.sampled_from([[], ["bogus"], ["--json"], ["query"]]).map(lambda a: (a, None)),
-)
+def _cases(edit):
+    """(argv, query) pairs, a query argv carrying the payload edit ``edit``:
+    the query is (kind, payload pairs) for a query argv, else None."""
+    return st.one_of(
+        _query(edit),
+        _sample(),
+        _search(),
+        _verify_rejected(),
+        st.sampled_from([[], ["bogus"], ["--json"], ["query"]]).map(lambda a: (a, None)),
+    )
 
 
+@pytest.mark.parametrize("edit", PAYLOAD_EDITS)
 @settings(max_examples=300, deadline=None)
-@given(case=_CASES)
-def test_cli_fuzz(case):
-    argv, query = case
+@given(data=st.data())
+def test_cli_fuzz(edit, data):
+    argv, query = data.draw(_cases(edit), label="case")
     out, err = io.StringIO(), io.StringIO()
     argparse_exit = False
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
@@ -315,7 +322,7 @@ def test_an_array_given_as_a_string_object_or_number_is_refused_whole(kind, payl
 
 
 @settings(max_examples=300, deadline=None)
-@given(case=_CASES)
+@given(case=st.sampled_from(PAYLOAD_EDITS).flatmap(_cases))
 def test_dispatch_reads_argv_as_the_top_level_parser(case):
     check_parity(case[0])
 

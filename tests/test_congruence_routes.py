@@ -4,6 +4,7 @@ certified by the rank modulo a prime."""
 
 import random
 from contextlib import contextmanager
+from itertools import islice
 from math import isqrt, prod
 
 import pytest
@@ -21,6 +22,7 @@ from hklattice.exact_linalg import (
     _combine_rows,
     _nullspace_primes,
     _rank_primes,
+    _sparse_rows,
     certified_kernel,
     lattice_join,
     saturate_in,
@@ -299,7 +301,9 @@ def counted_echelons():
         exact_linalg._echelon_mod = real
 
 
-def test_21_variable_deformation_solve_eliminates_once():
+def test_21_variable_deformation_solve_eliminates_once(monkeypatch):
+    # a passing proof forms no Hadamard bound
+    monkeypatch.setattr(exact_linalg, "isqrt", lambda _: pytest.fail("bound formed"))
     inst = random_instance(random.Random(7), 21)
     with counted_echelons() as calls:
         sol = solve_fixed_space(inst)
@@ -370,5 +374,55 @@ def test_a_refutation_counts_the_word_size_prime():
     bound = isqrt(prod(sum(x * x for x in r) for r in rows)) + 1
     assert _WORD_PRIME > bound
     with counted_echelons() as calls, pytest.raises(ArithmeticError):
-        certified_kernel(rows, 3, [])
+        certified_kernel(_sparse_rows(rows), 3, [])
     assert calls == [_WORD_PRIME]
+
+
+def test_a_passing_proof_is_one_elimination_and_no_bound(monkeypatch):
+    # Hadamard's bound is formed only after a prime fails
+    monkeypatch.setattr(exact_linalg, "isqrt", lambda _: pytest.fail("bound formed"))
+    rows = [[2, 0, 1, 5], [0, 3, 1, 0], [1, 1, 0, 7]]
+    with counted_echelons() as calls:
+        got = certified(rows, 4)
+    assert calls == [_WORD_PRIME]
+    assert got == bareiss_nullspace(rows, 4)
+
+
+def test_pivots_divisible_by_the_word_size_prime_certify_through_a_proth_prime():
+    p = _WORD_PRIME
+    # triangular over Q with the pivots p, p and 5p: rank 3 over Q, 1 mod p
+    rows = [[p, 2 * p, 0, 1], [0, p, 0, 2], [0, 0, 5 * p, 3]]
+    with counted_echelons() as calls:
+        got = certified(rows, 4)
+    assert calls == [p, next(_nullspace_primes())]
+    assert got == bareiss_nullspace(rows, 4) and len(got) == 1
+
+
+PQ = prod(islice(_nullspace_primes(), 2))
+
+
+@pytest.mark.parametrize("rows, nprimes", [
+    # rank 2 over Q and 0 mod the first two Proth primes
+    ([[PQ * x for x in r] for r in [[1, 2, 3], [2, 4, 7], [3, 6, 10]]], 7),
+    ([[2**60, 3, 1], [2**61, 6, 2], [1, 1, 1]], 2),
+], ids=["proth-multiples", "large"])
+def test_a_deficient_system_fails_after_the_primes_its_bound_asks_for(rows, nprimes):
+    # no candidates claim rank = ncols, one more than the rank over Q; the
+    # primes tried are the shortest prefix of _rank_primes whose product
+    # passes H = isqrt(product of the largest squared row norms) + 1
+    ncols = len(rows[0])
+    norms = sorted(sum(x * x for x in r) for r in rows)
+    bound = isqrt(prod(norms[-ncols:])) + 1
+    want, modulus = [], 1
+    for p in _rank_primes():
+        want.append(p)
+        modulus *= p
+        if modulus > bound:
+            break
+    with counted_echelons() as calls, pytest.raises(ArithmeticError):
+        certified_kernel(_sparse_rows(rows), ncols, [])
+    assert calls == want and len(want) == nprimes
+    # fewer nonzero rows than the claimed rank: no elimination at all
+    with counted_echelons() as calls, pytest.raises(ArithmeticError):
+        certified_kernel(_sparse_rows(rows[:ncols - 2]), ncols, [])
+    assert calls == []

@@ -1,13 +1,14 @@
 """The linear fixed-point system attached to a polarized instance: its
 solution space is always two-dimensional with explicit generators."""
 
+import random
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hklattice import deformation_fix
+from hklattice import deformation_fix, exact_linalg
 from hklattice.deformation_fix import (
     FixInstance,
     FixSolution,
@@ -17,7 +18,7 @@ from hklattice.deformation_fix import (
     verify_generators,
 )
 from hklattice.exact_linalg import Mat
-from oracles import polarization_kernel
+from oracles import polarization_kernel, random_instance_by_det
 
 F = Fraction
 
@@ -71,10 +72,15 @@ class TestSolve:
             assert solve_fixed_space(inst).dimension == 2
             rows, ncols = systems[-1]
             assert (len(rows), ncols) == (n * (n - 1), n * (n + 1) // 2 + 1)
-            assert max(sum(1 for x in r if x) for r in rows) <= 3
+            # each row is built sparse: at most three (column, value) pairs,
+            # no zero value, columns ascending and in range
+            for row in rows:
+                cols = [c for c, _ in row]
+                assert 1 <= len(row) <= 3 and all(x for _, x in row)
+                assert cols == sorted(set(cols)) and cols[-1] < ncols
         # for s = e_1 the basis of s^perp is e_0, e_2: two nonzeros per row
         solve_fixed_space(FixInstance(Mat([[2, 1, 0], [1, 3, 1], [0, 1, 4]]), [0, 1, 0]))
-        assert max(sum(1 for x in r if x) for r in systems[-1][0]) == 2
+        assert max(len(r) for r in systems[-1][0]) == 2
 
     def test_inverse_is_computed_once(self, monkeypatch):
         calls = []
@@ -90,10 +96,32 @@ class TestSolve:
         # negative controls: (I, 0) is no solution, and (A^-1, 2) alone spans
         # only a line of the two-dimensional fixed space
         inst = FixInstance(Mat([[2, 1], [1, 3]]), [1, 1])
+        (g, g0), (o, o0) = expected_generators(inst)
+        assert verify_generators(FixSolution([(o, o0), (3 * g, 3 * g0)]), inst)
         wrong = FixSolution([(inst.A_inv, F(2)), (Mat.identity(2), F(0))])
         short = FixSolution([(inst.A_inv, F(2))])
         assert not verify_generators(wrong, inst)
         assert not verify_generators(short, inst)
+        assert not verify_generators(FixSolution([]), inst)
+        # a dependent pair spans a line, and dependent vectors are refused
+        # even when they span the fixed space
+        dependent = FixSolution([(g, g0), (2 * g, 2 * g0)])
+        g_plus_o = Mat([[g[(i, j)] + o[(i, j)] for j in range(2)] for i in range(2)])
+        spanning = FixSolution([(g, g0), (o, o0), (g_plus_o, g0 + o0)])
+        assert not verify_generators(dependent, inst)
+        assert not verify_generators(spanning, inst)
+        # a wrong solution at n = 21: the generator (A^-1, 2) with c0 = 3
+        big = random_instance(random.Random(7), 21)
+        (g, _), other = expected_generators(big)
+        assert not verify_generators(FixSolution([(g, F(3)), other]), big)
+        assert verify_generators(FixSolution([(g, F(2)), other]), big)
+
+    def test_one_by_one_instance_has_no_equation(self):
+        # s^perp is 0, so every (C, c0) is fixed: the two unknowns
+        inst = FixInstance(Mat([[3]]), [1])
+        sol = solve_fixed_space(inst)
+        assert sol.dimension == 2
+        assert verify_generators(sol, inst)
 
     def test_identity_2x2(self):
         inst = FixInstance(Mat.identity(2), [1, 0])
@@ -131,6 +159,45 @@ class TestSolve:
         # each spans the other's solution space
         assert verify_generators(a, scaled)
         assert verify_generators(b, inst)
+
+
+class TestRandomInstance:
+    @staticmethod
+    def _counted(monkeypatch, draw):
+        """(instance, Mat.inverse calls, det_int calls) of one draw."""
+        calls = {"inverse": 0, "det": 0}
+        inverse, det_int = Mat.inverse, exact_linalg.det_int
+
+        def counted_inverse(m):
+            calls["inverse"] += 1
+            return inverse(m)
+
+        def counted_det(rows):
+            calls["det"] += 1
+            return det_int(rows)
+
+        with monkeypatch.context() as m:
+            m.setattr(Mat, "inverse", counted_inverse)
+            m.setattr(exact_linalg, "det_int", counted_det)
+            inst = draw()
+        return inst, calls["inverse"], calls["det"]
+
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_singular_draws_give_the_instance_of_the_det_loop(self, monkeypatch, n):
+        retried = 0
+        for seed in range(200):
+            want, _, drawn = self._counted(
+                monkeypatch, lambda: random_instance_by_det(random.Random(seed), n)
+            )
+            got, inverses, dets = self._counted(
+                monkeypatch, lambda: random_instance(random.Random(seed), n)
+            )
+            # one inverse per drawn matrix, and no determinant at all
+            assert (inverses, dets) == (drawn, 0)
+            assert (got.n, got.s, got.A_inv) == (want.n, want.s, want.A_inv)
+            retried += drawn > 1
+        # the seeds include draws of a singular A
+        assert retried >= 3
 
 
 @settings(max_examples=10, deadline=None)

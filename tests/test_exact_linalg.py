@@ -18,6 +18,7 @@ from hklattice.exact_linalg import (
     Mat,
     NotASublatticeError,
     _pair,
+    _right_echelon,
     _sparse_rows,
     coset_feasible,
     divisibility,
@@ -228,13 +229,6 @@ class TestLattice:
         assert half.contains([F(1, 2), 0])
         assert sublattice_index(lat, half) == 4
 
-    def test_spans_same_qspace(self):
-        a = Lattice.from_generators([[2, 0]])
-        b = Lattice.from_generators([[3, 0]])
-        c = Lattice.from_generators([[1, 1]])
-        assert a.spans_same_qspace(b)
-        assert not a.spans_same_qspace(c)
-
     def test_json_roundtrip(self):
         lat = Lattice.from_generators([[F(1, 2), 1]], form=Mat([[2, 0], [0, 2]]))
         obj = json.loads(lat.json_text())
@@ -311,7 +305,8 @@ def test_saturation_contains_and_same_qspace(rows):
     if sub.rank == 0:
         return
     sat = saturate_in(sub, Lattice.standard(3))
-    assert sat.spans_same_qspace(sub)
+    # one Q-span: one reduced echelon form from the right
+    assert _right_echelon(sat.int_basis, 3) == _right_echelon(sub.int_basis, 3)
     for r in sub.basis_rows():
         assert sat.contains(list(r))
     # index of sub in its saturation is finite and positive

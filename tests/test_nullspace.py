@@ -1,5 +1,7 @@
 """The certified kernel against fraction-free back-substitution, and the
-deformation solver against its Bareiss route."""
+deformation solver against its Bareiss route. ``certified_kernel`` takes
+sparse rows; the dense rows of the references are converted by
+``_sparse_rows``."""
 
 import random
 from fractions import Fraction
@@ -7,7 +9,7 @@ from itertools import islice
 from math import gcd, lcm
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from hklattice import deformation_fix, kernels
@@ -19,7 +21,13 @@ from hklattice.deformation_fix import (
     random_instance,
     solve_fixed_space,
 )
-from hklattice.exact_linalg import Mat, _nullspace_primes, certified_kernel
+from hklattice.exact_linalg import (
+    Mat,
+    _nullspace_primes,
+    _right_echelon,
+    _sparse_rows,
+    certified_kernel,
+)
 from oracles import polarization_kernel
 
 
@@ -83,8 +91,10 @@ def recombined(basis):
 
 
 def certified(rows, ncols):
-    """``certified_kernel`` given the oracle basis recombined."""
-    return certified_kernel(rows, ncols, recombined(bareiss_nullspace(rows, ncols)))
+    """``certified_kernel`` on the sparse form of dense ``rows``, given the
+    oracle basis recombined."""
+    candidates = recombined(bareiss_nullspace(rows, ncols))
+    return certified_kernel(_sparse_rows(rows), ncols, candidates)
 
 
 @st.composite
@@ -130,6 +140,33 @@ def test_rational_nullspace_matches_bareiss(case):
     assert certified(rows, ncols) == bareiss_nullspace(rows, ncols)
 
 
+@st.composite
+def systems_with_a_known_kernel(draw):
+    """(rows, ncols, K): independent integer vectors K, and rows whose
+    rational kernel is exactly their span: a basis of the vectors
+    orthogonal to K, each scaled, with integer combinations of them
+    added, in a drawn order."""
+    n = draw(st.integers(1, 10))
+    k = draw(st.integers(0, n))
+    entries = st.sampled_from([0, 0, 0, 1, -1, 2, -3, 7, 2**40])
+    K = [draw(st.lists(entries, min_size=n, max_size=n)) for _ in range(k)]
+    assume(len(kernels.hnf(K)) == k)
+    perp = bareiss_nullspace(K, n)
+    scales = draw(st.lists(st.sampled_from([1, -2, 5]), min_size=len(perp), max_size=len(perp)))
+    rows = [[f * x for x in v] for f, v in zip(scales, perp)]
+    for _ in range(draw(st.integers(0, 3)) if perp else 0):
+        cs = draw(st.lists(st.integers(-3, 3), min_size=len(perp), max_size=len(perp)))
+        rows.append([sum(c * v[j] for c, v in zip(cs, perp)) for j in range(n)])
+    return draw(st.permutations(rows)), n, K
+
+
+@settings(max_examples=200, deadline=None)
+@given(systems_with_a_known_kernel())
+def test_sparse_rows_certify_a_known_kernel_as_the_dense_route_finds_it(case):
+    rows, ncols, K = case
+    assert certified_kernel(_sparse_rows(rows), ncols, K) == bareiss_nullspace(rows, ncols)
+
+
 def test_small_and_degenerate_shapes():
     for rows, ncols in [
         ([[0]], 1),
@@ -142,12 +179,12 @@ def test_small_and_degenerate_shapes():
         ([[2, 4], [1, 2], [3, 6]], 2),
     ]:
         assert certified(rows, ncols) == bareiss_nullspace(rows, ncols)
-    assert certified_kernel([[0, 0, 0]], 3, [[0, 0, -5], [1, 1, 1], [0, 2, 0]]) == [
+    assert certified_kernel([()], 3, [[0, 0, -5], [1, 1, 1], [0, 2, 0]]) == [
         [1, 0, 0],
         [0, 1, 0],
         [0, 0, 1],
     ]
-    assert certified_kernel([[2, 4]], 2, [[6, -3]]) == [[-2, 1]]
+    assert certified_kernel([((0, 2), (1, 4))], 2, [[6, -3]]) == [[-2, 1]]
 
 
 def test_the_proth_prime_sequence_is_pinned():
@@ -181,36 +218,57 @@ def test_unlucky_primes_still_give_the_rational_basis():
 
 
 def test_row_length_checked():
+    # a sparse row reaches column 3 of three, or a column below 0
+    for row in [((0, 1), (3, 2)), ((-1, 1),)]:
+        with pytest.raises(ValueError):
+            certified_kernel([((0, 1),), row], 3, [])
+    # a candidate of the wrong length
     with pytest.raises(ValueError):
-        certified_kernel([[1, 2]], 3, [])
+        certified_kernel([((0, 1),)], 3, [[0, 1]])
+
+
+def test_right_echelon_is_one_form_per_q_span():
+    # one line spanned by different vectors, and another line
+    assert _right_echelon([[2, 0]], 2) == _right_echelon([[3, 0]], 2) == [[1, 0]]
+    assert _right_echelon([[1, 1]], 2) != _right_echelon([[2, 0]], 2)
+    rnd = random.Random(3)
+    for _ in range(20):
+        basis = [[rnd.randint(-4, 4) for _ in range(6)] for _ in range(3)]
+        if len(kernels.hnf(basis)) < 3:
+            continue
+        assert _right_echelon(recombined(basis), 6) == _right_echelon(basis, 6)
+    with pytest.raises(ArithmeticError):
+        _right_echelon([[1, 2], [2, 4]], 2)
 
 
 def test_a_dropped_candidate_is_refuted():
     # the kernel of one row in three columns is 2-dimensional
+    row = _sparse_rows([[1, 2, 3]])
     with pytest.raises(ArithmeticError):
-        certified_kernel([[1, 2, 3]], 3, [[-2, 1, 0]])
+        certified_kernel(row, 3, [[-2, 1, 0]])
     # rank 2 over Q and 0 mod the first two primes: no prime gives the
     # claimed rank 3, and the Hadamard bound ends the search
     primes = _nullspace_primes()
     pq = next(primes) * next(primes)
     rows = [[pq, 2 * pq, 3 * pq], [2 * pq, 4 * pq, 7 * pq], [3 * pq, 6 * pq, 10 * pq]]
     with pytest.raises(ArithmeticError):
-        certified_kernel(rows, 3, [])
+        certified_kernel(_sparse_rows(rows), 3, [])
     # fewer nonzero rows than the claimed rank
     with pytest.raises(ArithmeticError):
-        certified_kernel([[1, 1, 0], [0, 0, 0]], 3, [])
+        certified_kernel(_sparse_rows([[1, 1, 0], [0, 0, 0]]), 3, [])
 
 
 def test_a_candidate_failing_one_row_is_refuted():
     with pytest.raises(ArithmeticError):
-        certified_kernel([[1, 2, 3], [0, 1, 1]], 3, [[-2, 1, 0]])
+        certified_kernel(_sparse_rows([[1, 2, 3], [0, 1, 1]]), 3, [[-2, 1, 0]])
 
 
 def test_dependent_candidates_are_refuted():
+    row = _sparse_rows([[1, 2, 3]])
     with pytest.raises(ArithmeticError):
-        certified_kernel([[1, 2, 3]], 3, [[-2, 1, 0], [4, -2, 0]])
+        certified_kernel(row, 3, [[-2, 1, 0], [4, -2, 0]])
     with pytest.raises(ArithmeticError):
-        certified_kernel([[1, 2, 3]], 3, [[-2, 1, 0], [-3, 0, 1], [-5, 1, 1]])
+        certified_kernel(row, 3, [[-2, 1, 0], [-3, 0, 1], [-5, 1, 1]])
 
 
 def test_solve_refutes_a_span_that_misses_a_solution(monkeypatch):
