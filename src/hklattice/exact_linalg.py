@@ -92,10 +92,12 @@ certified routines run it modulo proven primes or their product:
   little with the size of M, and only the Proth primes are used.
 
 ``saturate_in`` saturates by congruences on the HNF of the coordinate
-rows (``_saturation_basis``), without a Smith form. The docstrings carry
-the proofs. Input numbers are parsed strictly by ``parse_int`` and
-``parse_rational`` (and their vector forms ``int_vector`` and
-``fraction_vector``): no float is truncated and no bool becomes 1.
+rows (``_saturation_basis``), without a Smith form; its body
+``_saturate_rows`` takes generator rows, so a span is saturated with no
+lattice of it built first. The docstrings carry the proofs. Input numbers
+are parsed strictly by ``parse_int`` and ``parse_rational`` (and their
+vector forms ``int_vector`` and ``fraction_vector``): no float is
+truncated and no bool becomes 1.
 
 All operations are pure; nothing here mutates its inputs.
 """
@@ -918,15 +920,20 @@ def _saturation_basis(rows) -> list[list[int]]:
 
 
 def saturate_in(sub: Lattice, sup: Lattice) -> Lattice:
-    """Saturation of sub inside sup: (sub tensor Q) intersected with sup.
-
-    Each basis row of sub only matters up to a rational multiple, so its
-    coordinates in sup's basis are any integer multiple of the rational
-    ones (``sup._q_coords``), made primitive.
-    """
+    """Saturation of sub inside sup: (sub tensor Q) intersected with sup."""
     _check_ambient(sub, sup)
+    return _saturate_rows(sub.int_basis, sup)
+
+
+def _saturate_rows(rows, sup: Lattice) -> Lattice:
+    """The saturation in sup of the Q-span of integer rows, zero rows
+    skipped. A row only matters up to a rational multiple, so its
+    coordinates in sup's basis are any integer multiple of the rational
+    ones (``sup._q_coords``), made primitive."""
     C = []
-    for row in sub.int_basis:
+    for row in rows:
+        if not any(row):
+            continue
         c = sup._q_coords(row)
         if c is None:
             raise NotASublatticeError("vector outside the Q-span of the superlattice")

@@ -22,13 +22,15 @@ are built from checked classes and take the private ``H4Class._of``,
 which only normalizes. The cup product table check builds no ``H4Class``
 for its dictionary: those classes are integer numerator maps over one
 denominator, and their products are read off the nonzeros of the two
-degree-2 factors (``_product_num``). The torsion quotient is read off the
-glue code of the lattice (its basis rows that are not in Z^276, reduced
-mod each prime of the denominator), with no Smith form; it keeps the
-pivot columns that ``class_of`` reads and the CRT-weighted reduced basis
-rows that ``lift`` adds, and no Fraction lifts. Every basis, rank and
-relation mod p here comes from the library's one elimination mod p,
-``exact_linalg._echelon_mod``, or its reduced basis ``_reduced_basis_mod``.
+degree-2 factors (``_product_num``); it checks the expansion of d^2 and
+three lattice facts, not the entries that hold by definition. The torsion
+quotient is read off the glue code of the lattice (its basis rows that
+are not in Z^276, reduced mod each prime of the denominator), with no
+Smith form; it keeps the pivot columns that ``class_of`` reads and the
+CRT-weighted reduced basis rows that ``lift`` adds, and no Fraction
+lifts. Every basis, rank and relation mod p here comes from the
+library's one elimination mod p, ``exact_linalg._echelon_mod``, or its
+reduced basis ``_reduced_basis_mod``.
 
 The process-wide caches are the four ``functools.cache`` functions
 ``fujiki_mat`` (one shared integer ``Mat``, whose symmetry check and JSON
@@ -832,9 +834,13 @@ def verify_cup_product_table(h4: H4Lattice) -> dict:
     The table expresses all pairwise products of the 23 degree-2 basis
     classes over the dictionary basis {v0, v_i, v_ij, u_i} where
     v_i = a_i(a_i - d)/2 - (A_ii/2) v0, v_ij = a_i a_j - A_ij v0, and
-    u_i = d a_i. Checks, in order: the four product identities, membership
-    of every dictionary element in the lattice, the dictionary being an
-    actual basis (span equality), and 2-divisibility of the half products.
+    u_i = d a_i. Read backwards, these definitions are the table's entries
+    for a_i a_j, a_i^2 and d a_i, which hold by construction and are not
+    checked. Checks, in order: d^2 = -v0 - sum_i B_ii (v_i + u_i/2) -
+    sum_(i<j) B_ij v_ij with B = A^-1, the one product identity that reads
+    the Gram data; membership of every dictionary element in the lattice;
+    the dictionary being an actual basis (span equality); 2-divisibility of
+    the half products. Each reads False on some wrong v0, A, B or lattice.
 
     Every class is an integer numerator map over the one denominator
     D = 2*den(v0): (c, s) is c*w + s over D, with w the numerators of v0
@@ -845,7 +851,7 @@ def verify_cup_product_table(h4: H4Lattice) -> dict:
     den(v0)*B_ii times those of d*a_i, so every coefficient is an integer.
     No ``H4Class`` is built. v0 is not the only dense vector (on the
     default lattice v0 and q each have 76 nonzeros of 276), but it is the
-    one that enters the sums: 133 times on the default lattice, leaving a
+    one that enters the sums: 67 times on the default lattice, leaving a
     multiple of it in 34 dictionary classes. One tracked multiple c saves
     adding its entries each time, and ``_same`` compares two maps with
     equal multiples on their sparse parts alone.
@@ -862,13 +868,6 @@ def verify_cup_product_table(h4: H4Lattice) -> dict:
     of dictionary elements, which then lie in the lattice. Otherwise, with
     the spans different or some A_ii odd, each half product takes one
     membership solve.
-
-    ``product_mixed``, ``product_square`` and ``product_with_exceptional``
-    hold by construction: v_ij, v_i and u_i are defined from the very
-    products they are compared with, so in exact arithmetic these three
-    cannot read False. They re-check the bookkeeping of the numerator
-    maps, not the table; only ``product_exceptional_square`` and the
-    three lattice checks can fail on a wrong lattice or Gram.
 
     Returns {check_name: bool}; a failed check reads False and the others
     still run.
@@ -890,12 +889,10 @@ def verify_cup_product_table(h4: H4Lattice) -> dict:
     d_a = [product(dh, a) for a in abasis]
     u = [_combo([(D, x)]) for x in d_a]
     v = [_combo([(h, half[i]), (-A[i][i], W)]) for i in range(k)]
-    mixed = {}
     vij = {}
     for i in range(k):
         for j in range(i + 1, k):
-            mixed[(i, j)] = _combo([(D, product(abasis[i], abasis[j]))])
-            vij[(i, j)] = _combo([(1, mixed[(i, j)]), (-2 * A[i][j], W)])
+            vij[(i, j)] = _combo([(D, product(abasis[i], abasis[j])), (-2 * A[i][j], W)])
 
     terms = [(-1, v0)]
     for i in range(k):
@@ -915,21 +912,6 @@ def verify_cup_product_table(h4: H4Lattice) -> dict:
     lat = h4.lattice
     is_basis = Lattice._from_int_rows(rows, D // g, AMBIENT, fujiki_mat()) == lat
     return {
-        "product_mixed": all(
-            _same(x, _combo([(1, vij[ij]), (2 * A[ij[0]][ij[1]], W)]), w)
-            for ij, x in mixed.items()
-        ),
-        "product_square": all(
-            _same(
-                _combo([(D, product(abasis[i], abasis[i]))]),
-                _combo([(2, v[i]), (1, u[i]), (2 * A[i][i], W)]),
-                w,
-            )
-            for i in range(k)
-        ),
-        "product_with_exceptional": all(
-            _same(_combo([(D, product(abasis[i], dh))]), u[i], w) for i in range(k)
-        ),
         "product_exceptional_square": _same(_combo([(D, product(dh, dh))]), rhs, w),
         "dictionary_integral": is_basis or all(lat.contains(r, D // g) for r in rows),
         "dictionary_is_basis": is_basis,

@@ -28,9 +28,11 @@ from __future__ import annotations
 import hashlib
 from collections.abc import Mapping
 from fractions import Fraction
+from math import gcd
 
 from .bb_lattice import (
     RANK,
+    ExceptionalClass,
     H2Class,
     _perp_rows,
     bb_form,
@@ -44,7 +46,7 @@ from .exact_linalg import (
     Lattice,
     _combine_rows,
     _frac_str,
-    _saturation_basis,
+    _saturate_rows,
     coset_feasible,
     int_vector,
     quotient_invariants,
@@ -106,11 +108,8 @@ class PicardData:
 
 
 def _saturated(lat: Lattice) -> Lattice:
-    """The saturation of an integer lattice in Z^23, its Q-span meet Z^23:
-    ``saturate_in`` with Z^23, where a row's coordinates are the row itself,
-    so no solve is needed."""
-    rows = [list(r) for r in lat.int_basis]
-    return Lattice._from_int_rows(_saturation_basis(rows), 1, RANK, lat.form)
+    """The saturation of a lattice in Z^23, its Q-span meet Z^23."""
+    return saturate_in(lat, Lattice.standard(RANK, lat.form))
 
 
 def _check_polarization(l0: H2Class) -> None:
@@ -141,17 +140,15 @@ def canonical_hodge_lattice(l0: H2Class) -> Lattice:
 
     Always rank 2. For an odd polarization the result is Z*l0^2 + Z*(2/5)q;
     for an even one the second generator tightens to (l0^2 + (2/5)q)/8.
+
+    Saturated straight from the numerators of l0^2 and q
+    (``_saturate_rows``); rank 2 also proves the two independent.
     """
     h4 = default_h4_lattice()
     _check_polarization(l0)
-    span = h4_span([sym2_embed(l0, l0), h4.q])
-    if span.rank != 2:
-        raise ArithmeticError("polarization square and q failed independence")
-    # h4.lattice lies in (1/den) Z^276, so saturating there equals saturating
-    # in Z^276, scaling by 1/den and meeting with the lattice
-    V = saturate_in(span, h4.lattice)
+    V = _saturate_rows([sym2_embed(l0, l0).num, h4.q.num], h4.lattice)
     if V.rank != 2:
-        raise ArithmeticError("integral span is not rank 2")
+        raise ArithmeticError("polarization square and q failed independence")
     return V
 
 
@@ -219,12 +216,12 @@ class MinimalityReport:
 
     def __init__(
         self,
-        search_lattice,
-        image_generator,
-        feasible,
-        witness,
-        delta_used,
-        transcendental_lattice,
+        search_lattice: Lattice,
+        image_generator: Fraction,
+        feasible: bool,
+        witness: H4Class | None,
+        delta_used: ExceptionalClass,
+        transcendental_lattice: Lattice,
     ):
         self.search_lattice = search_lattice
         self.image_generator = image_generator
@@ -263,17 +260,20 @@ def minimal_class_search(p: PicardData) -> MinimalityReport:
     covector; the image is a cyclic subgroup g*Z of Q and m = 1 is feasible
     exactly when 1 lies in it. The witness, when produced, is re-verified
     against the full basis-pair identity.
+
+    The search lattice is saturated straight from the numerators of q and
+    of the products of Picard basis classes (``_saturate_rows``).
     """
     h4 = default_h4_lattice()
     T = transcendental(p)
     if T.rank < 2:
         raise DegenerateTranscendentalError("transcendental rank below 2")
     pbasis = _t_basis(p.p_lattice)
-    gens = [h4.q]
+    gens = [h4.q.num]
     for i, a in enumerate(pbasis):
         for b in pbasis[i:]:
-            gens.append(sym2_embed(a, b))
-    search = saturate_in(h4_span(gens), h4.lattice)
+            gens.append(sym2_embed(a, b).num)
+    search = _saturate_rows(gens, h4.lattice)
 
     # one transcendental pair with nonzero form turns m into an ambient covector
     tbasis = _t_basis(T)
@@ -337,6 +337,11 @@ def even_class_predicates(l0: H2Class) -> dict[str, bool]:
     All six booleans must agree for every primitive class and every choice
     of exceptional class; the equivalence is asserted by the test suite on
     random samples rather than assumed here.
+
+    The divisibility predicates share one solve: sq_diff/n lies in the
+    lattice exactly when sq_diff does, with coordinates c, and n divides
+    gcd(c). An integer sq_diff = l0^2 - d^2 misses only a lattice without
+    Z^276, and then both read False.
     """
     tq = default_torsion_quotient()
     if not is_primitive(l0):
@@ -346,7 +351,8 @@ def even_class_predicates(l0: H2Class) -> dict[str, bool]:
     dh = d.h2
     diff = l0 - dh
     congruent = all(c % 2 == 0 for c in diff.coords)
-    sq_diff = sym2_embed(l0, l0) - sym2_embed(dh, dh)
+    sq_coords = h4.coords(sym2_embed(l0, l0) - sym2_embed(dh, dh))
+    div = None if sq_coords is None else gcd(*sq_coords)
     try:
         decompose_even(l0, d)
         decomposes = True
@@ -355,8 +361,8 @@ def even_class_predicates(l0: H2Class) -> dict[str, bool]:
     return {
         "even_pairings": is_even(l0),
         "congruent_to_exceptional_mod_2": congruent,
-        "square_difference_div_2": h4.contains(Fraction(1, 2) * sq_diff),
-        "square_difference_div_8": h4.contains(Fraction(1, 8) * sq_diff),
+        "square_difference_div_2": div is not None and div % 2 == 0,
+        "square_difference_div_8": div is not None and div % 8 == 0,
         "half_product_reduces_to_zero": tq.half_product_image(l0) == tq.zero(),
         "decomposes_over_exceptional": decomposes,
     }

@@ -19,6 +19,7 @@ from hklattice.exact_linalg import (
     NotASublatticeError,
     _pair,
     _right_echelon,
+    _saturate_rows,
     _sparse_rows,
     coset_feasible,
     divisibility,
@@ -311,6 +312,38 @@ def test_saturation_contains_and_same_qspace(rows):
         assert sat.contains(list(r))
     # index of sub in its saturation is finite and positive
     assert sublattice_index(sub, sat) >= 1
+
+
+@st.composite
+def raw_generators(draw):
+    """(rows, sup): integer rows of length n with a dependent row (the sum
+    of two), a rescaled row and a zero row among them, and a full-rank sup
+    over a denominator: an upper triangular basis with nonzero diagonal."""
+    n = draw(st.integers(1, 4))
+    entry = st.integers(-6, 6)
+    rows = draw(st.lists(st.lists(entry, min_size=n, max_size=n), min_size=1, max_size=3))
+    k = draw(st.integers(-3, 3).filter(bool))
+    rows += [[x + y for x, y in zip(rows[0], rows[-1])], [k * x for x in rows[-1]], [0] * n]
+    rows = draw(st.permutations(rows))
+    diag = draw(st.lists(st.integers(1, 4), min_size=n, max_size=n))
+    basis = [
+        [0] * i + [diag[i]] + draw(st.lists(entry, min_size=n - 1 - i, max_size=n - 1 - i))
+        for i in range(n)
+    ]
+    sup = Lattice.from_int_rows(basis, draw(st.integers(1, 6)))
+    return rows, sup
+
+
+@settings(max_examples=60, deadline=None)
+@given(raw_generators())
+def test_saturation_from_raw_generators_is_saturate_in_of_their_lattice(case):
+    rows, sup = case
+    n = sup.ambient_dim
+    want = saturate_in(Lattice.from_int_rows(rows, 1, n), sup)
+    assert _saturate_rows(rows, sup) == want
+    assert _saturate_rows(rows, Lattice.standard(n)) == saturate_in(
+        Lattice.from_int_rows(rows, 1, n), Lattice.standard(n)
+    )
 
 
 @settings(max_examples=40, deadline=None)

@@ -3,9 +3,13 @@ polarization, the minimality search, parity characterizations, torsion
 images."""
 
 from fractions import Fraction
+from types import SimpleNamespace
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from hklattice import hodge_classes, kernels
 from hklattice.bb_lattice import (
     RANK,
     H2Class,
@@ -17,8 +21,16 @@ from hklattice.bb_lattice import (
     sample_polarization_odd,
     sample_primitive,
 )
-from hklattice.exact_linalg import Lattice, Mat, saturate_in, sublattice_index
-from hklattice.h4_model import AMBIENT, fujiki_mat, fujiki_pair, sym2_embed
+from hklattice.exact_linalg import Lattice, Mat, _saturate_rows, saturate_in, sublattice_index
+from hklattice.h4_model import (
+    AMBIENT,
+    H4Class,
+    H4Lattice,
+    fujiki_mat,
+    fujiki_pair,
+    h4_span,
+    sym2_embed,
+)
 from hklattice.hodge_classes import (
     DegenerateTranscendentalError,
     PicardData,
@@ -172,6 +184,47 @@ class TestCanonicalRank2:
             assert g.det() == 176 * b0 * b0
 
 
+small_class = st.lists(st.integers(-2, 2), min_size=RANK, max_size=RANK).map(H2Class)
+
+
+@settings(max_examples=25, deadline=None)
+@given(small_class, small_class, st.integers(-3, 3).filter(bool))
+def test_degree_4_saturation_from_raw_generators(h4, a, b, k):
+    # dependent, rescaled and zero rows among the generators
+    aa, ab = sym2_embed(a, a), sym2_embed(a, b)
+    classes = [aa, h4.q, k * ab, H4Class._of((0,) * AMBIENT, 1), aa + ab]
+    want = saturate_in(h4_span(classes), h4.lattice)
+    assert _saturate_rows([c.num for c in classes], h4.lattice) == want
+
+
+def test_hodge_spans_saturate_without_a_span_lattice(h4, monkeypatch):
+    """Saturating straight from the generators takes one Hermite form fewer
+    than saturating the lattice ``h4_span`` builds of them, for the same
+    lattice."""
+    calls = []
+    hnf = kernels.hnf
+    monkeypatch.setattr(kernels, "hnf", lambda rows: calls.append(1) or hnf(rows))
+
+    def count(fn):
+        calls.clear()
+        fn()
+        return len(calls)
+
+    for l0 in (_u_pol(), _even_pol()):
+        gens = [sym2_embed(l0, l0), h4.q]
+        span_route = count(lambda: saturate_in(h4_span(gens), h4.lattice))
+        assert count(lambda: canonical_hodge_lattice(l0)) == span_route - 1 == 2
+        assert canonical_hodge_lattice(l0) == saturate_in(h4_span(gens), h4.lattice)
+    e2, f2 = hyperbolic_pair(1)
+    for picard in ([_u_pol()], [_even_pol()], [_u_pol(), e2 + 2 * f2]):
+        p = PicardData.from_vectors([x.coords for x in picard], picard[0])
+        gens = [h4.q] + [sym2_embed(a, b) for i, a in enumerate(picard) for b in picard[i:]]
+        span_route = count(lambda: saturate_in(h4_span(gens), h4.lattice))
+        rest = count(lambda: transcendental(p))
+        assert count(lambda: minimal_class_search(p)) == rest + span_route - 1
+        assert minimal_class_search(p).search_lattice == saturate_in(h4_span(gens), h4.lattice)
+
+
 class TestMinimality:
     def test_functional_values(self, h4):
         T = transcendental(PicardData.rank_one(_u_pol()))
@@ -283,6 +336,62 @@ class TestParityPredicates:
                 l0 = sample_primitive(rng)
             preds = even_class_predicates(l0)
             assert len(set(preds.values())) == 1, (list(l0.coords), preds)
+
+    def test_one_solve_answers_both_divisors(self, h4, rng, monkeypatch):
+        """The two divisibility predicates equal the membership tests of
+        sq_diff/2 and sq_diff/8, and take one solve on a multiple of
+        sq_diff where the membership tests take one or two: never fewer,
+        and two when sq_diff/8 lies in the lattice."""
+        on_sq = []
+        solve = kernels.solve_left_int_row
+
+        def recording(plan, w):
+            on_sq.append(w)
+            return solve(plan, w)
+
+        monkeypatch.setattr(kernels, "solve_left_int_row", recording)
+        dh = h4.delta_used.h2
+        classes = [sample_primitive(rng) for _ in range(6)]
+        classes += [sample_polarization_even(rng, c) for c in (True, False, True)]
+        classes += [_even_pol(), _u_pol()]
+        div8 = 0
+        for l0 in classes:
+            sq = sym2_embed(l0, l0) - sym2_embed(dh, dh)
+
+            def solves_on_sq(fn):
+                # the solves whose target is a rational multiple of sq
+                on_sq.clear()
+                out = fn()
+                return out, sum(1 for w in on_sq if _parallel(w, sq.num))
+
+            two, membership = solves_on_sq(
+                lambda: (h4.contains(F(1, 2) * sq), h4.contains(F(1, 8) * sq))
+            )
+            preds, one = solves_on_sq(lambda: even_class_predicates(l0))
+            assert (preds["square_difference_div_2"], preds["square_difference_div_8"]) == two
+            assert one == 1 <= membership
+            if two[1]:
+                div8 += 1
+                assert membership == 2
+        assert div8 >= 3
+
+    def test_divisors_read_false_on_a_lattice_without_z276(self, h4, tq, monkeypatch):
+        # the span of q misses l0^2 - d^2, so both halves of it are missed too
+        narrow = H4Lattice(
+            h4_span([h4.q]), h4.delta_used, h4.abasis, h4.a_gram, h4.b_inv, h4.q, h4.v0
+        )
+        stub = SimpleNamespace(h4=narrow, half_product_image=tq.half_product_image, zero=tq.zero)
+        monkeypatch.setattr(hodge_classes, "default_torsion_quotient", lambda: stub)
+        preds = even_class_predicates(_even_pol())
+        assert not preds["square_difference_div_2"] and not preds["square_difference_div_8"]
+        assert preds["even_pairings"] and preds["half_product_reduces_to_zero"]
+
+
+def _parallel(w, v) -> bool:
+    """Whether the integer vectors w and v are nonzero rational multiples
+    of each other."""
+    i = next((i for i, x in enumerate(v) if x), None)
+    return i is not None and w[i] != 0 and all(x * v[i] == y * w[i] for x, y in zip(w, v))
 
 
 class TestTorsionImages:

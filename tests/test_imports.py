@@ -24,8 +24,11 @@ Dunders are not scanned. When several package classes define ``name``, a
 load counts for class C only when ``x`` is tied to C: ``self`` or ``cls``
 in a method of C, the name of C or an import alias of it, ``mod.C``, a
 parameter annotated with C, a call of a package function or of a method
-of a tied receiver annotated ``-> C`` (``f(...).name``), or a local last
-assigned such a value. Any other load of a shared name credits no class,
+of a tied receiver annotated ``-> C`` (``f(...).name``), a local last
+assigned such a value, or an attribute ``y.slot`` with ``y`` tied to a
+class whose ``__init__`` assigns ``self.slot`` only from a parameter
+annotated with C or from a call of C (or of a function annotated
+``-> C``). Any other load of a shared name credits no class,
 and a member read only through such loads is named in
 ``SHARED_MEMBER_READERS`` with the package function that reads it; the
 test checks that the function exists and loads the name.
@@ -73,8 +76,6 @@ UNREAD_MEMBERS_ALLOWED = {
 # receiver is not tied to a class: the member -> the package function
 # (``module.qualname``) that reads it.
 SHARED_MEMBER_READERS = {
-    "exact_linalg.FiniteAbelianGroup.order": "h4_model.TorsionQuotient.order",
-    "exact_linalg.Lattice.json_text": "hodge_classes.MinimalityReport.basis_hash",
     "exact_linalg.Mat.json_text": "exact_linalg.Lattice.json_text",
     "h4_model.H4Class.to_json": "cli.run_query",
 }
@@ -231,21 +232,56 @@ def _returns(trees: dict[str, ast.Module], imports, classes):
     return out
 
 
-def _member_loads(mod: str, tree: ast.Module, imports, classes, returns):
+def _slot_ties(trees: dict[str, ast.Module], imports, classes, returns):
+    """The package class each attribute ``self.slot`` of a package class
+    holds, when every assignment to it in ``__init__`` takes a parameter
+    annotated with that class or a call of it (or of a package function
+    annotated ``-> C``): ``(module, class, slot)`` -> C."""
+    out = {}
+    for (mod, cls), node in classes.items():
+        names = _class_names(mod, imports, classes)
+        init = next(
+            (f for f in node.body if isinstance(f, ast.FunctionDef) and f.name == "__init__"), None
+        )
+        if init is None:
+            continue
+        self_arg, *params = init.args.posonlyargs + init.args.args + init.args.kwonlyargs
+        env = {a.arg: _annotated(a.annotation, names) for a in params}
+        ties = defaultdict(set)
+        for stmt in ast.walk(init):
+            if not isinstance(stmt, ast.Assign):
+                continue
+            value, tied = stmt.value, None
+            if isinstance(value, ast.Name):
+                tied = env.get(value.id)
+            elif isinstance(value, ast.Call) and isinstance(value.func, ast.Name):
+                key = _origin(imports, mod, value.func.id)
+                tied = key if key in classes else returns.get(key)
+            for t in stmt.targets:
+                if isinstance(t, ast.Attribute) and getattr(t.value, "id", None) == self_arg.arg:
+                    ties[t.attr].add(tied)
+        out.update({(mod, cls, slot): t for slot, (t, *more) in ties.items() if t and not more})
+    return out
+
+
+def _member_loads(mod: str, tree: ast.Module, imports, classes, returns, slots):
     """``(name, tied, within)`` for each attribute load ``x.name`` of the
     module: ``tied`` is the package class ``(module, class)`` that ``x`` is
     tied to, or None, and ``within`` is the ``(module, class, member)``
-    whose definition holds the load, or None."""
+    whose definition holds the load, or None. ``slots`` ties ``y.slot``
+    to a class (``_slot_ties``) when ``y`` is tied to the slot's class."""
     top = _class_names(mod, imports, classes)
 
     def receiver(node, env):
         if isinstance(node, ast.Name):
             return env.get(node.id)
-        if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name):
-            bound = imports[mod].get(node.value.id)
+        if isinstance(node, ast.Attribute):
+            bound = imports[mod].get(getattr(node.value, "id", None))
             if bound is not None and bound[1] is None:
                 key = _origin(imports, bound[0], node.attr)
                 return key if key in classes else None
+            owner = receiver(node.value, env)
+            return None if owner is None else slots.get((*owner, node.attr))
         if isinstance(node, ast.Call):
             # f(...), mod.f(...) or x.method(...) with x tied to a class
             f = node.func
@@ -316,8 +352,9 @@ def _unread_members(trees: dict[str, ast.Module], readers=()) -> set[str]:
             owners[name].append(key)
     read = {tuple(member.split(".")) for member in readers}
     returns = _returns(trees, imports, classes)
+    slots = _slot_ties(trees, imports, classes, returns)
     for mod, tree in trees.items():
-        for name, tied, within in _member_loads(mod, tree, imports, classes, returns):
+        for name, tied, within in _member_loads(mod, tree, imports, classes, returns, slots):
             holders = owners.get(name, [])
             key = holders[0] if len(holders) == 1 else tied if tied in holders else None
             if key is not None and (*key, name) != within:
@@ -459,6 +496,36 @@ def test_each_shared_member_reader_reads_it():
             isinstance(n, ast.Attribute) and isinstance(n.ctx, ast.Load) and n.attr == name
             for n in ast.walk(fn)
         ), f"{reader} no longer loads .{name}"
+
+
+def test_the_scan_ties_a_slot_to_its_init_parameter_or_constructor():
+    trees = {
+        "a": ast.parse(
+            "class P:\n    def shared(self): ...\n"
+            "class Q:\n    def shared(self): ...\n"
+            "class R:\n    def shared(self): ...\n"
+            "class S:\n    def shared(self): ...\n"
+            "class T:\n    def shared(self): ...\n"
+            "def make_t() -> T: ...\n"
+            "class Holder:\n"
+            "    __slots__ = ('p', 'q', 'r', 's', 't')\n"
+            "    def __init__(self, p: P, r, s: 'S'):\n"
+            "        self.p = p\n"
+            "        self.q = Q()\n"
+            "        self.r = r\n"
+            "        self.s = s\n"
+            "        self.s = P()\n"
+            "        self.t = make_t()\n"
+            "    def read(self):\n"
+            "        return self.p.shared(), self.q.shared(), self.r.shared(), self.s.shared()\n"
+        ),
+        "b": ast.parse(
+            "from .a import Holder\n"
+            "def f(h: Holder): return h.p, h.q, h.r, h.s, h.read(), h.t.shared()\n"
+        ),
+    }
+    # R's slot comes from an unannotated parameter, S's from two classes
+    assert _unread_members(trees) == {"a.R.shared", "a.S.shared"}
 
 
 def test_the_scan_sees_an_unread_member():
