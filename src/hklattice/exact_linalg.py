@@ -17,8 +17,9 @@ Python integers do the work. A ``Mat`` is stored the same way, as integer
 rows over its smallest positive denominator, and lattices, their forms and
 the rational vectors fed to them are handled as integer rows over one
 denominator; ``Fraction`` values are made only at the edges (reading a
-``Mat`` entry, ``basis_rows``, a ``coset_feasible`` witness) and rationals
-are printed by the one formatter ``_frac_str``.
+``Mat`` entry, ``basis_rows``) and rationals are printed by the one
+formatter ``_frac_str``. A ``coset_feasible`` witness is integer numerators
+over the lattice's denominator.
 Integer rows over a denominator are brought to lowest terms by the one
 helper ``_lowest_terms`` (``Mat`` and ``Lattice``); ``h4_model.H4Class``,
 a single row, does it with one ``gcd`` over its entries.
@@ -765,7 +766,8 @@ def coset_feasible(lat: Lattice, functional, target, den: int = 1):
     Fractions or "p/q" strings) and ``den`` an int > 0. The image of lat is
     a cyclic subgroup g*Z of Q with g >= 0, and the equation is solvable
     iff target is a multiple of g (only target 0 when g = 0). Returns
-    (feasible, witness, g) with witness an ambient vector or None.
+    (feasible, witness, g) with witness None or the integer numerators,
+    over ``lat.den``, of an ambient vector of lat (zeros for target 0).
     """
     df, f = _scaled_vector(functional, den)
     if len(f) != lat.ambient_dim:
@@ -776,8 +778,7 @@ def coset_feasible(lat: Lattice, functional, target, den: int = 1):
     nz = [(i, x) for i, x in enumerate(vals) if x]
     if not nz:
         if target == 0:
-            zero = tuple(Fraction(0) for _ in range(lat.ambient_dim))
-            return True, zero, Fraction(0)
+            return True, (0,) * lat.ambient_dim, Fraction(0)
         return False, None, Fraction(0)
     # image subgroup generator: gcd over Q of the basis values, taken over
     # the least common denominator L of the nonzero values
@@ -813,7 +814,7 @@ def coset_feasible(lat: Lattice, functional, target, den: int = 1):
     for i, c in coeff.items():
         coeffs[i] = m * c
     (wit,) = _combine_rows([coeffs], lat._sparse, lat.ambient_dim)
-    return True, tuple(Fraction(x, lat.den) for x in wit), gen
+    return True, tuple(wit), gen
 
 
 def _bezout(a: int, b: int) -> tuple[int, int]:

@@ -148,13 +148,6 @@ class H4Class:
         c._set(num, den)
         return c
 
-    @classmethod
-    def from_fractions(cls, coords) -> "H4Class":
-        d, (num,) = _scaled_ints([coords])
-        if len(num) != AMBIENT:
-            raise ValueError(f"need {AMBIENT} coordinates")
-        return cls._of(tuple(num), d)
-
     def _plus(self, other: "H4Class", sign: int) -> "H4Class":
         da, db = self.den, other.den
         D = lcm(da, db)
@@ -227,7 +220,8 @@ class H4Class:
             if k in vals:
                 raise ValueError(f"monomial ({i},{j}) is given twice, the last time as {key!r}")
             vals[k] = parse_rational(val)
-        return cls.from_fractions([vals.get(k, 0) for k in range(AMBIENT)])
+        d, (num,) = _scaled_ints([[vals.get(k, 0) for k in range(AMBIENT)]])
+        return cls._of(tuple(num), d)
 
 
 def sym2_embed(a: H2Class, b: H2Class) -> H4Class:

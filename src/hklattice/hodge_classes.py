@@ -73,9 +73,10 @@ class PicardData:
     """A saturated algebraic sublattice, checked against a polarization.
 
     ``p_lattice`` lives in the standard rank-23 ambient; the polarization
-    ``lambda0`` given to the constructor must be a primitive class of
-    positive square lying in it. Both the rank of P and of its complement
-    must be at least 1.
+    ``lambda0`` must be a primitive class of positive square lying in it.
+    Both the rank of P and of its complement must be at least 1. Only the
+    public constructor checks that its lattice is saturated in Z^23:
+    ``rank_one`` and ``from_vectors`` build theirs saturated.
     """
 
     __slots__ = ("p_lattice",)
@@ -83,19 +84,25 @@ class PicardData:
     def __init__(self, p_lattice: Lattice, lambda0: H2Class):
         if p_lattice.ambient_dim != RANK:
             raise ValueError(f"Picard lattice must live in dimension {RANK}")
-        if not (1 <= p_lattice.rank <= RANK - 1):
-            raise ValueError("Picard rank must be between 1 and 22")
         if p_lattice.den != 1 or _saturated(p_lattice) != p_lattice:
             raise ValueError("Picard lattice is not saturated")
-        _check_polarization(lambda0)
-        if not p_lattice.contains(lambda0.coords):
-            raise ValueError("polarization must lie in the Picard lattice")
+        _check_picard(p_lattice, lambda0)
         self.p_lattice = p_lattice
 
     @classmethod
+    def _of(cls, p_lattice: Lattice) -> "PicardData":
+        """The data of a saturated lattice the library built and checked,
+        without the checks of the constructor."""
+        p = cls.__new__(cls)
+        p.p_lattice = p_lattice
+        return p
+
+    @classmethod
     def rank_one(cls, lambda0: H2Class) -> "PicardData":
-        lat = Lattice._from_int_rows([lambda0.coords], 1, RANK, gram_mat())
-        return cls(lat, lambda0)
+        """Z * lambda0, saturated as lambda0 is primitive: b divides every
+        coordinate of lambda0 if (a/b) lambda0 is integral, gcd(a, b) = 1."""
+        _check_polarization(lambda0)
+        return cls._of(Lattice._from_int_rows([lambda0.coords], 1, RANK, gram_mat()))
 
     @classmethod
     def from_vectors(cls, vectors, lambda0: H2Class) -> "PicardData":
@@ -103,13 +110,24 @@ class PicardData:
         if isinstance(vectors, (str, Mapping)):
             raise TypeError(f"expected an array of integer arrays, got {vectors!r}")
         rows = [int_vector(v) for v in vectors]
-        lat = Lattice._from_int_rows(rows, 1, RANK, gram_mat())
-        return cls(_saturated(lat), lambda0)
+        lat = _saturated(Lattice._from_int_rows(rows, 1, RANK, gram_mat()))
+        _check_picard(lat, lambda0)
+        return cls._of(lat)
 
 
 def _saturated(lat: Lattice) -> Lattice:
     """The saturation of a lattice in Z^23, its Q-span meet Z^23."""
     return saturate_in(lat, Lattice.standard(RANK, lat.form))
+
+
+def _check_picard(lat: Lattice, l0: H2Class) -> None:
+    """Raise ``ValueError`` unless lat has rank 1 to 22 and holds the
+    polarization l0, checked in that order."""
+    if not (1 <= lat.rank <= RANK - 1):
+        raise ValueError("Picard rank must be between 1 and 22")
+    _check_polarization(l0)
+    if not lat.contains(l0.coords):
+        raise ValueError("polarization must lie in the Picard lattice")
 
 
 def _check_polarization(l0: H2Class) -> None:
@@ -295,10 +313,10 @@ def minimal_class_search(p: PicardData) -> MinimalityReport:
     if cov_den < 0:
         cov, cov_den = [-x for x in cov], -cov_den
     # the image m(search) is g*Z with g >= 0
-    feasible, wit_vec, g = coset_feasible(search, cov, 1, cov_den)
+    feasible, wit_num, g = coset_feasible(search, cov, 1, cov_den)
     witness = None
     if feasible:
-        witness = H4Class.from_fractions(wit_vec)
+        witness = H4Class._of(wit_num, search.den)
         if minimality_scalar(witness, T) != 1:
             raise ArithmeticError("witness failed re-verification across pairs")
 

@@ -11,14 +11,15 @@ import os
 import re
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hklattice import cli, deformation_fix, kernels
-from hklattice.h4_model import H4Class
+from hklattice import cli, cubic_fano, deformation_fix, h4_model, hodge_classes, kernels
+from hklattice.h4_model import H4Class, H4Lattice, default_h4_lattice, sym2_embed
 
 
 def _run(capsys, argv):
@@ -61,6 +62,85 @@ def call_fresh(tmp_path_factory):
 
 
 _ELAPSED = re.compile(r'"elapsed_ms": [0-9]+|in [0-9]+ ms')
+
+
+def _patch_everywhere(monkeypatch, owner, name, fake):
+    """Set owner.name, and each binding of the same function that a module
+    of the package imported by name, to fake."""
+    real = getattr(owner, name)
+    for modname, mod in list(sys.modules.items()):
+        if modname.split(".")[0] == "hklattice" and getattr(mod, name, None) is real:
+            monkeypatch.setattr(mod, name, fake)
+
+
+def _fujiki_pair_doubled(monkeypatch):
+    real = h4_model.fujiki_pair
+    _patch_everywhere(monkeypatch, h4_model, "fujiki_pair", lambda u, v: 2 * real(u, v))
+
+
+def _point_surface_plus_q_over_20(monkeypatch):
+    # d^2/8 + q/10 in place of d^2/8 + q/20
+    real = h4_model.point_surface_class
+    fake = lambda d, q: real(d, q) + Fraction(1, 20) * q
+    _patch_everywhere(monkeypatch, h4_model, "point_surface_class", fake)
+
+
+def _second_chern_minus_2_d_squared(monkeypatch):
+    # 24 v0 - 2 d^2 in place of 24 v0 - 3 d^2
+    def fake(d, q):
+        return 24 * h4_model.point_surface_class(d, q) - 2 * sym2_embed(d.h2, d.h2)
+
+    _patch_everywhere(monkeypatch, h4_model, "second_chern_class", fake)
+
+
+def _residual_sign(monkeypatch):
+    # (g1^2 + g2)/3 in place of (g1^2 - g2)/3
+    fake = lambda m: Fraction(1, 3) * (sym2_embed(m.g1, m.g1) + m.g2)
+    monkeypatch.setattr(cubic_fano.CubicModel, "residual_generator", fake)
+
+
+def _residual_plus_g2(monkeypatch):
+    # integral and primitive, and with g2 a basis of the same lattice
+    real = cubic_fano.CubicModel.residual_generator
+    monkeypatch.setattr(cubic_fano.CubicModel, "residual_generator", lambda m: real(m) + m.g2)
+
+
+def _witness_off_by_a_row(monkeypatch):
+    # the witness plus the first basis row on which the functional is nonzero
+    real = hodge_classes.coset_feasible
+
+    def fake(lat, functional, target, den=1):
+        ok, wit, g = real(lat, functional, target, den)
+        if ok:
+            row = next(r for r in lat.int_basis if sum(x * f for x, f in zip(r, functional)))
+            wit = tuple(w + x for w, x in zip(wit, row))
+        return ok, wit, g
+
+    monkeypatch.setattr(hodge_classes, "coset_feasible", fake)
+
+
+# fault -> (its seam, then the suite, name and status of a check that still
+# catches it). Each fault failed a proof that is no longer repeated:
+# build_cubic_model's fourth power 108 (the doubled pairing); c2_consistency's
+# 8 v0 = (2/5)q + d^2 and (1/3)(24 v0 - 3 d^2) = (2/5)q (the point class);
+# build_cubic_model's residual in L, primitive and equal to (g1^2 + (2/5)q)/8
+# (the residuals); the positive control's second minimality_scalar (the
+# witness). A wrong c2 formula failed only the comparison kept, of which the
+# two removed were restatements.
+_REMOVED_PROOFS = {
+    "fujiki_pair_doubled": (_fujiki_pair_doubled, "cubic", "g1_fourth_power", "fail"),
+    "point_surface_plus_q_over_20": (
+        _point_surface_plus_q_over_20, "cubic", "c2_consistency", "fail"
+    ),
+    "second_chern_minus_2_d_squared": (
+        _second_chern_minus_2_d_squared, "cubic", "c2_consistency", "fail"
+    ),
+    "residual_sign": (_residual_sign, "cubic", "residual_integral_primitive", "fail"),
+    "residual_plus_g2": (_residual_plus_g2, "cubic", "sampled_embeddings", "fail"),
+    "witness_off_by_a_row": (
+        _witness_off_by_a_row, "minimal-class", "positive_control_witness", "error"
+    ),
+}
 
 
 class TestVerify:
@@ -156,6 +236,36 @@ class TestVerify:
         }
         assert {n for n, s in status.items() if s == "error"} == users
         assert {s for n, s in status.items() if n not in users} == {"pass"}
+
+    def test_a_wrong_q_fails_the_cubic_checks_with_their_values(self, monkeypatch):
+        # the cubic code gets the default lattice with q doubled: the model
+        # still builds from its checked input, and each result check reports
+        # the value it found instead of an error
+        h4 = default_h4_lattice()
+        kept = ("lattice", "delta_used", "abasis", "a_gram", "b_inv", "v0")
+        wrong = H4Lattice(**{n: getattr(h4, n) for n in kept}, q=2 * h4.q)
+        monkeypatch.setattr(cubic_fano, "default_h4_lattice", lambda: wrong)
+        rep = cli.run_suite("cubic", seed=0, trials=None, convention="quadratic")
+        failed = {c["name"]: c["actual"] for c in rep["checks"] if c["status"] != "pass"}
+        assert {c["status"] for c in rep["checks"]} == {"pass", "fail"}
+        assert failed == {
+            "c2_consistency": "False",
+            "g2_dot_g1_squared": "45/2",
+            "g2_integral": "False",
+            "g2_kills_transcendental": "1 nonzero",
+            "lines_basis_equals_v": "False",
+            "residual_integral_primitive": "False",
+            "sampled_embeddings": "0/5",
+        }
+
+    @pytest.mark.parametrize("fault", list(_REMOVED_PROOFS))
+    def test_every_removed_proof_is_still_caught(self, monkeypatch, fault):
+        """Each fault failed a proof that a constructor or a check used to
+        repeat; the check named for it still does not pass."""
+        seam, suite, name, status = _REMOVED_PROOFS[fault]
+        seam(monkeypatch)
+        rep = cli.run_suite(suite, seed=0, trials=1, convention="quadratic")
+        assert {c["name"]: c["status"] for c in rep["checks"]}[name] == status
 
     def test_refuted_fixed_space_fails_its_checks(self, capsys, monkeypatch):
         # one structural generator dropped: the kernel is not their span, and

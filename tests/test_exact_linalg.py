@@ -266,9 +266,10 @@ class TestCosetFeasible:
             by_den = coset_feasible(lat, [1, 1], target, 2)
             assert by_den == coset_feasible(lat, [F(1, 2), F(1, 2)], target)
             assert by_den == coset_feasible(lat, ["1/2", "1/2"], target)
+        # the witness is integer numerators over lat.den = 3
         ok, wit, gen = coset_feasible(lat, [1, 1], F(2, 3), 2)
         assert ok and gen == F(1, 3)
-        assert lat.contains(wit) and (wit[0] + wit[1]) / 2 == F(2, 3)
+        assert lat.contains(wit, lat.den) and F(wit[0] + wit[1], 2 * lat.den) == F(2, 3)
         assert coset_feasible(lat, [0, 0], 0, 5) == (True, (0, 0), 0)
         assert coset_feasible(lat, [0, 0], 1, 5) == (False, None, 0)
 

@@ -4,7 +4,7 @@ lattice and its finite quotient."""
 import itertools
 import random
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 
 import pytest
 from hypothesis import given, settings
@@ -109,7 +109,8 @@ class TestH4Class:
     )
     def test_scale_matches_fraction_arithmetic(self, entries, c):
         coords = [entries.get(k, F(0)) for k in range(AMBIENT)]
-        w = H4Class.from_fractions(coords)
+        den = lcm(*(x.denominator for x in coords))
+        w = H4Class([x.numerator * (den // x.denominator) for x in coords], den)
         got = w.scale(c)
         assert h4_coords(got) == tuple(c * x for x in coords)
         # stored in lowest terms, as the normalizing constructor would

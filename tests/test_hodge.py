@@ -90,20 +90,29 @@ class TestPicardData:
             [[2, 2] + [0] * 21],
             [[2, 2] + [0] * 21, [0, 0, 4, 6] + [0] * 19],
             [[1, 1] + [0] * 21, [0, 0, 3, 0, 6] + [0] * 18, [0, 0, 0, 5] + [0] * 18 + [10]],
+            [[1, 1] + [0] * 21],
         ],
     )
-    def test_from_vectors_is_the_saturation_in_z23(self, vectors):
+    def test_from_vectors_is_the_saturation_in_z23(self, vectors, monkeypatch):
+        # from_vectors saturates once; rank_one, on a primitive class, never
+        saturations = []
+        real = hodge_classes._saturated
+        monkeypatch.setattr(hodge_classes, "_saturated", lambda lat: saturations.append(lat) or real(lat))
         l0 = _u_pol()
         lat = Lattice.from_int_rows(vectors, form=gram_mat())
         want = saturate_in(lat, Lattice.standard(RANK, form=gram_mat()))
         assert PicardData.from_vectors(vectors, l0).p_lattice == want
+        assert len(saturations) == 1
+        if want.rank == 1:
+            assert PicardData.rank_one(l0).p_lattice == want
+            assert len(saturations) == 1
 
     def test_rejects_negative_square(self):
         with pytest.raises(ValueError):
             PicardData.rank_one(delta0())
 
     def test_rejects_imprimitive(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="polarization must be primitive"):
             PicardData.rank_one(2 * _u_pol())
 
     def test_rejects_lambda_outside(self):
