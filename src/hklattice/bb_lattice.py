@@ -15,6 +15,12 @@ otherwise (defined for primitive classes only), and *exceptional* when it is
 primitive, even, and of square -2. Every exceptional class has the shape
 2*a + c*d0 with a orthogonal to the square -2 generator d0 and c odd; the
 samplers exploit that parametrization.
+
+An ``ExceptionalClass`` is the proof that a class is exceptional, made once
+where the class is made (``is_exceptional`` in the public constructor, the
+conditions of ``make_exceptional``, the frozen Gram for ``DELTA0``). Every
+function of an exceptional class, here and in ``h4_model``, takes one and
+reads its ``h2`` unchecked.
 """
 
 from __future__ import annotations
@@ -198,7 +204,8 @@ def is_exceptional(a: H2Class) -> bool:
 
 
 class ExceptionalClass:
-    """An H2Class validated to be exceptional at construction."""
+    """An H2Class proved exceptional: checked by the public constructor,
+    unchecked by ``_of`` for the classes the library proved itself."""
 
     __slots__ = ("h2",)
 
@@ -206,6 +213,13 @@ class ExceptionalClass:
         if not is_exceptional(h2):
             raise ValueError("class is not exceptional")
         self.h2 = h2
+
+    @classmethod
+    def _of(cls, h2: H2Class) -> "ExceptionalClass":
+        """The class h2, already proved exceptional, unchecked."""
+        d = cls.__new__(cls)
+        d.h2 = h2
+        return d
 
     def __eq__(self, other):
         if not isinstance(other, ExceptionalClass):
@@ -220,10 +234,14 @@ class ExceptionalClass:
 
 
 def make_exceptional(a_hat: H2Class, c: int) -> ExceptionalClass:
-    """Build the exceptional class 2*a_hat + c*delta0.
+    """Build the exceptional class d = 2*a_hat + c*delta0.
 
     Requires a_hat orthogonal to delta0, c odd, and the norm condition
-    2*b(a_hat, a_hat) = c^2 - 1 that makes the square come out to -2.
+    2*b(a_hat, a_hat) = c^2 - 1, which prove d exceptional: b(d, d) =
+    4 b(a_hat, a_hat) - 2c^2 = -2; d is even, as delta0 pairs evenly with
+    everything; and c is d's delta0 coordinate (a_hat has 0 there), so a
+    prime dividing d is odd and divides a_hat and c, hence p^2 divides
+    2 b(a_hat, a_hat) - c^2 = -1.
     """
     if bb_form(a_hat, delta0()) != 0:
         raise ValueError("a_hat must be orthogonal to delta0")
@@ -231,15 +249,20 @@ def make_exceptional(a_hat: H2Class, c: int) -> ExceptionalClass:
         raise ValueError("c must be odd")
     if 2 * bb_form(a_hat, a_hat) != c * c - 1:
         raise ValueError("norm condition 2*b(a,a) = c^2 - 1 violated")
-    return ExceptionalClass(2 * a_hat + c * delta0())
+    return ExceptionalClass._of(2 * a_hat + c * delta0())
+
+
+# The distinguished exceptional class: a basis vector whose Gram row is -2
+# on the diagonal and 0 elsewhere, so primitive, even and of square -2.
+DELTA0 = ExceptionalClass._of(delta0())
 
 
 def polarization_condition(l0: H2Class) -> bool:
     """Odd, or even with (10 + square)/8 an even integer.
 
-    Requires a primitive class of positive square. For even primitive
-    classes the quantity (10 + square)/8 is automatically an integer, so
-    the condition is a parity constraint on it.
+    Requires a primitive class of positive square. An even primitive class
+    is 2a + c*delta0 with c odd and b(a, a) even, so its square 4b(a, a) -
+    2c^2 is 6 mod 8 and (10 + square)/8 is an integer.
     """
     b0 = bb_form(l0, l0)
     if b0 <= 0:
@@ -248,22 +271,16 @@ def polarization_condition(l0: H2Class) -> bool:
         raise ValueError("polarization must be primitive")
     if is_odd(l0):
         return True
-    r = (10 + b0) // 8
-    if 8 * r != 10 + b0:
-        raise ArithmeticError("(10 + square)/8 is not an integer on an even class")
-    return r % 2 == 0
+    return (10 + b0) // 8 % 2 == 0
 
 
-def _as_h2(d) -> H2Class:
-    return d.h2 if isinstance(d, ExceptionalClass) else d
-
-
-def orth_complement_basis(d) -> tuple[H2Class, ...]:
+def orth_complement_basis(d: ExceptionalClass) -> tuple[H2Class, ...]:
     """Integral basis of the rank-22 orthogonal complement of an exceptional
-    class, HNF-reduced; its Gram must be even of determinant +-1 and
-    signature (3, 19), which is verified before returning.
+    class, HNF-reduced; its Gram is even, as GRAM is, and must be of
+    determinant +-1 and signature (3, 19), which is verified before
+    returning.
     """
-    return _orth_complement(_as_h2(d))[0]
+    return _orth_complement(d)[0]
 
 
 def _perp_rows(classes) -> list[list[int]]:
@@ -273,16 +290,14 @@ def _perp_rows(classes) -> list[list[int]]:
     return left_kernel(list(zip(*[gram_apply(c) for c in classes])))
 
 
-def _orth_complement(dh: H2Class):
+def _orth_complement(d: ExceptionalClass):
     """``(basis, g, U)`` as tuples: the checked complement basis of
     ``orth_complement_basis``, its Gram g and the inverse U of g, built once
     for the checks and handed to the caller (``H4Lattice`` stores them as
     its ``abasis``, ``a_gram`` and ``b_inv``). The inverse is the
     unimodularity proof: ``hnf_transform`` gives a unimodular U with
     U * g = H, and H = I exactly when det g = +-1."""
-    if not is_exceptional(dh):
-        raise ValueError("complement basis needs an exceptional class")
-    basis_rows = kernels.hnf(_perp_rows([dh]))
+    basis_rows = kernels.hnf(_perp_rows([d.h2]))
     k = RANK - 1
     if len(basis_rows) != k:
         raise ArithmeticError("complement has unexpected rank")
@@ -291,36 +306,28 @@ def _orth_complement(dh: H2Class):
     H, U, _ = kernels.hnf_transform(g)
     if H != [[int(i == j) for j in range(k)] for i in range(k)]:
         raise ArithmeticError("complement Gram is not unimodular")
-    if any(g[i][i] % 2 for i in range(k)):
-        raise ArithmeticError("complement Gram is not even")
     if signature_symmetric(Mat._of(g, 1)) != (3, 19, 0):
         raise ArithmeticError("complement has wrong signature")
     return tuple(vecs), tuple(map(tuple, g)), tuple(map(tuple, U))
 
 
-def decompose_even(l0: H2Class, d) -> tuple[H2Class, int]:
-    """Write an even primitive class as 2*a_hat + c*d with c odd.
+def decompose_even(l0: H2Class, d: ExceptionalClass) -> tuple[H2Class, int]:
+    """Write an even primitive class as 2*a_hat + c*d with c odd; an
+    imprimitive or odd class raises ``ValueError``.
 
-    The lattice splits off the exceptional class d orthogonally, and a
-    primitive class is even exactly when its component in d-perp is twice a
-    lattice vector; c is then forced odd by primitivity.
+    Parity is decided here: d is even of square -2, so L = d-perp + Z*d and
+    l0 = w + c*d with c = -b(l0, d)/2. d-perp is unimodular and saturated,
+    so l0 is even exactly when w has even coordinates, and then c is odd
+    because l0 is primitive.
     """
-    dh = _as_h2(d)
-    if not is_exceptional(dh):
-        raise ValueError("decomposition needs an exceptional class")
-    if not is_even(l0):
-        raise ValueError("class is not even")
-    m2 = bb_form(l0, dh)
-    c = -m2 // 2
-    if -2 * c != m2:
-        raise ArithmeticError("pairing against an even class must be even")
+    if not is_primitive(l0):
+        raise ValueError("parity is defined for primitive classes only")
+    dh = d.h2
+    c = -bb_form(l0, dh) // 2
     w = l0 - c * dh
     if any(x % 2 for x in w.coords):
-        raise ArithmeticError("even class has non-doubled orthogonal part")
-    a_hat = H2Class._of(tuple([x // 2 for x in w.coords]))
-    if c % 2 == 0:
-        raise ArithmeticError("primitive even class must have odd coefficient")
-    return a_hat, c
+        raise ValueError("class is not even")
+    return H2Class._of(tuple([x // 2 for x in w.coords])), c
 
 
 # -- seeded samplers ---------------------------------------------------------
@@ -363,7 +370,6 @@ def sample_polarization_odd(rng: random.Random) -> H2Class:
     target = 2 * rng.randrange(1, 30)
     v = _square_adjusted(rng, target)
     # pairs to 1 with f1, hence odd; leading coefficient 1 gives primitivity
-    assert bb_form(v, v) == target
     return v
 
 
@@ -376,13 +382,8 @@ def sample_polarization_even(rng: random.Random, condition: bool = True) -> H2Cl
     b0 = (6 if condition else 14) + 16 * rng.randrange(0, 8)
     c = rng.choice([-3, -1, 1, 3, 5])
     # b0 = 4*b(a,a) - 2c^2 solves for an even b(a,a) because b0 = 6 mod 8
-    s4 = b0 + 2 * c * c
-    if s4 % 4:
-        raise ArithmeticError("target square incompatible with parity")
-    a_hat = _square_adjusted(rng, s4 // 4)
-    out = 2 * a_hat + c * delta0()
-    assert bb_form(out, out) == b0
-    return out
+    a_hat = _square_adjusted(rng, (b0 + 2 * c * c) // 4)
+    return 2 * a_hat + c * delta0()
 
 
 def sample_primitive(rng: random.Random) -> H2Class:

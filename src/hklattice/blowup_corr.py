@@ -21,6 +21,11 @@ The residue construction (third intersection point of a conic/secant with
 the cubic) rescales a multiplier; the literal transform constant is 3 - 2e,
 and two conventions for how that constant hits the pairing are kept behind
 a flag because they disagree beyond parity (see residue_transform).
+
+A ``FourfoldH4`` is checked by its public constructor; ``standard`` and
+``blowup_h4`` build theirs through the trusted ``_of``, as an orthogonal
+sum with the integral block of a center keeps every checked fact (see
+``blowup_h4``). A ``BlowupCenter`` is checked once, by ``surface``.
 """
 
 from __future__ import annotations
@@ -28,11 +33,12 @@ from __future__ import annotations
 from itertools import product as _iproduct
 from math import lcm
 
-from .exact_linalg import Lattice, Mat, lattice_join, parse_int, saturate_in
+from .exact_linalg import Lattice, Mat, parse_int, saturate_in
 
 
 class FourfoldH4:
-    """Middle-cohomology lattice of a fourfold with its transcendental part."""
+    """Middle-cohomology lattice of a fourfold with its transcendental part:
+    integral form, saturated T. Checked by the constructor, not by ``_of``."""
 
     __slots__ = ("lattice", "transcendental")
 
@@ -52,106 +58,96 @@ class FourfoldH4:
         self.lattice = lattice
 
     @classmethod
+    def _of(cls, lattice: Lattice, transcendental: Lattice) -> "FourfoldH4":
+        """The pair as given, unchecked; T carries the lattice's form."""
+        y = cls.__new__(cls)
+        y.lattice = lattice
+        y.transcendental = transcendental
+        return y
+
+    @classmethod
     def standard(cls, form, transcendental_rows=None) -> "FourfoldH4":
+        """Z^n with an integral form, and the saturation in it of the span
+        of ``transcendental_rows`` (none by default)."""
         form = form if isinstance(form, Mat) else Mat(form)
         n = form.shape[0]
         lat = Lattice.standard(n, form=form)
-        if transcendental_rows is None:
-            t = Lattice._from_int_rows([], 1, n, form)
-        else:
-            t = Lattice.from_generators(transcendental_rows, ambient_dim=n, form=form)
-            t = saturate_in(t, lat)
-        return cls(lat, t)
+        if not form.is_integer():
+            raise ValueError("intersection pairing must be integral on the lattice")
+        t = Lattice.from_generators(transcendental_rows or [], ambient_dim=n, form=form)
+        return cls._of(lat, saturate_in(t, lat))
 
 
 class BlowupCenter:
-    """A point, a curve with normal-bundle degree d, or a surface."""
+    """What blowing up a center adds: an integral Gram block of size k and
+    a transcendental part saturated in Z^k. A point adds <-1> and a curve
+    of normal-bundle degree d adds [[d, -1], [-1, 0]], with none; a surface
+    adds its negated degree-2 Gram and its own, checked by ``surface``.
+    """
 
-    __slots__ = ("kind", "d", "h2_gram", "transcendental_sub")
+    __slots__ = ("block", "transcendental")
 
-    def __init__(self, kind, d=None, h2_gram=None, transcendental_sub=None):
-        if kind not in ("point", "curve", "surface"):
-            raise ValueError(f"unknown center kind {kind!r}")
-        self.kind = kind
-        self.d = None
-        self.h2_gram = None
-        self.transcendental_sub = None
-        if kind == "curve":
-            if d is None:
-                raise ValueError("curve center needs its degree d")
-            self.d = parse_int(d)
-        elif kind == "surface":
-            g = h2_gram if isinstance(h2_gram, Mat) else Mat(h2_gram)
-            if not g.is_symmetric():
-                raise ValueError("surface degree-2 Gram must be symmetric")
-            if not g.is_integer():
-                raise ValueError("surface degree-2 Gram must be integral")
-            self.h2_gram = g
-            k = g.shape[0]
-            if transcendental_sub is None:
-                transcendental_sub = Lattice._from_int_rows([], 1, k)
-            if transcendental_sub.ambient_dim != k:
-                raise ValueError("surface transcendental part must match its Gram size")
-            self.transcendental_sub = transcendental_sub
+    def __init__(self, block: Mat, transcendental: Lattice):
+        self.block = block
+        self.transcendental = transcendental
 
     @classmethod
     def point(cls) -> "BlowupCenter":
-        return cls("point")
+        return cls(Mat._of([[-1]], 1), Lattice._from_int_rows([], 1, 1))
 
     @classmethod
     def curve(cls, d: int) -> "BlowupCenter":
-        return cls("curve", d=d)
+        d = parse_int(d)
+        return cls(Mat._of([[d, -1], [-1, 0]], 1), Lattice._from_int_rows([], 1, 2))
 
     @classmethod
     def surface(cls, h2_gram, transcendental_sub=None) -> "BlowupCenter":
-        return cls("surface", h2_gram=h2_gram, transcendental_sub=transcendental_sub)
+        g = h2_gram if isinstance(h2_gram, Mat) else Mat(h2_gram)
+        if not g.is_symmetric():
+            raise ValueError("surface degree-2 Gram must be symmetric")
+        if not g.is_integer():
+            raise ValueError("surface degree-2 Gram must be integral")
+        k = g.shape[0]
+        t = Lattice._from_int_rows([], 1, k) if transcendental_sub is None else transcendental_sub
+        if t.ambient_dim != k:
+            raise ValueError("surface transcendental part must match its Gram size")
+        # a part outside Z^k differs from its saturation there too
+        if saturate_in(t, Lattice.standard(k, t.form)) != t:
+            raise ValueError("surface transcendental part must be saturated in Z^k")
+        return cls(-1 * g, t)
 
-    def block(self) -> Mat:
-        """The Gram block the center contributes to the blown-up fourfold."""
-        if self.kind == "point":
-            return Mat._of([[-1]], 1)
-        if self.kind == "curve":
-            return Mat._of([[self.d, -1], [-1, 0]], 1)
-        return -1 * self.h2_gram
 
-
-def _block_diag(a: Mat, b: Mat) -> Mat:
-    da, A = a.scaled_int_rows()
-    db, B = b.scaled_int_rows()
+def _sum_rows(a, b, n: int, k: int) -> tuple[int, list[list[int]]]:
+    """(D, rows): integer rows a = (da, A) on the first n coordinates and
+    b = (db, B) on the last k, over D = lcm(da, db)."""
+    (da, A), (db, B) = a, b
     D = lcm(da, db)
-    fa, fb = D // da, D // db
-    rows = [[x * fa for x in r] + [0] * len(B) for r in A]
-    rows += [[0] * len(A) + [x * fb for x in r] for r in B]
-    return Mat._of(rows, D)
-
-
-def _place(lat: Lattice, before: int, after: int, form: Mat) -> Lattice:
-    """The lattice moved into a larger space, with `before` zero coordinates
-    in front of its own and `after` behind them."""
-    rows = [[0] * before + list(r) + [0] * after for r in lat.int_basis]
-    return Lattice._from_int_rows(rows, lat.den, before + lat.ambient_dim + after, form)
+    rows = [[x * (D // da) for x in r] + [0] * k for r in A]
+    rows += [[0] * n + [x * (D // db) for x in r] for r in B]
+    return D, rows
 
 
 def blowup_h4(y: FourfoldH4, c: BlowupCenter) -> FourfoldH4:
-    """Middle cohomology of the blow-up along the center.
+    """Middle cohomology of the blow-up along the center: the orthogonal sum
+    of Y's lattice with Z^k under the center's block, and of Y's
+    transcendental part with the center's.
 
-    Orthogonal direct sum with the center's block: <-1> for a point,
-    [[d,-1],[-1,0]] for a curve of degree d, the negated surface Gram for a
-    surface. The transcendental part is unchanged for points and curves; a
-    surface center adds its own transcendental sublattice inside the new
-    (negated) block.
+    It is built unchecked, as the sum keeps the facts ``FourfoldH4``
+    checks, proved for Y when Y was made and for the center by its
+    constructor: the Gram is Y's and the integral block, with zeros
+    between; T_Y lies in L_Y and T_c in Z^k; and T_Y + T_c is saturated,
+    as a rational vector of it in L_Y + Z^k has each part in its summand.
     """
-    block = c.block()
-    n = y.lattice.ambient_dim
-    k = block.shape[0]
-    form = _block_diag(y.lattice.form, block)
-    lat = lattice_join(
-        _place(y.lattice, 0, k, form), _place(Lattice.standard(k), n, 0, form)
-    )
-    t = _place(y.transcendental, 0, k, form)
-    if c.kind == "surface":
-        t = lattice_join(t, _place(c.transcendental_sub, n, 0, form))
-    return FourfoldH4(lat, t)
+    n, k = y.lattice.ambient_dim, c.block.shape[0]
+    D, rows = _sum_rows(y.lattice.form.scaled_int_rows(), c.block.scaled_int_rows(), n, k)
+    form = Mat._of(rows, D)
+
+    def direct_sum(a: Lattice, b: Lattice) -> Lattice:
+        D, rows = _sum_rows((a.den, a.int_basis), (b.den, b.int_basis), n, k)
+        return Lattice._from_int_rows(rows, D, n + k, form)
+
+    lat = direct_sum(y.lattice, Lattice.standard(k))
+    return FourfoldH4._of(lat, direct_sum(y.transcendental, c.transcendental))
 
 
 _CONVENTIONS = ("quadratic", "paper")
@@ -238,10 +234,11 @@ def potential_jacobian_search(
 ) -> CombinationSearchResult:
     """All integer coefficient tuples with sum c_i^2 e_i = 1, |c_i| <= bound.
 
-    An all-even multiplier list is certified empty without (and regardless
-    of) the enumeration: every combination value is then even. The search
-    itself is exhaustive over the box, so an empty solution list documents
-    emptiness up to the bound.
+    An all-even multiplier list is answered by its parity certificate
+    alone, with no enumeration: every combination value is then even, never
+    1. Otherwise the search is exhaustive over the box, so an empty
+    solution list documents emptiness up to the bound. The box-size limit
+    applies to both.
     """
     mults = [parse_int(e) for e in multipliers]
     coeff_bound = parse_int(coeff_bound)
@@ -252,21 +249,16 @@ def potential_jacobian_search(
     width = 2 * coeff_bound + 1
     if width ** len(mults) > 20_000_000:
         raise ValueError("search box too large; lower the bound or split")
-    note = None
-    provably_empty = False
     if all(e % 2 == 0 for e in mults):
-        provably_empty = True
         note = "all multipliers even: every combination is even, never 1"
-    solutions = []
+        return CombinationSearchResult(mults, coeff_bound, [], True, note)
     rng = range(-coeff_bound, coeff_bound + 1)
-    for coeffs in _iproduct(rng, repeat=len(mults)):
-        if sum(c * c * e for c, e in zip(coeffs, mults)) == 1:
-            solutions.append(tuple(coeffs))
-    if provably_empty and solutions:
-        raise ArithmeticError("parity certificate contradicted by enumeration")
-    return CombinationSearchResult(
-        mults, coeff_bound, solutions, provably_empty, note
-    )
+    solutions = [
+        coeffs
+        for coeffs in _iproduct(rng, repeat=len(mults))
+        if sum(c * c * e for c, e in zip(coeffs, mults)) == 1
+    ]
+    return CombinationSearchResult(mults, coeff_bound, solutions, False, None)
 
 
 def rational_map_indices() -> tuple[int, int]:

@@ -28,8 +28,11 @@ The checked constructors (``Mat(rows)``, ``Lattice.from_int_rows``,
 check their entries. Values the library builds take the trusted ones,
 which only normalize: ``Mat._of`` for matrices (scalar multiples,
 inverses, Gram matrices, block sums, the identity) and
-``Lattice._from_int_rows`` for lattices. ``Mat.inverse`` is a
-fraction-free Gauss-Jordan on the integer rows.
+``Lattice._from_int_rows`` for lattices. The value types of the other
+layers keep the same rule, each fact proved once where the value is made:
+``H2Class``, ``ExceptionalClass``, ``H4Class``, ``PicardData``,
+``FixInstance`` and ``FourfoldH4`` each have a trusted ``_of``.
+``Mat.inverse`` is a fraction-free Gauss-Jordan on the integer rows.
 
 Each job of the layer has one function:
 

@@ -13,6 +13,10 @@ denominator 10 dual to a point (the "point/surface" class below). L does not
 depend on which exceptional class is used, which is one of the verified
 facts rather than an assumption.
 
+The exceptional class d is a ``bb_lattice.ExceptionalClass``, proved
+exceptional where it was made; the functions of d here read ``d.h2`` and
+check nothing about it, and an omitted d is ``bb_lattice.DELTA0``.
+
 Everything is exact and runs on Python integers: classes are integer
 numerators over one denominator and go into lattices as such, through the
 one vector API of ``Lattice`` (``contains(num, den)`` and its siblings).
@@ -50,13 +54,12 @@ from functools import cache
 from math import gcd, lcm
 
 from .bb_lattice import (
+    DELTA0,
     GRAM,
     RANK,
     ExceptionalClass,
     H2Class,
-    _as_h2,
     _orth_complement,
-    delta0,
     gram_apply,
 )
 from .exact_linalg import (
@@ -334,7 +337,7 @@ def _q_class(dh: H2Class, abasis, b_inv) -> H4Class:
     return H4Class._of(tuple(num), 2)
 
 
-def bb_inverse_class(d=None) -> H4Class:
+def bb_inverse_class(d: ExceptionalClass | None = None) -> H4Class:
     """The canonical degree-4 class q dual to the bilinear form.
 
     Built from an exceptional class d (default: the distinguished one) and
@@ -342,31 +345,31 @@ def bb_inverse_class(d=None) -> H4Class:
     inverse complement Gram; the result does not depend on d. Each call
     builds q from scratch; the default lattice carries it as ``q``.
     """
-    dh = delta0() if d is None else _as_h2(d)
-    abasis, _, b_inv = _orth_complement(dh)
-    return _q_class(dh, abasis, b_inv)
+    d = DELTA0 if d is None else d
+    abasis, _, b_inv = _orth_complement(d)
+    return _q_class(d.h2, abasis, b_inv)
 
 
-def half_product_class(d, a: H2Class) -> H4Class:
+def half_product_class(d: ExceptionalClass, a: H2Class) -> H4Class:
     """The integral class a*(a - d)/2 attached to an exceptional d: one
     product, a*a - a*d = a*(a - d) by bilinearity, over 2."""
-    return H4Class._of(sym2_embed(a, a - _as_h2(d)).num, 2)
+    return H4Class._of(sym2_embed(a, a - d.h2).num, 2)
 
 
-def point_surface_class(d, q: H4Class) -> H4Class:
+def point_surface_class(d: ExceptionalClass, q: H4Class) -> H4Class:
     """The generator d^2/8 + q/20 of the overlattice; its denominator in
     lowest terms is 10.
 
     Satisfies 8*v = (2/5)q + d^2 and pairs with any product a*b as
     b(a,b) + b(d,a)b(d,b)/4.
     """
-    dh = _as_h2(d)
+    dh = d.h2
     return Fraction(1, 8) * sym2_embed(dh, dh) + Fraction(1, 20) * q
 
 
-def second_chern_class(d, q: H4Class) -> H4Class:
+def second_chern_class(d: ExceptionalClass, q: H4Class) -> H4Class:
     """24 times the point/surface class minus 3 d^2; equals (6/5)q."""
-    dh = _as_h2(d)
+    dh = d.h2
     v0 = point_surface_class(d, q)
     return 24 * v0 - 3 * sym2_embed(dh, dh)
 
@@ -433,30 +436,23 @@ class H4Lattice:
         return fujiki_det() * detb * detb
 
 
-def _exceptional(d) -> ExceptionalClass:
-    """d as an ``ExceptionalClass`` (checked); None is the distinguished one."""
-    if d is None:
-        return ExceptionalClass(delta0())
-    return d if isinstance(d, ExceptionalClass) else ExceptionalClass(d)
-
-
 def _glue(d: ExceptionalClass, abasis, q: H4Class) -> list[H4Class]:
     """The 22 half products a(a - d)/2 over ``abasis`` and then the
     denominator-10 class d^2/8 + q/20."""
     return [half_product_class(d, a) for a in abasis] + [point_surface_class(d, q)]
 
 
-def glue_classes(d=None) -> list[H4Class]:
+def glue_classes(d: ExceptionalClass | None = None) -> list[H4Class]:
     """The 23 glue classes of an exceptional class d (default: the
     distinguished one): the half products a(a - d)/2 of the basis of d's
     complement and the denominator-10 class, in that order. With Z^276
     they generate the degree-4 lattice built from d."""
-    d = _exceptional(d)
-    abasis, _, b_inv = _orth_complement(d.h2)
+    d = DELTA0 if d is None else d
+    abasis, _, b_inv = _orth_complement(d)
     return _glue(d, abasis, _q_class(d.h2, abasis, b_inv))
 
 
-def build_h4_lattice(d=None) -> H4Lattice:
+def build_h4_lattice(d: ExceptionalClass | None = None) -> H4Lattice:
     """Construct the full degree-4 lattice from an exceptional class.
 
     Joins the monomial lattice with the 23 glue classes of d (the 22
@@ -468,8 +464,8 @@ def build_h4_lattice(d=None) -> H4Lattice:
     this one, from 23 membership solves and the ranks of the glue mod 2
     and mod 5.
     """
-    d = _exceptional(d)
-    abasis, a_gram, b_inv = _orth_complement(d.h2)
+    d = DELTA0 if d is None else d
+    abasis, a_gram, b_inv = _orth_complement(d)
     q = _q_class(d.h2, abasis, b_inv)
     glue = _glue(d, abasis, q)
     lat = lattice_join(sym2_lattice(), h4_span(glue))

@@ -354,7 +354,8 @@ def even_class_predicates(l0: H2Class) -> dict[str, bool]:
 
     All six booleans must agree for every primitive class and every choice
     of exceptional class; the equivalence is asserted by the test suite on
-    random samples rather than assumed here.
+    random samples rather than assumed here. ``decomposes_over_exceptional``
+    is ``decompose_even``'s own parity test, not a second ``is_even``.
 
     The divisibility predicates share one solve: sq_diff/n lies in the
     lattice exactly when sq_diff does, with coordinates c, and n divides
@@ -374,7 +375,7 @@ def even_class_predicates(l0: H2Class) -> dict[str, bool]:
     try:
         decompose_even(l0, d)
         decomposes = True
-    except (ValueError, ArithmeticError):
+    except ValueError:
         decomposes = False
     return {
         "even_pairings": is_even(l0),

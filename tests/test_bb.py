@@ -1,11 +1,15 @@
 """The rank-23 degree-2 lattice: frozen Gram data, parity predicates,
 exceptional classes, samplers, decompositions."""
 
+import random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from hklattice import bb_lattice
 from hklattice.bb_lattice import (
+    DELTA0,
     GRAM,
     RANK,
     ExceptionalClass,
@@ -120,7 +124,7 @@ class TestExceptionalClass:
 
 class TestComplement:
     def test_orth_complement_is_unimodular_k3(self):
-        basis = orth_complement_basis(delta0())
+        basis = orth_complement_basis(DELTA0)
         assert len(basis) == RANK - 1
         from hklattice.exact_linalg import Mat
 
@@ -133,7 +137,7 @@ class TestComplement:
     def test_complement_of_delta0_is_the_leading_block(self):
         # the default lattice keeps this Gram and its inverse, and
         # double_cover_sym2_matrix reads them from there as GRAM's block
-        basis, g, _ = _orth_complement(delta0())
+        basis, g, _ = _orth_complement(DELTA0)
         assert basis == tuple(H2Class.basis_vector(i) for i in range(RANK - 1))
         assert g == tuple(tuple(row[: RANK - 1]) for row in GRAM[: RANK - 1])
 
@@ -146,12 +150,12 @@ class TestComplement:
     def test_decompose_even(self, rng):
         for _ in range(5):
             l0 = sample_polarization_even(rng, True)
-            a, c = decompose_even(l0, delta0())
+            a, c = decompose_even(l0, DELTA0)
             assert c % 2 == 1
             assert 2 * a + c * delta0() == l0
         e1, f1 = hyperbolic_pair(0)
         with pytest.raises(ValueError):
-            decompose_even(e1 + f1, delta0())  # odd class
+            decompose_even(e1 + f1, DELTA0)  # odd class
 
 
 class TestSamplers:
@@ -208,3 +212,37 @@ def test_even_iff_doubled_pairings(a):
     x = H2Class([c // g for c in a])
     evens = all(bb_form(x, H2Class.basis_vector(i)) % 2 == 0 for i in range(RANK))
     assert is_even(x) == evens
+
+
+def test_decompose_even_decides_parity_without_is_even(monkeypatch, rng):
+    # the split L = d-perp + Z*d decides parity on the coordinates of the
+    # d-perp part, with no call to is_even
+    def refuse(a):
+        raise AssertionError("is_even was asked")
+
+    monkeypatch.setattr(bb_lattice, "is_even", refuse)
+    for d in (DELTA0, sample_exceptional(rng), sample_exceptional(rng)):
+        for _ in range(3):
+            l0 = sample_polarization_even(rng)
+            a, c = decompose_even(l0, d)
+            assert c % 2 == 1 and 2 * a + c * d.h2 == l0
+            with pytest.raises(ValueError, match="not even"):
+                decompose_even(sample_polarization_odd(rng), d)
+
+
+@settings(max_examples=60, deadline=None)
+@given(coords, st.integers(0, 2**32))
+def test_decompose_even_agrees_with_is_even(a, seed):
+    if not any(a):
+        return
+    from math import gcd
+
+    g = gcd(*a)
+    x = H2Class([c // g for c in a])
+    d = sample_exceptional(random.Random(seed)) if seed % 2 else DELTA0
+    try:
+        decompose_even(x, d)
+        decomposes = True
+    except ValueError:
+        decomposes = False
+    assert decomposes == is_even(x)

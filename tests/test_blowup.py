@@ -4,7 +4,10 @@ transcendental transport, residue parities, combination search."""
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from hklattice import blowup_corr, cli, exact_linalg
 from hklattice.blowup_corr import (
     BlowupCenter,
     Combination,
@@ -17,7 +20,7 @@ from hklattice.blowup_corr import (
     rational_map_indices,
     residue_transform,
 )
-from hklattice.exact_linalg import Lattice, Mat
+from hklattice.exact_linalg import Lattice, Mat, saturate_in
 
 F = Fraction
 U = [[0, 1], [1, 0]]
@@ -72,6 +75,82 @@ class TestSingleBlowup:
         rows = [list(r) for r in ys.transcendental.basis_rows()]
         assert [1, 0, 0, 0] in rows
         assert [0, 0, 0, 1] in rows
+
+
+class TestTrustedBlowups:
+    """``standard`` and ``blowup_h4`` build through ``FourfoldH4._of``; the
+    pairs they build are the ones the checked constructor accepts."""
+
+    def test_surface_refuses_a_part_outside_saturated_z_k(self):
+        with pytest.raises(ValueError, match="saturated"):
+            BlowupCenter.surface(U, transcendental_sub=Lattice.from_int_rows([[2, 0]]))
+        half = Lattice.from_generators([[F(1, 2), 0]], ambient_dim=2)
+        with pytest.raises(ValueError, match="Z\\^k"):
+            BlowupCenter.surface(U, transcendental_sub=half)
+
+    def test_suite_saturates_at_most_twice_and_checks_nothing(self, monkeypatch):
+        calls = {"saturate_in": 0, "checked": 0}
+        real_saturate, real_init = blowup_corr.saturate_in, FourfoldH4.__init__
+
+        def saturate(sub, sup):
+            calls["saturate_in"] += 1
+            return real_saturate(sub, sup)
+
+        def init(self, *args):
+            calls["checked"] += 1
+            real_init(self, *args)
+
+        monkeypatch.setattr(blowup_corr, "saturate_in", saturate)
+        monkeypatch.setattr(exact_linalg, "saturate_in", saturate)
+        monkeypatch.setattr(FourfoldH4, "__init__", init)
+        rep = cli.run_suite("blowup", seed=0, trials=None, convention="quadratic")
+        assert {c["status"] for c in rep["checks"]} == {"pass"}
+        assert calls["saturate_in"] <= 2
+        assert calls["checked"] == 0
+
+
+small = st.integers(-4, 4)
+
+
+@st.composite
+def symmetric_forms(draw, k):
+    entries = draw(st.lists(small, min_size=k * k, max_size=k * k))
+    return [[entries[min(i, j) * k + max(i, j)] for j in range(k)] for i in range(k)]
+
+
+@st.composite
+def saturated_parts(draw, k):
+    gens = draw(st.lists(st.lists(small, min_size=k, max_size=k), max_size=k))
+    return saturate_in(Lattice.from_int_rows(gens, ambient_dim=k), Lattice.standard(k))
+
+
+@st.composite
+def centers(draw):
+    kind = draw(st.sampled_from(["point", "curve", "surface"]))
+    if kind == "point":
+        return BlowupCenter.point()
+    if kind == "curve":
+        return BlowupCenter.curve(draw(small))
+    k = draw(st.integers(1, 3))
+    return BlowupCenter.surface(draw(symmetric_forms(k)), transcendental_sub=draw(saturated_parts(k)))
+
+
+@st.composite
+def bases(draw):
+    k = draw(st.integers(1, 3))
+    rows = draw(st.lists(st.lists(small, min_size=k, max_size=k), max_size=k))
+    return FourfoldH4.standard(draw(symmetric_forms(k)), transcendental_rows=rows)
+
+
+@settings(max_examples=60, deadline=None)
+@given(bases(), st.lists(centers(), max_size=4))
+def test_trusted_fourfolds_equal_the_checked_constructor(y, seq):
+    for c in seq + [None]:
+        checked = FourfoldH4(y.lattice, y.transcendental)
+        assert checked.lattice == y.lattice
+        assert checked.transcendental == y.transcendental
+        if c is not None:
+            y = blowup_h4(y, c)
 
 
 class TestSequence:
@@ -132,6 +211,17 @@ class TestCombinations:
     def test_search_mixed_signs(self):
         r = potential_jacobian_search([-1, 1], 1)
         assert (0, 1) in r.solutions and (0, -1) in r.solutions
+
+    def test_search_all_even_answers_from_its_certificate(self, monkeypatch):
+        def enumerate_box(*args, **kwargs):
+            raise AssertionError("the box was enumerated")
+
+        monkeypatch.setattr(blowup_corr, "_iproduct", enumerate_box)
+        r = potential_jacobian_search([2, 2, 2, 2, 2], 13)
+        assert (r.solutions, r.provably_empty) == ([], True)
+        # the box-size limit still comes first
+        with pytest.raises(ValueError):
+            potential_jacobian_search([2] * 12, 10)
 
     def test_box_capped(self):
         with pytest.raises(ValueError):

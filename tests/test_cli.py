@@ -8,6 +8,7 @@ import hashlib
 import io
 import json
 import os
+import random
 import re
 import subprocess
 import sys
@@ -91,6 +92,14 @@ def _second_chern_minus_2_d_squared(monkeypatch):
         return 24 * h4_model.point_surface_class(d, q) - 2 * sym2_embed(d.h2, d.h2)
 
     _patch_everywhere(monkeypatch, h4_model, "second_chern_class", fake)
+
+
+def _q_doubled(monkeypatch):
+    # the cubic code gets the default lattice with q doubled
+    h4 = default_h4_lattice()
+    kept = ("lattice", "delta_used", "abasis", "a_gram", "b_inv", "v0")
+    wrong = H4Lattice(**{n: getattr(h4, n) for n in kept}, q=2 * h4.q)
+    monkeypatch.setattr(cubic_fano, "default_h4_lattice", lambda: wrong)
 
 
 def _residual_sign(monkeypatch):
@@ -238,13 +247,9 @@ class TestVerify:
         assert {s for n, s in status.items() if n not in users} == {"pass"}
 
     def test_a_wrong_q_fails_the_cubic_checks_with_their_values(self, monkeypatch):
-        # the cubic code gets the default lattice with q doubled: the model
-        # still builds from its checked input, and each result check reports
-        # the value it found instead of an error
-        h4 = default_h4_lattice()
-        kept = ("lattice", "delta_used", "abasis", "a_gram", "b_inv", "v0")
-        wrong = H4Lattice(**{n: getattr(h4, n) for n in kept}, q=2 * h4.q)
-        monkeypatch.setattr(cubic_fano, "default_h4_lattice", lambda: wrong)
+        # with q doubled the model still builds from its checked input, and
+        # each result check reports the value it found instead of an error
+        _q_doubled(monkeypatch)
         rep = cli.run_suite("cubic", seed=0, trials=None, convention="quadratic")
         failed = {c["name"]: c["actual"] for c in rep["checks"] if c["status"] != "pass"}
         assert {c["status"] for c in rep["checks"]} == {"pass", "fail"}
@@ -252,11 +257,25 @@ class TestVerify:
             "c2_consistency": "False",
             "g2_dot_g1_squared": "45/2",
             "g2_integral": "False",
-            "g2_kills_transcendental": "1 nonzero",
+            "g2_kills_transcendental": "35 nonzero",
             "lines_basis_equals_v": "False",
             "residual_integral_primitive": "False",
             "sampled_embeddings": "0/5",
         }
+
+    def test_a_wrong_q_fails_c2_with_no_sampled_class(self, monkeypatch):
+        # for the frozen class, c2 = (6/5)q holds for any q; c2 . c2 = 828
+        # pins the q the lattice carries
+        _q_doubled(monkeypatch)
+        assert cubic_fano.c2_consistency(random.Random(0), trials=0) is False
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_a_wrong_q_fails_g2_on_every_transcendental_pair(self, monkeypatch, seed):
+        # every pair is read, so one trial is enough
+        _q_doubled(monkeypatch)
+        rep = cli.run_suite("cubic", seed=seed, trials=1, convention="quadratic")
+        check = {c["name"]: c for c in rep["checks"]}["g2_kills_transcendental"]
+        assert (check["status"], check["actual"]) == ("fail", "35 nonzero")
 
     @pytest.mark.parametrize("fault", list(_REMOVED_PROOFS))
     def test_every_removed_proof_is_still_caught(self, monkeypatch, fault):

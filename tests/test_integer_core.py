@@ -15,6 +15,7 @@ from oracles import fraction_rows, lattice_json, lattice_meet, mat_json
 
 from hklattice import bb_lattice
 from hklattice.bb_lattice import (
+    DELTA0,
     GRAM,
     ExceptionalClass,
     _orth_complement,
@@ -227,7 +228,7 @@ def test_default_q_cached_and_sampled_q_rebuilt(h4):
 def test_integer_inverse_of_unimodular_matrix(monkeypatch):
     # the complement Gram's unimodularity proof is its integer inverse U:
     # U * g = I, and U agrees with the rational inverse
-    basis, g, U = _orth_complement(delta0())
+    basis, g, U = _orth_complement(DELTA0)
     assert g == tuple(tuple(bb_form(x, y) for y in basis) for x in basis)
     k = len(g)
     assert [
@@ -238,7 +239,7 @@ def test_integer_inverse_of_unimodular_matrix(monkeypatch):
     form = bb_lattice.bb_form
     monkeypatch.setattr(bb_lattice, "bb_form", lambda x, y: 2 * form(x, y))
     with pytest.raises(ArithmeticError, match="not unimodular"):
-        _orth_complement(delta0())
+        _orth_complement(DELTA0)
 
 
 def test_strict_number_parsers():

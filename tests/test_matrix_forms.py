@@ -10,7 +10,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hklattice import h4_model, hodge_classes
-from hklattice.bb_lattice import RANK, H2Class, _orth_complement, delta0, sample_exceptional
+from hklattice.bb_lattice import (
+    DELTA0,
+    RANK,
+    H2Class,
+    _orth_complement,
+    delta0,
+    sample_exceptional,
+)
 from hklattice.h4_model import (
     AMBIENT,
     H4Class,
@@ -74,9 +81,9 @@ def test_covector_on_the_named_denominators(h4):
 
 def test_q_class_matches_the_sym2_accumulation():
     rng = random.Random(20)
-    for dh in [delta0()] + [sample_exceptional(rng).h2 for _ in range(20)]:
-        abasis, _, b_inv = _orth_complement(dh)
-        assert _q_class(dh, abasis, b_inv) == oracles.q_class(dh, abasis, b_inv)
+    for d in [DELTA0] + [sample_exceptional(rng) for _ in range(20)]:
+        abasis, _, b_inv = _orth_complement(d)
+        assert _q_class(d.h2, abasis, b_inv) == oracles.q_class(d.h2, abasis, b_inv)
 
 
 def test_delta_pairing_matches_the_per_class_loop(tq):

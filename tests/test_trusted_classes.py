@@ -3,13 +3,17 @@ constructors. Every such result must equal, in storage and hash, the class
 the checking constructor builds from the same numbers, and the public
 constructors must still refuse floats, bools and a zero denominator."""
 
+import contextlib
+import io
 import random
+import sys
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from hklattice import bb_lattice, cli
 from hklattice.bb_lattice import (
     RANK,
     H2Class,
@@ -18,7 +22,7 @@ from hklattice.bb_lattice import (
     sample_polarization_odd,
     sample_primitive,
 )
-from hklattice.h4_model import AMBIENT, H4Class, monomial_pairs, sym2_embed
+from hklattice.h4_model import AMBIENT, H4Class, build_h4_lattice, monomial_pairs, sym2_embed
 
 F = Fraction
 
@@ -145,3 +149,23 @@ def test_public_constructors_refuse_unchecked_input():
             c * a
     with pytest.raises(TypeError):
         H4Class(zeros).scale(0.5)
+
+
+def test_no_exceptional_class_is_proved_twice(monkeypatch):
+    """Every exceptional class of a run is made by ``make_exceptional`` or is
+    the distinguished one, both proved where they are made, so a run and a
+    fresh default lattice never ask ``is_exceptional``."""
+    calls = []
+    real = bb_lattice.is_exceptional
+
+    def counting(a):
+        calls.append(a)
+        return real(a)
+
+    for name, mod in list(sys.modules.items()):
+        if name.split(".")[0] == "hklattice" and getattr(mod, "is_exceptional", None) is real:
+            monkeypatch.setattr(mod, "is_exceptional", counting)
+    build_h4_lattice()
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert cli.main(["verify", "all", "--seed", "7", "--json"]) == 0
+    assert calls == []
