@@ -6,12 +6,18 @@ it through ``hklattice.kernels``. Matrices are sequences of rows of Python
 ints. The triangular solve is two calls: ``solve_plan`` takes the sparse
 rows of ``hklattice.exact_linalg`` (per row, its ``(column, value)``
 nonzeros) of an HNF and its number of columns, and
-``solve_left_int_row`` takes that plan and an integer target vector.
+``solve_left_int_row`` or ``solve_content`` takes that plan and an
+integer target vector.
 Inputs are never mutated. Everything is exact: arbitrary-precision
 integers only, no floating point, no modular shortcuts.
 
 The library calls ``hnf``, ``hnf_transform``, ``snf_diagonal``,
-``solve_plan`` and ``solve_left_int_row``. ``snf_diagonal`` is
+``solve_plan``, ``solve_left_int_row`` and ``solve_content``. The two
+solve readers share one substitution (``_substitute``):
+``solve_left_int_row`` builds the coordinates, for membership and
+``Lattice.coords``, and ``solve_content`` only their gcd, for every
+divisibility (``Lattice.divisibility``, ``H4Lattice.content`` and
+``H4Lattice.divisibility``). ``snf_diagonal`` is
 ``smith_normal_form``, which returns only the Smith diagonal; the two names
 stay because the benchmark's per-layer counters trace each. The Smith
 transforms V and V^-1 that the tests' Smith-form oracles ask for live in
@@ -50,6 +56,7 @@ __all__ = [
     "det_bareiss",
     "solve_plan",
     "solve_left_int_row",
+    "solve_content",
     "row_echelon_bareiss",
 ]
 
@@ -210,17 +217,14 @@ def solve_plan(rows, n):
     return tuple(multi), tuple(groups), _gather(free) if free else None, order
 
 
-def solve_left_int_row(plan, b):
-    """Integer solution x of ``x * H = b`` for H in row HNF, else None.
-
-    ``plan`` is ``solve_plan`` of the sparse rows of H, built once per H.
-    The multi-entry rows are substituted over their nonzeros, in row order;
-    then each group of pivot-only rows with pivot h takes its target values
-    in one gather, is tested by one ``gcd(...) % h`` and divided in one
-    pass. Returns None when b is not an integer combination of the rows;
-    with no rows, that is whenever b is nonzero.
-    """
-    multi, groups, free, order = plan
+def _substitute(plan, b):
+    """The substitution both solve readers share: ``(res, x)`` once the
+    multi-entry rows of ``plan`` are substituted into the target b, with
+    ``x`` their coefficients in row order and ``res`` what is left of b,
+    or None when a multi-entry pivot or a column that is no row's pivot
+    already rules b out. What the pivot-only groups divide is read off
+    ``res``."""
+    multi, _, free, _ = plan
     res = list(b)
     x = []
     for p, h, row in multi:
@@ -236,12 +240,53 @@ def solve_left_int_row(plan, b):
         x.append(q)
     if free is not None and any(free(res)):
         return None
-    for h, gather in groups:
+    return res, x
+
+
+def solve_left_int_row(plan, b):
+    """Integer solution x of ``x * H = b`` for H in row HNF, else None.
+
+    ``plan`` is ``solve_plan`` of the sparse rows of H, built once per H.
+    The multi-entry rows are substituted over their nonzeros, in row order
+    (``_substitute``); then each group of pivot-only rows with pivot h
+    takes its target values in one gather, is tested by one
+    ``gcd(...) % h`` and divided in one pass. Returns None when b is not an
+    integer combination of the rows; with no rows, that is whenever b is
+    nonzero.
+    """
+    done = _substitute(plan, b)
+    if done is None:
+        return None
+    res, x = done
+    for h, gather in plan[1]:
         vals = gather(res)
         if gcd(*vals) % h:
             return None
         x += [v // h for v in vals]
+    order = plan[3]
     return list(order(x)) if order is not None else x
+
+
+def solve_content(plan, b):
+    """The content ``gcd(x)`` of the integer solution x of ``x * H = b``:
+    0 for b = 0, and None exactly when ``solve_left_int_row`` is None.
+
+    The same substitution as ``solve_left_int_row``; a group of pivot-only
+    rows with pivot h divides values whose gcd g is a multiple of h, and
+    its coefficients have gcd g // h, so the content needs no division
+    pass and no reordering.
+    """
+    done = _substitute(plan, b)
+    if done is None:
+        return None
+    res, x = done
+    content = gcd(*x)
+    for h, gather in plan[1]:
+        g = gcd(*gather(res))
+        if g % h:
+            return None
+        content = gcd(content, g // h)
+    return content
 
 
 def det_bareiss(mat):

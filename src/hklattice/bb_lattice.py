@@ -88,6 +88,10 @@ assert all(GRAM[i][i] % 2 == 0 for i in range(RANK))
 
 _GRAM_MAT = Mat._of(GRAM, 1)
 
+# the signature, proved once here; ``_orth_complement`` derives the
+# complement's (3, 19) from it
+assert signature_symmetric(_GRAM_MAT) == (3, 20, 0)
+
 
 def gram_mat() -> Mat:
     """The frozen Gram as one shared Mat, used as the ambient form of lattices."""
@@ -277,8 +281,8 @@ def polarization_condition(l0: H2Class) -> bool:
 def orth_complement_basis(d: ExceptionalClass) -> tuple[H2Class, ...]:
     """Integral basis of the rank-22 orthogonal complement of an exceptional
     class, HNF-reduced; its Gram is even, as GRAM is, and must be of
-    determinant +-1 and signature (3, 19), which is verified before
-    returning.
+    determinant +-1, which is verified before returning. Its signature is
+    (3, 19) for every exceptional class (``_orth_complement``).
     """
     return _orth_complement(d)[0]
 
@@ -296,7 +300,13 @@ def _orth_complement(d: ExceptionalClass):
     for the checks and handed to the caller (``H4Lattice`` stores them as
     its ``abasis``, ``a_gram`` and ``b_inv``). The inverse is the
     unimodularity proof: ``hnf_transform`` gives a unimodular U with
-    U * g = H, and H = I exactly when det g = +-1."""
+    U * g = H, and H = I exactly when det g = +-1.
+
+    The signature (3, 19) needs no check. d^2 = -2 is nonzero, so
+    Q-span(L) = d-perp + Q*d is an orthogonal sum, and the form on it has
+    the signature (3, 20) asserted for GRAM at import. Q*d contributes
+    (0, 1) as d^2 < 0, which leaves (3, 19) for d-perp, for every
+    exceptional class."""
     basis_rows = kernels.hnf(_perp_rows([d.h2]))
     k = RANK - 1
     if len(basis_rows) != k:
@@ -306,8 +316,6 @@ def _orth_complement(d: ExceptionalClass):
     H, U, _ = kernels.hnf_transform(g)
     if H != [[int(i == j) for j in range(k)] for i in range(k)]:
         raise ArithmeticError("complement Gram is not unimodular")
-    if signature_symmetric(Mat._of(g, 1)) != (3, 19, 0):
-        raise ArithmeticError("complement has wrong signature")
     return tuple(vecs), tuple(map(tuple, g)), tuple(map(tuple, U))
 
 

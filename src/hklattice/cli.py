@@ -33,7 +33,6 @@ import sys
 import time
 from fractions import Fraction
 from functools import cache
-from math import gcd
 
 from .bb_lattice import (
     RANK,
@@ -303,9 +302,8 @@ def _suite_cubic(rng: random.Random, trials: int | None, convention: str):
     n = max(3, (trials or 10) // 2)
 
     def residual_integral_primitive():
-        # one solve: no coordinates outside L, and primitive when their gcd is 1
-        c = h4().coords(model().residual_generator())
-        return c is not None and gcd(*c) == 1
+        # one substitution: no content outside L, and primitive when it is 1
+        return h4().content(model().residual_generator()) == 1
 
     def nonzero_on_transcendental():
         # g2 . a*b for every pair a <= b of the basis: one covector per b
@@ -572,12 +570,13 @@ def run_query(kind: str, payload: dict) -> dict:
             raise ValueError(f"{kind} payload needs the key {json.dumps(key)}")
     h4 = default_h4_lattice()
     if kind == "membership":
-        # one solve answers both: the coordinates are None outside the
-        # lattice, and their gcd is the divisibility of a nonzero member
-        c = h4.coords(_payload_class(payload))
+        # one substitution answers both: the content (the gcd of the
+        # coordinates, built nowhere) is None outside the lattice, 0 for
+        # the zero class and otherwise the divisibility of the member
+        c = h4.content(_payload_class(payload))
         out = {"member": c is not None}
-        if c is not None and any(c):
-            out["divisibility"] = gcd(*c)
+        if c:
+            out["divisibility"] = c
         return out
     if kind == "divisibility":
         cls = _payload_class(payload)

@@ -54,17 +54,23 @@ There is one vector API: ``Lattice.contains``, ``coords`` and
 work on v/den. The entries of v may be ints, Fractions or "p/q" strings;
 an all-int v is used as it is, so integer numerators over one denominator
 need no conversion. ``coset_feasible`` takes its covector the same way.
+The three parse v/den (``Lattice._scaled``) and then call the one integer
+entry ``Lattice._target``, which ``h4_model.H4Lattice`` calls with an
+``H4Class``'s own numerators and denominator: those are in lowest terms,
+so den | ``Lattice.den`` decides integrality with no pass over them.
 
 The matrices of the degree-4 lattice are very sparse (its 276x276 HNF basis
 has 371 nonzeros), so loops walk nonzeros only, in one sparse row form: per
 integer row, a tuple of ``(column, value)`` pairs in ascending column order
 (``_sparse_rows``). A ``Lattice`` keeps its basis in that form once, and
 basis-value products walk it. Membership, integer coordinates and
-divisibility are the one triangular solve, ``kernels.solve_left_int_row``,
-which walks a solve plan each lattice builds once from its sparse HNF rows
-(``kernels.solve_plan``): the multi-entry rows by forward substitution,
-the pivot-only rows (253 of the 276 on the degree-4 lattice) in bulk per
-pivot value. Rational
+divisibility are one triangular solve, which walks a solve plan each
+lattice builds once from its sparse HNF rows (``kernels.solve_plan``):
+the multi-entry rows by forward substitution, the pivot-only rows (253 of
+the 276 on the degree-4 lattice) in bulk per pivot value. Membership and
+coordinates read it through ``kernels.solve_left_int_row``; divisibility
+reads only the gcd of the coordinates, through ``kernels.solve_content``
+(``Lattice._content``), which neither divides nor reorders. Rational
 coordinates take the same solve, on the vector or on the vector times the
 pivot product, which makes them integral (``Lattice._q_coords``). A
 ``Mat`` builds its sparse rows once on demand (``Mat.sparse_rows``).
@@ -276,8 +282,8 @@ class Mat:
     determinant, inverse and JSON run on the integers; a ``Fraction`` is
     made only when an entry is read (``m[i, j]``). A Mat multiplies by
     scalars only, and its JSON is an array of arrays of "p"/"p/q" strings
-    (``json_text``); it is built from rational rows by the constructor.
-    The symmetry test, the sparse rows and the JSON text are computed once
+    (``_json_bytes``); it is built from rational rows by the constructor.
+    The symmetry test, the sparse rows and the JSON bytes are computed once
     per matrix.
     """
 
@@ -414,11 +420,11 @@ class Mat:
             prev, d = -prev, -d
         return Mat._of([[d * x for x in r[n:]] for r in aug], prev)
 
-    def json_text(self) -> str:
-        """The matrix as a JSON array of arrays of "p"/"p/q" strings,
-        serialized once per matrix."""
+    def _json_bytes(self) -> bytes:
+        """The matrix as a JSON array of arrays of "p"/"p/q" strings, in
+        UTF-8: encoded once per matrix and kept only as these bytes."""
         if self._json is None:
-            self._json = _json_rows(self._num, self._den)
+            self._json = _json_rows(self._num, self._den).encode()
         return self._json
 
 
@@ -472,11 +478,13 @@ class Lattice:
     The basis rows are also kept once in the sparse row form (``_sparse``);
     basis lifts and basis values walk only their nonzeros. A row's pivot is
     its first pair's column. Membership, rational and integer coordinates
-    and divisibility are one triangular solve, ``kernels.solve_left_int_row``,
-    which takes the lattice's solve plan (``_plan``): ``kernels.solve_plan``
-    of the sparse rows, built on the first solve and kept, which splits the
-    rows into those substituted one by one and the pivot-only rows solved
-    in bulk per pivot value.
+    and divisibility are one triangular solve on the lattice's solve plan
+    (``_plan``): ``kernels.solve_plan`` of the sparse rows, built on the
+    first solve and kept, which splits the rows into those substituted one
+    by one and the pivot-only rows solved in bulk per pivot value.
+    ``kernels.solve_left_int_row`` reads the coordinates off it
+    (``_solve``) and ``kernels.solve_content`` only their gcd
+    (``_content``), the divisibility.
     """
 
     __slots__ = ("ambient_dim", "den", "int_basis", "form", "_sparse", "_plan")
@@ -568,30 +576,67 @@ class Lattice:
         return f"Lattice(rank {self.rank} in Q^{self.ambient_dim}, den {self.den})"
 
     def _scaled(self, v, den):
-        """``self.den * v/den`` as an integer list, or None when not integral.
+        """The public parse into ``_target``: ``self.den * v/den`` as an
+        integer list, or None when it is not integral.
 
         ``v`` holds ints, Fractions or "p/q" strings; ``den`` is an int > 0.
         """
         den, num = _scaled_vector(v, den)
         if len(num) != self.ambient_dim:
             raise ValueError("vector length differs from ambient_dim")
-        g = gcd(self.den, den)
-        a, b = self.den // g, den // g
+        b = den // gcd(self.den, den)
         if b == 1:
-            return num if a == 1 else [x * a for x in num]
-        # b divides every entry exactly when it is their gcd with b
+            return self._target(num, den)
+        # b divides every entry exactly when it is their gcd with b; then
+        # den // b divides self.den
         if gcd(b, *num) != b:
             return None
-        return [x // b * a for x in num]
+        return self._target([x // b for x in num], den // b)
+
+    def _target(self, num, den):
+        """``self.den * num/den`` as an integer list, or None when it is not
+        integral: the one integer entry of the vector API, for ints num and
+        an int den > 0 such that num/den is in lowest terms (an
+        ``H4Class``'s own pair) or den divides ``self.den`` (what
+        ``_scaled`` hands over). Either way den | ``self.den`` decides, with
+        no pass over the numerators: if the target is integral, then
+        den / gcd(den, ``self.den``) divides den and every numerator, whose
+        gcd is 1 in lowest terms."""
+        a, r = divmod(self.den, den)
+        if r:
+            return None
+        return num if a == 1 else [x * a for x in num]
 
     def _solve(self, w):
         """Integer x with ``x * int_basis = w``, or None when w is not an
         integer combination of the basis rows: ``kernels.solve_left_int_row``
-        on the lattice's solve plan, built here on the first solve."""
+        on the lattice's solve plan (``_solve_plan``)."""
+        return kernels.solve_left_int_row(self._solve_plan(), w)
+
+    def _content(self, w):
+        """The gcd of the integer coordinates of w (0 for w = 0), or None
+        when w is not an integer combination of the basis rows:
+        ``kernels.solve_content`` on the lattice's solve plan, with no
+        coordinate built."""
+        return kernels.solve_content(self._solve_plan(), w)
+
+    def _solve_plan(self):
+        """``kernels.solve_plan`` of the sparse rows, built on the first
+        solve and kept."""
         plan = self._plan
         if plan is None:
             plan = self._plan = kernels.solve_plan(self._sparse, self.ambient_dim)
-        return kernels.solve_left_int_row(plan, w)
+        return plan
+
+    def _divisibility(self, w) -> int:
+        """The divisibility of the lattice vector w/``self.den`` from its
+        content; w is an integer list or None (not integral)."""
+        c = None if w is None else self._content(w)
+        if c is None:
+            raise ValueError("vector is not in the lattice")
+        if not c:
+            raise ValueError("divisibility of the zero vector is undefined")
+        return c
 
     def contains(self, v, den: int = 1) -> bool:
         """Whether the rational vector v/den lies in M."""
@@ -605,13 +650,9 @@ class Lattice:
         return None if x is None else tuple(x)
 
     def divisibility(self, v, den: int = 1) -> int:
-        """Largest n >= 1 with v/(n*den) still in the lattice."""
-        c = self.coords(v, den)
-        if c is None:
-            raise ValueError("vector is not in the lattice")
-        if not any(c):
-            raise ValueError("divisibility of the zero vector is undefined")
-        return gcd(*c)
+        """Largest n >= 1 with v/(n*den) still in the lattice: the gcd of
+        the coordinates of v/den, read off ``_content``."""
+        return self._divisibility(self._scaled(v, den))
 
     def _pivot_product(self) -> int:
         """Product of the HNF pivots of den * L. The rows restricted to
@@ -654,14 +695,17 @@ class Lattice:
             df * self.den * self.den,
         )
 
-    def json_text(self) -> str:
-        """The lattice as a JSON object with sorted keys: ``ambient_dim``,
-        ``basis`` (the rows of ``basis_rows`` as arrays of "p"/"p/q"
-        strings) and ``form`` (the form's ``json_text``, or null). The
-        form's text is serialized once per form rather than once per call."""
-        form = "null" if self.form is None else self.form.json_text()
+    def _json_chunks(self) -> tuple[bytes, ...]:
+        """The lattice as a JSON object with sorted keys, in UTF-8 chunks
+        whose concatenation is the text: ``ambient_dim``, ``basis`` (the
+        rows of ``basis_rows`` as arrays of "p"/"p/q" strings) and
+        ``form`` (the form's ``_json_bytes``, or null). The form's chunk is
+        the bytes its ``Mat`` keeps, so a digest fed chunk by chunk copies
+        no form."""
+        form = b"null" if self.form is None else self.form._json_bytes()
         basis = _json_rows(self.int_basis, self.den)
-        return f'{{"ambient_dim": {self.ambient_dim}, "basis": {basis}, "form": {form}}}'
+        head = f'{{"ambient_dim": {self.ambient_dim}, "basis": {basis}, "form": '
+        return head.encode(), form, b"}"
 
 
 def _check_form(form, n):

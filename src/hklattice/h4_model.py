@@ -18,8 +18,9 @@ exceptional where it was made; the functions of d here read ``d.h2`` and
 check nothing about it, and an omitted d is ``bb_lattice.DELTA0``.
 
 Everything is exact and runs on Python integers: classes are integer
-numerators over one denominator and go into lattices as such, through the
-one vector API of ``Lattice`` (``contains(num, den)`` and its siblings).
+numerators over one denominator in lowest terms and go into lattices as
+such: ``H4Lattice`` hands them to ``Lattice._target``, the integer entry
+of the one vector API of ``Lattice``, with no parse.
 Input from outside is checked once, by the public ``H4Class``
 constructor; sums, multiples, products ``sym2_embed`` and torsion lifts
 are built from checked classes and take the private ``H4Class._of``,
@@ -38,7 +39,7 @@ reduced basis ``_reduced_basis_mod``.
 
 The process-wide caches are the four ``functools.cache`` functions
 ``fujiki_mat`` (one shared integer ``Mat``, whose symmetry check and JSON
-text are computed once), ``fujiki_det``, and ``default_h4_lattice`` and
+bytes are computed once), ``fujiki_det``, and ``default_h4_lattice`` and
 ``default_torsion_quotient``, built from the distinguished exceptional
 class. The class q is not cached on its own: ``build_h4_lattice`` builds
 it once from the complement data it also keeps, and the default lattice
@@ -394,6 +395,12 @@ class H4Lattice:
     two H4Lattice values built from different exceptional classes compare
     equal exactly when the lattices coincide as sets, which they do; the
     witnesses record which complement basis produced the generators.
+
+    Its vector methods take an ``H4Class``, whose numerators and
+    denominator are ints in lowest terms with den > 0, so they hand that
+    pair straight to ``Lattice._target`` with no parse. ``divisibility``
+    and ``content`` read the content of the solution (``Lattice._content``)
+    and build no coordinates.
     """
 
     __slots__ = ("lattice", "delta_used", "abasis", "a_gram", "b_inv", "q", "v0")
@@ -408,14 +415,21 @@ class H4Lattice:
         self.v0 = v0
 
     def contains(self, v: H4Class) -> bool:
-        return self.lattice.contains(v.num, v.den)
+        lat = self.lattice
+        w = lat._target(v.num, v.den)
+        return w is not None and lat._solve(w) is not None
 
-    def coords(self, v: H4Class):
-        return self.lattice.coords(v.num, v.den)
+    def content(self, v: H4Class):
+        """The gcd of the coordinates of v in the lattice, 0 for v = 0, or
+        None when v is not in the lattice; no coordinate is built."""
+        lat = self.lattice
+        w = lat._target(v.num, v.den)
+        return None if w is None else lat._content(w)
 
     def divisibility(self, v: H4Class) -> int:
         """Largest n >= 1 with v/n still in the lattice."""
-        return self.lattice.divisibility(v.num, v.den)
+        lat = self.lattice
+        return lat._divisibility(lat._target(v.num, v.den))
 
     def __eq__(self, other):
         if not isinstance(other, H4Lattice):

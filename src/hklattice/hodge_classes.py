@@ -28,7 +28,6 @@ from __future__ import annotations
 import hashlib
 from collections.abc import Mapping
 from fractions import Fraction
-from math import gcd
 
 from .bb_lattice import (
     RANK,
@@ -219,7 +218,10 @@ class MinimalityReport:
 
     ``basis_hash`` is the first 16 hex digits of a SHA-256 over the JSON
     text of the search lattice and then of the transcendental lattice. It
-    is computed when first read, since only the report's JSON shows it.
+    is computed when first read, since only the report's JSON shows it,
+    and the text is fed to the digest in the chunks of
+    ``Lattice._json_chunks``: the Fujiki form's kept bytes are hashed in
+    place, with no text of the whole lattice built.
     """
 
     __slots__ = (
@@ -253,8 +255,9 @@ class MinimalityReport:
     def basis_hash(self) -> str:
         if self._basis_hash is None:
             h = hashlib.sha256()
-            h.update(self.search_lattice.json_text().encode())
-            h.update(self.transcendental_lattice.json_text().encode())
+            for lat in (self.search_lattice, self.transcendental_lattice):
+                for chunk in lat._json_chunks():
+                    h.update(chunk)
             self._basis_hash = h.hexdigest()[:16]
         return self._basis_hash
 
@@ -357,10 +360,11 @@ def even_class_predicates(l0: H2Class) -> dict[str, bool]:
     random samples rather than assumed here. ``decomposes_over_exceptional``
     is ``decompose_even``'s own parity test, not a second ``is_even``.
 
-    The divisibility predicates share one solve: sq_diff/n lies in the
-    lattice exactly when sq_diff does, with coordinates c, and n divides
-    gcd(c). An integer sq_diff = l0^2 - d^2 misses only a lattice without
-    Z^276, and then both read False.
+    The divisibility predicates share one substitution: sq_diff/n lies in
+    the lattice exactly when sq_diff does and n divides the content of its
+    coordinates (``H4Lattice.content``, 0 when sq_diff = 0). An integer
+    sq_diff = l0^2 - d^2 misses only a lattice without Z^276, and then
+    both read False.
     """
     tq = default_torsion_quotient()
     if not is_primitive(l0):
@@ -370,8 +374,7 @@ def even_class_predicates(l0: H2Class) -> dict[str, bool]:
     dh = d.h2
     diff = l0 - dh
     congruent = all(c % 2 == 0 for c in diff.coords)
-    sq_coords = h4.coords(sym2_embed(l0, l0) - sym2_embed(dh, dh))
-    div = None if sq_coords is None else gcd(*sq_coords)
+    div = h4.content(sym2_embed(l0, l0) - sym2_embed(dh, dh))
     try:
         decompose_even(l0, d)
         decomposes = True

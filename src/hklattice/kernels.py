@@ -1,13 +1,22 @@
 """The integer-matrix kernels, re-exported from ``hklattice._pykernels``.
 
 The library calls ``hnf``, ``hnf_transform``, ``snf_diagonal``,
-``solve_plan`` and ``solve_left_int_row``. The last two are lattice
-membership, integer coordinates and divisibility. ``solve_plan`` takes the
-sparse HNF rows a ``Lattice`` keeps and the number of columns, once per
-lattice, and ``solve_left_int_row`` takes that plan and the integer target
-vector: it substitutes the multi-entry rows one by one over their
-nonzeros, then solves the rows that hold only their pivot in bulk, one
-gather, one ``gcd`` test and one division pass per pivot value.
+``solve_plan``, ``solve_left_int_row`` and ``solve_content``. The last
+three are lattice membership, integer coordinates and divisibility.
+``solve_plan`` takes the sparse HNF rows a ``Lattice`` keeps and the
+number of columns, once per lattice. The two solve readers take that plan
+and the integer target vector, and share one substitution of the
+multi-entry rows, one by one over their nonzeros; the rows that hold only
+their pivot are then read in bulk, one gather and one ``gcd`` test per
+pivot value. ``solve_left_int_row`` also divides them and puts the
+coordinates in row order, for membership (``Lattice.contains``,
+``H4Lattice.contains``), ``Lattice.coords`` (``_coord_matrix``) and the
+rational coordinates of ``saturate_in``. ``solve_content`` returns only
+the gcd of the coordinates, with no division pass and no reordering, for
+every divisibility: ``Lattice.divisibility`` and, through
+``H4Lattice.content`` and ``H4Lattice.divisibility``, the ``membership``
+and ``divisibility`` queries, ``even_class_predicates`` and the cubic
+suite's ``residual_integral_primitive``.
 ``hnf_transform`` has two callers: ``exact_linalg.left_kernel`` (every
 saturated left kernel) and ``bb_lattice._orth_complement``, whose
 transform of the complement Gram is both its inverse and the proof that it
@@ -38,6 +47,7 @@ from ._pykernels import (
     row_echelon_bareiss,
     smith_normal_form,
     snf_diagonal,
+    solve_content,
     solve_left_int_row,
     solve_plan,
 )
@@ -54,5 +64,6 @@ __all__ = [
     "det_bareiss",
     "solve_plan",
     "solve_left_int_row",
+    "solve_content",
     "row_echelon_bareiss",
 ]

@@ -34,10 +34,13 @@ the reference for ``random_instance``, which keeps the inverse instead.
 ``fraction_rows`` reads a ``Mat`` entry by entry into Fraction rows, for
 references written over exact rationals, and ``mat_product`` multiplies
 two of them that way; ``h4_coords`` reads a degree-4 class into its 276
-Fraction coordinates. ``mat_json`` is the JSON array of a ``Mat`` built
-from its entries, the reference for ``Mat.json_text``, and
-``lattice_json`` is the JSON object of a lattice built from ``basis_rows``
-and ``mat_json``, the reference for ``Lattice.json_text``.
+Fraction coordinates. ``json_text`` decodes the library's JSON bytes of a
+``Mat`` (``Mat._json_bytes``) or a ``Lattice`` (the chunks of
+``Lattice._json_chunks``, which ``MinimalityReport.basis_hash`` digests),
+so those bytes keep their one definition in the library. ``mat_json`` is
+the JSON array of a ``Mat`` built from its entries, the reference for the
+first, and ``lattice_json`` is the JSON object of a lattice built from
+``basis_rows`` and ``mat_json``, the reference for the second.
 """
 
 from fractions import Fraction
@@ -80,6 +83,13 @@ def mat_product(a, b) -> list[list[Fraction]]:
     """The product of two Mats as rows of Fractions, entry by entry."""
     cols = list(zip(*fraction_rows(b)))
     return [[sum(x * y for x, y in zip(row, col)) for col in cols] for row in fraction_rows(a)]
+
+
+def json_text(x) -> str:
+    """The library's JSON text of a ``Mat`` or a ``Lattice``."""
+    if isinstance(x, Mat):
+        return x._json_bytes().decode()
+    return b"".join(x._json_chunks()).decode()
 
 
 def mat_json(m) -> list[list[str]]:
@@ -274,7 +284,7 @@ class SmithTorsionQuotient:
         self._lift_rows = _sparse_rows(lifts)
 
     def class_of(self, v: H4Class) -> tuple[int, ...]:
-        y = self.h4.coords(v)
+        y = self.h4.lattice.coords(v.num, v.den)
         if y is None:
             raise ValueError("class is not in the degree-4 lattice")
         return tuple(

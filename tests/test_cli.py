@@ -19,7 +19,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hklattice import cli, cubic_fano, deformation_fix, h4_model, hodge_classes, kernels
+from hklattice import _pykernels, cli, cubic_fano, deformation_fix, h4_model, hodge_classes, kernels
 from hklattice.h4_model import H4Class, H4Lattice, default_h4_lattice, sym2_embed
 
 
@@ -455,11 +455,12 @@ class TestQuery:
 
     def test_membership_lookup_solves_once(self, capsys, monkeypatch):
         # the first lookup builds the lattice and its solve plan; a second
-        # one builds no plan and makes exactly one solve
+        # one builds no plan and makes exactly one substitution of the plan,
+        # whichever reader (coordinates or their content) asks for it
         argv = ["query", "membership", "--payload", '{"named": "c2"}']
         assert _run(capsys, argv)[0] == 0
         plans, calls = [], []
-        solve_plan, solve = kernels.solve_plan, kernels.solve_left_int_row
+        solve_plan, substitute = kernels.solve_plan, _pykernels._substitute
 
         def counting_plan(rows, n):
             plans.append(n)
@@ -467,10 +468,10 @@ class TestQuery:
 
         def counting(plan, b):
             calls.append(b)
-            return solve(plan, b)
+            return substitute(plan, b)
 
         monkeypatch.setattr(kernels, "solve_plan", counting_plan)
-        monkeypatch.setattr(kernels, "solve_left_int_row", counting)
+        monkeypatch.setattr(_pykernels, "_substitute", counting)
         code, out, _ = _run(capsys, argv)
         assert code == 0
         assert json.loads(out) == {"member": True, "divisibility": 3}

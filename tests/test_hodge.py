@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hklattice import hodge_classes, kernels
+from hklattice import _pykernels, hodge_classes, kernels
 from hklattice.bb_lattice import (
     RANK,
     H2Class,
@@ -296,15 +296,16 @@ class TestMinimality:
 
     def test_basis_hash_is_computed_when_read(self, monkeypatch):
         # the search serializes no lattice; the first read of basis_hash
-        # writes the search and transcendental lattices once
+        # writes the search and transcendental lattices once, in the chunks
+        # it digests
         written = []
-        json_text = Lattice.json_text
+        json_chunks = Lattice._json_chunks
 
         def recording(self):
             written.append(self)
-            return json_text(self)
+            return json_chunks(self)
 
-        monkeypatch.setattr(Lattice, "json_text", recording)
+        monkeypatch.setattr(Lattice, "_json_chunks", recording)
         rep = minimal_class_search(PicardData.rank_one(_u_pol()))
         assert written == []
         h = rep.basis_hash
@@ -350,15 +351,17 @@ class TestParityPredicates:
         """The two divisibility predicates equal the membership tests of
         sq_diff/2 and sq_diff/8, and take one solve on a multiple of
         sq_diff where the membership tests take one or two: never fewer,
-        and two when sq_diff/8 lies in the lattice."""
+        and two when sq_diff/8 lies in the lattice. A solve is one
+        substitution of the kernels' solve plan, whichever reader (the
+        coordinates or their content) asks for it."""
         on_sq = []
-        solve = kernels.solve_left_int_row
+        substitute = _pykernels._substitute
 
         def recording(plan, w):
             on_sq.append(w)
-            return solve(plan, w)
+            return substitute(plan, w)
 
-        monkeypatch.setattr(kernels, "solve_left_int_row", recording)
+        monkeypatch.setattr(_pykernels, "_substitute", recording)
         dh = h4.delta_used.h2
         classes = [sample_primitive(rng) for _ in range(6)]
         classes += [sample_polarization_even(rng, c) for c in (True, False, True)]

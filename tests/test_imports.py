@@ -77,7 +77,6 @@ UNREAD_MEMBERS_ALLOWED = {
 # receiver is not tied to a class: the member -> the package function
 # (``module.qualname``) that reads it.
 SHARED_MEMBER_READERS = {
-    "exact_linalg.Mat.json_text": "exact_linalg.Lattice.json_text",
     "h4_model.H4Class.to_json": "cli.run_query",
 }
 

@@ -29,6 +29,7 @@ from hklattice.exact_linalg import (
     sublattice_index,
 )
 from hklattice.h4_model import (
+    H4Class,
     double_cover_sym2_matrix,
     fujiki_det,
     fujiki_rows,
@@ -52,14 +53,17 @@ def lattices(draw):
 @st.composite
 def lattice_and_vector(draw):
     """A lattice and a rational vector num/den: a member, a member plus a
-    small perturbation, or a random (often non-integral) vector."""
+    small perturbation, the zero vector, or a random (often non-integral)
+    vector."""
     lat = draw(lattices())
     n = lat.ambient_dim
-    kind = draw(st.sampled_from(["member", "perturbed", "random"]))
+    kind = draw(st.sampled_from(["member", "perturbed", "random", "zero"]))
     den = draw(st.integers(1, 30))
     if kind == "random":
         num = draw(st.lists(st.integers(-40, 40), min_size=n, max_size=n))
         return lat, num, den
+    if kind == "zero":
+        return lat, [0] * n, den
     coeffs = draw(st.lists(st.integers(-5, 5), min_size=lat.rank, max_size=lat.rank))
     d = lat.den
     (vec,) = _combine_rows([coeffs], lat._sparse, n)
@@ -112,6 +116,86 @@ def test_membership_and_coords_match_dense_solve(case):
     assert lat.contains([str(x) for x in fracs]) is (want is not None)
     if want is not None and any(want):
         assert lat.divisibility(fracs) == gcd(*want)
+
+
+def _content_by_solve(plan, w):
+    """Reference for the content reader: the gcd of the coordinates that
+    ``solve_left_int_row`` builds, or None."""
+    x = kernels.solve_left_int_row(plan, w)
+    return None if x is None else gcd(*x)
+
+
+@settings(max_examples=300, deadline=None)
+@given(lattice_and_vector())
+def test_content_reader_matches_the_gcd_of_the_solution(case):
+    """``kernels.solve_content`` and ``Lattice._content`` against
+    ``gcd(*solve_left_int_row(...))`` or None, on HNF lattices of den up to
+    12 whose rank may fall below the ambient dimension or be 0: members,
+    the zero vector, perturbed non-members and random vectors, entered as
+    the lowest-terms pair ``Lattice._target`` takes, whose den need not
+    divide the lattice's, and through the public parse."""
+    lat, num, den = case
+    g = gcd(den, *num)
+    low_num, low_den = [x // g for x in num], den // g
+    w = lat._target(low_num, low_den)
+    assert w == lat._scaled(num, den)
+    if w is None:
+        # in lowest terms only a den dividing the lattice's is integral
+        assert lat.den % low_den
+        assert dense_coords(lat, num, den) is None
+        return
+    plan = lat._solve_plan()
+    want = _content_by_solve(plan, w)
+    assert kernels.solve_content(plan, w) == want == lat._content(w)
+    dense = dense_coords(lat, num, den)
+    assert want == (None if dense is None else gcd(*dense))
+    # the raw kernel on the unscaled integers, whatever the lattice's den
+    assert kernels.solve_content(plan, num) == _content_by_solve(plan, num)
+
+
+@st.composite
+def h4_classes(draw, lat):
+    """A degree-4 class: a member of the lattice (rows of its basis with
+    small coefficients, the rows with more than their pivot, which carry
+    the denominators, drawn as often as the others), plus an optional
+    sparse class over a den of 1, 2, 3, 5 or 10, which may leave the
+    lattice or Q-integrality over its den."""
+    n = lat.ambient_dim
+    multi = [i for i, row in enumerate(lat._sparse) if len(row) > 1]
+    row = st.sampled_from(multi) | st.integers(0, lat.rank - 1)
+    rows = draw(st.lists(row, min_size=1, max_size=4))
+    coeffs = {i: draw(st.integers(-3, 3)) for i in rows}
+    (vec,) = _combine_rows(
+        [[coeffs.get(i, 0) for i in range(lat.rank)]], lat._sparse, n
+    )
+    cls = H4Class(vec, lat.den)
+    if draw(st.booleans()):
+        extra = [0] * n
+        for i in draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=5)):
+            extra[i] = draw(st.integers(1, 12) | st.integers(-12, -1))
+        den = draw(st.sampled_from([1, 2, 3, 5, 10]))
+        cls = cls + H4Class(extra, den) if draw(st.booleans()) else H4Class(extra, den)
+    return cls
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_h4_lattice_reads_the_content_of_its_own_classes(h4, data):
+    """``H4Lattice`` hands a class's own lowest-terms pair to the integer
+    entry; its membership, content and divisibility agree with the public
+    ``Lattice`` route on the same numerators and den."""
+    lat = h4.lattice
+    cls = data.draw(h4_classes(lat))
+    coords = lat.coords(cls.num, cls.den)
+    assert h4.contains(cls) is lat.contains(cls.num, cls.den) is (coords is not None)
+    assert h4.content(cls) == (None if coords is None else gcd(*coords))
+    if coords is None or not any(coords):
+        with pytest.raises(ValueError):
+            h4.divisibility(cls)
+        with pytest.raises(ValueError):
+            lat.divisibility(cls.num, cls.den)
+    else:
+        assert h4.divisibility(cls) == lat.divisibility(cls.num, cls.den) == gcd(*coords)
 
 
 def test_merged_api_is_strict():
