@@ -6,18 +6,20 @@ it through ``hklattice.kernels``. Matrices are sequences of rows of Python
 ints. The triangular solve is two calls: ``solve_plan`` takes the sparse
 rows of ``hklattice.exact_linalg`` (per row, its ``(column, value)``
 nonzeros) of an HNF and its number of columns, and
-``solve_left_int_row`` or ``solve_content`` takes that plan and an
-integer target vector.
+``solve_left_int_row`` or ``solve_content`` takes that plan, integer
+numerators num and a multiplier a > 0 (default 1), for the target a * num.
+The plan records the columns its multi-entry rows touch, and only those
+are scaled by a and substituted; the rest are read off num as it is.
 Inputs are never mutated. Everything is exact: arbitrary-precision
 integers only, no floating point, no modular shortcuts.
 
 The library calls ``hnf``, ``hnf_transform``, ``snf_diagonal``,
 ``solve_plan``, ``solve_left_int_row`` and ``solve_content``. The two
 solve readers share one substitution (``_substitute``):
-``solve_left_int_row`` builds the coordinates, for membership and
-``Lattice.coords``, and ``solve_content`` only their gcd, for every
+``solve_left_int_row`` builds the coordinates, for ``Lattice`` membership
+and ``Lattice.coords``, and ``solve_content`` only their gcd, for every
 divisibility (``Lattice.divisibility``, ``H4Lattice.content`` and
-``H4Lattice.divisibility``). ``snf_diagonal`` is
+``H4Lattice.divisibility``) and for ``H4Lattice.contains``. ``snf_diagonal`` is
 ``smith_normal_form``, which returns only the Smith diagonal; the two names
 stay because the benchmark's per-layer counters trace each. The Smith
 transforms V and V^-1 that the tests' Smith-form oracles ask for live in
@@ -184,48 +186,82 @@ def solve_plan(rows, n):
     row, the multiple of the row that clears the row's pivot column. A row
     whose only nonzero is its pivot changes no other column, and a later
     row is zero left of its own pivot, so the value such a row divides is
-    the target minus what the earlier multi-entry rows subtracted. The
-    plan therefore holds:
+    the target minus what the earlier multi-entry rows subtracted. Those
+    rows change only the columns they touch (the union of their nonzeros:
+    96 of 276 on the degree-4 lattice), so every other column keeps its
+    target value. The plan therefore holds:
 
-    * ``multi``: the rows with more than one nonzero, as ``(pivot column,
-      pivot, row)`` in row order, substituted one by one;
-    * ``groups``: per pivot value h, the gather of the pivot columns of the
-      pivot-only rows with that pivot, solved in bulk after ``multi``;
-    * ``free``: the gather of the columns that are no row's pivot, or None,
+    * ``touched``: the gather of the touched columns, or None when no row
+      has more than one nonzero; the substitution runs on this short list;
+    * ``multi``: the rows with more than one nonzero, as ``(pivot, pivot
+      value, row)`` in row order, with each column given by its position
+      in ``touched``, substituted one by one;
+    * ``groups``: per pivot value h, the gathers of the pivot columns of the
+      pivot-only rows with that pivot, split into those in ``touched``
+      (read off the substituted list) and the others (read off the target
+      as it is), each None when empty; solved in bulk after ``multi``;
+    * ``free``: the same split of the columns that are no row's pivot,
       which must be 0 once ``multi`` is done (pivot-only rows never touch
       them);
     * ``order``: the gather that puts the coefficients, found in the order
-      ``multi`` then ``groups``, back in row order.
+      ``multi`` then ``groups`` (each group touched columns first), back
+      in row order.
     """
     multi = []
     singles = {}
     found = []
+    cols = set()
     for i, row in enumerate(rows):
         p, h = row[0]
         if len(row) > 1:
-            multi.append((p, h, row))
+            multi.append(row)
             found.append(i)
+            cols.update(c for c, _ in row)
         else:
             singles.setdefault(h, []).append((i, p))
+    cols = sorted(cols)
+    local = {c: k for k, c in enumerate(cols)}
+
+    def split(columns):
+        # (gather in the touched list, gather in the target), None if empty
+        inside = [local[c] for c in columns if c in local]
+        outside = [c for c in columns if c not in local]
+        return (_gather(inside) if inside else None, _gather(outside) if outside else None)
+
     groups = []
     for h, members in singles.items():
-        found += [i for i, _ in members]
-        groups.append((h, _gather([p for _, p in members])))
-    free = sorted(set(range(n)).difference(row[0][0] for row in rows))
+        found += [i for i, p in members if p in local]
+        found += [i for i, p in members if p not in local]
+        groups.append((h, *split([p for _, p in members])))
+    free = set(range(n)).difference(row[0][0] for row in rows)
     # row i's coefficient is found at the k with found[k] == i
     order = _gather(sorted(range(len(found)), key=found.__getitem__)) if rows else None
-    return tuple(multi), tuple(groups), _gather(free) if free else None, order
+    return (
+        _gather(cols) if cols else None,
+        tuple((local[row[0][0]], row[0][1], tuple((local[c], v) for c, v in row)) for row in multi),
+        tuple(groups),
+        split(sorted(free)),
+        order,
+    )
 
 
-def _substitute(plan, b):
-    """The substitution both solve readers share: ``(res, x)`` once the
-    multi-entry rows of ``plan`` are substituted into the target b, with
-    ``x`` their coefficients in row order and ``res`` what is left of b,
-    or None when a multi-entry pivot or a column that is no row's pivot
-    already rules b out. What the pivot-only groups divide is read off
-    ``res``."""
-    multi, _, free, _ = plan
-    res = list(b)
+def _substitute(plan, num, a):
+    """The substitution both solve readers share, for the target b = a *
+    num (num a sequence of ints, a an int > 0): ``(res, x)`` once the
+    multi-entry rows of ``plan`` are substituted into b, with ``x`` their
+    coefficients in row order and ``res`` what is left of b on the touched
+    columns, or None when a multi-entry pivot or a column that is no row's
+    pivot already rules b out. Only the touched columns are scaled by a;
+    an untouched free column rules b out when its numerator is nonzero.
+    What the pivot-only groups divide is read off ``res`` on the touched
+    columns and off ``a * num`` on the others."""
+    touched, multi, _, (free_in, free_out), _ = plan
+    if touched is None:
+        res = []
+    elif a == 1:
+        res = list(touched(num))
+    else:
+        res = [a * v for v in touched(num)]
     x = []
     for p, h, row in multi:
         v = res[p]
@@ -238,51 +274,67 @@ def _substitute(plan, b):
         else:
             q = 0
         x.append(q)
-    if free is not None and any(free(res)):
+    if free_in is not None and any(free_in(res)):
+        return None
+    if free_out is not None and any(free_out(num)):
         return None
     return res, x
 
 
-def solve_left_int_row(plan, b):
-    """Integer solution x of ``x * H = b`` for H in row HNF, else None.
+def _group_gcd(res, num, a, inside, outside):
+    """The gcd of the values one pivot-only group divides: the substituted
+    ones on touched columns and ``a * num`` on the others, whose gcd is
+    ``a * gcd(num)`` with no product formed per column."""
+    g = gcd(*inside(res)) if inside is not None else 0
+    if outside is not None:
+        g = gcd(g, a * gcd(*outside(num)))
+    return g
+
+
+def solve_left_int_row(plan, num, a=1):
+    """Integer solution x of ``x * H = b`` for H in row HNF and the target
+    b = a * num (a an int > 0), else None.
 
     ``plan`` is ``solve_plan`` of the sparse rows of H, built once per H.
     The multi-entry rows are substituted over their nonzeros, in row order
     (``_substitute``); then each group of pivot-only rows with pivot h
-    takes its target values in one gather, is tested by one
+    takes its target values in one gather per side, is tested by one
     ``gcd(...) % h`` and divided in one pass. Returns None when b is not an
     integer combination of the rows; with no rows, that is whenever b is
     nonzero.
     """
-    done = _substitute(plan, b)
+    done = _substitute(plan, num, a)
     if done is None:
         return None
     res, x = done
-    for h, gather in plan[1]:
-        vals = gather(res)
-        if gcd(*vals) % h:
+    for h, inside, outside in plan[2]:
+        if _group_gcd(res, num, a, inside, outside) % h:
             return None
-        x += [v // h for v in vals]
-    order = plan[3]
+        if inside is not None:
+            x += [v // h for v in inside(res)]
+        if outside is not None:
+            x += [a * v // h for v in outside(num)]
+    order = plan[4]
     return list(order(x)) if order is not None else x
 
 
-def solve_content(plan, b):
-    """The content ``gcd(x)`` of the integer solution x of ``x * H = b``:
-    0 for b = 0, and None exactly when ``solve_left_int_row`` is None.
+def solve_content(plan, num, a=1):
+    """The content ``gcd(x)`` of the integer solution x of ``x * H = b``
+    for the target b = a * num: 0 for b = 0, and None exactly when
+    ``solve_left_int_row`` is None.
 
     The same substitution as ``solve_left_int_row``; a group of pivot-only
     rows with pivot h divides values whose gcd g is a multiple of h, and
     its coefficients have gcd g // h, so the content needs no division
-    pass and no reordering.
+    pass and no reordering, and the untouched columns need no product.
     """
-    done = _substitute(plan, b)
+    done = _substitute(plan, num, a)
     if done is None:
         return None
     res, x = done
     content = gcd(*x)
-    for h, gather in plan[1]:
-        g = gcd(*gather(res))
+    for h, inside, outside in plan[2]:
+        g = _group_gcd(res, num, a, inside, outside)
         if g % h:
             return None
         content = gcd(content, g // h)

@@ -11,7 +11,9 @@ checks pass, 1 any check failed or raised, 2 argv or payload errors found
 before any computation (one ``error:`` line on stderr). An ``--out`` file
 that cannot be opened for writing is an argv error: it is opened first.
 
-The parsers are built once per process, on the first call. An argv that
+The parsers are built once per process, on the first call. A plain
+``query`` argv (the kind, then only ``--json`` and ``--payload {...}``) is
+read directly into the namespace argparse would build. Any other argv that
 starts with a subcommand name goes straight to that subcommand's parser;
 the top-level parser reads only the rest (no argv, ``-h``, an unknown
 command), and so serves only its help and its errors. The named classes
@@ -508,6 +510,9 @@ _PAYLOAD_KEYS = {
     "minimal-search": ("lambda0", "picard"),
 }
 
+# the query kinds, in the order ``query -h`` lists them
+_QUERY_KINDS = tuple(_PAYLOAD_KEYS)
+
 # the keys a payload of each query kind must hold; a membership or
 # divisibility payload needs one class form instead (see _payload_class)
 _REQUIRED_KEYS = {
@@ -730,7 +735,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
 
     pq = sub.add_parser("query", parents=[common], help="one-off lattice question")
-    pq.add_argument("kind", choices=("membership", "divisibility", "vlambda", "minimal-search"))
+    pq.add_argument("kind", choices=_QUERY_KINDS)
     pq.add_argument("--payload", required=True, help="JSON payload")
 
     ps = sub.add_parser("sample", parents=[common], help="seeded random classes")
@@ -752,14 +757,62 @@ def _subcommand_parsers() -> dict[str, argparse.ArgumentParser]:
     return action.choices
 
 
+@cache
+def _query_defaults() -> dict:
+    """The namespace argparse builds for the smallest plain ``query`` argv,
+    as a dict: every attribute ``_plain_query`` does not read is argparse's
+    own default."""
+    args = _subcommand_parsers()["query"].parse_args(["membership", "--payload", "{}"])
+    args.command = "query"
+    return vars(args)
+
+
+def _plain_query(argv: list):
+    """The namespace of a plain ``query`` argv, read with no argparse pass,
+    or None for any other argv.
+
+    A plain argv is ``query KIND`` followed only by ``--json`` and
+    ``--payload P`` tokens, with P a string that starts with ``{`` and at
+    least one ``--payload``; a repeated option takes its last value, as
+    argparse does. None of these tokens is read any other way by argparse,
+    which builds the same namespace (``tests/argv_parity.py`` checks it)."""
+    n = len(argv)
+    if n < 4 or argv[0] != "query" or argv[1] not in _QUERY_KINDS:
+        return None
+    as_json = False
+    payload = None
+    i = 2
+    while i < n:
+        token = argv[i]
+        if token == "--json":
+            as_json = True
+            i += 1
+        elif token == "--payload" and i + 1 < n:
+            payload = argv[i + 1]
+            if not isinstance(payload, str) or payload[:1] != "{":
+                return None
+            i += 2
+        else:
+            return None
+    if payload is None:
+        return None
+    args = argparse.Namespace(**_query_defaults())
+    args.kind, args.payload, args.json = argv[1], payload, as_json
+    return args
+
+
 def _parse_args(argv) -> argparse.Namespace:
-    """``build_parser().parse_args(argv)`` with one pass over argv: when
+    """``build_parser().parse_args(argv)`` with one pass over argv: a plain
+    ``query`` argv (``_plain_query``) is read directly; otherwise, when
     ``argv[0]`` names a subcommand, the rest goes straight to that
     subcommand's parser, as the top-level one would pass it on. Any other
     argv (none, ``-h``, an unknown command, or ``None`` for ``sys.argv``)
     goes through the top-level parser, which prints its help and errors."""
     if argv is not None:
         argv = list(argv)
+        args = _plain_query(argv)
+        if args is not None:
+            return args
         sub = _subcommand_parsers().get(argv[0]) if argv else None
         if sub is not None:
             args = sub.parse_args(argv[1:])

@@ -54,10 +54,13 @@ There is one vector API: ``Lattice.contains``, ``coords`` and
 work on v/den. The entries of v may be ints, Fractions or "p/q" strings;
 an all-int v is used as it is, so integer numerators over one denominator
 need no conversion. ``coset_feasible`` takes its covector the same way.
-The three parse v/den (``Lattice._scaled``) and then call the one integer
-entry ``Lattice._target``, which ``h4_model.H4Lattice`` calls with an
-``H4Class``'s own numerators and denominator: those are in lowest terms,
-so den | ``Lattice.den`` decides integrality with no pass over them.
+The three parse v/den (``Lattice._scaled``) into integer numerators and a
+multiplier from the one integer entry ``Lattice._multiplier``, which
+``h4_model.H4Lattice`` calls with an ``H4Class``'s own denominator: its
+numerators are in lowest terms, so den | ``Lattice.den`` decides
+integrality with no pass over them. The target of the solve is the
+multiplier times the numerators, and no scaled vector is built: the
+substitution scales only the columns it changes.
 
 The matrices of the degree-4 lattice are very sparse (its 276x276 HNF basis
 has 371 nonzeros), so loops walk nonzeros only, in one sparse row form: per
@@ -66,14 +69,17 @@ integer row, a tuple of ``(column, value)`` pairs in ascending column order
 basis-value products walk it. Membership, integer coordinates and
 divisibility are one triangular solve, which walks a solve plan each
 lattice builds once from its sparse HNF rows (``kernels.solve_plan``):
-the multi-entry rows by forward substitution, the pivot-only rows (253 of
-the 276 on the degree-4 lattice) in bulk per pivot value. Membership and
-coordinates read it through ``kernels.solve_left_int_row``; divisibility
-reads only the gcd of the coordinates, through ``kernels.solve_content``
-(``Lattice._content``), which neither divides nor reorders. Rational
-coordinates take the same solve, on the vector or on the vector times the
-pivot product, which makes them integral (``Lattice._q_coords``). A
-``Mat`` builds its sparse rows once on demand (``Mat.sparse_rows``).
+the multi-entry rows by forward substitution on the columns they touch
+(96 of 276 on the degree-4 lattice), the pivot-only rows (253 of the 276)
+in bulk per pivot value, those off the touched columns read from the
+unscaled numerators. ``Lattice`` membership and coordinates read it
+through ``kernels.solve_left_int_row``; divisibility, and membership in
+the degree-4 lattice, read only the gcd of the coordinates, through
+``kernels.solve_content`` (``Lattice._content``), which neither divides
+nor reorders. Rational coordinates take the same solve, on the vector or
+on the vector times the pivot product, which makes them integral
+(``Lattice._q_coords``). A ``Mat`` builds its sparse rows once on demand
+(``Mat.sparse_rows``).
 Integer rows are combined by the one loop ``_combine_rows`` over sparse
 rows, which also lifts coefficient rows through the sparse basis of a
 lattice (``saturate_in``, the ``coset_feasible`` witness) and adds the
@@ -484,7 +490,8 @@ class Lattice:
     by one and the pivot-only rows solved in bulk per pivot value.
     ``kernels.solve_left_int_row`` reads the coordinates off it
     (``_solve``) and ``kernels.solve_content`` only their gcd
-    (``_content``), the divisibility.
+    (``_content``), the divisibility. Both take the target as integer
+    numerators and a multiplier (``_scaled``, ``_multiplier``).
     """
 
     __slots__ = ("ambient_dim", "den", "int_basis", "form", "_sparse", "_plan")
@@ -576,8 +583,9 @@ class Lattice:
         return f"Lattice(rank {self.rank} in Q^{self.ambient_dim}, den {self.den})"
 
     def _scaled(self, v, den):
-        """The public parse into ``_target``: ``self.den * v/den`` as an
-        integer list, or None when it is not integral.
+        """The public parse into the solve readers: ``(num, a)`` with ints
+        num and ``self.den * v/den = a * num``, a the multiplier of
+        ``_multiplier`` or None when that is not integral.
 
         ``v`` holds ints, Fractions or "p/q" strings; ``den`` is an int > 0.
         """
@@ -586,39 +594,40 @@ class Lattice:
             raise ValueError("vector length differs from ambient_dim")
         b = den // gcd(self.den, den)
         if b == 1:
-            return self._target(num, den)
+            return num, self._multiplier(den)
         # b divides every entry exactly when it is their gcd with b; then
         # den // b divides self.den
         if gcd(b, *num) != b:
-            return None
-        return self._target([x // b for x in num], den // b)
+            return num, None
+        return [x // b for x in num], self._multiplier(den // b)
 
-    def _target(self, num, den):
-        """``self.den * num/den`` as an integer list, or None when it is not
-        integral: the one integer entry of the vector API, for ints num and
+    def _multiplier(self, den):
+        """``self.den // den``, or None when den does not divide
+        ``self.den``: the integer entry of the vector API. For ints num and
         an int den > 0 such that num/den is in lowest terms (an
         ``H4Class``'s own pair) or den divides ``self.den`` (what
-        ``_scaled`` hands over). Either way den | ``self.den`` decides, with
-        no pass over the numerators: if the target is integral, then
-        den / gcd(den, ``self.den``) divides den and every numerator, whose
-        gcd is 1 in lowest terms."""
+        ``_scaled`` hands over), ``self.den * num/den`` is integral exactly
+        when den | ``self.den``, with no pass over the numerators: if it is
+        integral, then den / gcd(den, ``self.den``) divides den and every
+        numerator, whose gcd is 1 in lowest terms. The readers then take
+        num and this multiplier a, and scale only the columns that their
+        substitution changes (``kernels.solve_plan``)."""
         a, r = divmod(self.den, den)
-        if r:
-            return None
-        return num if a == 1 else [x * a for x in num]
+        return None if r else a
 
-    def _solve(self, w):
-        """Integer x with ``x * int_basis = w``, or None when w is not an
-        integer combination of the basis rows: ``kernels.solve_left_int_row``
-        on the lattice's solve plan (``_solve_plan``)."""
-        return kernels.solve_left_int_row(self._solve_plan(), w)
+    def _solve(self, num, a=1):
+        """Integer x with ``x * int_basis = a * num``, or None when that is
+        not an integer combination of the basis rows:
+        ``kernels.solve_left_int_row`` on the lattice's solve plan
+        (``_solve_plan``)."""
+        return kernels.solve_left_int_row(self._solve_plan(), num, a)
 
-    def _content(self, w):
-        """The gcd of the integer coordinates of w (0 for w = 0), or None
-        when w is not an integer combination of the basis rows:
-        ``kernels.solve_content`` on the lattice's solve plan, with no
-        coordinate built."""
-        return kernels.solve_content(self._solve_plan(), w)
+    def _content(self, num, a=1):
+        """The gcd of the integer coordinates of ``a * num`` (0 for num =
+        0), or None when it is not an integer combination of the basis
+        rows: ``kernels.solve_content`` on the lattice's solve plan, with
+        no coordinate built."""
+        return kernels.solve_content(self._solve_plan(), num, a)
 
     def _solve_plan(self):
         """``kernels.solve_plan`` of the sparse rows, built on the first
@@ -628,10 +637,10 @@ class Lattice:
             plan = self._plan = kernels.solve_plan(self._sparse, self.ambient_dim)
         return plan
 
-    def _divisibility(self, w) -> int:
-        """The divisibility of the lattice vector w/``self.den`` from its
-        content; w is an integer list or None (not integral)."""
-        c = None if w is None else self._content(w)
+    def _divisibility(self, num, a) -> int:
+        """The divisibility of the lattice vector a * num/``self.den`` from
+        its content; a is the multiplier, or None (not integral)."""
+        c = None if a is None else self._content(num, a)
         if c is None:
             raise ValueError("vector is not in the lattice")
         if not c:
@@ -640,19 +649,19 @@ class Lattice:
 
     def contains(self, v, den: int = 1) -> bool:
         """Whether the rational vector v/den lies in M."""
-        w = self._scaled(v, den)
-        return w is not None and self._solve(w) is not None
+        num, a = self._scaled(v, den)
+        return a is not None and self._solve(num, a) is not None
 
     def coords(self, v, den: int = 1):
         """Integer coordinates of v/den in the canonical basis, or None."""
-        w = self._scaled(v, den)
-        x = None if w is None else self._solve(w)
+        num, a = self._scaled(v, den)
+        x = None if a is None else self._solve(num, a)
         return None if x is None else tuple(x)
 
     def divisibility(self, v, den: int = 1) -> int:
         """Largest n >= 1 with v/(n*den) still in the lattice: the gcd of
         the coordinates of v/den, read off ``_content``."""
-        return self._divisibility(self._scaled(v, den))
+        return self._divisibility(*self._scaled(v, den))
 
     def _pivot_product(self) -> int:
         """Product of the HNF pivots of den * L. The rows restricted to
@@ -669,16 +678,14 @@ class Lattice:
         be their triangular block on the pivot columns, with det H_P = P =
         ``_pivot_product()``. A w in the Q-span has y = (den * w)_P * H_P^-1
         = (den * w)_P * adj(H_P) / P, so P * y is an integer vector and the
-        triangular ``_solve(P * den * w)`` finds it; a w outside the Q-span
-        has no rational y, so that solve is None. P has 892 bits on the
-        degree-4 lattice, so den * w is solved first: y is integral, and
-        found at once, whenever w lies in the lattice.
+        triangular solve of P * den * w (``_solve(w, P * den)``) finds it;
+        a w outside the Q-span has no rational y, so that solve is None. P
+        has 892 bits on the degree-4 lattice, so den * w is solved first: y
+        is integral, and found at once, whenever w lies in the lattice.
         """
-        w = [self.den * x for x in w]
-        y = self._solve(w)
+        y = self._solve(w, self.den)
         if y is None:
-            P = self._pivot_product()
-            y = self._solve([P * x for x in w])
+            y = self._solve(w, self._pivot_product() * self.den)
         return y
 
     def gram(self) -> Mat:

@@ -19,8 +19,9 @@ check nothing about it, and an omitted d is ``bb_lattice.DELTA0``.
 
 Everything is exact and runs on Python integers: classes are integer
 numerators over one denominator in lowest terms and go into lattices as
-such: ``H4Lattice`` hands them to ``Lattice._target``, the integer entry
-of the one vector API of ``Lattice``, with no parse.
+such: ``H4Lattice`` hands the numerators, unscaled, to the solve readers
+of ``Lattice`` with the multiplier ``Lattice._multiplier`` reads off the
+denominator, with no parse.
 Input from outside is checked once, by the public ``H4Class``
 constructor; sums, multiples, products ``sym2_embed`` and torsion lifts
 are built from checked classes and take the private ``H4Class._of``,
@@ -230,10 +231,19 @@ class H4Class:
 
 def sym2_embed(a: H2Class, b: H2Class) -> H4Class:
     """The product class of two degree-2 classes, as monomial coordinates:
-    a_i*b_i at x_i^2 and a_i*b_j + a_j*b_i at x_i*x_j for i < j."""
+    a_i*b_i at x_i^2 and a_i*b_j + a_j*b_i at x_i*x_j for i < j. A square
+    (equal coordinates) takes a_i^2 and 2*a_i*a_j, one product an entry."""
     ac, bc = a.coords, b.coords
     num = [0] * AMBIENT
     n = 0
+    if ac == bc:
+        for i, ai in enumerate(ac):
+            if ai:
+                t = 2 * ai
+                num[n] = ai * ai
+                num[n + 1 : n + RANK - i] = [t * y for y in ac[i + 1 :]]
+            n += RANK - i
+        return H4Class._of(tuple(num), 1)
     for i in range(RANK):
         ai, bi = ac[i], bc[i]
         if ai or bi:
@@ -397,10 +407,12 @@ class H4Lattice:
     witnesses record which complement basis produced the generators.
 
     Its vector methods take an ``H4Class``, whose numerators and
-    denominator are ints in lowest terms with den > 0, so they hand that
-    pair straight to ``Lattice._target`` with no parse. ``divisibility``
-    and ``content`` read the content of the solution (``Lattice._content``)
-    and build no coordinates.
+    denominator are ints in lowest terms with den > 0, so they need no
+    parse: ``Lattice._multiplier`` of the class's den decides integrality,
+    and the class's own numerators go to the solve reader with that
+    multiplier, unscaled. ``contains``, ``divisibility`` and ``content``
+    all read the content of the solution (``Lattice._content``) and build
+    no coordinates.
     """
 
     __slots__ = ("lattice", "delta_used", "abasis", "a_gram", "b_inv", "q", "v0")
@@ -415,21 +427,20 @@ class H4Lattice:
         self.v0 = v0
 
     def contains(self, v: H4Class) -> bool:
-        lat = self.lattice
-        w = lat._target(v.num, v.den)
-        return w is not None and lat._solve(w) is not None
+        """Whether v lies in the lattice: its content is not None."""
+        return self.content(v) is not None
 
     def content(self, v: H4Class):
         """The gcd of the coordinates of v in the lattice, 0 for v = 0, or
         None when v is not in the lattice; no coordinate is built."""
         lat = self.lattice
-        w = lat._target(v.num, v.den)
-        return None if w is None else lat._content(w)
+        a = lat._multiplier(v.den)
+        return None if a is None else lat._content(v.num, a)
 
     def divisibility(self, v: H4Class) -> int:
         """Largest n >= 1 with v/n still in the lattice."""
         lat = self.lattice
-        return lat._divisibility(lat._target(v.num, v.den))
+        return lat._divisibility(v.num, lat._multiplier(v.den))
 
     def __eq__(self, other):
         if not isinstance(other, H4Lattice):

@@ -4,16 +4,21 @@ The library calls ``hnf``, ``hnf_transform``, ``snf_diagonal``,
 ``solve_plan``, ``solve_left_int_row`` and ``solve_content``. The last
 three are lattice membership, integer coordinates and divisibility.
 ``solve_plan`` takes the sparse HNF rows a ``Lattice`` keeps and the
-number of columns, once per lattice. The two solve readers take that plan
-and the integer target vector, and share one substitution of the
-multi-entry rows, one by one over their nonzeros; the rows that hold only
-their pivot are then read in bulk, one gather and one ``gcd`` test per
-pivot value. ``solve_left_int_row`` also divides them and puts the
-coordinates in row order, for membership (``Lattice.contains``,
-``H4Lattice.contains``), ``Lattice.coords`` (``_coord_matrix``) and the
-rational coordinates of ``saturate_in``. ``solve_content`` returns only
-the gcd of the coordinates, with no division pass and no reordering, for
-every divisibility: ``Lattice.divisibility`` and, through
+number of columns, once per lattice, and records which columns the
+multi-entry rows touch (96 of 276 on the degree-4 lattice). The two solve
+readers take that plan, integer numerators num and a multiplier a (the
+target is a * num; a ``Lattice`` passes ``den / den(v)``), and share one
+substitution of the multi-entry rows, one by one over their nonzeros, on
+the touched columns alone, scaled by a; no scaled copy of the whole
+target is built. The rows that hold only their pivot are then read in
+bulk, one gather per side and one ``gcd`` test per pivot value: off the
+touched columns the values are a * num, whose gcd is a times that of num.
+``solve_left_int_row`` also divides them and puts the coordinates in row
+order, for ``Lattice.contains``, ``Lattice.coords`` (``_coord_matrix``)
+and the rational coordinates of ``saturate_in``. ``solve_content``
+returns only the gcd of the coordinates, with no division pass and no
+reordering, for every divisibility and for degree-4 membership:
+``Lattice.divisibility`` and, through ``H4Lattice.contains``,
 ``H4Lattice.content`` and ``H4Lattice.divisibility``, the ``membership``
 and ``divisibility`` queries, ``even_class_predicates`` and the cubic
 suite's ``residual_integral_primitive``.

@@ -1,7 +1,9 @@
 """Parity of the CLI's argv dispatch with the top-level argparse pass.
 
-``cli._parse_args`` hands the rest of an argv that starts with a
-subcommand name straight to that subcommand's parser. It must read every
+``cli._parse_args`` reads a plain ``query`` argv (the kind, then only
+``--json`` and ``--payload {...}`` tokens) directly, with no argparse
+pass, and hands the rest of any other argv that starts with a subcommand
+name straight to that subcommand's parser. It must read every
 argv as ``cli.build_parser().parse_args`` does: the same namespace, or the
 same ``SystemExit`` code with the same stdout (``--help``) and stderr (one
 ``error:`` line). ``check_parity`` compares the two on one argv and needs
@@ -78,6 +80,30 @@ CORPUS = [
     ["verify", "blowup", "--convention"],
     ["verify", "", "--trials", "2"],
     ["verify", "blowup", "blowup"],
+    # the edges of the plain query argv that ``cli._plain_query`` reads
+    # with no argparse pass: the last two kinds, a payload that does not
+    # start with "{", the option joined to its value, repeated options,
+    # the kind after an option, the other options, a stray token
+    ["query", "divisibility", "--payload", '{"named": "c2"}', "--json"],
+    ["query", "minimal-search", "--json", "--payload", "{}"],
+    ["query", "membership", "--payload", "[]"],
+    ["query", "membership", "--payload", ""],
+    ["query", "membership", "--payload", " {}"],
+    ["query", "membership", "--payload", "-{}"],
+    ["query", "membership", "--payload={}"],
+    ["query", "membership", '--payload={"named": "v0"}', "--json"],
+    ["query", "membership", "--json", "--json", "--payload", "{}"],
+    ["query", "membership", "--payload", "{}", "--json", "--payload", '{"named": "q"}'],
+    ["query", "membership", "--payload", "{}", "--payload", "{", "--json", "--json"],
+    ["query", "--json", "membership", "--payload", "{}"],
+    ["query", "--payload", "{}", "membership"],
+    ["query", "membership", "--seed", "3", "--payload", "{}"],
+    ["query", "membership", "--payload", "{}", "--out", "F"],
+    ["query", "membership", "--payload", "{}", "--json", "{}"],
+    ["query", "membership", "--payload", "{}", "membership"],
+    ["query", "membership", "--json"],
+    ["query", "membership", "--json", "--payload"],
+    ["query", "Membership", "--payload", "{}"],
 ]
 
 # the alphabet of the product corpus: the four commands, a kind of each,

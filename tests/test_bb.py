@@ -104,6 +104,13 @@ class TestPredicates:
         with pytest.raises(ValueError):
             polarization_condition(2 * e1 + 2 * f1)  # imprimitive
 
+    def test_polarization_condition_refuses_square_zero(self):
+        # e1 is primitive and odd, so only the square test refuses it
+        e1, _ = hyperbolic_pair(0)
+        assert bb_form(e1, e1) == 0
+        with pytest.raises(ValueError, match="positive square"):
+            polarization_condition(e1)
+
 
 class TestExceptionalClass:
     def test_validation(self):

@@ -22,6 +22,8 @@ from hypothesis import strategies as st
 from hklattice import _pykernels, cli, cubic_fano, deformation_fix, h4_model, hodge_classes, kernels
 from hklattice.h4_model import H4Class, H4Lattice, default_h4_lattice, sym2_embed
 
+from argv_parity import check_parity
+
 
 def _run(capsys, argv):
     code = cli.main(argv)
@@ -453,11 +455,9 @@ class TestQuery:
         assert obj["member"] is True
         assert obj["divisibility"] == 1
 
-    def test_membership_lookup_solves_once(self, capsys, monkeypatch):
-        # the first lookup builds the lattice and its solve plan; a second
-        # one builds no plan and makes exactly one substitution of the plan,
-        # whichever reader (coordinates or their content) asks for it
-        argv = ["query", "membership", "--payload", '{"named": "c2"}']
+    @staticmethod
+    def _plans_and_substitutions(capsys, monkeypatch, argv):
+        """(answer, plans built, substitutions made) of a second lookup."""
         assert _run(capsys, argv)[0] == 0
         plans, calls = [], []
         solve_plan, substitute = kernels.solve_plan, _pykernels._substitute
@@ -466,16 +466,38 @@ class TestQuery:
             plans.append(n)
             return solve_plan(rows, n)
 
-        def counting(plan, b):
-            calls.append(b)
-            return substitute(plan, b)
+        def counting(plan, num, a):
+            calls.append((num, a))
+            return substitute(plan, num, a)
 
         monkeypatch.setattr(kernels, "solve_plan", counting_plan)
         monkeypatch.setattr(_pykernels, "_substitute", counting)
         code, out, _ = _run(capsys, argv)
         assert code == 0
-        assert json.loads(out) == {"member": True, "divisibility": 3}
-        assert (len(plans), len(calls)) == (0, 1)
+        return json.loads(out), len(plans), len(calls)
+
+    def test_membership_lookup_solves_once(self, capsys, monkeypatch):
+        # the first lookup builds the lattice and its solve plan; a second
+        # one builds no plan and makes exactly one substitution of the plan,
+        # whichever reader (coordinates or their content) asks for it
+        argv = ["query", "membership", "--payload", '{"named": "c2"}']
+        answer = self._plans_and_substitutions(capsys, monkeypatch, argv)
+        assert answer == ({"member": True, "divisibility": 3}, 0, 1)
+
+    def test_lambda0_lookup_solves_once(self, capsys, monkeypatch):
+        # the same for a class built from the payload: the square of an odd
+        # lambda0, and an even lambda0 plus (2/5)q
+        odd = json.dumps({"lambda0": [1, 1] + [0] * 21})
+        even = json.dumps({"lambda0": [2, 2] + [0] * 20 + [1], "plus_two_fifths_q": True})
+        for payload, div in ((odd, 1), (even, 8)):
+            for kind in ("membership", "divisibility"):
+                argv = ["query", kind, "--json", "--payload", payload]
+                want = {"divisibility": div}
+                if kind == "membership":
+                    want["member"] = True
+                answer = self._plans_and_substitutions(capsys, monkeypatch, argv)
+                assert answer == (want, 0, 1)
+                monkeypatch.undo()
 
     def test_divisibility_c2(self, capsys):
         code, out, _ = _run(
@@ -818,6 +840,45 @@ def test_query_payload_fuzz(kind, payload, as_json):
         assert len(lines) == 1 and lines[0].startswith("error:")
     else:
         json.loads(out.getvalue())
+
+
+_payload_token = st.one_of(
+    st.builds(lambda t: "{" + t, st.text(max_size=8)),
+    st.sampled_from(["{}", '{"named": "c2"}', "[]", "", " {}", "-1", "--json", "--payload", "-h", "--"]),
+    st.text(max_size=4),
+)
+_query_option = st.one_of(
+    st.just(["--json"]), st.builds(lambda p: ["--payload", p], _payload_token), st.just(["--payload"])
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    kind=st.sampled_from(["membership", "divisibility", "vlambda", "minimal-search", "bogus"]),
+    options=st.lists(_query_option, max_size=5),
+    at=st.integers(0, 5),
+)
+def test_plain_query_argv_reads_as_argparse(kind, options, at):
+    """``query``, a kind and a shuffled mix of ``--json`` and ``--payload
+    P`` (the kind sometimes after an option): ``cli._parse_args`` gives the
+    namespace ``build_parser().parse_args`` gives, or the same exit code,
+    stdout and stderr. An argv of the plain form is read directly."""
+    at = min(at, len(options))
+    rest = [tok for opt in options for tok in opt]
+    cut = sum(len(opt) for opt in options[:at])
+    argv = ["query", *rest[:cut], kind, *rest[cut:]]
+    outcome = check_parity(argv)
+    payloads = [opt[1] for opt in options if len(opt) == 2]
+    plain = (
+        at == 0
+        and kind != "bogus"
+        and ["--payload"] not in options
+        and payloads
+        and all(p.startswith("{") for p in payloads)
+    )
+    assert (cli._plain_query(argv) is not None) is bool(plain)
+    if plain:
+        assert outcome == ("namespace", vars(cli._plain_query(argv)))
 
 
 class TestSearch:

@@ -84,6 +84,10 @@ class TestMonomials:
         a, b, c = (sample_primitive(rng) for _ in range(3))
         assert sym2_embed(a, b) == sym2_embed(b, a)
         assert sym2_embed(a + c, b) == sym2_embed(a, b) + sym2_embed(c, b)
+        # a square (equal coordinates) against the product of two classes
+        assert sym2_embed(a + c, a + c) == sym2_embed(a, a) + 2 * sym2_embed(a, c) + sym2_embed(c, c)
+        x = a.coords
+        assert list(sym2_embed(a, a).num) == [x[i] * x[j] * (1 if i == j else 2) for i, j in monomial_pairs()]
 
 
 class TestH4Class:
@@ -455,9 +459,9 @@ def test_cup_product_table_solves_and_membership_fallback(h4, monkeypatch):
     solve = kernels.solve_left_int_row
     contains = Lattice.contains
 
-    def counting_solve(rows, w):
+    def counting_solve(plan, num, a=1):
         solves.append(1)
-        return solve(rows, w)
+        return solve(plan, num, a)
 
     def recording_contains(self, v, den=1):
         asked.append(tuple(F(x, den) for x in v))

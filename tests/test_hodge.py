@@ -115,6 +115,13 @@ class TestPicardData:
         with pytest.raises(ValueError, match="polarization must be primitive"):
             PicardData.rank_one(2 * _u_pol())
 
+    def test_rejects_an_isotropic_class(self):
+        # e1 is primitive and odd, of square 0: only the square refuses it
+        e1 = hyperbolic_pair(0)[0]
+        assert bb_form(e1, e1) == 0
+        with pytest.raises(ValueError, match="positive square"):
+            PicardData.rank_one(e1)
+
     def test_rejects_lambda_outside(self):
         e2, f2 = hyperbolic_pair(1)
         with pytest.raises(ValueError):
@@ -247,6 +254,18 @@ class TestMinimality:
         with pytest.raises(ValueError):
             minimality_scalar(sym2_embed(e2, e2), T)
 
+    def test_each_guard_fires_off_the_admissible_span(self):
+        """Classes outside span(Sym^2 P, q) for P = Z(e1 + f1), against the
+        basis of T: e2*f2 pairs to 0 on every null pair, with ratio 2 on
+        (e2, f2) and ratio 1 on the others (the ratio guard); e2^2 pairs to
+        2 on the null pair (f2, f2) (the null-pairing guard)."""
+        T = transcendental(PicardData.rank_one(_u_pol()))
+        e2, f2 = hyperbolic_pair(1)
+        with pytest.raises(ValueError, match="ratio is not constant"):
+            minimality_scalar(sym2_embed(e2, f2), T)
+        with pytest.raises(ValueError, match="nonzero product over a null pairing"):
+            minimality_scalar(sym2_embed(e2, e2), T)
+
     def test_degenerate_transcendental(self):
         # algebraic part = everything orthogonal to an isotropic vector;
         # the complement is spanned by that isotropic vector itself
@@ -357,9 +376,10 @@ class TestParityPredicates:
         on_sq = []
         substitute = _pykernels._substitute
 
-        def recording(plan, w):
-            on_sq.append(w)
-            return substitute(plan, w)
+        def recording(plan, num, a):
+            # the target is a * num, parallel to num
+            on_sq.append(num)
+            return substitute(plan, num, a)
 
         monkeypatch.setattr(_pykernels, "_substitute", recording)
         dh = h4.delta_used.h2

@@ -132,21 +132,28 @@ def test_content_reader_matches_the_gcd_of_the_solution(case):
     ``gcd(*solve_left_int_row(...))`` or None, on HNF lattices of den up to
     12 whose rank may fall below the ambient dimension or be 0: members,
     the zero vector, perturbed non-members and random vectors, entered as
-    the lowest-terms pair ``Lattice._target`` takes, whose den need not
-    divide the lattice's, and through the public parse."""
+    a lowest-terms pair, whose den need not divide the lattice's, with the
+    multiplier ``Lattice._multiplier`` reads off that den, and through the
+    public parse. The readers take the unscaled numerators and the
+    multiplier, and answer as on the scaled target."""
     lat, num, den = case
     g = gcd(den, *num)
     low_num, low_den = [x // g for x in num], den // g
-    w = lat._target(low_num, low_den)
-    assert w == lat._scaled(num, den)
-    if w is None:
+    a = lat._multiplier(low_den)
+    parsed_num, parsed_a = lat._scaled(num, den)
+    assert (parsed_a is None) is (a is None)
+    if a is None:
         # in lowest terms only a den dividing the lattice's is integral
         assert lat.den % low_den
         assert dense_coords(lat, num, den) is None
         return
+    w = [a * x for x in low_num]
+    assert [parsed_a * x for x in parsed_num] == w
     plan = lat._solve_plan()
     want = _content_by_solve(plan, w)
     assert kernels.solve_content(plan, w) == want == lat._content(w)
+    assert kernels.solve_content(plan, low_num, a) == want == lat._content(low_num, a)
+    assert kernels.solve_left_int_row(plan, low_num, a) == kernels.solve_left_int_row(plan, w)
     dense = dense_coords(lat, num, den)
     assert want == (None if dense is None else gcd(*dense))
     # the raw kernel on the unscaled integers, whatever the lattice's den
@@ -275,11 +282,17 @@ def test_sparse_rows_are_the_nonzeros_of_the_basis(h4):
 
 
 def test_solve_plan_of_the_degree4_basis(h4):
-    # 23 rows substituted one by one; the 253 pivot-only rows, all of
-    # pivot 10, solved in one group; every column is a pivot
-    multi, groups, free, order = kernels.solve_plan(h4.lattice._sparse, h4.lattice.ambient_dim)
-    assert len(multi) == 23 and free is None
-    assert [(h, len(gather(range(276)))) for h, gather in groups] == [(10, 253)]
+    # 23 rows substituted one by one on the 96 columns they touch; the 253
+    # pivot-only rows, all of pivot 10, solved in one group, 73 of them on
+    # touched columns and 180 off them; every column is a pivot
+    lat = h4.lattice
+    touched, multi, groups, free, order = kernels.solve_plan(lat._sparse, lat.ambient_dim)
+    cols = sorted({c for row in lat._sparse if len(row) > 1 for c, _ in row})
+    assert len(cols) == 96 and list(touched(range(276))) == cols
+    assert len(multi) == 23 and free == (None, None)
+    assert [(h, len(inside(range(96))), len(outside(range(276)))) for h, inside, outside in groups] == [
+        (10, 73, 180)
+    ]
     assert sorted(order(range(276))) == list(range(276))
 
 
