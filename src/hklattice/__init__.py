@@ -9,7 +9,7 @@ Everything is exact and runs on Python integers, with no floating point:
 matrices, lattices and degree-4 classes are integer rows over one positive
 denominator, and ``fractions.Fraction`` values are made only at the edges
 (reading an entry, parsing input, printing JSON). The integer-matrix
-kernels (Hermite and Smith reduction, triangular solving) are in
+kernels (Hermite reduction, triangular solving) are in
 ``hklattice.kernels``.
 """
 

@@ -1,34 +1,56 @@
-"""Integer matrix kernels: Hermite and Smith reduction, fraction-free
-elimination, triangular solving.
+"""Integer matrix kernels: Hermite reduction and triangular solving, and
+the Smith diagonal and fraction-free elimination that the benchmark traces.
 
 The library's only kernel implementation, in pure Python; callers import
-it through ``hklattice.kernels``. Matrices are sequences of rows of Python
-ints. The triangular solve is two calls: ``solve_plan`` takes the sparse
-rows of ``hklattice.exact_linalg`` (per row, its ``(column, value)``
-nonzeros) of an HNF and its number of columns, and
-``solve_left_int_row`` or ``solve_content`` takes that plan, integer
-numerators num and a multiplier a > 0 (default 1), for the target a * num.
-The plan records the columns its multi-entry rows touch, and only those
-are scaled by a and substituted; the rest are read off num as it is.
-Inputs are never mutated. Everything is exact: arbitrary-precision
-integers only, no floating point, no modular shortcuts.
+it through ``hklattice.kernels``, which re-exports it. Matrices are
+sequences of rows of Python ints. Inputs are never mutated. Everything is
+exact: arbitrary-precision integers only, no floating point, no modular
+shortcuts.
 
-The library calls ``hnf``, ``hnf_transform``, ``snf_diagonal``,
-``solve_plan``, ``solve_left_int_row`` and ``solve_content``. The two
-solve readers share one substitution (``_substitute``):
-``solve_left_int_row`` builds the coordinates, for ``Lattice`` membership
-and ``Lattice.coords``, and ``solve_content`` only their gcd, for every
-divisibility (``Lattice.divisibility``, ``H4Lattice.content`` and
-``H4Lattice.divisibility``) and for ``H4Lattice.contains``. ``snf_diagonal`` is
-``smith_normal_form``, which returns only the Smith diagonal; the two names
-stay because the benchmark's per-layer counters trace each. The Smith
-transforms V and V^-1 that the tests' Smith-form oracles ask for live in
-``tests/oracles.py``.
-``det_bareiss`` and ``row_echelon_bareiss`` have no library caller: the
-library uses the sparse and modular routines of ``hklattice.exact_linalg``
-instead. They stay only for the benchmark's per-layer bit counters, which
-need a traced function of each name, and serve the tests as dense
-references.
+The library calls ``hnf``, ``hnf_transform``, ``solve_plan``,
+``solve_left_int_row`` and ``solve_content``:
+
+* ``solve_plan`` takes the sparse HNF rows that a ``Lattice`` keeps (per
+  row, its ``(column, value)`` nonzeros, as in ``hklattice.exact_linalg``)
+  and the number of columns, once per lattice, and records which columns
+  the multi-entry rows touch (96 of 276 on the degree-4 lattice).
+* The two solve readers take that plan, integer numerators num and a
+  multiplier a > 0 (default 1; a ``Lattice`` passes ``den / den(v)``),
+  for the target a * num. They share one substitution (``_substitute``)
+  of the multi-entry rows, one by one over their nonzeros, on the touched
+  columns alone, scaled by a; no scaled copy of the whole target is
+  built. The rows that hold only their pivot are then read in bulk, one
+  gather per side and one ``gcd`` test per pivot value: off the touched
+  columns the values are a * num, whose gcd is a times that of num.
+  ``solve_left_int_row`` also divides them and puts the coordinates in
+  row order, for ``Lattice.contains``, ``Lattice.coords``
+  (``exact_linalg._coord_matrix``) and the rational coordinates of
+  ``saturate_in``. ``solve_content`` returns only the gcd of the
+  coordinates, with no division pass and no reordering, for every
+  divisibility and for degree-4 membership: ``Lattice.divisibility`` and,
+  through ``H4Lattice.contains``, ``H4Lattice.content`` and
+  ``H4Lattice.divisibility``, the ``membership`` and ``divisibility``
+  queries, ``even_class_predicates`` and the cubic suite's
+  ``residual_integral_primitive``.
+* ``hnf_transform`` has two callers: ``exact_linalg.left_kernel`` (every
+  saturated left kernel) and ``bb_lattice._orth_complement``, whose
+  transform of the complement Gram is both its inverse and the proof that
+  it is unimodular. ``hnf`` and ``hnf_transform`` share one Hermite
+  reduction.
+
+The Smith kernels ``smith_normal_form`` and ``snf_diagonal`` (which
+returns the first), and ``det_bareiss`` and ``row_echelon_bareiss``, have
+no library caller. Finite quotients are read off ranks mod p
+(``h4_model.TorsionQuotient``) and 2x2 determinantal divisors
+(``hodge_classes.algebraic_quotient_bound``), saturation is congruences
+on the HNF (``exact_linalg.saturate_in``), determinants are
+``exact_linalg.det_int``, and the one nullspace, the deformation kernel,
+is certified by ``exact_linalg.certified_kernel``. The four stay only for
+the benchmark's per-layer bit counters (``kernels.NAME.max_bits_*``),
+which need a traced function of each name. The tests use them as
+references; ``tests/oracles.py`` reads quotients off ``snf_diagonal`` and
+keeps the Smith transforms V and V^-1 that its Smith-form oracles ask
+for.
 
 Conventions
 -----------

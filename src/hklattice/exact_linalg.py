@@ -4,8 +4,9 @@
 generated free submodule of Q^n given by a basis, stored in a canonical form
 so that structural equality decides equality of the underlying sets of
 vectors. ``FiniteAbelianGroup`` holds only the invariant factors of a
-finite quotient, which ``quotient_invariants`` reads off one Smith diagonal
-(``kernels.snf_diagonal``).
+finite quotient; the library reads them off ranks mod p
+(``h4_model.TorsionQuotient``) or 2x2 determinantal divisors
+(``hodge_classes.algebraic_quotient_bound``), with no Smith form.
 
 Canonical lattice form: a pair ``(den, H)`` with ``den`` the smallest
 positive integer such that ``den * M`` is an integer lattice and ``H`` the
@@ -796,16 +797,6 @@ def sublattice_index(sub: Lattice, sup: Lattice) -> int:
     _coord_matrix(sub, sup)  # the containment proof; the coordinates are not needed
     k = sub.rank
     return (sub._pivot_product() * sup.den**k) // (sup._pivot_product() * sub.den**k)
-
-
-def quotient_invariants(sub: Lattice, sup: Lattice) -> FiniteAbelianGroup:
-    """Invariant factors of sup/sub: the Smith diagonal of the coordinate
-    matrix of sub in sup, without its unit entries."""
-    if sub.rank != sup.rank:
-        raise NotASublatticeError("rank mismatch: quotient is not finite")
-    if sub.rank == 0:
-        return FiniteAbelianGroup([])
-    return FiniteAbelianGroup([d for d in kernels.snf_diagonal(_coord_matrix(sub, sup)) if d > 1])
 
 
 def divisibility(v, lat: Lattice) -> int:

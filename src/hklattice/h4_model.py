@@ -32,9 +32,9 @@ degree-2 factors (``_product_num``); it checks the expansion of d^2 and
 three lattice facts, not the entries that hold by definition. The torsion
 quotient is read off the glue code of the lattice (its basis rows that
 are not in Z^276, reduced mod each prime of the denominator), with no
-Smith form; it keeps the pivot columns that ``class_of`` reads and the
-CRT-weighted reduced basis rows that ``lift`` adds, and no Fraction
-lifts. Every basis, rank and relation mod p here comes from the
+Smith form; it keeps that code, the pivot columns that ``class_of`` reads
+and the CRT-weighted reduced basis rows that ``lift`` adds, and no
+Fraction lifts. Every basis, rank and relation mod p here comes from the
 library's one elimination mod p, ``exact_linalg._echelon_mod``, or its
 reduced basis ``_reduced_basis_mod``.
 
@@ -53,7 +53,7 @@ import re
 from collections.abc import Mapping
 from fractions import Fraction
 from functools import cache
-from math import gcd, lcm
+from math import gcd, lcm, prod
 
 from .bb_lattice import (
     DELTA0,
@@ -81,7 +81,6 @@ from .exact_linalg import (
     lattice_join,
     parse_int,
     parse_rational,
-    quotient_invariants,
     sublattice_index,
 )
 
@@ -486,8 +485,8 @@ def build_h4_lattice(d: ExceptionalClass | None = None) -> H4Lattice:
     over the monomial lattice. To decide whether another exceptional class
     gives the same lattice, no second join is needed: the torsion
     quotient's ``generated_by`` certifies that its glue classes generate
-    this one, from 23 membership solves and the ranks of the glue mod 2
-    and mod 5.
+    this one by comparing their reduced bases mod 2 and mod 5 with the
+    glue code of this one, with no membership solve.
     """
     d = DELTA0 if d is None else d
     abasis, a_gram, b_inv = _orth_complement(d)
@@ -516,6 +515,14 @@ def _squarefree_primes(n: int) -> list[int]:
     return primes
 
 
+def _invariant_factors(ranks: dict[int, int]) -> tuple[int, ...]:
+    """The invariant factors of the direct sum of the F_p^(r_p), for the
+    p-ranks ``ranks`` = {p: r_p} of distinct primes: d_t = prod of the p
+    with r_p >= m - t, for t = 0 .. m - 1 and m the largest r_p."""
+    m = max(ranks.values(), default=0)
+    return tuple(prod([p for p, r in ranks.items() if r >= m - t]) for t in range(m))
+
+
 class TorsionQuotient:
     """The finite quotient of the degree-4 lattice by the monomial lattice.
 
@@ -535,11 +542,12 @@ class TorsionQuotient:
     its kernel is L meet Z^276 = Z^276. So L / Z^276 is the product of
     F_p^(r_p), r_p = dim W_p, which is the sum of Z/d_t over the invariant
     factors d_t = prod of the p with r_p >= m - t, for t = 0 .. m - 1 and
-    m the largest r_p. ``__init__`` keeps the reduced echelon basis b^(p)
-    of each W_p (``_reduced_basis_mod``; r_2 = 23 and r_5 = 1 give
-    (Z/2)^22 x Z/10); prime p fills the last r_p positions. ``class_of``
-    checks membership, reads the pivot entries of den * v mod p and
-    combines them by CRT; the lift of e_t is (sum_p e_p * b_t^(p)) / den.
+    m the largest r_p (``_invariant_factors``). ``__init__`` keeps the
+    reduced echelon basis b^(p) of each W_p as ``_codes[p]``
+    (``_reduced_basis_mod``; r_2 = 23 and r_5 = 1 give (Z/2)^22 x Z/10);
+    prime p fills the last r_p positions. ``class_of`` checks membership,
+    reads the pivot entries of den * v mod p and combines them by CRT; the
+    lift of e_t is (sum_p e_p * b_t^(p)) / den.
     It lies in L: with Z^276 in L, L is the full preimage of the sum of
     the W_p among the vectors of (1/den) Z^276 (an l in L with the same
     image leaves a difference that is 0 mod the squarefree den, so in
@@ -549,46 +557,42 @@ class TorsionQuotient:
     Z^276 lies in L, and class_of(lift(e_i)) = e_i for every generator.
     It raises ``ArithmeticError`` otherwise.
 
-    The same glue map certifies a generating set: ``generated_by(classes)``
-    decides whether Z^276 and some classes generate L from one membership
-    solve per class and the rank mod each p of den times the classes, with
-    no Hermite form of their join (the proof is in its docstring). The
-    h4-torsion suite's ``delta_independence`` asks it for the glue classes
-    of a sampled exceptional class.
+    The glue code answers the other group questions, with no Smith form
+    and no membership solve: ``subgroup`` from ranks mod p, and
+    ``generated_by``, which the h4-torsion suite's ``delta_independence``
+    asks about the glue classes of a sampled exceptional class, from
+    reduced bases mod p.
     """
 
-    __slots__ = ("h4", "group", "moduli", "_den", "_coord_cols", "_lift_rows")
+    __slots__ = ("h4", "group", "moduli", "_den", "_codes", "_coord_cols", "_lift_rows")
 
     def __init__(self, h4: H4Lattice):
         self.h4 = h4
         lat = h4.lattice
         den = lat.den
-        primes = _squarefree_primes(den)
         glue = [row for row in lat._sparse if any(x % den for _, x in row)]
-        bases = [_reduced_basis_mod(glue, p) for p in primes]
-        m = max(map(len, bases), default=0)
-        moduli = [1] * m
+        self._codes = {p: _reduced_basis_mod(glue, p) for p in _squarefree_primes(den)}
+        self.moduli = _invariant_factors({p: len(b) for p, b in self._codes.items()})
+        m = len(self.moduli)
         # per position: (pivot column, CRT weight e_p) of each prime there,
         # and the numerator sum_p e_p * b_t^(p) of the lift of e_t
         self._coord_cols = [[] for _ in range(m)]
         lifts = [[0] * AMBIENT for _ in range(m)]
-        for p, basis in zip(primes, bases):
+        for p, basis in self._codes.items():
             q = den // p
             e = q * pow(q, -1, p)
             for t, (c, row) in enumerate(basis.items(), m - len(basis)):
-                moduli[t] *= p
                 self._coord_cols[t].append((c, e))
                 for k, x in row:
                     lifts[t][k] += e * x
         self._den = den
-        self.moduli = tuple(moduli)
         self._lift_rows = _sparse_rows(lifts)
         self.group = FiniteAbelianGroup(self.moduli)
         try:
             index = sublattice_index(sym2_lattice(), lat)
         except NotASublatticeError as exc:
             raise ArithmeticError("the lattice does not contain Z^276") from exc
-        if self.group.order() != index:
+        if self.order() != index:
             raise ArithmeticError("glue ranks do not give the index of Z^276")
         for i in range(m):
             e = tuple(int(t == i) for t in range(m))
@@ -601,34 +605,27 @@ class TorsionQuotient:
     def generated_by(self, classes) -> bool:
         """Whether Z^276 and ``classes`` together generate the lattice L.
 
-        A certificate in two steps, with no Hermite form of the join:
+        True exactly when every den * c is integral and, for each prime p
+        of den, the rows den * c mod p have the reduced basis ``_codes[p]``
+        (``_reduced_basis_mod`` is canonical for a span).
 
-        * every class lies in L (one sparse membership solve each), so the
-          lattice M they generate with Z^276 lies in L; and
-        * prod p^(rank_p) equals ``order()``, where rank_p is the rank mod
-          p of the integer rows den * c (``_echelon_mod``) for each prime p
-          of the squarefree denominator den of L.
-
-        Why this decides M = L: L lies in (1/den) Z^276, so containment
-        makes each den * c integral. ``__init__`` certified Z^276 in L and
-        that v -> (den * v mod p)_p maps L onto the direct sum of the W_p
-        with kernel Z^276. The image of M is the Z-span of the images of
-        the classes (Z^276 maps to 0); by CRT the direct sum is (Z/den)^276,
-        a Z-span there is a Z/den-submodule, and the idempotents e_p split
-        it into the F_p-spans of the rows mod p. So [M : Z^276] =
-        prod p^(rank_p), and a sublattice of L containing Z^276 has the
-        index |L / Z^276| = ``order()`` exactly when it is L. A class
-        outside L, or too few independent classes mod some p, gives False.
+        Why: on (1/den) Z^276 the map v -> (den * v mod p)_p has kernel
+        Z^276, as den is squarefree. L is the full preimage of its image,
+        the sum of the W_p, since ``__init__`` certified Z^276 in L. Let M
+        be generated by Z^276 and the classes. A non-integral den * c puts
+        M outside (1/den) Z^276, which holds L. Otherwise M, which contains
+        Z^276, is the full preimage of its own image: the Z-span of the
+        images of the classes, which the idempotents e_p split into the
+        F_p-spans of the rows mod p. So M = L exactly when each span is W_p.
         """
-        classes = list(classes)
-        if not all(self.h4.contains(c) for c in classes):
-            return False
         den = self._den
-        rows = _sparse_rows([[den // c.den * x for x in c.num] for c in classes])
-        index = 1
-        for p in _squarefree_primes(den):
-            index *= p ** len(_echelon_mod(rows, p))
-        return index == self.order()
+        rows = []
+        for c in classes:
+            if den % c.den:
+                return False
+            rows.append([den // c.den * x for x in c.num])
+        rows = _sparse_rows(rows)
+        return all(_reduced_basis_mod(rows, p) == code for p, code in self._codes.items())
 
     def class_of(self, v: H4Class) -> tuple[int, ...]:
         """Residue tuple of a lattice element; raises if v is outside."""
@@ -742,13 +739,18 @@ class TorsionQuotient:
         ]
 
     def subgroup(self, elements) -> FiniteAbelianGroup:
-        """Abstract structure of the subgroup generated by residue tuples."""
-        k = len(self.moduli)
-        rel = [[self.moduli[i] if j == i else 0 for j in range(k)] for i in range(k)]
-        gens = [list(t) for t in elements]
-        sub = Lattice._from_int_rows(rel, 1, k)
-        sup = Lattice._from_int_rows(rel + gens, 1, k)
-        return quotient_invariants(sub, sup)
+        """Abstract structure of the subgroup generated by residue tuples.
+
+        The moduli are squarefree, so a subgroup is the sum over the
+        primes p of den of the F_p-span of the tuples' entries on the
+        positions that p divides; their ranks give its invariant factors."""
+        elements = list(elements)
+        ranks = {}
+        for p in self._codes:
+            cols = [i for i, d in enumerate(self.moduli) if d % p == 0]
+            rows = _sparse_rows([[t[i] for i in cols] for t in elements])
+            ranks[p] = len(_echelon_mod(rows, p))
+        return FiniteAbelianGroup(_invariant_factors(ranks))
 
 
 @cache

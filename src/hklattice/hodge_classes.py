@@ -18,9 +18,9 @@ The degree-4 lattice does not depend on the exceptional class it is built
 from, so every function here reads the cached ``default_h4_lattice()`` and
 ``default_torsion_quotient()`` itself and takes none as an argument.
 That independence is checked for sampled exceptional classes: by the
-h4-torsion suite's ``delta_independence``, through the glue-index
-certificate ``TorsionQuotient.generated_by``, and by the tests, which also
-build the lattices.
+h4-torsion suite's ``delta_independence``, through the glue code mod 2
+and mod 5 (``TorsionQuotient.generated_by``), and by the tests, which also
+build the lattices. No finite group here needs a Smith form.
 """
 
 from __future__ import annotations
@@ -28,6 +28,7 @@ from __future__ import annotations
 import hashlib
 from collections.abc import Mapping
 from fractions import Fraction
+from math import gcd
 
 from .bb_lattice import (
     RANK,
@@ -48,7 +49,6 @@ from .exact_linalg import (
     _saturate_rows,
     coset_feasible,
     int_vector,
-    quotient_invariants,
     saturate_in,
 )
 from .h4_model import (
@@ -58,7 +58,6 @@ from .h4_model import (
     default_torsion_quotient,
     fujiki_mat,
     fujiki_product_covector,
-    h4_span,
     second_chern_class,
     sym2_embed,
 )
@@ -344,12 +343,17 @@ def algebraic_quotient_bound(l0: H2Class) -> FiniteAbelianGroup:
     The polarization square and the degree-4 characteristic class
     24*v0 - 3*d^2 always lie in the span; the quotient they generate bounds
     the group of integral classes modulo algebraic ones from above: Z/3 for
-    odd polarizations, Z/24 for even ones.
+    odd polarizations, Z/24 for even ones. The invariant factors are the
+    determinantal divisors of the 2x2 coordinate matrix (Cohen, A Course in
+    Computational Algebraic Number Theory, 2.4): d1 = gcd of the entries,
+    d1 * d2 = |det|.
     """
     h4 = default_h4_lattice()
     V = canonical_hodge_lattice(l0)
     c2 = second_chern_class(h4.delta_used, h4.q)
-    return quotient_invariants(h4_span([sym2_embed(l0, l0), c2]), V)
+    (a, b), (c, d) = [V.coords(v.num, v.den) for v in (sym2_embed(l0, l0), c2)]
+    d1 = gcd(a, b, c, d)
+    return FiniteAbelianGroup([x for x in (d1, abs(a * d - b * c) // d1) if x > 1])
 
 
 def even_class_predicates(l0: H2Class) -> dict[str, bool]:

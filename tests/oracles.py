@@ -13,6 +13,17 @@ its right transform; ``SmithTorsionQuotient`` reads the degree-4 torsion
 quotient off the Smith form of the coordinate matrix of Z^276 in the
 lattice, with the 276 x 276 transforms V and V^-1.
 
+``quotient_invariants`` reads the invariant factors of a finite quotient
+sup/sub off the Smith diagonal of the coordinate matrix of sub in sup, the
+route the library replaced by ranks mod p and determinantal divisors. On
+it stand ``subgroup_by_smith``, the subgroup of the torsion quotient that
+residue tuples generate (the reference for ``TorsionQuotient.subgroup``),
+and ``algebraic_quotient_bound_by_smith``, the rank-2 Hodge span of l0
+over l0^2 and c2 (the reference for ``algebraic_quotient_bound``).
+``generated_by_index`` decides a generating set by one membership solve
+per class and the index prod p^(rank mod p), the reference for
+``TorsionQuotient.generated_by``, which compares reduced bases mod p.
+
 ``fujiki_with_product`` pairs a degree-4 class against a product a*b one
 monomial at a time, the reference for the library's covector form;
 ``q_class`` accumulates the class q from 276 ``sym2_embed`` products, the
@@ -48,9 +59,12 @@ from math import gcd, lcm
 
 from hklattice.bb_lattice import GRAM, RANK, H2Class, gram_apply
 from hklattice.deformation_fix import FixInstance
+from hklattice import kernels
 from hklattice.exact_linalg import (
+    FiniteAbelianGroup,
     Lattice,
     Mat,
+    NotASublatticeError,
     _check_ambient,
     _combine_rows,
     _coord_matrix,
@@ -63,10 +77,15 @@ from hklattice.h4_model import (
     H4Class,
     H4Lattice,
     TorsionQuotient,
+    _squarefree_primes,
+    default_h4_lattice,
+    h4_span,
     monomial_pairs,
+    second_chern_class,
     sym2_embed,
     sym2_lattice,
 )
+from hklattice.hodge_classes import canonical_hodge_lattice
 
 
 def fraction_rows(m) -> list[list[Fraction]]:
@@ -254,6 +273,17 @@ def smith_normal_form(mat):
     return [A[i][i] if i < t else 0 for i in range(limit)], V, W
 
 
+def quotient_invariants(sub: Lattice, sup: Lattice) -> FiniteAbelianGroup:
+    """Invariant factors of sup/sub: the Smith diagonal of the coordinate
+    matrix of sub in sup (``kernels.snf_diagonal``), without its unit
+    entries."""
+    if sub.rank != sup.rank:
+        raise NotASublatticeError("rank mismatch: quotient is not finite")
+    if sub.rank == 0:
+        return FiniteAbelianGroup([])
+    return FiniteAbelianGroup([d for d in kernels.snf_diagonal(_coord_matrix(sub, sup)) if d > 1])
+
+
 def smith_saturation_int(rows):
     """Basis of the saturation of an integer row span inside Z^n.
 
@@ -295,6 +325,40 @@ class SmithTorsionQuotient:
     def lift(self, t) -> H4Class:
         (vec,) = _combine_rows([t], self._lift_rows, AMBIENT)
         return H4Class._of(tuple(vec), self._lift_den)
+
+
+def subgroup_by_smith(tq: TorsionQuotient, elements) -> FiniteAbelianGroup:
+    """The subgroup of the torsion quotient that residue tuples generate,
+    as the Smith invariants of the relation lattice of ``tq.moduli`` in
+    its join with the tuples."""
+    k = len(tq.moduli)
+    rel = [[tq.moduli[i] if j == i else 0 for j in range(k)] for i in range(k)]
+    sub = Lattice._from_int_rows(rel, 1, k)
+    sup = Lattice._from_int_rows(rel + [list(t) for t in elements], 1, k)
+    return quotient_invariants(sub, sup)
+
+
+def generated_by_index(tq: TorsionQuotient, classes) -> bool:
+    """Whether Z^276 and ``classes`` generate the lattice of ``tq``: every
+    class passes a membership solve, and the index prod p^(rank mod p of
+    the rows den * c) over the primes p of den is ``tq.order()``."""
+    classes = list(classes)
+    if not all(tq.h4.contains(c) for c in classes):
+        return False
+    den = tq.h4.lattice.den
+    rows = _sparse_rows([[den // c.den * x for x in c.num] for c in classes])
+    index = 1
+    for p in _squarefree_primes(den):
+        index *= p ** len(echelon_mod(rows, p))
+    return index == tq.order()
+
+
+def algebraic_quotient_bound_by_smith(l0: H2Class) -> FiniteAbelianGroup:
+    """The quotient of the rank-2 Hodge span of l0 by the span of l0^2 and
+    c2, as the Smith invariants of that span in it."""
+    h4 = default_h4_lattice()
+    c2 = second_chern_class(h4.delta_used, h4.q)
+    return quotient_invariants(h4_span([sym2_embed(l0, l0), c2]), canonical_hodge_lattice(l0))
 
 
 def fujiki_with_product(u: H4Class, a: H2Class, b: H2Class) -> Fraction:

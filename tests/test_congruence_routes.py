@@ -10,11 +10,21 @@ from math import isqrt, prod
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from oracles import SmithTorsionQuotient, smith_saturation_int
+from oracles import (
+    SmithTorsionQuotient,
+    algebraic_quotient_bound_by_smith,
+    generated_by_index,
+    smith_saturation_int,
+    subgroup_by_smith,
+)
 from test_nullspace import bareiss_nullspace, certified
 
-from hklattice import cli, exact_linalg, kernels
-from hklattice.bb_lattice import sample_exceptional
+from hklattice import cli, exact_linalg, h4_model, hodge_classes, kernels
+from hklattice.bb_lattice import (
+    sample_exceptional,
+    sample_polarization_even,
+    sample_polarization_odd,
+)
 from hklattice.deformation_fix import random_instance, solve_fixed_space
 from hklattice.exact_linalg import (
     _WORD_PRIME,
@@ -37,8 +47,11 @@ from hklattice.h4_model import (
     default_torsion_quotient,
     glue_classes,
     h4_span,
+    second_chern_class,
+    sym2_embed,
     sym2_lattice,
 )
+from hklattice.hodge_classes import algebraic_quotient_bound
 
 # -- saturation -------------------------------------------------------------
 
@@ -261,6 +274,186 @@ def test_glue_certificate_rejects(h4):
     # the glue of a sampled class with one of the default lattice's own
     d = sample_exceptional(random.Random(5))
     assert tq.generated_by(glue_classes(d)[:-1] + [h4.v0])
+
+
+# -- subgroups, generating sets and the 2x2 bound against the Smith route ----
+
+
+def _with_lattice(h4, lat):
+    return H4Lattice(lat, h4.delta_used, h4.abasis, h4.a_gram, h4.b_inv, h4.q, h4.v0)
+
+
+X0_SQ = (1,) + (0,) * (AMBIENT - 1)
+
+
+@pytest.fixture(scope="module")
+def small_quotients(h4):
+    """Quotients with other moduli than the default's: (5,) from Z^276 and
+    x_0^2/5, and the trivial one of Z^276."""
+    fifth = lattice_join(sym2_lattice(), h4_span([H4Class._of(X0_SQ, 5)]))
+    return [TorsionQuotient(_with_lattice(h4, lat)) for lat in (fifth, sym2_lattice())]
+
+
+@st.composite
+def residue_tuples(draw, moduli):
+    """0 to 4 residue tuples: random ones, zero tuples, repeats and
+    multiples of earlier ones, unit vectors and entries outside [0, d)."""
+    out = []
+    for _ in range(draw(st.integers(0, 4))):
+        kind = draw(st.sampled_from(["random", "zero", "repeat", "multiple", "unit", "wide"]))
+        if kind in ("repeat", "multiple") and out:
+            t = draw(st.sampled_from(out))
+            k = 1 if kind == "repeat" else draw(st.integers(-3, 12))
+            out.append(tuple(k * x for x in t))
+        elif kind == "zero" or not moduli:
+            out.append((0,) * len(moduli))
+        elif kind == "unit":
+            i = draw(st.integers(0, len(moduli) - 1))
+            out.append(tuple(int(j == i) for j in range(len(moduli))))
+        elif kind == "wide":
+            out.append(tuple(draw(st.integers(-3 * d, 3 * d)) for d in moduli))
+        else:
+            out.append(tuple(draw(st.integers(0, d - 1)) for d in moduli))
+    return out
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_subgroup_matches_the_smith_route(small_quotients, data):
+    tq = data.draw(st.sampled_from([default_torsion_quotient(), *small_quotients]))
+    elements = data.draw(residue_tuples(tq.moduli))
+    assert tq.subgroup(elements) == subgroup_by_smith(tq, elements)
+
+
+@pytest.fixture(scope="module")
+def sampled_glue():
+    """The glue classes of four sampled exceptional classes."""
+    return [glue_classes(sample_exceptional(random.Random(seed))) for seed in (1, 2, 4, 6)]
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_generated_by_matches_the_index_route(sampled_glue, data):
+    tq = default_torsion_quotient()
+    glue = list(data.draw(st.sampled_from(sampled_glue)))
+    for _ in range(data.draw(st.integers(0, 3))):
+        kind = data.draw(st.sampled_from(["drop", "sum", "multiple", "foreign", "extra"]))
+        i, j = (data.draw(st.integers(0, len(glue) - 1)) for _ in range(2))
+        if kind == "drop":
+            del glue[i]
+        elif kind == "sum":
+            glue[i] = glue[i] + glue[j]
+        elif kind == "multiple":
+            glue[i] = data.draw(st.sampled_from([-1, 2, 3, 5, 7, 10])) * glue[i]
+        else:
+            num = [0] * AMBIENT
+            for k in data.draw(st.lists(st.integers(0, AMBIENT - 1), min_size=1, max_size=3)):
+                num[k] = data.draw(st.integers(-9, 9))
+            den = data.draw(st.sampled_from([1, 2, 3, 4, 5, 10, 20]))
+            foreign = H4Class._of(tuple(num), den)
+            if kind == "foreign":
+                glue[i] = foreign
+            else:
+                glue.insert(i, foreign)
+    assert tq.generated_by(glue) is generated_by_index(tq, glue)
+
+
+@settings(max_examples=20, deadline=None)
+@given(st.randoms(use_true_random=False), st.booleans())
+def test_algebraic_quotient_bound_matches_the_smith_route(rnd, odd):
+    l0 = sample_polarization_odd(rnd) if odd else sample_polarization_even(rnd)
+    got = algebraic_quotient_bound(l0)
+    assert got == algebraic_quotient_bound_by_smith(l0)
+    assert got.invariant_factors == ((3,) if odd else (24,))
+
+
+def test_algebraic_quotient_bound_reads_a_non_unit_first_divisor(monkeypatch):
+    # twice both classes: V is saturated, so it stays, and the quotient
+    # Z/n grows to Z/2 x Z/2n, whose first determinantal divisor is 2
+    monkeypatch.setattr(hodge_classes, "sym2_embed", lambda a, b: 2 * sym2_embed(a, b))
+    monkeypatch.setattr(
+        hodge_classes, "second_chern_class", lambda d, q: 2 * second_chern_class(d, q)
+    )
+    rnd = random.Random(3)
+    for l0, n in ((sample_polarization_odd(rnd), 3), (sample_polarization_even(rnd), 24)):
+        assert algebraic_quotient_bound(l0).invariant_factors == (2, 2 * n)
+
+
+# -- the torsion quotient's guards fire ---------------------------------------
+
+
+@pytest.fixture()
+def fresh_quotient(h4):
+    """A torsion quotient built for the test, with the cached default one
+    cleared before and after, so that no value built under a mutant
+    outlives the test. The default lattice is built before any mutant and
+    is never cleared (see ``test_h4.py``)."""
+    default_torsion_quotient.cache_clear()
+    yield TorsionQuotient(h4)
+    default_torsion_quotient.cache_clear()
+
+
+def test_a_glue_rank_short_of_the_index_is_refused(fresh_quotient, monkeypatch):
+    real = h4_model._reduced_basis_mod
+
+    def dropping_the_last_row(rows, p):
+        basis = real(rows, p)
+        basis.popitem()
+        return basis
+
+    monkeypatch.setattr(h4_model, "_reduced_basis_mod", dropping_the_last_row)
+    with pytest.raises(ArithmeticError, match="glue ranks do not give the index"):
+        TorsionQuotient(fresh_quotient.h4)
+
+
+def test_a_lift_off_its_class_is_refused(fresh_quotient, monkeypatch):
+    real = h4_model._reduced_basis_mod
+
+    def unreduced(rows, p):
+        # the first row plus the second: the same span and rank, but the
+        # first row no longer vanishes on the second pivot
+        basis = real(rows, p)
+        if len(basis) > 1:
+            (c0, r0), (_, r1) = list(basis.items())[:2]
+            row = dict(r0)
+            for k, x in r1:
+                row[k] = (row.get(k, 0) + x) % p
+            basis[c0] = tuple(sorted((k, x) for k, x in row.items() if x))
+        return basis
+
+    monkeypatch.setattr(h4_model, "_reduced_basis_mod", unreduced)
+    with pytest.raises(ArithmeticError, match="does not return to its class"):
+        TorsionQuotient(fresh_quotient.h4)
+
+
+def test_an_odd_invariant_factor_stops_the_delta_pairing_count(small_quotients):
+    # x_0^2/5 pairs to 0 against every product with d, so its lift passes
+    # the integrality test, and the order-5 quotient has no mod-2 count
+    fifth, _ = small_quotients
+    assert fifth.moduli == (5,)
+    assert fifth.delta_pairing_mod2((1,)) == (0,) * 23
+    with pytest.raises(ArithmeticError, match="expected even invariant factors"):
+        fifth.delta_pairing_kernel_order()
+    with pytest.raises(ValueError, match="not in the degree-4 lattice"):
+        fifth.class_of(H4Class._of(X0_SQ, 3))
+
+
+def test_a_lift_that_pairs_off_the_integers_is_refused(h4):
+    # x_0 x_1 pairs to -2 against a product with d, so x_0 x_1 / 5 does not
+    # pair integrally
+    glue = H4Class._of((0, 1) + (0,) * (AMBIENT - 2), 5)
+    tq = TorsionQuotient(_with_lattice(h4, lattice_join(sym2_lattice(), h4_span([glue]))))
+    with pytest.raises(ArithmeticError, match="pairing against the lattice must be integral"):
+        tq.delta_pairing_mod2((1,))
+
+
+def test_a_half_product_image_off_the_2_torsion_is_refused(fresh_quotient, monkeypatch):
+    h4 = fresh_quotient.h4
+    assert len(fresh_quotient.half_product_kernel_mod2()) == 1
+    # the seam hands back the order-10 point class for every half product
+    monkeypatch.setattr(h4_model, "half_product_class", lambda d, a: h4.v0)
+    with pytest.raises(ArithmeticError, match="half-product image is not 2-torsion"):
+        fresh_quotient.half_product_kernel_mod2()
 
 
 def test_delta_independence_check_builds_no_276_row_hermite_form(monkeypatch):

@@ -8,7 +8,14 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from oracles import fraction_rows, json_text, lattice_json, lattice_meet, mat_product
+from oracles import (
+    fraction_rows,
+    json_text,
+    lattice_json,
+    lattice_meet,
+    mat_product,
+    quotient_invariants,
+)
 
 from hklattice import exact_linalg, kernels
 from hklattice.exact_linalg import (
@@ -25,7 +32,6 @@ from hklattice.exact_linalg import (
     divisibility,
     lattice_join,
     left_kernel,
-    quotient_invariants,
     saturate_in,
     signature_symmetric,
     sublattice_index,
